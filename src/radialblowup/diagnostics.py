@@ -14,7 +14,8 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .model import FluidState, ModelConfig, RadialGrid, pressure, weighted_momentum
+from .model import FluidState, ModelConfig, RadialGrid, grid_weights, pressure
+from .model import weighted_momentum
 from .poisson import alpha
 
 #: Operational definition of a detected singularity, recorded in every report.
@@ -88,10 +89,8 @@ def cauchy_schwarz_gap(state: FluidState, grid: RadialGrid) -> float:
 
 def total_mass(state: FluidState, grid: RadialGrid, cfg: ModelConfig) -> float:
     """Discrete mass alpha(N) * sum rho_i * r_i**(N-1) * dr."""
-    r = grid.cell_centers
-    return float(
-        alpha(cfg.dim) * np.sum(state.rho * r ** (cfg.dim - 1)) * grid.cell_width
-    )
+    weight = grid_weights(grid, cfg.dim).center
+    return float(alpha(cfg.dim) * np.sum(state.rho * weight) * grid.cell_width)
 
 
 class EnergyCondition(NamedTuple):
@@ -107,13 +106,11 @@ def energy_condition(
 
     Informational only: the flag never feeds the verdict.
     """
-    r = grid.cell_centers
-    integrand = state.rho * state.vel**2 + 2.0 * pressure(
-        np.maximum(state.rho, 0.0), cfg
-    )
-    lhs = float(
-        2.0 * alpha(cfg.dim) * np.sum(integrand * r ** (cfg.dim - 1)) * grid.cell_width
-    )
+    integrand = state.rho * state.vel**2
+    if cfg.pressure_const > 0.0:
+        integrand += 2.0 * pressure(np.maximum(state.rho, 0.0), cfg)
+    weight = grid_weights(grid, cfg.dim).center
+    lhs = float(2.0 * alpha(cfg.dim) * np.sum(integrand * weight) * grid.cell_width)
     m2 = total_mass(state, grid, cfg) ** 2
     return EnergyCondition(lhs=lhs, mass_squared=m2, satisfied=lhs < m2)
 

@@ -7,7 +7,8 @@ immutable flow states, and admissibility checks for initial data.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -81,6 +82,29 @@ class RadialGrid:
     @cached_property
     def interfaces(self) -> np.ndarray:
         return np.arange(self.n_cells + 1) * self.cell_width
+
+
+class GridWeights(NamedTuple):
+    """Read-only geometric weights of a grid in dimension N."""
+
+    face_area: np.ndarray  # x**(N-1) at the interfaces
+    center: np.ndarray  # r**(N-1) at the cell centers
+    cell_volume: np.ndarray  # r**(N-1) * dr
+    shell: np.ndarray  # exact cell volumes (x[1:]**N - x[:-1]**N) / N
+    inner_shell: np.ndarray  # (r**N - x[:-1]**N) / N, interface to center
+
+
+@lru_cache(maxsize=32)
+def grid_weights(grid: RadialGrid, dim: int) -> GridWeights:
+    """The weights of (grid, dim), computed once and shared by every caller."""
+    x, r = grid.interfaces, grid.cell_centers
+    weights = GridWeights(
+        x ** (dim - 1), r ** (dim - 1), r ** (dim - 1) * grid.cell_width,
+        (x[1:] ** dim - x[:-1] ** dim) / dim, (r**dim - x[:-1] ** dim) / dim,
+    )
+    for w in weights:
+        w.setflags(write=False)
+    return weights
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelConfig, RadialGrid
+from .model import ModelConfig, RadialGrid, grid_weights
 
 _ALPHA = {1: 1.0, 2: 2.0 * np.pi, 3: 4.0 * np.pi}
 
@@ -39,12 +39,9 @@ def cumulative_mass_integrand(rho: np.ndarray, grid: RadialGrid, dim: int) -> np
     relative error from the weight's curvature. The contribution of the
     half cell [0, r_0] extrapolates rho as the first cell's constant.
     """
-    x = grid.interfaces
-    r = grid.cell_centers
-    full = (x[1:] ** dim - x[:-1] ** dim) / dim
-    half = (r**dim - x[:-1] ** dim) / dim
-    lead = np.concatenate(([0.0], np.cumsum(rho * full)[:-1]))
-    return lead + rho * half
+    weights = grid_weights(grid, dim)
+    lead = np.concatenate(([0.0], np.cumsum(rho * weights.shell)[:-1]))
+    return lead + rho * weights.inner_shell
 
 
 def radial_field(rho: np.ndarray, grid: RadialGrid, cfg: ModelConfig) -> FieldProfile:
@@ -63,6 +60,5 @@ def radial_field(rho: np.ndarray, grid: RadialGrid, cfg: ModelConfig) -> FieldPr
     cumulative = cumulative_mass_integrand(rho, grid, cfg.dim)
     if cfg.delta == 0:
         return FieldProfile(phi_r=np.zeros_like(rho), cumulative=cumulative)
-    r = grid.cell_centers
-    phi_r = alpha(cfg.dim) * cfg.delta * cumulative / r ** (cfg.dim - 1)
+    phi_r = alpha(cfg.dim) * cfg.delta * cumulative / grid_weights(grid, cfg.dim).center
     return FieldProfile(phi_r=phi_r, cumulative=cumulative)

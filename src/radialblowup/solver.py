@@ -21,6 +21,7 @@ from .model import (
     FluidState,
     ModelConfig,
     RadialGrid,
+    grid_weights,
     pressure,
     sound_speed,
     validate_initial_data,
@@ -115,10 +116,6 @@ class RunResult(NamedTuple):
     report: diagnostics.RunReport
 
 
-def _minmod(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.where(a * b > 0.0, np.sign(a) * np.minimum(np.abs(a), np.abs(b)), 0.0)
-
-
 def mirror_pad(rho: np.ndarray, vel: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Extend fields by NUM_GHOSTS cells: even/odd reflection at the origin,
     zeros beyond the outer wall."""
@@ -127,17 +124,6 @@ def mirror_pad(rho: np.ndarray, vel: np.ndarray) -> tuple[np.ndarray, np.ndarray
     rho_ext = np.concatenate((rho[:g][::-1], rho, zeros))
     vel_ext = np.concatenate((-vel[:g][::-1], vel, zeros))
     return rho_ext, vel_ext
-
-
-def _interface_states(ext: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Minmod-limited left/right states at the n+1 interfaces of the interior."""
-    slope = np.zeros_like(ext)
-    slope[1:-1] = _minmod(ext[1:-1] - ext[:-2], ext[2:] - ext[1:-1])
-    g = NUM_GHOSTS
-    # interface j sits between extended cells (g-1+j, g+j), j = 0..n
-    left = ext[g - 1 : -g] + 0.5 * slope[g - 1 : -g]
-    right = ext[g : ext.size - g + 1] - 0.5 * slope[g : ext.size - g + 1]
-    return left, right
 
 
 def rhs_eval(
@@ -153,36 +139,48 @@ def rhs_eval(
     interface at or beyond the wall margin, so the discrete mass telescopes
     exactly. Velocity tendencies vanish in vacuum cells.
     """
-    n = grid.n_cells
     dr = grid.cell_width
-    x = grid.interfaces
-    r = grid.cell_centers
-    dim = cfg.dim
+    weights = grid_weights(grid, cfg.dim)
 
-    rho_ext, vel_ext = mirror_pad(state.rho, state.vel)
-    rho_l, rho_r = _interface_states(rho_ext)
-    vel_l, vel_r = _interface_states(vel_ext)
-    rho_l = np.maximum(rho_l, 0.0)
-    rho_r = np.maximum(rho_r, 0.0)
-
-    a = np.maximum(
-        np.abs(vel_l) + sound_speed(rho_l, cfg),
-        np.abs(vel_r) + sound_speed(rho_r, cfg),
+    # minmod-limited (rho, V) on both sides of the n+1 interfaces, indexed
+    # [field, side, interface]; with NUM_GHOSTS = 2 the slopes cover exactly
+    # the extended cells 1 .. n+2 that touch an interface
+    ext = np.array(mirror_pad(state.rho, state.vel))
+    diff = ext[:, 1:] - ext[:, :-1]
+    mag = np.abs(diff)
+    half_slope = np.where(
+        diff[:, :-1] * diff[:, 1:] > 0.0,
+        np.copysign(np.minimum(mag[:, :-1], mag[:, 1:]), diff[:, :-1]),
+        0.0,
     )
+    half_slope *= 0.5
+    cells = ext[:, 1:-1]
+    faces = np.empty((2, 2, grid.n_cells + 1))
+    np.add(cells[:, :-1], half_slope[:, :-1], out=faces[:, 0])
+    np.subtract(cells[:, 1:], half_slope[:, 1:], out=faces[:, 1])
+    np.maximum(faces[0], 0.0, out=faces[0])
+    rho_lr, vel_lr = faces
 
-    # mass flux rho*V with local Lax-Friedrichs dissipation, weighted by x**(N-1)
-    f_mass = 0.5 * (rho_l * vel_l + rho_r * vel_r) - 0.5 * a * (rho_r - rho_l)
-    flux = x ** (dim - 1) * f_mass
-    flux[0] = 0.0
-    flux[n - num.support_margin_cells :] = 0.0
-    drho = -(flux[1:] - flux[:-1]) / (r ** (dim - 1) * dr)
-
-    # velocity advection flux V**2/2 with the same dissipation speed
-    g_adv = 0.25 * (vel_l**2 + vel_r**2) - 0.5 * a * (vel_r - vel_l)
-    dvel = -(g_adv[1:] - g_adv[:-1]) / dr
+    # local Lax-Friedrichs fluxes of rho*V and V**2/2 share one dissipation
+    # speed max(|V| + c); c is evaluated only when there is pressure
+    a = np.abs(vel_lr)
+    if cfg.pressure_const > 0.0:
+        a += sound_speed(rho_lr, cfg)
+    a = np.maximum(a[0], a[1])
+    flux = vel_lr[0] * faces[:, 0]
+    flux += vel_lr[1] * faces[:, 1]
+    flux[0] *= 0.5
+    flux[1] *= 0.25
+    flux -= 0.5 * a * (faces[:, 1] - faces[:, 0])
+    # the mass flux is weighted by x**(N-1) and closed at the origin and wall
+    flux[0] *= weights.face_area
+    flux[0, 0] = 0.0
+    flux[0, grid.n_cells - num.support_margin_cells :] = 0.0
+    drho = -(flux[0, 1:] - flux[0, :-1]) / weights.cell_volume
+    dvel = -(flux[1, 1:] - flux[1, :-1]) / dr
 
     if cfg.pressure_const > 0.0:
-        rho_face = 0.5 * (rho_l + rho_r)
+        rho_face = 0.5 * (rho_lr[0] + rho_lr[1])
         if cfg.gamma > 1.0:
             # pressure force per unit mass as an exact enthalpy gradient,
             # K*g/(g-1) * d(rho**(g-1))/dr: bounded at the vacuum edge
@@ -205,28 +203,30 @@ def rhs_eval(
     dvel = np.where(state.rho > rho_floor, dvel, 0.0)
 
     for name, tendency in (("density", drho), ("velocity", dvel)):
-        bad = ~np.isfinite(tendency)
-        if bad.any():
-            raise NumericalBreakdownError(int(np.argmax(bad)), name)
+        finite = np.isfinite(tendency)
+        if not finite.all():
+            raise NumericalBreakdownError(int(np.argmin(finite)), name)
     return drho, dvel
 
 
 def max_wave_speed(state: FluidState, cfg: ModelConfig) -> float:
     """Fastest signal speed max(|V| + c) over the cells."""
-    return float(
-        np.max(np.abs(state.vel) + sound_speed(np.maximum(state.rho, 0.0), cfg))
-    )
+    speed = np.abs(state.vel)
+    if cfg.pressure_const > 0.0:
+        speed += sound_speed(np.maximum(state.rho, 0.0), cfg)
+    return float(np.max(speed))
+
+
+def _stable_dt(speed, time, num: NumericsConfig, grid: RadialGrid) -> float:
+    cap = max(num.t_end - time, 0.0)
+    return cap if speed <= 0.0 else min(num.cfl * grid.cell_width / speed, cap)
 
 
 def cfl_dt(
     state: FluidState, cfg: ModelConfig, num: NumericsConfig, grid: RadialGrid
 ) -> float:
     """Stable step cfl*dr/max(|V|+c), capped by the time left to t_end."""
-    cap = max(num.t_end - state.time, 0.0)
-    speed = max_wave_speed(state, cfg)
-    if speed <= 0.0:
-        return cap
-    return min(num.cfl * grid.cell_width / speed, cap)
+    return _stable_dt(max_wave_speed(state, cfg), state.time, num, grid)
 
 
 def apply_boundary(state: FluidState, num: NumericsConfig) -> FluidState:
@@ -253,37 +253,36 @@ def step(
     The boundary margin is re-applied after each stage. Raises
     PositivityError when the full step leaves density below -positivity_tol.
     """
-    k1_rho, k1_vel = rhs_eval(state, cfg, grid, num, rho_floor)
-    mid = apply_boundary(
-        FluidState(
-            time=state.time + dt,
-            rho=state.rho + dt * k1_rho,
-            vel=state.vel + dt * k1_vel,
-        ),
-        num,
-    )
-    k2_rho, k2_vel = rhs_eval(mid, cfg, grid, num, rho_floor)
-    new = apply_boundary(
-        FluidState(
-            time=state.time + dt,
-            rho=0.5 * state.rho + 0.5 * (mid.rho + dt * k2_rho),
-            vel=0.5 * state.vel + 0.5 * (mid.vel + dt * k2_vel),
-        ),
-        num,
-    )
-    rho_min = float(np.min(new.rho))
+    wall = slice(grid.n_cells - num.support_margin_cells, None)
+    time = state.time + dt
+    # both stages are written into the fresh tendency arrays
+    mid = rhs_eval(state, cfg, grid, num, rho_floor)
+    for stage, old in zip(mid, (state.rho, state.vel)):
+        stage *= dt
+        stage += old
+        stage[wall] = 0.0
+    new = rhs_eval(FluidState(time, *mid), cfg, grid, num, rho_floor)
+    for stage, mid_field, old in zip(new, mid, (state.rho, state.vel)):
+        stage *= dt
+        stage += mid_field
+        stage *= 0.5
+        stage += 0.5 * old
+        stage[wall] = 0.0
+    rho_min = float(np.min(new[0]))
     if rho_min < -positivity_tol:
         raise PositivityError(
-            f"density {rho_min:.3e} below -{positivity_tol:.3e} at t={new.time:.6g}"
+            f"density {rho_min:.3e} below -{positivity_tol:.3e} at t={time:.6g}"
         )
-    return new
+    return FluidState(time, *new)
 
 
 def detect_steepening(
-    state: FluidState, grid: RadialGrid, num: NumericsConfig
+    state: FluidState, grid: RadialGrid, num: NumericsConfig, gradient=None
 ) -> Optional[SteepeningDetection]:
-    """Central-difference gradient check against the steepening threshold."""
-    slope, idx = diagnostics.max_velocity_gradient(state, grid)
+    """Threshold check on max_velocity_gradient, or on ``gradient`` if given."""
+    if gradient is None:
+        gradient = diagnostics.max_velocity_gradient(state, grid)
+    slope, idx = gradient
     if slope > num.steepening_threshold:
         return SteepeningDetection(
             cell_index=idx, radius=float(grid.cell_centers[idx]), slope=slope
@@ -335,7 +334,7 @@ def run(
     gap_list: list[float] = []
     grad_list: list[float] = []
 
-    def record(s: FluidState):
+    def record(s: FluidState, max_gradient: float):
         snapshots.append(s)
         times.append(s.time)
         h_list.append(diagnostics.blowup_functional(s, grid))
@@ -348,9 +347,10 @@ def run(
         else:
             env_list.append(float("nan"))
         gap_list.append(diagnostics.cauchy_schwarz_gap(s, grid))
-        grad_list.append(diagnostics.max_velocity_gradient(s, grid)[0])
+        grad_list.append(max_gradient)
 
-    record(state)
+    gradient = diagnostics.max_velocity_gradient(state, grid)
+    record(state, gradient[0])
 
     termination = Termination.REACHED_T_END
     t_detect: Optional[float] = None
@@ -362,24 +362,25 @@ def run(
             termination = Termination.DT_COLLAPSED
             t_detect = state.time
             break
-        dt = cfl_dt(state, cfg, num, grid)
+        dt = _stable_dt(speed, state.time, num, grid)
         try:
             state = step(state, dt, cfg, grid, num, rho_floor, pos_tol)
         except PositivityError:
             termination = Termination.POSITIVITY_VIOLATED
             break
         steps += 1
-        detection = detect_steepening(state, grid, num)
+        gradient = diagnostics.max_velocity_gradient(state, grid)
+        detection = detect_steepening(state, grid, num, gradient)
         if detection is not None:
-            record(state)
+            record(state, gradient[0])
             termination = Termination.STEEPENING_DETECTED
             t_detect = state.time
             break
         if steps % num.output_stride == 0:
-            record(state)
+            record(state, gradient[0])
 
     if times[-1] < state.time:
-        record(state)
+        record(state, gradient[0])
 
     if len(times) >= 2:
         res = diagnostics.riccati_residuals(h_list, times, cfg.support_radius)

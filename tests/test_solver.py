@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from radialblowup import (
     run,
     step,
 )
+from radialblowup import diagnostics, solver
 from radialblowup.solver import mirror_pad
 
 
@@ -275,3 +278,28 @@ class TestRun:
         times = [s.time for s in res.trajectory.snapshots]
         assert all(b > a for a, b in zip(times, times[1:]))
         np.testing.assert_array_equal(times, res.series.times)
+
+    @pytest.mark.parametrize("pressure_const", [0.0, 1.0])
+    def test_each_value_computed_once_per_step(self, monkeypatch, pressure_const):
+        calls = Counter()
+        for module, name in ((solver, "step"), (solver, "max_wave_speed"),
+                             (solver, "sound_speed"), (solver, "rhs_eval"),
+                             (diagnostics, "max_velocity_gradient")):
+            def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+        grid = RadialGrid(n_cells=64, support_radius=1.0)
+        cfg = ModelConfig(dim=3, delta=1, pressure_const=pressure_const)
+        num = NumericsConfig(t_end=0.05, output_stride=1, steepening_threshold=1e9)
+        prof = build_initial_profile("gaussian_truncated", {}, 0, grid, 2)
+        run(prof.rho0, prof.v0, cfg, num)
+        steps = calls["step"]
+        assert steps > 0 and calls["rhs_eval"] == 2 * steps
+        assert calls["max_wave_speed"] == steps
+        # the initial row plus one gradient per step, shared by detection and rows
+        assert calls["max_velocity_gradient"] == steps + 1
+        # one sound speed per stage and one per step, none without pressure
+        expected = 3 * steps if pressure_const > 0 else 0
+        assert calls["sound_speed"] == expected
