@@ -7,8 +7,6 @@ before T = R**3 / (2*H0).
 """
 
 from .characteristics import (
-    BoundaryTrajectory,
-    CharField,
     CrossingError,
     boundary_energy,
     characteristic_solution,
@@ -18,25 +16,22 @@ from .characteristics import (
     oracle_velocity,
 )
 from .diagnostics import (
-    BLOWUP_DEFINITION,
     DiagnosticsSeries,
-    RunReport,
     Verdict,
     blowup_functional,
     blowup_time_bound,
     build_report,
     cauchy_schwarz_gap,
     energy_condition,
-    envelope_rel_tol,
     lower_envelope,
     riccati_residuals,
+    scope_flags,
     total_mass,
 )
 from .model import (
     FluidState,
     ModelConfig,
     RadialGrid,
-    ValidationReport,
     pressure,
     sound_speed,
     validate_initial_data,
@@ -49,9 +44,7 @@ from .solver import (
     NumericsConfig,
     PositivityError,
     RunResult,
-    SteepeningDetection,
     Termination,
-    Trajectory,
     apply_boundary,
     cfl_dt,
     detect_steepening,

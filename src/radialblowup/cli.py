@@ -15,16 +15,16 @@ import sys
 import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
-from .diagnostics import Verdict
+from .diagnostics import Verdict, blowup_time_bound, scope_flags
 from .model import ModelConfig, RadialGrid, validate_initial_data
-from .profiles import FAMILIES, FAMILY_PARAMS, build_initial_profile
-from .solver import NumericsConfig, RunResult, run
+from .profiles import build_initial_profile, check_family
+from .solver import NumericsConfig, RunResult, Termination, run
 
 
 class ConfigError(ValueError):
@@ -46,16 +46,7 @@ class ProfileConfig:
     params: dict
 
     def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ValueError(
-                f"initial.family must be one of {FAMILIES}, got '{self.family}'"
-            )
-        unknown = set(self.params) - FAMILY_PARAMS[self.family]
-        if unknown:
-            raise ValueError(
-                f"initial.{sorted(unknown)[0]} does not apply to family "
-                f"'{self.family}'"
-            )
+        check_family(self.family, self.params)
 
 
 @dataclass(frozen=True)
@@ -79,24 +70,22 @@ class ExperimentConfig:
                     raise ValueError(f"sweep.{key} must be a non-empty list")
 
 
+def _items(obj) -> list[tuple[str, object]]:
+    """(name, value) of each field of a config dataclass, in declaration order."""
+    return [(f.name, getattr(obj, f.name)) for f in fields(obj)]
+
+
+# a key's kind is the type of its field's default; a 1-tuple is a comma list
+_MODEL = {f.name: type(f.default) for f in fields(ModelConfig)}
+_NUMERICS = {
+    "n_cells": int,
+    **{f.name: type(f.default) for f in fields(NumericsConfig)},
+    "snapshot_times": (float,),
+}
+_SWEEPABLE = ("delta", "pressure_const", "gamma", "n_cells")
 _SCHEMA = {
-    "model": {
-        "dim": int,
-        "delta": int,
-        "pressure_const": float,
-        "gamma": float,
-        "support_radius": float,
-    },
-    "numerics": {
-        "n_cells": int,
-        "cfl": float,
-        "t_end": float,
-        "dt_floor": float,
-        "steepening_threshold": float,
-        "output_stride": int,
-        "support_margin_cells": int,
-        "snapshot_times": "float_list",
-    },
+    "model": _MODEL,
+    "numerics": _NUMERICS,
     "initial": {
         "family": str,
         "seed": int,
@@ -105,35 +94,19 @@ _SCHEMA = {
         "width": float,
         "modes": int,
     },
-    "sweep": {
-        "delta": "int_list",
-        "pressure_const": "float_list",
-        "gamma": "float_list",
-        "n_cells": "int_list",
-    },
+    "sweep": {key: ((_MODEL | _NUMERICS)[key],) for key in _SWEEPABLE},
     "output": {"dir": str},
 }
 
-_SWEEPABLE = ("delta", "pressure_const", "gamma", "n_cells")
-
 
 def _convert(raw: str, kind, where: str):
-    label = kind if isinstance(kind, str) else kind.__name__
     try:
-        if kind is int:
-            return int(raw)
-        if kind is float:
-            return float(raw)
-        if kind is str:
-            return raw
-        items = [s.strip() for s in raw.split(",") if s.strip()]
-        if kind == "int_list":
-            return tuple(int(s) for s in items)
-        if kind == "float_list":
-            return tuple(float(s) for s in items)
+        if isinstance(kind, tuple):
+            return tuple(kind[0](s.strip()) for s in raw.split(",") if s.strip())
+        return kind(raw)
     except ValueError:
+        label = f"{kind[0].__name__}_list" if isinstance(kind, tuple) else kind.__name__
         raise ConfigError(f"{where}: cannot parse '{raw}' as {label}") from None
-    raise AssertionError(f"unknown schema kind {kind}")
 
 
 def _scan(text: str, strict: bool) -> dict:
@@ -255,24 +228,10 @@ def resolved_config_text(config: ExperimentConfig) -> str:
     """Render a sweep-free config that re-parses to the same ExperimentConfig."""
     if config.sweep is not None:
         raise ValueError("resolved configs must be sweep-free")
-    m, n = config.model, config.numerics
-    lines = [
-        "[model]",
-        f"dim = {m.dim}",
-        f"delta = {m.delta}",
-        f"pressure_const = {_fmt(m.pressure_const)}",
-        f"gamma = {_fmt(m.gamma)}",
-        f"support_radius = {_fmt(m.support_radius)}",
-        "",
-        "[numerics]",
-        f"n_cells = {config.n_cells}",
-        f"cfl = {_fmt(n.cfl)}",
-        f"t_end = {_fmt(n.t_end)}",
-        f"dt_floor = {_fmt(n.dt_floor)}",
-        f"steepening_threshold = {_fmt(n.steepening_threshold)}",
-        f"output_stride = {n.output_stride}",
-        f"support_margin_cells = {n.support_margin_cells}",
-    ]
+    lines = ["[model]"]
+    lines += [f"{k} = {_fmt(v)}" for k, v in _items(config.model)]
+    lines += ["", "[numerics]", f"n_cells = {config.n_cells}"]
+    lines += [f"{k} = {_fmt(v)}" for k, v in _items(config.numerics)]
     if config.snapshot_times:
         joined = ", ".join(_fmt(t) for t in config.snapshot_times)
         lines.append(f"snapshot_times = {joined}")
@@ -352,7 +311,6 @@ def _write_series(path: Path, result: RunResult) -> None:
 
 def _write_summary(path: Path, run_id: str, config: ExperimentConfig, result: RunResult) -> None:
     r = result.report
-    m, n = config.model, config.numerics
     pairs = [
         ("run_id", run_id),
         ("config_hash", config_hash(config)),
@@ -369,19 +327,10 @@ def _write_summary(path: Path, run_id: str, config: ExperimentConfig, result: Ru
         ("scope_flags", ",".join(r.scope_flags) if r.scope_flags else "none"),
         ("blowup_definition", r.blowup_definition),
         ("n_cells", config.n_cells),
-        ("dim", m.dim),
-        ("delta", m.delta),
-        ("pressure_const", m.pressure_const),
-        ("gamma", m.gamma),
-        ("support_radius", m.support_radius),
+        *_items(config.model),
         ("family", config.initial.family),
         ("seed", config.seed),
-        ("cfl", n.cfl),
-        ("t_end", n.t_end),
-        ("dt_floor", n.dt_floor),
-        ("steepening_threshold", n.steepening_threshold),
-        ("output_stride", n.output_stride),
-        ("support_margin_cells", n.support_margin_cells),
+        *_items(config.numerics),
     ]
     path.write_text(
         "\n".join(f"{k}: {_fmt(v)}" for k, v in pairs) + "\n", encoding="utf-8"
@@ -409,17 +358,14 @@ def run_single(run_id: str, config: ExperimentConfig, out_root: str) -> dict:
     run_dir = Path(out_root) / run_id
     run_dir.mkdir(parents=True, exist_ok=True)
     grid, profile = build_run_fields(config)
-    check = validate_initial_data(
-        profile.rho0, profile.v0, grid, config.model,
-        margin_cells=config.numerics.support_margin_cells,
-    )
-    if not check.h0_positive:
+    result = run(profile.rho0, profile.v0, config.model, config.numerics)
+    rep = result.report
+    if "h0_not_positive" in rep.scope_flags:
         print(
-            f"warning: {run_id}: h0 = {check.h0:.6g} is not positive; "
+            f"warning: {run_id}: h0 = {rep.h0:.6g} is not positive; "
             "bound verdict will be not_applicable",
             file=sys.stderr,
         )
-    result = run(profile.rho0, profile.v0, config.model, config.numerics)
     _write_series(run_dir / "series.tsv", result)
     _write_summary(run_dir / "summary.txt", run_id, config, result)
     (run_dir / "resolved-config.txt").write_text(
@@ -431,7 +377,6 @@ def run_single(run_id: str, config: ExperimentConfig, out_root: str) -> dict:
         f"started_unix: {t_start:.3f}\nelapsed_seconds: {elapsed:.3f}\n",
         encoding="utf-8",
     )
-    rep = result.report
     return {
         "run_id": run_id,
         "verdict": rep.verdict.value,
@@ -449,10 +394,11 @@ def _run_entry(args: tuple) -> dict:
 
 def exit_status(outcomes: list[dict]) -> int:
     """Exit-code contract: 2 if any verdict is violated, 1 on any runtime
-    failure, 0 otherwise."""
+    failure (a crashed run or a positivity violation), 0 otherwise."""
     if any(o.get("verdict") == Verdict.VIOLATED.value for o in outcomes):
         return 2
-    if any(o.get("failed") for o in outcomes):
+    positivity = Termination.POSITIVITY_VIOLATED.value
+    if any(o.get("failed") or o.get("termination") == positivity for o in outcomes):
         return 1
     return 0
 
@@ -516,11 +462,9 @@ def check(config: ExperimentConfig) -> int:
             profile.rho0, profile.v0, grid, resolved.model,
             margin_cells=resolved.numerics.support_margin_cells,
         )
-        applicable = (
-            report.h0_positive and resolved.model.delta >= 0 and report.eos_in_scope
-        )
+        applicable = not scope_flags(report.h0, resolved.model)
         t_bound = (
-            f"{resolved.model.support_radius**3 / (2 * report.h0):.6g}"
+            f"{blowup_time_bound(report.h0, resolved.model.support_radius):.6g}"
             if report.h0_positive
             else "n/a"
         )

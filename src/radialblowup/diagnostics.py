@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -38,6 +38,22 @@ class Verdict(str, enum.Enum):
 def blowup_functional(state: FluidState, grid: RadialGrid) -> float:
     """Weighted momentum H = int r*V dr by midpoint quadrature."""
     return weighted_momentum(state.vel, grid)
+
+
+def scope_flags(h0: float, cfg: ModelConfig) -> tuple[str, ...]:
+    """The failed hypotheses of the blowup bound; it applies iff there are none.
+
+    The bound needs a repulsive or absent force (delta >= 0), a pressureless
+    fluid or gamma > 1, and H0 > 0.
+    """
+    flags = []
+    if cfg.delta < 0:
+        flags.append("attractive_force_outside_bound_scope")
+    if not cfg.eos_in_scope:
+        flags.append("isothermal_eos_outside_bound_scope")
+    if not h0 > 0:
+        flags.append("h0_not_positive")
+    return tuple(flags)
 
 
 def blowup_time_bound(h0: float, radius: float) -> float:
@@ -93,26 +109,13 @@ def total_mass(state: FluidState, grid: RadialGrid, cfg: ModelConfig) -> float:
     return float(alpha(cfg.dim) * np.sum(state.rho * weight) * grid.cell_width)
 
 
-class EnergyCondition(NamedTuple):
-    lhs: float
-    mass_squared: float
-    satisfied: bool
-
-
-def energy_condition(
-    state: FluidState, grid: RadialGrid, cfg: ModelConfig
-) -> EnergyCondition:
-    """Monitor 2*int (rho*V**2 + 2*p) dx against the squared mass.
-
-    Informational only: the flag never feeds the verdict.
-    """
+def energy_condition(state: FluidState, grid: RadialGrid, cfg: ModelConfig) -> float:
+    """Monitor 2*int (rho*V**2 + 2*p) dx; informational, never feeds the verdict."""
     integrand = state.rho * state.vel**2
     if cfg.pressure_const > 0.0:
         integrand += 2.0 * pressure(np.maximum(state.rho, 0.0), cfg)
     weight = grid_weights(grid, cfg.dim).center
-    lhs = float(2.0 * alpha(cfg.dim) * np.sum(integrand * weight) * grid.cell_width)
-    m2 = total_mass(state, grid, cfg) ** 2
-    return EnergyCondition(lhs=lhs, mass_squared=m2, satisfied=lhs < m2)
+    return float(2.0 * alpha(cfg.dim) * np.sum(integrand * weight) * grid.cell_width)
 
 
 def max_velocity_gradient(state: FluidState, grid: RadialGrid) -> tuple[float, int]:
@@ -224,15 +227,8 @@ def build_report(
     beyond tolerance on pre-detection samples.
     """
     radius = cfg.support_radius
-    flags = []
-    if cfg.delta < 0:
-        flags.append("attractive_force_outside_bound_scope")
-    if cfg.pressure_const > 0 and cfg.gamma == 1.0:
-        flags.append("isothermal_eos_outside_bound_scope")
-    if h0 <= 0:
-        flags.append("h0_not_positive")
-
-    applicable = h0 > 0 and cfg.delta >= 0 and cfg.eos_in_scope
+    flags = scope_flags(h0, cfg)
+    applicable = not flags
     t_bound = blowup_time_bound(h0, radius) if h0 > 0 else None
     tol = envelope_rel_tol(n_cells)
 
@@ -271,5 +267,5 @@ def build_report(
         envelope_ok=envelope_ok,
         envelope_tolerance=tol,
         mass_drift_rel=drift,
-        scope_flags=tuple(flags),
+        scope_flags=flags,
     )

@@ -45,10 +45,6 @@ class ModelConfig:
             raise ValueError("support_radius must be > 0")
 
     @property
-    def pressureless(self) -> bool:
-        return self.pressure_const == 0.0
-
-    @property
     def eos_in_scope(self) -> bool:
         """True when the EOS satisfies the bound hypotheses (K = 0 or gamma > 1)."""
         return self.pressure_const == 0.0 or self.gamma > 1.0
@@ -172,14 +168,9 @@ def sound_speed(rho, cfg: ModelConfig):
     return np.sqrt(cfg.pressure_const * cfg.gamma * rho ** (cfg.gamma - 1.0))
 
 
-def radial_quadrature(values: np.ndarray, grid: RadialGrid) -> float:
-    """Midpoint-rule integral of a cell-centered field over [0, R]."""
-    return float(np.sum(values) * grid.cell_width)
-
-
 def weighted_momentum(v0: np.ndarray, grid: RadialGrid) -> float:
     """The weighted momentum integral over [0, R] of r * V dr (midpoint rule)."""
-    return radial_quadrature(grid.cell_centers * v0, grid)
+    return float(np.sum(grid.cell_centers * v0) * grid.cell_width)
 
 
 def validate_initial_data(

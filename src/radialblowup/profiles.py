@@ -14,7 +14,11 @@ import numpy as np
 
 from .model import RadialGrid
 
-FAMILIES = ("polynomial_bump", "gaussian_truncated", "random_smooth")
+FAMILY_PARAMS = {
+    "polynomial_bump": {"velocity_amplitude", "density_amplitude"},
+    "gaussian_truncated": {"velocity_amplitude", "density_amplitude", "width"},
+    "random_smooth": {"velocity_amplitude", "density_amplitude", "modes"},
+}
 
 
 @dataclass(frozen=True)
@@ -123,11 +127,17 @@ def random_smooth(
     return InitialProfile(rho0=rho0, v0=v0, v_of_r=None, dv_dr=None)
 
 
-FAMILY_PARAMS = {
-    "polynomial_bump": {"velocity_amplitude", "density_amplitude"},
-    "gaussian_truncated": {"velocity_amplitude", "density_amplitude", "width"},
-    "random_smooth": {"velocity_amplitude", "density_amplitude", "modes"},
-}
+def check_family(family: str, params) -> None:
+    """Reject an unknown family, or a parameter the family does not take."""
+    if family not in FAMILY_PARAMS:
+        raise ValueError(
+            f"initial.family must be one of {tuple(FAMILY_PARAMS)}, got '{family}'"
+        )
+    unknown = set(params) - FAMILY_PARAMS[family]
+    if unknown:
+        raise ValueError(
+            f"initial.{sorted(unknown)[0]} does not apply to family '{family}'"
+        )
 
 
 def build_initial_profile(
@@ -138,13 +148,7 @@ def build_initial_profile(
     margin: int,
 ) -> InitialProfile:
     """Dispatch to the named family; unknown family or parameter raises."""
-    if family not in FAMILY_PARAMS:
-        raise ValueError(f"unknown profile family '{family}'; choose from {FAMILIES}")
-    unknown = set(params) - FAMILY_PARAMS[family]
-    if unknown:
-        raise ValueError(
-            f"family '{family}' does not accept parameters {sorted(unknown)}"
-        )
+    check_family(family, params)
     if family == "polynomial_bump":
         return polynomial_bump(grid, margin, **params)
     if family == "gaussian_truncated":

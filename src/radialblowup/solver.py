@@ -321,7 +321,7 @@ def run(
     pos_tol = POSITIVITY_REL_TOL * rho_peak
     h0 = check.h0
     t_bound = diagnostics.blowup_time_bound(h0, cfg.support_radius) if h0 > 0 else None
-    applicable = h0 > 0 and cfg.delta >= 0 and check.eos_in_scope
+    applicable = not diagnostics.scope_flags(h0, cfg)
 
     state = apply_boundary(FluidState(time=0.0, rho=rho0.copy(), vel=v0.copy()), num)
 
@@ -339,7 +339,7 @@ def run(
         times.append(s.time)
         h_list.append(diagnostics.blowup_functional(s, grid))
         mass_list.append(diagnostics.total_mass(s, grid, cfg))
-        energy_list.append(diagnostics.energy_condition(s, grid, cfg).lhs)
+        energy_list.append(diagnostics.energy_condition(s, grid, cfg))
         if applicable and s.time < t_bound * (1.0 - 1e-12):
             env_list.append(
                 float(diagnostics.lower_envelope(s.time, h0, cfg.support_radius))

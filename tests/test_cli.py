@@ -1,16 +1,24 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _helpers import read_series, read_snapshot, read_summary
-from radialblowup import RadialGrid, build_initial_profile
+from radialblowup import ModelConfig, NumericsConfig, RadialGrid, build_initial_profile
+from radialblowup import cli, model, profiles, solver
 from radialblowup.cli import (
     ConfigError,
+    ExperimentConfig,
+    ProfileConfig,
     execute,
     exit_status,
     expand_sweep,
     main,
     parse_config,
     resolved_config_text,
+    run_single,
 )
 
 MINIMAL = "[model]\ndim = 3\n"
@@ -104,6 +112,60 @@ class TestRoundTrip:
 
     def test_round_trip_with_awkward_floats(self):
         config = parse_config("[numerics]\ncfl = 0.1\nt_end = 0.30000000000000004\n")
+        assert parse_config(resolved_config_text(config)) == config
+
+
+def finite(lo=None, hi=None, **kw):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False, **kw)
+
+
+MODEL_FIELDS = {
+    "dim": st.sampled_from((1, 2, 3)),
+    "delta": st.sampled_from((-1, 0, 1)),
+    "pressure_const": finite(0.0),
+    "gamma": finite(1.0),
+    "support_radius": finite(0.0, exclude_min=True),
+}
+NUMERICS_FIELDS = {
+    "cfl": finite(0.0, 1.0, exclude_min=True),
+    "t_end": finite(0.0, exclude_min=True),
+    "dt_floor": finite(0.0, exclude_min=True),
+    "steepening_threshold": finite(0.0, exclude_min=True),
+    "output_stride": st.integers(1, 10**6),
+    "support_margin_cells": st.integers(1, 10**6),
+}
+AMPLITUDES = {"velocity_amplitude": finite(), "density_amplitude": finite()}
+PROFILE_PARAMS = {
+    "polynomial_bump": AMPLITUDES,
+    "gaussian_truncated": {**AMPLITUDES, "width": finite(0.0, exclude_min=True)},
+    "random_smooth": {**AMPLITUDES, "modes": st.integers(1, 64)},
+}
+
+
+@st.composite
+def experiment_configs(draw):
+    family = draw(st.sampled_from(sorted(PROFILE_PARAMS)))
+    params = draw(st.fixed_dictionaries(PROFILE_PARAMS[family]))
+    return ExperimentConfig(
+        model=ModelConfig(**draw(st.fixed_dictionaries(MODEL_FIELDS))),
+        numerics=NumericsConfig(**draw(st.fixed_dictionaries(NUMERICS_FIELDS))),
+        n_cells=draw(st.integers(8, 10**6)),
+        snapshot_times=tuple(draw(st.lists(finite(0.0), max_size=4))),
+        initial=ProfileConfig(family, params),
+        seed=draw(st.integers(0, 2**63)),
+        sweep=None,
+    )
+
+
+class TestRoundTripProperty:
+    def test_strategies_cover_every_field(self):
+        assert set(MODEL_FIELDS) == {f.name for f in fields(ModelConfig)}
+        assert set(NUMERICS_FIELDS) == {f.name for f in fields(NumericsConfig)}
+        assert {k: set(v) for k, v in PROFILE_PARAMS.items()} == profiles.FAMILY_PARAMS
+
+    @settings(max_examples=200, deadline=None)
+    @given(experiment_configs())
+    def test_resolved_config_reparses_equal(self, config):
         assert parse_config(resolved_config_text(config)) == config
 
 
@@ -235,6 +297,32 @@ class TestExecute:
         assert exit_status([ok, fail]) == 1
         assert exit_status([fail, bad]) == 2  # the alarm outranks failures
 
+    def test_positivity_failure_exits_one(self, tmp_path, monkeypatch):
+        def negative_density(*args, **kwargs):
+            raise solver.PositivityError("density below the roundoff band")
+
+        monkeypatch.setattr(solver, "step", negative_density)
+        code = execute(parse_config(SMALL_RUN), output_dir=str(tmp_path / "out"))
+        assert code == 1
+        summary = read_summary(tmp_path / "out" / "run-0000")
+        assert summary["termination"] == "positivity_violated"
+        assert summary["verdict"] == "pending"
+        # the alarm still outranks a numerical failure
+        failed = {"verdict": "pending", "termination": "positivity_violated"}
+        assert exit_status([failed, {"verdict": "violated"}]) == 2
+
+    def test_initial_data_validated_once_per_run(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return model.validate_initial_data(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "validate_initial_data", counted)
+        monkeypatch.setattr(solver, "validate_initial_data", counted)
+        run_single("run-0000", parse_config(SMALL_RUN), str(tmp_path))
+        assert len(calls) == 1
+
 
 class TestMain:
     def test_run_command(self, tmp_path):
@@ -256,6 +344,21 @@ class TestMain:
         assert main(["check", str(cfg_file)]) == 0
         out = capsys.readouterr().out
         assert "h0=" in out and "bound_applicable=True" in out
+
+    @pytest.mark.parametrize("delta", [0, -1])
+    def test_check_agrees_with_run_report(self, tmp_path, capsys, delta):
+        # one in-scope and one out-of-scope config with the same positive H0
+        cfg_file = tmp_path / "exp.cfg"
+        cfg_file.write_text(SMALL_RUN.replace("delta = 0", f"delta = {delta}"))
+        assert main(["check", str(cfg_file)]) == 0
+        printed = dict(
+            item.split("=", 1) for item in capsys.readouterr().out.split()[1:]
+        )
+        main(["run", str(cfg_file), "--output-dir", str(tmp_path / "out")])
+        summary = read_summary(tmp_path / "out" / "run-0000")
+        assert printed["bound_applicable"] == str(summary["bound_applicable"] == "true")
+        assert printed["bound_applicable"] == str(delta == 0)
+        assert printed["t_bound"] == f"{float(summary['t_bound']):.6g}"
 
     def test_bad_config_exits_one(self, tmp_path, capsys):
         cfg_file = tmp_path / "exp.cfg"

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from radialblowup import (
     energy_condition,
     lower_envelope,
     riccati_residuals,
+    scope_flags,
     total_mass,
 )
 
@@ -146,21 +149,18 @@ class TestMassAndEnergy:
     def test_energy_condition_vacuum(self, grid):
         s = state_of(grid, np.zeros(512), np.zeros(512))
         cond = energy_condition(s, grid, ModelConfig(dim=3))
-        assert cond.lhs == 0.0 and cond.mass_squared == 0.0
-        assert not cond.satisfied  # 0 < 0 fails
+        assert cond == 0.0
 
     def test_energy_condition_static_dust(self, grid):
         s = state_of(grid, np.ones(512), np.zeros(512))
         cond = energy_condition(s, grid, ModelConfig(dim=3, pressure_const=0.0))
-        assert cond.lhs == 0.0
-        assert cond.satisfied
+        assert cond == 0.0
 
     def test_energy_condition_generic(self, grid):
         r = grid.cell_centers
         s = state_of(grid, 1.0 - r**2, r * (1.0 - r))
         cond = energy_condition(s, grid, ModelConfig(dim=3, pressure_const=0.1, gamma=1.4))
-        assert np.isfinite(cond.lhs) and cond.lhs > 0.0
-        assert np.isfinite(cond.mass_squared)
+        assert np.isfinite(cond) and cond > 0.0
 
 
 def synthetic_series(times, h, radius=1.0):
@@ -246,6 +246,62 @@ class TestVerdicts:
         )
         assert report.verdict is Verdict.NOT_APPLICABLE
         assert "attractive_force_outside_bound_scope" in report.scope_flags
+
+
+
+def readme_verdict(applicable, envelope_ok, t_detect, t_final, t_bound):
+    """The verdict table of the README, row by row."""
+    if not applicable:
+        return Verdict.NOT_APPLICABLE
+    if not envelope_ok:
+        return Verdict.VIOLATED
+    if t_detect is not None:
+        return Verdict.CONFIRMED if t_detect <= t_bound else Verdict.VIOLATED
+    return Verdict.VIOLATED if t_final >= t_bound else Verdict.PENDING
+
+
+def test_verdict_and_scope_table_is_exhaustive():
+    # delta x (K, gamma) x sign of H0 x detection x horizon x envelope
+    radius = 1.0
+    eos_cases = ((0.0, 1.0), (0.0, 1.4), (0.1, 1.0), (0.1, 1.4))
+    cases = itertools.product(
+        (-1, 0, 1), eos_cases, (0.25, -0.25), ("none", "at_bound", "after_bound"),
+        ("before_bound", "at_bound"), (True, False),
+    )
+    seen = set()
+    for delta, (k, gamma), h0, detect, horizon, envelope_holds in cases:
+        cfg = ModelConfig(delta=delta, pressure_const=k, gamma=gamma)
+        t_ref = radius**3 / (2.0 * abs(h0))  # the bound time when h0 > 0
+        t_detect = {"none": None, "at_bound": t_ref, "after_bound": 1.5 * t_ref}[detect]
+        t_final = t_ref if horizon == "at_bound" else 0.5 * t_ref
+        times = np.array([0.0, 0.25 * t_ref])
+        # H on the envelope, or half of it from t = 0 on (before any detection)
+        h = np.full(2, h0) if h0 < 0 else lower_envelope(times, h0, radius)
+        h = h if envelope_holds else 0.5 * h
+        report = build_report(
+            synthetic_series(times, h, radius), cfg, h0=h0, n_cells=1024,
+            t_final=t_final, termination="reached_t_end", t_detect=t_detect,
+        )
+
+        expected_flags = tuple(
+            flag for flag, failed in (
+                ("attractive_force_outside_bound_scope", delta < 0),
+                ("isothermal_eos_outside_bound_scope", k > 0 and gamma == 1.0),
+                ("h0_not_positive", h0 <= 0),
+            ) if failed
+        )
+        case = (delta, k, gamma, h0, detect, horizon, envelope_holds)
+        assert report.scope_flags == expected_flags == scope_flags(h0, cfg), case
+        assert report.bound_applicable == (report.scope_flags == ()), case
+        applicable = report.bound_applicable
+        assert report.t_bound == (t_ref if h0 > 0 else None), case
+        assert report.envelope_ok == (envelope_holds if applicable else None), case
+        expected = readme_verdict(
+            applicable, envelope_holds, t_detect, t_final, report.t_bound
+        )
+        assert report.verdict is expected, case
+        seen.add(report.verdict)
+    assert seen == set(Verdict)
 
 
 def test_series_length_mismatch_rejected():

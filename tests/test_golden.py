@@ -37,6 +37,7 @@ GOLDEN_SHA256 = {
     "summary.txt": "c465a6db25bdbe204b40ba077a86feed698fa7b923c0bca5e27c462de5c9b586",
     "series.tsv": "5fe3db53844b0b0286656f1aaecc298b731e0c6fc49b513ddfcf9100981f6235",
     "snapshot-0.5.tsv": "9fe5e974f23be4cffed2047c2559f9c76a416d49c9ee146478959cf676edd609",
+    "resolved-config.txt": "8bea851e19f54f49e17ed380b0e62a9ef7257569866f44d33ac98e29711a36d3",
 }
 
 
