@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import itertools
+import math
 import sys
 import time
 import traceback
@@ -18,8 +19,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Optional
-
-import numpy as np
 
 from .diagnostics import Verdict, blowup_time_bound, scope_flags
 from .model import ModelConfig, RadialGrid, validate_initial_data
@@ -100,13 +99,19 @@ _SCHEMA = {
 
 
 def _convert(raw: str, kind, where: str):
+    """Parse one INI value; every float, in a list too, must be finite."""
     try:
         if isinstance(kind, tuple):
-            return tuple(kind[0](s.strip()) for s in raw.split(",") if s.strip())
-        return kind(raw)
+            value = tuple(kind[0](s.strip()) for s in raw.split(",") if s.strip())
+        else:
+            value = kind(raw)
     except ValueError:
         label = f"{kind[0].__name__}_list" if isinstance(kind, tuple) else kind.__name__
         raise ConfigError(f"{where}: cannot parse '{raw}' as {label}") from None
+    items = value if isinstance(kind, tuple) else (value,)
+    if any(isinstance(v, float) and not math.isfinite(v) for v in items):
+        raise ConfigError(f"{where}: '{raw}' is not a finite number")
+    return value
 
 
 def _scan(text: str, strict: bool) -> dict:
@@ -292,17 +297,7 @@ def build_run_fields(config: ExperimentConfig):
 
 
 def _write_series(path: Path, result: RunResult) -> None:
-    s = result.series
-    cols = (
-        s.times,
-        s.h_values,
-        s.mass_values,
-        s.energy_values,
-        s.riccati_residuals,
-        s.envelope_values,
-        s.cauchy_gaps,
-        s.max_gradients,
-    )
+    cols = [getattr(result.series, f.name) for f in fields(result.series)]
     lines = ["t\tH\tmass\tenergy_lhs\triccati_residual\tenvelope\tcauchy_gap\tmax_abs_dVdr"]
     for row in zip(*cols):
         lines.append("\t".join(f"{v:.17g}" for v in row))
@@ -338,13 +333,8 @@ def _write_summary(path: Path, run_id: str, config: ExperimentConfig, result: Ru
 
 
 def _write_snapshots(run_dir: Path, config: ExperimentConfig, result: RunResult, grid) -> None:
-    if not config.snapshot_times:
-        return
-    stored = result.trajectory.snapshots
-    stored_times = np.asarray([s.time for s in stored])
     r = grid.cell_centers
-    for wanted in config.snapshot_times:
-        state = stored[int(np.argmin(np.abs(stored_times - wanted)))]
+    for wanted, state in zip(config.snapshot_times, result.trajectory.snapshots):
         name = f"snapshot-{wanted:.6g}.tsv"
         lines = ["r\trho\tV", f"# time = {state.time:.17g}"]
         for i in range(grid.n_cells):
@@ -358,7 +348,10 @@ def run_single(run_id: str, config: ExperimentConfig, out_root: str) -> dict:
     run_dir = Path(out_root) / run_id
     run_dir.mkdir(parents=True, exist_ok=True)
     grid, profile = build_run_fields(config)
-    result = run(profile.rho0, profile.v0, config.model, config.numerics)
+    result = run(
+        profile.rho0, profile.v0, config.model, config.numerics,
+        config.snapshot_times,
+    )
     rep = result.report
     if "h0_not_positive" in rep.scope_flags:
         print(
@@ -459,7 +452,7 @@ def check(config: ExperimentConfig) -> int:
     for run_id, resolved in expand_sweep(config):
         grid, profile = build_run_fields(resolved)
         report = validate_initial_data(
-            profile.rho0, profile.v0, grid, resolved.model,
+            profile.rho0, profile.v0, grid,
             margin_cells=resolved.numerics.support_margin_cells,
         )
         applicable = not scope_flags(report.h0, resolved.model)

@@ -9,7 +9,7 @@ Cauchy-Schwarz gap, and condenses a finished run into a verdict report.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -130,11 +130,12 @@ def max_velocity_gradient(state: FluidState, grid: RadialGrid) -> tuple[float, i
 
 @dataclass(frozen=True)
 class DiagnosticsSeries:
-    """Per-stride time series of the run diagnostics.
+    """Per-stride time series of the run diagnostics, one column per field.
 
-    All arrays share the length of ``times``. ``riccati_residuals`` pads its
-    final slot with NaN (forward differences leave one fewer value), and
-    ``envelope_values`` is NaN wherever the envelope is undefined.
+    All arrays share the length of ``times``; the field order is the column
+    order of ``series.tsv``. ``riccati_residuals`` pads its final slot with
+    NaN (forward differences leave one fewer value), and ``envelope_values``
+    is NaN wherever the envelope is undefined.
     """
 
     times: np.ndarray
@@ -147,18 +148,9 @@ class DiagnosticsSeries:
     max_gradients: np.ndarray
 
     def __post_init__(self):
-        n = self.times.size
-        for name in (
-            "h_values",
-            "mass_values",
-            "energy_values",
-            "riccati_residuals",
-            "envelope_values",
-            "cauchy_gaps",
-            "max_gradients",
-        ):
-            if getattr(self, name).size != n:
-                raise ValueError(f"{name} length differs from times")
+        for f in fields(self)[1:]:
+            if getattr(self, f.name).size != self.times.size:
+                raise ValueError(f"{f.name} length differs from times")
 
 
 def envelope_rel_tol(n_cells: int) -> float:

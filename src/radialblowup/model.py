@@ -139,7 +139,6 @@ class ValidationReport:
     compact_support: bool
     h0: float
     h0_positive: bool
-    eos_in_scope: bool
 
     @property
     def admissible(self) -> bool:
@@ -177,7 +176,6 @@ def validate_initial_data(
     rho0: np.ndarray,
     v0: np.ndarray,
     grid: RadialGrid,
-    cfg: ModelConfig,
     margin_cells: int = 2,
 ) -> ValidationReport:
     """Check admissibility of initial fields and evaluate the momentum integral.
@@ -185,7 +183,7 @@ def validate_initial_data(
     The report carries: a nonnegativity flag for the density, a compact-support
     flag (both fields exactly zero over the outermost ``margin_cells`` cells),
     the quadrature value of the weighted momentum integral H0 = int r*V0 dr,
-    its sign flag, and whether the EOS satisfies the bound hypotheses.
+    and its sign flag.
     """
     rho0 = np.asarray(rho0, dtype=float)
     v0 = np.asarray(v0, dtype=float)
@@ -205,5 +203,4 @@ def validate_initial_data(
         compact_support=compact,
         h0=h0,
         h0_positive=h0 > 0.0,
-        eos_in_scope=cfg.eos_in_scope,
     )

@@ -92,16 +92,13 @@ class SteepeningDetection:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Stored snapshots plus how and when the run ended."""
+    """One snapshot state per requested time, plus how and when the run ended."""
 
     snapshots: tuple[FluidState, ...]
     termination: Termination
     t_detect: Optional[float]
 
     def __post_init__(self):
-        times = [s.time for s in self.snapshots]
-        if any(b <= a for a, b in zip(times, times[1:])):
-            raise ValueError("snapshot times must be strictly increasing")
         detecting = self.termination in (
             Termination.STEEPENING_DETECTED,
             Termination.DT_COLLAPSED,
@@ -295,19 +292,21 @@ def run(
     v0: np.ndarray,
     cfg: ModelConfig,
     num: NumericsConfig,
+    snapshot_times: tuple[float, ...] = (),
 ) -> RunResult:
     """Advance the initial data until t_end or a termination event.
 
     Initial data must be nonnegative with exact zeros over the wall margin.
-    Diagnostics and a snapshot are recorded every ``output_stride`` steps and
+    A diagnostics row is recorded at t = 0, every ``output_stride`` steps and
     at the final state; the report carries the bound comparison and verdict.
+    For each of ``snapshot_times``, in request order, the trajectory keeps the
+    recorded state nearest that time (the earlier one on a tie); no other
+    state is kept.
     """
     rho0 = np.asarray(rho0, dtype=float)
     v0 = np.asarray(v0, dtype=float)
     grid = RadialGrid(n_cells=rho0.size, support_radius=cfg.support_radius)
-    check = validate_initial_data(
-        rho0, v0, grid, cfg, margin_cells=num.support_margin_cells
-    )
+    check = validate_initial_data(rho0, v0, grid, margin_cells=num.support_margin_cells)
     if not check.admissible:
         problems = []
         if not check.rho_nonnegative:
@@ -325,29 +324,29 @@ def run(
 
     state = apply_boundary(FluidState(time=0.0, rho=rho0.copy(), vel=v0.copy()), num)
 
-    snapshots: list[FluidState] = []
-    times: list[float] = []
-    h_list: list[float] = []
-    mass_list: list[float] = []
-    energy_list: list[float] = []
-    env_list: list[float] = []
-    gap_list: list[float] = []
-    grad_list: list[float] = []
+    # rows are (t, H, mass, energy, envelope, Cauchy-Schwarz gap, max |dV/dr|)
+    rows: list[tuple[float, ...]] = []
+    # (|t - wanted|, state) of the nearest recorded state for each wanted time
+    nearest: list[Optional[tuple[float, FluidState]]] = [None] * len(snapshot_times)
 
     def record(s: FluidState, max_gradient: float):
-        snapshots.append(s)
-        times.append(s.time)
-        h_list.append(diagnostics.blowup_functional(s, grid))
-        mass_list.append(diagnostics.total_mass(s, grid, cfg))
-        energy_list.append(diagnostics.energy_condition(s, grid, cfg))
+        for k, wanted in enumerate(snapshot_times):
+            distance = abs(s.time - wanted)
+            if nearest[k] is None or distance < nearest[k][0]:
+                nearest[k] = (distance, s)
         if applicable and s.time < t_bound * (1.0 - 1e-12):
-            env_list.append(
-                float(diagnostics.lower_envelope(s.time, h0, cfg.support_radius))
-            )
+            envelope = float(diagnostics.lower_envelope(s.time, h0, cfg.support_radius))
         else:
-            env_list.append(float("nan"))
-        gap_list.append(diagnostics.cauchy_schwarz_gap(s, grid))
-        grad_list.append(max_gradient)
+            envelope = float("nan")
+        rows.append((
+            s.time,
+            diagnostics.blowup_functional(s, grid),
+            diagnostics.total_mass(s, grid, cfg),
+            diagnostics.energy_condition(s, grid, cfg),
+            envelope,
+            diagnostics.cauchy_schwarz_gap(s, grid),
+            max_gradient,
+        ))
 
     gradient = diagnostics.max_velocity_gradient(state, grid)
     record(state, gradient[0])
@@ -379,22 +378,23 @@ def run(
         if steps % num.output_stride == 0:
             record(state, gradient[0])
 
-    if times[-1] < state.time:
+    if rows[-1][0] < state.time:
         record(state, gradient[0])
 
-    if len(times) >= 2:
-        res = diagnostics.riccati_residuals(h_list, times, cfg.support_radius)
+    times, h, mass, energy, envelope, gap, max_gradient = map(np.asarray, zip(*rows))
+    if times.size >= 2:
+        res = diagnostics.riccati_residuals(h, times, cfg.support_radius)
     else:
         res = np.asarray([], dtype=float)
     series = diagnostics.DiagnosticsSeries(
-        times=np.asarray(times),
-        h_values=np.asarray(h_list),
-        mass_values=np.asarray(mass_list),
-        energy_values=np.asarray(energy_list),
+        times=times,
+        h_values=h,
+        mass_values=mass,
+        energy_values=energy,
         riccati_residuals=np.append(res, np.nan),
-        envelope_values=np.asarray(env_list),
-        cauchy_gaps=np.asarray(gap_list),
-        max_gradients=np.asarray(grad_list),
+        envelope_values=envelope,
+        cauchy_gaps=gap,
+        max_gradients=max_gradient,
     )
     report = diagnostics.build_report(
         series,
@@ -406,6 +406,8 @@ def run(
         t_detect=t_detect,
     )
     trajectory = Trajectory(
-        snapshots=tuple(snapshots), termination=termination, t_detect=t_detect
+        snapshots=tuple(s for _, s in nearest),
+        termination=termination,
+        t_detect=t_detect,
     )
     return RunResult(trajectory=trajectory, series=series, report=report)

@@ -266,7 +266,7 @@ def test_a7_cauchy_schwarz_chain(a1, a2, refine, blinded):
     report_line(
         "A7",
         ok,
-        f"{count} stored snapshots, worst slack {worst:.2e} >= 0; "
+        f"{count} diagnostics rows, worst slack {worst:.2e} >= 0; "
         f"constant-velocity equality gap {gap:.2e} <= {1e-10 * c**2:.1e}",
     )
     assert ok

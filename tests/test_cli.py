@@ -366,6 +366,31 @@ class TestMain:
         assert main(["check", str(cfg_file)]) == 1
         assert "gamma" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "section, line",
+        [
+            ("numerics", "t_end = nan"),
+            ("model", "gamma = nan"),
+            ("model", "support_radius = inf"),
+            ("numerics", "snapshot_times = nan"),
+            ("numerics", "snapshot_times = 0.1, -inf"),
+            ("initial", "velocity_amplitude = nan"),
+            ("sweep", "gamma = 1.4, nan"),
+        ],
+    )
+    def test_non_finite_number_exits_one(self, tmp_path, capsys, section, line):
+        key = line.partition(" =")[0]
+        text = f"[{section}]\n{line}\n"
+        with pytest.raises(ConfigError, match=rf"^line 2: {section}\.{key}: .*not a finite"):
+            parse_config(text)
+        cfg_file = tmp_path / "exp.cfg"
+        cfg_file.write_text(text)
+        command = "sweep" if section == "sweep" else "run"
+        out = tmp_path / "out"
+        assert main([command, str(cfg_file), "--output-dir", str(out)]) == 1
+        assert f"line 2: {section}.{key}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_file_exits_one(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "nope.cfg")]) == 1
 

@@ -86,9 +86,8 @@ def grid():
 
 
 def test_validate_trivial_data(grid):
-    cfg = ModelConfig()
     zeros = np.zeros(grid.n_cells)
-    report = validate_initial_data(zeros, zeros, grid, cfg)
+    report = validate_initial_data(zeros, zeros, grid)
     assert report.rho_nonnegative and report.compact_support
     assert report.h0 == 0.0
     assert not report.h0_positive
@@ -96,39 +95,36 @@ def test_validate_trivial_data(grid):
 
 def test_validate_momentum_integral(grid):
     # int_0^1 r * r(1-r) dr = 1/12, and the sign flips with the velocity
-    cfg = ModelConfig()
     r = grid.cell_centers
     v0 = r * (1.0 - r)
     rho0 = np.zeros_like(v0)
-    report = validate_initial_data(rho0, v0, grid, cfg)
+    report = validate_initial_data(rho0, v0, grid)
     assert report.h0 == pytest.approx(1.0 / 12.0, rel=1e-4)
     assert report.h0_positive
 
-    flipped = validate_initial_data(rho0, -v0, grid, cfg)
+    flipped = validate_initial_data(rho0, -v0, grid)
     assert flipped.h0 == pytest.approx(-1.0 / 12.0, rel=1e-4)
     assert not flipped.h0_positive
 
 
 def test_validate_flags(grid):
-    cfg = ModelConfig()
     r = grid.cell_centers
     rho0 = np.ones(grid.n_cells)
     v0 = r.copy()
-    report = validate_initial_data(rho0, v0, grid, cfg, margin_cells=2)
+    report = validate_initial_data(rho0, v0, grid, margin_cells=2)
     assert not report.compact_support  # nothing vanishes at the wall
 
     rho_bad = rho0.copy()
     rho_bad[5] = -1e-9
     rho_bad[-2:] = 0.0
     v0[-2:] = 0.0
-    report = validate_initial_data(rho_bad, v0, grid, cfg)
+    report = validate_initial_data(rho_bad, v0, grid)
     assert not report.rho_nonnegative
 
 
 def test_validate_shape_mismatch(grid):
-    cfg = ModelConfig()
     with pytest.raises(ValueError, match="shape"):
-        validate_initial_data(np.zeros(10), np.zeros(grid.n_cells), grid, cfg)
+        validate_initial_data(np.zeros(10), np.zeros(grid.n_cells), grid)
 
 
 def test_momentum_quadrature_second_order():
