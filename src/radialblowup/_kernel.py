@@ -1,0 +1,78 @@
+"""Build, cache and load the compiled stage kernel in ``_kernel.c``.
+
+The shared library is compiled once per source and compile command and kept
+in ``$XDG_CACHE_HOME/radialblowup`` (``~/.cache/radialblowup`` when the
+variable is unset). It is loaded on first use, so commands that never step a
+state never compile it.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import functools
+import hashlib
+import os
+import subprocess
+import tempfile
+from pathlib import Path
+
+SOURCE = Path(__file__).with_name("_kernel.c")
+# no contraction into fused multiply-adds: it changes the bits of the results
+COMPILE = ("cc", "-O2", "-fPIC", "-shared", "-ffp-contract=off")
+
+_P, _I64, _F64 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
+_SIGNATURES = {
+    "faces": ([_I64, _P, _P, _P], None),
+    "tendencies": (
+        [_I64, _P, _P, _P, ctypes.c_int, _P, _P, _F64, _F64, _P, _P, _I64, _P],
+        _I64,
+    ),
+}
+
+
+class KernelCompileError(RuntimeError):
+    """The stage kernel could not be compiled."""
+
+
+def _compile(command: list[str]) -> subprocess.CompletedProcess:
+    return subprocess.run(command, capture_output=True, text=True)
+
+
+def _build(target: Path) -> None:
+    """Compile to a temporary file beside ``target``, then move it into place,
+    so processes racing on a cold cache each see a whole library."""
+    fd, tmp = tempfile.mkstemp(dir=target.parent, suffix=".so.tmp")
+    os.close(fd)
+    command = [*COMPILE, "-o", tmp, str(SOURCE), "-lm"]
+    try:
+        try:
+            done = _compile(command)
+        except OSError as exc:
+            raise KernelCompileError(f"cannot run `{' '.join(command)}`: {exc}") from None
+        if done.returncode != 0:
+            raise KernelCompileError(
+                f"`{' '.join(command)}` failed with exit code {done.returncode}:\n"
+                f"{done.stderr}"
+            )
+        os.replace(tmp, target)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
+@functools.cache
+def load() -> ctypes.CDLL:
+    """The kernel library, compiled into the cache first if it is not there."""
+    source = SOURCE.read_bytes()
+    key = hashlib.sha256(source + " ".join(COMPILE).encode()).hexdigest()[:16]
+    directory = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache")
+    directory /= "radialblowup"
+    directory.mkdir(mode=0o700, parents=True, exist_ok=True)
+    target = directory / f"kernel-{key}.so"
+    if not target.exists():
+        _build(target)
+    lib = ctypes.CDLL(str(target))
+    for name, (argtypes, restype) in _SIGNATURES.items():
+        fn = getattr(lib, name)
+        fn.argtypes, fn.restype = argtypes, restype
+    return lib

@@ -359,6 +359,13 @@ def run_single(run_id: str, config: ExperimentConfig, out_root: str) -> dict:
             "bound verdict will be not_applicable",
             file=sys.stderr,
         )
+    broke = result.trajectory.breakdown
+    if broke is not None:
+        print(
+            f"warning: {run_id}: non-finite {broke.field} tendency at cell "
+            f"{broke.cell_index} (r = {broke.radius:.6g}) at t = {rep.t_final:.6g}",
+            file=sys.stderr,
+        )
     _write_series(run_dir / "series.tsv", result)
     _write_summary(run_dir / "summary.txt", run_id, config, result)
     (run_dir / "resolved-config.txt").write_text(
@@ -387,11 +394,12 @@ def _run_entry(args: tuple) -> dict:
 
 def exit_status(outcomes: list[dict]) -> int:
     """Exit-code contract: 2 if any verdict is violated, 1 on any runtime
-    failure (a crashed run or a positivity violation), 0 otherwise."""
+    failure (a crashed run, a positivity violation or a numerical breakdown),
+    0 otherwise."""
     if any(o.get("verdict") == Verdict.VIOLATED.value for o in outcomes):
         return 2
-    positivity = Termination.POSITIVITY_VIOLATED.value
-    if any(o.get("failed") or o.get("termination") == positivity for o in outcomes):
+    failures = (Termination.POSITIVITY_VIOLATED.value, Termination.NUMERICAL_BREAKDOWN.value)
+    if any(o.get("failed") or o.get("termination") in failures for o in outcomes):
         return 1
     return 0
 
@@ -399,7 +407,13 @@ def exit_status(outcomes: list[dict]) -> int:
 def execute(
     config: ExperimentConfig, output_dir: Optional[str] = None, jobs: int = 1
 ) -> int:
-    """Run every sweep entry, write the summary index, and return the exit code."""
+    """Run every sweep entry, write the summary index, and return the exit code.
+
+    The pool has ``min(jobs, number of runs)`` workers; ``jobs`` below 1 is
+    an error."""
+    if jobs < 1:
+        print(f"error: --jobs must be at least 1, got {jobs}", file=sys.stderr)
+        return 1
     out_root = output_dir if output_dir is not None else config.output_dir
     try:
         runs = expand_sweep(replace(config, output_dir=out_root))
@@ -410,7 +424,7 @@ def execute(
 
     outcomes: list[dict] = []
     if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             futures = [pool.submit(_run_entry, task) for task in tasks]
             for task, future in zip(tasks, futures):
                 try:

@@ -6,17 +6,21 @@ roundoff. Velocity is advanced in primitive form with a local Lax-Friedrichs
 advective flux, an interface pressure gradient, and the radial force field;
 vacuum cells are skipped. Compact support is enforced by zeroed margin cells
 at the outer wall acting as the solid container boundary.
+
+One stage's limiter, fluxes and divergence are compiled C (``_kernel.c``,
+built on first use); the EOS and the force field stay in numpy.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple, Optional
 
 import numpy as np
 
-from . import diagnostics
+from . import _kernel, diagnostics
 from .model import (
     FluidState,
     ModelConfig,
@@ -53,6 +57,7 @@ class Termination(str, enum.Enum):
     STEEPENING_DETECTED = "steepening_detected"
     DT_COLLAPSED = "dt_collapsed"
     POSITIVITY_VIOLATED = "positivity_violated"
+    NUMERICAL_BREAKDOWN = "numerical_breakdown"
 
 
 @dataclass(frozen=True)
@@ -91,12 +96,22 @@ class SteepeningDetection:
 
 
 @dataclass(frozen=True)
+class BreakdownSite:
+    """Field and first cell of the non-finite tendency that ended a run."""
+
+    field: str
+    cell_index: int
+    radius: float
+
+
+@dataclass(frozen=True)
 class Trajectory:
     """One snapshot state per requested time, plus how and when the run ended."""
 
     snapshots: tuple[FluidState, ...]
     termination: Termination
     t_detect: Optional[float]
+    breakdown: Optional[BreakdownSite] = None
 
     def __post_init__(self):
         detecting = self.termination in (
@@ -105,6 +120,9 @@ class Trajectory:
         )
         if detecting != (self.t_detect is not None):
             raise ValueError("t_detect must be present iff a singularity was flagged")
+        broken = self.termination is Termination.NUMERICAL_BREAKDOWN
+        if broken != (self.breakdown is not None):
+            raise ValueError("breakdown must be present iff the run broke down")
 
 
 class RunResult(NamedTuple):
@@ -113,14 +131,21 @@ class RunResult(NamedTuple):
     report: diagnostics.RunReport
 
 
-def mirror_pad(rho: np.ndarray, vel: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Extend fields by NUM_GHOSTS cells: even/odd reflection at the origin,
-    zeros beyond the outer wall."""
-    g = NUM_GHOSTS
-    zeros = np.zeros(g)
-    rho_ext = np.concatenate((rho[:g][::-1], rho, zeros))
-    vel_ext = np.concatenate((-vel[:g][::-1], vel, zeros))
-    return rho_ext, vel_ext
+@lru_cache(maxsize=32)
+def _weight_addresses(grid: RadialGrid, dim: int):
+    """Addresses of the face areas and cell volumes of grid_weights(grid, dim),
+    then the weights themselves, which keep those addresses valid."""
+    weights = grid_weights(grid, dim)
+    return weights.face_area.ctypes.data, weights.cell_volume.ctypes.data, weights
+
+
+def _address(array: Optional[np.ndarray], shape: tuple[int, ...]) -> Optional[int]:
+    """Address of a C-contiguous float64 array of ``shape``; None for None."""
+    if array is None:
+        return None
+    if array.shape != shape or array.dtype != np.float64 or not array.flags.c_contiguous:
+        raise ValueError(f"kernel input of shape {array.shape}, expected {shape}")
+    return array.ctypes.data
 
 
 def rhs_eval(
@@ -135,74 +160,55 @@ def rhs_eval(
     Mass fluxes are hard-zeroed at the origin interface and at every
     interface at or beyond the wall margin, so the discrete mass telescopes
     exactly. Velocity tendencies vanish in vacuum cells.
+
+    The limiter, fluxes and divergence run in the compiled kernel; the EOS
+    and the force field stay in numpy, whose ``**`` differs from the C
+    library's ``pow`` in the last bit for some inputs.
     """
-    dr = grid.cell_width
-    weights = grid_weights(grid, cfg.dim)
+    kernel = _kernel.load()
+    n = grid.n_cells
+    rho = np.ascontiguousarray(state.rho, dtype=float)
+    vel = np.ascontiguousarray(state.vel, dtype=float)
+    if rho.shape != (n,) or vel.shape != (n,):
+        raise ValueError(f"state has {state.n_cells} cells, grid has {n}")
 
     # minmod-limited (rho, V) on both sides of the n+1 interfaces, indexed
-    # [field, side, interface]; with NUM_GHOSTS = 2 the slopes cover exactly
-    # the extended cells 1 .. n+2 that touch an interface
-    ext = np.array(mirror_pad(state.rho, state.vel))
-    diff = ext[:, 1:] - ext[:, :-1]
-    mag = np.abs(diff)
-    half_slope = np.where(
-        diff[:, :-1] * diff[:, 1:] > 0.0,
-        np.copysign(np.minimum(mag[:, :-1], mag[:, 1:]), diff[:, :-1]),
-        0.0,
-    )
-    half_slope *= 0.5
-    cells = ext[:, 1:-1]
-    faces = np.empty((2, 2, grid.n_cells + 1))
-    np.add(cells[:, :-1], half_slope[:, :-1], out=faces[:, 0])
-    np.subtract(cells[:, 1:], half_slope[:, 1:], out=faces[:, 1])
-    np.maximum(faces[0], 0.0, out=faces[0])
-    rho_lr, vel_lr = faces
+    # [field, side, interface], density clipped at zero
+    faces = np.empty((2, 2, n + 1))
+    rho_at, faces_at = rho.ctypes.data, faces.ctypes.data
+    kernel.faces(n, rho_at, vel.ctypes.data, faces_at)
 
-    # local Lax-Friedrichs fluxes of rho*V and V**2/2 share one dissipation
-    # speed max(|V| + c); c is evaluated only when there is pressure
-    a = np.abs(vel_lr)
+    sound = grad = field = None
     if cfg.pressure_const > 0.0:
-        a += sound_speed(rho_lr, cfg)
-    a = np.maximum(a[0], a[1])
-    flux = vel_lr[0] * faces[:, 0]
-    flux += vel_lr[1] * faces[:, 1]
-    flux[0] *= 0.5
-    flux[1] *= 0.25
-    flux -= 0.5 * a * (faces[:, 1] - faces[:, 0])
-    # the mass flux is weighted by x**(N-1) and closed at the origin and wall
-    flux[0] *= weights.face_area
-    flux[0, 0] = 0.0
-    flux[0, grid.n_cells - num.support_margin_cells :] = 0.0
-    drho = -(flux[0, 1:] - flux[0, :-1]) / weights.cell_volume
-    dvel = -(flux[1, 1:] - flux[1, :-1]) / dr
-
-    if cfg.pressure_const > 0.0:
+        rho_lr = faces[0]
+        sound = sound_speed(rho_lr, cfg)
         rho_face = 0.5 * (rho_lr[0] + rho_lr[1])
         if cfg.gamma > 1.0:
             # pressure force per unit mass as an exact enthalpy gradient,
             # K*g/(g-1) * d(rho**(g-1))/dr: bounded at the vacuum edge
-            h_face = (
+            grad = (
                 cfg.pressure_const
                 * cfg.gamma
                 / (cfg.gamma - 1.0)
                 * rho_face ** (cfg.gamma - 1.0)
             )
-            dvel = dvel - (h_face[1:] - h_face[:-1]) / dr
         else:
-            p_face = pressure(rho_face, cfg)
-            denom = np.where(state.rho > rho_floor, state.rho, 1.0)
-            dvel = dvel - (p_face[1:] - p_face[:-1]) / (dr * denom)
-
+            grad = pressure(rho_face, cfg)
     if cfg.delta != 0:
-        field = radial_field(np.maximum(state.rho, 0.0), grid, cfg)
-        dvel = dvel + field.phi_r
+        field = radial_field(np.maximum(rho, 0.0), grid, cfg).phi_r
 
-    dvel = np.where(state.rho > rho_floor, dvel, 0.0)
-
-    for name, tendency in (("density", drho), ("velocity", dvel)):
-        finite = np.isfinite(tendency)
-        if not finite.all():
-            raise NumericalBreakdownError(int(np.argmin(finite)), name)
+    face_area_at, cell_volume_at, _ = _weight_addresses(grid, cfg.dim)
+    # the mass flux is closed from this interface on
+    wall = slice(n - num.support_margin_cells, None).indices(n + 1)[0]
+    out = np.empty((2, n))
+    bad = kernel.tendencies(
+        n, faces_at, _address(sound, (2, n + 1)), _address(grad, (n + 1,)),
+        not cfg.gamma > 1.0, _address(field, (n,)), rho_at, rho_floor,
+        grid.cell_width, face_area_at, cell_volume_at, wall, out.ctypes.data,
+    )
+    if bad >= 0:
+        raise NumericalBreakdownError(bad % n, ("density", "velocity")[bad // n])
+    drho, dvel = out
     return drho, dvel
 
 
@@ -299,6 +305,8 @@ def run(
     Initial data must be nonnegative with exact zeros over the wall margin.
     A diagnostics row is recorded at t = 0, every ``output_stride`` steps and
     at the final state; the report carries the bound comparison and verdict.
+    A step that fails the positivity check or produces a non-finite tendency
+    ends the run at the last good state, which is the final row.
     For each of ``snapshot_times``, in request order, the trajectory keeps the
     recorded state nearest that time (the earlier one on a tie); no other
     state is kept.
@@ -353,6 +361,7 @@ def run(
 
     termination = Termination.REACHED_T_END
     t_detect: Optional[float] = None
+    breakdown: Optional[BreakdownSite] = None
     t_eps = 1e-12 * max(1.0, num.t_end)
     steps = 0
     while state.time < num.t_end - t_eps:
@@ -366,6 +375,11 @@ def run(
             state = step(state, dt, cfg, grid, num, rho_floor, pos_tol)
         except PositivityError:
             termination = Termination.POSITIVITY_VIOLATED
+            break
+        except NumericalBreakdownError as exc:
+            termination = Termination.NUMERICAL_BREAKDOWN
+            radius = float(grid.cell_centers[exc.cell_index])
+            breakdown = BreakdownSite(exc.field, exc.cell_index, radius)
             break
         steps += 1
         gradient = diagnostics.max_velocity_gradient(state, grid)
@@ -409,5 +423,6 @@ def run(
         snapshots=tuple(s for _, s in nearest),
         termination=termination,
         t_detect=t_detect,
+        breakdown=breakdown,
     )
     return RunResult(trajectory=trajectory, series=series, report=report)

@@ -1,3 +1,4 @@
+from concurrent.futures import Future
 from dataclasses import fields
 
 import numpy as np
@@ -310,6 +311,68 @@ class TestExecute:
         # the alarm still outranks a numerical failure
         failed = {"verdict": "pending", "termination": "positivity_violated"}
         assert exit_status([failed, {"verdict": "violated"}]) == 2
+
+    def test_numerical_breakdown_ends_the_run(self, tmp_path, monkeypatch, capsys):
+        taken = []
+
+        def breaks_on_fourth(*args, _step=solver.step, **kwargs):
+            if len(taken) == 3:
+                raise solver.NumericalBreakdownError(17, "velocity")
+            taken.append(_step(*args, **kwargs))
+            return taken[-1]
+
+        monkeypatch.setattr(solver, "step", breaks_on_fourth)
+        code = execute(parse_config(SMALL_RUN), output_dir=str(tmp_path / "out"))
+        assert code == 1
+        run_dir = tmp_path / "out" / "run-0000"
+        summary = read_summary(run_dir)
+        assert summary["termination"] == "numerical_breakdown"
+        # the last row is the last good state
+        assert float(summary["t_final"]) == taken[-1].time
+        assert read_series(run_dir)["t"][-1] == taken[-1].time
+        assert (run_dir / "snapshot-0.1.tsv").exists()
+        err = capsys.readouterr().err
+        r = RadialGrid(n_cells=64, support_radius=1.0).cell_centers[17]
+        assert (
+            f"warning: run-0000: non-finite velocity tendency at cell 17 "
+            f"(r = {r:.6g}) at t = {taken[-1].time:.6g}"
+        ) in err
+        assert "Traceback" not in err
+        assert exit_status([{"termination": "numerical_breakdown"}]) == 1
+
+    def test_jobs_below_one_exits_one(self, tmp_path, capsys):
+        for jobs in (0, -3):
+            code = execute(parse_config(SMALL_RUN), output_dir=str(tmp_path), jobs=jobs)
+            assert code == 1
+            assert "--jobs must be at least 1" in capsys.readouterr().err
+        assert not (tmp_path / "run-0000").exists()
+
+    def test_pool_is_no_larger_than_the_sweep(self, tmp_path, monkeypatch):
+        # a recording stand-in for the pool: runs each task inline, starts
+        # no process
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+        text = SMALL_RUN + "\n[sweep]\ndelta = 0, 1\n"
+        code = execute(parse_config(text), output_dir=str(tmp_path), jobs=5000)
+        assert code == 0
+        assert sizes == [2]
+        assert len((tmp_path / "index.tsv").read_text().splitlines()) == 3
 
     def test_initial_data_validated_once_per_run(self, tmp_path, monkeypatch):
         calls = []

@@ -27,7 +27,6 @@ from radialblowup.solver import (
     POSITIVITY_REL_TOL,
     VACUUM_FLOOR_REL,
     max_wave_speed,
-    mirror_pad,
 )
 
 
@@ -122,9 +121,6 @@ def test_breakdown_reports_the_same_cell(case, field, value, where):
 @given(cases())
 def test_padding_field_and_diagnostics_match_reference(case):
     state, cfg, grid, num = case
-    for new, old in zip(mirror_pad(state.rho, state.vel),
-                        ref.mirror_pad(state.rho, state.vel)):
-        assert _same(new, old)
     rho = np.maximum(state.rho, 0.0)
     assert _same(cumulative_mass_integrand(rho, grid, cfg.dim),
                  ref.cumulative_mass_integrand(rho, grid, cfg.dim))
@@ -133,3 +129,20 @@ def test_padding_field_and_diagnostics_match_reference(case):
     assert _same(total_mass(state, grid, cfg), ref.total_mass(state, grid, cfg))
     assert _same(energy_condition(state, grid, cfg),
                  ref.energy_condition_lhs(state, grid, cfg))
+
+
+@settings(max_examples=60, deadline=None)
+@given(cases(), st.integers(0, 2**32 - 1))
+def test_signed_zeros_match_reference(case, seed):
+    # -0.0 densities and velocities: the face clip and the dissipation speed
+    # must pick the same zero as np.maximum
+    state, cfg, grid, num = case
+    rng = np.random.default_rng(seed)
+    rho, vel = state.rho.copy(), state.vel.copy()
+    rho[rho == 0.0] = -0.0
+    vel[rng.random(grid.n_cells) < 0.3] = -0.0
+    signed = FluidState(time=0.0, rho=rho, vel=vel)
+    rho_floor, _ = _floors(signed)
+    new = rhs_eval(signed, cfg, grid, num, rho_floor)
+    old = ref.rhs_eval(signed, cfg, grid, num, rho_floor)
+    assert _same(new[0], old[0]) and _same(new[1], old[1])

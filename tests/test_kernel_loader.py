@@ -1,0 +1,59 @@
+"""The compiled stage kernel is built once per source into the user cache."""
+
+import stat
+import subprocess
+
+import pytest
+
+from radialblowup import _kernel
+
+
+@pytest.fixture
+def fresh_cache(tmp_path, monkeypatch):
+    """An empty cache directory and no library loaded in this process."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    _kernel.load.cache_clear()
+    yield tmp_path / "radialblowup"
+    _kernel.load.cache_clear()
+
+
+def test_second_load_reuses_the_cached_library(fresh_cache, monkeypatch):
+    commands = []
+
+    def counted(command, _compile=_kernel._compile):
+        commands.append(command)
+        return _compile(command)
+
+    monkeypatch.setattr(_kernel, "_compile", counted)
+    _kernel.load()
+    assert len(commands) == 1
+    _kernel.load.cache_clear()
+    lib = _kernel.load()
+    assert len(commands) == 1
+    assert lib.tendencies.restype is _kernel.ctypes.c_int64
+    (library,) = fresh_cache.iterdir()
+    assert library.name.startswith("kernel-") and library.suffix == ".so"
+    assert stat.S_IMODE(fresh_cache.stat().st_mode) == 0o700
+
+
+def test_failing_compiler_names_the_command(fresh_cache, monkeypatch):
+    def fails(command):
+        return subprocess.CompletedProcess(command, 1, "", "_kernel.c:1: error: boom")
+
+    monkeypatch.setattr(_kernel, "_compile", fails)
+    with pytest.raises(_kernel.KernelCompileError) as info:
+        _kernel.load()
+    message = str(info.value)
+    assert "cc -O2 -fPIC -shared -ffp-contract=off" in message
+    assert "error: boom" in message
+    # nothing half-built is left behind for the next load
+    assert list(fresh_cache.iterdir()) == []
+
+
+def test_missing_compiler_names_the_command(fresh_cache, monkeypatch):
+    def missing(command):
+        raise FileNotFoundError(2, "No such file or directory", command[0])
+
+    monkeypatch.setattr(_kernel, "_compile", missing)
+    with pytest.raises(_kernel.KernelCompileError, match="cannot run `cc -O2"):
+        _kernel.load()
