@@ -38,7 +38,7 @@ from .model import (
     weighted_momentum,
 )
 from .poisson import FieldProfile, alpha, cumulative_mass_integrand, radial_field
-from .profiles import InitialProfile, build_initial_profile
+from .profiles import build_initial_profile
 from .solver import (
     NumericalBreakdownError,
     NumericsConfig,

@@ -1,24 +1,49 @@
-/* Stage kernel of the radial finite-volume scheme: ghost padding, minmod
- * limiting, local Lax-Friedrichs fluxes, origin and wall closures, the flux
- * divergence, the vacuum mask and the finite check.
+/* Kernel of the radial finite-volume scheme: one stage's ghost padding,
+ * minmod limiting, sound speed, local Lax-Friedrichs fluxes, origin and wall
+ * closures, flux divergence, pressure and Poisson force terms, vacuum mask
+ * and finite check; the Runge-Kutta combination of a step; the CFL wave
+ * speed; and the largest velocity gradient.
  *
  * Every expression repeats the numpy operations of the reference kernel in
- * tests/_reference_kernel.py, in the same order, so the tendencies match it
+ * tests/_reference_kernel.py, in the same order, so the results match it
  * bit for bit. That holds only without floating-point contraction: build
- * with -ffp-contract=off and never with -ffast-math.
+ * with -ffp-contract=off and never with -ffast-math. The one operation
+ * left to numpy is rho**(gamma - 1), whose SIMD `**` differs from `pow`
+ * here in the last bit; the caller raises the `power` rows in place
+ * between faces() and tendencies().
  */
 #include <math.h>
 #include <stdint.h>
+#include <string.h>
+
+/* One stage's grid, law and scratch; mirrored by _kernel.Stage. */
+struct stage {
+    int64_t n;           /* cells */
+    int64_t wall;        /* the mass flux is closed from this interface on */
+    int64_t per_density; /* row 2 of power is a pressure, divided by rho */
+    double dr;
+    double sound_coef;   /* K*gamma: c = sqrt(sound_coef * rho**(gamma - 1)) */
+    double grad_coef;    /* face enthalpy or pressure = grad_coef * row 2 */
+    double field_coef;   /* alpha*delta; 0 without a force field */
+    const double *face_area, *cell_volume, *shell, *inner_shell, *center;
+    double *face;        /* scratch (2, 2, n + 1): rho_l, rho_r, vel_l, vel_r */
+    double *power;       /* NULL without pressure, else scratch (3, n + 1):
+                            rho_l, rho_r and the face mean, raised by the
+                            caller to gamma - 1 (rows 0 and 1 only when
+                            gamma = 1, where the pressure is K * mean) */
+};
 
 /* np.maximum / np.minimum: NaN propagates and a tie returns b, so
  * np_max(-0.0, 0.0) is +0.0 */
 static double np_max(double a, double b) { return (isnan(a) || a > b) ? a : b; }
 static double np_min(double a, double b) { return (isnan(a) || a < b) ? a : b; }
 
-/* Half of the minmod slope of two neighbouring differences. */
+/* Half of the minmod slope of two neighbouring differences. Where d0 * d1 > 0
+ * neither is NaN, so np.minimum of the magnitudes is a plain comparison. */
 static double half_slope(double d0, double d1)
 {
-    return d0 * d1 > 0.0 ? copysign(np_min(fabs(d0), fabs(d1)), d0) * 0.5 : 0.0;
+    double a = fabs(d0), b = fabs(d1);
+    return d0 * d1 > 0.0 ? copysign(a < b ? a : b, d0) * 0.5 : 0.0;
 }
 
 /* Limited left and right states of the field q at the n + 1 interfaces.
@@ -39,8 +64,9 @@ static void limit(int64_t n, const double *q, int odd, int clip, double *left, d
         double d2 = e3 - e2;
         double hs_next = half_slope(d1, d2);
         double l = e1 + hs, r = e2 - hs_next;
-        left[j] = clip ? np_max(l, 0.0) : l;
-        right[j] = clip ? np_max(r, 0.0) : r;
+        /* np.maximum(x, 0.0), written so it needs no branch: NaN stays */
+        left[j] = clip && l <= 0.0 ? 0.0 : l;
+        right[j] = clip && r <= 0.0 ? 0.0 : r;
         e1 = e2;
         e2 = e3;
         d1 = d2;
@@ -48,26 +74,32 @@ static void limit(int64_t n, const double *q, int odd, int clip, double *left, d
     }
 }
 
-/* Face states out[field][side][interface] of (rho, vel), shape (2, 2, n + 1);
- * density faces are clipped at zero. */
-void faces(int64_t n, const double *rho, const double *vel, double *out)
+/* Face states of (rho, vel) into s->face, density clipped at zero; with
+ * pressure, also the clipped densities and their mean into s->power. */
+void faces(const struct stage *s, const double *rho, const double *vel)
 {
-    int64_t m = n + 1;
-    limit(n, rho, 0, 1, out, out + m);
-    limit(n, vel, 1, 0, out + 2 * m, out + 3 * m);
+    int64_t n = s->n, m = n + 1;
+    double *f = s->face;
+    limit(n, rho, 0, 1, f, f + m);
+    limit(n, vel, 1, 0, f + 2 * m, f + 3 * m);
+    if (s->power) {
+        memcpy(s->power, f, 2 * m * sizeof(double));
+        for (int64_t j = 0; j < m; j++)
+            s->power[2 * m + j] = 0.5 * (f[j] + f[m + j]);
+    }
 }
 
 /* Mass flux rho*V and velocity advection flux V**2/2 at interface j, with
  * the shared dissipation speed max(|V| + c), before any closure. */
-static void fluxes(const double *face, const double *sound, int64_t m, int64_t j,
-                   double *mass, double *adv)
+static void fluxes(const struct stage *s, int64_t j, double *mass, double *adv)
 {
-    const double *rho_l = face, *rho_r = face + m;
-    const double *vel_l = face + 2 * m, *vel_r = face + 3 * m;
+    int64_t m = s->n + 1;
+    const double *rho_l = s->face, *rho_r = rho_l + m;
+    const double *vel_l = rho_r + m, *vel_r = vel_l + m;
     double a_l = fabs(vel_l[j]), a_r = fabs(vel_r[j]);
-    if (sound) {
-        a_l += sound[j];
-        a_r += sound[m + j];
+    if (s->power) {
+        a_l += sqrt(s->sound_coef * s->power[j]);
+        a_r += sqrt(s->sound_coef * s->power[m + j]);
     }
     double half_a = 0.5 * np_max(a_l, a_r);
     double f = vel_l[j] * rho_l[j];
@@ -80,53 +112,116 @@ static void fluxes(const double *face, const double *sound, int64_t m, int64_t j
     *adv = g - half_a * (vel_r[j] - vel_l[j]);
 }
 
-/* Fill out = (drho, dvel), shape (2, n), from the face states of faces().
+/* Fill out = (drho, dvel), shape (2, n), from the face states of faces()
+ * and, with pressure, the raised power rows, in one pass over the faces.
  *
- * sound: NULL, or c at the faces, shape (2, n + 1);
- * grad: NULL, or the face enthalpy (per_density = 0) or pressure
- *   (per_density = 1: divided by the cell density where it is above the
- *   floor) whose difference is subtracted from dvel;
- * field: NULL, or the radial force per unit mass at the cells.
  * The mass flux is weighted by face_area and closed (zero) at interface 0
- * and at interfaces >= wall.
+ * and at interfaces >= wall. The force field is (alpha*delta) * C / center
+ * with C the running integral of max(rho, 0) * s**(N-1), accumulated in
+ * the order of np.cumsum. Each tendency takes its terms in the order of the
+ * reference: flux divergence, pressure, force, vacuum mask.
  *
  * Returns -1, or the first non-finite tendency as cell (density) or
  * n + cell (velocity), density scanned first. */
-int64_t tendencies(
-    int64_t n, const double *face, const double *sound, const double *grad,
-    int per_density, const double *field, const double *rho, double rho_floor,
-    double dr, const double *face_area, const double *cell_volume, int64_t wall,
-    double *out)
+int64_t tendencies(const struct stage *s, const double *rho, double rho_floor, double *out)
 {
-    int64_t m = n + 1;
-    double *drho = out, *dvel = out + n;
-    double mass, adv, mass_prev = 0.0, adv_prev;
-    fluxes(face, sound, m, 0, &mass, &adv_prev);
-    for (int64_t j = 1; j < m; j++) {
-        fluxes(face, sound, m, j, &mass, &adv);
-        mass = j < wall ? mass * face_area[j] : 0.0;
-        drho[j - 1] = -(mass - mass_prev) / cell_volume[j - 1];
-        dvel[j - 1] = -(adv - adv_prev) / dr;
+    int64_t n = s->n, bad_rho = -1, bad_vel = -1;
+    double dr = s->dr;
+    const double *base = s->power ? s->power + 2 * (n + 1) : NULL;
+    double mass_prev = 0.0, adv_prev = 0.0, grad_prev = 0.0, sum = 0.0;
+    for (int64_t j = 0; j <= n; j++) {
+        double mass, adv;
+        fluxes(s, j, &mass, &adv);
+        mass = j > 0 && j < s->wall ? mass * s->face_area[j] : 0.0;
+        double grad = base ? s->grad_coef * base[j] : 0.0;
+        if (j > 0) {
+            int64_t i = j - 1;
+            double drho = -(mass - mass_prev) / s->cell_volume[i];
+            double dvel = -(adv - adv_prev) / dr;
+            if (base && s->per_density)
+                dvel = dvel - (grad - grad_prev) / (dr * (rho[i] > rho_floor ? rho[i] : 1.0));
+            else if (base)
+                dvel = dvel - (grad - grad_prev) / dr;
+            if (s->field_coef != 0.0) {
+                /* sum is np.cumsum of max(rho, 0) * shell up to cell i - 1 */
+                double q = np_max(rho[i], 0.0);
+                double cumulative = sum + q * s->inner_shell[i];
+                sum = i ? sum + q * s->shell[i] : q * s->shell[i];
+                dvel = dvel + s->field_coef * cumulative / s->center[i];
+            }
+            dvel = rho[i] > rho_floor ? dvel : 0.0;
+            out[i] = drho;
+            out[n + i] = dvel;
+            if (bad_rho < 0 && !isfinite(drho))
+                bad_rho = i;
+            if (bad_vel < 0 && !isfinite(dvel))
+                bad_vel = i;
+        }
         mass_prev = mass;
         adv_prev = adv;
+        grad_prev = grad;
     }
-    if (grad && per_density)
-        for (int64_t i = 0; i < n; i++)
-            dvel[i] = dvel[i] - (grad[i + 1] - grad[i]) / (dr * (rho[i] > rho_floor ? rho[i] : 1.0));
-    else if (grad)
-        for (int64_t i = 0; i < n; i++)
-            dvel[i] = dvel[i] - (grad[i + 1] - grad[i]) / dr;
-    if (field)
-        for (int64_t i = 0; i < n; i++)
-            dvel[i] = dvel[i] + field[i];
-    for (int64_t i = 0; i < n; i++)
-        dvel[i] = rho[i] > rho_floor ? dvel[i] : 0.0;
+    return bad_rho >= 0 ? bad_rho : bad_vel >= 0 ? n + bad_vel : -1;
+}
 
-    for (int64_t i = 0; i < n; i++)
-        if (!isfinite(drho[i]))
-            return i;
-    for (int64_t i = 0; i < n; i++)
-        if (!isfinite(dvel[i]))
-            return n + i;
-    return -1;
+/* faces() then tendencies(), for a stage without pressure. */
+int64_t stage(const struct stage *s, const double *rho, const double *vel, double rho_floor,
+              double *out)
+{
+    faces(s, rho, vel);
+    return tendencies(s, rho, rho_floor, out);
+}
+
+/* One Runge-Kutta stage in place on the tendencies k_rho, k_vel of n cells:
+ * k = old + dt*k without mid (NULL), else (mid + dt*k)/2 + old/2; both
+ * fields zeroed from cell wall on. Returns np.min of the new density. */
+double rk_stage(int64_t n, int64_t wall, double dt, const double *rho, const double *vel,
+                const double *mid_rho, const double *mid_vel, double *k_rho, double *k_vel)
+{
+    double lowest = 0.0;
+    for (int64_t i = 0; i < n; i++) {
+        double r = 0.0, v = 0.0;
+        if (i < wall && mid_rho) {
+            r = (k_rho[i] * dt + mid_rho[i]) * 0.5 + 0.5 * rho[i];
+            v = (k_vel[i] * dt + mid_vel[i]) * 0.5 + 0.5 * vel[i];
+        } else if (i < wall) {
+            r = k_rho[i] * dt + rho[i];
+            v = k_vel[i] * dt + vel[i];
+        }
+        k_rho[i] = r;
+        k_vel[i] = v;
+        lowest = i ? np_min(lowest, r) : r;
+    }
+    return lowest;
+}
+
+/* np.max of |vel| + sqrt(sound_coef * power) over n cells; power NULL
+ * without pressure. */
+double max_speed(int64_t n, const double *vel, const double *power, double sound_coef)
+{
+    double top = 0.0;
+    for (int64_t i = 0; i < n; i++) {
+        double speed = fabs(vel[i]);
+        if (power)
+            speed += sqrt(sound_coef * power[i]);
+        top = i ? np_max(top, speed) : speed;
+    }
+    return top;
+}
+
+/* np.argmax of |v[i + 2] - v[i]| / width over i < n - 2 (n >= 3): the first
+ * maximum, or the first NaN. Writes that slope to *value. */
+int64_t max_slope(int64_t n, const double *v, double width, double *value)
+{
+    int64_t k = 0;
+    double top = fabs(v[2] - v[0]) / width;
+    for (int64_t i = 1; i < n - 2 && !isnan(top); i++) {
+        double slope = fabs(v[i + 2] - v[i]) / width;
+        if (isnan(slope) || slope > top) {
+            top = slope;
+            k = i;
+        }
+    }
+    *value = top;
+    return k;
 }

@@ -1,9 +1,9 @@
-"""Build, cache and load the compiled stage kernel in ``_kernel.c``.
+"""Build, cache and load the compiled kernel in ``_kernel.c``.
 
 The shared library is compiled once per source and compile command and kept
 in ``$XDG_CACHE_HOME/radialblowup`` (``~/.cache/radialblowup`` when the
-variable is unset). It is loaded on first use, so commands that never step a
-state never compile it.
+variable is unset); a build removes the libraries of other versions. It is
+loaded on first use, so commands that never step a state never compile it.
 """
 
 from __future__ import annotations
@@ -16,22 +16,56 @@ import subprocess
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 SOURCE = Path(__file__).with_name("_kernel.c")
 # no contraction into fused multiply-adds: it changes the bits of the results
 COMPILE = ("cc", "-O2", "-fPIC", "-shared", "-ffp-contract=off")
 
 _P, _I64, _F64 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
+
+
+class Stage(ctypes.Structure):
+    """``struct stage`` of ``_kernel.c``: one stage's grid, law and scratch."""
+
+    _fields_ = [
+        ("n", _I64), ("wall", _I64), ("per_density", _I64),
+        ("dr", _F64), ("sound_coef", _F64), ("grad_coef", _F64), ("field_coef", _F64),
+        ("face_area", _P), ("cell_volume", _P), ("shell", _P), ("inner_shell", _P),
+        ("center", _P), ("face", _P), ("power", _P),
+    ]
+
+
 _SIGNATURES = {
-    "faces": ([_I64, _P, _P, _P], None),
-    "tendencies": (
-        [_I64, _P, _P, _P, ctypes.c_int, _P, _P, _F64, _F64, _P, _P, _I64, _P],
-        _I64,
-    ),
+    "faces": ([_P, _P, _P], None),
+    "tendencies": ([_P, _P, _F64, _P], _I64),
+    "stage": ([_P, _P, _P, _F64, _P], _I64),
+    "rk_stage": ([_I64, _I64, _F64, _P, _P, _P, _P, _P, _P], _F64),
+    "max_speed": ([_I64, _P, _P, _F64], _F64),
+    "max_slope": ([_I64, _P, _F64, ctypes.POINTER(_F64)], _I64),
 }
+_FLOAT64 = np.dtype(np.float64)
+_from_buffer = ctypes.c_double.from_buffer
+
+
+def address(array: np.ndarray, shape: tuple[int, ...]) -> int:
+    """Address of the data of a C-contiguous float64 array of ``shape``."""
+    if array.shape == shape and array.dtype == _FLOAT64:
+        try:
+            # a third of the cost of array.ctypes.data; needs a writable,
+            # C-contiguous buffer
+            return ctypes.addressof(_from_buffer(array))
+        except TypeError:
+            if array.flags.c_contiguous:
+                return array.ctypes.data
+    raise ValueError(
+        f"kernel input of shape {array.shape} and dtype {array.dtype}: expected a "
+        f"C-contiguous float64 array of shape {shape}"
+    )
 
 
 class KernelCompileError(RuntimeError):
-    """The stage kernel could not be compiled."""
+    """The kernel could not be compiled."""
 
 
 def _compile(command: list[str]) -> subprocess.CompletedProcess:
@@ -71,6 +105,9 @@ def load() -> ctypes.CDLL:
     target = directory / f"kernel-{key}.so"
     if not target.exists():
         _build(target)
+        for old in directory.glob("kernel-*.so"):
+            if old != target:
+                old.unlink(missing_ok=True)
     lib = ctypes.CDLL(str(target))
     for name, (argtypes, restype) in _SIGNATURES.items():
         fn = getattr(lib, name)

@@ -8,12 +8,14 @@ Cauchy-Schwarz gap, and condenses a finished run into a verdict report.
 
 from __future__ import annotations
 
+import ctypes
 import enum
 from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
 
+from . import _kernel
 from .model import FluidState, ModelConfig, RadialGrid, grid_weights, pressure
 from .model import weighted_momentum
 from .poisson import alpha
@@ -119,13 +121,18 @@ def energy_condition(state: FluidState, grid: RadialGrid, cfg: ModelConfig) -> f
 
 
 def max_velocity_gradient(state: FluidState, grid: RadialGrid) -> tuple[float, int]:
-    """Largest |dV/dr| by central differences and the cell index attaining it."""
-    v = state.vel
+    """Largest |dV/dr| by central differences and the cell index attaining it.
+
+    The first such cell on a tie; a NaN slope counts as the largest.
+    """
+    v = np.ascontiguousarray(state.vel, dtype=float)
     if v.size < 3:
         return 0.0, 0
-    slopes = np.abs(v[2:] - v[:-2]) / (2.0 * grid.cell_width)
-    k = int(np.argmax(slopes))
-    return float(slopes[k]), k + 1
+    slope = ctypes.c_double()
+    k = _kernel.load().max_slope(
+        v.size, _kernel.address(v, v.shape), 2.0 * grid.cell_width, ctypes.byref(slope)
+    )
+    return slope.value, k + 1
 
 
 @dataclass(frozen=True)

@@ -7,12 +7,14 @@ advective flux, an interface pressure gradient, and the radial force field;
 vacuum cells are skipped. Compact support is enforced by zeroed margin cells
 at the outer wall acting as the solid container boundary.
 
-One stage's limiter, fluxes and divergence are compiled C (``_kernel.c``,
-built on first use); the EOS and the force field stay in numpy.
+A stage, the step's Runge-Kutta combination and the CFL wave speed are
+compiled C (``_kernel.c``, built on first use); numpy keeps one ``**`` pass
+per stage for the pressure law.
 """
 
 from __future__ import annotations
 
+import ctypes
 import enum
 from dataclasses import dataclass
 from functools import lru_cache
@@ -21,18 +23,12 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import _kernel, diagnostics
-from .model import (
-    FluidState,
-    ModelConfig,
-    RadialGrid,
-    grid_weights,
-    pressure,
-    sound_speed,
-    validate_initial_data,
-)
-from .poisson import radial_field
+from .model import FluidState, ModelConfig, RadialGrid, grid_weights, validate_initial_data
+from .poisson import alpha
 
-NUM_GHOSTS = 2
+# not called here: bench/tracer.py wraps these names in this module
+from .model import sound_speed  # noqa: F401
+from .poisson import radial_field  # noqa: F401
 
 #: Positivity slack and vacuum floor, both relative to the initial peak density.
 POSITIVITY_REL_TOL = 1e-14
@@ -131,21 +127,62 @@ class RunResult(NamedTuple):
     report: diagnostics.RunReport
 
 
+class _Plan(NamedTuple):
+    """A kernel ``struct stage`` and what its addresses point into."""
+
+    at: int  # address of the struct
+    raised: Optional[np.ndarray]  # scratch rows _eos_power raises; None for K = 0
+    keep: tuple  # the struct, weights and scratch, alive as long as the plan
+
+
+@lru_cache(maxsize=8)
+def _stage_plan(grid: RadialGrid, cfg: ModelConfig, margin_cells: int) -> _Plan:
+    """The stage of (grid, cfg, margin), with scratch reused by every call."""
+    n = grid.n_cells
+    weights = grid_weights(grid, cfg.dim)
+    face = np.empty((2, 2, n + 1))
+    power = raised = None
+    if cfg.pressure_const > 0.0:
+        power = np.empty((3, n + 1))
+        # the isothermal pressure K * rho**1.0 is K times the face mean
+        # itself (numpy computes x**1.0 as x)
+        raised = power if cfg.gamma > 1.0 else power[:2]
+    if cfg.gamma > 1.0:
+        # pressure force per unit mass as an exact enthalpy gradient,
+        # K*g/(g-1) * d(rho**(g-1))/dr: bounded at the vacuum edge
+        grad_coef = cfg.pressure_const * cfg.gamma / (cfg.gamma - 1.0)
+    else:
+        grad_coef = cfg.pressure_const
+    stage = _kernel.Stage(
+        n=n,
+        # the mass flux is closed from this interface on
+        wall=slice(n - margin_cells, None).indices(n + 1)[0],
+        per_density=not cfg.gamma > 1.0,
+        dr=grid.cell_width,
+        sound_coef=cfg.pressure_const * cfg.gamma,
+        grad_coef=grad_coef,
+        field_coef=alpha(cfg.dim) * cfg.delta,
+        face_area=weights.face_area.ctypes.data,
+        cell_volume=weights.cell_volume.ctypes.data,
+        shell=weights.shell.ctypes.data,
+        inner_shell=weights.inner_shell.ctypes.data,
+        center=weights.center.ctypes.data,
+        face=face.ctypes.data,
+        power=None if power is None else power.ctypes.data,
+    )
+    return _Plan(ctypes.addressof(stage), raised, (stage, weights, face, power))
+
+
+def _eos_power(base: np.ndarray, cfg: ModelConfig) -> None:
+    """base**(gamma - 1) in place: the one EOS operation left in numpy, whose
+    SIMD ``**`` differs from the C library's ``pow`` in the last bit."""
+    base **= cfg.gamma - 1.0
+
+
 @lru_cache(maxsize=32)
-def _weight_addresses(grid: RadialGrid, dim: int):
-    """Addresses of the face areas and cell volumes of grid_weights(grid, dim),
-    then the weights themselves, which keep those addresses valid."""
-    weights = grid_weights(grid, dim)
-    return weights.face_area.ctypes.data, weights.cell_volume.ctypes.data, weights
-
-
-def _address(array: Optional[np.ndarray], shape: tuple[int, ...]) -> Optional[int]:
-    """Address of a C-contiguous float64 array of ``shape``; None for None."""
-    if array is None:
-        return None
-    if array.shape != shape or array.dtype != np.float64 or not array.flags.c_contiguous:
-        raise ValueError(f"kernel input of shape {array.shape}, expected {shape}")
-    return array.ctypes.data
+def _cell_scratch(n: int) -> np.ndarray:
+    """A cell array reused by every max_wave_speed call on n cells."""
+    return np.empty(n)
 
 
 def rhs_eval(
@@ -161,9 +198,8 @@ def rhs_eval(
     interface at or beyond the wall margin, so the discrete mass telescopes
     exactly. Velocity tendencies vanish in vacuum cells.
 
-    The limiter, fluxes and divergence run in the compiled kernel; the EOS
-    and the force field stay in numpy, whose ``**`` differs from the C
-    library's ``pow`` in the last bit for some inputs.
+    The stage runs in the compiled kernel, except with pressure (K > 0)
+    the face densities' ``**`` in _eos_power between its two calls.
     """
     kernel = _kernel.load()
     n = grid.n_cells
@@ -171,41 +207,15 @@ def rhs_eval(
     vel = np.ascontiguousarray(state.vel, dtype=float)
     if rho.shape != (n,) or vel.shape != (n,):
         raise ValueError(f"state has {state.n_cells} cells, grid has {n}")
-
-    # minmod-limited (rho, V) on both sides of the n+1 interfaces, indexed
-    # [field, side, interface], density clipped at zero
-    faces = np.empty((2, 2, n + 1))
-    rho_at, faces_at = rho.ctypes.data, faces.ctypes.data
-    kernel.faces(n, rho_at, vel.ctypes.data, faces_at)
-
-    sound = grad = field = None
-    if cfg.pressure_const > 0.0:
-        rho_lr = faces[0]
-        sound = sound_speed(rho_lr, cfg)
-        rho_face = 0.5 * (rho_lr[0] + rho_lr[1])
-        if cfg.gamma > 1.0:
-            # pressure force per unit mass as an exact enthalpy gradient,
-            # K*g/(g-1) * d(rho**(g-1))/dr: bounded at the vacuum edge
-            grad = (
-                cfg.pressure_const
-                * cfg.gamma
-                / (cfg.gamma - 1.0)
-                * rho_face ** (cfg.gamma - 1.0)
-            )
-        else:
-            grad = pressure(rho_face, cfg)
-    if cfg.delta != 0:
-        field = radial_field(np.maximum(rho, 0.0), grid, cfg).phi_r
-
-    face_area_at, cell_volume_at, _ = _weight_addresses(grid, cfg.dim)
-    # the mass flux is closed from this interface on
-    wall = slice(n - num.support_margin_cells, None).indices(n + 1)[0]
+    rho_at, vel_at = _kernel.address(rho, (n,)), _kernel.address(vel, (n,))
+    plan = _stage_plan(grid, cfg, num.support_margin_cells)
     out = np.empty((2, n))
-    bad = kernel.tendencies(
-        n, faces_at, _address(sound, (2, n + 1)), _address(grad, (n + 1,)),
-        not cfg.gamma > 1.0, _address(field, (n,)), rho_at, rho_floor,
-        grid.cell_width, face_area_at, cell_volume_at, wall, out.ctypes.data,
-    )
+    if plan.raised is None:
+        bad = kernel.stage(plan.at, rho_at, vel_at, rho_floor, _kernel.address(out, (2, n)))
+    else:
+        kernel.faces(plan.at, rho_at, vel_at)
+        _eos_power(plan.raised, cfg)
+        bad = kernel.tendencies(plan.at, rho_at, rho_floor, _kernel.address(out, (2, n)))
     if bad >= 0:
         raise NumericalBreakdownError(bad % n, ("density", "velocity")[bad // n])
     drho, dvel = out
@@ -214,10 +224,16 @@ def rhs_eval(
 
 def max_wave_speed(state: FluidState, cfg: ModelConfig) -> float:
     """Fastest signal speed max(|V| + c) over the cells."""
-    speed = np.abs(state.vel)
+    vel = np.ascontiguousarray(state.vel, dtype=float)
+    n = vel.size
+    power_at = None
     if cfg.pressure_const > 0.0:
-        speed += sound_speed(np.maximum(state.rho, 0.0), cfg)
-    return float(np.max(speed))
+        power = np.maximum(state.rho, 0.0, out=_cell_scratch(n))
+        _eos_power(power, cfg)
+        power_at = _kernel.address(power, (n,))
+    return _kernel.load().max_speed(
+        n, _kernel.address(vel, (n,)), power_at, cfg.pressure_const * cfg.gamma
+    )
 
 
 def _stable_dt(speed, time, num: NumericsConfig, grid: RadialGrid) -> float:
@@ -256,22 +272,20 @@ def step(
     The boundary margin is re-applied after each stage. Raises
     PositivityError when the full step leaves density below -positivity_tol.
     """
-    wall = slice(grid.n_cells - num.support_margin_cells, None)
+    kernel = _kernel.load()
+    n = grid.n_cells
+    wall = slice(n - num.support_margin_cells, None).indices(n)[0]
     time = state.time + dt
     # both stages are written into the fresh tendency arrays
     mid = rhs_eval(state, cfg, grid, num, rho_floor)
-    for stage, old in zip(mid, (state.rho, state.vel)):
-        stage *= dt
-        stage += old
-        stage[wall] = 0.0
+    rho = np.ascontiguousarray(state.rho, dtype=float)
+    vel = np.ascontiguousarray(state.vel, dtype=float)
+    old = [_kernel.address(rho, (n,)), _kernel.address(vel, (n,))]
+    mid_at = [_kernel.address(field, (n,)) for field in mid]
+    kernel.rk_stage(n, wall, dt, *old, None, None, *mid_at)
     new = rhs_eval(FluidState(time, *mid), cfg, grid, num, rho_floor)
-    for stage, mid_field, old in zip(new, mid, (state.rho, state.vel)):
-        stage *= dt
-        stage += mid_field
-        stage *= 0.5
-        stage += 0.5 * old
-        stage[wall] = 0.0
-    rho_min = float(np.min(new[0]))
+    new_at = [_kernel.address(field, (n,)) for field in new]
+    rho_min = kernel.rk_stage(n, wall, dt, *old, *mid_at, *new_at)
     if rho_min < -positivity_tol:
         raise PositivityError(
             f"density {rho_min:.3e} below -{positivity_tol:.3e} at t={time:.6g}"

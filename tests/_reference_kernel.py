@@ -1,8 +1,9 @@
 """Test oracle: the stepping kernel as it was before the fused rewrite.
 
 A verbatim copy of the unfused ``rhs_eval`` and ``step`` with the helpers
-they call (per-field limiting, boundary copies, Poisson prefix sums), and
-of the mass and energy diagnostics that recomputed their weights per call.
+they call (per-field limiting, boundary copies, Poisson prefix sums), of
+the mass and energy diagnostics that recomputed their weights per call,
+and of the numpy ``max_velocity_gradient``.
 It is never run by the package; property tests compare the production code
 against it bit for bit.
 """
@@ -13,12 +14,9 @@ import numpy as np
 
 from radialblowup.model import FluidState, ModelConfig, RadialGrid, pressure, sound_speed
 from radialblowup.poisson import FieldProfile, alpha
-from radialblowup.solver import (
-    NUM_GHOSTS,
-    NumericalBreakdownError,
-    NumericsConfig,
-    PositivityError,
-)
+from radialblowup.solver import NumericalBreakdownError, NumericsConfig, PositivityError
+
+NUM_GHOSTS = 2
 
 
 def _minmod(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -239,3 +237,13 @@ def energy_condition_lhs(state: FluidState, grid: RadialGrid, cfg: ModelConfig) 
     return float(
         2.0 * alpha(cfg.dim) * np.sum(integrand * r ** (cfg.dim - 1)) * grid.cell_width
     )
+
+
+def max_velocity_gradient(state: FluidState, grid: RadialGrid) -> tuple[float, int]:
+    """Largest |dV/dr| by central differences and the cell index attaining it."""
+    v = state.vel
+    if v.size < 3:
+        return 0.0, 0
+    slopes = np.abs(v[2:] - v[:-2]) / (2.0 * grid.cell_width)
+    k = int(np.argmax(slopes))
+    return float(slopes[k]), k + 1

@@ -1,8 +1,10 @@
-"""The fused stepping kernel reproduces the unfused one bit for bit.
+"""The compiled kernel reproduces the numpy one bit for bit.
 
 Random states cover every dimension, force sign, pressure law and wall
-margin, with vacuum patches and roundoff-level negative densities. Results
-are compared as raw bytes, so even the sign of a zero must match.
+margin, with vacuum patches and roundoff-level negative densities. The
+exponents gamma - 1 include 0 (isothermal) and 0.5, which numpy's ``**``
+computes as a square root. Results are compared as raw bytes, so even the
+sign of a zero must match.
 """
 
 import numpy as np
@@ -17,6 +19,7 @@ from radialblowup import (
     RadialGrid,
     cfl_dt,
     cumulative_mass_integrand,
+    diagnostics,
     energy_condition,
     radial_field,
     rhs_eval,
@@ -41,8 +44,8 @@ def cases(draw):
     cfg = ModelConfig(
         dim=draw(st.integers(1, 3)),
         delta=draw(st.sampled_from((-1, 0, 1))),
-        pressure_const=draw(st.sampled_from((0.0, 0.5))),
-        gamma=draw(st.sampled_from((1.0, 1.4))),
+        pressure_const=draw(st.sampled_from((0.0, 0.5, 1.0))),
+        gamma=draw(st.sampled_from((1.0, 1.4, 1.5, 5.0 / 3.0))),
     )
     num = NumericsConfig(support_margin_cells=draw(st.integers(1, 3)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -115,6 +118,9 @@ def test_breakdown_reports_the_same_cell(case, field, value, where):
         assert new == old
     else:
         assert _same(new[0], old[0]) and _same(new[1], old[1])
+    # the wave speed propagates a NaN as np.max does
+    assert _same(_outcome(lambda: max_wave_speed(bad, cfg)),
+                 _outcome(lambda: ref.max_wave_speed(bad, cfg)))
 
 
 @settings(max_examples=60, deadline=None)
@@ -146,3 +152,31 @@ def test_signed_zeros_match_reference(case, seed):
     new = rhs_eval(signed, cfg, grid, num, rho_floor)
     old = ref.rhs_eval(signed, cfg, grid, num, rho_floor)
     assert _same(new[0], old[0]) and _same(new[1], old[1])
+
+
+@st.composite
+def velocity_profiles(draw):
+    n = draw(st.integers(0, 40))
+    kind = draw(st.sampled_from(("random", "constant", "ties", "nan")))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "constant":
+        vel = np.full(n, draw(st.sampled_from((0.0, -0.0, 1.5))))
+    elif kind == "ties":
+        # steps of equal height: several cells share the largest slope
+        vel = np.repeat(rng.integers(-2, 3, n // 2 + 1).astype(float), 2)[:n]
+    else:
+        vel = rng.normal(0.0, 1.0, n)
+        if kind == "nan" and n:
+            vel[rng.integers(0, n, draw(st.integers(1, 3)))] = np.nan
+    return FluidState(time=0.0, rho=np.zeros(n), vel=vel)
+
+
+@settings(max_examples=200, deadline=None)
+@given(velocity_profiles(), st.sampled_from((1.0, 0.3)))
+def test_max_velocity_gradient_matches_reference(state, radius):
+    # the first cell on a tie and the first NaN, as np.argmax picks them
+    grid = RadialGrid(n_cells=max(state.n_cells, 8), support_radius=radius)
+    expected = ref.max_velocity_gradient(state, grid)
+    value, cell = diagnostics.max_velocity_gradient(state, grid)
+    assert cell == expected[1] and type(cell) is int
+    assert _same(value, expected[0]) and type(value) is float

@@ -1,4 +1,4 @@
-"""The compiled stage kernel is built once per source into the user cache."""
+"""The compiled kernel is built once per source into the user cache."""
 
 import stat
 import subprocess
@@ -57,3 +57,16 @@ def test_missing_compiler_names_the_command(fresh_cache, monkeypatch):
     monkeypatch.setattr(_kernel, "_compile", missing)
     with pytest.raises(_kernel.KernelCompileError, match="cannot run `cc -O2"):
         _kernel.load()
+
+
+def test_a_build_removes_older_libraries(fresh_cache):
+    fresh_cache.mkdir(mode=0o700)
+    stale = fresh_cache / "kernel-0000000000000000.so"
+    partial = fresh_cache / "tmpbuild.so.tmp"
+    stale.write_bytes(b"old")
+    partial.write_bytes(b"another process is building")
+    _kernel.load()
+    names = sorted(p.name for p in fresh_cache.iterdir())
+    assert stale.name not in names and partial.name in names
+    (library,) = (name for name in names if name.endswith(".so"))
+    assert library.startswith("kernel-") and library != stale.name

@@ -23,7 +23,7 @@ from radialblowup import (
     run,
     step,
 )
-from radialblowup import diagnostics, solver
+from radialblowup import diagnostics, model, poisson, solver
 
 
 @pytest.fixture
@@ -320,11 +320,17 @@ class TestRun:
         for wanted, state in zip(snapshot_times, res.trajectory.snapshots):
             assert state.time == times[np.argmin(np.abs(times - wanted))]
 
-    @pytest.mark.parametrize("pressure_const", [0.0, 1.0])
-    def test_each_value_computed_once_per_step(self, monkeypatch, pressure_const):
+    @pytest.mark.parametrize(
+        "pressure_const, gamma",
+        [(0.0, 1.4), (1.0, 1.4), (1.0, 1.0)],
+        ids=["0.0", "1.0", "1.0-isothermal"],
+    )
+    def test_each_value_computed_once_per_step(self, monkeypatch, pressure_const, gamma):
         calls = Counter()
         for module, name in ((solver, "step"), (solver, "max_wave_speed"),
-                             (solver, "sound_speed"), (solver, "rhs_eval"),
+                             (solver, "rhs_eval"), (solver, "_eos_power"),
+                             (solver, "sound_speed"), (model, "sound_speed"),
+                             (solver, "radial_field"), (poisson, "radial_field"),
                              (diagnostics, "max_velocity_gradient")):
             def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
                 calls[_name] += 1
@@ -332,7 +338,7 @@ class TestRun:
 
             monkeypatch.setattr(module, name, counted)
         grid = RadialGrid(n_cells=64, support_radius=1.0)
-        cfg = ModelConfig(dim=3, delta=1, pressure_const=pressure_const)
+        cfg = ModelConfig(dim=3, delta=1, pressure_const=pressure_const, gamma=gamma)
         num = NumericsConfig(t_end=0.05, output_stride=1, steepening_threshold=1e9)
         prof = build_initial_profile("gaussian_truncated", {}, 0, grid, 2)
         run(prof.rho0, prof.v0, cfg, num)
@@ -341,6 +347,8 @@ class TestRun:
         assert calls["max_wave_speed"] == steps
         # the initial row plus one gradient per step, shared by detection and rows
         assert calls["max_velocity_gradient"] == steps + 1
-        # one sound speed per stage and one per step, none without pressure
-        expected = 3 * steps if pressure_const > 0 else 0
-        assert calls["sound_speed"] == expected
+        # the numpy EOS and force field are oracles: the run path is compiled
+        assert calls["sound_speed"] == calls["radial_field"] == 0
+        # numpy's ** is one pass per stage and one for the wave speed, none
+        # without pressure
+        assert calls["_eos_power"] == (3 * steps if pressure_const > 0 else 0)
