@@ -2,15 +2,16 @@
  * minmod limiting, sound speed, local Lax-Friedrichs fluxes, origin and wall
  * closures, flux divergence, pressure and Poisson force terms, vacuum mask
  * and finite check; the Runge-Kutta combination of a step; the CFL wave
- * speed; and the largest velocity gradient.
+ * speed; the largest velocity gradient; and the sums of a diagnostics row.
  *
  * Every expression repeats the numpy operations of the reference kernel in
  * tests/_reference_kernel.py, in the same order, so the results match it
  * bit for bit. That holds only without floating-point contraction: build
- * with -ffp-contract=off and never with -ffast-math. The one operation
- * left to numpy is rho**(gamma - 1), whose SIMD `**` differs from `pow`
- * here in the last bit; the caller raises the `power` rows in place
- * between faces() and tendencies().
+ * with -ffp-contract=off and never with -ffast-math. The operations left
+ * to numpy are the powers rho**(gamma - 1) and, for a diagnostics row,
+ * max(rho, 0)**gamma, since numpy's SIMD `**` differs from `pow` here in
+ * the last bit; the caller raises the `power` rows in place between
+ * faces() and tendencies().
  */
 #include <math.h>
 #include <stdint.h>
@@ -224,4 +225,89 @@ int64_t max_slope(int64_t n, const double *v, double width, double *value)
     }
     *value = top;
     return k;
+}
+
+/* The fields of a diagnostics row, mirrored by the arguments of row_sums. */
+struct row {
+    const double *r, *w, *rho, *vel; /* w = r**(N-1) */
+    const double *power;             /* NULL without pressure, else max(rho, 0)**gamma */
+    double pressure_const;
+};
+
+/* The four summands of cell i, each product in the operand order of its
+ * numpy expression: r*V; rho*w; (rho*V**2 [+ 2*(K*power)])*w; V**2*2*r. */
+static void row_terms(const struct row *s, int64_t i, double t[4])
+{
+    double v2 = s->vel[i] * s->vel[i];
+    double e = s->rho[i] * v2;
+    if (s->power)
+        e += 2.0 * (s->pressure_const * s->power[i]);
+    t[0] = s->r[i] * s->vel[i];
+    t[1] = s->rho[i] * s->w[i];
+    t[2] = e * s->w[i];
+    t[3] = v2 * 2.0 * s->r[i];
+}
+
+/* The four sums over cells lo .. lo + n - 1 in the blocked pairwise order
+ * of numpy's float64 add reduction: in order below 8 terms; up to 128 terms
+ * eight interleaved accumulators, combined as a balanced tree, then the
+ * tail in order; above 128 the two halves, split at n/2 rounded down to a
+ * multiple of 8, and their sum. */
+static void pairwise(const struct row *s, int64_t lo, int64_t n, double out[4])
+{
+    double t[4];
+    if (n < 8) {
+        /* from -0.0, which leaves the first term as it is */
+        for (int k = 0; k < 4; k++)
+            out[k] = -0.0;
+        for (int64_t i = lo; i < lo + n; i++) {
+            row_terms(s, i, t);
+            for (int k = 0; k < 4; k++)
+                out[k] += t[k];
+        }
+    } else if (n <= 128) {
+        double acc[4][8];
+        for (int j = 0; j < 8; j++) {
+            row_terms(s, lo + j, t);
+            for (int k = 0; k < 4; k++)
+                acc[k][j] = t[k];
+        }
+        int64_t i = 8;
+        for (; i < n - n % 8; i += 8)
+            for (int j = 0; j < 8; j++) {
+                row_terms(s, lo + i + j, t);
+                for (int k = 0; k < 4; k++)
+                    acc[k][j] += t[k];
+            }
+        for (int k = 0; k < 4; k++) {
+            const double *a = acc[k];
+            out[k] = ((a[0] + a[1]) + (a[2] + a[3])) + ((a[4] + a[5]) + (a[6] + a[7]));
+        }
+        for (; i < n; i++) {
+            row_terms(s, lo + i, t);
+            for (int k = 0; k < 4; k++)
+                out[k] += t[k];
+        }
+    } else {
+        int64_t half = n / 2;
+        half -= half % 8;
+        double tail[4];
+        pairwise(s, lo, half, out);
+        pairwise(s, lo + half, n - half, tail);
+        for (int k = 0; k < 4; k++)
+            out[k] += tail[k];
+    }
+}
+
+/* np.sum of each summand of row_terms over n cells into out[4]. An add
+ * reduction starts from its identity, so each sum is 0.0 + the pairwise
+ * sum: +0.0, not -0.0, when every term is -0.0. power is NULL without
+ * pressure. */
+void row_sums(int64_t n, const double *r, const double *w, const double *rho,
+              const double *vel, const double *power, double pressure_const, double *out)
+{
+    struct row s = {r, w, rho, vel, power, pressure_const};
+    pairwise(&s, 0, n, out);
+    for (int k = 0; k < 4; k++)
+        out[k] = 0.0 + out[k];
 }

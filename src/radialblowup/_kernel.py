@@ -12,7 +12,6 @@ import ctypes
 import functools
 import hashlib
 import os
-import subprocess
 import tempfile
 from pathlib import Path
 
@@ -43,6 +42,7 @@ _SIGNATURES = {
     "rk_stage": ([_I64, _I64, _F64, _P, _P, _P, _P, _P, _P], _F64),
     "max_speed": ([_I64, _P, _P, _F64], _F64),
     "max_slope": ([_I64, _P, _F64, ctypes.POINTER(_F64)], _I64),
+    "row_sums": ([_I64, _P, _P, _P, _P, _P, _F64, _P], None),
 }
 _FLOAT64 = np.dtype(np.float64)
 _from_buffer = ctypes.c_double.from_buffer
@@ -68,7 +68,10 @@ class KernelCompileError(RuntimeError):
     """The kernel could not be compiled."""
 
 
-def _compile(command: list[str]) -> subprocess.CompletedProcess:
+def _compile(command: list[str]):
+    """The finished compiler process (``subprocess.CompletedProcess``)."""
+    import subprocess
+
     return subprocess.run(command, capture_output=True, text=True)
 
 

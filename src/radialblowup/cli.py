@@ -12,10 +12,10 @@ import argparse
 import hashlib
 import itertools
 import math
+import resource
 import sys
 import time
 import traceback
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Optional
@@ -373,8 +373,16 @@ def run_single(run_id: str, config: ExperimentConfig, out_root: str) -> dict:
     )
     _write_snapshots(run_dir, config, result, grid)
     elapsed = time.time() - t_start
+    trajectory = result.trajectory
+    dt_min, dt_max = trajectory.dt_range or ("n/a", "n/a")
+    # the peak of this process so far: in KiB on Linux, in bytes on macOS
+    peak_rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    if sys.platform == "darwin":
+        peak_rss //= 1024
     (run_dir / "meta.txt").write_text(
-        f"started_unix: {t_start:.3f}\nelapsed_seconds: {elapsed:.3f}\n",
+        f"started_unix: {t_start:.3f}\nelapsed_seconds: {elapsed:.3f}\n"
+        f"steps: {trajectory.steps}\ndt_min: {_fmt(dt_min)}\ndt_max: {_fmt(dt_max)}\n"
+        f"peak_rss_kb: {peak_rss}\n",
         encoding="utf-8",
     )
     return {
@@ -386,6 +394,13 @@ def run_single(run_id: str, config: ExperimentConfig, out_root: str) -> dict:
         "h0": rep.h0,
         "config_hash": config_hash(config),
     }
+
+
+def ProcessPoolExecutor(max_workers: int):
+    """A process pool, whose module is imported only when a sweep builds one."""
+    from concurrent.futures import ProcessPoolExecutor as pool
+
+    return pool(max_workers=max_workers)
 
 
 def _run_entry(args: tuple) -> dict:
@@ -409,8 +424,8 @@ def execute(
 ) -> int:
     """Run every sweep entry, write the summary index, and return the exit code.
 
-    The pool has ``min(jobs, number of runs)`` workers; ``jobs`` below 1 is
-    an error."""
+    The pool has ``min(jobs, number of runs)`` workers and takes the runs
+    with the most cells first; ``jobs`` below 1 is an error."""
     if jobs < 1:
         print(f"error: --jobs must be at least 1, got {jobs}", file=sys.stderr)
         return 1
@@ -424,6 +439,8 @@ def execute(
 
     outcomes: list[dict] = []
     if jobs > 1 and len(tasks) > 1:
+        # the largest runs first, so no worker is left with two long ones last
+        tasks.sort(key=lambda task: task[1].n_cells, reverse=True)
         with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             futures = [pool.submit(_run_entry, task) for task in tasks]
             for task, future in zip(tasks, futures):

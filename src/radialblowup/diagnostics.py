@@ -4,6 +4,8 @@ Tracks the weighted momentum integral H(t) = int_0^R r*V dr, mass, the kinetic
 plus pressure energy monitor, the quadratic growth (Riccati) residual
 dH/dt - 2*H**2/R**3, the diverging lower envelope for H, and the
 Cauchy-Schwarz gap, and condenses a finished run into a verdict report.
+The integrals of a row come from one compiled pass (``row_integrals``) that
+repeats the summation order of ``np.sum``.
 """
 
 from __future__ import annotations
@@ -11,13 +13,13 @@ from __future__ import annotations
 import ctypes
 import enum
 from dataclasses import dataclass, fields
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
 
 from . import _kernel
-from .model import FluidState, ModelConfig, RadialGrid, grid_weights, pressure
-from .model import weighted_momentum
+from .model import FluidState, ModelConfig, RadialGrid, grid_weights, weighted_momentum
 from .poisson import alpha
 
 #: Operational definition of a detected singularity, recorded in every report.
@@ -28,6 +30,8 @@ BLOWUP_DEFINITION = (
 
 #: Relative envelope slack pinned at 1024 cells; coarser grids get more.
 ENVELOPE_REL_TOL_1024 = 1.0e-3
+
+_PRESSURELESS = ModelConfig()
 
 
 class Verdict(str, enum.Enum):
@@ -66,12 +70,19 @@ def blowup_time_bound(h0: float, radius: float) -> float:
 
 
 def lower_envelope(t, h0: float, radius: float):
-    """Diverging lower barrier -R**3*H0 / (2*H0*t - R**3) for H, on t < bound."""
+    """Diverging lower barrier -R**3*H0 / (2*H0*t - R**3) for H, on t < bound.
+
+    A number t takes plain float arithmetic, an array t numpy's.
+    """
     if h0 <= 0:
         raise ValueError("envelope requires h0 > 0")
-    t = np.asarray(t, dtype=float)
     t_bound = blowup_time_bound(h0, radius)
-    if np.any(t < 0) or np.any(t >= t_bound):
+    if isinstance(t, (int, float)):
+        outside = t < 0 or t >= t_bound
+    else:
+        t = np.asarray(t, dtype=float)
+        outside = np.any(t < 0) or np.any(t >= t_bound)
+    if outside:
         raise ValueError(f"envelope defined on 0 <= t < {t_bound}")
     return -(radius**3) * h0 / (2.0 * h0 * t - radius**3)
 
@@ -93,31 +104,61 @@ def riccati_residuals(h_values, times, radius: float) -> np.ndarray:
     return np.diff(h) / dt - 2.0 * h_mid**2 / radius**3
 
 
+@lru_cache(maxsize=32)
+def _row_plan(grid: RadialGrid, dim: int) -> tuple[int, int, np.ndarray]:
+    """Addresses of the cell centers and of r**(N-1), and what they point into."""
+    weights = grid_weights(grid, dim)
+    return grid.cell_centers.ctypes.data, weights.center.ctypes.data, weights.center
+
+
+def row_integrals(
+    state: FluidState, grid: RadialGrid, cfg: ModelConfig
+) -> tuple[float, float, float, float]:
+    """H, total mass, energy monitor and Cauchy-Schwarz gap of one state.
+
+    One compiled pass takes the four sums in numpy's pairwise order, so each
+    value is the same to the bit as its numpy expression and H is the same
+    as ``weighted_momentum``. With pressure, numpy's ``**`` raises
+    max(rho, 0) to gamma first.
+    """
+    n = grid.n_cells
+    rho = np.ascontiguousarray(state.rho, dtype=float)
+    vel = np.ascontiguousarray(state.vel, dtype=float)
+    power_at = None
+    if cfg.pressure_const > 0.0:
+        power = np.maximum(rho, 0.0)
+        power **= cfg.gamma
+        power_at = _kernel.address(power, (n,))
+    r_at, w_at, _ = _row_plan(grid, cfg.dim)
+    sums = (ctypes.c_double * 4)()
+    _kernel.load().row_sums(
+        n, r_at, w_at, _kernel.address(rho, (n,)), _kernel.address(vel, (n,)),
+        power_at, cfg.pressure_const, sums,
+    )
+    dr, a = grid.cell_width, alpha(cfg.dim)
+    h = sums[0] * dr
+    gap = sums[3] * dr - 4.0 * h**2 / grid.support_radius**2
+    return h, a * sums[1] * dr, 2.0 * a * sums[2] * dr, gap
+
+
 def cauchy_schwarz_gap(state: FluidState, grid: RadialGrid) -> float:
     """Slack int V**2 * 2r dr - 4*H**2/R**2; nonnegative up to roundoff.
 
     The discrete midpoint quadrature reproduces int r dr exactly, so the
     inequality survives discretization with the same constant.
     """
-    r = grid.cell_centers
-    lhs = float(np.sum(state.vel**2 * 2.0 * r) * grid.cell_width)
-    h = blowup_functional(state, grid)
-    return lhs - 4.0 * h**2 / grid.support_radius**2
+    # the gap reads only the velocity: any config gives it
+    return row_integrals(state, grid, _PRESSURELESS)[3]
 
 
 def total_mass(state: FluidState, grid: RadialGrid, cfg: ModelConfig) -> float:
     """Discrete mass alpha(N) * sum rho_i * r_i**(N-1) * dr."""
-    weight = grid_weights(grid, cfg.dim).center
-    return float(alpha(cfg.dim) * np.sum(state.rho * weight) * grid.cell_width)
+    return row_integrals(state, grid, cfg)[1]
 
 
 def energy_condition(state: FluidState, grid: RadialGrid, cfg: ModelConfig) -> float:
     """Monitor 2*int (rho*V**2 + 2*p) dx; informational, never feeds the verdict."""
-    integrand = state.rho * state.vel**2
-    if cfg.pressure_const > 0.0:
-        integrand += 2.0 * pressure(np.maximum(state.rho, 0.0), cfg)
-    weight = grid_weights(grid, cfg.dim).center
-    return float(2.0 * alpha(cfg.dim) * np.sum(integrand * weight) * grid.cell_width)
+    return row_integrals(state, grid, cfg)[2]
 
 
 def max_velocity_gradient(state: FluidState, grid: RadialGrid) -> tuple[float, int]:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import ctypes
 import enum
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple, Optional
@@ -102,12 +103,16 @@ class BreakdownSite:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """One snapshot state per requested time, plus how and when the run ended."""
+    """One snapshot state per requested time, how and when the run ended, and
+    the number of steps taken with their (smallest, largest) dt, None
+    without steps."""
 
     snapshots: tuple[FluidState, ...]
     termination: Termination
     t_detect: Optional[float]
     breakdown: Optional[BreakdownSite] = None
+    steps: int = 0
+    dt_range: Optional[tuple[float, float]] = None
 
     def __post_init__(self):
         detecting = self.termination in (
@@ -344,7 +349,12 @@ def run(
     t_bound = diagnostics.blowup_time_bound(h0, cfg.support_radius) if h0 > 0 else None
     applicable = not diagnostics.scope_flags(h0, cfg)
 
-    state = apply_boundary(FluidState(time=0.0, rho=rho0.copy(), vel=v0.copy()), num)
+    # a copy with the margin zeroed: validation let -0.0 through, and the
+    # margin holds +0.0
+    rho, vel = rho0.copy(), v0.copy()
+    rho[rho.size - num.support_margin_cells :] = 0.0
+    vel[vel.size - num.support_margin_cells :] = 0.0
+    state = FluidState(time=0.0, rho=rho, vel=vel)
 
     # rows are (t, H, mass, energy, envelope, Cauchy-Schwarz gap, max |dV/dr|)
     rows: list[tuple[float, ...]] = []
@@ -357,18 +367,11 @@ def run(
             if nearest[k] is None or distance < nearest[k][0]:
                 nearest[k] = (distance, s)
         if applicable and s.time < t_bound * (1.0 - 1e-12):
-            envelope = float(diagnostics.lower_envelope(s.time, h0, cfg.support_radius))
+            envelope = diagnostics.lower_envelope(s.time, h0, cfg.support_radius)
         else:
             envelope = float("nan")
-        rows.append((
-            s.time,
-            diagnostics.blowup_functional(s, grid),
-            diagnostics.total_mass(s, grid, cfg),
-            diagnostics.energy_condition(s, grid, cfg),
-            envelope,
-            diagnostics.cauchy_schwarz_gap(s, grid),
-            max_gradient,
-        ))
+        h, mass, energy, gap = diagnostics.row_integrals(s, grid, cfg)
+        rows.append((s.time, h, mass, energy, envelope, gap, max_gradient))
 
     gradient = diagnostics.max_velocity_gradient(state, grid)
     record(state, gradient[0])
@@ -377,7 +380,7 @@ def run(
     t_detect: Optional[float] = None
     breakdown: Optional[BreakdownSite] = None
     t_eps = 1e-12 * max(1.0, num.t_end)
-    steps = 0
+    steps, dt_min, dt_max = 0, math.inf, 0.0
     while state.time < num.t_end - t_eps:
         speed = max_wave_speed(state, cfg)
         if speed > 0.0 and num.cfl * grid.cell_width / speed < num.dt_floor:
@@ -396,6 +399,7 @@ def run(
             breakdown = BreakdownSite(exc.field, exc.cell_index, radius)
             break
         steps += 1
+        dt_min, dt_max = min(dt_min, dt), max(dt_max, dt)
         gradient = diagnostics.max_velocity_gradient(state, grid)
         detection = detect_steepening(state, grid, num, gradient)
         if detection is not None:
@@ -438,5 +442,7 @@ def run(
         termination=termination,
         t_detect=t_detect,
         breakdown=breakdown,
+        steps=steps,
+        dt_range=(dt_min, dt_max) if steps else None,
     )
     return RunResult(trajectory=trajectory, series=series, report=report)

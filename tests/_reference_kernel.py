@@ -2,8 +2,8 @@
 
 A verbatim copy of the unfused ``rhs_eval`` and ``step`` with the helpers
 they call (per-field limiting, boundary copies, Poisson prefix sums), of
-the mass and energy diagnostics that recomputed their weights per call,
-and of the numpy ``max_velocity_gradient``.
+the numpy diagnostics row (mass, energy monitor and Cauchy-Schwarz gap,
+each summed by ``np.sum``), and of the numpy ``max_velocity_gradient``.
 It is never run by the package; property tests compare the production code
 against it bit for bit.
 """
@@ -12,7 +12,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from radialblowup.model import FluidState, ModelConfig, RadialGrid, pressure, sound_speed
+from radialblowup.model import (
+    FluidState,
+    ModelConfig,
+    RadialGrid,
+    pressure,
+    sound_speed,
+    weighted_momentum,
+)
 from radialblowup.poisson import FieldProfile, alpha
 from radialblowup.solver import NumericalBreakdownError, NumericsConfig, PositivityError
 
@@ -231,12 +238,20 @@ def total_mass(state: FluidState, grid: RadialGrid, cfg: ModelConfig) -> float:
 def energy_condition_lhs(state: FluidState, grid: RadialGrid, cfg: ModelConfig) -> float:
     """Monitor 2*int (rho*V**2 + 2*p) dx."""
     r = grid.cell_centers
-    integrand = state.rho * state.vel**2 + 2.0 * pressure(
-        np.maximum(state.rho, 0.0), cfg
-    )
+    integrand = state.rho * state.vel**2
+    if cfg.pressure_const > 0.0:
+        integrand += 2.0 * pressure(np.maximum(state.rho, 0.0), cfg)
     return float(
         2.0 * alpha(cfg.dim) * np.sum(integrand * r ** (cfg.dim - 1)) * grid.cell_width
     )
+
+
+def cauchy_schwarz_gap(state: FluidState, grid: RadialGrid) -> float:
+    """Slack int V**2 * 2r dr - 4*H**2/R**2."""
+    r = grid.cell_centers
+    lhs = float(np.sum(state.vel**2 * 2.0 * r) * grid.cell_width)
+    h = weighted_momentum(state.vel, grid)
+    return lhs - 4.0 * h**2 / grid.support_radius**2
 
 
 def max_velocity_gradient(state: FluidState, grid: RadialGrid) -> tuple[float, int]:

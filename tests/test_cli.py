@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from concurrent.futures import Future
 from dataclasses import fields
 
@@ -23,6 +26,33 @@ from radialblowup.cli import (
 )
 
 MINIMAL = "[model]\ndim = 3\n"
+
+
+@pytest.fixture
+def inline_pool(monkeypatch):
+    """A stand-in for the process pool that runs each task inline and starts
+    no process; records each pool's size and the run_ids in submission order."""
+    record = {"sizes": [], "run_ids": []}
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            record["sizes"].append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, task):
+            record["run_ids"].append(task[0])
+            future = Future()
+            future.set_result(fn(task))
+            return future
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+    return record
+
 
 SMALL_RUN = """
 [model]
@@ -347,32 +377,45 @@ class TestExecute:
             assert "--jobs must be at least 1" in capsys.readouterr().err
         assert not (tmp_path / "run-0000").exists()
 
-    def test_pool_is_no_larger_than_the_sweep(self, tmp_path, monkeypatch):
-        # a recording stand-in for the pool: runs each task inline, starts
-        # no process
-        sizes = []
-
-        class InlinePool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def submit(self, fn, *args):
-                future = Future()
-                future.set_result(fn(*args))
-                return future
-
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+    def test_pool_is_no_larger_than_the_sweep(self, tmp_path, inline_pool):
         text = SMALL_RUN + "\n[sweep]\ndelta = 0, 1\n"
         code = execute(parse_config(text), output_dir=str(tmp_path), jobs=5000)
         assert code == 0
-        assert sizes == [2]
+        assert inline_pool["sizes"] == [2]
         assert len((tmp_path / "index.tsv").read_text().splitlines()) == 3
+
+    def test_pool_takes_the_largest_runs_first(self, tmp_path, inline_pool, monkeypatch):
+        # sweep order: (delta 0, 16 cells), (0, 32), (1, 16), (1, 32)
+        config = parse_config(SMALL_RUN + "\n[sweep]\ndelta = 0, 1\nn_cells = 16, 32\n")
+        assert execute(config, output_dir=str(tmp_path / "pool"), jobs=2) == 0
+        assert inline_pool["run_ids"] == ["run-0001", "run-0003", "run-0000", "run-0002"]
+        index = (tmp_path / "pool" / "index.tsv").read_text().splitlines()[1:]
+        assert [line.split("\t")[0] for line in index] == [f"run-{i:04d}" for i in range(4)]
+
+        # one job keeps the sweep order
+        ran = []
+
+        def recorded(run_id, *args, _run_single=cli.run_single):
+            ran.append(run_id)
+            return _run_single(run_id, *args)
+
+        monkeypatch.setattr(cli, "run_single", recorded)
+        assert execute(config, output_dir=str(tmp_path / "serial"), jobs=1) == 0
+        assert ran == [f"run-{i:04d}" for i in range(4)]
+
+    def test_meta_reports_steps_dt_range_and_peak_memory(self, tmp_path):
+        execute(parse_config(SMALL_RUN), output_dir=str(tmp_path))
+        text = (tmp_path / "run-0000" / "meta.txt").read_text()
+        meta = dict(line.split(": ", 1) for line in text.splitlines())
+        assert set(meta) == {
+            "started_unix", "elapsed_seconds", "steps", "dt_min", "dt_max", "peak_rss_kb",
+        }
+        steps, dt_min, dt_max = int(meta["steps"]), float(meta["dt_min"]), float(meta["dt_max"])
+        t_final = float(read_summary(tmp_path / "run-0000")["t_final"])
+        assert 0.0 < dt_min <= dt_max
+        assert steps * dt_min <= t_final <= steps * dt_max
+        # KiB on every platform: more than the interpreter, less than 4 GiB
+        assert 10_000 < int(meta["peak_rss_kb"]) < 4 * 1024**2
 
     def test_initial_data_validated_once_per_run(self, tmp_path, monkeypatch):
         calls = []
@@ -385,6 +428,19 @@ class TestExecute:
         monkeypatch.setattr(solver, "validate_initial_data", counted)
         run_single("run-0000", parse_config(SMALL_RUN), str(tmp_path))
         assert len(calls) == 1
+
+
+def test_cli_import_leaves_out_the_pool_and_the_compiler_runner():
+    # check and run never build a pool, and a cached kernel needs no compiler
+    code = (
+        "import sys, radialblowup.cli; "
+        "print([m for m in ('concurrent.futures.process', 'subprocess') if m in sys.modules])"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in sys.path if p)}
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "[]"
 
 
 class TestMain:

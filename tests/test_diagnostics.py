@@ -79,6 +79,19 @@ class TestEnvelope:
         with pytest.raises(ValueError):
             lower_envelope(6.0, 1.0 / 12.0, 1.0)
 
+    def test_scalar_matches_array_to_the_bit(self):
+        h0, radius = 1.0 / 12.0, 0.9
+        ts = np.linspace(0.0, 0.99 * blowup_time_bound(h0, radius), 64)
+        scalars = [lower_envelope(float(t), h0, radius) for t in ts]
+        assert all(type(value) is float for value in scalars)
+        assert np.array(scalars).tobytes() == lower_envelope(ts, h0, radius).tobytes()
+
+    def test_domain_error_before_zero(self):
+        with pytest.raises(ValueError):
+            lower_envelope(-1e-9, 1.0 / 12.0, 1.0)
+        with pytest.raises(ValueError):
+            lower_envelope(np.array([0.0, -1e-9]), 1.0 / 12.0, 1.0)
+
 
 class TestRiccatiResiduals:
     def test_trivial_series(self):

@@ -17,6 +17,8 @@ from radialblowup import (
     ModelConfig,
     NumericsConfig,
     RadialGrid,
+    blowup_functional,
+    cauchy_schwarz_gap,
     cfl_dt,
     cumulative_mass_integrand,
     diagnostics,
@@ -25,6 +27,7 @@ from radialblowup import (
     rhs_eval,
     step,
     total_mass,
+    weighted_momentum,
 )
 from radialblowup.solver import (
     POSITIVITY_REL_TOL,
@@ -180,3 +183,63 @@ def test_max_velocity_gradient_matches_reference(state, radius):
     value, cell = diagnostics.max_velocity_gradient(state, grid)
     assert cell == expected[1] and type(cell) is int
     assert _same(value, expected[0]) and type(value) is float
+
+
+# block edges of numpy's pairwise sum: 8 accumulators up to 128 terms, and
+# above that halves split at a multiple of 8 (136 splits at 64, 8193 at 4096)
+ROW_SIZES = (8, 9, 15, 16, 127, 128, 129, 136, 255, 257, 1000, 8192, 8193)
+
+
+@st.composite
+def row_cases(draw):
+    n = draw(st.one_of(st.sampled_from(ROW_SIZES), st.integers(8, 20_000)))
+    cfg = ModelConfig(
+        dim=draw(st.integers(1, 3)),
+        pressure_const=draw(st.sampled_from((0.0, 0.5, 1.0))),
+        gamma=draw(st.sampled_from((1.0, 1.4, 5.0 / 3.0))),
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rho = rng.uniform(0.0, 2.0, n)
+    vel = rng.normal(0.0, 1.0, n)
+    kind = draw(st.sampled_from(("random", "negative_zero", "nan", "inf", "vacuum")))
+    if kind == "negative_zero":
+        # all -0.0: the sums are +0.0, as an add reduction starts from 0.0
+        rho[:] = -0.0
+        vel[:] = -0.0
+    elif kind in ("nan", "inf"):
+        # NaN and +-inf (whose sum is the default NaN) in separate cases: IEEE
+        # 754 leaves open which NaN an add of two returns, and compilers may
+        # swap the operands, so a sum meeting NaNs of both signs has no
+        # fixed sign bit; the output files print either as nan
+        values = (np.nan,) if kind == "nan" else (np.inf, -np.inf)
+        for field in (rho, vel):
+            cells = rng.integers(0, n, draw(st.integers(0, 2)))
+            field[cells] = rng.choice(values, cells.size)
+    elif kind == "vacuum":
+        for _ in range(draw(st.integers(1, 3))):
+            lo = int(rng.integers(0, n))
+            rho[lo : lo + int(rng.integers(1, n // 2 + 2))] = 0.0
+    grid = RadialGrid(n_cells=n, support_radius=draw(st.sampled_from((1.0, 0.3))))
+    return FluidState(time=0.0, rho=rho, vel=vel), grid, cfg
+
+
+@settings(max_examples=200, deadline=None)
+@given(row_cases())
+def test_diagnostics_row_matches_numpy_sums(case):
+    state, grid, cfg = case
+    with np.errstate(all="ignore"):
+        expected = (
+            weighted_momentum(state.vel, grid),
+            ref.total_mass(state, grid, cfg),
+            ref.energy_condition_lhs(state, grid, cfg),
+            ref.cauchy_schwarz_gap(state, grid),
+        )
+        # H stays numpy: the public functional is weighted_momentum itself
+        public = (
+            blowup_functional(state, grid),
+            total_mass(state, grid, cfg),
+            energy_condition(state, grid, cfg),
+            cauchy_schwarz_gap(state, grid),
+        )
+    assert _same(diagnostics.row_integrals(state, grid, cfg), expected)
+    assert _same(public, expected)

@@ -1,4 +1,5 @@
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -129,6 +130,18 @@ class TestBoundary:
         again = apply_boundary(state, num)
         np.testing.assert_array_equal(state.rho, again.rho)
         np.testing.assert_array_equal(state.vel, again.vel)
+
+    def test_run_writes_positive_zeros_over_the_margin(self, grid, num):
+        # validation accepts -0.0 in the margin; the run's copy holds +0.0
+        profile = build_initial_profile("polynomial_bump", {}, 0, grid, 2)
+        rho0, v0 = profile.rho0.copy(), profile.v0.copy()
+        rho0[-2:] = v0[-2:] = -0.0
+        result = run(rho0, v0, ModelConfig(), replace(num, t_end=0.01), (0.0,))
+        (first,) = result.trajectory.snapshots
+        assert first.time == 0.0
+        assert not np.signbit(first.rho[-2:]).any()
+        assert not np.signbit(first.vel[-2:]).any()
+        assert np.signbit(rho0[-2:]).all()  # the caller's arrays are not written
 
 
 class TestStep:
