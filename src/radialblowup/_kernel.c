@@ -11,27 +11,34 @@
  * to numpy are the powers rho**(gamma - 1) and, for a diagnostics row,
  * max(rho, 0)**gamma, since numpy's SIMD `**` differs from `pow` here in
  * the last bit; the caller raises the `power` rows in place between
- * faces() and tendencies().
+ * faces() and tendencies(), and the `cell` row before max_speed() and
+ * row_sums().
  */
 #include <math.h>
 #include <stdint.h>
 #include <string.h>
 
-/* One stage's grid, law and scratch; mirrored by _kernel.Stage. */
+/* A grid and model's weights, law and scratch; the one argument every entry
+ * but max_slope shares. Mirrored by _kernel.Stage. */
 struct stage {
     int64_t n;           /* cells */
-    int64_t wall;        /* the mass flux is closed from this interface on */
     int64_t per_density; /* row 2 of power is a pressure, divided by rho */
     double dr;
     double sound_coef;   /* K*gamma: c = sqrt(sound_coef * rho**(gamma - 1)) */
     double grad_coef;    /* face enthalpy or pressure = grad_coef * row 2 */
     double field_coef;   /* alpha*delta; 0 without a force field */
-    const double *face_area, *cell_volume, *shell, *inner_shell, *center;
+    double pressure_const;
+    const double *face_area, *cell_volume, *shell, *inner_shell;
+    const double *center; /* r**(N-1) at the cell centers */
+    const double *r;      /* the cell centers */
     double *face;        /* scratch (2, 2, n + 1): rho_l, rho_r, vel_l, vel_r */
     double *power;       /* NULL without pressure, else scratch (3, n + 1):
                             rho_l, rho_r and the face mean, raised by the
                             caller to gamma - 1 (rows 0 and 1 only when
                             gamma = 1, where the pressure is K * mean) */
+    double *cell;        /* NULL without pressure, else scratch (n):
+                            max(rho, 0) raised by the caller, to gamma - 1
+                            for max_speed and to gamma for row_sums */
 };
 
 /* np.maximum / np.minimum: NaN propagates and a tie returns b, so
@@ -124,7 +131,8 @@ static void fluxes(const struct stage *s, int64_t j, double *mass, double *adv)
  *
  * Returns -1, or the first non-finite tendency as cell (density) or
  * n + cell (velocity), density scanned first. */
-int64_t tendencies(const struct stage *s, const double *rho, double rho_floor, double *out)
+int64_t tendencies(const struct stage *s, int64_t wall, const double *rho, double rho_floor,
+                   double *out)
 {
     int64_t n = s->n, bad_rho = -1, bad_vel = -1;
     double dr = s->dr;
@@ -133,7 +141,7 @@ int64_t tendencies(const struct stage *s, const double *rho, double rho_floor, d
     for (int64_t j = 0; j <= n; j++) {
         double mass, adv;
         fluxes(s, j, &mass, &adv);
-        mass = j > 0 && j < s->wall ? mass * s->face_area[j] : 0.0;
+        mass = j > 0 && j < wall ? mass * s->face_area[j] : 0.0;
         double grad = base ? s->grad_coef * base[j] : 0.0;
         if (j > 0) {
             int64_t i = j - 1;
@@ -166,19 +174,21 @@ int64_t tendencies(const struct stage *s, const double *rho, double rho_floor, d
 }
 
 /* faces() then tendencies(), for a stage without pressure. */
-int64_t stage(const struct stage *s, const double *rho, const double *vel, double rho_floor,
-              double *out)
+int64_t stage(const struct stage *s, int64_t wall, const double *rho, const double *vel,
+              double rho_floor, double *out)
 {
     faces(s, rho, vel);
-    return tendencies(s, rho, rho_floor, out);
+    return tendencies(s, wall, rho, rho_floor, out);
 }
 
-/* One Runge-Kutta stage in place on the tendencies k_rho, k_vel of n cells:
- * k = old + dt*k without mid (NULL), else (mid + dt*k)/2 + old/2; both
- * fields zeroed from cell wall on. Returns np.min of the new density. */
-double rk_stage(int64_t n, int64_t wall, double dt, const double *rho, const double *vel,
-                const double *mid_rho, const double *mid_vel, double *k_rho, double *k_vel)
+/* One Runge-Kutta stage in place on the tendencies k_rho, k_vel: k = old +
+ * dt*k without mid (NULL), else (mid + dt*k)/2 + old/2; both fields zeroed
+ * from cell wall on. Returns np.min of the new density. */
+double rk_stage(const struct stage *s, int64_t wall, double dt, const double *rho,
+                const double *vel, const double *mid_rho, const double *mid_vel, double *k_rho,
+                double *k_vel)
 {
+    int64_t n = s->n;
     double lowest = 0.0;
     for (int64_t i = 0; i < n; i++) {
         double r = 0.0, v = 0.0;
@@ -196,15 +206,16 @@ double rk_stage(int64_t n, int64_t wall, double dt, const double *rho, const dou
     return lowest;
 }
 
-/* np.max of |vel| + sqrt(sound_coef * power) over n cells; power NULL
- * without pressure. */
-double max_speed(int64_t n, const double *vel, const double *power, double sound_coef)
+/* np.max of |vel| + sqrt(sound_coef * cell) over the cells, with cell
+ * raised to gamma - 1. */
+double max_speed(const struct stage *s, const double *vel)
 {
+    int64_t n = s->n;
     double top = 0.0;
     for (int64_t i = 0; i < n; i++) {
         double speed = fabs(vel[i]);
-        if (power)
-            speed += sqrt(sound_coef * power[i]);
+        if (s->cell)
+            speed += sqrt(s->sound_coef * s->cell[i]);
         top = i ? np_max(top, speed) : speed;
     }
     return top;
@@ -227,24 +238,19 @@ int64_t max_slope(int64_t n, const double *v, double width, double *value)
     return k;
 }
 
-/* The fields of a diagnostics row, mirrored by the arguments of row_sums. */
-struct row {
-    const double *r, *w, *rho, *vel; /* w = r**(N-1) */
-    const double *power;             /* NULL without pressure, else max(rho, 0)**gamma */
-    double pressure_const;
-};
-
 /* The four summands of cell i, each product in the operand order of its
- * numpy expression: r*V; rho*w; (rho*V**2 [+ 2*(K*power)])*w; V**2*2*r. */
-static void row_terms(const struct row *s, int64_t i, double t[4])
+ * numpy expression, with w = r**(N-1) and cell raised to gamma: r*V; rho*w;
+ * (rho*V**2 [+ 2*(K*cell)])*w; V**2*2*r. */
+static void row_terms(const struct stage *s, const double *rho, const double *vel, int64_t i,
+                      double t[4])
 {
-    double v2 = s->vel[i] * s->vel[i];
-    double e = s->rho[i] * v2;
-    if (s->power)
-        e += 2.0 * (s->pressure_const * s->power[i]);
-    t[0] = s->r[i] * s->vel[i];
-    t[1] = s->rho[i] * s->w[i];
-    t[2] = e * s->w[i];
+    double v2 = vel[i] * vel[i];
+    double e = rho[i] * v2;
+    if (s->cell)
+        e += 2.0 * (s->pressure_const * s->cell[i]);
+    t[0] = s->r[i] * vel[i];
+    t[1] = rho[i] * s->center[i];
+    t[2] = e * s->center[i];
     t[3] = v2 * 2.0 * s->r[i];
 }
 
@@ -253,7 +259,8 @@ static void row_terms(const struct row *s, int64_t i, double t[4])
  * eight interleaved accumulators, combined as a balanced tree, then the
  * tail in order; above 128 the two halves, split at n/2 rounded down to a
  * multiple of 8, and their sum. */
-static void pairwise(const struct row *s, int64_t lo, int64_t n, double out[4])
+static void pairwise(const struct stage *s, const double *rho, const double *vel, int64_t lo,
+                     int64_t n, double out[4])
 {
     double t[4];
     if (n < 8) {
@@ -261,21 +268,21 @@ static void pairwise(const struct row *s, int64_t lo, int64_t n, double out[4])
         for (int k = 0; k < 4; k++)
             out[k] = -0.0;
         for (int64_t i = lo; i < lo + n; i++) {
-            row_terms(s, i, t);
+            row_terms(s, rho, vel, i, t);
             for (int k = 0; k < 4; k++)
                 out[k] += t[k];
         }
     } else if (n <= 128) {
         double acc[4][8];
         for (int j = 0; j < 8; j++) {
-            row_terms(s, lo + j, t);
+            row_terms(s, rho, vel, lo + j, t);
             for (int k = 0; k < 4; k++)
                 acc[k][j] = t[k];
         }
         int64_t i = 8;
         for (; i < n - n % 8; i += 8)
             for (int j = 0; j < 8; j++) {
-                row_terms(s, lo + i + j, t);
+                row_terms(s, rho, vel, lo + i + j, t);
                 for (int k = 0; k < 4; k++)
                     acc[k][j] += t[k];
             }
@@ -284,7 +291,7 @@ static void pairwise(const struct row *s, int64_t lo, int64_t n, double out[4])
             out[k] = ((a[0] + a[1]) + (a[2] + a[3])) + ((a[4] + a[5]) + (a[6] + a[7]));
         }
         for (; i < n; i++) {
-            row_terms(s, lo + i, t);
+            row_terms(s, rho, vel, lo + i, t);
             for (int k = 0; k < 4; k++)
                 out[k] += t[k];
         }
@@ -292,22 +299,19 @@ static void pairwise(const struct row *s, int64_t lo, int64_t n, double out[4])
         int64_t half = n / 2;
         half -= half % 8;
         double tail[4];
-        pairwise(s, lo, half, out);
-        pairwise(s, lo + half, n - half, tail);
+        pairwise(s, rho, vel, lo, half, out);
+        pairwise(s, rho, vel, lo + half, n - half, tail);
         for (int k = 0; k < 4; k++)
             out[k] += tail[k];
     }
 }
 
-/* np.sum of each summand of row_terms over n cells into out[4]. An add
+/* np.sum of each summand of row_terms over the cells into out[4]. An add
  * reduction starts from its identity, so each sum is 0.0 + the pairwise
- * sum: +0.0, not -0.0, when every term is -0.0. power is NULL without
- * pressure. */
-void row_sums(int64_t n, const double *r, const double *w, const double *rho,
-              const double *vel, const double *power, double pressure_const, double *out)
+ * sum: +0.0, not -0.0, when every term is -0.0. */
+void row_sums(const struct stage *s, const double *rho, const double *vel, double *out)
 {
-    struct row s = {r, w, rho, vel, power, pressure_const};
-    pairwise(&s, 0, n, out);
+    pairwise(s, rho, vel, 0, s->n, out);
     for (int k = 0; k < 4; k++)
         out[k] = 0.0 + out[k];
 }

@@ -1,9 +1,12 @@
-"""Build, cache and load the compiled kernel in ``_kernel.c``.
+"""Build, cache and load the compiled kernel in ``_kernel.c``, and plan its calls.
 
 The shared library is compiled once per source and compile command and kept
 in ``$XDG_CACHE_HOME/radialblowup`` (``~/.cache/radialblowup`` when the
 variable is unset); a build removes the libraries of other versions. It is
 loaded on first use, so commands that never step a state never compile it.
+Every entry but ``max_slope`` takes the address of the ``struct stage`` that
+``plan`` builds once per grid and model; this is the one module that speaks
+ctypes.
 """
 
 from __future__ import annotations
@@ -14,8 +17,12 @@ import hashlib
 import os
 import tempfile
 from pathlib import Path
+from typing import NamedTuple, Optional
 
 import numpy as np
+
+from .model import ModelConfig, RadialGrid, grid_weights
+from .poisson import alpha
 
 SOURCE = Path(__file__).with_name("_kernel.c")
 # no contraction into fused multiply-adds: it changes the bits of the results
@@ -25,24 +32,26 @@ _P, _I64, _F64 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
 
 
 class Stage(ctypes.Structure):
-    """``struct stage`` of ``_kernel.c``: one stage's grid, law and scratch."""
+    """``struct stage`` of ``_kernel.c``: a grid and model's weights, law and
+    scratch."""
 
     _fields_ = [
-        ("n", _I64), ("wall", _I64), ("per_density", _I64),
+        ("n", _I64), ("per_density", _I64),
         ("dr", _F64), ("sound_coef", _F64), ("grad_coef", _F64), ("field_coef", _F64),
+        ("pressure_const", _F64),
         ("face_area", _P), ("cell_volume", _P), ("shell", _P), ("inner_shell", _P),
-        ("center", _P), ("face", _P), ("power", _P),
+        ("center", _P), ("r", _P), ("face", _P), ("power", _P), ("cell", _P),
     ]
 
 
 _SIGNATURES = {
     "faces": ([_P, _P, _P], None),
-    "tendencies": ([_P, _P, _F64, _P], _I64),
-    "stage": ([_P, _P, _P, _F64, _P], _I64),
-    "rk_stage": ([_I64, _I64, _F64, _P, _P, _P, _P, _P, _P], _F64),
-    "max_speed": ([_I64, _P, _P, _F64], _F64),
-    "max_slope": ([_I64, _P, _F64, ctypes.POINTER(_F64)], _I64),
-    "row_sums": ([_I64, _P, _P, _P, _P, _P, _F64, _P], None),
+    "tendencies": ([_P, _I64, _P, _F64, _P], _I64),
+    "stage": ([_P, _I64, _P, _P, _F64, _P], _I64),
+    "rk_stage": ([_P, _I64, _F64, _P, _P, _P, _P, _P, _P], _F64),
+    "max_speed": ([_P, _P], _F64),
+    "max_slope": ([_I64, _P, _F64, _P], _I64),
+    "row_sums": ([_P, _P, _P, _P], None),
 }
 _FLOAT64 = np.dtype(np.float64)
 _from_buffer = ctypes.c_double.from_buffer
@@ -62,6 +71,48 @@ def address(array: np.ndarray, shape: tuple[int, ...]) -> int:
         f"kernel input of shape {array.shape} and dtype {array.dtype}: expected a "
         f"C-contiguous float64 array of shape {shape}"
     )
+
+
+class Plan(NamedTuple):
+    """A ``struct stage`` and the arrays its addresses point into."""
+
+    at: int  # address of the struct
+    raised: Optional[np.ndarray]  # the face rows raised to gamma - 1; None for K = 0
+    cell: Optional[np.ndarray]  # the n-cell scratch; None for K = 0
+    keep: tuple  # the struct and its arrays, alive as long as the plan
+
+
+@functools.lru_cache(maxsize=8)
+def plan(grid: RadialGrid, cfg: ModelConfig) -> Plan:
+    """The stage of (grid, cfg), with scratch reused by every call on it."""
+    n = grid.n_cells
+    weights = grid_weights(grid, cfg.dim)
+    face = np.empty((2, 2, n + 1))
+    power = raised = cell = None
+    if cfg.pressure_const > 0.0:
+        power = np.empty((3, n + 1))
+        # the isothermal pressure K * rho**1.0 is K times the face mean
+        # itself (numpy computes x**1.0 as x)
+        raised = power if cfg.gamma > 1.0 else power[:2]
+        cell = np.empty(n)
+    if cfg.gamma > 1.0:
+        # pressure force per unit mass as an exact enthalpy gradient,
+        # K*g/(g-1) * d(rho**(g-1))/dr: bounded at the vacuum edge
+        grad_coef = cfg.pressure_const * cfg.gamma / (cfg.gamma - 1.0)
+    else:
+        grad_coef = cfg.pressure_const
+    arrays = dict(weights._asdict(), r=grid.cell_centers, face=face, power=power, cell=cell)
+    stage = Stage(
+        n=n,
+        per_density=not cfg.gamma > 1.0,
+        dr=grid.cell_width,
+        sound_coef=cfg.pressure_const * cfg.gamma,
+        grad_coef=grad_coef,
+        field_coef=alpha(cfg.dim) * cfg.delta,
+        pressure_const=cfg.pressure_const,
+        **{k: None if a is None else a.ctypes.data for k, a in arrays.items()},
+    )
+    return Plan(ctypes.addressof(stage), raised, cell, (stage, arrays))
 
 
 class KernelCompileError(RuntimeError):

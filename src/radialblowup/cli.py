@@ -252,10 +252,9 @@ def resolved_config_text(config: ExperimentConfig) -> str:
     return "\n".join(lines)
 
 
-def config_hash(config: ExperimentConfig) -> str:
-    return hashlib.sha256(
-        resolved_config_text(config).encode("utf-8")
-    ).hexdigest()[:12]
+def config_hash(resolved_text: str) -> str:
+    """The short digest of a config's ``resolved_config_text``."""
+    return hashlib.sha256(resolved_text.encode("utf-8")).hexdigest()[:12]
 
 
 def expand_sweep(config: ExperimentConfig) -> list[tuple[str, ExperimentConfig]]:
@@ -304,11 +303,13 @@ def _write_series(path: Path, result: RunResult) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _write_summary(path: Path, run_id: str, config: ExperimentConfig, result: RunResult) -> None:
+def _write_summary(
+    path: Path, run_id: str, config: ExperimentConfig, digest: str, result: RunResult
+) -> None:
     r = result.report
     pairs = [
         ("run_id", run_id),
-        ("config_hash", config_hash(config)),
+        ("config_hash", digest),
         ("verdict", r.verdict.value),
         ("bound_applicable", r.bound_applicable),
         ("t_bound", r.t_bound if r.t_bound is not None else "n/a"),
@@ -366,11 +367,11 @@ def run_single(run_id: str, config: ExperimentConfig, out_root: str) -> dict:
             f"{broke.cell_index} (r = {broke.radius:.6g}) at t = {rep.t_final:.6g}",
             file=sys.stderr,
         )
+    resolved = resolved_config_text(config)
+    digest = config_hash(resolved)
     _write_series(run_dir / "series.tsv", result)
-    _write_summary(run_dir / "summary.txt", run_id, config, result)
-    (run_dir / "resolved-config.txt").write_text(
-        resolved_config_text(config), encoding="utf-8"
-    )
+    _write_summary(run_dir / "summary.txt", run_id, config, digest, result)
+    (run_dir / "resolved-config.txt").write_text(resolved, encoding="utf-8")
     _write_snapshots(run_dir, config, result, grid)
     elapsed = time.time() - t_start
     trajectory = result.trajectory
@@ -392,7 +393,7 @@ def run_single(run_id: str, config: ExperimentConfig, out_root: str) -> dict:
         "t_detect": rep.t_detect,
         "t_bound": rep.t_bound,
         "h0": rep.h0,
-        "config_hash": config_hash(config),
+        "config_hash": digest,
     }
 
 
@@ -489,7 +490,7 @@ def check(config: ExperimentConfig) -> int:
         applicable = not scope_flags(report.h0, resolved.model)
         t_bound = (
             f"{blowup_time_bound(report.h0, resolved.model.support_radius):.6g}"
-            if report.h0_positive
+            if report.h0 > 0
             else "n/a"
         )
         print(

@@ -10,16 +10,14 @@ repeats the summation order of ``np.sum``.
 
 from __future__ import annotations
 
-import ctypes
 import enum
 from dataclasses import dataclass, fields
-from functools import lru_cache
 from typing import Optional
 
 import numpy as np
 
 from . import _kernel
-from .model import FluidState, ModelConfig, RadialGrid, grid_weights, weighted_momentum
+from .model import FluidState, ModelConfig, RadialGrid, weighted_momentum
 from .poisson import alpha
 
 #: Operational definition of a detected singularity, recorded in every report.
@@ -70,19 +68,12 @@ def blowup_time_bound(h0: float, radius: float) -> float:
 
 
 def lower_envelope(t, h0: float, radius: float):
-    """Diverging lower barrier -R**3*H0 / (2*H0*t - R**3) for H, on t < bound.
-
-    A number t takes plain float arithmetic, an array t numpy's.
-    """
+    """Diverging lower barrier -R**3*H0 / (2*H0*t - R**3) for H, on t < bound."""
     if h0 <= 0:
         raise ValueError("envelope requires h0 > 0")
     t_bound = blowup_time_bound(h0, radius)
-    if isinstance(t, (int, float)):
-        outside = t < 0 or t >= t_bound
-    else:
-        t = np.asarray(t, dtype=float)
-        outside = np.any(t < 0) or np.any(t >= t_bound)
-    if outside:
+    t = np.asarray(t, dtype=float)
+    if np.any(t < 0) or np.any(t >= t_bound):
         raise ValueError(f"envelope defined on 0 <= t < {t_bound}")
     return -(radius**3) * h0 / (2.0 * h0 * t - radius**3)
 
@@ -104,13 +95,6 @@ def riccati_residuals(h_values, times, radius: float) -> np.ndarray:
     return np.diff(h) / dt - 2.0 * h_mid**2 / radius**3
 
 
-@lru_cache(maxsize=32)
-def _row_plan(grid: RadialGrid, dim: int) -> tuple[int, int, np.ndarray]:
-    """Addresses of the cell centers and of r**(N-1), and what they point into."""
-    weights = grid_weights(grid, dim)
-    return grid.cell_centers.ctypes.data, weights.center.ctypes.data, weights.center
-
-
 def row_integrals(
     state: FluidState, grid: RadialGrid, cfg: ModelConfig
 ) -> tuple[float, float, float, float]:
@@ -124,21 +108,18 @@ def row_integrals(
     n = grid.n_cells
     rho = np.ascontiguousarray(state.rho, dtype=float)
     vel = np.ascontiguousarray(state.vel, dtype=float)
-    power_at = None
-    if cfg.pressure_const > 0.0:
-        power = np.maximum(rho, 0.0)
+    rho_at, vel_at = _kernel.address(rho, (n,)), _kernel.address(vel, (n,))
+    plan = _kernel.plan(grid, cfg)
+    if plan.cell is not None:
+        power = np.maximum(rho, 0.0, out=plan.cell)
         power **= cfg.gamma
-        power_at = _kernel.address(power, (n,))
-    r_at, w_at, _ = _row_plan(grid, cfg.dim)
-    sums = (ctypes.c_double * 4)()
-    _kernel.load().row_sums(
-        n, r_at, w_at, _kernel.address(rho, (n,)), _kernel.address(vel, (n,)),
-        power_at, cfg.pressure_const, sums,
-    )
+    out = np.empty(4)
+    _kernel.load().row_sums(plan.at, rho_at, vel_at, _kernel.address(out, (4,)))
+    momentum, mass, energy, square = out.tolist()
     dr, a = grid.cell_width, alpha(cfg.dim)
-    h = sums[0] * dr
-    gap = sums[3] * dr - 4.0 * h**2 / grid.support_radius**2
-    return h, a * sums[1] * dr, 2.0 * a * sums[2] * dr, gap
+    h = momentum * dr
+    gap = square * dr - 4.0 * h**2 / grid.support_radius**2
+    return h, a * mass * dr, 2.0 * a * energy * dr, gap
 
 
 def cauchy_schwarz_gap(state: FluidState, grid: RadialGrid) -> float:
@@ -169,11 +150,12 @@ def max_velocity_gradient(state: FluidState, grid: RadialGrid) -> tuple[float, i
     v = np.ascontiguousarray(state.vel, dtype=float)
     if v.size < 3:
         return 0.0, 0
-    slope = ctypes.c_double()
+    slope = np.empty(1)
     k = _kernel.load().max_slope(
-        v.size, _kernel.address(v, v.shape), 2.0 * grid.cell_width, ctypes.byref(slope)
+        v.size, _kernel.address(v, v.shape), 2.0 * grid.cell_width,
+        _kernel.address(slope, (1,)),
     )
-    return slope.value, k + 1
+    return slope.item(), k + 1
 
 
 @dataclass(frozen=True)

@@ -138,7 +138,6 @@ class ValidationReport:
     rho_nonnegative: bool
     compact_support: bool
     h0: float
-    h0_positive: bool
 
     @property
     def admissible(self) -> bool:
@@ -172,6 +171,13 @@ def weighted_momentum(v0: np.ndarray, grid: RadialGrid) -> float:
     return float(np.sum(grid.cell_centers * v0) * grid.cell_width)
 
 
+def wall_index(n_cells: int, margin_cells: int) -> int:
+    """The first of the ``margin_cells`` wall cells, which must be in [1, n_cells)."""
+    if margin_cells < 1 or margin_cells >= n_cells:
+        raise ValueError("margin_cells must be in [1, n_cells)")
+    return n_cells - margin_cells
+
+
 def validate_initial_data(
     rho0: np.ndarray,
     v0: np.ndarray,
@@ -181,9 +187,8 @@ def validate_initial_data(
     """Check admissibility of initial fields and evaluate the momentum integral.
 
     The report carries: a nonnegativity flag for the density, a compact-support
-    flag (both fields exactly zero over the outermost ``margin_cells`` cells),
-    the quadrature value of the weighted momentum integral H0 = int r*V0 dr,
-    and its sign flag.
+    flag (both fields exactly zero over the outermost ``margin_cells`` cells)
+    and the quadrature value of the weighted momentum integral H0 = int r*V0 dr.
     """
     rho0 = np.asarray(rho0, dtype=float)
     v0 = np.asarray(v0, dtype=float)
@@ -192,15 +197,10 @@ def validate_initial_data(
             raise ValueError(
                 f"{name} has shape {field.shape}, grid expects ({grid.n_cells},)"
             )
-    if margin_cells < 1 or margin_cells >= grid.n_cells:
-        raise ValueError("margin_cells must be in [1, n_cells)")
-
-    tail = slice(grid.n_cells - margin_cells, grid.n_cells)
-    compact = bool(np.all(rho0[tail] == 0.0) and np.all(v0[tail] == 0.0))
-    h0 = weighted_momentum(v0, grid)
+    wall = wall_index(grid.n_cells, margin_cells)
+    compact = bool(np.all(rho0[wall:] == 0.0) and np.all(v0[wall:] == 0.0))
     return ValidationReport(
         rho_nonnegative=bool(np.all(rho0 >= 0.0)),
         compact_support=compact,
-        h0=h0,
-        h0_positive=h0 > 0.0,
+        h0=weighted_momentum(v0, grid),
     )

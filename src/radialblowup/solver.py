@@ -14,18 +14,15 @@ per stage for the pressure law.
 
 from __future__ import annotations
 
-import ctypes
 import enum
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import NamedTuple, Optional
 
 import numpy as np
 
 from . import _kernel, diagnostics
-from .model import FluidState, ModelConfig, RadialGrid, grid_weights, validate_initial_data
-from .poisson import alpha
+from .model import FluidState, ModelConfig, RadialGrid, validate_initial_data, wall_index
 
 # not called here: bench/tracer.py wraps these names in this module
 from .model import sound_speed  # noqa: F401
@@ -132,62 +129,10 @@ class RunResult(NamedTuple):
     report: diagnostics.RunReport
 
 
-class _Plan(NamedTuple):
-    """A kernel ``struct stage`` and what its addresses point into."""
-
-    at: int  # address of the struct
-    raised: Optional[np.ndarray]  # scratch rows _eos_power raises; None for K = 0
-    keep: tuple  # the struct, weights and scratch, alive as long as the plan
-
-
-@lru_cache(maxsize=8)
-def _stage_plan(grid: RadialGrid, cfg: ModelConfig, margin_cells: int) -> _Plan:
-    """The stage of (grid, cfg, margin), with scratch reused by every call."""
-    n = grid.n_cells
-    weights = grid_weights(grid, cfg.dim)
-    face = np.empty((2, 2, n + 1))
-    power = raised = None
-    if cfg.pressure_const > 0.0:
-        power = np.empty((3, n + 1))
-        # the isothermal pressure K * rho**1.0 is K times the face mean
-        # itself (numpy computes x**1.0 as x)
-        raised = power if cfg.gamma > 1.0 else power[:2]
-    if cfg.gamma > 1.0:
-        # pressure force per unit mass as an exact enthalpy gradient,
-        # K*g/(g-1) * d(rho**(g-1))/dr: bounded at the vacuum edge
-        grad_coef = cfg.pressure_const * cfg.gamma / (cfg.gamma - 1.0)
-    else:
-        grad_coef = cfg.pressure_const
-    stage = _kernel.Stage(
-        n=n,
-        # the mass flux is closed from this interface on
-        wall=slice(n - margin_cells, None).indices(n + 1)[0],
-        per_density=not cfg.gamma > 1.0,
-        dr=grid.cell_width,
-        sound_coef=cfg.pressure_const * cfg.gamma,
-        grad_coef=grad_coef,
-        field_coef=alpha(cfg.dim) * cfg.delta,
-        face_area=weights.face_area.ctypes.data,
-        cell_volume=weights.cell_volume.ctypes.data,
-        shell=weights.shell.ctypes.data,
-        inner_shell=weights.inner_shell.ctypes.data,
-        center=weights.center.ctypes.data,
-        face=face.ctypes.data,
-        power=None if power is None else power.ctypes.data,
-    )
-    return _Plan(ctypes.addressof(stage), raised, (stage, weights, face, power))
-
-
 def _eos_power(base: np.ndarray, cfg: ModelConfig) -> None:
     """base**(gamma - 1) in place: the one EOS operation left in numpy, whose
     SIMD ``**`` differs from the C library's ``pow`` in the last bit."""
     base **= cfg.gamma - 1.0
-
-
-@lru_cache(maxsize=32)
-def _cell_scratch(n: int) -> np.ndarray:
-    """A cell array reused by every max_wave_speed call on n cells."""
-    return np.empty(n)
 
 
 def rhs_eval(
@@ -204,41 +149,41 @@ def rhs_eval(
     exactly. Velocity tendencies vanish in vacuum cells.
 
     The stage runs in the compiled kernel, except with pressure (K > 0)
-    the face densities' ``**`` in _eos_power between its two calls.
+    the face densities' ``**`` in _eos_power between its two calls. A wall
+    margin outside [1, n_cells) raises ValueError.
     """
     kernel = _kernel.load()
     n = grid.n_cells
+    wall = wall_index(n, num.support_margin_cells)
     rho = np.ascontiguousarray(state.rho, dtype=float)
     vel = np.ascontiguousarray(state.vel, dtype=float)
     if rho.shape != (n,) or vel.shape != (n,):
         raise ValueError(f"state has {state.n_cells} cells, grid has {n}")
     rho_at, vel_at = _kernel.address(rho, (n,)), _kernel.address(vel, (n,))
-    plan = _stage_plan(grid, cfg, num.support_margin_cells)
+    plan = _kernel.plan(grid, cfg)
     out = np.empty((2, n))
+    out_at = _kernel.address(out, (2, n))
     if plan.raised is None:
-        bad = kernel.stage(plan.at, rho_at, vel_at, rho_floor, _kernel.address(out, (2, n)))
+        bad = kernel.stage(plan.at, wall, rho_at, vel_at, rho_floor, out_at)
     else:
         kernel.faces(plan.at, rho_at, vel_at)
         _eos_power(plan.raised, cfg)
-        bad = kernel.tendencies(plan.at, rho_at, rho_floor, _kernel.address(out, (2, n)))
+        bad = kernel.tendencies(plan.at, wall, rho_at, rho_floor, out_at)
     if bad >= 0:
         raise NumericalBreakdownError(bad % n, ("density", "velocity")[bad // n])
     drho, dvel = out
     return drho, dvel
 
 
-def max_wave_speed(state: FluidState, cfg: ModelConfig) -> float:
+def max_wave_speed(state: FluidState, cfg: ModelConfig, grid: RadialGrid) -> float:
     """Fastest signal speed max(|V| + c) over the cells."""
     vel = np.ascontiguousarray(state.vel, dtype=float)
-    n = vel.size
-    power_at = None
-    if cfg.pressure_const > 0.0:
-        power = np.maximum(state.rho, 0.0, out=_cell_scratch(n))
-        _eos_power(power, cfg)
-        power_at = _kernel.address(power, (n,))
-    return _kernel.load().max_speed(
-        n, _kernel.address(vel, (n,)), power_at, cfg.pressure_const * cfg.gamma
-    )
+    vel_at = _kernel.address(vel, (grid.n_cells,))
+    plan = _kernel.plan(grid, cfg)
+    if plan.cell is not None:
+        np.maximum(state.rho, 0.0, out=plan.cell)
+        _eos_power(plan.cell, cfg)
+    return _kernel.load().max_speed(plan.at, vel_at)
 
 
 def _stable_dt(speed, time, num: NumericsConfig, grid: RadialGrid) -> float:
@@ -250,16 +195,16 @@ def cfl_dt(
     state: FluidState, cfg: ModelConfig, num: NumericsConfig, grid: RadialGrid
 ) -> float:
     """Stable step cfl*dr/max(|V|+c), capped by the time left to t_end."""
-    return _stable_dt(max_wave_speed(state, cfg), state.time, num, grid)
+    return _stable_dt(max_wave_speed(state, cfg, grid), state.time, num, grid)
 
 
 def apply_boundary(state: FluidState, num: NumericsConfig) -> FluidState:
     """Zero both fields over the wall margin cells; idempotent."""
-    m = num.support_margin_cells
+    wall = wall_index(state.n_cells, num.support_margin_cells)
     rho = state.rho.copy()
     vel = state.vel.copy()
-    rho[rho.size - m :] = 0.0
-    vel[vel.size - m :] = 0.0
+    rho[wall:] = 0.0
+    vel[wall:] = 0.0
     return FluidState(time=state.time, rho=rho, vel=vel)
 
 
@@ -277,9 +222,9 @@ def step(
     The boundary margin is re-applied after each stage. Raises
     PositivityError when the full step leaves density below -positivity_tol.
     """
-    kernel = _kernel.load()
+    kernel, plan = _kernel.load(), _kernel.plan(grid, cfg)
     n = grid.n_cells
-    wall = slice(n - num.support_margin_cells, None).indices(n)[0]
+    wall = wall_index(n, num.support_margin_cells)
     time = state.time + dt
     # both stages are written into the fresh tendency arrays
     mid = rhs_eval(state, cfg, grid, num, rho_floor)
@@ -287,10 +232,10 @@ def step(
     vel = np.ascontiguousarray(state.vel, dtype=float)
     old = [_kernel.address(rho, (n,)), _kernel.address(vel, (n,))]
     mid_at = [_kernel.address(field, (n,)) for field in mid]
-    kernel.rk_stage(n, wall, dt, *old, None, None, *mid_at)
+    kernel.rk_stage(plan.at, wall, dt, *old, None, None, *mid_at)
     new = rhs_eval(FluidState(time, *mid), cfg, grid, num, rho_floor)
     new_at = [_kernel.address(field, (n,)) for field in new]
-    rho_min = kernel.rk_stage(n, wall, dt, *old, *mid_at, *new_at)
+    rho_min = kernel.rk_stage(plan.at, wall, dt, *old, *mid_at, *new_at)
     if rho_min < -positivity_tol:
         raise PositivityError(
             f"density {rho_min:.3e} below -{positivity_tol:.3e} at t={time:.6g}"
@@ -346,17 +291,16 @@ def run(
     rho_floor = VACUUM_FLOOR_REL * rho_peak
     pos_tol = POSITIVITY_REL_TOL * rho_peak
     h0 = check.h0
-    t_bound = diagnostics.blowup_time_bound(h0, cfg.support_radius) if h0 > 0 else None
-    applicable = not diagnostics.scope_flags(h0, cfg)
 
     # a copy with the margin zeroed: validation let -0.0 through, and the
     # margin holds +0.0
+    wall = wall_index(grid.n_cells, num.support_margin_cells)
     rho, vel = rho0.copy(), v0.copy()
-    rho[rho.size - num.support_margin_cells :] = 0.0
-    vel[vel.size - num.support_margin_cells :] = 0.0
+    rho[wall:] = 0.0
+    vel[wall:] = 0.0
     state = FluidState(time=0.0, rho=rho, vel=vel)
 
-    # rows are (t, H, mass, energy, envelope, Cauchy-Schwarz gap, max |dV/dr|)
+    # rows are (t, H, mass, energy, Cauchy-Schwarz gap, max |dV/dr|)
     rows: list[tuple[float, ...]] = []
     # (|t - wanted|, state) of the nearest recorded state for each wanted time
     nearest: list[Optional[tuple[float, FluidState]]] = [None] * len(snapshot_times)
@@ -366,12 +310,7 @@ def run(
             distance = abs(s.time - wanted)
             if nearest[k] is None or distance < nearest[k][0]:
                 nearest[k] = (distance, s)
-        if applicable and s.time < t_bound * (1.0 - 1e-12):
-            envelope = diagnostics.lower_envelope(s.time, h0, cfg.support_radius)
-        else:
-            envelope = float("nan")
-        h, mass, energy, gap = diagnostics.row_integrals(s, grid, cfg)
-        rows.append((s.time, h, mass, energy, envelope, gap, max_gradient))
+        rows.append((s.time, *diagnostics.row_integrals(s, grid, cfg), max_gradient))
 
     gradient = diagnostics.max_velocity_gradient(state, grid)
     record(state, gradient[0])
@@ -382,7 +321,7 @@ def run(
     t_eps = 1e-12 * max(1.0, num.t_end)
     steps, dt_min, dt_max = 0, math.inf, 0.0
     while state.time < num.t_end - t_eps:
-        speed = max_wave_speed(state, cfg)
+        speed = max_wave_speed(state, cfg, grid)
         if speed > 0.0 and num.cfl * grid.cell_width / speed < num.dt_floor:
             termination = Termination.DT_COLLAPSED
             t_detect = state.time
@@ -413,7 +352,13 @@ def run(
     if rows[-1][0] < state.time:
         record(state, gradient[0])
 
-    times, h, mass, energy, envelope, gap, max_gradient = map(np.asarray, zip(*rows))
+    times, h, mass, energy, gap, max_gradient = map(np.asarray, zip(*rows))
+    # the envelope is defined before the bound time, where the bound applies
+    envelope = np.full(times.size, np.nan)
+    if not diagnostics.scope_flags(h0, cfg):
+        t_bound = diagnostics.blowup_time_bound(h0, cfg.support_radius)
+        defined = times < t_bound * (1.0 - 1e-12)
+        envelope[defined] = diagnostics.lower_envelope(times[defined], h0, cfg.support_radius)
     if times.size >= 2:
         res = diagnostics.riccati_residuals(h, times, cfg.support_radius)
     else:

@@ -91,7 +91,7 @@ def test_tendencies_and_step_match_reference(case):
     old = ref.rhs_eval(state, cfg, grid, num, rho_floor)
     assert _same(new[0], old[0]) and _same(new[1], old[1])
 
-    assert max_wave_speed(state, cfg) == ref.max_wave_speed(state, cfg)
+    assert max_wave_speed(state, cfg, grid) == ref.max_wave_speed(state, cfg)
     dt = cfl_dt(state, cfg, num, grid)
     assert dt == ref.cfl_dt(state, cfg, num, grid)
 
@@ -122,7 +122,7 @@ def test_breakdown_reports_the_same_cell(case, field, value, where):
     else:
         assert _same(new[0], old[0]) and _same(new[1], old[1])
     # the wave speed propagates a NaN as np.max does
-    assert _same(_outcome(lambda: max_wave_speed(bad, cfg)),
+    assert _same(_outcome(lambda: max_wave_speed(bad, cfg, grid)),
                  _outcome(lambda: ref.max_wave_speed(bad, cfg)))
 
 

@@ -1,5 +1,7 @@
-"""The compiled kernel is built once per source into the user cache."""
+"""The compiled kernel is built once per source into the user cache, and its
+ctypes mirror of ``struct stage`` has the C layout."""
 
+import ctypes
 import stat
 import subprocess
 
@@ -70,3 +72,28 @@ def test_a_build_removes_older_libraries(fresh_cache):
     assert stale.name not in names and partial.name in names
     (library,) = (name for name in names if name.endswith(".so"))
     assert library.startswith("kernel-") and library != stale.name
+
+
+def test_stage_mirror_matches_the_c_struct(tmp_path):
+    # a probe that includes the kernel prints the size and field offsets of
+    # struct stage; a field on one side only shifts them or fails to compile
+    names = [name for name, _ in _kernel.Stage._fields_]
+    prints = "".join(
+        f'    printf("%zu\\n", offsetof(struct stage, {name}));\n' for name in names
+    )
+    probe = tmp_path / "probe.c"
+    probe.write_text(
+        "#include <stddef.h>\n#include <stdio.h>\n"
+        f'#include "{_kernel.SOURCE}"\n'
+        "int main(void)\n{\n"
+        '    printf("%zu\\n", sizeof(struct stage));\n'
+        f"{prints}    return 0;\n}}\n"
+    )
+    binary = tmp_path / "probe"
+    compile_flags = [flag for flag in _kernel.COMPILE if flag != "-shared"]
+    subprocess.run([*compile_flags, "-o", str(binary), str(probe), "-lm"], check=True)
+    size, *offsets = map(int, subprocess.run(
+        [str(binary)], check=True, capture_output=True, text=True
+    ).stdout.split())
+    assert size == ctypes.sizeof(_kernel.Stage)
+    assert offsets == [getattr(_kernel.Stage, name).offset for name in names]

@@ -90,7 +90,7 @@ def test_validate_trivial_data(grid):
     report = validate_initial_data(zeros, zeros, grid)
     assert report.rho_nonnegative and report.compact_support
     assert report.h0 == 0.0
-    assert not report.h0_positive
+    assert not report.h0 > 0.0
 
 
 def test_validate_momentum_integral(grid):
@@ -100,11 +100,11 @@ def test_validate_momentum_integral(grid):
     rho0 = np.zeros_like(v0)
     report = validate_initial_data(rho0, v0, grid)
     assert report.h0 == pytest.approx(1.0 / 12.0, rel=1e-4)
-    assert report.h0_positive
+    assert report.h0 > 0.0
 
     flipped = validate_initial_data(rho0, -v0, grid)
     assert flipped.h0 == pytest.approx(-1.0 / 12.0, rel=1e-4)
-    assert not flipped.h0_positive
+    assert flipped.h0 < 0.0
 
 
 def test_validate_flags(grid):

@@ -143,6 +143,25 @@ class TestBoundary:
         assert not np.signbit(first.vel[-2:]).any()
         assert np.signbit(rho0[-2:]).all()  # the caller's arrays are not written
 
+    @pytest.mark.parametrize("pressure_const", [0.0, 1.0])
+    @pytest.mark.parametrize("margin", [0, 8, 12])
+    def test_a_margin_outside_the_grid_is_rejected(self, margin, pressure_const):
+        # on 8 cells the margin must be in [1, 8), the rule of
+        # validate_initial_data; NumericsConfig alone rejects only 0, so the
+        # margin is set past its check
+        grid = RadialGrid(n_cells=8, support_radius=1.0)
+        num = NumericsConfig()
+        object.__setattr__(num, "support_margin_cells", margin)
+        cfg = ModelConfig(pressure_const=pressure_const)
+        state = FluidState(0.0, np.ones(8), np.ones(8))
+        message = r"margin_cells must be in \[1, n_cells\)"
+        with pytest.raises(ValueError, match=message):
+            rhs_eval(state, cfg, grid, num)
+        with pytest.raises(ValueError, match=message):
+            step(state, 1e-3, cfg, grid, num)
+        with pytest.raises(ValueError, match=message):
+            apply_boundary(state, num)
+
 
 class TestStep:
     def test_vacuum_fixed_point(self, grid, num):
