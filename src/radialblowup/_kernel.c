@@ -13,13 +13,34 @@
  * the last bit; the caller raises the `power` rows in place between
  * faces() and tendencies(), and the `cell` row before max_speed() and
  * row_sums().
+ *
+ * The per-face and per-cell work runs in short branch-free loops over
+ * restrict pointers, which the compiler vectorizes lane by lane: each lane
+ * does the IEEE operations of one cell, so vector and scalar code give the
+ * same bits. -fno-trapping-math (both sides of a select may be evaluated)
+ * and -fno-math-errno (sqrt is one instruction) let it do so and change no
+ * value. The force prefix sum and the scan for the first non-finite cell
+ * stay scalar; the min, max and argmax reductions keep lanes of partial
+ * extremes that give the result of the scalar chain exactly. On x86-64 ELF
+ * with glibc, CLONED builds each entry and the static functions it calls
+ * twice, for AVX2 and for the baseline, and the dynamic loader picks one
+ * once per process (an ifunc); kernel_target() names it.
  */
+#include <float.h>
 #include <math.h>
 #include <stdint.h>
 #include <string.h>
 
+#if defined(__x86_64__) && defined(__ELF__) && defined(__GLIBC__)
+#define CLONED __attribute__((target_clones("avx2", "default")))
+#define AVX2_CLONE __builtin_cpu_supports("avx2")
+#else
+#define CLONED
+#define AVX2_CLONE 0
+#endif
+
 /* A grid and model's weights, law and scratch; the one argument every entry
- * but max_slope shares. Mirrored by _kernel.Stage. */
+ * but max_slope and kernel_target shares. Mirrored by _kernel.Stage. */
 struct stage {
     int64_t n;           /* cells */
     int64_t per_density; /* row 2 of power is a pressure, divided by rho */
@@ -31,7 +52,7 @@ struct stage {
     const double *face_area, *cell_volume, *shell, *inner_shell;
     const double *center; /* r**(N-1) at the cell centers */
     const double *r;      /* the cell centers */
-    double *face;        /* scratch (2, 2, n + 1): rho_l, rho_r, vel_l, vel_r */
+    double *work;        /* scratch (4, n + 4); see WORK */
     double *power;       /* NULL without pressure, else scratch (3, n + 1):
                             rho_l, rho_r and the face mean, raised by the
                             caller to gamma - 1 (rows 0 and 1 only when
@@ -41,277 +62,428 @@ struct stage {
                             for max_speed and to gamma for row_sums */
 };
 
-/* np.maximum / np.minimum: NaN propagates and a tie returns b, so
- * np_max(-0.0, 0.0) is +0.0 */
-static double np_max(double a, double b) { return (isnan(a) || a > b) ? a : b; }
-static double np_min(double a, double b) { return (isnan(a) || a < b) ? a : b; }
+/* Row k of the work scratch. Rows 0 and 1 hold rho and V extended by two
+ * ghosts each side, from faces() to tendencies() with pressure; rows 2 and
+ * 3 the mass and advection fluxes; once the fluxes are formed, rows 0 and 1
+ * take the force sums, and max_speed() the speeds. */
+#define WORK(s, k) ((s)->work + (k) * ((s)->n + 4))
+
+/* np.maximum: NaN propagates and a tie returns b, so np_max(-0.0, 0.0) is
+ * +0.0 */
+static inline double np_max(double a, double b) { return (isnan(a) || a > b) ? a : b; }
+
+/* Four doubles, or a mask of four lanes (vector extensions gcc and clang
+ * share), for the reductions the compiler does not vectorize; the baseline
+ * clone holds each in two SSE2 registers. Macros rather than functions,
+ * because passing these by value changes the ABI between clones. */
+typedef double lanes __attribute__((vector_size(32)));
+typedef int64_t mask __attribute__((vector_size(32)));
+#define PICK(m, a, b) ((lanes)(((mask)(a) & (m)) | ((mask)(b) & ~(m))))
+#define ANY(m) (((m)[0] | (m)[1] | (m)[2] | (m)[3]) != 0)
+
+/* The np.max (sign +1) or np.min (sign -1) of x[0 .. n), n >= 1, as np_max
+ * or np_min chained from x[0] gives it: the first NaN if there is one, else
+ * the extreme, of equal ones the last, which fixes the sign of a zero. Two
+ * vectors of lanes carry sign times the extreme, skipping NaNs; a NaN or a
+ * zero extreme is then found again in x. */
+CLONED static double extreme(int64_t n, const double *restrict x, double sign)
+{
+    lanes top = {-INFINITY, -INFINITY, -INFINITY, -INFINITY}, top2 = top;
+    mask nan = {0, 0, 0, 0};
+    int64_t i = 0;
+    for (; i + 8 <= n; i += 8) {
+        lanes a, b;
+        memcpy(&a, x + i, sizeof a);
+        memcpy(&b, x + i + 4, sizeof b);
+        a *= sign;
+        b *= sign;
+        top = PICK(a > top, a, top);
+        top2 = PICK(b > top2, b, top2);
+        nan |= (a != a) | (b != b);
+    }
+    int found = ANY(nan);
+    double m = -INFINITY;
+    for (int k = 0; k < 4; k++) {
+        m = top[k] > m ? top[k] : m;
+        m = top2[k] > m ? top2[k] : m;
+    }
+    for (; i < n; i++) {
+        m = sign * x[i] > m ? sign * x[i] : m;
+        found |= isnan(x[i]);
+    }
+    if (found) {
+        for (i = 0; !isnan(x[i]); i++)
+            ;
+        return x[i];
+    }
+    if (m == 0.0) {
+        for (i = n - 1; x[i] != 0.0; i--)
+            ;
+        return x[i];
+    }
+    return sign * m;
+}
 
 /* Half of the minmod slope of two neighbouring differences. Where d0 * d1 > 0
  * neither is NaN, so np.minimum of the magnitudes is a plain comparison. */
-static double half_slope(double d0, double d1)
+static inline double half_slope(double d0, double d1)
 {
     double a = fabs(d0), b = fabs(d1);
     return d0 * d1 > 0.0 ? copysign(a < b ? a : b, d0) * 0.5 : 0.0;
 }
 
-/* Limited left and right states of the field q at the n + 1 interfaces.
+/* Limited left and right states at interface j, between extended cells j + 1
+ * and j + 2 of e. */
+static inline double left_state(const double *e, int64_t j)
+{
+    return e[j + 1] + half_slope(e[j + 1] - e[j], e[j + 2] - e[j + 1]);
+}
+
+static inline double right_state(const double *e, int64_t j)
+{
+    return e[j + 2] - half_slope(e[j + 2] - e[j + 1], e[j + 3] - e[j + 2]);
+}
+
+/* np.maximum(x, 0.0), written so it needs no branch: NaN stays */
+static inline double clip(double x) { return x <= 0.0 ? 0.0 : x; }
+
+/* rho and V into work rows 0 and 1 with two ghosts mirrored at the origin
+ * (V negated, being odd) and two zeros past the wall. */
+static void extend(const struct stage *s, const double *rho, const double *vel)
+{
+    int64_t n = s->n;
+    double *er = WORK(s, 0), *ev = WORK(s, 1);
+    memcpy(er + 2, rho, n * sizeof(double));
+    memcpy(ev + 2, vel, n * sizeof(double));
+    er[0] = rho[1];
+    er[1] = rho[0];
+    ev[0] = -vel[1];
+    ev[1] = -vel[0];
+    er[n + 2] = er[n + 3] = ev[n + 2] = ev[n + 3] = 0.0;
+}
+
+/* Face densities of the extended rho at the m interfaces into the power
+ * rows of a stage with pressure: rho_l and rho_r, clipped at zero, and
+ * their mean, which the caller raises before tendencies(). */
+CLONED static void face_densities(int64_t m, const double *restrict er, double *restrict rho_l,
+                                  double *restrict rho_r, double *restrict mean)
+{
+    for (int64_t j = 0; j < m; j++) {
+        double rl = clip(left_state(er, j)), rr = clip(right_state(er, j));
+        rho_l[j] = rl;
+        rho_r[j] = rr;
+        mean[j] = 0.5 * (rl + rr);
+    }
+}
+
+/* The mass and advection fluxes of interface j from the extended rho and
+ * vel, with the sound speeds c_l and c_r of its two sides added to the
+ * dissipation speed max(|V| + c); the mass flux before its face weight.
+ * Returned, not stored through pointers: gcc then no longer knows that the
+ * caller's restrict rows do not overlap, and leaves its loop scalar. */
+struct flux {
+    double mass, adv;
+};
+
+static inline struct flux flux(const double *er, const double *ev, int64_t j, double c_l,
+                               double c_r)
+{
+    double rl = clip(left_state(er, j)), rr = clip(right_state(er, j));
+    double vl = left_state(ev, j), vr = right_state(ev, j);
+    double half_a = 0.5 * np_max(fabs(vl) + c_l, fabs(vr) + c_r);
+    double f = vl * rl + vr * rr, g = vl * vl + vr * vr;
+    struct flux out = {f * 0.5 - half_a * (rr - rl), g * 0.25 - half_a * (vr - vl)};
+    return out;
+}
+
+/* The fluxes at the m interfaces into mass and adv, the mass flux weighted
+ * by face_area and closed (zero) at interface 0 and at interfaces >= wall.
+ * With pressure the sound speeds come from the raised power rows p_l and
+ * p_r; without, p_l is NULL and they are +0.0, which leaves |V| as it is
+ * (never -0.0). */
+CLONED static void fluxes(int64_t m, int64_t wall, const double *restrict er,
+                          const double *restrict ev, double sound_coef,
+                          const double *restrict p_l, const double *restrict p_r,
+                          const double *restrict area, double *restrict mass,
+                          double *restrict adv)
+{
+    if (p_l) {
+        for (int64_t j = 0; j < m; j++) {
+            struct flux f = flux(er, ev, j, sqrt(sound_coef * p_l[j]), sqrt(sound_coef * p_r[j]));
+            mass[j] = f.mass * area[j];
+            adv[j] = f.adv;
+        }
+    } else {
+        for (int64_t j = 0; j < m; j++) {
+            struct flux f = flux(er, ev, j, 0.0, 0.0);
+            mass[j] = f.mass * area[j];
+            adv[j] = f.adv;
+        }
+    }
+    mass[0] = 0.0;
+    for (int64_t j = wall; j < m; j++)
+        mass[j] = 0.0;
+}
+
+/* Fill out = (drho, dvel), shape (2, n), from the fluxes in work rows 2
+ * and 3: flux divergence, pressure, force, vacuum mask, the order of the
+ * reference. With pressure, base is the raised face-mean row.
  *
- * q is extended by two ghosts mirrored at the origin (negated when odd) and
- * two zeros past the wall; interface j lies between extended cells j + 1 and
- * j + 2, whose values e1 and e2 carry along the loop. With clip the states
- * are np.maximum(state, 0.0). */
-static void limit(int64_t n, const double *q, int odd, int clip, double *left, double *right)
-{
-    double e0 = odd ? -q[1] : q[1];
-    double e1 = odd ? -q[0] : q[0];
-    double e2 = q[0];
-    double d1 = e2 - e1;
-    double hs = half_slope(e1 - e0, d1);
-    for (int64_t j = 0; j <= n; j++) {
-        double e3 = j < n - 1 ? q[j + 1] : 0.0;
-        double d2 = e3 - e2;
-        double hs_next = half_slope(d1, d2);
-        double l = e1 + hs, r = e2 - hs_next;
-        /* np.maximum(x, 0.0), written so it needs no branch: NaN stays */
-        left[j] = clip && l <= 0.0 ? 0.0 : l;
-        right[j] = clip && r <= 0.0 ? 0.0 : r;
-        e1 = e2;
-        e2 = e3;
-        d1 = d2;
-        hs = hs_next;
-    }
-}
-
-/* Face states of (rho, vel) into s->face, density clipped at zero; with
- * pressure, also the clipped densities and their mean into s->power. */
-void faces(const struct stage *s, const double *rho, const double *vel)
-{
-    int64_t n = s->n, m = n + 1;
-    double *f = s->face;
-    limit(n, rho, 0, 1, f, f + m);
-    limit(n, vel, 1, 0, f + 2 * m, f + 3 * m);
-    if (s->power) {
-        memcpy(s->power, f, 2 * m * sizeof(double));
-        for (int64_t j = 0; j < m; j++)
-            s->power[2 * m + j] = 0.5 * (f[j] + f[m + j]);
-    }
-}
-
-/* Mass flux rho*V and velocity advection flux V**2/2 at interface j, with
- * the shared dissipation speed max(|V| + c), before any closure. */
-static void fluxes(const struct stage *s, int64_t j, double *mass, double *adv)
-{
-    int64_t m = s->n + 1;
-    const double *rho_l = s->face, *rho_r = rho_l + m;
-    const double *vel_l = rho_r + m, *vel_r = vel_l + m;
-    double a_l = fabs(vel_l[j]), a_r = fabs(vel_r[j]);
-    if (s->power) {
-        a_l += sqrt(s->sound_coef * s->power[j]);
-        a_r += sqrt(s->sound_coef * s->power[m + j]);
-    }
-    double half_a = 0.5 * np_max(a_l, a_r);
-    double f = vel_l[j] * rho_l[j];
-    f += vel_r[j] * rho_r[j];
-    f *= 0.5;
-    *mass = f - half_a * (rho_r[j] - rho_l[j]);
-    double g = vel_l[j] * vel_l[j];
-    g += vel_r[j] * vel_r[j];
-    g *= 0.25;
-    *adv = g - half_a * (vel_r[j] - vel_l[j]);
-}
-
-/* Fill out = (drho, dvel), shape (2, n), from the face states of faces()
- * and, with pressure, the raised power rows, in one pass over the faces.
- *
- * The mass flux is weighted by face_area and closed (zero) at interface 0
- * and at interfaces >= wall. The force field is (alpha*delta) * C / center
- * with C the running integral of max(rho, 0) * s**(N-1), accumulated in
- * the order of np.cumsum. Each tendency takes its terms in the order of the
- * reference: flux divergence, pressure, force, vacuum mask.
+ * The force field is (alpha*delta) * C / center with C the running
+ * integral of max(rho, 0) * s**(N-1), accumulated in the order of
+ * np.cumsum. Without a field the term is skipped, not added as +0.0, which
+ * would turn a -0.0 tendency into +0.0.
  *
  * Returns -1, or the first non-finite tendency as cell (density) or
  * n + cell (velocity), density scanned first. */
-int64_t tendencies(const struct stage *s, int64_t wall, const double *rho, double rho_floor,
-                   double *out)
+CLONED static int64_t cells(const struct stage *s, const double *restrict rho, double rho_floor,
+                            const double *restrict base, double *out)
 {
-    int64_t n = s->n, bad_rho = -1, bad_vel = -1;
-    double dr = s->dr;
-    const double *base = s->power ? s->power + 2 * (n + 1) : NULL;
-    double mass_prev = 0.0, adv_prev = 0.0, grad_prev = 0.0, sum = 0.0;
-    for (int64_t j = 0; j <= n; j++) {
-        double mass, adv;
-        fluxes(s, j, &mass, &adv);
-        mass = j > 0 && j < wall ? mass * s->face_area[j] : 0.0;
-        double grad = base ? s->grad_coef * base[j] : 0.0;
-        if (j > 0) {
-            int64_t i = j - 1;
-            double drho = -(mass - mass_prev) / s->cell_volume[i];
-            double dvel = -(adv - adv_prev) / dr;
-            if (base && s->per_density)
-                dvel = dvel - (grad - grad_prev) / (dr * (rho[i] > rho_floor ? rho[i] : 1.0));
-            else if (base)
-                dvel = dvel - (grad - grad_prev) / dr;
-            if (s->field_coef != 0.0) {
-                /* sum is np.cumsum of max(rho, 0) * shell up to cell i - 1 */
-                double q = np_max(rho[i], 0.0);
-                double cumulative = sum + q * s->inner_shell[i];
-                sum = i ? sum + q * s->shell[i] : q * s->shell[i];
-                dvel = dvel + s->field_coef * cumulative / s->center[i];
-            }
-            dvel = rho[i] > rho_floor ? dvel : 0.0;
-            out[i] = drho;
-            out[n + i] = dvel;
-            if (bad_rho < 0 && !isfinite(drho))
-                bad_rho = i;
-            if (bad_vel < 0 && !isfinite(dvel))
-                bad_vel = i;
-        }
-        mass_prev = mass;
-        adv_prev = adv;
-        grad_prev = grad;
+    int64_t n = s->n;
+    double dr = s->dr, gc = s->grad_coef, fc = s->field_coef;
+    const double *restrict mass = WORK(s, 2), *restrict adv = WORK(s, 3);
+    const double *restrict volume = s->cell_volume;
+    double *restrict drho = out, *restrict dvel = out + n;
+    for (int64_t i = 0; i < n; i++) {
+        drho[i] = -(mass[i + 1] - mass[i]) / volume[i];
+        dvel[i] = -(adv[i + 1] - adv[i]) / dr;
     }
-    return bad_rho >= 0 ? bad_rho : bad_vel >= 0 ? n + bad_vel : -1;
+    if (base && s->per_density) {
+        for (int64_t i = 0; i < n; i++)
+            dvel[i] = dvel[i] - (gc * base[i + 1] - gc * base[i])
+                                    / (dr * (rho[i] > rho_floor ? rho[i] : 1.0));
+    } else if (base) {
+        for (int64_t i = 0; i < n; i++)
+            dvel[i] = dvel[i] - (gc * base[i + 1] - gc * base[i]) / dr;
+    }
+    if (fc != 0.0) {
+        /* the summands of C, then C itself in place of the first */
+        double *restrict inner = WORK(s, 0), *restrict whole = WORK(s, 1);
+        const double *restrict shell = s->shell, *restrict inner_shell = s->inner_shell;
+        const double *restrict center = s->center;
+        for (int64_t i = 0; i < n; i++) {
+            double q = np_max(rho[i], 0.0);
+            inner[i] = q * inner_shell[i];
+            whole[i] = q * shell[i];
+        }
+        double sum = whole[0];
+        inner[0] = 0.0 + inner[0];
+        for (int64_t i = 1; i < n; i++) {
+            inner[i] = sum + inner[i];
+            sum = sum + whole[i];
+        }
+        for (int64_t i = 0; i < n; i++)
+            dvel[i] = dvel[i] + fc * inner[i] / center[i];
+    }
+    for (int64_t i = 0; i < n; i++)
+        dvel[i] = rho[i] > rho_floor ? dvel[i] : 0.0;
+    int64_t bad = 0;
+    for (int64_t i = 0; i < 2 * n; i++)
+        bad |= !(fabs(out[i]) <= DBL_MAX);
+    if (!bad)
+        return -1;
+    for (int64_t i = 0; i < 2 * n; i++)
+        if (!isfinite(out[i]))
+            return i;
+    return -1;
 }
 
-/* faces() then tendencies(), for a stage without pressure. */
-int64_t stage(const struct stage *s, int64_t wall, const double *rho, const double *vel,
-              double rho_floor, double *out)
+/* The start of a stage with pressure: rho and vel extended into work rows
+ * 0 and 1, which tendencies() reads next, and the face densities into
+ * s->power for the caller to raise. */
+CLONED void faces(const struct stage *s, const double *rho, const double *vel)
 {
-    faces(s, rho, vel);
-    return tendencies(s, wall, rho, rho_floor, out);
+    int64_t m = s->n + 1;
+    extend(s, rho, vel);
+    face_densities(m, WORK(s, 0), s->power, s->power + m, s->power + 2 * m);
+}
+
+/* The rest of a stage with pressure, after faces() and the caller's
+ * powers. */
+CLONED int64_t tendencies(const struct stage *s, int64_t wall, const double *rho,
+                          double rho_floor, double *out)
+{
+    int64_t m = s->n + 1;
+    fluxes(m, wall, WORK(s, 0), WORK(s, 1), s->sound_coef, s->power, s->power + m,
+           s->face_area, WORK(s, 2), WORK(s, 3));
+    return cells(s, rho, rho_floor, s->power + 2 * m, out);
+}
+
+/* A whole stage without pressure. */
+CLONED int64_t stage(const struct stage *s, int64_t wall, const double *rho, const double *vel,
+                     double rho_floor, double *out)
+{
+    extend(s, rho, vel);
+    fluxes(s->n + 1, wall, WORK(s, 0), WORK(s, 1), 0.0, NULL, NULL, s->face_area, WORK(s, 2),
+           WORK(s, 3));
+    return cells(s, rho, rho_floor, NULL, out);
 }
 
 /* One Runge-Kutta stage in place on the tendencies k_rho, k_vel: k = old +
  * dt*k without mid (NULL), else (mid + dt*k)/2 + old/2; both fields zeroed
  * from cell wall on. Returns np.min of the new density. */
-double rk_stage(const struct stage *s, int64_t wall, double dt, const double *rho,
-                const double *vel, const double *mid_rho, const double *mid_vel, double *k_rho,
-                double *k_vel)
+CLONED double rk_stage(const struct stage *s, int64_t wall, double dt, const double *restrict rho,
+                       const double *restrict vel, const double *restrict mid_rho,
+                       const double *restrict mid_vel, double *restrict k_rho,
+                       double *restrict k_vel)
 {
     int64_t n = s->n;
-    double lowest = 0.0;
-    for (int64_t i = 0; i < n; i++) {
-        double r = 0.0, v = 0.0;
-        if (i < wall && mid_rho) {
-            r = (k_rho[i] * dt + mid_rho[i]) * 0.5 + 0.5 * rho[i];
-            v = (k_vel[i] * dt + mid_vel[i]) * 0.5 + 0.5 * vel[i];
-        } else if (i < wall) {
-            r = k_rho[i] * dt + rho[i];
-            v = k_vel[i] * dt + vel[i];
+    if (mid_rho) {
+        for (int64_t i = 0; i < wall; i++) {
+            k_rho[i] = (k_rho[i] * dt + mid_rho[i]) * 0.5 + 0.5 * rho[i];
+            k_vel[i] = (k_vel[i] * dt + mid_vel[i]) * 0.5 + 0.5 * vel[i];
         }
-        k_rho[i] = r;
-        k_vel[i] = v;
-        lowest = i ? np_min(lowest, r) : r;
+    } else {
+        for (int64_t i = 0; i < wall; i++) {
+            k_rho[i] = k_rho[i] * dt + rho[i];
+            k_vel[i] = k_vel[i] * dt + vel[i];
+        }
     }
-    return lowest;
+    for (int64_t i = wall; i < n; i++)
+        k_rho[i] = k_vel[i] = 0.0;
+    return extreme(n, k_rho, -1.0);
 }
 
 /* np.max of |vel| + sqrt(sound_coef * cell) over the cells, with cell
- * raised to gamma - 1. */
-double max_speed(const struct stage *s, const double *vel)
+ * raised to gamma - 1. The speeds go to work row 0 first. */
+CLONED double max_speed(const struct stage *s, const double *restrict vel)
 {
     int64_t n = s->n;
-    double top = 0.0;
-    for (int64_t i = 0; i < n; i++) {
-        double speed = fabs(vel[i]);
-        if (s->cell)
-            speed += sqrt(s->sound_coef * s->cell[i]);
-        top = i ? np_max(top, speed) : speed;
+    double sc = s->sound_coef;
+    double *restrict speed = WORK(s, 0);
+    const double *restrict cell = s->cell;
+    if (cell) {
+        for (int64_t i = 0; i < n; i++)
+            speed[i] = fabs(vel[i]) + sqrt(sc * cell[i]);
+    } else {
+        for (int64_t i = 0; i < n; i++)
+            speed[i] = fabs(vel[i]);
     }
-    return top;
+    return extreme(n, speed, 1.0);
 }
 
 /* np.argmax of |v[i + 2] - v[i]| / width over i < n - 2 (n >= 3): the first
- * maximum, or the first NaN. Writes that slope to *value. */
-int64_t max_slope(int64_t n, const double *v, double width, double *value)
+ * maximum, or the first NaN. Writes that slope to *value. Lanes carry the
+ * first largest slope of each residue mod 4 and its index. */
+CLONED int64_t max_slope(int64_t n, const double *restrict v, double width, double *value)
 {
-    int64_t k = 0;
-    double top = fabs(v[2] - v[0]) / width;
-    for (int64_t i = 1; i < n - 2 && !isnan(top); i++) {
+    const mask magnitude = {INT64_MAX, INT64_MAX, INT64_MAX, INT64_MAX};
+    lanes top = {-1.0, -1.0, -1.0, -1.0};
+    mask at = {0, 0, 0, 0}, nan = {0, 0, 0, 0}, here = {0, 1, 2, 3};
+    int64_t i = 0, k = 0;
+    for (; i + 4 <= n - 2; i += 4, here += 4) {
+        lanes hi, lo;
+        memcpy(&hi, v + i + 2, sizeof hi);
+        memcpy(&lo, v + i, sizeof lo);
+        lanes slope = (lanes)((mask)(hi - lo) & magnitude) / width;
+        mask up = slope > top;
+        top = PICK(up, slope, top);
+        at = (here & up) | (at & ~up);
+        nan |= slope != slope;
+    }
+    int found = ANY(nan);
+    double best = -1.0;
+    for (int q = 0; q < 4; q++)
+        if (top[q] > best || (top[q] == best && at[q] < k)) {
+            best = top[q];
+            k = at[q];
+        }
+    for (; i < n - 2; i++) {
         double slope = fabs(v[i + 2] - v[i]) / width;
-        if (isnan(slope) || slope > top) {
-            top = slope;
+        found |= isnan(slope);
+        if (slope > best) {
+            best = slope;
             k = i;
         }
     }
-    *value = top;
+    if (found)
+        for (k = 0; !isnan(best = fabs(v[k + 2] - v[k]) / width); k++)
+            ;
+    *value = best;
     return k;
 }
 
-/* The four summands of cell i, each product in the operand order of its
- * numpy expression, with w = r**(N-1) and cell raised to gamma: r*V; rho*w;
- * (rho*V**2 [+ 2*(K*cell)])*w; V**2*2*r. */
-static void row_terms(const struct stage *s, const double *rho, const double *vel, int64_t i,
-                      double t[4])
+/* The sums of up to 128 cells from lo in the blocked pairwise order of
+ * numpy's float64 add reduction: in order below 8 terms, from -0.0, which
+ * leaves the first term as it is; else eight interleaved accumulators,
+ * combined as a balanced tree, then the tail in order. The four summands
+ * of a cell, each product in the operand order of its numpy expression,
+ * with w = r**(N-1) and cell raised to gamma: r*V; rho*w; (rho*V**2
+ * [+ 2*(K*cell)])*w; V**2*2*r. */
+CLONED static void block_sums(const struct stage *s, const double *restrict rho,
+                              const double *restrict vel, int64_t lo, int64_t n, double out[4])
 {
-    double v2 = vel[i] * vel[i];
-    double e = rho[i] * v2;
-    if (s->cell)
-        e += 2.0 * (s->pressure_const * s->cell[i]);
-    t[0] = s->r[i] * vel[i];
-    t[1] = rho[i] * s->center[i];
-    t[2] = e * s->center[i];
-    t[3] = v2 * 2.0 * s->r[i];
-}
-
-/* The four sums over cells lo .. lo + n - 1 in the blocked pairwise order
- * of numpy's float64 add reduction: in order below 8 terms; up to 128 terms
- * eight interleaved accumulators, combined as a balanced tree, then the
- * tail in order; above 128 the two halves, split at n/2 rounded down to a
- * multiple of 8, and their sum. */
-static void pairwise(const struct stage *s, const double *rho, const double *vel, int64_t lo,
-                     int64_t n, double out[4])
-{
-    double t[4];
-    if (n < 8) {
-        /* from -0.0, which leaves the first term as it is */
-        for (int k = 0; k < 4; k++)
-            out[k] = -0.0;
-        for (int64_t i = lo; i < lo + n; i++) {
-            row_terms(s, rho, vel, i, t);
-            for (int k = 0; k < 4; k++)
-                out[k] += t[k];
+    double t[4][128];
+    const double *restrict r = s->r + lo, *restrict w = s->center + lo;
+    const double *restrict cell = s->cell ? s->cell + lo : NULL;
+    double k = s->pressure_const;
+    rho += lo;
+    vel += lo;
+    for (int64_t i = 0; i < n; i++) {
+        double v2 = vel[i] * vel[i];
+        t[0][i] = r[i] * vel[i];
+        t[1][i] = rho[i] * w[i];
+        t[2][i] = rho[i] * v2;
+        t[3][i] = v2 * 2.0 * r[i];
+    }
+    if (cell)
+        for (int64_t i = 0; i < n; i++)
+            t[2][i] += 2.0 * (k * cell[i]);
+    for (int64_t i = 0; i < n; i++)
+        t[2][i] *= w[i];
+    for (int q = 0; q < 4; q++) {
+        const double *a = t[q];
+        if (n < 8) {
+            double sum = -0.0;
+            for (int64_t i = 0; i < n; i++)
+                sum += a[i];
+            out[q] = sum;
+            continue;
         }
-    } else if (n <= 128) {
-        double acc[4][8];
-        for (int j = 0; j < 8; j++) {
-            row_terms(s, rho, vel, lo + j, t);
-            for (int k = 0; k < 4; k++)
-                acc[k][j] = t[k];
-        }
+        double acc[8];
+        for (int j = 0; j < 8; j++)
+            acc[j] = a[j];
         int64_t i = 8;
         for (; i < n - n % 8; i += 8)
-            for (int j = 0; j < 8; j++) {
-                row_terms(s, rho, vel, lo + i + j, t);
-                for (int k = 0; k < 4; k++)
-                    acc[k][j] += t[k];
-            }
-        for (int k = 0; k < 4; k++) {
-            const double *a = acc[k];
-            out[k] = ((a[0] + a[1]) + (a[2] + a[3])) + ((a[4] + a[5]) + (a[6] + a[7]));
-        }
-        for (; i < n; i++) {
-            row_terms(s, rho, vel, lo + i, t);
-            for (int k = 0; k < 4; k++)
-                out[k] += t[k];
-        }
-    } else {
-        int64_t half = n / 2;
-        half -= half % 8;
-        double tail[4];
-        pairwise(s, rho, vel, lo, half, out);
-        pairwise(s, rho, vel, lo + half, n - half, tail);
-        for (int k = 0; k < 4; k++)
-            out[k] += tail[k];
+            for (int j = 0; j < 8; j++)
+                acc[j] += a[i + j];
+        double sum =
+            ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]));
+        for (; i < n; i++)
+            sum += a[i];
+        out[q] = sum;
     }
 }
 
-/* np.sum of each summand of row_terms over the cells into out[4]. An add
+/* The four sums over cells lo .. lo + n - 1 in numpy's pairwise order:
+ * block_sums up to 128 terms; above 128 the two halves, split at n/2
+ * rounded down to a multiple of 8, and their sum. */
+CLONED static void pairwise(const struct stage *s, const double *rho, const double *vel,
+                            int64_t lo, int64_t n, double out[4])
+{
+    if (n <= 128) {
+        block_sums(s, rho, vel, lo, n, out);
+        return;
+    }
+    int64_t half = n / 2;
+    half -= half % 8;
+    double tail[4];
+    pairwise(s, rho, vel, lo, half, out);
+    pairwise(s, rho, vel, lo + half, n - half, tail);
+    for (int q = 0; q < 4; q++)
+        out[q] += tail[q];
+}
+
+/* np.sum of each summand of block_sums over the cells into out[4]. An add
  * reduction starts from its identity, so each sum is 0.0 + the pairwise
  * sum: +0.0, not -0.0, when every term is -0.0. */
-void row_sums(const struct stage *s, const double *rho, const double *vel, double *out)
+CLONED void row_sums(const struct stage *s, const double *rho, const double *vel, double *out)
 {
     pairwise(s, rho, vel, 0, s->n, out);
-    for (int k = 0; k < 4; k++)
-        out[k] = 0.0 + out[k];
+    for (int q = 0; q < 4; q++)
+        out[q] = 0.0 + out[q];
 }
+
+/* The clone the loader chose: the resolver of every CLONED function picks
+ * the avx2 one exactly when the CPU supports AVX2. */
+CLONED const char *kernel_target(void) { return AVX2_CLONE ? "avx2" : "default"; }

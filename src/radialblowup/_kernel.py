@@ -4,9 +4,9 @@ The shared library is compiled once per source and compile command and kept
 in ``$XDG_CACHE_HOME/radialblowup`` (``~/.cache/radialblowup`` when the
 variable is unset); a build removes the libraries of other versions. It is
 loaded on first use, so commands that never step a state never compile it.
-Every entry but ``max_slope`` takes the address of the ``struct stage`` that
-``plan`` builds once per grid and model; this is the one module that speaks
-ctypes.
+Every entry but ``max_slope`` and ``kernel_target`` takes the address of the
+``struct stage`` that ``plan`` builds once per grid and model; this is the
+one module that speaks ctypes.
 """
 
 from __future__ import annotations
@@ -25,8 +25,12 @@ from .model import ModelConfig, RadialGrid, grid_weights
 from .poisson import alpha
 
 SOURCE = Path(__file__).with_name("_kernel.c")
-# no contraction into fused multiply-adds: it changes the bits of the results
-COMPILE = ("cc", "-O2", "-fPIC", "-shared", "-ffp-contract=off")
+# no contraction into fused multiply-adds: it changes the bits of the results;
+# without trapping math and errno the loops vectorize, with the same values
+COMPILE = (
+    "cc", "-O3", "-fPIC", "-shared", "-fno-trapping-math", "-fno-math-errno",
+    "-ffp-contract=off",
+)
 
 _P, _I64, _F64 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
 
@@ -40,7 +44,7 @@ class Stage(ctypes.Structure):
         ("dr", _F64), ("sound_coef", _F64), ("grad_coef", _F64), ("field_coef", _F64),
         ("pressure_const", _F64),
         ("face_area", _P), ("cell_volume", _P), ("shell", _P), ("inner_shell", _P),
-        ("center", _P), ("r", _P), ("face", _P), ("power", _P), ("cell", _P),
+        ("center", _P), ("r", _P), ("work", _P), ("power", _P), ("cell", _P),
     ]
 
 
@@ -52,6 +56,7 @@ _SIGNATURES = {
     "max_speed": ([_P, _P], _F64),
     "max_slope": ([_I64, _P, _F64, _P], _I64),
     "row_sums": ([_P, _P, _P, _P], None),
+    "kernel_target": ([], ctypes.c_char_p),
 }
 _FLOAT64 = np.dtype(np.float64)
 _from_buffer = ctypes.c_double.from_buffer
@@ -87,7 +92,9 @@ def plan(grid: RadialGrid, cfg: ModelConfig) -> Plan:
     """The stage of (grid, cfg), with scratch reused by every call on it."""
     n = grid.n_cells
     weights = grid_weights(grid, cfg.dim)
-    face = np.empty((2, 2, n + 1))
+    # the ghost-extended fields, the fluxes, the force sums, the wave speeds;
+    # see WORK in the C source
+    work = np.empty((4, n + 4))
     power = raised = cell = None
     if cfg.pressure_const > 0.0:
         power = np.empty((3, n + 1))
@@ -101,7 +108,7 @@ def plan(grid: RadialGrid, cfg: ModelConfig) -> Plan:
         grad_coef = cfg.pressure_const * cfg.gamma / (cfg.gamma - 1.0)
     else:
         grad_coef = cfg.pressure_const
-    arrays = dict(weights._asdict(), r=grid.cell_centers, face=face, power=power, cell=cell)
+    arrays = dict(weights._asdict(), r=grid.cell_centers, work=work, power=power, cell=cell)
     stage = Stage(
         n=n,
         per_density=not cfg.gamma > 1.0,
@@ -162,8 +169,18 @@ def load() -> ctypes.CDLL:
         for old in directory.glob("kernel-*.so"):
             if old != target:
                 old.unlink(missing_ok=True)
-    lib = ctypes.CDLL(str(target))
+    return _open(target)
+
+
+def _open(path: Path) -> ctypes.CDLL:
+    """The library at ``path``, with the signatures of its entries set."""
+    lib = ctypes.CDLL(str(path))
     for name, (argtypes, restype) in _SIGNATURES.items():
         fn = getattr(lib, name)
         fn.argtypes, fn.restype = argtypes, restype
     return lib
+
+
+def target() -> str:
+    """The clone of the kernel that runs in this process: ``avx2`` or ``default``."""
+    return load().kernel_target().decode()

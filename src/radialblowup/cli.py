@@ -20,6 +20,7 @@ from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Optional
 
+from . import _kernel
 from .diagnostics import Verdict, blowup_time_bound, scope_flags
 from .model import ModelConfig, RadialGrid, validate_initial_data
 from .profiles import build_initial_profile, check_family
@@ -295,12 +296,26 @@ def build_run_fields(config: ExperimentConfig):
     return grid, profile
 
 
+def _write_table(path: Path, header: list[str], columns: list) -> None:
+    """The header lines, then each row of the float64 columns with every
+    value to 17 significant digits, written a block of rows at a time."""
+    # %-formatting of plain floats gives the digits of f"{v:.17g}" in half
+    # the time; blocks keep the text and the floats of a whole table from
+    # being held at once
+    row = "\t".join(["%.17g"] * len(columns)) + "\n"
+    with open(path, "w", encoding="utf-8") as out:
+        out.write("".join(line + "\n" for line in header))
+        for lo in range(0, len(columns[0]), 1024):
+            block = zip(*(column[lo : lo + 1024].tolist() for column in columns))
+            out.write("".join(row % values for values in block))
+
+
 def _write_series(path: Path, result: RunResult) -> None:
-    cols = [getattr(result.series, f.name) for f in fields(result.series)]
-    lines = ["t\tH\tmass\tenergy_lhs\triccati_residual\tenvelope\tcauchy_gap\tmax_abs_dVdr"]
-    for row in zip(*cols):
-        lines.append("\t".join(f"{v:.17g}" for v in row))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_table(
+        path,
+        ["t\tH\tmass\tenergy_lhs\triccati_residual\tenvelope\tcauchy_gap\tmax_abs_dVdr"],
+        [getattr(result.series, f.name) for f in fields(result.series)],
+    )
 
 
 def _write_summary(
@@ -334,13 +349,12 @@ def _write_summary(
 
 
 def _write_snapshots(run_dir: Path, config: ExperimentConfig, result: RunResult, grid) -> None:
-    r = grid.cell_centers
     for wanted, state in zip(config.snapshot_times, result.trajectory.snapshots):
-        name = f"snapshot-{wanted:.6g}.tsv"
-        lines = ["r\trho\tV", f"# time = {state.time:.17g}"]
-        for i in range(grid.n_cells):
-            lines.append(f"{r[i]:.17g}\t{state.rho[i]:.17g}\t{state.vel[i]:.17g}")
-        (run_dir / name).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        _write_table(
+            run_dir / f"snapshot-{wanted:.6g}.tsv",
+            ["r\trho\tV", f"# time = {state.time:.17g}"],
+            [grid.cell_centers, state.rho, state.vel],
+        )
 
 
 def run_single(run_id: str, config: ExperimentConfig, out_root: str) -> dict:
@@ -349,6 +363,10 @@ def run_single(run_id: str, config: ExperimentConfig, out_root: str) -> dict:
     run_dir = Path(out_root) / run_id
     run_dir.mkdir(parents=True, exist_ok=True)
     grid, profile = build_run_fields(config)
+    # the kernel is compiled or opened once per process: later runs wait 0 s
+    t_load = time.perf_counter()
+    kernel_target = _kernel.target()
+    load_s = time.perf_counter() - t_load
     result = run(
         profile.rho0, profile.v0, config.model, config.numerics,
         config.snapshot_times,
@@ -383,7 +401,8 @@ def run_single(run_id: str, config: ExperimentConfig, out_root: str) -> dict:
     (run_dir / "meta.txt").write_text(
         f"started_unix: {t_start:.3f}\nelapsed_seconds: {elapsed:.3f}\n"
         f"steps: {trajectory.steps}\ndt_min: {_fmt(dt_min)}\ndt_max: {_fmt(dt_max)}\n"
-        f"peak_rss_kb: {peak_rss}\n",
+        f"peak_rss_kb: {peak_rss}\nkernel_target: {kernel_target}\n"
+        f"kernel_load_s: {load_s:.6f}\n",
         encoding="utf-8",
     )
     return {

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from _helpers import read_series, read_snapshot, read_summary
 from radialblowup import ModelConfig, NumericsConfig, RadialGrid, build_initial_profile
-from radialblowup import cli, model, profiles, solver
+from radialblowup import _kernel, cli, model, profiles, solver
 from radialblowup.cli import (
     ConfigError,
     ExperimentConfig,
@@ -409,7 +409,10 @@ class TestExecute:
         meta = dict(line.split(": ", 1) for line in text.splitlines())
         assert set(meta) == {
             "started_unix", "elapsed_seconds", "steps", "dt_min", "dt_max", "peak_rss_kb",
+            "kernel_target", "kernel_load_s",
         }
+        assert meta["kernel_target"] == _kernel.target()
+        assert 0.0 <= float(meta["kernel_load_s"]) <= float(meta["elapsed_seconds"]) + 1e-3
         steps, dt_min, dt_max = int(meta["steps"]), float(meta["dt_min"]), float(meta["dt_max"])
         t_final = float(read_summary(tmp_path / "run-0000")["t_final"])
         assert 0.0 < dt_min <= dt_max

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _reference_kernel as ref
+from radialblowup import _kernel
 from radialblowup import (
     FluidState,
     ModelConfig,
@@ -25,6 +26,7 @@ from radialblowup import (
     energy_condition,
     radial_field,
     rhs_eval,
+    sound_speed,
     step,
     total_mass,
     weighted_momentum,
@@ -243,3 +245,70 @@ def test_diagnostics_row_matches_numpy_sums(case):
         )
     assert _same(diagnostics.row_integrals(state, grid, cfg), expected)
     assert _same(public, expected)
+
+
+# NaNs told apart by their payload, so a reduction must return the first one
+NANS = tuple(np.array([0x7FF8000000000001 + k], dtype=np.int64).view(np.float64)[0]
+             for k in range(3))
+
+
+@st.composite
+def reduction_cases(draw):
+    # lengths on both sides of the 4 and 8 lanes of the compiled reductions
+    n = draw(st.one_of(st.integers(8, 40), st.integers(250, 270), st.integers(8, 5000)))
+    kind = draw(st.sampled_from(("random", "ties", "zeros", "nan", "inf")))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.normal(0.0, 1.0, n)
+    if kind == "ties":
+        # several cells share the extreme value, and slopes repeat
+        values = rng.integers(-2, 3, n).astype(float)
+    elif kind == "zeros":
+        # extremes of 0.0 and -0.0: the chained rule keeps the last one
+        signed = np.where(rng.random(n) < 0.5, 0.0, -0.0)
+        values = np.where(rng.random(n) < 0.3, np.abs(values), signed)
+    elif kind == "nan":
+        for payload in NANS[: draw(st.integers(1, 3))]:
+            values[rng.integers(0, n)] = payload
+    elif kind == "inf":
+        values[rng.integers(0, n, 2)] = rng.choice((np.inf, -np.inf), 2)
+    return values
+
+
+def _chained(op, values):
+    """np.maximum or np.minimum chained from the first value: the first NaN,
+    else the extreme value, the last of equal ones."""
+    result = values[0]
+    for value in values[1:]:
+        if not (result != result or op(result, value)):
+            result = value
+    return result
+
+
+@settings(max_examples=200, deadline=None)
+@given(reduction_cases(), st.sampled_from((0.0, 1.0)))
+def test_reductions_keep_numpy_rules(values, pressure):
+    n = values.size
+    grid = RadialGrid(n_cells=n, support_radius=1.0)
+    cfg = ModelConfig(dim=3, pressure_const=pressure, gamma=1.4)
+    zeros = np.zeros(n)
+    # the wave speed: the first NaN speed, else the largest
+    state = FluidState(time=0.0, rho=np.abs(values), vel=values)
+    with np.errstate(all="ignore"):
+        speeds = np.abs(values) + (sound_speed(np.abs(values), cfg) if pressure else 0.0)
+    assert _same(max_wave_speed(state, cfg, grid), _chained(float.__gt__, speeds.tolist()))
+    # the velocity gradient: the first NaN slope, else the first largest
+    with np.errstate(all="ignore"):
+        expected = ref.max_velocity_gradient(FluidState(0.0, zeros, values), grid)
+    value, cell = diagnostics.max_velocity_gradient(FluidState(0.0, zeros, values), grid)
+    assert cell == expected[1] and _same(value, expected[0])
+    # the step's new density minimum: the first NaN, else the smallest
+    kernel, plan = _kernel.load(), _kernel.plan(grid, cfg)
+    wall = n - 1
+    # -0.0 * dt + rho is rho itself, down to the sign of a zero and a NaN
+    k_rho, k_vel = np.full(n, -0.0), np.zeros(n)
+    new_rho = values.copy()
+    new_rho[wall:] = 0.0
+    at = [_kernel.address(field, (n,)) for field in (values, zeros, k_rho, k_vel)]
+    lowest = kernel.rk_stage(plan.at, wall, 0.5, at[0], at[1], None, None, at[2], at[3])
+    assert _same(k_rho, new_rho)
+    assert _same(lowest, _chained(float.__lt__, new_rho.tolist()))

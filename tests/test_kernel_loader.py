@@ -1,7 +1,11 @@
-"""The compiled kernel is built once per source into the user cache, and its
-ctypes mirror of ``struct stage`` has the C layout."""
+"""The compiled kernel is built once per source into the user cache, its
+ctypes mirror of ``struct stage`` has the C layout, and on x86-64 ELF with
+glibc the loader picks its AVX2 clones."""
 
 import ctypes
+import platform
+import re
+import shutil
 import stat
 import subprocess
 
@@ -46,7 +50,7 @@ def test_failing_compiler_names_the_command(fresh_cache, monkeypatch):
     with pytest.raises(_kernel.KernelCompileError) as info:
         _kernel.load()
     message = str(info.value)
-    assert "cc -O2 -fPIC -shared -ffp-contract=off" in message
+    assert " ".join(_kernel.COMPILE) in message
     assert "error: boom" in message
     # nothing half-built is left behind for the next load
     assert list(fresh_cache.iterdir()) == []
@@ -57,8 +61,9 @@ def test_missing_compiler_names_the_command(fresh_cache, monkeypatch):
         raise FileNotFoundError(2, "No such file or directory", command[0])
 
     monkeypatch.setattr(_kernel, "_compile", missing)
-    with pytest.raises(_kernel.KernelCompileError, match="cannot run `cc -O2"):
+    with pytest.raises(_kernel.KernelCompileError) as info:
         _kernel.load()
+    assert f"cannot run `{' '.join(_kernel.COMPILE)}" in str(info.value)
 
 
 def test_a_build_removes_older_libraries(fresh_cache):
@@ -97,3 +102,47 @@ def test_stage_mirror_matches_the_c_struct(tmp_path):
     ).stdout.split())
     assert size == ctypes.sizeof(_kernel.Stage)
     assert offsets == [getattr(_kernel.Stage, name).offset for name in names]
+
+
+def _cpu_has_avx2() -> bool:
+    try:
+        with open("/proc/cpuinfo") as info:
+            return any(line.startswith("flags") and " avx2" in line for line in info)
+    except OSError:
+        return False
+
+
+def test_the_library_runs_the_avx2_clones_where_the_cpu_has_avx2():
+    clones = (
+        platform.machine() == "x86_64"
+        and platform.system() == "Linux"
+        and platform.libc_ver()[0] == "glibc"
+    )
+    assert _kernel.target() == ("avx2" if clones and _cpu_has_avx2() else "default")
+
+
+def test_the_avx2_clones_of_the_loops_hold_256_bit_code():
+    # a static function without the clone attribute, called from an avx2
+    # clone, would run its loops as baseline code
+    objdump = shutil.which("objdump")
+    if objdump is None:
+        pytest.skip("objdump is not installed")
+    listing = subprocess.run(
+        [objdump, "-d", _kernel.load()._name], check=True, capture_output=True, text=True
+    ).stdout
+    wide: dict[str, int] = {}
+    name = None
+    for line in listing.splitlines():
+        head = re.match(r"[0-9a-f]+ <(\w+)\.avx2[.\w]*>:", line)
+        if head:
+            name = head.group(1)
+            wide[name] = 0
+        elif re.match(r"[0-9a-f]+ <", line):
+            name = None
+        elif name is not None and "ymm" in line:
+            wide[name] += 1
+    if not wide:
+        pytest.skip("the kernel has no avx2 clones on this platform")
+    for loop in ("face_densities", "fluxes", "cells", "rk_stage",
+                 "max_speed", "extreme", "max_slope", "block_sums"):
+        assert wide.get(loop, 0) > 0, loop
