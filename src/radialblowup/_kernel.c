@@ -23,20 +23,31 @@
  * stay scalar; the min, max and argmax reductions keep lanes of partial
  * extremes that give the result of the scalar chain exactly. On x86-64 ELF
  * with glibc, CLONED builds each entry and the static functions it calls
- * twice, for AVX2 and for the baseline, and the dynamic loader picks one
- * once per process (an ifunc); kernel_target() names it.
+ * for every target of CLONE_TARGETS (AVX-512F and AVX2) and for the
+ * baseline, and the dynamic loader picks the widest the CPU supports once
+ * per process (an ifunc); kernel_target() names it. The targets are plain
+ * ISA levels with generic tuning (arch=icelake-server and later prefer
+ * 256-bit vectors). AVX-512F has FMA, so -ffp-contract=off matters in its
+ * clones as well.
  */
 #include <float.h>
 #include <math.h>
 #include <stdint.h>
 #include <string.h>
 
+/* The targets that CLONED builds beside the baseline, widest first, as the
+ * loader ranks them. A build may name others with -D'CLONE_TARGETS(X)=...'. */
+#ifndef CLONE_TARGETS
+#define CLONE_TARGETS(X) X(avx512f) X(avx2)
+#endif
+
 #if defined(__x86_64__) && defined(__ELF__) && defined(__GLIBC__)
-#define CLONED __attribute__((target_clones("avx2", "default")))
-#define AVX2_CLONE __builtin_cpu_supports("avx2")
+#define TARGET_NAME(t) #t,
+#define CLONED __attribute__((target_clones(CLONE_TARGETS(TARGET_NAME) "default")))
+#define RUNS(t) if (__builtin_cpu_supports(#t)) return #t;
 #else
 #define CLONED
-#define AVX2_CLONE 0
+#define RUNS(t)
 #endif
 
 /* A grid and model's weights, law and scratch; the one argument every entry
@@ -485,5 +496,9 @@ CLONED void row_sums(const struct stage *s, const double *rho, const double *vel
 }
 
 /* The clone the loader chose: the resolver of every CLONED function picks
- * the avx2 one exactly when the CPU supports AVX2. */
-CLONED const char *kernel_target(void) { return AVX2_CLONE ? "avx2" : "default"; }
+ * the first target of CLONE_TARGETS the CPU supports, else the baseline. */
+CLONED const char *kernel_target(void)
+{
+    CLONE_TARGETS(RUNS)
+    return "default";
+}

@@ -182,5 +182,5 @@ def _open(path: Path) -> ctypes.CDLL:
 
 
 def target() -> str:
-    """The clone of the kernel that runs in this process: ``avx2`` or ``default``."""
+    """The kernel clone that runs in this process: ``avx512f``, ``avx2`` or ``default``."""
     return load().kernel_target().decode()

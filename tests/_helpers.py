@@ -1,8 +1,14 @@
-"""Shared helpers for reading run artifacts back in tests."""
+"""Shared helpers for tests: reading run artifacts back, and the kernel
+clones this machine runs."""
 
+import platform
+import subprocess
 from pathlib import Path
 
 import numpy as np
+import pytest
+
+from radialblowup import _kernel
 
 
 def read_summary(run_dir) -> dict:
@@ -27,3 +33,35 @@ def read_snapshot(path) -> dict:
 
 def summary_float(summary: dict, key: str) -> float:
     return float(summary[key])
+
+
+def cpu_clones() -> tuple:
+    """The kernel clones this process can run, widest first: on x86-64 Linux
+    with glibc, the targets of ``CLONE_TARGETS`` in ``_kernel.c`` that
+    ``/proc/cpuinfo`` lists, then ``default``."""
+    if (platform.machine(), platform.system(), platform.libc_ver()[0]) != (
+        "x86_64", "Linux", "glibc"
+    ):
+        return ("default",)
+    try:
+        with open("/proc/cpuinfo") as info:
+            flags = next(line.split() for line in info if line.startswith("flags"))
+    except (OSError, StopIteration):
+        flags = []
+    return tuple(t for t in ("avx512f", "avx2") if t in flags) + ("default",)
+
+
+def swap_in_clone(tmp_path_factory, name: str, *flags: str):
+    """Fixture body: compile ``_kernel.c`` again with ``flags``, check that the
+    build runs clone ``name``, and return it from ``_kernel.load`` until the
+    fixture ends. Skipped where the CPU cannot run that clone."""
+    if name not in cpu_clones():
+        pytest.skip(f"this machine cannot run the {name} clone")
+    path = tmp_path_factory.mktemp(f"{name}-clone") / "kernel.so"
+    command = [*_kernel.COMPILE, *flags, "-o", str(path), str(_kernel.SOURCE), "-lm"]
+    subprocess.run(command, check=True)
+    lib = _kernel._open(path)
+    assert lib.kernel_target() == name.encode()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_kernel, "load", lambda: lib)
+        yield lib

@@ -1,19 +1,18 @@
 """The baseline clone of the kernel matches the numpy oracle as well.
 
-On x86-64 ELF with glibc the kernel holds an AVX2 and a baseline clone of
-each entry, and the loader runs the AVX2 one wherever the CPU has it, so
-the other tests exercise only that clone there. This module compiles the
-same source again with the clone guard off (``-U__ELF__``), as it builds on
-macOS, arm64 or musl, and runs the oracle cases of
-``test_kernel_equivalence`` against that library: tendencies, stepped
-states, wave speed, gradient, breakdown cells and row sums.
+On x86-64 ELF with glibc the kernel holds an AVX-512, an AVX2 and a
+baseline clone of each entry, and the loader runs the widest one the CPU
+has, so ``test_kernel_equivalence`` exercises only that clone there. This
+module compiles the same source again with the clone guard off
+(``-U__ELF__``), as it builds on macOS, arm64 or musl, and runs the oracle
+cases of ``test_kernel_equivalence`` against that library: tendencies,
+stepped states, wave speed, gradient, breakdown cells, row sums and the
+reductions. ``test_kernel_avx2_clone`` does the same for the AVX2 clone.
 """
-
-import subprocess
 
 import pytest
 
-from radialblowup import _kernel
+from _helpers import swap_in_clone
 
 # collected again in this module, where the fixture below swaps the library
 from test_kernel_equivalence import (  # noqa: F401
@@ -30,11 +29,4 @@ from test_kernel_equivalence import (  # noqa: F401
 @pytest.fixture(scope="module", autouse=True)
 def default_clone(tmp_path_factory):
     """The guard-off build, returned by ``_kernel.load`` in this module."""
-    path = tmp_path_factory.mktemp("default-clone") / "kernel.so"
-    command = [*_kernel.COMPILE, "-U__ELF__", "-o", str(path), str(_kernel.SOURCE), "-lm"]
-    subprocess.run(command, check=True)
-    lib = _kernel._open(path)
-    assert lib.kernel_target() == b"default"
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(_kernel, "load", lambda: lib)
-        yield lib
+    yield from swap_in_clone(tmp_path_factory, "default", "-U__ELF__")

@@ -1,9 +1,8 @@
 """The compiled kernel is built once per source into the user cache, its
 ctypes mirror of ``struct stage`` has the C layout, and on x86-64 ELF with
-glibc the loader picks its AVX2 clones."""
+glibc the loader picks the widest clone the CPU has."""
 
 import ctypes
-import platform
 import re
 import shutil
 import stat
@@ -11,6 +10,7 @@ import subprocess
 
 import pytest
 
+from _helpers import cpu_clones
 from radialblowup import _kernel
 
 
@@ -23,7 +23,17 @@ def fresh_cache(tmp_path, monkeypatch):
     _kernel.load.cache_clear()
 
 
-def test_second_load_reuses_the_cached_library(fresh_cache, monkeypatch):
+@pytest.fixture
+def stub_source(tmp_path, monkeypatch):
+    """A source that defines every entry ``_open`` looks up, and nothing else:
+    it builds in a fraction of the kernel's time."""
+    stub = tmp_path / "stub.c"
+    entries = (f"int {name}(void) {{ return 0; }}\n" for name in _kernel._SIGNATURES)
+    stub.write_text("".join(entries))
+    monkeypatch.setattr(_kernel, "SOURCE", stub)
+
+
+def test_second_load_reuses_the_cached_library(fresh_cache, stub_source, monkeypatch):
     commands = []
 
     def counted(command, _compile=_kernel._compile):
@@ -66,7 +76,7 @@ def test_missing_compiler_names_the_command(fresh_cache, monkeypatch):
     assert f"cannot run `{' '.join(_kernel.COMPILE)}" in str(info.value)
 
 
-def test_a_build_removes_older_libraries(fresh_cache):
+def test_a_build_removes_older_libraries(fresh_cache, stub_source):
     fresh_cache.mkdir(mode=0o700)
     stale = fresh_cache / "kernel-0000000000000000.so"
     partial = fresh_cache / "tmpbuild.so.tmp"
@@ -95,7 +105,10 @@ def test_stage_mirror_matches_the_c_struct(tmp_path):
         f"{prints}    return 0;\n}}\n"
     )
     binary = tmp_path / "probe"
-    compile_flags = [flag for flag in _kernel.COMPILE if flag != "-shared"]
+    # the layout does not depend on the optimization level; -O0 builds fast
+    compile_flags = [
+        "-O0" if flag == "-O3" else flag for flag in _kernel.COMPILE if flag != "-shared"
+    ]
     subprocess.run([*compile_flags, "-o", str(binary), str(probe), "-lm"], check=True)
     size, *offsets = map(int, subprocess.run(
         [str(binary)], check=True, capture_output=True, text=True
@@ -104,25 +117,12 @@ def test_stage_mirror_matches_the_c_struct(tmp_path):
     assert offsets == [getattr(_kernel.Stage, name).offset for name in names]
 
 
-def _cpu_has_avx2() -> bool:
-    try:
-        with open("/proc/cpuinfo") as info:
-            return any(line.startswith("flags") and " avx2" in line for line in info)
-    except OSError:
-        return False
-
-
 def test_the_library_runs_the_avx2_clones_where_the_cpu_has_avx2():
-    clones = (
-        platform.machine() == "x86_64"
-        and platform.system() == "Linux"
-        and platform.libc_ver()[0] == "glibc"
-    )
-    assert _kernel.target() == ("avx2" if clones and _cpu_has_avx2() else "default")
+    assert _kernel.target() == cpu_clones()[0]
 
 
 def test_the_avx2_clones_of_the_loops_hold_256_bit_code():
-    # a static function without the clone attribute, called from an avx2
+    # a static function without the clone attribute, called from a wide
     # clone, would run its loops as baseline code
     objdump = shutil.which("objdump")
     if objdump is None:
@@ -130,19 +130,24 @@ def test_the_avx2_clones_of_the_loops_hold_256_bit_code():
     listing = subprocess.run(
         [objdump, "-d", _kernel.load()._name], check=True, capture_output=True, text=True
     ).stdout
-    wide: dict[str, int] = {}
-    name = None
+    # no contraction into fused multiply-adds, which every wide target has
+    assert re.search(r"\svfn?m(add|sub)", listing) is None
+    wide: dict[tuple[str, str], int] = {}
+    key = None
     for line in listing.splitlines():
-        head = re.match(r"[0-9a-f]+ <(\w+)\.avx2[.\w]*>:", line)
+        head = re.match(r"[0-9a-f]+ <(\w+)\.(avx512f|avx2)[.\w]*>:", line)
         if head:
-            name = head.group(1)
-            wide[name] = 0
+            key = head.group(1), head.group(2)
+            wide[key] = 0
         elif re.match(r"[0-9a-f]+ <", line):
-            name = None
-        elif name is not None and "ymm" in line:
-            wide[name] += 1
+            key = None
+        elif key is not None and ("zmm" if key[1] == "avx512f" else "ymm") in line:
+            wide[key] += 1
     if not wide:
-        pytest.skip("the kernel has no avx2 clones on this platform")
-    for loop in ("face_densities", "fluxes", "cells", "rk_stage",
-                 "max_speed", "extreme", "max_slope", "block_sums"):
-        assert wide.get(loop, 0) > 0, loop
+        pytest.skip("the kernel has no wide clones on this platform")
+    loops = ("face_densities", "fluxes", "cells", "rk_stage", "max_speed", "block_sums")
+    # extreme and max_slope work in 32-byte vectors, ymm in both clones
+    for loop in loops + ("extreme", "max_slope"):
+        assert wide.get((loop, "avx2"), 0) > 0, loop
+    for loop in loops:
+        assert wide.get((loop, "avx512f"), 0) > 0, loop
