@@ -122,6 +122,15 @@ def plan(grid: RadialGrid, cfg: ModelConfig) -> Plan:
     return Plan(ctypes.addressof(stage), raised, cell, (stage, arrays))
 
 
+def power(scratch: np.ndarray, exponent: float, rho: Optional[np.ndarray]) -> None:
+    """Raise a plan's ``scratch``, first filled with max(rho, 0) if ``rho`` is
+    given, to ``exponent`` in place: the one pow of a run left to numpy, whose
+    SIMD ``**`` differs from libm's ``pow`` in the last bit."""
+    if rho is not None:
+        np.maximum(rho, 0.0, out=scratch)
+    scratch **= exponent
+
+
 class KernelCompileError(RuntimeError):
     """The kernel could not be compiled."""
 

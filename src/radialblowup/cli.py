@@ -9,6 +9,8 @@ summary and series files are byte-stable for a fixed config and seed.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import hashlib
 import itertools
 import math
@@ -32,7 +34,9 @@ class ConfigError(ValueError):
 
 
 def _fmt(value) -> str:
-    """Render a value for output files; floats get 17 significant digits."""
+    """Render a value for output files: floats to 17 significant digits, None as n/a."""
+    if value is None:
+        return "n/a"
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
@@ -327,12 +331,12 @@ def _write_summary(
         ("config_hash", digest),
         ("verdict", r.verdict.value),
         ("bound_applicable", r.bound_applicable),
-        ("t_bound", r.t_bound if r.t_bound is not None else "n/a"),
-        ("t_detect", r.t_detect if r.t_detect is not None else "n/a"),
+        ("t_bound", r.t_bound),
+        ("t_detect", r.t_detect),
         ("h0", r.h0),
         ("t_final", r.t_final),
         ("termination", r.termination),
-        ("envelope_ok", r.envelope_ok if r.envelope_ok is not None else "n/a"),
+        ("envelope_ok", r.envelope_ok),
         ("envelope_tolerance_rel", r.envelope_tolerance),
         ("mass_drift_rel", r.mass_drift_rel),
         ("scope_flags", ",".join(r.scope_flags) if r.scope_flags else "none"),
@@ -393,7 +397,7 @@ def run_single(run_id: str, config: ExperimentConfig, out_root: str) -> dict:
     _write_snapshots(run_dir, config, result, grid)
     elapsed = time.time() - t_start
     trajectory = result.trajectory
-    dt_min, dt_max = trajectory.dt_range or ("n/a", "n/a")
+    dt_min, dt_max = trajectory.dt_range or (None, None)
     # the peak of this process so far: in KiB on Linux, in bytes on macOS
     peak_rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     if sys.platform == "darwin":
@@ -458,36 +462,28 @@ def execute(
     tasks = [(run_id, cfg, out_root) for run_id, cfg in runs]
 
     outcomes: list[dict] = []
-    if jobs > 1 and len(tasks) > 1:
-        # the largest runs first, so no worker is left with two long ones last
-        tasks.sort(key=lambda task: task[1].n_cells, reverse=True)
-        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-            futures = [pool.submit(_run_entry, task) for task in tasks]
-            for task, future in zip(tasks, futures):
-                try:
-                    outcomes.append(future.result())
-                except Exception:
-                    traceback.print_exc()
-                    outcomes.append({"run_id": task[0], "failed": True})
-    else:
-        for task in tasks:
+    with contextlib.ExitStack() as stack:
+        if jobs > 1 and len(tasks) > 1:
+            # the largest runs first, so no worker is left with two long ones last
+            tasks.sort(key=lambda task: task[1].n_cells, reverse=True)
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=min(jobs, len(tasks))))
+            results = [pool.submit(_run_entry, task).result for task in tasks]
+        else:
+            results = [functools.partial(_run_entry, task) for task in tasks]
+        for task, result in zip(tasks, results):
             try:
-                outcomes.append(_run_entry(task))
+                outcomes.append(result())
             except Exception:
                 traceback.print_exc()
                 outcomes.append({"run_id": task[0], "failed": True})
 
-    index_lines = ["run_id\tverdict\ttermination\tt_detect\tt_bound\th0\tconfig_hash"]
+    columns = ("run_id", "verdict", "termination", "t_detect", "t_bound", "h0", "config_hash")
+    index_lines = ["\t".join(columns)]
     for o in sorted(outcomes, key=lambda d: d["run_id"]):
         if o.get("failed"):
             index_lines.append(f"{o['run_id']}\tfailed\t-\t-\t-\t-\t-")
-            continue
-        t_detect = "n/a" if o["t_detect"] is None else f"{o['t_detect']:.17g}"
-        t_bound = "n/a" if o["t_bound"] is None else f"{o['t_bound']:.17g}"
-        index_lines.append(
-            f"{o['run_id']}\t{o['verdict']}\t{o['termination']}\t"
-            f"{t_detect}\t{t_bound}\t{o['h0']:.17g}\t{o['config_hash']}"
-        )
+        else:
+            index_lines.append("\t".join(_fmt(o[k]) for k in columns))
     try:
         root = Path(out_root)
         root.mkdir(parents=True, exist_ok=True)

@@ -29,6 +29,9 @@ BLOWUP_DEFINITION = (
 #: Relative envelope slack pinned at 1024 cells; coarser grids get more.
 ENVELOPE_REL_TOL_1024 = 1.0e-3
 
+#: A time is before the bound time T when it is below T * BEFORE_BOUND.
+BEFORE_BOUND = 1.0 - 1e-12
+
 _PRESSURELESS = ModelConfig()
 
 
@@ -102,7 +105,7 @@ def row_integrals(
 
     One compiled pass takes the four sums in numpy's pairwise order, so each
     value is the same to the bit as its numpy expression and H is the same
-    as ``weighted_momentum``. With pressure, numpy's ``**`` raises
+    as ``weighted_momentum``. With pressure, ``_kernel.power`` raises
     max(rho, 0) to gamma first.
     """
     n = grid.n_cells
@@ -111,8 +114,7 @@ def row_integrals(
     rho_at, vel_at = _kernel.address(rho, (n,)), _kernel.address(vel, (n,))
     plan = _kernel.plan(grid, cfg)
     if plan.cell is not None:
-        power = np.maximum(rho, 0.0, out=plan.cell)
-        power **= cfg.gamma
+        _kernel.power(plan.cell, cfg.gamma, rho)
     out = np.empty(4)
     _kernel.load().row_sums(plan.at, rho_at, vel_at, _kernel.address(out, (4,)))
     momentum, mass, energy, square = out.tolist()
@@ -188,29 +190,15 @@ def envelope_rel_tol(n_cells: int) -> float:
     return ENVELOPE_REL_TOL_1024 * max(1.0, 1024.0 / n_cells)
 
 
-def check_envelope(
-    times,
-    h_values,
-    h0: float,
-    radius: float,
-    rel_tol: float,
-    t_cut: Optional[float] = None,
-) -> bool:
-    """True when H_k >= envelope(t_k) * (1 - rel_tol) on every checked sample.
-
-    Samples at or past ``t_cut`` (typically the detection time) or past the
-    bound time are excluded; the envelope is undefined there.
-    """
-    times = np.asarray(times, dtype=float)
-    h = np.asarray(h_values, dtype=float)
-    hi = blowup_time_bound(h0, radius) * (1.0 - 1e-12)
-    if t_cut is not None:
-        hi = min(hi, t_cut)
-    mask = times < hi
-    if not np.any(mask):
-        return True
-    env = lower_envelope(times[mask], h0, radius)
-    return bool(np.all(h[mask] >= env * (1.0 - rel_tol)))
+def envelope_column(times: np.ndarray, h0: float, cfg: ModelConfig) -> np.ndarray:
+    """The lower envelope at each of ``times`` before the bound time, where the
+    bound applies; NaN at the other times."""
+    envelope = np.full(times.size, np.nan)
+    if not scope_flags(h0, cfg):
+        t_bound = blowup_time_bound(h0, cfg.support_radius)
+        defined = times < t_bound * BEFORE_BOUND
+        envelope[defined] = lower_envelope(times[defined], h0, cfg.support_radius)
+    return envelope
 
 
 @dataclass(frozen=True)
@@ -246,19 +234,20 @@ def build_report(
     The falsification alarm (verdict ``violated``) fires when the bound
     hypotheses hold and either (a) the run passed the bound time with no
     detected singularity, or (b) the H series drops below the lower envelope
-    beyond tolerance on pre-detection samples.
+    beyond tolerance before the detection, where ``envelope_column`` of the
+    series' times, not its own column, is defined.
     """
-    radius = cfg.support_radius
     flags = scope_flags(h0, cfg)
     applicable = not flags
-    t_bound = blowup_time_bound(h0, radius) if h0 > 0 else None
+    t_bound = blowup_time_bound(h0, cfg.support_radius) if h0 > 0 else None
     tol = envelope_rel_tol(n_cells)
 
-    envelope_ok: Optional[bool] = None
-    if applicable:
-        envelope_ok = check_envelope(
-            series.times, series.h_values, h0, radius, tol, t_cut=t_detect
-        )
+    envelope = envelope_column(series.times, h0, cfg)
+    checked = ~np.isnan(envelope)
+    if t_detect is not None:
+        checked &= series.times < t_detect
+    held = np.all(series.h_values[checked] >= envelope[checked] * (1.0 - tol))
+    envelope_ok = bool(held) if applicable else None
 
     mass0 = series.mass_values[0] if series.mass_values.size else 0.0
     if mass0 > 0:
@@ -272,7 +261,7 @@ def build_report(
         verdict = Verdict.VIOLATED
     elif t_detect is not None:
         verdict = Verdict.CONFIRMED if t_detect <= t_bound else Verdict.VIOLATED
-    elif t_final >= t_bound * (1.0 - 1e-12):
+    elif t_final >= t_bound * BEFORE_BOUND:
         # regularity survived to the bound time with no detected singularity
         verdict = Verdict.VIOLATED
     else:

@@ -12,7 +12,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .model import RadialGrid
+from .model import RadialGrid, wall_index
 
 FAMILY_PARAMS = {
     "polynomial_bump": {"velocity_amplitude", "density_amplitude"},
@@ -30,8 +30,9 @@ class InitialProfile:
 
 
 def _zero_margin(fields: list[np.ndarray], n_cells: int, margin: int) -> None:
+    wall = wall_index(n_cells, margin)
     for f in fields:
-        f[n_cells - margin :] = 0.0
+        f[wall:] = 0.0
 
 
 def polynomial_bump(
@@ -147,7 +148,7 @@ def build_initial_profile(
     grid: RadialGrid,
     margin: int,
 ) -> InitialProfile:
-    """Dispatch to the named family; unknown family or parameter raises."""
+    """Dispatch to the named family; a bad family, parameter or margin raises."""
     check_family(family, params)
     if family == "polynomial_bump":
         return polynomial_bump(grid, margin, **params)

@@ -129,12 +129,6 @@ class RunResult(NamedTuple):
     report: diagnostics.RunReport
 
 
-def _eos_power(base: np.ndarray, cfg: ModelConfig) -> None:
-    """base**(gamma - 1) in place: the one EOS operation left in numpy, whose
-    SIMD ``**`` differs from the C library's ``pow`` in the last bit."""
-    base **= cfg.gamma - 1.0
-
-
 def rhs_eval(
     state: FluidState,
     cfg: ModelConfig,
@@ -149,7 +143,7 @@ def rhs_eval(
     exactly. Velocity tendencies vanish in vacuum cells.
 
     The stage runs in the compiled kernel, except with pressure (K > 0)
-    the face densities' ``**`` in _eos_power between its two calls. A wall
+    the face densities' ``_kernel.power`` between its two calls. A wall
     margin outside [1, n_cells) raises ValueError.
     """
     kernel = _kernel.load()
@@ -167,7 +161,7 @@ def rhs_eval(
         bad = kernel.stage(plan.at, wall, rho_at, vel_at, rho_floor, out_at)
     else:
         kernel.faces(plan.at, rho_at, vel_at)
-        _eos_power(plan.raised, cfg)
+        _kernel.power(plan.raised, cfg.gamma - 1.0, None)
         bad = kernel.tendencies(plan.at, wall, rho_at, rho_floor, out_at)
     if bad >= 0:
         raise NumericalBreakdownError(bad % n, ("density", "velocity")[bad // n])
@@ -181,21 +175,22 @@ def max_wave_speed(state: FluidState, cfg: ModelConfig, grid: RadialGrid) -> flo
     vel_at = _kernel.address(vel, (grid.n_cells,))
     plan = _kernel.plan(grid, cfg)
     if plan.cell is not None:
-        np.maximum(state.rho, 0.0, out=plan.cell)
-        _eos_power(plan.cell, cfg)
+        _kernel.power(plan.cell, cfg.gamma - 1.0, state.rho)
     return _kernel.load().max_speed(plan.at, vel_at)
 
 
-def _stable_dt(speed, time, num: NumericsConfig, grid: RadialGrid) -> float:
-    cap = max(num.t_end - time, 0.0)
-    return cap if speed <= 0.0 else min(num.cfl * grid.cell_width / speed, cap)
+def _stable_dt(speed, time, num: NumericsConfig, grid: RadialGrid) -> tuple:
+    """The CFL step cfl*dr/speed (inf for a still state, NaN for a NaN speed)
+    and that step capped by the time left to t_end."""
+    cfl_step = math.inf if speed <= 0.0 else num.cfl * grid.cell_width / speed
+    return cfl_step, min(cfl_step, max(num.t_end - time, 0.0))
 
 
 def cfl_dt(
     state: FluidState, cfg: ModelConfig, num: NumericsConfig, grid: RadialGrid
 ) -> float:
     """Stable step cfl*dr/max(|V|+c), capped by the time left to t_end."""
-    return _stable_dt(max_wave_speed(state, cfg, grid), state.time, num, grid)
+    return _stable_dt(max_wave_speed(state, cfg, grid), state.time, num, grid)[1]
 
 
 def apply_boundary(state: FluidState, num: NumericsConfig) -> FluidState:
@@ -294,11 +289,7 @@ def run(
 
     # a copy with the margin zeroed: validation let -0.0 through, and the
     # margin holds +0.0
-    wall = wall_index(grid.n_cells, num.support_margin_cells)
-    rho, vel = rho0.copy(), v0.copy()
-    rho[wall:] = 0.0
-    vel[wall:] = 0.0
-    state = FluidState(time=0.0, rho=rho, vel=vel)
+    state = apply_boundary(FluidState(time=0.0, rho=rho0, vel=v0), num)
 
     # rows are (t, H, mass, energy, Cauchy-Schwarz gap, max |dV/dr|)
     rows: list[tuple[float, ...]] = []
@@ -322,11 +313,11 @@ def run(
     steps, dt_min, dt_max = 0, math.inf, 0.0
     while state.time < num.t_end - t_eps:
         speed = max_wave_speed(state, cfg, grid)
-        if speed > 0.0 and num.cfl * grid.cell_width / speed < num.dt_floor:
+        cfl_step, dt = _stable_dt(speed, state.time, num, grid)
+        if cfl_step < num.dt_floor:
             termination = Termination.DT_COLLAPSED
             t_detect = state.time
             break
-        dt = _stable_dt(speed, state.time, num, grid)
         try:
             state = step(state, dt, cfg, grid, num, rho_floor, pos_tol)
         except PositivityError:
@@ -353,12 +344,6 @@ def run(
         record(state, gradient[0])
 
     times, h, mass, energy, gap, max_gradient = map(np.asarray, zip(*rows))
-    # the envelope is defined before the bound time, where the bound applies
-    envelope = np.full(times.size, np.nan)
-    if not diagnostics.scope_flags(h0, cfg):
-        t_bound = diagnostics.blowup_time_bound(h0, cfg.support_radius)
-        defined = times < t_bound * (1.0 - 1e-12)
-        envelope[defined] = diagnostics.lower_envelope(times[defined], h0, cfg.support_radius)
     if times.size >= 2:
         res = diagnostics.riccati_residuals(h, times, cfg.support_radius)
     else:
@@ -369,7 +354,7 @@ def run(
         mass_values=mass,
         energy_values=energy,
         riccati_residuals=np.append(res, np.nan),
-        envelope_values=envelope,
+        envelope_values=diagnostics.envelope_column(times, h0, cfg),
         cauchy_gaps=gap,
         max_gradients=max_gradient,
     )

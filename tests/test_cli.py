@@ -254,6 +254,15 @@ class TestProfiles:
         assert np.all(prof.rho0[-2:] == 0.0)
         assert np.all(prof.rho0[:-2] > 0.0)
 
+    @pytest.mark.parametrize("family", sorted(profiles.FAMILY_PARAMS))
+    @pytest.mark.parametrize("margin", [0, 8, 10])
+    def test_a_margin_outside_the_grid_is_rejected(self, family, margin):
+        # on 8 cells the margin must be in [1, 8), the rule of wall_index:
+        # margin 0 zeroed no cell, 8 every cell and 10 the last two
+        grid = RadialGrid(n_cells=8, support_radius=1.0)
+        with pytest.raises(ValueError, match=r"margin_cells must be in \[1, n_cells\)"):
+            build_initial_profile(family, {}, 0, grid, margin)
+
     def test_unknown_family_and_params(self):
         grid = RadialGrid(n_cells=64, support_radius=1.0)
         with pytest.raises(ValueError, match="family"):

@@ -20,6 +20,7 @@ from radialblowup import (
     scope_flags,
     total_mass,
 )
+from radialblowup.diagnostics import envelope_column
 
 
 @pytest.fixture
@@ -234,6 +235,28 @@ class TestVerdicts:
         )
         assert report.verdict is Verdict.VIOLATED
         assert report.envelope_ok is False
+
+    @pytest.mark.parametrize("detect", ["none", "at_edge", "after_edge"])
+    def test_the_check_leaves_out_exactly_the_nan_envelope_samples(self, detect):
+        # samples one ulp either side of T * (1 - 1e-12): the envelope column is
+        # defined below it, and build_report checks H there and nowhere else
+        edge = blowup_time_bound(self.h0, 1.0) * (1.0 - 1e-12)
+        below, above = np.nextafter(edge, 0.0), np.nextafter(edge, np.inf)
+        times = np.array([0.0, 3.0, below, edge, above])
+        envelope = envelope_column(times, self.h0, ModelConfig())
+        assert np.isnan(envelope).tolist() == [False, False, False, True, True]
+        t_detect = {"none": None, "at_edge": edge, "after_edge": above}[detect]
+        checked = []
+        for k in range(times.size):
+            # H on the envelope where it is defined, and below it at sample k
+            h = np.where(np.isnan(envelope), 0.0, envelope)
+            h[k] = -1.0
+            report = build_report(
+                synthetic_series(times, h), ModelConfig(), h0=self.h0, n_cells=1024,
+                t_final=times[-1], termination="reached_t_end", t_detect=t_detect,
+            )
+            checked.append(report.envelope_ok is False)
+        assert checked == (~np.isnan(envelope)).tolist()
 
     def test_not_applicable_cases(self):
         series = self.envelope_series(1.0, factor=1.01)

@@ -1,8 +1,10 @@
-"""Golden digests: a fixed run's artifacts must not change by a single byte.
+"""Golden digests: fixed runs' artifacts must not change by a single byte.
 
-The run is the README bump at 512 cells (delta = 0, K = 0). Its arithmetic
-uses no pow or exp beyond squares, so the digests do not depend on the
-platform's libm. A change that is meant to alter the numerics must update
+The runs are the README bump (delta = 0, K = 0) at 512 cells, which is
+confirmed, and at 256 cells with a diagnostics row every 3 steps, which ends
+``violated`` because H falls below the envelope before the detection. Their
+arithmetic uses no pow or exp beyond squares, so the digests do not depend on
+the platform's libm. A change that is meant to alter the numerics must update
 these digests and say why.
 """
 
@@ -20,11 +22,11 @@ gamma = 1.4
 support_radius = 1
 
 [numerics]
-n_cells = 512
+n_cells = {n_cells}
 cfl = 0.4
 t_end = 2.0
 steepening_threshold = 20
-output_stride = 10
+output_stride = {stride}
 snapshot_times = 0.5
 
 [initial]
@@ -40,14 +42,37 @@ GOLDEN_SHA256 = {
     "resolved-config.txt": "8bea851e19f54f49e17ed380b0e62a9ef7257569866f44d33ac98e29711a36d3",
 }
 
+GOLDEN_256_SHA256 = {
+    "summary.txt": "753761a1d369be9445f0da6cc58a9d4ee5cb8e59b90edbf011bff29db1418bcb",
+    "series.tsv": "cf1daebc85ea8bc776dbb1268b0f8e26e05ad4604c9bcc6ba1f292f67ec79b19",
+    "snapshot-0.5.tsv": "30b9b94439b3d37702902dcccecd58bea0a9efc18af349d84f2144eb056e3a2c",
+    "resolved-config.txt": "4124b6fec8bdac0f706cef346b2da2182cac1fde6bf375f4754d177d20d0f811",
+}
 
-def test_bump_512_artifacts_match_golden_digests(tmp_path):
-    outcome = run_single("golden", parse_config(GOLDEN_RUN), str(tmp_path))
+
+def golden_digests(tmp_path, n_cells, stride, expected):
+    config = parse_config(GOLDEN_RUN.format(n_cells=n_cells, stride=stride))
+    outcome = run_single("golden", config, str(tmp_path))
     run_dir = tmp_path / "golden"
-    assert outcome["verdict"] == "confirmed"
-    assert read_summary(run_dir)["termination"] == "steepening_detected"
     digests = {
         name: hashlib.sha256((run_dir / name).read_bytes()).hexdigest()
-        for name in GOLDEN_SHA256
+        for name in expected
     }
+    return outcome, read_summary(run_dir), digests
+
+
+def test_bump_512_artifacts_match_golden_digests(tmp_path):
+    outcome, summary, digests = golden_digests(tmp_path, 512, 10, GOLDEN_SHA256)
+    assert outcome["verdict"] == "confirmed"
+    assert summary["termination"] == "steepening_detected"
     assert digests == GOLDEN_SHA256
+
+
+def test_bump_256_envelope_break_matches_golden_digests(tmp_path):
+    # the envelope-break path: detected before the bound, but H fell below
+    # the envelope beyond the 256-cell tolerance first
+    outcome, summary, digests = golden_digests(tmp_path, 256, 3, GOLDEN_256_SHA256)
+    assert outcome["verdict"] == "violated"
+    assert summary["termination"] == "steepening_detected"
+    assert summary["envelope_ok"] == "false"
+    assert digests == GOLDEN_256_SHA256

@@ -24,7 +24,7 @@ from radialblowup import (
     run,
     step,
 )
-from radialblowup import diagnostics, model, poisson, solver
+from radialblowup import _kernel, diagnostics, model, poisson, solver
 
 
 @pytest.fixture
@@ -111,6 +111,18 @@ class TestCflDt:
         assert cfl_dt(fast, cfg, num, grid) == pytest.approx(
             0.5 * cfl_dt(state, cfg, num, grid)
         )
+
+    def test_nan_speed_gives_a_nan_step_and_no_collapse(self, grid):
+        # a NaN max(|V| + c) passes the dt_floor test, which any finite step
+        # would fail here, and the NaN step ends the run in a breakdown
+        num = NumericsConfig(dt_floor=1.0)
+        cfg = ModelConfig(pressure_const=0.0)
+        rho, vel = np.ones(128), np.zeros(128)
+        rho[-2:], vel[10] = 0.0, np.nan
+        assert np.isnan(cfl_dt(FluidState(0.0, rho, vel), cfg, num, grid))
+        result = run(rho, vel, cfg, num)
+        assert result.trajectory.termination is Termination.NUMERICAL_BREAKDOWN
+        assert result.trajectory.steps == 0
 
     def test_capped_by_remaining_time(self, grid):
         num = NumericsConfig(cfl=0.4, t_end=1.0)
@@ -360,7 +372,7 @@ class TestRun:
     def test_each_value_computed_once_per_step(self, monkeypatch, pressure_const, gamma):
         calls = Counter()
         for module, name in ((solver, "step"), (solver, "max_wave_speed"),
-                             (solver, "rhs_eval"), (solver, "_eos_power"),
+                             (solver, "rhs_eval"), (_kernel, "power"),
                              (solver, "sound_speed"), (model, "sound_speed"),
                              (solver, "radial_field"), (poisson, "radial_field"),
                              (diagnostics, "max_velocity_gradient")):
@@ -373,7 +385,7 @@ class TestRun:
         cfg = ModelConfig(dim=3, delta=1, pressure_const=pressure_const, gamma=gamma)
         num = NumericsConfig(t_end=0.05, output_stride=1, steepening_threshold=1e9)
         prof = build_initial_profile("gaussian_truncated", {}, 0, grid, 2)
-        run(prof.rho0, prof.v0, cfg, num)
+        rows = run(prof.rho0, prof.v0, cfg, num).series.times.size
         steps = calls["step"]
         assert steps > 0 and calls["rhs_eval"] == 2 * steps
         assert calls["max_wave_speed"] == steps
@@ -381,6 +393,7 @@ class TestRun:
         assert calls["max_velocity_gradient"] == steps + 1
         # the numpy EOS and force field are oracles: the run path is compiled
         assert calls["sound_speed"] == calls["radial_field"] == 0
-        # numpy's ** is one pass per stage and one for the wave speed, none
-        # without pressure
-        assert calls["_eos_power"] == (3 * steps if pressure_const > 0 else 0)
+        # numpy's ** is one pass per stage, one for the wave speed and one per
+        # diagnostics row, none without pressure
+        assert rows == steps + 1
+        assert calls["power"] == (3 * steps + rows if pressure_const > 0 else 0)
