@@ -74,9 +74,9 @@ struct stage {
 };
 
 /* Row k of the work scratch. Rows 0 and 1 hold rho and V extended by two
- * ghosts each side, from faces() to tendencies() with pressure; rows 2 and
- * 3 the mass and advection fluxes; once the fluxes are formed, rows 0 and 1
- * take the force sums, and max_speed() the speeds. */
+ * ghosts each side, from faces() to tendencies(); rows 2 and 3 the mass and
+ * advection fluxes; once the fluxes are formed, rows 0 and 1 take the force
+ * sums, and max_speed() the speeds. */
 #define WORK(s, k) ((s)->work + (k) * ((s)->n + 4))
 
 /* np.maximum: NaN propagates and a tie returns b, so np_max(-0.0, 0.0) is
@@ -299,35 +299,27 @@ CLONED static int64_t cells(const struct stage *s, const double *restrict rho, d
     return -1;
 }
 
-/* The start of a stage with pressure: rho and vel extended into work rows
- * 0 and 1, which tendencies() reads next, and the face densities into
+/* The start of a stage: rho and vel extended into work rows 0 and 1, which
+ * tendencies() reads next, and with pressure the face densities into
  * s->power for the caller to raise. */
 CLONED void faces(const struct stage *s, const double *rho, const double *vel)
 {
     int64_t m = s->n + 1;
     extend(s, rho, vel);
-    face_densities(m, WORK(s, 0), s->power, s->power + m, s->power + 2 * m);
+    if (s->power)
+        face_densities(m, WORK(s, 0), s->power, s->power + m, s->power + 2 * m);
 }
 
-/* The rest of a stage with pressure, after faces() and the caller's
+/* The rest of a stage, after faces() and, with pressure, the caller's
  * powers. */
 CLONED int64_t tendencies(const struct stage *s, int64_t wall, const double *rho,
                           double rho_floor, double *out)
 {
     int64_t m = s->n + 1;
-    fluxes(m, wall, WORK(s, 0), WORK(s, 1), s->sound_coef, s->power, s->power + m,
+    const double *p = s->power;
+    fluxes(m, wall, WORK(s, 0), WORK(s, 1), s->sound_coef, p, p ? p + m : NULL,
            s->face_area, WORK(s, 2), WORK(s, 3));
-    return cells(s, rho, rho_floor, s->power + 2 * m, out);
-}
-
-/* A whole stage without pressure. */
-CLONED int64_t stage(const struct stage *s, int64_t wall, const double *rho, const double *vel,
-                     double rho_floor, double *out)
-{
-    extend(s, rho, vel);
-    fluxes(s->n + 1, wall, WORK(s, 0), WORK(s, 1), 0.0, NULL, NULL, s->face_area, WORK(s, 2),
-           WORK(s, 3));
-    return cells(s, rho, rho_floor, NULL, out);
+    return cells(s, rho, rho_floor, p ? p + 2 * m : NULL, out);
 }
 
 /* One Runge-Kutta stage in place on the tendencies k_rho, k_vel: k = old +

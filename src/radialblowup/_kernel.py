@@ -51,7 +51,6 @@ class Stage(ctypes.Structure):
 _SIGNATURES = {
     "faces": ([_P, _P, _P], None),
     "tendencies": ([_P, _I64, _P, _F64, _P], _I64),
-    "stage": ([_P, _I64, _P, _P, _F64, _P], _I64),
     "rk_stage": ([_P, _I64, _F64, _P, _P, _P, _P, _P, _P], _F64),
     "max_speed": ([_P, _P], _F64),
     "max_slope": ([_I64, _P, _F64, _P], _I64),

@@ -24,7 +24,7 @@ from typing import Optional
 
 from . import _kernel
 from .diagnostics import Verdict, blowup_time_bound, scope_flags
-from .model import ModelConfig, RadialGrid, validate_initial_data
+from .model import ModelConfig, RadialGrid, validate_initial_data, wall_index
 from .profiles import build_initial_profile, check_family
 from .solver import NumericsConfig, RunResult, Termination, run
 
@@ -72,6 +72,15 @@ class ExperimentConfig:
             for key, values in self.sweep.items():
                 if len(values) == 0:
                     raise ValueError(f"sweep.{key} must be a non-empty list")
+        margin = self.numerics.support_margin_cells
+        for n_cells in (self.n_cells, *(self.sweep or {}).get("n_cells", ())):
+            try:
+                wall_index(n_cells, margin)
+            except ValueError:
+                raise ConfigError(
+                    f"numerics.support_margin_cells = {margin} does not fit "
+                    f"n_cells = {n_cells}: it must be in [1, n_cells)"
+                ) from None
 
 
 def _items(obj) -> list[tuple[str, object]]:

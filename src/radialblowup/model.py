@@ -145,14 +145,6 @@ class ValidationReport:
         return self.rho_nonnegative and self.compact_support
 
 
-def pressure(rho, cfg: ModelConfig):
-    """Barotropic pressure p = K * rho**gamma; raises on negative density."""
-    rho = np.asarray(rho, dtype=float)
-    if np.any(rho < 0):
-        raise ValueError("pressure undefined for negative density")
-    return cfg.pressure_const * rho**cfg.gamma
-
-
 def sound_speed(rho, cfg: ModelConfig):
     """Speed of sound c = sqrt(K * gamma * rho**(gamma - 1)).
 

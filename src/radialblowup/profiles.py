@@ -1,8 +1,8 @@
 """Initial-data families: compactly supported bumps with known structure.
 
-Every builder returns fields with exact zeros over the outer wall margin and,
-where the family has closed-form expressions, callables for the velocity
-profile and its derivative (used by the characteristic oracle).
+Every builder returns fields with exact zeros over the outer wall margin;
+the polynomial bump also returns callables for its velocity profile and
+derivative, from which ``first_crossing_time`` gives its shock time.
 """
 
 from __future__ import annotations
@@ -79,21 +79,7 @@ def gaussian_truncated(
     v0 = velocity_amplitude * (r / R) * np.exp(-((r / w) ** 2))
     rho0 = density_amplitude * np.exp(-((r / w) ** 2))
     _zero_margin([rho0, v0], grid.n_cells, margin)
-
-    def v_of_r(s):
-        s = np.asarray(s, dtype=float)
-        return velocity_amplitude * (s / R) * np.exp(-((s / w) ** 2))
-
-    def dv_dr(s):
-        s = np.asarray(s, dtype=float)
-        return (
-            velocity_amplitude
-            / R
-            * np.exp(-((s / w) ** 2))
-            * (1.0 - 2.0 * s**2 / w**2)
-        )
-
-    return InitialProfile(rho0=rho0, v0=v0, v_of_r=v_of_r, dv_dr=dv_dr)
+    return InitialProfile(rho0=rho0, v0=v0, v_of_r=None, dv_dr=None)
 
 
 def random_smooth(
@@ -126,6 +112,38 @@ def random_smooth(
     rho0 = density_amplitude * envelope * (1.0 + wiggle)
     _zero_margin([rho0, v0], grid.n_cells, margin)
     return InitialProfile(rho0=rho0, v0=v0, v_of_r=None, dv_dr=None)
+
+
+def _derivative_samples(
+    v0: Callable[[np.ndarray], np.ndarray],
+    radius: float,
+    dv0: Optional[Callable[[np.ndarray], np.ndarray]],
+    n_samples: int,
+) -> np.ndarray:
+    """Sample V0' on a refined grid: analytic when given, else central differences."""
+    if dv0 is not None:
+        r = np.linspace(0.0, radius, n_samples)
+        return np.asarray(dv0(r), dtype=float)
+    # central differences on a 10x refined sampling of the profile
+    r = np.linspace(0.0, radius, 10 * n_samples)
+    v = np.asarray(v0(r), dtype=float)
+    return np.gradient(v, r)
+
+
+def first_crossing_time(
+    v0: Callable[[np.ndarray], np.ndarray],
+    radius: float,
+    dv0: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+    n_samples: int = 4096,
+) -> Optional[float]:
+    """Time of first characteristic crossing, -1 / min V0'; None if V0' >= 0."""
+    slopes = _derivative_samples(v0, radius, dv0, n_samples)
+    if not np.all(np.isfinite(slopes)):
+        raise ValueError("velocity profile has non-finite derivative samples")
+    smin = float(np.min(slopes))
+    if smin >= 0.0:
+        return None
+    return -1.0 / smin
 
 
 def check_family(family: str, params) -> None:

@@ -142,9 +142,9 @@ def rhs_eval(
     interface at or beyond the wall margin, so the discrete mass telescopes
     exactly. Velocity tendencies vanish in vacuum cells.
 
-    The stage runs in the compiled kernel, except with pressure (K > 0)
-    the face densities' ``_kernel.power`` between its two calls. A wall
-    margin outside [1, n_cells) raises ValueError.
+    The stage is the compiled kernel's two calls, with pressure (K > 0)
+    the face densities' ``_kernel.power`` between them. A wall margin
+    outside [1, n_cells) raises ValueError.
     """
     kernel = _kernel.load()
     n = grid.n_cells
@@ -157,12 +157,10 @@ def rhs_eval(
     plan = _kernel.plan(grid, cfg)
     out = np.empty((2, n))
     out_at = _kernel.address(out, (2, n))
-    if plan.raised is None:
-        bad = kernel.stage(plan.at, wall, rho_at, vel_at, rho_floor, out_at)
-    else:
-        kernel.faces(plan.at, rho_at, vel_at)
+    kernel.faces(plan.at, rho_at, vel_at)
+    if plan.raised is not None:
         _kernel.power(plan.raised, cfg.gamma - 1.0, None)
-        bad = kernel.tendencies(plan.at, wall, rho_at, rho_floor, out_at)
+    bad = kernel.tendencies(plan.at, wall, rho_at, rho_floor, out_at)
     if bad >= 0:
         raise NumericalBreakdownError(bad % n, ("density", "velocity")[bad // n])
     drho, dvel = out

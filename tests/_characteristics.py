@@ -1,9 +1,9 @@
-"""Semi-analytic reference solutions for verifying the solver.
+"""Test oracle: semi-analytic reference solutions for verifying the solver.
 
-Covers pressureless, force-free transport along straight characteristics,
-the first characteristic-crossing (shock formation) time, density transport
-along a characteristic curve, and the second-order boundary ODE
-R'' = delta * M / R**(dim-1) for the support edge.
+Covers pressureless, force-free transport along straight characteristics
+and the second-order boundary ODE R'' = delta * M / R**(dim-1) for the
+support edge. The package never runs it; the first crossing time it checks
+against is the package's ``profiles.first_crossing_time``.
 """
 
 from __future__ import annotations
@@ -13,7 +13,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .model import ModelConfig, RadialGrid
+from radialblowup.model import ModelConfig, RadialGrid
+from radialblowup.profiles import first_crossing_time
 
 
 class CrossingError(ValueError):
@@ -31,38 +32,6 @@ class CharField:
     def velocity_at(self, r_query: np.ndarray) -> np.ndarray:
         """Transported velocity at given radii by monotone interpolation."""
         return np.interp(r_query, self.positions, self.values)
-
-
-def _derivative_samples(
-    v0: Callable[[np.ndarray], np.ndarray],
-    radius: float,
-    dv0: Optional[Callable[[np.ndarray], np.ndarray]],
-    n_samples: int,
-) -> np.ndarray:
-    """Sample V0' on a refined grid: analytic when given, else central differences."""
-    if dv0 is not None:
-        r = np.linspace(0.0, radius, n_samples)
-        return np.asarray(dv0(r), dtype=float)
-    # central differences on a 10x refined sampling of the profile
-    r = np.linspace(0.0, radius, 10 * n_samples)
-    v = np.asarray(v0(r), dtype=float)
-    return np.gradient(v, r)
-
-
-def first_crossing_time(
-    v0: Callable[[np.ndarray], np.ndarray],
-    radius: float,
-    dv0: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-    n_samples: int = 4096,
-) -> Optional[float]:
-    """Time of first characteristic crossing, -1 / min V0'; None if V0' >= 0."""
-    slopes = _derivative_samples(v0, radius, dv0, n_samples)
-    if not np.all(np.isfinite(slopes)):
-        raise ValueError("velocity profile has non-finite derivative samples")
-    smin = float(np.min(slopes))
-    if smin >= 0.0:
-        return None
-    return -1.0 / smin
 
 
 def characteristic_solution(
@@ -104,21 +73,6 @@ def oracle_velocity(
     r0 = np.linspace(0.0, grid.support_radius, n_samples)
     field = characteristic_solution(v0, t, r0, dv0)
     return field.velocity_at(grid.cell_centers)
-
-
-def density_along_characteristic(
-    rho0_at_seed: float, divu_series: np.ndarray, times: np.ndarray
-) -> float:
-    """Density carried along a curve: rho0 * exp(-int div u dt), trapezoid rule."""
-    if rho0_at_seed < 0:
-        raise ValueError("seed density must be >= 0")
-    divu = np.asarray(divu_series, dtype=float)
-    times = np.asarray(times, dtype=float)
-    if not np.all(np.isfinite(divu)):
-        raise ValueError("divergence series must be finite")
-    if times.size < 2 or np.any(np.diff(times) <= 0):
-        raise ValueError("times must be strictly increasing with >= 2 samples")
-    return float(rho0_at_seed * np.exp(-np.trapezoid(divu, times)))
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,8 @@
 A verbatim copy of the unfused ``rhs_eval`` and ``step`` with the helpers
 they call (per-field limiting, boundary copies, Poisson prefix sums), of
 the numpy diagnostics row (mass, energy monitor and Cauchy-Schwarz gap,
-each summed by ``np.sum``), and of the numpy ``max_velocity_gradient``.
-It is never run by the package; property tests compare the production code
+each summed by ``np.sum``), and of the numpy ``max_velocity_gradient``,
+with the barotropic ``pressure`` law they read. It is never run by the package; property tests compare the production code
 against it bit for bit.
 """
 
@@ -16,7 +16,6 @@ from radialblowup.model import (
     FluidState,
     ModelConfig,
     RadialGrid,
-    pressure,
     sound_speed,
     weighted_momentum,
 )
@@ -24,6 +23,14 @@ from radialblowup.poisson import FieldProfile, alpha
 from radialblowup.solver import NumericalBreakdownError, NumericsConfig, PositivityError
 
 NUM_GHOSTS = 2
+
+
+def pressure(rho, cfg: ModelConfig):
+    """Barotropic pressure p = K * rho**gamma; raises on negative density."""
+    rho = np.asarray(rho, dtype=float)
+    if np.any(rho < 0):
+        raise ValueError("pressure undefined for negative density")
+    return cfg.pressure_const * rho**cfg.gamma
 
 
 def _minmod(a: np.ndarray, b: np.ndarray) -> np.ndarray:

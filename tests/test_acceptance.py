@@ -11,23 +11,17 @@ import time
 import numpy as np
 import pytest
 
+from _characteristics import boundary_energy, emden_boundary_ode, oracle_velocity
 from _helpers import read_series, read_snapshot, read_summary
-from radialblowup import (
+from radialblowup import FluidState, ModelConfig, RadialGrid, first_crossing_time, radial_field
+from radialblowup.diagnostics import (
     DiagnosticsSeries,
-    FluidState,
-    ModelConfig,
-    RadialGrid,
     Verdict,
-    alpha,
-    boundary_energy,
     build_report,
     cauchy_schwarz_gap,
-    emden_boundary_ode,
-    first_crossing_time,
-    oracle_velocity,
-    radial_field,
     riccati_residuals,
 )
+from radialblowup.poisson import alpha
 from radialblowup.cli import execute, exit_status, parse_config
 
 RADIUS = 1.0

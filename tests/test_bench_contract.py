@@ -3,19 +3,24 @@
 ``bench/tracer.py`` wraps each ``(module, attribute)`` of its ``WRAPPED``
 table, and ``bench/layers.py`` derives the cell-steps of a run from the
 ``solver.step`` calls under ``solver.run`` (``n_cells`` taken from the
-run's first argument) and divides by the ``solver.rhs_eval`` count. These
-tests keep those names and call counts in place; the harness files are only
-read, never imported or run.
+run's first argument) and divides by the ``solver.rhs_eval`` count.
+``bench/run.py`` and ``bench/layers.py`` call the package root as ``rb``.
+These tests keep those names and call counts in place; the harness files
+are only read, never imported or run.
 """
 
 import ast
+import inspect
+import re
 from collections import Counter
 from pathlib import Path
 
+import radialblowup
 from _helpers import read_series
 from radialblowup import _kernel, cli, diagnostics, solver
 
-TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACER = ROOT / "bench" / "tracer.py"
 MODULES = {"cli": cli, "solver": solver, "diagnostics": diagnostics}
 
 STRIDE_ONE_RUN = """
@@ -51,6 +56,52 @@ def test_every_traced_name_resolves():
     assert wrapped
     for module, attr, _ in wrapped:
         assert callable(getattr(MODULES[module], attr)), f"{module}.{attr}"
+
+
+def _harness_root_names() -> set:
+    """Every ``rb.<name>`` of the harness files that import the package as ``rb``."""
+    names = set()
+    for path in (ROOT / "bench" / "run.py", ROOT / "bench" / "layers.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "rb"
+            ):
+                names.add(node.attr)
+    return names
+
+
+def _readme_root_names() -> set:
+    """The names the README's python examples import from the package root."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    names = set()
+    for block in re.findall(r"```python\n(.*?)```", text, re.S):
+        for node in ast.walk(ast.parse(block)):
+            if isinstance(node, ast.ImportFrom) and node.module == "radialblowup":
+                names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_every_harness_root_name_resolves():
+    names = _harness_root_names()
+    assert "first_crossing_time" in names
+    missing = sorted(name for name in names if not hasattr(radialblowup, name))
+    assert not missing
+
+
+def test_the_root_exports_only_what_its_callers_read():
+    exported = {
+        name
+        for name, value in vars(radialblowup).items()
+        if not name.startswith("_") and not inspect.ismodule(value)
+    }
+    read = {
+        name
+        for name in _harness_root_names() | _readme_root_names()
+        if not inspect.ismodule(getattr(radialblowup, name))
+    }
+    assert exported == read
 
 
 def test_stride_one_run_steps_through_the_module_attributes(tmp_path, monkeypatch):

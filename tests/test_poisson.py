@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from radialblowup import ModelConfig, RadialGrid, alpha, radial_field
+from radialblowup import ModelConfig, RadialGrid, radial_field
+from radialblowup.poisson import alpha
 
 
 def test_alpha_table():

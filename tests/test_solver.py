@@ -6,25 +6,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _characteristics import oracle_velocity
 from radialblowup import (
     FluidState,
     ModelConfig,
-    NumericalBreakdownError,
     NumericsConfig,
-    PositivityError,
     RadialGrid,
-    Termination,
-    apply_boundary,
     build_initial_profile,
     cfl_dt,
-    detect_steepening,
-    oracle_velocity,
     radial_field,
     rhs_eval,
     run,
     step,
 )
 from radialblowup import _kernel, diagnostics, model, poisson, solver
+from radialblowup.solver import (
+    NumericalBreakdownError,
+    PositivityError,
+    Termination,
+    apply_boundary,
+    detect_steepening,
+)
 
 
 @pytest.fixture
