@@ -5,8 +5,9 @@ in ``$XDG_CACHE_HOME/radialblowup`` (``~/.cache/radialblowup`` when the
 variable is unset); a build removes the libraries of other versions. It is
 loaded on first use, so commands that never step a state never compile it.
 Every entry but ``max_slope`` and ``kernel_target`` takes the address of the
-``struct stage`` that ``plan`` builds once per grid and model; this is the
-one module that speaks ctypes.
+``struct stage`` that ``plan`` builds once per grid and model, and the methods
+of that ``Plan`` are their only callers; this is the one module that speaks
+ctypes, and the one that places numpy's ``**`` between the C calls.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import hashlib
 import os
 import tempfile
 from pathlib import Path
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -77,48 +78,94 @@ def address(array: np.ndarray, shape: tuple[int, ...]) -> int:
     )
 
 
-class Plan(NamedTuple):
-    """A ``struct stage`` and the arrays its addresses point into."""
+class Plan:
+    """A grid and model's ``struct stage`` and the arrays it points into. Its
+    methods alone call the entries that take it, with numpy's ``**`` between
+    the calls, and look up ``load`` and ``power`` anew each time: tests swap them."""
 
-    at: int  # address of the struct
-    raised: Optional[np.ndarray]  # the face rows raised to gamma - 1; None for K = 0
-    cell: Optional[np.ndarray]  # the n-cell scratch; None for K = 0
-    keep: tuple  # the struct and its arrays, alive as long as the plan
+    def __init__(self, grid: RadialGrid, cfg: ModelConfig):
+        n = grid.n_cells
+        weights = grid_weights(grid, cfg.dim)
+        # the ghost-extended fields, the fluxes, the force sums, the wave speeds;
+        # see WORK in the C source
+        work = np.empty((4, n + 4))
+        power = raised = cell = None
+        if cfg.pressure_const > 0.0:
+            power = np.empty((3, n + 1))
+            # the isothermal pressure K * rho**1.0 is K times the face mean
+            # itself (numpy computes x**1.0 as x)
+            raised = power if cfg.gamma > 1.0 else power[:2]
+            cell = np.empty(n)
+        if cfg.gamma > 1.0:
+            # pressure force per unit mass as an exact enthalpy gradient,
+            # K*g/(g-1) * d(rho**(g-1))/dr: bounded at the vacuum edge
+            grad_coef = cfg.pressure_const * cfg.gamma / (cfg.gamma - 1.0)
+        else:
+            grad_coef = cfg.pressure_const
+        arrays = dict(weights._asdict(), r=grid.cell_centers, work=work, power=power, cell=cell)
+        stage = Stage(
+            n=n,
+            per_density=not cfg.gamma > 1.0,
+            dr=grid.cell_width,
+            sound_coef=cfg.pressure_const * cfg.gamma,
+            grad_coef=grad_coef,
+            field_coef=alpha(cfg.dim) * cfg.delta,
+            pressure_const=cfg.pressure_const,
+            **{k: None if a is None else a.ctypes.data for k, a in arrays.items()},
+        )
+        self._cells, self._gamma = (n,), cfg.gamma
+        # the face rows raised to gamma - 1 and the n-cell scratch; None for K = 0
+        self._raised, self._cell = raised, cell
+        self._at = ctypes.addressof(stage)
+        self._keep = (stage, arrays)  # alive as long as the plan
+
+    def _rows(self, block: np.ndarray) -> tuple[int, int]:
+        at = address(block, (2, *self._cells))
+        return at, at + block.strides[0]
+
+    def tendencies(self, rho, vel, wall: int, rho_floor: float) -> tuple[np.ndarray, int]:
+        """A stage's (2, n) tendencies and the first non-finite index in them, or -1."""
+        rho_at = address(rho, self._cells)
+        load().faces(self._at, rho_at, address(vel, self._cells))
+        if self._raised is not None:
+            power(self._raised, self._gamma - 1.0, None)
+        out = np.empty((2, *self._cells))
+        bad = load().tendencies(self._at, wall, rho_at, rho_floor, address(out, out.shape))
+        return out, bad
+
+    def rk_stage(self, wall: int, dt: float, rho, vel, mid, k) -> float:
+        """A Runge-Kutta stage in place on the (2, n) tendencies ``k``; ``mid``
+        is the first stage's, None in that stage. Returns the least density."""
+        old = address(rho, self._cells), address(vel, self._cells)
+        mid_at = (None, None) if mid is None else self._rows(mid)
+        return load().rk_stage(self._at, wall, dt, *old, *mid_at, *self._rows(k))
+
+    def max_speed(self, rho, vel) -> float:
+        """max(|V| + c) over the cells."""
+        if self._cell is not None:
+            power(self._cell, self._gamma - 1.0, rho)
+        return load().max_speed(self._at, address(vel, self._cells))
+
+    def row_sums(self, rho, vel) -> list[float]:
+        """The four sums of a diagnostics row; see ``row_sums`` in the C source."""
+        rho_at, vel_at = address(rho, self._cells), address(vel, self._cells)
+        if self._cell is not None:
+            power(self._cell, self._gamma, rho)
+        out = (_F64 * 4)()
+        load().row_sums(self._at, rho_at, vel_at, out)
+        return list(out)
 
 
-@functools.lru_cache(maxsize=8)
-def plan(grid: RadialGrid, cfg: ModelConfig) -> Plan:
-    """The stage of (grid, cfg), with scratch reused by every call on it."""
-    n = grid.n_cells
-    weights = grid_weights(grid, cfg.dim)
-    # the ghost-extended fields, the fluxes, the force sums, the wave speeds;
-    # see WORK in the C source
-    work = np.empty((4, n + 4))
-    power = raised = cell = None
-    if cfg.pressure_const > 0.0:
-        power = np.empty((3, n + 1))
-        # the isothermal pressure K * rho**1.0 is K times the face mean
-        # itself (numpy computes x**1.0 as x)
-        raised = power if cfg.gamma > 1.0 else power[:2]
-        cell = np.empty(n)
-    if cfg.gamma > 1.0:
-        # pressure force per unit mass as an exact enthalpy gradient,
-        # K*g/(g-1) * d(rho**(g-1))/dr: bounded at the vacuum edge
-        grad_coef = cfg.pressure_const * cfg.gamma / (cfg.gamma - 1.0)
-    else:
-        grad_coef = cfg.pressure_const
-    arrays = dict(weights._asdict(), r=grid.cell_centers, work=work, power=power, cell=cell)
-    stage = Stage(
-        n=n,
-        per_density=not cfg.gamma > 1.0,
-        dr=grid.cell_width,
-        sound_coef=cfg.pressure_const * cfg.gamma,
-        grad_coef=grad_coef,
-        field_coef=alpha(cfg.dim) * cfg.delta,
-        pressure_const=cfg.pressure_const,
-        **{k: None if a is None else a.ctypes.data for k, a in arrays.items()},
-    )
-    return Plan(ctypes.addressof(stage), raised, cell, (stage, arrays))
+#: The plan of (grid, cfg), built once and shared by every call on it.
+plan = functools.lru_cache(maxsize=8)(Plan)
+
+
+def max_slope(v: np.ndarray, width: float) -> tuple[float, int]:
+    """The largest |v[i + 1] - v[i - 1]| / width over 3 or more values and its
+    cell i: the first maximum, or the first NaN."""
+    slope = _F64()
+    k = load().max_slope(v.size, address(v, v.shape), width, ctypes.byref(slope))
+    return slope.value, k + 1
 
 
 def power(scratch: np.ndarray, exponent: float, rho: Optional[np.ndarray]) -> None:

@@ -44,6 +44,11 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def snapshot_name(time: float) -> str:
+    """The file name of the snapshot requested at ``time``."""
+    return f"snapshot-{time:.6g}.tsv"
+
+
 @dataclass(frozen=True)
 class ProfileConfig:
     family: str
@@ -72,6 +77,18 @@ class ExperimentConfig:
             for key, values in self.sweep.items():
                 if len(values) == 0:
                     raise ValueError(f"sweep.{key} must be a non-empty list")
+        # one file per time: a second time with the same name would overwrite it
+        written: dict = {}
+        for t in self.snapshot_times:
+            name = snapshot_name(t)
+            if math.copysign(1.0, t) < 0:  # -0 too: it would name snapshot--0.tsv
+                raise ConfigError(f"numerics.snapshot_times: {t!r} is negative")
+            if name in written:
+                raise ConfigError(
+                    f"numerics.snapshot_times: {written[name]!r} and {t!r} would both "
+                    f"be written to {name}"
+                )
+            written[name] = t
         margin = self.numerics.support_margin_cells
         for n_cells in (self.n_cells, *(self.sweep or {}).get("n_cells", ())):
             try:
@@ -364,7 +381,7 @@ def _write_summary(
 def _write_snapshots(run_dir: Path, config: ExperimentConfig, result: RunResult, grid) -> None:
     for wanted, state in zip(config.snapshot_times, result.trajectory.snapshots):
         _write_table(
-            run_dir / f"snapshot-{wanted:.6g}.tsv",
+            run_dir / snapshot_name(wanted),
             ["r\trho\tV", f"# time = {state.time:.17g}"],
             [grid.cell_centers, state.rho, state.vel],
         )
@@ -372,18 +389,21 @@ def _write_snapshots(run_dir: Path, config: ExperimentConfig, result: RunResult,
 
 def run_single(run_id: str, config: ExperimentConfig, out_root: str) -> dict:
     """Execute one resolved run and write its artifact files."""
-    t_start = time.time()
+    # elapsed_seconds and the phase times are read off one monotonic clock
+    started, t_begin = time.time(), time.perf_counter()
     run_dir = Path(out_root) / run_id
     run_dir.mkdir(parents=True, exist_ok=True)
+    t_build = time.perf_counter()
     grid, profile = build_run_fields(config)
     # the kernel is compiled or opened once per process: later runs wait 0 s
     t_load = time.perf_counter()
     kernel_target = _kernel.target()
-    load_s = time.perf_counter() - t_load
+    t_run = time.perf_counter()
     result = run(
         profile.rho0, profile.v0, config.model, config.numerics,
         config.snapshot_times,
     )
+    t_ran = time.perf_counter()
     rep = result.report
     if "h0_not_positive" in rep.scope_flags:
         print(
@@ -398,13 +418,14 @@ def run_single(run_id: str, config: ExperimentConfig, out_root: str) -> dict:
             f"{broke.cell_index} (r = {broke.radius:.6g}) at t = {rep.t_final:.6g}",
             file=sys.stderr,
         )
+    t_write = time.perf_counter()
     resolved = resolved_config_text(config)
     digest = config_hash(resolved)
     _write_series(run_dir / "series.tsv", result)
     _write_summary(run_dir / "summary.txt", run_id, config, digest, result)
     (run_dir / "resolved-config.txt").write_text(resolved, encoding="utf-8")
     _write_snapshots(run_dir, config, result, grid)
-    elapsed = time.time() - t_start
+    t_end = time.perf_counter()
     trajectory = result.trajectory
     dt_min, dt_max = trajectory.dt_range or (None, None)
     # the peak of this process so far: in KiB on Linux, in bytes on macOS
@@ -412,10 +433,11 @@ def run_single(run_id: str, config: ExperimentConfig, out_root: str) -> dict:
     if sys.platform == "darwin":
         peak_rss //= 1024
     (run_dir / "meta.txt").write_text(
-        f"started_unix: {t_start:.3f}\nelapsed_seconds: {elapsed:.3f}\n"
+        f"started_unix: {started:.3f}\nelapsed_seconds: {t_end - t_begin:.3f}\n"
         f"steps: {trajectory.steps}\ndt_min: {_fmt(dt_min)}\ndt_max: {_fmt(dt_max)}\n"
         f"peak_rss_kb: {peak_rss}\nkernel_target: {kernel_target}\n"
-        f"kernel_load_s: {load_s:.6f}\n",
+        f"kernel_load_s: {t_run - t_load:.6f}\nbuild_s: {t_load - t_build:.6f}\n"
+        f"run_s: {t_ran - t_run:.6f}\nwrite_s: {t_end - t_write:.6f}\n",
         encoding="utf-8",
     )
     return {
@@ -508,8 +530,7 @@ def check(config: ExperimentConfig) -> int:
     for run_id, resolved in expand_sweep(config):
         grid, profile = build_run_fields(resolved)
         report = validate_initial_data(
-            profile.rho0, profile.v0, grid,
-            margin_cells=resolved.numerics.support_margin_cells,
+            profile.rho0, profile.v0, grid, resolved.numerics.support_margin_cells
         )
         applicable = not scope_flags(report.h0, resolved.model)
         t_bound = (

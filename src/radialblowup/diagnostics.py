@@ -105,19 +105,9 @@ def row_integrals(
 
     One compiled pass takes the four sums in numpy's pairwise order, so each
     value is the same to the bit as its numpy expression and H is the same
-    as ``weighted_momentum``. With pressure, ``_kernel.power`` raises
-    max(rho, 0) to gamma first.
+    as ``weighted_momentum``.
     """
-    n = grid.n_cells
-    rho = np.ascontiguousarray(state.rho, dtype=float)
-    vel = np.ascontiguousarray(state.vel, dtype=float)
-    rho_at, vel_at = _kernel.address(rho, (n,)), _kernel.address(vel, (n,))
-    plan = _kernel.plan(grid, cfg)
-    if plan.cell is not None:
-        _kernel.power(plan.cell, cfg.gamma, rho)
-    out = np.empty(4)
-    _kernel.load().row_sums(plan.at, rho_at, vel_at, _kernel.address(out, (4,)))
-    momentum, mass, energy, square = out.tolist()
+    momentum, mass, energy, square = _kernel.plan(grid, cfg).row_sums(state.rho, state.vel)
     dr, a = grid.cell_width, alpha(cfg.dim)
     h = momentum * dr
     gap = square * dr - 4.0 * h**2 / grid.support_radius**2
@@ -149,15 +139,9 @@ def max_velocity_gradient(state: FluidState, grid: RadialGrid) -> tuple[float, i
 
     The first such cell on a tie; a NaN slope counts as the largest.
     """
-    v = np.ascontiguousarray(state.vel, dtype=float)
-    if v.size < 3:
+    if state.n_cells < 3:
         return 0.0, 0
-    slope = np.empty(1)
-    k = _kernel.load().max_slope(
-        v.size, _kernel.address(v, v.shape), 2.0 * grid.cell_width,
-        _kernel.address(slope, (1,)),
-    )
-    return slope.item(), k + 1
+    return _kernel.max_slope(state.vel, 2.0 * grid.cell_width)
 
 
 @dataclass(frozen=True)

@@ -109,7 +109,8 @@ class FluidState:
 
     Treated as immutable value data: stepping produces new states. Density
     may carry roundoff-level negatives transiently; hard nonnegativity is
-    enforced by validation and the solver's positivity check.
+    enforced by validation and the solver's positivity check. Both fields are
+    held as C-contiguous float64, the kernel's layout, copied only if need be.
     """
 
     time: float
@@ -119,6 +120,8 @@ class FluidState:
     def __post_init__(self):
         if self.rho.ndim != 1 or self.vel.ndim != 1:
             raise ValueError("rho and vel must be one-dimensional")
+        object.__setattr__(self, "rho", np.ascontiguousarray(self.rho, dtype=np.float64))
+        object.__setattr__(self, "vel", np.ascontiguousarray(self.vel, dtype=np.float64))
         if self.rho.shape != self.vel.shape:
             raise ValueError(
                 f"rho and vel shapes differ: {self.rho.shape} vs {self.vel.shape}"
@@ -171,10 +174,7 @@ def wall_index(n_cells: int, margin_cells: int) -> int:
 
 
 def validate_initial_data(
-    rho0: np.ndarray,
-    v0: np.ndarray,
-    grid: RadialGrid,
-    margin_cells: int = 2,
+    rho0: np.ndarray, v0: np.ndarray, grid: RadialGrid, margin_cells: int
 ) -> ValidationReport:
     """Check admissibility of initial fields and evaluate the momentum integral.
 

@@ -8,8 +8,8 @@ vacuum cells are skipped. Compact support is enforced by zeroed margin cells
 at the outer wall acting as the solid container boundary.
 
 A stage, the step's Runge-Kutta combination and the CFL wave speed are
-compiled C (``_kernel.c``, built on first use); numpy keeps one ``**`` pass
-per stage for the pressure law.
+compiled C (``_kernel.c``, built on first use), called through the grid and
+model's ``_kernel.Plan``.
 """
 
 from __future__ import annotations
@@ -135,46 +135,26 @@ def rhs_eval(
     grid: RadialGrid,
     num: NumericsConfig,
     rho_floor: float = 0.0,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Discrete tendencies (drho/dt, dvel/dt) for one stage evaluation.
+) -> np.ndarray:
+    """Discrete tendencies of one stage: a (2, n) array of drho/dt and dvel/dt.
 
     Mass fluxes are hard-zeroed at the origin interface and at every
     interface at or beyond the wall margin, so the discrete mass telescopes
     exactly. Velocity tendencies vanish in vacuum cells.
 
-    The stage is the compiled kernel's two calls, with pressure (K > 0)
-    the face densities' ``_kernel.power`` between them. A wall margin
-    outside [1, n_cells) raises ValueError.
+    A wall margin outside [1, n_cells) raises ValueError.
     """
-    kernel = _kernel.load()
     n = grid.n_cells
     wall = wall_index(n, num.support_margin_cells)
-    rho = np.ascontiguousarray(state.rho, dtype=float)
-    vel = np.ascontiguousarray(state.vel, dtype=float)
-    if rho.shape != (n,) or vel.shape != (n,):
-        raise ValueError(f"state has {state.n_cells} cells, grid has {n}")
-    rho_at, vel_at = _kernel.address(rho, (n,)), _kernel.address(vel, (n,))
-    plan = _kernel.plan(grid, cfg)
-    out = np.empty((2, n))
-    out_at = _kernel.address(out, (2, n))
-    kernel.faces(plan.at, rho_at, vel_at)
-    if plan.raised is not None:
-        _kernel.power(plan.raised, cfg.gamma - 1.0, None)
-    bad = kernel.tendencies(plan.at, wall, rho_at, rho_floor, out_at)
+    out, bad = _kernel.plan(grid, cfg).tendencies(state.rho, state.vel, wall, rho_floor)
     if bad >= 0:
         raise NumericalBreakdownError(bad % n, ("density", "velocity")[bad // n])
-    drho, dvel = out
-    return drho, dvel
+    return out
 
 
 def max_wave_speed(state: FluidState, cfg: ModelConfig, grid: RadialGrid) -> float:
     """Fastest signal speed max(|V| + c) over the cells."""
-    vel = np.ascontiguousarray(state.vel, dtype=float)
-    vel_at = _kernel.address(vel, (grid.n_cells,))
-    plan = _kernel.plan(grid, cfg)
-    if plan.cell is not None:
-        _kernel.power(plan.cell, cfg.gamma - 1.0, state.rho)
-    return _kernel.load().max_speed(plan.at, vel_at)
+    return _kernel.plan(grid, cfg).max_speed(state.rho, state.vel)
 
 
 def _stable_dt(speed, time, num: NumericsConfig, grid: RadialGrid) -> tuple:
@@ -194,11 +174,9 @@ def cfl_dt(
 def apply_boundary(state: FluidState, num: NumericsConfig) -> FluidState:
     """Zero both fields over the wall margin cells; idempotent."""
     wall = wall_index(state.n_cells, num.support_margin_cells)
-    rho = state.rho.copy()
-    vel = state.vel.copy()
-    rho[wall:] = 0.0
-    vel[wall:] = 0.0
-    return FluidState(time=state.time, rho=rho, vel=vel)
+    fields = np.stack([state.rho, state.vel])
+    fields[:, wall:] = 0.0
+    return FluidState(state.time, *fields)
 
 
 def step(
@@ -215,20 +193,14 @@ def step(
     The boundary margin is re-applied after each stage. Raises
     PositivityError when the full step leaves density below -positivity_tol.
     """
-    kernel, plan = _kernel.load(), _kernel.plan(grid, cfg)
-    n = grid.n_cells
-    wall = wall_index(n, num.support_margin_cells)
+    plan = _kernel.plan(grid, cfg)
+    wall = wall_index(grid.n_cells, num.support_margin_cells)
     time = state.time + dt
     # both stages are written into the fresh tendency arrays
     mid = rhs_eval(state, cfg, grid, num, rho_floor)
-    rho = np.ascontiguousarray(state.rho, dtype=float)
-    vel = np.ascontiguousarray(state.vel, dtype=float)
-    old = [_kernel.address(rho, (n,)), _kernel.address(vel, (n,))]
-    mid_at = [_kernel.address(field, (n,)) for field in mid]
-    kernel.rk_stage(plan.at, wall, dt, *old, None, None, *mid_at)
+    plan.rk_stage(wall, dt, state.rho, state.vel, None, mid)
     new = rhs_eval(FluidState(time, *mid), cfg, grid, num, rho_floor)
-    new_at = [_kernel.address(field, (n,)) for field in new]
-    rho_min = kernel.rk_stage(plan.at, wall, dt, *old, *mid_at, *new_at)
+    rho_min = plan.rk_stage(wall, dt, state.rho, state.vel, mid, new)
     if rho_min < -positivity_tol:
         raise PositivityError(
             f"density {rho_min:.3e} below -{positivity_tol:.3e} at t={time:.6g}"
@@ -237,11 +209,9 @@ def step(
 
 
 def detect_steepening(
-    state: FluidState, grid: RadialGrid, num: NumericsConfig, gradient=None
+    gradient: tuple[float, int], grid: RadialGrid, num: NumericsConfig
 ) -> Optional[SteepeningDetection]:
-    """Threshold check on max_velocity_gradient, or on ``gradient`` if given."""
-    if gradient is None:
-        gradient = diagnostics.max_velocity_gradient(state, grid)
+    """Threshold check on a state's ``max_velocity_gradient``."""
     slope, idx = gradient
     if slope > num.steepening_threshold:
         return SteepeningDetection(
@@ -329,7 +299,7 @@ def run(
         steps += 1
         dt_min, dt_max = min(dt_min, dt), max(dt_max, dt)
         gradient = diagnostics.max_velocity_gradient(state, grid)
-        detection = detect_steepening(state, grid, num, gradient)
+        detection = detect_steepening(gradient, grid, num)
         if detection is not None:
             record(state, gradient[0])
             termination = Termination.STEEPENING_DETECTED

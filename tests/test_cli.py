@@ -187,7 +187,10 @@ def experiment_configs(draw):
         model=ModelConfig(**draw(st.fixed_dictionaries(MODEL_FIELDS))),
         numerics=NumericsConfig(**numerics),
         n_cells=n_cells,
-        snapshot_times=tuple(draw(st.lists(finite(0.0), max_size=4))),
+        # a config names each snapshot file once
+        snapshot_times=tuple(
+            draw(st.lists(finite(0.0), max_size=4, unique_by=cli.snapshot_name))
+        ),
         initial=ProfileConfig(family, params),
         seed=draw(st.integers(0, 2**63)),
         sweep=None,
@@ -424,10 +427,14 @@ class TestExecute:
         meta = dict(line.split(": ", 1) for line in text.splitlines())
         assert set(meta) == {
             "started_unix", "elapsed_seconds", "steps", "dt_min", "dt_max", "peak_rss_kb",
-            "kernel_target", "kernel_load_s",
+            "kernel_target", "kernel_load_s", "build_s", "run_s", "write_s",
         }
         assert meta["kernel_target"] == _kernel.target()
         assert 0.0 <= float(meta["kernel_load_s"]) <= float(meta["elapsed_seconds"]) + 1e-3
+        # disjoint phases of the run on the clock of elapsed_seconds (printed to 1 ms)
+        phases = [float(meta[key]) for key in ("build_s", "run_s", "write_s")]
+        assert min(phases) >= 0.0
+        assert sum(phases) <= float(meta["elapsed_seconds"]) + 1e-3
         steps, dt_min, dt_max = int(meta["steps"]), float(meta["dt_min"]), float(meta["dt_max"])
         t_final = float(read_summary(tmp_path / "run-0000")["t_final"])
         assert 0.0 < dt_min <= dt_max
@@ -553,6 +560,28 @@ class TestMain:
         assert "numerics.support_margin_cells" in printed.err and "n_cells = 8" in printed.err
         # rejected before any run starts: nothing checked, run or written
         assert printed.out == "" and "Traceback" not in printed.err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "times, message",
+        [
+            ("0.05000001, 0.05000002", r"0\.05000001 and 0\.05000002 .*snapshot-0\.05\.tsv"),
+            ("0.1, -1", r"-1\.0 is negative"),
+            ("-0", r"-0\.0 is negative"),
+        ],
+        ids=["same-file", "negative", "negative-zero"],
+    )
+    def test_snapshot_times_that_would_lose_a_file_exit_one(
+        self, tmp_path, capsys, times, message
+    ):
+        text = SMALL_RUN.replace("snapshot_times = 0.1", f"snapshot_times = {times}")
+        with pytest.raises(ConfigError, match=rf"numerics\.snapshot_times: {message}"):
+            parse_config(text)
+        cfg_file = tmp_path / "exp.cfg"
+        cfg_file.write_text(text)
+        out = tmp_path / "out"
+        assert main(["run", str(cfg_file), "--output-dir", str(out)]) == 1
+        assert "numerics.snapshot_times" in capsys.readouterr().err
         assert not out.exists()
 
     def test_sweep_command(self, tmp_path):

@@ -2,10 +2,14 @@
 
 The runs are the README bump (delta = 0, K = 0) at 512 cells, which is
 confirmed, and at 256 cells with a diagnostics row every 3 steps, which ends
-``violated`` because H falls below the envelope before the detection. Their
-arithmetic uses no pow or exp beyond squares, so the digests do not depend on
-the platform's libm. A change that is meant to alter the numerics must update
-these digests and say why.
+``violated`` because H falls below the envelope before the detection; and
+the same bump with repulsion and pressure (delta = +1, K = 0.5, gamma = 2) at
+256 cells with a row every step, the one whole-run pin on the pressure and
+force path. Their arithmetic uses no pow or exp beyond squares (numpy's
+``**1.0`` and ``**2.0`` are exact, and the Poisson sum and sqrt are plain
+IEEE operations), so the digests do not depend on the platform's libm. A
+change that is meant to alter the numerics must update these digests and
+say why.
 """
 
 import hashlib
@@ -16,9 +20,9 @@ from radialblowup.cli import parse_config, run_single
 GOLDEN_RUN = """
 [model]
 dim = 3
-delta = 0
-pressure_const = 0
-gamma = 1.4
+delta = {delta}
+pressure_const = {pressure_const}
+gamma = {gamma}
 support_radius = 1
 
 [numerics]
@@ -49,9 +53,18 @@ GOLDEN_256_SHA256 = {
     "resolved-config.txt": "4124b6fec8bdac0f706cef346b2da2182cac1fde6bf375f4754d177d20d0f811",
 }
 
+GOLDEN_PRESSURE_SHA256 = {
+    "summary.txt": "251a56fe702fed31785ba183c3613faef36cbf79e7e64006e24506d05290d55b",
+    "series.tsv": "e860f82fffd3bbbc7d08b9b75494c53388195192ee36460c18a967f09d9ad60a",
+    "snapshot-0.5.tsv": "96573ee4ba7294046e1c927e8690ae7dc0665138dfcdbe8da292e33df59090b5",
+    "resolved-config.txt": "4d98a898c75796042b35d285e90c3779922706903cfda0b54992f896efa6ef9d",
+}
 
-def golden_digests(tmp_path, n_cells, stride, expected):
-    config = parse_config(GOLDEN_RUN.format(n_cells=n_cells, stride=stride))
+DUST = {"delta": 0, "pressure_const": 0, "gamma": 1.4}
+
+
+def golden_digests(tmp_path, n_cells, stride, expected, model=DUST):
+    config = parse_config(GOLDEN_RUN.format(n_cells=n_cells, stride=stride, **model))
     outcome = run_single("golden", config, str(tmp_path))
     run_dir = tmp_path / "golden"
     digests = {
@@ -76,3 +89,14 @@ def test_bump_256_envelope_break_matches_golden_digests(tmp_path):
     assert summary["termination"] == "steepening_detected"
     assert summary["envelope_ok"] == "false"
     assert digests == GOLDEN_256_SHA256
+
+
+def test_bump_256_with_pressure_and_repulsion_matches_golden_digests(tmp_path):
+    # faces, the numpy ** of the face rows, then tendencies, on every stage
+    model = {"delta": 1, "pressure_const": 0.5, "gamma": 2}
+    outcome, summary, digests = golden_digests(
+        tmp_path, 256, 1, GOLDEN_PRESSURE_SHA256, model
+    )
+    assert outcome["verdict"] == "confirmed"
+    assert summary["termination"] == "steepening_detected"
+    assert digests == GOLDEN_PRESSURE_SHA256

@@ -298,13 +298,12 @@ def test_reductions_keep_numpy_rules(values, pressure):
     value, cell = diagnostics.max_velocity_gradient(FluidState(0.0, zeros, values), grid)
     assert cell == expected[1] and _same(value, expected[0])
     # the step's new density minimum: the first NaN, else the smallest
-    kernel, plan = _kernel.load(), _kernel.plan(grid, cfg)
     wall = n - 1
     # -0.0 * dt + rho is rho itself, down to the sign of a zero and a NaN
-    k_rho, k_vel = np.full(n, -0.0), np.zeros(n)
+    k = np.stack([np.full(n, -0.0), np.zeros(n)])
+    k_rho = k[0]
     new_rho = values.copy()
     new_rho[wall:] = 0.0
-    at = [_kernel.address(field, (n,)) for field in (values, zeros, k_rho, k_vel)]
-    lowest = kernel.rk_stage(plan.at, wall, 0.5, at[0], at[1], None, None, at[2], at[3])
+    lowest = _kernel.plan(grid, cfg).rk_stage(wall, 0.5, values, zeros, None, k)
     assert _same(k_rho, new_rho)
     assert _same(lowest, _chained(float.__lt__, new_rho.tolist()))

@@ -1,17 +1,21 @@
 """The compiled kernel is built once per source into the user cache, its
-ctypes mirror of ``struct stage`` has the C layout, and on x86-64 ELF with
-glibc the loader picks the widest clone the CPU has."""
+ctypes mirror of ``struct stage`` has the C layout, on x86-64 ELF with glibc
+the loader picks the widest clone the CPU has, and only ``_kernel`` calls it."""
 
+import ast
 import ctypes
 import re
 import shutil
 import stat
 import subprocess
+from pathlib import Path
 
 import pytest
 
 from _helpers import cpu_clones
 from radialblowup import _kernel
+
+PACKAGE = Path(_kernel.__file__).parent
 
 
 @pytest.fixture
@@ -151,3 +155,37 @@ def test_the_avx2_clones_of_the_loops_hold_256_bit_code():
         assert wide.get((loop, "avx2"), 0) > 0, loop
     for loop in loops:
         assert wide.get((loop, "avx512f"), 0) > 0, loop
+
+
+def _tree(name: str) -> ast.AST:
+    return ast.parse((PACKAGE / name).read_text(encoding="utf-8"))
+
+
+def _imported_modules(tree: ast.AST) -> set:
+    """The top-level names of the modules a source imports."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_only_the_kernel_module_calls_the_library():
+    # the ABI and numpy's ** between the C calls are _kernel's alone: the run
+    # path reaches the kernel through a plan's methods and max_slope
+    for path in sorted(PACKAGE.glob("*.py")):
+        imports_ctypes = "ctypes" in _imported_modules(_tree(path.name))
+        assert imports_ctypes == (path.name == "_kernel.py"), path.name
+    for name in ("solver.py", "diagnostics.py"):
+        tree = _tree(name)
+        assert "_kernel" not in _imported_modules(tree), name
+        used = {
+            node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "_kernel"
+        }
+        assert used <= {"plan", "max_slope"}, name

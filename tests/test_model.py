@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from _reference_kernel import pressure
-from radialblowup import ModelConfig, RadialGrid
+from radialblowup import FluidState, ModelConfig, RadialGrid
 from radialblowup.model import sound_speed, validate_initial_data, weighted_momentum
 
 
@@ -75,6 +75,18 @@ def test_grid_geometry():
         RadialGrid(n_cells=4, support_radius=1.0)
 
 
+def test_fluid_state_holds_c_contiguous_float64_fields():
+    # the kernel's layout, whatever the caller passes; a field that has it is kept
+    ints = np.arange(8)
+    strided = np.linspace(0.0, 1.0, 16)[::2]
+    state = FluidState(0.0, ints, strided)
+    for field, given in ((state.rho, ints), (state.vel, strided)):
+        assert field.dtype == np.float64 and field.flags.c_contiguous
+        np.testing.assert_array_equal(field, given)
+    kept = np.ones(8)
+    assert FluidState(0.0, kept, kept).rho is kept
+
+
 @pytest.fixture
 def grid():
     return RadialGrid(n_cells=256, support_radius=1.0)
@@ -82,7 +94,7 @@ def grid():
 
 def test_validate_trivial_data(grid):
     zeros = np.zeros(grid.n_cells)
-    report = validate_initial_data(zeros, zeros, grid)
+    report = validate_initial_data(zeros, zeros, grid, margin_cells=2)
     assert report.rho_nonnegative and report.compact_support
     assert report.h0 == 0.0
     assert not report.h0 > 0.0
@@ -93,11 +105,11 @@ def test_validate_momentum_integral(grid):
     r = grid.cell_centers
     v0 = r * (1.0 - r)
     rho0 = np.zeros_like(v0)
-    report = validate_initial_data(rho0, v0, grid)
+    report = validate_initial_data(rho0, v0, grid, margin_cells=2)
     assert report.h0 == pytest.approx(1.0 / 12.0, rel=1e-4)
     assert report.h0 > 0.0
 
-    flipped = validate_initial_data(rho0, -v0, grid)
+    flipped = validate_initial_data(rho0, -v0, grid, margin_cells=2)
     assert flipped.h0 == pytest.approx(-1.0 / 12.0, rel=1e-4)
     assert flipped.h0 < 0.0
 
@@ -113,13 +125,13 @@ def test_validate_flags(grid):
     rho_bad[5] = -1e-9
     rho_bad[-2:] = 0.0
     v0[-2:] = 0.0
-    report = validate_initial_data(rho_bad, v0, grid)
+    report = validate_initial_data(rho_bad, v0, grid, margin_cells=2)
     assert not report.rho_nonnegative
 
 
 def test_validate_shape_mismatch(grid):
     with pytest.raises(ValueError, match="shape"):
-        validate_initial_data(np.zeros(10), np.zeros(grid.n_cells), grid)
+        validate_initial_data(np.zeros(10), np.zeros(grid.n_cells), grid, margin_cells=2)
 
 
 def test_momentum_quadrature_second_order():

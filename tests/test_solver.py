@@ -231,16 +231,18 @@ class TestStep:
 class TestDetectSteepening:
     def test_quiescent(self, grid, num):
         state = FluidState(0.0, np.ones(128), np.zeros(128))
-        assert detect_steepening(state, grid, num) is None
+        gradient = diagnostics.max_velocity_gradient(state, grid)
+        assert detect_steepening(gradient, grid, num) is None
 
     def test_linear_profile_slope(self, grid):
         num = NumericsConfig(steepening_threshold=2.9)
         state = FluidState(0.0, np.ones(128), 3.0 * grid.cell_centers)
-        hit = detect_steepening(state, grid, num)
+        gradient = diagnostics.max_velocity_gradient(state, grid)
+        hit = detect_steepening(gradient, grid, num)
         assert hit is not None
         assert hit.slope == pytest.approx(3.0)
         below = NumericsConfig(steepening_threshold=3.1)
-        assert detect_steepening(state, grid, below) is None
+        assert detect_steepening(gradient, grid, below) is None
 
 
 class TestRun:
