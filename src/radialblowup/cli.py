@@ -25,7 +25,7 @@ from typing import Optional
 from . import _kernel
 from .diagnostics import Verdict, blowup_time_bound, scope_flags
 from .model import ModelConfig, RadialGrid, validate_initial_data, wall_index
-from .profiles import build_initial_profile, check_family
+from .profiles import FAMILY_PARAMS, build_initial_profile, family_params
 from .solver import NumericsConfig, RunResult, Termination, run
 
 
@@ -55,7 +55,7 @@ class ProfileConfig:
     params: dict
 
     def __post_init__(self):
-        check_family(self.family, self.params)
+        object.__setattr__(self, "params", family_params(self.family, self.params))
 
 
 @dataclass(frozen=True)
@@ -73,10 +73,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.n_cells < 8:
             raise ValueError("numerics.n_cells must be at least 8")
-        if self.sweep is not None:
-            for key, values in self.sweep.items():
-                if len(values) == 0:
-                    raise ValueError(f"sweep.{key} must be a non-empty list")
+        if self.seed < 0:
+            raise ValueError(f"initial.seed must be >= 0, got {self.seed}")
         # one file per time: a second time with the same name would overwrite it
         written: dict = {}
         for t in self.snapshot_times:
@@ -90,14 +88,22 @@ class ExperimentConfig:
                 )
             written[name] = t
         margin = self.numerics.support_margin_cells
-        for n_cells in (self.n_cells, *(self.sweep or {}).get("n_cells", ())):
+        try:
+            wall_index(self.n_cells, margin)
+        except ValueError:
+            raise ConfigError(
+                f"numerics.support_margin_cells = {margin} does not fit "
+                f"n_cells = {self.n_cells}: it must be in [1, n_cells)"
+            ) from None
+        if self.sweep is not None:
+            for key, values in self.sweep.items():
+                if len(values) == 0:
+                    raise ValueError(f"sweep.{key} must be a non-empty list")
+            # every entry passes the checks of a config
             try:
-                wall_index(n_cells, margin)
-            except ValueError:
-                raise ConfigError(
-                    f"numerics.support_margin_cells = {margin} does not fit "
-                    f"n_cells = {n_cells}: it must be in [1, n_cells)"
-                ) from None
+                expand_sweep(self)
+            except ValueError as exc:
+                raise ConfigError(f"sweep: {exc}") from None
 
 
 def _items(obj) -> list[tuple[str, object]]:
@@ -119,10 +125,7 @@ _SCHEMA = {
     "initial": {
         "family": str,
         "seed": int,
-        "velocity_amplitude": float,
-        "density_amplitude": float,
-        "width": float,
-        "modes": int,
+        **{k: type(v) for params in FAMILY_PARAMS.values() for k, v in params.items()},
     },
     "sweep": {key: ((_MODEL | _NUMERICS)[key],) for key in _SWEEPABLE},
     "output": {"dir": str},
@@ -145,8 +148,9 @@ def _convert(raw: str, kind, where: str):
     return value
 
 
-def _scan(text: str, strict: bool) -> dict:
-    """Tokenize the document into {section: {key: (raw, line)}} with strictness."""
+def _scan(text: str) -> dict:
+    """Tokenize the document into {section: {key: (raw, line)}}; an unknown
+    section or key raises."""
     sections: dict = {}
     seen: dict = {}
     section = None
@@ -157,13 +161,7 @@ def _scan(text: str, strict: bool) -> dict:
         if stripped.startswith("[") and stripped.endswith("]"):
             section = stripped[1:-1].strip()
             if section not in _SCHEMA:
-                if strict:
-                    raise ConfigError(f"line {lineno}: unknown section [{section}]")
-                print(
-                    f"warning: ignoring unknown section [{section}] (line {lineno})",
-                    file=sys.stderr,
-                )
-                section = "__ignored__"
+                raise ConfigError(f"line {lineno}: unknown section [{section}]")
             sections.setdefault(section, {})
             continue
         if "=" not in stripped:
@@ -173,18 +171,8 @@ def _scan(text: str, strict: bool) -> dict:
         key, _, raw = stripped.partition("=")
         key = key.strip()
         raw = raw.strip()
-        if section == "__ignored__":
-            continue
         if key not in _SCHEMA[section]:
-            if strict:
-                raise ConfigError(
-                    f"line {lineno}: unknown key '{key}' in section [{section}]"
-                )
-            print(
-                f"warning: ignoring unknown key '{key}' in [{section}] (line {lineno})",
-                file=sys.stderr,
-            )
-            continue
+            raise ConfigError(f"line {lineno}: unknown key '{key}' in section [{section}]")
         if (section, key) in seen:
             first = seen[(section, key)]
             raise ConfigError(
@@ -193,18 +181,16 @@ def _scan(text: str, strict: bool) -> dict:
             )
         seen[(section, key)] = lineno
         sections.setdefault(section, {})[key] = (raw, lineno)
-    sections.pop("__ignored__", None)
     return sections
 
 
-def parse_config(text: str, strict: bool = True) -> ExperimentConfig:
-    """Parse and fully validate a config document.
+def parse_config(text: str) -> ExperimentConfig:
+    """Parse and fully validate a config document, every sweep entry too.
 
-    Unknown sections or keys are rejected in strict mode; duplicate keys are
-    always rejected, reporting both their line numbers. Semantic violations
-    name the offending field.
+    Unknown sections or keys are rejected, and duplicate keys with both
+    their line numbers. Semantic violations name the offending field.
     """
-    sections = _scan(text, strict)
+    sections = _scan(text)
 
     def values(section: str) -> dict:
         out = {}
@@ -229,10 +215,6 @@ def parse_config(text: str, strict: bool = True) -> ExperimentConfig:
     init_kw = values("initial")
     family = init_kw.pop("family", "polynomial_bump")
     seed = init_kw.pop("seed", 0)
-    if "velocity_amplitude" not in init_kw:
-        init_kw["velocity_amplitude"] = 1.0
-    if "density_amplitude" not in init_kw:
-        init_kw["density_amplitude"] = 1.0
     try:
         initial = ProfileConfig(family=family, params=init_kw)
     except ValueError as exc:
@@ -256,8 +238,8 @@ def parse_config(text: str, strict: bool = True) -> ExperimentConfig:
         raise ConfigError(str(exc)) from None
 
 
-def parse_config_file(path, strict: bool = True) -> ExperimentConfig:
-    return parse_config(Path(path).read_text(encoding="utf-8"), strict=strict)
+def parse_config_file(path) -> ExperimentConfig:
+    return parse_config(Path(path).read_text(encoding="utf-8"))
 
 
 def resolved_config_text(config: ExperimentConfig) -> str:
@@ -485,12 +467,7 @@ def execute(
         print(f"error: --jobs must be at least 1, got {jobs}", file=sys.stderr)
         return 1
     out_root = output_dir if output_dir is not None else config.output_dir
-    try:
-        runs = expand_sweep(replace(config, output_dir=out_root))
-    except ValueError as exc:
-        print(f"error: invalid sweep entry: {exc}", file=sys.stderr)
-        return 1
-    tasks = [(run_id, cfg, out_root) for run_id, cfg in runs]
+    tasks = [(run_id, cfg, out_root) for run_id, cfg in expand_sweep(config)]
 
     outcomes: list[dict] = []
     with contextlib.ExitStack() as stack:
@@ -512,7 +489,7 @@ def execute(
     index_lines = ["\t".join(columns)]
     for o in sorted(outcomes, key=lambda d: d["run_id"]):
         if o.get("failed"):
-            index_lines.append(f"{o['run_id']}\tfailed\t-\t-\t-\t-\t-")
+            index_lines.append("\t".join([o["run_id"], "failed"] + ["-"] * (len(columns) - 2)))
         else:
             index_lines.append("\t".join(_fmt(o[k]) for k in columns))
     try:
@@ -562,18 +539,13 @@ def main(argv=None) -> int:
     ):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("config", help="path to the config document")
-        p.add_argument("--output-dir", default=None, help="override [output] dir")
-        p.add_argument("--jobs", type=int, default=1, help="parallel worker count")
-        p.add_argument(
-            "--strict",
-            action=argparse.BooleanOptionalAction,
-            default=True,
-            help="reject unknown config keys (default on)",
-        )
+        if name != "check":
+            p.add_argument("--output-dir", default=None, help="override [output] dir")
+            p.add_argument("--jobs", type=int, default=1, help="parallel worker count")
     args = parser.parse_args(argv)
 
     try:
-        config = parse_config_file(args.config, strict=args.strict)
+        config = parse_config_file(args.config)
     except (OSError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

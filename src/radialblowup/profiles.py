@@ -14,10 +14,12 @@ import numpy as np
 
 from .model import RadialGrid, wall_index
 
+# each family's parameters and their defaults
+_AMPLITUDES = {"velocity_amplitude": 1.0, "density_amplitude": 1.0}
 FAMILY_PARAMS = {
-    "polynomial_bump": {"velocity_amplitude", "density_amplitude"},
-    "gaussian_truncated": {"velocity_amplitude", "density_amplitude", "width"},
-    "random_smooth": {"velocity_amplitude", "density_amplitude", "modes"},
+    "polynomial_bump": _AMPLITUDES,
+    "gaussian_truncated": {**_AMPLITUDES, "width": 0.25},
+    "random_smooth": {**_AMPLITUDES, "modes": 3},
 }
 
 
@@ -38,8 +40,8 @@ def _zero_margin(fields: list[np.ndarray], n_cells: int, margin: int) -> None:
 def polynomial_bump(
     grid: RadialGrid,
     margin: int,
-    velocity_amplitude: float = 1.0,
-    density_amplitude: float = 1.0,
+    velocity_amplitude: float,
+    density_amplitude: float,
 ) -> InitialProfile:
     """V0 = a*r*(1 - r/R), rho0 = b*(1 - (r/R)**2)**2.
 
@@ -66,13 +68,11 @@ def polynomial_bump(
 def gaussian_truncated(
     grid: RadialGrid,
     margin: int,
-    velocity_amplitude: float = 1.0,
-    density_amplitude: float = 1.0,
-    width: float = 0.25,
+    velocity_amplitude: float,
+    density_amplitude: float,
+    width: float,
 ) -> InitialProfile:
     """Gaussian-enveloped fields, hard-truncated to zero over the margin."""
-    if width <= 0:
-        raise ValueError("width must be > 0")
     R = grid.support_radius
     r = grid.cell_centers
     w = width * R
@@ -86,16 +86,14 @@ def random_smooth(
     grid: RadialGrid,
     margin: int,
     seed: int,
-    velocity_amplitude: float = 1.0,
-    density_amplitude: float = 1.0,
-    modes: int = 3,
+    velocity_amplitude: float,
+    density_amplitude: float,
+    modes: int,
 ) -> InitialProfile:
     """Seeded low-mode random fields under a compact polynomial envelope.
 
     Reproducible: the same seed yields bit-identical fields.
     """
-    if modes < 1:
-        raise ValueError("modes must be >= 1")
     rng = np.random.default_rng(seed)
     R = grid.support_radius
     r = grid.cell_centers
@@ -146,17 +144,23 @@ def first_crossing_time(
     return -1.0 / smin
 
 
-def check_family(family: str, params) -> None:
-    """Reject an unknown family, or a parameter the family does not take."""
+def family_params(family: str, params) -> dict:
+    """The family's parameters with its defaults filled in; an unknown family,
+    a parameter the family does not take, or a width or modes not > 0 raises."""
     if family not in FAMILY_PARAMS:
         raise ValueError(
             f"initial.family must be one of {tuple(FAMILY_PARAMS)}, got '{family}'"
         )
-    unknown = set(params) - FAMILY_PARAMS[family]
+    unknown = set(params) - set(FAMILY_PARAMS[family])
     if unknown:
         raise ValueError(
             f"initial.{sorted(unknown)[0]} does not apply to family '{family}'"
         )
+    full = {**FAMILY_PARAMS[family], **params}
+    for key in ("width", "modes"):
+        if key in full and not full[key] > 0:  # NaN too
+            raise ValueError(f"initial.{key} must be > 0, got {full[key]!r}")
+    return full
 
 
 def build_initial_profile(
@@ -167,7 +171,7 @@ def build_initial_profile(
     margin: int,
 ) -> InitialProfile:
     """Dispatch to the named family; a bad family, parameter or margin raises."""
-    check_family(family, params)
+    params = family_params(family, params)
     if family == "polynomial_bump":
         return polynomial_bump(grid, margin, **params)
     if family == "gaussian_truncated":

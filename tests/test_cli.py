@@ -1,8 +1,10 @@
 import os
+import re
 import subprocess
 import sys
 from concurrent.futures import Future
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from radialblowup.cli import (
     ConfigError,
     ExperimentConfig,
     ProfileConfig,
+    config_hash,
     execute,
     exit_status,
     expand_sweep,
@@ -109,11 +112,6 @@ class TestParsing:
         with pytest.raises(ConfigError, match="unknown section"):
             parse_config("[plotting]\nstyle = dark\n")
 
-    def test_non_strict_ignores_unknowns(self, capsys):
-        config = parse_config("[model]\nomega = 1\ndim = 2\n", strict=False)
-        assert config.model.dim == 2
-        assert "ignoring unknown key" in capsys.readouterr().err
-
     def test_syntax_error_carries_line(self):
         with pytest.raises(ConfigError, match="line 2"):
             parse_config("[model]\nwhat is this\n")
@@ -135,6 +133,17 @@ class TestParsing:
     def test_family_parameter_mismatch_caught_at_parse(self):
         with pytest.raises(ConfigError, match="width does not apply"):
             parse_config("[initial]\nfamily = polynomial_bump\nwidth = 0.2\n")
+
+    @pytest.mark.parametrize(
+        "family, default", [("gaussian_truncated", "width = 0.25"), ("random_smooth", "modes = 3")]
+    )
+    def test_a_family_default_omitted_or_given_is_one_experiment(self, family, default):
+        text = f"[initial]\nfamily = {family}\n"
+        omitted, given = parse_config(text), parse_config(f"{text}{default}\n")
+        assert omitted == given
+        assert config_hash(resolved_config_text(omitted)) == config_hash(
+            resolved_config_text(given)
+        )
 
 
 class TestRoundTrip:
@@ -201,7 +210,9 @@ class TestRoundTripProperty:
     def test_strategies_cover_every_field(self):
         assert set(MODEL_FIELDS) == {f.name for f in fields(ModelConfig)}
         assert set(NUMERICS_FIELDS) == {f.name for f in fields(NumericsConfig)}
-        assert {k: set(v) for k, v in PROFILE_PARAMS.items()} == profiles.FAMILY_PARAMS
+        assert {k: set(v) for k, v in PROFILE_PARAMS.items()} == {
+            k: set(v) for k, v in profiles.FAMILY_PARAMS.items()
+        }
 
     @settings(max_examples=200, deadline=None)
     @given(experiment_configs())
@@ -223,10 +234,10 @@ class TestSweep:
         assert combos == {(0, 64), (0, 128), (1, 64), (1, 128)}
         assert all(cfg.sweep is None for _, cfg in runs)
 
-    def test_invalid_sweep_value_exits_one(self, tmp_path, capsys):
-        config = parse_config(MINIMAL + "[sweep]\ngamma = 1.4, 0.5\n")
-        assert execute(config, output_dir=str(tmp_path / "out")) == 1
-        assert "gamma" in capsys.readouterr().err
+    def test_invalid_sweep_value_exits_one(self):
+        # every entry is checked when the config is parsed, before any run
+        with pytest.raises(ConfigError, match="^sweep: gamma must be >= 1"):
+            parse_config(MINIMAL + "[sweep]\ngamma = 1.4, 0.5\n")
 
 
 class TestProfiles:
@@ -278,6 +289,11 @@ class TestProfiles:
             build_initial_profile("sombrero", {}, 0, grid, 2)
         with pytest.raises(ValueError, match="width"):
             build_initial_profile("polynomial_bump", {"width": 0.1}, 0, grid, 2)
+
+    def test_a_nan_width_is_rejected(self):
+        grid = RadialGrid(n_cells=64, support_radius=1.0)
+        with pytest.raises(ValueError, match=r"initial\.width must be > 0, got nan"):
+            build_initial_profile("gaussian_truncated", {"width": float("nan")}, 0, grid, 2)
 
 
 class TestExecute:
@@ -455,6 +471,35 @@ class TestExecute:
         assert len(calls) == 1
 
 
+def test_readme_config_reference_lists_every_key_with_its_default():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    table = readme.read_text(encoding="utf-8").split("## Config reference\n\n", 1)[1]
+    rows = {}
+    for line in table.split("\n\n", 1)[0].splitlines()[2:]:
+        section, keys, default, _ = (cell.strip() for cell in line.strip()[1:-1].split("|", 3))
+        rows.update({(section, key): default for key in keys.split(", ")})
+    assert set(rows) == {(section, key) for section in cli._SCHEMA for key in cli._SCHEMA[section]}
+
+    empty = parse_config("")
+    defaults = {
+        **{("model", key): value for key, value in cli._items(empty.model)},
+        ("numerics", "n_cells"): empty.n_cells,
+        **{("numerics", key): value for key, value in cli._items(empty.numerics)},
+        ("numerics", "snapshot_times"): "(none)",
+        ("initial", "family"): empty.initial.family,
+        ("initial", "seed"): empty.seed,
+        **{
+            ("initial", key): value
+            for params in profiles.FAMILY_PARAMS.values()
+            for key, value in params.items()
+        },
+        **{("sweep", key): "-" for key in cli._SCHEMA["sweep"]},
+        ("output", "dir"): empty.output_dir,
+    }
+    shown = {key: f"{v:g}" if isinstance(v, float) else str(v) for key, v in defaults.items()}
+    assert rows == shown
+
+
 def test_cli_import_leaves_out_the_pool_and_the_compiler_runner():
     # check and run never build a pool, and a cached kernel needs no compiler
     code = (
@@ -542,7 +587,57 @@ class TestMain:
         cfg_file = tmp_path / "exp.cfg"
         cfg_file.write_text("[model]\nomega = 2\n")
         assert main(["check", str(cfg_file)]) == 1
-        assert main(["check", str(cfg_file), "--no-strict"]) == 0
+
+    @pytest.mark.parametrize(
+        "command, flags",
+        [
+            ("check", ["--no-strict"]),
+            ("run", ["--strict"]),
+            ("check", ["--output-dir", "out"]),
+            ("check", ["--jobs", "2"]),
+        ],
+        ids=["check-no-strict", "run-strict", "check-output-dir", "check-jobs"],
+    )
+    def test_flags_no_command_reads_are_refused(self, tmp_path, command, flags):
+        cfg_file = tmp_path / "exp.cfg"
+        cfg_file.write_text(SMALL_RUN)
+        with pytest.raises(SystemExit) as refused:
+            main([command, str(cfg_file), *flags])
+        assert refused.value.code == 2
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            ("[sweep]\ngamma = 0.5", r"sweep: gamma must be >= 1"),
+            ("[sweep]\ndelta = 2", r"sweep: delta must be -1, 0 or \+1, got 2"),
+            ("[sweep]\npressure_const = -1", r"sweep: pressure_const must be >= 0"),
+            ("[sweep]\nn_cells = 4", r"sweep: numerics\.n_cells must be at least 8"),
+            ("family = random_smooth\nmodes = 0", r"initial\.modes must be > 0, got 0"),
+            ("family = gaussian_truncated\nwidth = 0", r"initial\.width must be > 0, got 0\.0"),
+            ("family = random_smooth\nseed = -1", r"initial\.seed must be >= 0, got -1"),
+        ],
+        ids=["sweep-gamma", "sweep-delta", "sweep-pressure", "sweep-n_cells", "modes", "width", "seed"],
+    )
+    def test_a_bad_sweep_entry_or_initial_value_exits_one_before_any_run(
+        self, tmp_path, capsys, edit, message
+    ):
+        out = tmp_path / "out"
+        text = SMALL_RUN + f"\n[output]\ndir = {out}\n"
+        if edit.startswith("[sweep]"):
+            text += f"\n{edit}\n"
+        else:
+            text = text.replace("family = polynomial_bump", edit)
+        with pytest.raises(ConfigError, match=message):
+            parse_config(text)
+        cfg_file = tmp_path / "exp.cfg"
+        cfg_file.write_text(text)
+        for command in ("check", "run", "sweep"):
+            assert main([command, str(cfg_file)]) == 1
+            printed = capsys.readouterr()
+            assert re.search(message, printed.err) and "Traceback" not in printed.err
+            assert printed.out == ""
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["check", "sweep"])
     def test_margin_that_does_not_fit_a_swept_grid_exits_one(self, tmp_path, capsys, command):
@@ -555,7 +650,8 @@ class TestMain:
         cfg_file = tmp_path / "exp.cfg"
         cfg_file.write_text(text)
         out = tmp_path / "out"
-        assert main([command, str(cfg_file), "--output-dir", str(out)]) == 1
+        where = ["--output-dir", str(out)] if command == "sweep" else []
+        assert main([command, str(cfg_file), *where]) == 1
         printed = capsys.readouterr()
         assert "numerics.support_margin_cells" in printed.err and "n_cells = 8" in printed.err
         # rejected before any run starts: nothing checked, run or written
