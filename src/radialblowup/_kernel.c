@@ -10,9 +10,9 @@
  * with -ffp-contract=off and never with -ffast-math. The operations left
  * to numpy are the powers rho**(gamma - 1) and, for a diagnostics row,
  * max(rho, 0)**gamma, since numpy's SIMD `**` differs from `pow` here in
- * the last bit; the caller raises the `power` rows in place between
- * faces() and tendencies(), and the `cell` row before max_speed() and
- * row_sums().
+ * the last bit; with pressure the caller raises the `power` rows in place
+ * between faces() and tendencies(), and the `cell` row before max_speed()
+ * and row_sums(). Without pressure a stage is the one call tendencies().
  *
  * The per-face and per-cell work runs in short branch-free loops over
  * restrict pointers, which the compiler vectorizes lane by lane: each lane
@@ -74,7 +74,7 @@ struct stage {
 };
 
 /* Row k of the work scratch. Rows 0 and 1 hold rho and V extended by two
- * ghosts each side, from faces() to tendencies(); rows 2 and 3 the mass and
+ * ghosts each side, from extend() to the fluxes; rows 2 and 3 the mass and
  * advection fluxes; once the fluxes are formed, rows 0 and 1 take the force
  * sums, and max_speed() the speeds. */
 #define WORK(s, k) ((s)->work + (k) * ((s)->n + 4))
@@ -299,39 +299,43 @@ CLONED static int64_t cells(const struct stage *s, const double *restrict rho, d
     return -1;
 }
 
-/* The start of a stage: rho and vel extended into work rows 0 and 1, which
- * tendencies() reads next, and with pressure the face densities into
+/* The start of a stage with pressure: rho and vel extended into work rows
+ * 0 and 1, which tendencies() reads next, and the face densities into
  * s->power for the caller to raise. */
 CLONED void faces(const struct stage *s, const double *rho, const double *vel)
 {
     int64_t m = s->n + 1;
     extend(s, rho, vel);
-    if (s->power)
-        face_densities(m, WORK(s, 0), s->power, s->power + m, s->power + 2 * m);
+    face_densities(m, WORK(s, 0), s->power, s->power + m, s->power + 2 * m);
 }
 
-/* The rest of a stage, after faces() and, with pressure, the caller's
- * powers. */
+/* A stage's tendencies into the (2, n) block out. Without pressure the
+ * whole stage, extending rho and vel first; with pressure the rest of it,
+ * after faces() and the caller's powers, and vel is not read. */
 CLONED int64_t tendencies(const struct stage *s, int64_t wall, const double *rho,
-                          double rho_floor, double *out)
+                          const double *vel, double rho_floor, double *out)
 {
     int64_t m = s->n + 1;
     const double *p = s->power;
+    if (!p)
+        extend(s, rho, vel);
     fluxes(m, wall, WORK(s, 0), WORK(s, 1), s->sound_coef, p, p ? p + m : NULL,
            s->face_area, WORK(s, 2), WORK(s, 3));
     return cells(s, rho, rho_floor, p ? p + 2 * m : NULL, out);
 }
 
-/* One Runge-Kutta stage in place on the tendencies k_rho, k_vel: k = old +
- * dt*k without mid (NULL), else (mid + dt*k)/2 + old/2; both fields zeroed
- * from cell wall on. Returns np.min of the new density. */
+/* One Runge-Kutta stage in place on the (2, n) tendencies k: k = old +
+ * dt*k in the first stage (mid NULL), else (mid + dt*k)/2 + old/2 with mid
+ * the first stage's (2, n) result; both fields zeroed from cell wall on.
+ * Returns np.min of the new density in the second stage, and NaN in the
+ * first, whose minimum no caller reads. */
 CLONED double rk_stage(const struct stage *s, int64_t wall, double dt, const double *restrict rho,
-                       const double *restrict vel, const double *restrict mid_rho,
-                       const double *restrict mid_vel, double *restrict k_rho,
-                       double *restrict k_vel)
+                       const double *restrict vel, const double *restrict mid, double *restrict k)
 {
     int64_t n = s->n;
-    if (mid_rho) {
+    double *restrict k_rho = k, *restrict k_vel = k + n;
+    if (mid) {
+        const double *restrict mid_rho = mid, *restrict mid_vel = mid + n;
         for (int64_t i = 0; i < wall; i++) {
             k_rho[i] = (k_rho[i] * dt + mid_rho[i]) * 0.5 + 0.5 * rho[i];
             k_vel[i] = (k_vel[i] * dt + mid_vel[i]) * 0.5 + 0.5 * vel[i];
@@ -344,7 +348,7 @@ CLONED double rk_stage(const struct stage *s, int64_t wall, double dt, const dou
     }
     for (int64_t i = wall; i < n; i++)
         k_rho[i] = k_vel[i] = 0.0;
-    return extreme(n, k_rho, -1.0);
+    return mid ? extreme(n, k_rho, -1.0) : NAN;
 }
 
 /* np.max of |vel| + sqrt(sound_coef * cell) over the cells, with cell

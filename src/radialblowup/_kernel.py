@@ -5,9 +5,9 @@ in ``$XDG_CACHE_HOME/radialblowup`` (``~/.cache/radialblowup`` when the
 variable is unset); a build removes the libraries of other versions. It is
 loaded on first use, so commands that never step a state never compile it.
 Every entry but ``max_slope`` and ``kernel_target`` takes the address of the
-``struct stage`` that ``plan`` builds once per grid and model, and the methods
-of that ``Plan`` are their only callers; this is the one module that speaks
-ctypes, and the one that places numpy's ``**`` between the C calls.
+``struct stage`` that ``plan`` builds once per grid, model and thread, and the
+methods of that ``Plan`` are their only callers; this is the one module that
+speaks ctypes, and the one that places numpy's ``**`` between the C calls.
 """
 
 from __future__ import annotations
@@ -17,6 +17,8 @@ import functools
 import hashlib
 import os
 import tempfile
+import threading
+import weakref
 from pathlib import Path
 from typing import Optional
 
@@ -51,15 +53,16 @@ class Stage(ctypes.Structure):
 
 _SIGNATURES = {
     "faces": ([_P, _P, _P], None),
-    "tendencies": ([_P, _I64, _P, _F64, _P], _I64),
-    "rk_stage": ([_P, _I64, _F64, _P, _P, _P, _P, _P, _P], _F64),
+    "tendencies": ([_P, _I64, _P, _P, _F64, _P], _I64),
+    "rk_stage": ([_P, _I64, _F64, _P, _P, _P, _P], _F64),
     "max_speed": ([_P, _P], _F64),
-    "max_slope": ([_I64, _P, _F64, _P], _I64),
+    "max_slope": ([_I64, _P, _F64, ctypes.POINTER(_F64)], _I64),
     "row_sums": ([_P, _P, _P, _P], None),
     "kernel_target": ([], ctypes.c_char_p),
 }
 _FLOAT64 = np.dtype(np.float64)
 _from_buffer = ctypes.c_double.from_buffer
+_ROW = _F64 * 4
 
 
 def address(array: np.ndarray, shape: tuple[int, ...]) -> int:
@@ -79,9 +82,10 @@ def address(array: np.ndarray, shape: tuple[int, ...]) -> int:
 
 
 class Plan:
-    """A grid and model's ``struct stage`` and the arrays it points into. Its
-    methods alone call the entries that take it, with numpy's ``**`` between
-    the calls, and look up ``load`` and ``power`` anew each time: tests swap them."""
+    """A grid and model's ``struct stage`` and the arrays it points into, for
+    the thread that builds it. Its methods alone call the entries that take
+    it, with numpy's ``**`` between the calls, and look up ``load`` and
+    ``power`` anew each time: tests swap them."""
 
     def __init__(self, grid: RadialGrid, cfg: ModelConfig):
         n = grid.n_cells
@@ -113,58 +117,124 @@ class Plan:
             pressure_const=cfg.pressure_const,
             **{k: None if a is None else a.ctypes.data for k, a in arrays.items()},
         )
-        self._cells, self._gamma = (n,), cfg.gamma
+        self._cells, self._block, self._gamma = (n,), (2, n), cfg.gamma
         # the face rows raised to gamma - 1 and the n-cell scratch; None for K = 0
         self._raised, self._cell = raised, cell
         self._at = ctypes.addressof(stage)
         self._keep = (stage, arrays)  # alive as long as the plan
+        self._memo = _thread.memo  # of the thread the plan belongs to
 
-    def _rows(self, block: np.ndarray) -> tuple[int, int]:
-        at = address(block, (2, *self._cells))
-        return at, at + block.strides[0]
-
-    def tendencies(self, rho, vel, wall: int, rho_floor: float) -> tuple[np.ndarray, int]:
+    def tendencies(self, state, wall: int, rho_floor: float) -> tuple[np.ndarray, int]:
         """A stage's (2, n) tendencies and the first non-finite index in them, or -1."""
-        rho_at = address(rho, self._cells)
-        load().faces(self._at, rho_at, address(vel, self._cells))
+        memo = self._memo
+        rho_at, vel_at = _fields_at(memo, state, self._cells)
+        lib = load()
         if self._raised is not None:
+            lib.faces(self._at, rho_at, vel_at)
             power(self._raised, self._gamma - 1.0, None)
-        out = np.empty((2, *self._cells))
-        bad = load().tendencies(self._at, wall, rho_at, rho_floor, address(out, out.shape))
-        return out, bad
+        out = np.empty(self._block)
+        out_at = _remember(memo, out, self._block, address(out, self._block))
+        return out, lib.tendencies(self._at, wall, rho_at, vel_at, rho_floor, out_at)
 
-    def rk_stage(self, wall: int, dt: float, rho, vel, mid, k) -> float:
-        """A Runge-Kutta stage in place on the (2, n) tendencies ``k``; ``mid``
-        is the first stage's, None in that stage. Returns the least density."""
-        old = address(rho, self._cells), address(vel, self._cells)
-        mid_at = (None, None) if mid is None else self._rows(mid)
-        return load().rk_stage(self._at, wall, dt, *old, *mid_at, *self._rows(k))
+    def rk_stage(self, wall: int, dt: float, state, mid, k) -> float:
+        """A Runge-Kutta stage from ``state`` in place on the (2, n) tendencies
+        ``k``; ``mid`` is the first stage's, None in that stage. Returns the
+        least density of the second stage, NaN in the first."""
+        memo, block = self._memo, self._block
+        rho_at, vel_at = _fields_at(memo, state, self._cells)
+        mid_at = None if mid is None else _block_at(memo, mid, block)
+        return load().rk_stage(
+            self._at, wall, dt, rho_at, vel_at, mid_at, _block_at(memo, k, block)
+        )
 
-    def max_speed(self, rho, vel) -> float:
+    def max_speed(self, state) -> float:
         """max(|V| + c) over the cells."""
         if self._cell is not None:
-            power(self._cell, self._gamma - 1.0, rho)
-        return load().max_speed(self._at, address(vel, self._cells))
+            power(self._cell, self._gamma - 1.0, state.rho)
+        return load().max_speed(self._at, _fields_at(self._memo, state, self._cells)[1])
 
-    def row_sums(self, rho, vel) -> list[float]:
+    def row_sums(self, state) -> list[float]:
         """The four sums of a diagnostics row; see ``row_sums`` in the C source."""
-        rho_at, vel_at = address(rho, self._cells), address(vel, self._cells)
+        rho_at, vel_at = _fields_at(self._memo, state, self._cells)
         if self._cell is not None:
-            power(self._cell, self._gamma, rho)
-        out = (_F64 * 4)()
+            power(self._cell, self._gamma, state.rho)
+        out = _ROW()
         load().row_sums(self._at, rho_at, vel_at, out)
-        return list(out)
+        return out[:]
 
 
-#: The plan of (grid, cfg), built once and shared by every call on it.
-plan = functools.lru_cache(maxsize=8)(Plan)
+class _Thread(threading.local):
+    """What each thread keeps to itself: its plans, whose scratch every call
+    writes while the C call has released the GIL; the last plan asked for;
+    and the memo of the states and blocks it last passed to the kernel."""
+
+    def __init__(self):
+        self.plans = functools.lru_cache(maxsize=8)(Plan)
+        self.last = (None, None, None)
+        # id(state or block) -> (weak reference to it, the shape it was
+        # checked for, its address or the addresses of its rho and vel)
+        self.memo: dict = {}
 
 
-def max_slope(v: np.ndarray, width: float) -> tuple[float, int]:
-    """The largest |v[i + 1] - v[i - 1]| / width over 3 or more values and its
-    cell i: the first maximum, or the first NaN."""
+_thread = _Thread()
+
+
+def plan(grid: RadialGrid, cfg: ModelConfig) -> Plan:
+    """The plan of (grid, cfg) in this thread, built once: the last one again
+    when the same two objects ask, else one of the eight most recent."""
+    local = _thread
+    last_grid, last_cfg, last = local.last
+    if grid is last_grid and cfg is last_cfg:
+        return last
+    found = local.plans(grid, cfg)
+    local.last = (grid, cfg, found)
+    return found
+
+
+# The memo holds the addresses of the last _MEMO_SLOTS states and (2, n)
+# blocks a thread passed, so that a step takes each once: its state, the
+# two tendency blocks and the stage and new states built on them. An entry
+# serves the object it was taken for, which its weak reference proves is
+# still alive, at the shape it was checked for: an array's data stays where
+# it is while the array lives (only numpy's refcheck=False resize moves it),
+# and a state's fields never change.
+_MEMO_SLOTS = 8
+
+
+def _remember(memo: dict, key, shape: tuple, value):
+    """Keep ``value`` for the live object ``key`` at ``shape``, forgetting the
+    oldest entry."""
+    memo[id(key)] = (weakref.ref(key), shape, value)
+    if len(memo) > _MEMO_SLOTS:
+        del memo[next(iter(memo))]
+    return value
+
+
+def _block_at(memo: dict, block: np.ndarray, shape: tuple[int, int]) -> int:
+    """``address(block, shape)``, from the memo if it is there."""
+    hit = memo.get(id(block))
+    if hit is not None and hit[0]() is block and hit[1] == shape:
+        return hit[2]
+    return _remember(memo, block, shape, address(block, shape))
+
+
+def _fields_at(memo: dict, state, cells: tuple[int]) -> tuple[int, int]:
+    """The addresses of a state's rho and vel, each of shape ``cells``, from
+    the memo if they are there."""
+    hit = memo.get(id(state))
+    if hit is not None and hit[0]() is state and hit[1] == cells:
+        return hit[2]
+    at = (address(state.rho, cells), address(state.vel, cells))
+    return _remember(memo, state, cells, at)
+
+
+def max_slope(state, width: float) -> tuple[float, int]:
+    """The largest |vel[i + 1] - vel[i - 1]| / width of a state of 3 or more
+    cells and its cell i: the first maximum, or the first NaN."""
+    n = state.vel.size
     slope = _F64()
-    k = load().max_slope(v.size, address(v, v.shape), width, ctypes.byref(slope))
+    vel_at = _fields_at(_thread.memo, state, (n,))[1]
+    k = load().max_slope(n, vel_at, width, slope)
     return slope.value, k + 1
 
 

@@ -107,7 +107,7 @@ def row_integrals(
     value is the same to the bit as its numpy expression and H is the same
     as ``weighted_momentum``.
     """
-    momentum, mass, energy, square = _kernel.plan(grid, cfg).row_sums(state.rho, state.vel)
+    momentum, mass, energy, square = _kernel.plan(grid, cfg).row_sums(state)
     dr, a = grid.cell_width, alpha(cfg.dim)
     h = momentum * dr
     gap = square * dr - 4.0 * h**2 / grid.support_radius**2
@@ -141,7 +141,7 @@ def max_velocity_gradient(state: FluidState, grid: RadialGrid) -> tuple[float, i
     """
     if state.n_cells < 3:
         return 0.0, 0
-    return _kernel.max_slope(state.vel, 2.0 * grid.cell_width)
+    return _kernel.max_slope(state, 2.0 * grid.cell_width)
 
 
 @dataclass(frozen=True)

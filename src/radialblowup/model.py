@@ -38,11 +38,11 @@ class ModelConfig:
         if self.delta not in (-1, 0, 1):
             raise ValueError(f"delta must be -1, 0 or +1, got {self.delta}")
         if self.pressure_const < 0:
-            raise ValueError("pressure_const must be >= 0")
+            raise ValueError(f"pressure_const must be >= 0, got {self.pressure_const}")
         if self.gamma < 1:
-            raise ValueError("gamma must be >= 1")
+            raise ValueError(f"gamma must be >= 1, got {self.gamma}")
         if self.support_radius <= 0:
-            raise ValueError("support_radius must be > 0")
+            raise ValueError(f"support_radius must be > 0, got {self.support_radius}")
 
     @property
     def eos_in_scope(self) -> bool:
@@ -103,6 +103,14 @@ def grid_weights(grid: RadialGrid, dim: int) -> GridWeights:
     return weights
 
 
+_FLOAT64 = np.dtype(np.float64)
+
+
+def _in_layout(array) -> bool:
+    """A C-contiguous float64 ndarray, which np.ascontiguousarray returns as it is."""
+    return type(array) is np.ndarray and array.dtype is _FLOAT64 and array.flags.c_contiguous
+
+
 @dataclass(frozen=True)
 class FluidState:
     """Density and radial velocity on a grid at one instant.
@@ -118,10 +126,14 @@ class FluidState:
     vel: np.ndarray
 
     def __post_init__(self):
-        if self.rho.ndim != 1 or self.vel.ndim != 1:
+        rho, vel = self.rho, self.vel
+        if rho.ndim != 1 or vel.ndim != 1:
             raise ValueError("rho and vel must be one-dimensional")
-        object.__setattr__(self, "rho", np.ascontiguousarray(self.rho, dtype=np.float64))
-        object.__setattr__(self, "vel", np.ascontiguousarray(self.vel, dtype=np.float64))
+        # a field already in the layout is kept without the call
+        if not _in_layout(rho):
+            object.__setattr__(self, "rho", np.ascontiguousarray(rho, dtype=np.float64))
+        if not _in_layout(vel):
+            object.__setattr__(self, "vel", np.ascontiguousarray(vel, dtype=np.float64))
         if self.rho.shape != self.vel.shape:
             raise ValueError(
                 f"rho and vel shapes differ: {self.rho.shape} vs {self.vel.shape}"

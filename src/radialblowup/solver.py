@@ -67,17 +67,17 @@ class NumericsConfig:
 
     def __post_init__(self):
         if not 0.0 < self.cfl <= 1.0:
-            raise ValueError("cfl must be in (0, 1]")
+            raise ValueError(f"cfl must be in (0, 1], got {self.cfl}")
         if self.t_end <= 0:
-            raise ValueError("t_end must be > 0")
+            raise ValueError(f"t_end must be > 0, got {self.t_end}")
         if self.dt_floor <= 0:
-            raise ValueError("dt_floor must be > 0")
+            raise ValueError(f"dt_floor must be > 0, got {self.dt_floor}")
         if self.steepening_threshold <= 0:
-            raise ValueError("steepening_threshold must be > 0")
+            raise ValueError(f"steepening_threshold must be > 0, got {self.steepening_threshold}")
         if self.output_stride < 1:
-            raise ValueError("output_stride must be >= 1")
+            raise ValueError(f"output_stride must be >= 1, got {self.output_stride}")
         if self.support_margin_cells < 1:
-            raise ValueError("support_margin_cells must be >= 1")
+            raise ValueError(f"support_margin_cells must be >= 1, got {self.support_margin_cells}")
 
 
 @dataclass(frozen=True)
@@ -146,7 +146,7 @@ def rhs_eval(
     """
     n = grid.n_cells
     wall = wall_index(n, num.support_margin_cells)
-    out, bad = _kernel.plan(grid, cfg).tendencies(state.rho, state.vel, wall, rho_floor)
+    out, bad = _kernel.plan(grid, cfg).tendencies(state, wall, rho_floor)
     if bad >= 0:
         raise NumericalBreakdownError(bad % n, ("density", "velocity")[bad // n])
     return out
@@ -154,7 +154,7 @@ def rhs_eval(
 
 def max_wave_speed(state: FluidState, cfg: ModelConfig, grid: RadialGrid) -> float:
     """Fastest signal speed max(|V| + c) over the cells."""
-    return _kernel.plan(grid, cfg).max_speed(state.rho, state.vel)
+    return _kernel.plan(grid, cfg).max_speed(state)
 
 
 def _stable_dt(speed, time, num: NumericsConfig, grid: RadialGrid) -> tuple:
@@ -198,14 +198,15 @@ def step(
     time = state.time + dt
     # both stages are written into the fresh tendency arrays
     mid = rhs_eval(state, cfg, grid, num, rho_floor)
-    plan.rk_stage(wall, dt, state.rho, state.vel, None, mid)
-    new = rhs_eval(FluidState(time, *mid), cfg, grid, num, rho_floor)
-    rho_min = plan.rk_stage(wall, dt, state.rho, state.vel, mid, new)
+    plan.rk_stage(wall, dt, state, None, mid)
+    # rows by index: iterating an array builds them several times slower
+    new = rhs_eval(FluidState(time, mid[0], mid[1]), cfg, grid, num, rho_floor)
+    rho_min = plan.rk_stage(wall, dt, state, mid, new)
     if rho_min < -positivity_tol:
         raise PositivityError(
             f"density {rho_min:.3e} below -{positivity_tol:.3e} at t={time:.6g}"
         )
-    return FluidState(time, *new)
+    return FluidState(time, new[0], new[1])
 
 
 def detect_steepening(

@@ -101,6 +101,24 @@ class TestParsing:
         with pytest.raises(ConfigError, match=r"support_margin_cells = 8 .*n_cells = 8"):
             parse_config("[numerics]\nn_cells = 8\nsupport_margin_cells = 8\n")
 
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("model", "pressure_const", "-1.0"),
+            ("model", "gamma", "0.5"),
+            ("model", "support_radius", "0.0"),
+            ("numerics", "cfl", "1.5"),
+            ("numerics", "t_end", "0.0"),
+            ("numerics", "dt_floor", "-1.0"),
+            ("numerics", "steepening_threshold", "0.0"),
+            ("numerics", "output_stride", "0"),
+            ("numerics", "support_margin_cells", "0"),
+        ],
+    )
+    def test_rejected_value_is_named(self, section, key, value):
+        with pytest.raises(ConfigError, match=rf"^{section}\.{key} must .*, got {re.escape(value)}$"):
+            parse_config(f"[{section}]\n{key} = {value}\n")
+
     def test_duplicate_key_reports_both_lines(self):
         text = "[model]\ngamma = 1.4\ndim = 3\ngamma = 2.0\n"
         with pytest.raises(ConfigError, match=r"lines 2 and 4"):
@@ -238,6 +256,10 @@ class TestSweep:
         # every entry is checked when the config is parsed, before any run
         with pytest.raises(ConfigError, match="^sweep: gamma must be >= 1"):
             parse_config(MINIMAL + "[sweep]\ngamma = 1.4, 0.5\n")
+
+    def test_rejected_sweep_value_is_named(self):
+        with pytest.raises(ConfigError, match=r"^sweep: gamma must be >= 1, got 0\.5$"):
+            parse_config(MINIMAL + "[sweep]\ngamma = 0.5, 1.4\n")
 
 
 class TestProfiles:

@@ -297,13 +297,18 @@ def test_reductions_keep_numpy_rules(values, pressure):
         expected = ref.max_velocity_gradient(FluidState(0.0, zeros, values), grid)
     value, cell = diagnostics.max_velocity_gradient(FluidState(0.0, zeros, values), grid)
     assert cell == expected[1] and _same(value, expected[0])
-    # the step's new density minimum: the first NaN, else the smallest
+    # the step's new density minimum, from its second stage: the first NaN,
+    # else the smallest
     wall = n - 1
-    # -0.0 * dt + rho is rho itself, down to the sign of a zero and a NaN
-    k = np.stack([np.full(n, -0.0), np.zeros(n)])
-    k_rho = k[0]
-    new_rho = values.copy()
+    plan = _kernel.plan(grid, cfg)
+    # (-0.0 * dt + mid) * 0.5 + 0.5 * -0.0 is mid * 0.5, down to the sign of
+    # a zero and a NaN
+    mid = np.stack([values, zeros])
+    k = np.stack([np.full(n, -0.0), zeros])
+    new_rho = values * 0.5
     new_rho[wall:] = 0.0
-    lowest = _kernel.plan(grid, cfg).rk_stage(wall, 0.5, values, zeros, None, k)
-    assert _same(k_rho, new_rho)
+    lowest = plan.rk_stage(wall, 0.5, FluidState(0.0, np.full(n, -0.0), zeros), mid, k)
+    assert _same(k[0], new_rho)
     assert _same(lowest, _chained(float.__lt__, new_rho.tolist()))
+    # the first stage writes old + dt * k and takes no minimum
+    assert np.isnan(plan.rk_stage(wall, 0.5, FluidState(0.0, values, zeros), None, k))

@@ -1,3 +1,6 @@
+import hashlib
+import sys
+import threading
 from collections import Counter
 from dataclasses import replace
 
@@ -379,15 +382,28 @@ class TestRun:
                              (solver, "rhs_eval"), (_kernel, "power"),
                              (solver, "sound_speed"), (model, "sound_speed"),
                              (solver, "radial_field"), (poisson, "radial_field"),
-                             (diagnostics, "max_velocity_gradient")):
+                             (diagnostics, "max_velocity_gradient"), (_kernel, "address")):
             def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
                 calls[_name] += 1
                 return _fn(*args, **kwargs)
 
             monkeypatch.setattr(module, name, counted)
+        # every C entry a plan method or max_slope calls, through load()
+        lib = _kernel.load()
+
+        class CountedLibrary:
+            def __getattr__(self, name):
+                def entry(*args, _fn=getattr(lib, name)):
+                    calls["C"] += 1
+                    return _fn(*args)
+
+                return entry
+
+        monkeypatch.setattr(_kernel, "load", CountedLibrary)
         grid = RadialGrid(n_cells=64, support_radius=1.0)
         cfg = ModelConfig(dim=3, delta=1, pressure_const=pressure_const, gamma=gamma)
-        num = NumericsConfig(t_end=0.05, output_stride=1, steepening_threshold=1e9)
+        # t_end 0.2 gives the dust case 5 steps, not 1
+        num = NumericsConfig(t_end=0.2, output_stride=1, steepening_threshold=1e9)
         prof = build_initial_profile("gaussian_truncated", {}, 0, grid, 2)
         rows = run(prof.rho0, prof.v0, cfg, num).series.times.size
         steps = calls["step"]
@@ -401,3 +417,75 @@ class TestRun:
         # diagnostics row, none without pressure
         assert rows == steps + 1
         assert calls["power"] == (3 * steps + rows if pressure_const > 0 else 0)
+        # a step calls the wave speed, two stages (faces and tendencies with
+        # pressure, tendencies alone without), two Runge-Kutta stages and the
+        # slope; a row its sums, and the initial row the slope too
+        per_step = 8 if pressure_const > 0 else 6
+        assert calls["C"] == per_step * steps + rows + 1
+        # each array's address is taken once while it is in flight: the two
+        # tendency blocks and the four rows of the stage and new states
+        assert 0 < calls["address"] <= 6 * steps + rows
+
+
+def _digest(result) -> tuple:
+    """The bytes of a run's series, how it ended and when it detected."""
+    series = result.series
+    columns = (series.times, series.h_values, series.mass_values, series.max_gradients)
+    data = b"".join(np.ascontiguousarray(c).tobytes() for c in columns)
+    return hashlib.sha256(data).hexdigest(), result.trajectory.termination, result.trajectory.t_detect
+
+
+class TestThreads:
+    """A plan's scratch is written by every C call, and a C call releases
+    the GIL, so each thread plans for itself."""
+
+    @staticmethod
+    def _in_threads(count: int, target) -> None:
+        """Run ``target(k)`` in ``count`` threads at once, switching often."""
+        threads = [threading.Thread(target=target, args=(k,)) for k in range(count)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+
+    def test_each_thread_gets_its_own_plan(self):
+        grid = RadialGrid(n_cells=64, support_radius=1.0)
+        cfg = ModelConfig(pressure_const=1.0)
+        all_alive = threading.Barrier(2, timeout=60)
+        plans = {}
+
+        def ask(k):
+            first = _kernel.plan(grid, cfg)
+            all_alive.wait()
+            plans[k] = (first, _kernel.plan(grid, cfg))
+
+        self._in_threads(2, ask)
+        (a, a_again), (b, b_again) = plans[0], plans[1]
+        assert a is a_again and b is b_again
+        assert a is not b
+
+    def test_threads_reproduce_the_sequential_run(self):
+        # gauss_eulerpoisson_2048's model at 256 cells, in more threads than
+        # cores: with one plan shared, the threads read each other's
+        # pressure scratch and end elsewhere
+        grid = RadialGrid(n_cells=256, support_radius=1.0)
+        cfg = ModelConfig(dim=3, delta=1, pressure_const=1.0, gamma=1.4)
+        num = NumericsConfig(t_end=2.0, steepening_threshold=50.0, output_stride=10)
+        prof = build_initial_profile("gaussian_truncated", {"width": 0.25}, 0, grid, 2)
+        sequential = _digest(run(prof.rho0, prof.v0, cfg, num))
+        start = threading.Barrier(4, timeout=60)
+        threaded = [None] * 4
+
+        def go(k):
+            start.wait()
+            threaded[k] = _digest(run(prof.rho0, prof.v0, cfg, num))
+
+        self._in_threads(4, go)
+        assert sequential[1] is Termination.STEEPENING_DETECTED
+        assert threaded == [sequential] * 4
