@@ -8,11 +8,12 @@
  * tests/_reference_kernel.py, in the same order, so the results match it
  * bit for bit. That holds only without floating-point contraction: build
  * with -ffp-contract=off and never with -ffast-math. The operations left
- * to numpy are the powers rho**(gamma - 1) and, for a diagnostics row,
- * max(rho, 0)**gamma, since numpy's SIMD `**` differs from `pow` here in
- * the last bit; with pressure the caller raises the `power` rows in place
- * between faces() and tendencies(), and the `cell` row before max_speed()
- * and row_sums(). Without pressure a stage is the one call tendencies().
+ * to numpy are the powers max(rho, 0)**(gamma - 1) of the cells and the
+ * face means and, for a diagnostics row, max(rho, 0)**gamma, since numpy's
+ * SIMD `**` differs from `pow` here in the last bit. With pressure the
+ * caller raises the `cell` row before faces(), max_speed() and row_sums(),
+ * and the face-mean `power` row between faces() and tendencies(). Without
+ * pressure a stage is the one call tendencies().
  *
  * The per-face and per-cell work runs in short branch-free loops over
  * restrict pointers, which the compiler vectorizes lane by lane: each lane
@@ -54,29 +55,32 @@
  * but max_slope and kernel_target shares. Mirrored by _kernel.Stage. */
 struct stage {
     int64_t n;           /* cells */
-    int64_t per_density; /* row 2 of power is a pressure, divided by rho */
+    int64_t per_density; /* gamma = 1: power is a pressure, divided by rho */
     double dr;
     double sound_coef;   /* K*gamma: c = sqrt(sound_coef * rho**(gamma - 1)) */
-    double grad_coef;    /* face enthalpy or pressure = grad_coef * row 2 */
+    double grad_coef;    /* face enthalpy or pressure = grad_coef * power */
     double field_coef;   /* alpha*delta; 0 without a force field */
     double pressure_const;
     const double *face_area, *cell_volume, *shell, *inner_shell;
     const double *center; /* r**(N-1) at the cell centers */
     const double *r;      /* the cell centers */
-    double *work;        /* scratch (4, n + 4); see WORK */
-    double *power;       /* NULL without pressure, else scratch (3, n + 1):
-                            rho_l, rho_r and the face mean, raised by the
-                            caller to gamma - 1 (rows 0 and 1 only when
-                            gamma = 1, where the pressure is K * mean) */
+    double *work;        /* scratch (4, n + 4), (5, n + 4) with pressure;
+                            see WORK */
+    double *power;       /* NULL without pressure, else scratch (n + 1):
+                            the face mean, raised by the caller to
+                            gamma - 1 unless gamma = 1, where the pressure
+                            is K * mean */
     double *cell;        /* NULL without pressure, else scratch (n):
                             max(rho, 0) raised by the caller, to gamma - 1
-                            for max_speed and to gamma for row_sums */
+                            for a stage and max_speed and to gamma for
+                            row_sums */
 };
 
 /* Row k of the work scratch. Rows 0 and 1 hold rho and V extended by two
  * ghosts each side, from extend() to the fluxes; rows 2 and 3 the mass and
  * advection fluxes; once the fluxes are formed, rows 0 and 1 take the force
- * sums, and max_speed() the speeds. */
+ * sums, and max_speed() the speeds. With pressure, row 4 holds the sound
+ * speeds of the extended cells, from faces() to the fluxes. */
 #define WORK(s, k) ((s)->work + (k) * ((s)->n + 4))
 
 /* np.maximum: NaN propagates and a tie returns b, so np_max(-0.0, 0.0) is
@@ -173,18 +177,26 @@ static void extend(const struct stage *s, const double *rho, const double *vel)
     er[n + 2] = er[n + 3] = ev[n + 2] = ev[n + 3] = 0.0;
 }
 
-/* Face densities of the extended rho at the m interfaces into the power
- * rows of a stage with pressure: rho_l and rho_r, clipped at zero, and
- * their mean, which the caller raises before tendencies(). */
-CLONED static void face_densities(int64_t m, const double *restrict er, double *restrict rho_l,
-                                  double *restrict rho_r, double *restrict mean)
+/* The face means 0.5 * (rho_l + rho_r) of the extended rho at the m
+ * interfaces, rho_l and rho_r clipped at zero, which the caller raises
+ * before tendencies(). */
+CLONED static void face_means(int64_t m, const double *restrict er, double *restrict mean)
 {
-    for (int64_t j = 0; j < m; j++) {
-        double rl = clip(left_state(er, j)), rr = clip(right_state(er, j));
-        rho_l[j] = rl;
-        rho_r[j] = rr;
-        mean[j] = 0.5 * (rl + rr);
-    }
+    for (int64_t j = 0; j < m; j++)
+        mean[j] = 0.5 * (clip(left_state(er, j)) + clip(right_state(er, j)));
+}
+
+/* The sound speeds sqrt(sound_coef * p) of extended cells 1 .. n + 2 into
+ * speed, from the n raised cells p: the mirror ghost at the origin is cell 0
+ * and the ghost past the wall has density 0, whose power 0**(gamma - 1) is 1
+ * for the isothermal law and 0 otherwise. */
+CLONED static void sound_speeds(int64_t n, double sound_coef, double ghost,
+                                const double *restrict p, double *restrict speed)
+{
+    for (int64_t i = 0; i < n; i++)
+        speed[i + 2] = sqrt(sound_coef * p[i]);
+    speed[1] = speed[2];
+    speed[n + 2] = sqrt(sound_coef * ghost);
 }
 
 /* The mass and advection fluxes of interface j from the extended rho and
@@ -209,18 +221,17 @@ static inline struct flux flux(const double *er, const double *ev, int64_t j, do
 
 /* The fluxes at the m interfaces into mass and adv, the mass flux weighted
  * by face_area and closed (zero) at interface 0 and at interfaces >= wall.
- * With pressure the sound speeds come from the raised power rows p_l and
- * p_r; without, p_l is NULL and they are +0.0, which leaves |V| as it is
- * (never -0.0). */
+ * With pressure the sound speeds of interface j are those of its two
+ * extended cells j + 1 and j + 2 in speed; without, speed is NULL and they
+ * are +0.0, which leaves |V| as it is (never -0.0). */
 CLONED static void fluxes(int64_t m, int64_t wall, const double *restrict er,
-                          const double *restrict ev, double sound_coef,
-                          const double *restrict p_l, const double *restrict p_r,
+                          const double *restrict ev, const double *restrict speed,
                           const double *restrict area, double *restrict mass,
                           double *restrict adv)
 {
-    if (p_l) {
+    if (speed) {
         for (int64_t j = 0; j < m; j++) {
-            struct flux f = flux(er, ev, j, sqrt(sound_coef * p_l[j]), sqrt(sound_coef * p_r[j]));
+            struct flux f = flux(er, ev, j, speed[j + 1], speed[j + 2]);
             mass[j] = f.mass * area[j];
             adv[j] = f.adv;
         }
@@ -299,14 +310,16 @@ CLONED static int64_t cells(const struct stage *s, const double *restrict rho, d
     return -1;
 }
 
-/* The start of a stage with pressure: rho and vel extended into work rows
- * 0 and 1, which tendencies() reads next, and the face densities into
- * s->power for the caller to raise. */
+/* The start of a stage with pressure, after the caller has raised s->cell
+ * to gamma - 1: rho and vel extended into work rows 0 and 1 and the
+ * extended cells' sound speeds into row 4, which tendencies() reads next,
+ * and the face means into s->power for the caller to raise. */
 CLONED void faces(const struct stage *s, const double *rho, const double *vel)
 {
-    int64_t m = s->n + 1;
+    int64_t n = s->n;
     extend(s, rho, vel);
-    face_densities(m, WORK(s, 0), s->power, s->power + m, s->power + 2 * m);
+    sound_speeds(n, s->sound_coef, s->per_density ? 1.0 : 0.0, s->cell, WORK(s, 4));
+    face_means(n + 1, WORK(s, 0), s->power);
 }
 
 /* A stage's tendencies into the (2, n) block out. Without pressure the
@@ -315,13 +328,12 @@ CLONED void faces(const struct stage *s, const double *rho, const double *vel)
 CLONED int64_t tendencies(const struct stage *s, int64_t wall, const double *rho,
                           const double *vel, double rho_floor, double *out)
 {
-    int64_t m = s->n + 1;
     const double *p = s->power;
     if (!p)
         extend(s, rho, vel);
-    fluxes(m, wall, WORK(s, 0), WORK(s, 1), s->sound_coef, p, p ? p + m : NULL,
-           s->face_area, WORK(s, 2), WORK(s, 3));
-    return cells(s, rho, rho_floor, p ? p + 2 * m : NULL, out);
+    fluxes(s->n + 1, wall, WORK(s, 0), WORK(s, 1), p ? WORK(s, 4) : NULL, s->face_area,
+           WORK(s, 2), WORK(s, 3));
+    return cells(s, rho, rho_floor, p, out);
 }
 
 /* One Runge-Kutta stage in place on the (2, n) tendencies k: k = old +

@@ -85,20 +85,27 @@ class Plan:
     """A grid and model's ``struct stage`` and the arrays it points into, for
     the thread that builds it. Its methods alone call the entries that take
     it, with numpy's ``**`` between the calls, and look up ``load`` and
-    ``power`` anew each time: tests swap them."""
+    ``power`` anew each time: tests swap them.
+
+    With pressure, a stage takes its sound speeds from the cells raised to
+    gamma - 1, the row ``max_speed`` has just raised when the stage's state
+    is the one it was given: the plan keeps that state until the row is
+    raised for another, or to gamma by ``row_sums``. A state's fields are
+    never written after it is built, so the same object has the same powers."""
 
     def __init__(self, grid: RadialGrid, cfg: ModelConfig):
         n = grid.n_cells
         weights = grid_weights(grid, cfg.dim)
-        # the ghost-extended fields, the fluxes, the force sums, the wave speeds;
-        # see WORK in the C source
-        work = np.empty((4, n + 4))
+        # the ghost-extended fields, the fluxes, the force sums, the wave
+        # speeds and, with pressure, the cells' sound speeds; see WORK in the
+        # C source
+        work = np.empty((5 if cfg.pressure_const > 0.0 else 4, n + 4))
         power = raised = cell = None
         if cfg.pressure_const > 0.0:
-            power = np.empty((3, n + 1))
+            power = np.empty(n + 1)
             # the isothermal pressure K * rho**1.0 is K times the face mean
             # itself (numpy computes x**1.0 as x)
-            raised = power if cfg.gamma > 1.0 else power[:2]
+            raised = power if cfg.gamma > 1.0 else None
             cell = np.empty(n)
         if cfg.gamma > 1.0:
             # pressure force per unit mass as an exact enthalpy gradient,
@@ -118,8 +125,11 @@ class Plan:
             **{k: None if a is None else a.ctypes.data for k, a in arrays.items()},
         )
         self._cells, self._block, self._gamma = (n,), (2, n), cfg.gamma
-        # the face rows raised to gamma - 1 and the n-cell scratch; None for K = 0
+        # the face means raised to gamma - 1 (None for K = 0 or gamma = 1) and
+        # the n-cell scratch (None for K = 0)
         self._raised, self._cell = raised, cell
+        # the state whose cells the scratch holds raised to gamma - 1, or None
+        self._cell_state = None
         self._at = ctypes.addressof(stage)
         self._keep = (stage, arrays)  # alive as long as the plan
         self._memo = _thread.memo  # of the thread the plan belongs to
@@ -129,9 +139,11 @@ class Plan:
         memo = self._memo
         rho_at, vel_at = _fields_at(memo, state, self._cells)
         lib = load()
-        if self._raised is not None:
+        if self._cell is not None:
+            self._cell_powers(state)
             lib.faces(self._at, rho_at, vel_at)
-            power(self._raised, self._gamma - 1.0, None)
+            if self._raised is not None:
+                power(self._raised, self._gamma - 1.0, None)
         out = np.empty(self._block)
         out_at = _remember(memo, out, self._block, address(out, self._block))
         return out, lib.tendencies(self._at, wall, rho_at, vel_at, rho_floor, out_at)
@@ -150,17 +162,25 @@ class Plan:
     def max_speed(self, state) -> float:
         """max(|V| + c) over the cells."""
         if self._cell is not None:
-            power(self._cell, self._gamma - 1.0, state.rho)
+            self._cell_powers(state)
         return load().max_speed(self._at, _fields_at(self._memo, state, self._cells)[1])
 
     def row_sums(self, state) -> list[float]:
         """The four sums of a diagnostics row; see ``row_sums`` in the C source."""
         rho_at, vel_at = _fields_at(self._memo, state, self._cells)
         if self._cell is not None:
+            self._cell_state = None
             power(self._cell, self._gamma, state.rho)
         out = _ROW()
         load().row_sums(self._at, rho_at, vel_at, out)
         return out[:]
+
+    def _cell_powers(self, state) -> None:
+        """max(state.rho, 0)**(gamma - 1) into the cell scratch, unless it
+        holds them already."""
+        if self._cell_state is not state:
+            power(self._cell, self._gamma - 1.0, state.rho)
+            self._cell_state = state
 
 
 class _Thread(threading.local):

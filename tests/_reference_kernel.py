@@ -5,7 +5,9 @@ they call (per-field limiting, boundary copies, Poisson prefix sums), of
 the numpy diagnostics row (mass, energy monitor and Cauchy-Schwarz gap,
 each summed by ``np.sum``), and of the numpy ``max_velocity_gradient``,
 with the barotropic ``pressure`` law they read. It is never run by the package; property tests compare the production code
-against it bit for bit.
+against it bit for bit. It is the scheme's specification, so a scheme change
+is made here too: the dissipation speed now takes its sound speeds from the
+two cells beside each interface, not from the face densities.
 """
 
 from __future__ import annotations
@@ -83,10 +85,10 @@ def rhs_eval(
     rho_l = np.maximum(rho_l, 0.0)
     rho_r = np.maximum(rho_r, 0.0)
 
-    a = np.maximum(
-        np.abs(vel_l) + sound_speed(rho_l, cfg),
-        np.abs(vel_r) + sound_speed(rho_r, cfg),
-    )
+    # the dissipation speed takes the sound speeds of the two cells beside
+    # each interface: extended cells 1 .. n + 2, the ghosts included
+    c_ext = sound_speed(np.maximum(rho_ext[1:-1], 0.0), cfg)
+    a = np.maximum(np.abs(vel_l) + c_ext[:-1], np.abs(vel_r) + c_ext[1:])
 
     # mass flux rho*V with local Lax-Friedrichs dissipation, weighted by x**(N-1)
     f_mass = 0.5 * (rho_l * vel_l + rho_r * vel_r) - 0.5 * a * (rho_r - rho_l)

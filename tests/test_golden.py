@@ -10,6 +10,15 @@ force path. Their arithmetic uses no pow or exp beyond squares (numpy's
 IEEE operations), so the digests do not depend on the platform's libm. A
 change that is meant to alter the numerics must update these digests and
 say why.
+
+The pressure digests were recorded again when the dissipation speed
+max(|V| + c) of an interface began to take its sound speeds from the two
+cells beside it instead of from the limited face densities rho_l and rho_r
+(a stage then raises the cells, which the wave speed has raised already,
+and not two face rows). The speed is only the Lax-Friedrichs dissipation
+bound, so the run changed in the last digits: t_detect moved from
+0.11359151273997668 to 0.11359151286214968 and the verdict, termination and
+row count stayed. The dust digests do not pass through that code.
 """
 
 import hashlib
@@ -54,9 +63,9 @@ GOLDEN_256_SHA256 = {
 }
 
 GOLDEN_PRESSURE_SHA256 = {
-    "summary.txt": "251a56fe702fed31785ba183c3613faef36cbf79e7e64006e24506d05290d55b",
-    "series.tsv": "e860f82fffd3bbbc7d08b9b75494c53388195192ee36460c18a967f09d9ad60a",
-    "snapshot-0.5.tsv": "96573ee4ba7294046e1c927e8690ae7dc0665138dfcdbe8da292e33df59090b5",
+    "summary.txt": "c7465eb3243916c76d26bc1ad03c72164e574664f5dab36bedacc2d5b5885302",
+    "series.tsv": "e2f3eef739c934e7f0ff5a19f0bf6939828ab0ecf3eba833c1b50c3aa7139173",
+    "snapshot-0.5.tsv": "2e1e8d638768e69c30456d47828e9916062c94c97f97d7232688d3f866606be0",
     "resolved-config.txt": "4d98a898c75796042b35d285e90c3779922706903cfda0b54992f896efa6ef9d",
 }
 
@@ -92,7 +101,8 @@ def test_bump_256_envelope_break_matches_golden_digests(tmp_path):
 
 
 def test_bump_256_with_pressure_and_repulsion_matches_golden_digests(tmp_path):
-    # faces, the numpy ** of the face rows, then tendencies, on every stage
+    # the numpy ** of the cells (or their reuse), faces, the ** of the face
+    # means, then tendencies, on every stage
     model = {"delta": 1, "pressure_const": 0.5, "gamma": 2}
     outcome, summary, digests = golden_digests(
         tmp_path, 256, 1, GOLDEN_PRESSURE_SHA256, model

@@ -7,7 +7,10 @@ computes as a square root. Results are compared as raw bytes, so even the
 sign of a zero must match.
 """
 
+import dataclasses
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -102,6 +105,44 @@ def test_tendencies_and_step_match_reference(case):
         assert _same(stepped.rho, expected.rho) and _same(stepped.vel, expected.vel)
     else:
         assert stepped == expected
+
+
+@st.composite
+def pressure_cases(draw):
+    state, cfg, grid, num = draw(cases())
+    cfg = dataclasses.replace(
+        cfg,
+        pressure_const=draw(st.sampled_from((0.5, 1.0))),
+        gamma=draw(st.sampled_from((1.0, 1.4, 2.0))),
+    )
+    return state, cfg, grid, num
+
+
+@settings(max_examples=60, deadline=None)
+@given(pressure_cases())
+def test_a_stage_reuses_the_cell_powers_only_for_their_state(case):
+    # a stage takes its sound speeds from the cells raised to gamma - 1,
+    # which the wave speed of the same state has raised already; the
+    # diagnostics row raises them to gamma and another state's wave speed
+    # raises other cells, and the stage must then raise its own
+    state, cfg, grid, num = case
+    rho_floor, _ = _floors(state)
+    other = FluidState(time=0.0, rho=state.rho * 0.5 + 0.25, vel=state.vel)
+
+    def tendencies(before):
+        fresh = _kernel.Plan(grid, cfg)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(_kernel, "plan", lambda grid, cfg: fresh)
+            before()
+            return rhs_eval(state, cfg, grid, num, rho_floor)
+
+    expected = tendencies(lambda: None)
+    for before in (
+        lambda: max_wave_speed(state, cfg, grid),
+        lambda: (max_wave_speed(state, cfg, grid), diagnostics.row_integrals(state, grid, cfg)),
+        lambda: max_wave_speed(other, cfg, grid),
+    ):
+        assert _same(tendencies(before), expected)
 
 
 @settings(max_examples=60, deadline=None)

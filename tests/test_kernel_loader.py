@@ -149,7 +149,9 @@ def test_the_avx2_clones_of_the_loops_hold_256_bit_code():
             wide[key] += 1
     if not wide:
         pytest.skip("the kernel has no wide clones on this platform")
-    loops = ("face_densities", "fluxes", "cells", "rk_stage", "max_speed", "block_sums")
+    loops = (
+        "face_means", "sound_speeds", "fluxes", "cells", "rk_stage", "max_speed", "block_sums"
+    )
     # extreme and max_slope work in 32-byte vectors, ymm in both clones
     for loop in loops + ("extreme", "max_slope"):
         assert wide.get((loop, "avx2"), 0) > 0, loop

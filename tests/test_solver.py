@@ -1,4 +1,5 @@
 import hashlib
+import math
 import sys
 import threading
 from collections import Counter
@@ -6,7 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from _characteristics import oracle_velocity
@@ -358,6 +359,11 @@ class TestRun:
             max_size=6,
         )
     )
+    # inf and 1e300 are the same float distance from every row, so each
+    # takes the first; and requests asked for more than once
+    @example([math.inf, 0.1])
+    @example([1e300, -math.inf])
+    @example([0.1, 0.1, 0.05, 0.1])
     def test_snapshots_are_the_rows_nearest_each_requested_time(self, snapshot_times):
         # unsorted, duplicated, negative and past-t_end requests each get the
         # recorded row nearest them, in request order
@@ -385,6 +391,8 @@ class TestRun:
                              (diagnostics, "max_velocity_gradient"), (_kernel, "address")):
             def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
                 calls[_name] += 1
+                if _name == "power":
+                    calls["raised"] += args[0].size
                 return _fn(*args, **kwargs)
 
             monkeypatch.setattr(module, name, counted)
@@ -413,10 +421,17 @@ class TestRun:
         assert calls["max_velocity_gradient"] == steps + 1
         # the numpy EOS and force field are oracles: the run path is compiled
         assert calls["sound_speed"] == calls["radial_field"] == 0
-        # numpy's ** is one pass per stage, one for the wave speed and one per
-        # diagnostics row, none without pressure
+        # numpy's ** raises the n cells for the wave speed, which the first
+        # stage reuses, and for the second stage; the n + 1 face means of each
+        # stage unless gamma = 1; and the n cells of each diagnostics row. None
+        # without pressure
         assert rows == steps + 1
-        assert calls["power"] == (3 * steps + rows if pressure_const > 0 else 0)
+        if pressure_const > 0:
+            n = grid.n_cells
+            assert calls["raised"] == (4 * n + 2 if gamma > 1.0 else 2 * n) * steps + n * rows
+            assert calls["power"] == (4 if gamma > 1.0 else 2) * steps + rows
+        else:
+            assert calls["power"] == 0
         # a step calls the wave speed, two stages (faces and tendencies with
         # pressure, tendencies alone without), two Runge-Kutta stages and the
         # slope; a row its sums, and the initial row the slope too
