@@ -7,13 +7,12 @@
  * Every expression repeats the numpy operations of the reference kernel in
  * tests/_reference_kernel.py, in the same order, so the results match it
  * bit for bit. That holds only without floating-point contraction: build
- * with -ffp-contract=off and never with -ffast-math. The operations left
- * to numpy are the powers max(rho, 0)**(gamma - 1) of the cells and the
- * face means and, for a diagnostics row, max(rho, 0)**gamma, since numpy's
- * SIMD `**` differs from `pow` here in the last bit. With pressure the
- * caller raises the `cell` row before faces(), max_speed() and row_sums(),
- * and the face-mean `power` row between faces() and tendencies(). Without
- * pressure a stage is the one call tendencies().
+ * with -ffp-contract=off and never with -ffast-math. The one operation left
+ * to numpy is the power of the cells, max(rho, 0)**(gamma - 1) for a stage
+ * and max_speed() and max(rho, 0)**gamma for a diagnostics row, since
+ * numpy's SIMD `**` differs from `pow` here in the last bit. With pressure
+ * the caller raises the `cell` row before each call; a stage is the one
+ * call tendencies() for every law.
  *
  * The per-face and per-cell work runs in short branch-free loops over
  * restrict pointers, which the compiler vectorizes lane by lane: each lane
@@ -55,10 +54,11 @@
  * but max_slope and kernel_target shares. Mirrored by _kernel.Stage. */
 struct stage {
     int64_t n;           /* cells */
-    int64_t per_density; /* gamma = 1: power is a pressure, divided by rho */
+    int64_t per_density; /* gamma = 1: K * face mean of rho is a pressure,
+                            divided by rho */
     double dr;
     double sound_coef;   /* K*gamma: c = sqrt(sound_coef * rho**(gamma - 1)) */
-    double grad_coef;    /* face enthalpy or pressure = grad_coef * power */
+    double grad_coef;    /* face enthalpy or pressure = grad_coef * face mean */
     double field_coef;   /* alpha*delta; 0 without a force field */
     double pressure_const;
     const double *face_area, *cell_volume, *shell, *inner_shell;
@@ -66,10 +66,6 @@ struct stage {
     const double *r;      /* the cell centers */
     double *work;        /* scratch (4, n + 4), (5, n + 4) with pressure;
                             see WORK */
-    double *power;       /* NULL without pressure, else scratch (n + 1):
-                            the face mean, raised by the caller to
-                            gamma - 1 unless gamma = 1, where the pressure
-                            is K * mean */
     double *cell;        /* NULL without pressure, else scratch (n):
                             max(rho, 0) raised by the caller, to gamma - 1
                             for a stage and max_speed and to gamma for
@@ -80,7 +76,8 @@ struct stage {
  * ghosts each side, from extend() to the fluxes; rows 2 and 3 the mass and
  * advection fluxes; once the fluxes are formed, rows 0 and 1 take the force
  * sums, and max_speed() the speeds. With pressure, row 4 holds the sound
- * speeds of the extended cells, from faces() to the fluxes. */
+ * speeds of the extended cells up to the fluxes, then the face means; for
+ * gamma > 1, row 1 holds the extended enthalpy row between the two. */
 #define WORK(s, k) ((s)->work + (k) * ((s)->n + 4))
 
 /* np.maximum: NaN propagates and a tie returns b, so np_max(-0.0, 0.0) is
@@ -162,28 +159,35 @@ static inline double right_state(const double *e, int64_t j)
 /* np.maximum(x, 0.0), written so it needs no branch: NaN stays */
 static inline double clip(double x) { return x <= 0.0 ? 0.0 : x; }
 
-/* rho and V into work rows 0 and 1 with two ghosts mirrored at the origin
- * (V negated, being odd) and two zeros past the wall. */
+/* The n cells x into the extended row e: two ghosts mirrored evenly at the
+ * origin and two zeros past the wall. */
+static void pad(int64_t n, const double *x, double *e)
+{
+    memcpy(e + 2, x, n * sizeof(double));
+    e[0] = x[1];
+    e[1] = x[0];
+    e[n + 2] = e[n + 3] = 0.0;
+}
+
+/* rho and V into work rows 0 and 1, padded, V negated in the ghosts at the
+ * origin, being odd. */
 static void extend(const struct stage *s, const double *rho, const double *vel)
 {
     int64_t n = s->n;
-    double *er = WORK(s, 0), *ev = WORK(s, 1);
-    memcpy(er + 2, rho, n * sizeof(double));
+    double *ev = WORK(s, 1);
+    pad(n, rho, WORK(s, 0));
     memcpy(ev + 2, vel, n * sizeof(double));
-    er[0] = rho[1];
-    er[1] = rho[0];
     ev[0] = -vel[1];
     ev[1] = -vel[0];
-    er[n + 2] = er[n + 3] = ev[n + 2] = ev[n + 3] = 0.0;
+    ev[n + 2] = ev[n + 3] = 0.0;
 }
 
-/* The face means 0.5 * (rho_l + rho_r) of the extended rho at the m
- * interfaces, rho_l and rho_r clipped at zero, which the caller raises
- * before tendencies(). */
-CLONED static void face_means(int64_t m, const double *restrict er, double *restrict mean)
+/* The face means 0.5 * (e_l + e_r) of an extended row e at the m
+ * interfaces, its limited states e_l and e_r clipped at zero. */
+CLONED static void face_means(int64_t m, const double *restrict e, double *restrict mean)
 {
     for (int64_t j = 0; j < m; j++)
-        mean[j] = 0.5 * (clip(left_state(er, j)) + clip(right_state(er, j)));
+        mean[j] = 0.5 * (clip(left_state(e, j)) + clip(right_state(e, j)));
 }
 
 /* The sound speeds sqrt(sound_coef * p) of extended cells 1 .. n + 2 into
@@ -249,7 +253,7 @@ CLONED static void fluxes(int64_t m, int64_t wall, const double *restrict er,
 
 /* Fill out = (drho, dvel), shape (2, n), from the fluxes in work rows 2
  * and 3: flux divergence, pressure, force, vacuum mask, the order of the
- * reference. With pressure, base is the raised face-mean row.
+ * reference. With pressure, base is the face means in work row 4.
  *
  * The force field is (alpha*delta) * C / center with C the running
  * integral of max(rho, 0) * s**(N-1), accumulated in the order of
@@ -310,30 +314,28 @@ CLONED static int64_t cells(const struct stage *s, const double *restrict rho, d
     return -1;
 }
 
-/* The start of a stage with pressure, after the caller has raised s->cell
- * to gamma - 1: rho and vel extended into work rows 0 and 1 and the
- * extended cells' sound speeds into row 4, which tendencies() reads next,
- * and the face means into s->power for the caller to raise. */
-CLONED void faces(const struct stage *s, const double *rho, const double *vel)
-{
-    int64_t n = s->n;
-    extend(s, rho, vel);
-    sound_speeds(n, s->sound_coef, s->per_density ? 1.0 : 0.0, s->cell, WORK(s, 4));
-    face_means(n + 1, WORK(s, 0), s->power);
-}
-
-/* A stage's tendencies into the (2, n) block out. Without pressure the
- * whole stage, extending rho and vel first; with pressure the rest of it,
- * after faces() and the caller's powers, and vel is not read. */
+/* A stage's tendencies into the (2, n) block out. With pressure the caller
+ * has raised s->cell to gamma - 1: the sound speeds of the fluxes come from
+ * those cells, and so does the face enthalpy for gamma > 1, as the face means
+ * of the padded cells (0**(gamma - 1) = 0 past the wall). For gamma = 1 the
+ * pressure is K times the face means of rho. */
 CLONED int64_t tendencies(const struct stage *s, int64_t wall, const double *rho,
                           const double *vel, double rho_floor, double *out)
 {
-    const double *p = s->power;
-    if (!p)
-        extend(s, rho, vel);
-    fluxes(s->n + 1, wall, WORK(s, 0), WORK(s, 1), p ? WORK(s, 4) : NULL, s->face_area,
-           WORK(s, 2), WORK(s, 3));
-    return cells(s, rho, rho_floor, p, out);
+    int64_t n = s->n;
+    const double *cell = s->cell;
+    double *face = cell ? WORK(s, 4) : NULL; /* the sound speeds, then the face means */
+    extend(s, rho, vel);
+    if (cell)
+        sound_speeds(n, s->sound_coef, s->per_density ? 1.0 : 0.0, cell, face);
+    fluxes(n + 1, wall, WORK(s, 0), WORK(s, 1), face, s->face_area, WORK(s, 2), WORK(s, 3));
+    if (cell && s->per_density) {
+        face_means(n + 1, WORK(s, 0), face);
+    } else if (cell) {
+        pad(n, cell, WORK(s, 1));
+        face_means(n + 1, WORK(s, 1), face);
+    }
+    return cells(s, rho, rho_floor, face, out);
 }
 
 /* One Runge-Kutta stage in place on the (2, n) tendencies k: k = old +

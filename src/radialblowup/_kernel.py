@@ -7,7 +7,8 @@ loaded on first use, so commands that never step a state never compile it.
 Every entry but ``max_slope`` and ``kernel_target`` takes the address of the
 ``struct stage`` that ``plan`` builds once per grid, model and thread, and the
 methods of that ``Plan`` are their only callers; this is the one module that
-speaks ctypes, and the one that places numpy's ``**`` between the C calls.
+speaks ctypes, and the one that raises the cells with numpy's ``**`` before a
+C call.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import tempfile
 import threading
 import weakref
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
@@ -47,12 +47,11 @@ class Stage(ctypes.Structure):
         ("dr", _F64), ("sound_coef", _F64), ("grad_coef", _F64), ("field_coef", _F64),
         ("pressure_const", _F64),
         ("face_area", _P), ("cell_volume", _P), ("shell", _P), ("inner_shell", _P),
-        ("center", _P), ("r", _P), ("work", _P), ("power", _P), ("cell", _P),
+        ("center", _P), ("r", _P), ("work", _P), ("cell", _P),
     ]
 
 
 _SIGNATURES = {
-    "faces": ([_P, _P, _P], None),
     "tendencies": ([_P, _I64, _P, _P, _F64, _P], _I64),
     "rk_stage": ([_P, _I64, _F64, _P, _P, _P, _P], _F64),
     "max_speed": ([_P, _P], _F64),
@@ -84,36 +83,31 @@ def address(array: np.ndarray, shape: tuple[int, ...]) -> int:
 class Plan:
     """A grid and model's ``struct stage`` and the arrays it points into, for
     the thread that builds it. Its methods alone call the entries that take
-    it, with numpy's ``**`` between the calls, and look up ``load`` and
-    ``power`` anew each time: tests swap them.
+    it, each after numpy's ``**`` has raised the cells it reads, and look up
+    ``load`` and ``power`` anew each time: tests swap them.
 
-    With pressure, a stage takes its sound speeds from the cells raised to
-    gamma - 1, the row ``max_speed`` has just raised when the stage's state
-    is the one it was given: the plan keeps that state until the row is
-    raised for another, or to gamma by ``row_sums``. A state's fields are
-    never written after it is built, so the same object has the same powers."""
+    With pressure, a stage takes its sound speeds and face enthalpies from
+    the cells raised to gamma - 1, the row ``max_speed`` has just raised when
+    the stage's state is the one it was given: the plan keeps that state
+    until the row is raised for another, or to gamma by ``row_sums``. A
+    state's fields are never written after it is built, so the same object
+    has the same powers."""
 
     def __init__(self, grid: RadialGrid, cfg: ModelConfig):
         n = grid.n_cells
         weights = grid_weights(grid, cfg.dim)
         # the ghost-extended fields, the fluxes, the force sums, the wave
-        # speeds and, with pressure, the cells' sound speeds; see WORK in the
-        # C source
+        # speeds and, with pressure, the cells' sound speeds and the face
+        # means; see WORK in the C source
         work = np.empty((5 if cfg.pressure_const > 0.0 else 4, n + 4))
-        power = raised = cell = None
-        if cfg.pressure_const > 0.0:
-            power = np.empty(n + 1)
-            # the isothermal pressure K * rho**1.0 is K times the face mean
-            # itself (numpy computes x**1.0 as x)
-            raised = power if cfg.gamma > 1.0 else None
-            cell = np.empty(n)
+        cell = np.empty(n) if cfg.pressure_const > 0.0 else None
         if cfg.gamma > 1.0:
             # pressure force per unit mass as an exact enthalpy gradient,
             # K*g/(g-1) * d(rho**(g-1))/dr: bounded at the vacuum edge
             grad_coef = cfg.pressure_const * cfg.gamma / (cfg.gamma - 1.0)
         else:
             grad_coef = cfg.pressure_const
-        arrays = dict(weights._asdict(), r=grid.cell_centers, work=work, power=power, cell=cell)
+        arrays = dict(weights._asdict(), r=grid.cell_centers, work=work, cell=cell)
         stage = Stage(
             n=n,
             per_density=not cfg.gamma > 1.0,
@@ -125,9 +119,7 @@ class Plan:
             **{k: None if a is None else a.ctypes.data for k, a in arrays.items()},
         )
         self._cells, self._block, self._gamma = (n,), (2, n), cfg.gamma
-        # the face means raised to gamma - 1 (None for K = 0 or gamma = 1) and
-        # the n-cell scratch (None for K = 0)
-        self._raised, self._cell = raised, cell
+        self._cell = cell  # the n-cell scratch, None for K = 0
         # the state whose cells the scratch holds raised to gamma - 1, or None
         self._cell_state = None
         self._at = ctypes.addressof(stage)
@@ -138,15 +130,11 @@ class Plan:
         """A stage's (2, n) tendencies and the first non-finite index in them, or -1."""
         memo = self._memo
         rho_at, vel_at = _fields_at(memo, state, self._cells)
-        lib = load()
         if self._cell is not None:
             self._cell_powers(state)
-            lib.faces(self._at, rho_at, vel_at)
-            if self._raised is not None:
-                power(self._raised, self._gamma - 1.0, None)
         out = np.empty(self._block)
         out_at = _remember(memo, out, self._block, address(out, self._block))
-        return out, lib.tendencies(self._at, wall, rho_at, vel_at, rho_floor, out_at)
+        return out, load().tendencies(self._at, wall, rho_at, vel_at, rho_floor, out_at)
 
     def rk_stage(self, wall: int, dt: float, state, mid, k) -> float:
         """A Runge-Kutta stage from ``state`` in place on the (2, n) tendencies
@@ -258,12 +246,11 @@ def max_slope(state, width: float) -> tuple[float, int]:
     return slope.value, k + 1
 
 
-def power(scratch: np.ndarray, exponent: float, rho: Optional[np.ndarray]) -> None:
-    """Raise a plan's ``scratch``, first filled with max(rho, 0) if ``rho`` is
-    given, to ``exponent`` in place: the one pow of a run left to numpy, whose
-    SIMD ``**`` differs from libm's ``pow`` in the last bit."""
-    if rho is not None:
-        np.maximum(rho, 0.0, out=scratch)
+def power(scratch: np.ndarray, exponent: float, rho: np.ndarray) -> None:
+    """max(rho, 0)**exponent into a plan's ``scratch``: the one pow of a run
+    left to numpy, whose SIMD ``**`` differs from libm's ``pow`` in the last
+    bit."""
+    np.maximum(rho, 0.0, out=scratch)
     scratch **= exponent
 
 

@@ -71,8 +71,10 @@ class ExperimentConfig:
     output_dir: str = field(compare=False, default="runs")
 
     def __post_init__(self):
-        if self.n_cells < 8:
-            raise ValueError("numerics.n_cells must be at least 8")
+        try:  # the grid's own rule, named by its config key
+            RadialGrid(self.n_cells, self.model.support_radius)
+        except ValueError as exc:
+            raise ValueError(f"numerics.{exc}") from None
         if self.seed < 0:
             raise ValueError(f"initial.seed must be >= 0, got {self.seed}")
         # one file per time: a second time with the same name would overwrite it

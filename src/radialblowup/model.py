@@ -63,7 +63,7 @@ class RadialGrid:
 
     def __post_init__(self):
         if self.n_cells < 8:
-            raise ValueError("n_cells must be at least 8")
+            raise ValueError(f"n_cells must be at least 8, got {self.n_cells}")
         if self.support_radius <= 0:
             raise ValueError("support_radius must be > 0")
 

@@ -221,63 +221,6 @@ def detect_steepening(
     return None
 
 
-class _Snapshots:
-    """For each requested time, the recorded state nearest it, the earlier
-    on a tie: the first of least |t - wanted| in float arithmetic.
-
-    The recorded times never decrease, so the distances to a request fall
-    until the times reach it and rise after. A request is settled once, at
-    the first time not before it, between that state and the one it holds.
-    Until then it holds the last state, or the first of a run of states
-    whose distances round to the same float. Two times g apart do so only
-    for a request of at least g * 2**52 (half that is the test below, for
-    margin), so only such requests, infinite and huge ones or all at equal
-    times, are compared on each row.
-    """
-
-    def __init__(self, wanted: tuple[float, ...]):
-        self.wanted = wanted
-        self.found: list = [None] * len(wanted)
-        # the requests latest first; a NaN request keeps the first state
-        self.pending = sorted(
-            (k for k, w in enumerate(wanted) if w == w), key=wanted.__getitem__, reverse=True
-        )
-        self.held: dict = {}  # request -> the earlier state it keeps on a tie
-        self.last: Optional[FluidState] = None
-
-    def add(self, s: FluidState) -> None:
-        wanted, pending, held, last, t = self.wanted, self.pending, self.held, self.last, s.time
-        if last is None:
-            self.found = [s] * len(wanted)
-        while pending and wanted[pending[-1]] <= t:
-            k = pending.pop()
-            w, before = wanted[k], held.pop(k, last)
-            near = before is None or abs(t - w) < abs(before.time - w)
-            self.found[k] = s if near else before
-        if last is not None:
-            # a request below floor is strictly nearer s than any earlier state
-            floor = (t - last.time) * 2.0**51
-            for k in pending:  # latest first
-                w = wanted[k]
-                if w >= floor:
-                    before = held.get(k, last)
-                    if abs(t - w) < abs(before.time - w):
-                        held.pop(k, None)
-                    else:
-                        held[k] = before
-                elif not held:
-                    break
-                else:
-                    held.pop(k, None)
-        self.last = s
-
-    def states(self) -> tuple[FluidState, ...]:
-        """One state per request, in request order."""
-        for k in self.pending:
-            self.found[k] = self.held.get(k, self.last)
-        return tuple(self.found)
-
-
 def run(
     rho0: np.ndarray,
     v0: np.ndarray,
@@ -319,10 +262,14 @@ def run(
 
     # rows are (t, H, mass, energy, Cauchy-Schwarz gap, max |dV/dr|)
     rows: list[tuple[float, ...]] = []
-    snapshots = _Snapshots(snapshot_times)
+    # (|t - wanted|, state) of the nearest recorded state for each wanted time
+    nearest: list[Optional[tuple[float, FluidState]]] = [None] * len(snapshot_times)
 
     def record(s: FluidState, max_gradient: float):
-        snapshots.add(s)
+        for k, wanted in enumerate(snapshot_times):
+            distance = abs(s.time - wanted)
+            if nearest[k] is None or distance < nearest[k][0]:
+                nearest[k] = (distance, s)
         rows.append((s.time, *diagnostics.row_integrals(s, grid, cfg), max_gradient))
 
     gradient = diagnostics.max_velocity_gradient(state, grid)
@@ -390,7 +337,7 @@ def run(
         t_detect=t_detect,
     )
     trajectory = Trajectory(
-        snapshots=snapshots.states(),
+        snapshots=tuple(s for _, s in nearest),
         termination=termination,
         t_detect=t_detect,
         breakdown=breakdown,

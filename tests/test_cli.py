@@ -635,11 +635,15 @@ class TestMain:
             ("[sweep]\ndelta = 2", r"sweep: delta must be -1, 0 or \+1, got 2"),
             ("[sweep]\npressure_const = -1", r"sweep: pressure_const must be >= 0"),
             ("[sweep]\nn_cells = 4", r"sweep: numerics\.n_cells must be at least 8"),
+            ("[sweep]\nn_cells = 7", r"sweep: numerics\.n_cells must be at least 8, got 7"),
             ("family = random_smooth\nmodes = 0", r"initial\.modes must be > 0, got 0"),
             ("family = gaussian_truncated\nwidth = 0", r"initial\.width must be > 0, got 0\.0"),
             ("family = random_smooth\nseed = -1", r"initial\.seed must be >= 0, got -1"),
         ],
-        ids=["sweep-gamma", "sweep-delta", "sweep-pressure", "sweep-n_cells", "modes", "width", "seed"],
+        ids=[
+            "sweep-gamma", "sweep-delta", "sweep-pressure", "sweep-n_cells", "sweep-n_cells-7",
+            "modes", "width", "seed",
+        ],
     )
     def test_a_bad_sweep_entry_or_initial_value_exits_one_before_any_run(
         self, tmp_path, capsys, edit, message

@@ -101,8 +101,8 @@ def test_bump_256_envelope_break_matches_golden_digests(tmp_path):
 
 
 def test_bump_256_with_pressure_and_repulsion_matches_golden_digests(tmp_path):
-    # the numpy ** of the cells (or their reuse), faces, the ** of the face
-    # means, then tendencies, on every stage
+    # the numpy ** of the cells (or their reuse), then tendencies, on every
+    # stage
     model = {"delta": 1, "pressure_const": 0.5, "gamma": 2}
     outcome, summary, digests = golden_digests(
         tmp_path, 256, 1, GOLDEN_PRESSURE_SHA256, model

@@ -422,21 +422,19 @@ class TestRun:
         # the numpy EOS and force field are oracles: the run path is compiled
         assert calls["sound_speed"] == calls["radial_field"] == 0
         # numpy's ** raises the n cells for the wave speed, which the first
-        # stage reuses, and for the second stage; the n + 1 face means of each
-        # stage unless gamma = 1; and the n cells of each diagnostics row. None
-        # without pressure
+        # stage reuses, and for the second stage, whatever gamma; and the n
+        # cells of each diagnostics row. None without pressure
         assert rows == steps + 1
         if pressure_const > 0:
             n = grid.n_cells
-            assert calls["raised"] == (4 * n + 2 if gamma > 1.0 else 2 * n) * steps + n * rows
-            assert calls["power"] == (4 if gamma > 1.0 else 2) * steps + rows
+            assert calls["raised"] == 2 * n * steps + n * rows
+            assert calls["power"] == 2 * steps + rows
         else:
             assert calls["power"] == 0
-        # a step calls the wave speed, two stages (faces and tendencies with
-        # pressure, tendencies alone without), two Runge-Kutta stages and the
-        # slope; a row its sums, and the initial row the slope too
-        per_step = 8 if pressure_const > 0 else 6
-        assert calls["C"] == per_step * steps + rows + 1
+        # a step calls the wave speed, two stages of one call each, two
+        # Runge-Kutta stages and the slope, with or without pressure; a row
+        # its sums, and the initial row the slope too
+        assert calls["C"] == 6 * steps + rows + 1
         # each array's address is taken once while it is in flight: the two
         # tendency blocks and the four rows of the stage and new states
         assert 0 < calls["address"] <= 6 * steps + rows
