@@ -11,8 +11,10 @@
  * to numpy is the power of the cells, max(rho, 0)**(gamma - 1) for a stage
  * and max_speed() and max(rho, 0)**gamma for a diagnostics row, since
  * numpy's SIMD `**` differs from `pow` here in the last bit. With pressure
- * the caller raises the `cell` row before each call; a stage is the one
- * call tendencies() for every law.
+ * and gamma > 1 the caller raises the `cell` row before each call; for
+ * gamma = 1 every power to gamma - 1 is 1 and the power to gamma is
+ * max(rho, 0) itself, so nothing is raised. A stage is the one call
+ * tendencies() for every law.
  *
  * The per-face and per-cell work runs in short branch-free loops over
  * restrict pointers, which the compiler vectorizes lane by lane: each lane
@@ -29,7 +31,15 @@
  * ISA levels with generic tuning (arch=icelake-server and later prefer
  * 256-bit vectors). AVX-512F has FMA, so -ffp-contract=off matters in its
  * clones as well.
+ *
+ * Below the numerics, the module's Python binding: one METH_FASTCALL
+ * function per entry, which takes the arrays through the buffer protocol,
+ * checks them and calls the entry with the GIL released.
  */
+/* first, as the C API asks: it sets feature macros the C library reads */
+#define PY_SSIZE_T_CLEAN
+#include <Python.h>
+
 #include <float.h>
 #include <math.h>
 #include <stdint.h>
@@ -66,10 +76,10 @@ struct stage {
     const double *r;      /* the cell centers */
     double *work;        /* scratch (4, n + 4), (5, n + 4) with pressure;
                             see WORK */
-    double *cell;        /* NULL without pressure, else scratch (n):
-                            max(rho, 0) raised by the caller, to gamma - 1
-                            for a stage and max_speed and to gamma for
-                            row_sums */
+    double *cell;        /* NULL without pressure or for gamma = 1, else
+                            scratch (n): max(rho, 0) raised by the caller,
+                            to gamma - 1 for a stage and max_speed and to
+                            gamma for row_sums */
 };
 
 /* Row k of the work scratch. Rows 0 and 1 hold rho and V extended by two
@@ -192,15 +202,22 @@ CLONED static void face_means(int64_t m, const double *restrict e, double *restr
 
 /* The sound speeds sqrt(sound_coef * p) of extended cells 1 .. n + 2 into
  * speed, from the n raised cells p: the mirror ghost at the origin is cell 0
- * and the ghost past the wall has density 0, whose power 0**(gamma - 1) is 1
- * for the isothermal law and 0 otherwise. */
-CLONED static void sound_speeds(int64_t n, double sound_coef, double ghost,
-                                const double *restrict p, double *restrict speed)
+ * and the ghost past the wall has density 0, whose power 0**(gamma - 1) is
+ * 0. For the isothermal law p is NULL: every power, the ghost's too, is 1,
+ * and every speed sqrt(sound_coef). */
+CLONED static void sound_speeds(int64_t n, double sound_coef, const double *restrict p,
+                                double *restrict speed)
 {
-    for (int64_t i = 0; i < n; i++)
-        speed[i + 2] = sqrt(sound_coef * p[i]);
+    if (p) {
+        for (int64_t i = 0; i < n; i++)
+            speed[i + 2] = sqrt(sound_coef * p[i]);
+        speed[n + 2] = 0.0;
+    } else {
+        double c = sqrt(sound_coef);
+        for (int64_t i = 0; i < n + 1; i++)
+            speed[i + 2] = c;
+    }
     speed[1] = speed[2];
-    speed[n + 2] = sqrt(sound_coef * ghost);
 }
 
 /* The mass and advection fluxes of interface j from the extended rho and
@@ -314,24 +331,26 @@ CLONED static int64_t cells(const struct stage *s, const double *restrict rho, d
     return -1;
 }
 
-/* A stage's tendencies into the (2, n) block out. With pressure the caller
- * has raised s->cell to gamma - 1: the sound speeds of the fluxes come from
- * those cells, and so does the face enthalpy for gamma > 1, as the face means
- * of the padded cells (0**(gamma - 1) = 0 past the wall). For gamma = 1 the
- * pressure is K times the face means of rho. */
+/* A stage's tendencies into the (2, n) block out. With pressure and
+ * gamma > 1 the caller has raised s->cell to gamma - 1: the sound speeds of
+ * the fluxes come from those cells, and so does the face enthalpy, as the
+ * face means of the padded cells (0**(gamma - 1) = 0 past the wall). For
+ * gamma = 1 the sound speed is sqrt(K) and the pressure is K times the face
+ * means of rho. */
 CLONED int64_t tendencies(const struct stage *s, int64_t wall, const double *rho,
                           const double *vel, double rho_floor, double *out)
 {
     int64_t n = s->n;
     const double *cell = s->cell;
-    double *face = cell ? WORK(s, 4) : NULL; /* the sound speeds, then the face means */
+    /* the sound speeds, then the face means */
+    double *face = s->pressure_const > 0.0 ? WORK(s, 4) : NULL;
     extend(s, rho, vel);
-    if (cell)
-        sound_speeds(n, s->sound_coef, s->per_density ? 1.0 : 0.0, cell, face);
+    if (face)
+        sound_speeds(n, s->sound_coef, cell, face);
     fluxes(n + 1, wall, WORK(s, 0), WORK(s, 1), face, s->face_area, WORK(s, 2), WORK(s, 3));
-    if (cell && s->per_density) {
+    if (face && s->per_density) {
         face_means(n + 1, WORK(s, 0), face);
-    } else if (cell) {
+    } else if (face) {
         pad(n, cell, WORK(s, 1));
         face_means(n + 1, WORK(s, 1), face);
     }
@@ -366,7 +385,8 @@ CLONED double rk_stage(const struct stage *s, int64_t wall, double dt, const dou
 }
 
 /* np.max of |vel| + sqrt(sound_coef * cell) over the cells, with cell
- * raised to gamma - 1. The speeds go to work row 0 first. */
+ * raised to gamma - 1, whose powers are 1 for gamma = 1. The speeds go to
+ * work row 0 first. */
 CLONED double max_speed(const struct stage *s, const double *restrict vel)
 {
     int64_t n = s->n;
@@ -376,6 +396,10 @@ CLONED double max_speed(const struct stage *s, const double *restrict vel)
     if (cell) {
         for (int64_t i = 0; i < n; i++)
             speed[i] = fabs(vel[i]) + sqrt(sc * cell[i]);
+    } else if (s->pressure_const > 0.0) {
+        double c = sqrt(sc);
+        for (int64_t i = 0; i < n; i++)
+            speed[i] = fabs(vel[i]) + c;
     } else {
         for (int64_t i = 0; i < n; i++)
             speed[i] = fabs(vel[i]);
@@ -429,8 +453,8 @@ CLONED int64_t max_slope(int64_t n, const double *restrict v, double width, doub
  * leaves the first term as it is; else eight interleaved accumulators,
  * combined as a balanced tree, then the tail in order. The four summands
  * of a cell, each product in the operand order of its numpy expression,
- * with w = r**(N-1) and cell raised to gamma: r*V; rho*w; (rho*V**2
- * [+ 2*(K*cell)])*w; V**2*2*r. */
+ * with w = r**(N-1) and cell raised to gamma (max(rho, 0) for gamma = 1):
+ * r*V; rho*w; (rho*V**2 [+ 2*(K*cell)])*w; V**2*2*r. */
 CLONED static void block_sums(const struct stage *s, const double *restrict rho,
                               const double *restrict vel, int64_t lo, int64_t n, double out[4])
 {
@@ -450,6 +474,9 @@ CLONED static void block_sums(const struct stage *s, const double *restrict rho,
     if (cell)
         for (int64_t i = 0; i < n; i++)
             t[2][i] += 2.0 * (k * cell[i]);
+    else if (k > 0.0)
+        for (int64_t i = 0; i < n; i++)
+            t[2][i] += 2.0 * (k * np_max(rho[i], 0.0));
     for (int64_t i = 0; i < n; i++)
         t[2][i] *= w[i];
     for (int q = 0; q < 4; q++) {
@@ -511,4 +538,267 @@ CLONED const char *kernel_target(void)
 {
     CLONE_TARGETS(RUNS)
     return "default";
+}
+
+
+/* The Python binding. Each function below takes its entry's arguments in
+ * order, the struct stage as a buffer of its size (the plan's
+ * _kernel.Stage, whose pointers it trusts) and each array as a buffer: a
+ * state's rho and vel of shape (n) and a (2, n) block, n from the stage.
+ * Anything else, a read-only output and a wall outside [0, n] raise
+ * ValueError before any value is written. The entry then runs with the GIL
+ * released, as it reads no Python object. max_slope takes no n and no
+ * out-parameter, and row_sums no out: they return their results. */
+
+/* The buffers a call holds, released together. */
+struct held {
+    Py_buffer view[5]; /* the most an entry takes: rk_stage's */
+    int count;
+};
+
+static void release(struct held *h)
+{
+    while (h->count > 0)
+        PyBuffer_Release(&h->view[--h->count]);
+}
+
+static int arity(const char *entry, Py_ssize_t nargs, Py_ssize_t want)
+{
+    if (nargs == want)
+        return 0;
+    PyErr_Format(PyExc_TypeError, "%s takes %zd arguments, got %zd", entry, want, nargs);
+    return -1;
+}
+
+/* The data of obj, a C-contiguous float64 buffer of shape (n) when rows is
+ * 0, else (rows, n), and writable if asked; else NULL with ValueError. A
+ * negative n takes any length. */
+static double *array(struct held *h, PyObject *obj, Py_ssize_t rows, Py_ssize_t n, int writable,
+                     const char *entry, const char *name)
+{
+    Py_buffer *v = &h->view[h->count];
+    int ndim = rows ? 2 : 1;
+    char shape[64];
+    if (PyObject_GetBuffer(obj, v, PyBUF_RECORDS_RO) == 0) {
+        if (v->ndim == ndim && (n < 0 || v->shape[ndim - 1] == n)
+            && (!rows || v->shape[0] == rows) && v->itemsize == sizeof(double) && v->format
+            && strcmp(v->format, "d") == 0 && PyBuffer_IsContiguous(v, 'C')
+            && !(writable && v->readonly)) {
+            h->count++;
+            return v->buf;
+        }
+        PyBuffer_Release(v);
+    } else {
+        PyErr_Clear();
+    }
+    if (n < 0)
+        PyOS_snprintf(shape, sizeof shape, "(n,)");
+    else if (rows)
+        PyOS_snprintf(shape, sizeof shape, "(%zd, %zd)", rows, n);
+    else
+        PyOS_snprintf(shape, sizeof shape, "(%zd,)", n);
+    PyErr_Format(PyExc_ValueError, "%s: %s must be a %sC-contiguous float64 array of shape %s",
+                 entry, name, writable ? "writable " : "", shape);
+    return NULL;
+}
+
+/* The struct stage that obj holds, or NULL with ValueError. */
+static const struct stage *stage_of(struct held *h, PyObject *obj, const char *entry)
+{
+    Py_buffer *v = &h->view[h->count];
+    if (PyObject_GetBuffer(obj, v, PyBUF_SIMPLE) == 0) {
+        if (v->len == (Py_ssize_t)sizeof(struct stage)) {
+            h->count++;
+            return v->buf;
+        }
+        PyBuffer_Release(v);
+    } else {
+        PyErr_Clear();
+    }
+    PyErr_Format(PyExc_ValueError, "%s: stage must be a buffer of %zd bytes", entry,
+                 (Py_ssize_t)sizeof(struct stage));
+    return NULL;
+}
+
+/* A wall index in [0, n], or -1 with an exception set. */
+static int64_t wall_of(PyObject *obj, int64_t n, const char *entry)
+{
+    long long wall = PyLong_AsLongLong(obj);
+    if (wall == -1 && PyErr_Occurred())
+        return -1;
+    if (wall < 0 || wall > n) {
+        PyErr_Format(PyExc_ValueError, "%s: wall must be in [0, %lld], got %lld", entry,
+                     (long long)n, wall);
+        return -1;
+    }
+    return wall;
+}
+
+/* tendencies(stage, wall, rho, vel, rho_floor, out) -> first non-finite
+ * index or -1 */
+static PyObject *py_tendencies(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    struct held h = {.count = 0};
+    const struct stage *s;
+    const double *rho, *vel;
+    double *out, rho_floor;
+    int64_t wall, bad;
+    (void)self;
+    if (arity("tendencies", nargs, 6) < 0)
+        return NULL;
+    rho_floor = PyFloat_AsDouble(args[4]);
+    if (rho_floor == -1.0 && PyErr_Occurred())
+        return NULL;
+    if (!(s = stage_of(&h, args[0], "tendencies"))
+        || (wall = wall_of(args[1], s->n, "tendencies")) < 0
+        || !(rho = array(&h, args[2], 0, s->n, 0, "tendencies", "rho"))
+        || !(vel = array(&h, args[3], 0, s->n, 0, "tendencies", "vel"))
+        || !(out = array(&h, args[5], 2, s->n, 1, "tendencies", "out"))) {
+        release(&h);
+        return NULL;
+    }
+    Py_BEGIN_ALLOW_THREADS
+    bad = tendencies(s, wall, rho, vel, rho_floor, out);
+    Py_END_ALLOW_THREADS
+    release(&h);
+    return PyLong_FromLongLong(bad);
+}
+
+/* rk_stage(stage, wall, dt, rho, vel, mid or None, k) -> the new density's
+ * minimum, NaN in the first stage */
+static PyObject *py_rk_stage(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    struct held h = {.count = 0};
+    const struct stage *s;
+    const double *rho, *vel, *mid = NULL;
+    double *k, dt, lowest;
+    int64_t wall;
+    (void)self;
+    if (arity("rk_stage", nargs, 7) < 0)
+        return NULL;
+    dt = PyFloat_AsDouble(args[2]);
+    if (dt == -1.0 && PyErr_Occurred())
+        return NULL;
+    if (!(s = stage_of(&h, args[0], "rk_stage"))
+        || (wall = wall_of(args[1], s->n, "rk_stage")) < 0
+        || !(rho = array(&h, args[3], 0, s->n, 0, "rk_stage", "rho"))
+        || !(vel = array(&h, args[4], 0, s->n, 0, "rk_stage", "vel"))
+        || (args[5] != Py_None && !(mid = array(&h, args[5], 2, s->n, 0, "rk_stage", "mid")))
+        || !(k = array(&h, args[6], 2, s->n, 1, "rk_stage", "k"))) {
+        release(&h);
+        return NULL;
+    }
+    Py_BEGIN_ALLOW_THREADS
+    lowest = rk_stage(s, wall, dt, rho, vel, mid, k);
+    Py_END_ALLOW_THREADS
+    release(&h);
+    return PyFloat_FromDouble(lowest);
+}
+
+/* max_speed(stage, vel) -> max(|V| + c) */
+static PyObject *py_max_speed(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    struct held h = {.count = 0};
+    const struct stage *s;
+    const double *vel;
+    double fastest;
+    (void)self;
+    if (arity("max_speed", nargs, 2) < 0)
+        return NULL;
+    if (!(s = stage_of(&h, args[0], "max_speed"))
+        || !(vel = array(&h, args[1], 0, s->n, 0, "max_speed", "vel"))) {
+        release(&h);
+        return NULL;
+    }
+    Py_BEGIN_ALLOW_THREADS
+    fastest = max_speed(s, vel);
+    Py_END_ALLOW_THREADS
+    release(&h);
+    return PyFloat_FromDouble(fastest);
+}
+
+/* max_slope(vel, width) -> (slope, its center cell), for 3 cells or more */
+static PyObject *py_max_slope(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    struct held h = {.count = 0};
+    const double *vel;
+    double width, slope;
+    Py_ssize_t n;
+    int64_t k;
+    (void)self;
+    if (arity("max_slope", nargs, 2) < 0)
+        return NULL;
+    width = PyFloat_AsDouble(args[1]);
+    if (width == -1.0 && PyErr_Occurred())
+        return NULL;
+    if (!(vel = array(&h, args[0], 0, -1, 0, "max_slope", "vel")))
+        return NULL;
+    n = h.view[0].shape[0];
+    if (n < 3) {
+        release(&h);
+        PyErr_Format(PyExc_ValueError, "max_slope: vel must have 3 or more cells, got %zd", n);
+        return NULL;
+    }
+    Py_BEGIN_ALLOW_THREADS
+    k = max_slope(n, vel, width, &slope);
+    Py_END_ALLOW_THREADS
+    release(&h);
+    return Py_BuildValue("(dL)", slope, (long long)(k + 1));
+}
+
+/* row_sums(stage, rho, vel) -> the four sums as a tuple */
+static PyObject *py_row_sums(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    struct held h = {.count = 0};
+    const struct stage *s;
+    const double *rho, *vel;
+    double out[4];
+    (void)self;
+    if (arity("row_sums", nargs, 3) < 0)
+        return NULL;
+    if (!(s = stage_of(&h, args[0], "row_sums"))
+        || !(rho = array(&h, args[1], 0, s->n, 0, "row_sums", "rho"))
+        || !(vel = array(&h, args[2], 0, s->n, 0, "row_sums", "vel"))) {
+        release(&h);
+        return NULL;
+    }
+    Py_BEGIN_ALLOW_THREADS
+    row_sums(s, rho, vel, out);
+    Py_END_ALLOW_THREADS
+    release(&h);
+    return Py_BuildValue("(dddd)", out[0], out[1], out[2], out[3]);
+}
+
+/* kernel_target() -> the clone's name */
+static PyObject *py_kernel_target(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    (void)self;
+    (void)args;
+    if (arity("kernel_target", nargs, 0) < 0)
+        return NULL;
+    return PyUnicode_FromString(kernel_target());
+}
+
+#define ENTRY(name, doc) {#name, (PyCFunction)(void (*)(void))py_##name, METH_FASTCALL, doc}
+
+static PyMethodDef entries[] = {
+    ENTRY(tendencies, "tendencies(stage, wall, rho, vel, rho_floor, out) -> int"),
+    ENTRY(rk_stage, "rk_stage(stage, wall, dt, rho, vel, mid, k) -> float"),
+    ENTRY(max_speed, "max_speed(stage, vel) -> float"),
+    ENTRY(max_slope, "max_slope(vel, width) -> (float, int)"),
+    ENTRY(row_sums, "row_sums(stage, rho, vel) -> (float, float, float, float)"),
+    ENTRY(kernel_target, "kernel_target() -> str"),
+    {NULL, NULL, 0, NULL},
+};
+
+static struct PyModuleDef kernel_module = {
+    PyModuleDef_HEAD_INIT, "kernel", "The compiled stage kernel of radialblowup.", 0, entries,
+    NULL, NULL, NULL, NULL,
+};
+
+PyMODINIT_FUNC PyInit_kernel(void);
+
+PyMODINIT_FUNC PyInit_kernel(void)
+{
+    return PyModuleDef_Init(&kernel_module);
 }

@@ -421,7 +421,8 @@ def run_single(run_id: str, config: ExperimentConfig, out_root: str) -> dict:
         f"steps: {trajectory.steps}\ndt_min: {_fmt(dt_min)}\ndt_max: {_fmt(dt_max)}\n"
         f"peak_rss_kb: {peak_rss}\nkernel_target: {kernel_target}\n"
         f"kernel_load_s: {t_run - t_load:.6f}\nbuild_s: {t_load - t_build:.6f}\n"
-        f"run_s: {t_ran - t_run:.6f}\nwrite_s: {t_end - t_write:.6f}\n",
+        f"run_s: {t_ran - t_run:.6f}\ndiagnostics_s: {trajectory.diagnostics_s:.6f}\n"
+        f"write_s: {t_end - t_write:.6f}\n",
         encoding="utf-8",
     )
     return {

@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -100,9 +101,10 @@ class BreakdownSite:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """One snapshot state per requested time, how and when the run ended, and
-    the number of steps taken with their (smallest, largest) dt, None
-    without steps."""
+    """One snapshot state per requested time, how and when the run ended, the
+    number of steps taken with their (smallest, largest) dt, None without
+    steps, and the seconds spent recording diagnostics rows and building the
+    series and report from them, which equality ignores."""
 
     snapshots: tuple[FluidState, ...]
     termination: Termination
@@ -110,6 +112,7 @@ class Trajectory:
     breakdown: Optional[BreakdownSite] = None
     steps: int = 0
     dt_range: Optional[tuple[float, float]] = None
+    diagnostics_s: float = field(default=0.0, compare=False)
 
     def __post_init__(self):
         detecting = self.termination in (
@@ -264,13 +267,18 @@ def run(
     rows: list[tuple[float, ...]] = []
     # (|t - wanted|, state) of the nearest recorded state for each wanted time
     nearest: list[Optional[tuple[float, FluidState]]] = [None] * len(snapshot_times)
+    clock = time.perf_counter
+    diagnostics_s = 0.0
 
     def record(s: FluidState, max_gradient: float):
+        nonlocal diagnostics_s
+        began = clock()
         for k, wanted in enumerate(snapshot_times):
             distance = abs(s.time - wanted)
             if nearest[k] is None or distance < nearest[k][0]:
                 nearest[k] = (distance, s)
         rows.append((s.time, *diagnostics.row_integrals(s, grid, cfg), max_gradient))
+        diagnostics_s += clock() - began
 
     gradient = diagnostics.max_velocity_gradient(state, grid)
     record(state, gradient[0])
@@ -312,6 +320,7 @@ def run(
     if rows[-1][0] < state.time:
         record(state, gradient[0])
 
+    began = clock()
     times, h, mass, energy, gap, max_gradient = map(np.asarray, zip(*rows))
     if times.size >= 2:
         res = diagnostics.riccati_residuals(h, times, cfg.support_radius)
@@ -336,6 +345,7 @@ def run(
         termination=termination.value,
         t_detect=t_detect,
     )
+    diagnostics_s += clock() - began
     trajectory = Trajectory(
         snapshots=tuple(s for _, s in nearest),
         termination=termination,
@@ -343,5 +353,6 @@ def run(
         breakdown=breakdown,
         steps=steps,
         dt_range=(dt_min, dt_max) if steps else None,
+        diagnostics_s=diagnostics_s,
     )
     return RunResult(trajectory=trajectory, series=series, report=report)

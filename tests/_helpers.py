@@ -58,10 +58,13 @@ def swap_in_clone(tmp_path_factory, name: str, *flags: str):
     if name not in cpu_clones():
         pytest.skip(f"this machine cannot run the {name} clone")
     path = tmp_path_factory.mktemp(f"{name}-clone") / "kernel.so"
-    command = [*_kernel.COMPILE, *flags, "-o", str(path), str(_kernel.SOURCE), "-lm"]
+    command = [
+        *_kernel.COMPILE, *flags, *_kernel.extension_flags(), "-o", str(path),
+        str(_kernel.SOURCE), "-lm",
+    ]
     subprocess.run(command, check=True)
     lib = _kernel._open(path)
-    assert lib.kernel_target() == name.encode()
+    assert lib.kernel_target() == name
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(_kernel, "load", lambda: lib)
         yield lib

@@ -465,7 +465,7 @@ class TestExecute:
         meta = dict(line.split(": ", 1) for line in text.splitlines())
         assert set(meta) == {
             "started_unix", "elapsed_seconds", "steps", "dt_min", "dt_max", "peak_rss_kb",
-            "kernel_target", "kernel_load_s", "build_s", "run_s", "write_s",
+            "kernel_target", "kernel_load_s", "build_s", "run_s", "diagnostics_s", "write_s",
         }
         assert meta["kernel_target"] == _kernel.target()
         assert 0.0 <= float(meta["kernel_load_s"]) <= float(meta["elapsed_seconds"]) + 1e-3
@@ -473,6 +473,8 @@ class TestExecute:
         phases = [float(meta[key]) for key in ("build_s", "run_s", "write_s")]
         assert min(phases) >= 0.0
         assert sum(phases) <= float(meta["elapsed_seconds"]) + 1e-3
+        # the diagnostics part of run_s, on the same clock
+        assert 0.0 < float(meta["diagnostics_s"]) <= float(meta["run_s"])
         steps, dt_min, dt_max = int(meta["steps"]), float(meta["dt_min"]), float(meta["dt_max"])
         t_final = float(read_summary(tmp_path / "run-0000")["t_final"])
         assert 0.0 < dt_min <= dt_max

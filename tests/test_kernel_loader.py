@@ -1,6 +1,8 @@
-"""The compiled kernel is built once per source into the user cache, its
-ctypes mirror of ``struct stage`` has the C layout, on x86-64 ELF with glibc
-the loader picks the widest clone the CPU has, and only ``_kernel`` calls it."""
+"""The compiled kernel is an extension module built once per source and
+interpreter ABI into the user cache, its ctypes mirror of ``struct stage``
+has the C layout, its entries take nothing but the arrays they were built
+for, on x86-64 ELF with glibc the loader picks the widest clone the CPU
+has, and only ``_kernel`` calls it."""
 
 import ast
 import ctypes
@@ -8,12 +10,14 @@ import re
 import shutil
 import stat
 import subprocess
+from importlib.machinery import EXTENSION_SUFFIXES
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from _helpers import cpu_clones
-from radialblowup import _kernel
+from radialblowup import ModelConfig, RadialGrid, _kernel
 
 PACKAGE = Path(_kernel.__file__).parent
 
@@ -29,11 +33,15 @@ def fresh_cache(tmp_path, monkeypatch):
 
 @pytest.fixture
 def stub_source(tmp_path, monkeypatch):
-    """A source that defines every entry ``_open`` looks up, and nothing else:
-    it builds in a fraction of the kernel's time."""
+    """An extension module with no entries: it builds in a fraction of the
+    kernel's time."""
     stub = tmp_path / "stub.c"
-    entries = (f"int {name}(void) {{ return 0; }}\n" for name in _kernel._SIGNATURES)
-    stub.write_text("".join(entries))
+    stub.write_text(
+        "#include <Python.h>\n"
+        "static struct PyModuleDef stub = {PyModuleDef_HEAD_INIT, \"kernel\", NULL, 0,\n"
+        "                                  NULL, NULL, NULL, NULL, NULL};\n"
+        "PyMODINIT_FUNC PyInit_kernel(void) { return PyModuleDef_Init(&stub); }\n"
+    )
     monkeypatch.setattr(_kernel, "SOURCE", stub)
 
 
@@ -50,9 +58,10 @@ def test_second_load_reuses_the_cached_library(fresh_cache, stub_source, monkeyp
     _kernel.load.cache_clear()
     lib = _kernel.load()
     assert len(commands) == 1
-    assert lib.tendencies.restype is _kernel.ctypes.c_int64
     (library,) = fresh_cache.iterdir()
-    assert library.name.startswith("kernel-") and library.suffix == ".so"
+    assert lib.__file__ == str(library)
+    # the interpreter's ABI is in the name: another interpreter builds its own
+    assert library.name.startswith("kernel-") and library.name.endswith(EXTENSION_SUFFIXES[0])
     assert stat.S_IMODE(fresh_cache.stat().st_mode) == 0o700
 
 
@@ -80,45 +89,121 @@ def test_missing_compiler_names_the_command(fresh_cache, monkeypatch):
     assert f"cannot run `{' '.join(_kernel.COMPILE)}" in str(info.value)
 
 
+def test_missing_python_headers_are_named(fresh_cache, tmp_path, monkeypatch):
+    empty = tmp_path / "include"
+    empty.mkdir()
+    monkeypatch.setattr(_kernel, "_include_dirs", lambda: [str(empty)])
+    with pytest.raises(_kernel.KernelCompileError) as info:
+        _kernel.load()
+    message = str(info.value)
+    assert str(empty) in message and "development headers" in message
+    assert list(fresh_cache.iterdir()) == []
+
+
 def test_a_build_removes_older_libraries(fresh_cache, stub_source):
+    # older builds for this interpreter's ABI go; a build in progress, a
+    # build for another interpreter and a library of another layout stay
     fresh_cache.mkdir(mode=0o700)
-    stale = fresh_cache / "kernel-0000000000000000.so"
+    suffix = EXTENSION_SUFFIXES[0]
+    stale = fresh_cache / f"kernel-0000000000000000{suffix}"
     partial = fresh_cache / "tmpbuild.so.tmp"
-    stale.write_bytes(b"old")
-    partial.write_bytes(b"another process is building")
+    other_abi = fresh_cache / "kernel-0000000000000000.cpython-399-other.so"
+    plain = fresh_cache / "kernel-0000000000000000.so"
+    for path in (stale, partial, other_abi, plain):
+        path.write_bytes(b"old")
     _kernel.load()
     names = sorted(p.name for p in fresh_cache.iterdir())
-    assert stale.name not in names and partial.name in names
-    (library,) = (name for name in names if name.endswith(".so"))
+    assert stale.name not in names
+    assert {partial.name, other_abi.name, plain.name} <= set(names)
+    (library,) = (name for name in names if name.endswith(suffix))
     assert library.startswith("kernel-") and library != stale.name
 
 
 def test_stage_mirror_matches_the_c_struct(tmp_path):
-    # a probe that includes the kernel prints the size and field offsets of
-    # struct stage; a field on one side only shifts them or fails to compile
-    names = [name for name, _ in _kernel.Stage._fields_]
-    prints = "".join(
-        f'    printf("%zu\\n", offsetof(struct stage, {name}));\n' for name in names
+    # a probe that includes the kernel asserts the size and field offsets of
+    # struct stage at compile time; a field on one side only shifts them or
+    # fails to compile
+    asserts = "".join(
+        f"_Static_assert(offsetof(struct stage, {name}) == "
+        f"{getattr(_kernel.Stage, name).offset}, \"{name}\");\n"
+        for name, _ in _kernel.Stage._fields_
     )
     probe = tmp_path / "probe.c"
     probe.write_text(
-        "#include <stddef.h>\n#include <stdio.h>\n"
-        f'#include "{_kernel.SOURCE}"\n'
-        "int main(void)\n{\n"
-        '    printf("%zu\\n", sizeof(struct stage));\n'
-        f"{prints}    return 0;\n}}\n"
+        f'#include "{_kernel.SOURCE}"\n#include <stddef.h>\n'
+        f"_Static_assert(sizeof(struct stage) == {ctypes.sizeof(_kernel.Stage)}, \"size\");\n"
+        f"{asserts}"
     )
-    binary = tmp_path / "probe"
-    # the layout does not depend on the optimization level; -O0 builds fast
-    compile_flags = [
-        "-O0" if flag == "-O3" else flag for flag in _kernel.COMPILE if flag != "-shared"
+    done = subprocess.run(
+        [*_kernel.COMPILE, *_kernel.extension_flags(), "-fsyntax-only", str(probe)],
+        capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stderr
+
+
+def _wrong(array: np.ndarray, short: bool) -> list:
+    """Stand-ins for ``array`` that no entry may accept: another length (2
+    cells when ``short``), float32, not contiguous, a list and None; each
+    array of them holds the values of ``array``."""
+    longer = np.resize(array, (*array.shape[:-1], array.shape[-1] + 1))
+    length = array[..., :2] if short else longer
+    return [
+        length, array.astype(np.float32), np.repeat(array, 2, axis=-1)[..., ::2],
+        array.tolist(), None,
     ]
-    subprocess.run([*compile_flags, "-o", str(binary), str(probe), "-lm"], check=True)
-    size, *offsets = map(int, subprocess.run(
-        [str(binary)], check=True, capture_output=True, text=True
-    ).stdout.split())
-    assert size == ctypes.sizeof(_kernel.Stage)
-    assert offsets == [getattr(_kernel.Stage, name).offset for name in names]
+
+
+@pytest.mark.parametrize("pressure_const", [0.0, 1.0])
+def test_each_entry_rejects_what_it_was_not_built_for(pressure_const):
+    # anything but a C-contiguous float64 array of the plan's length, and a
+    # read-only output, raises ValueError before a value is written
+    n = 16
+    grid = RadialGrid(n_cells=n, support_radius=1.0)
+    stage = _kernel.plan(grid, ModelConfig(pressure_const=pressure_const, gamma=1.4))._stage
+    lib, wall = _kernel.load(), n - 1
+    rho, vel, mid = np.linspace(1.0, 0.0, n), np.linspace(0.0, 1.0, n), np.ones((2, n))
+    # each entry, its arguments, the places of its arrays and of its output
+    entries = {
+        "tendencies": (lib.tendencies, [stage, wall, rho, vel, 0.0, None], (2, 3), 5),
+        "rk_stage": (lib.rk_stage, [stage, wall, 0.1, rho, vel, mid, None], (3, 4, 5), 6),
+        "max_speed": (lib.max_speed, [stage, vel], (1,), None),
+        "row_sums": (lib.row_sums, [stage, rho, vel], (1, 2), None),
+        "max_slope": (lib.max_slope, [vel, 0.1], (0,), None),
+    }
+    for name, (entry, args, inputs, output) in entries.items():
+        if output is not None:
+            args[output] = np.full((2, n), 7.0)
+        entry(*args)  # the right arrays pass
+        for place in (*inputs, output):
+            if place is None:
+                continue
+            if place == output:
+                read_only = np.full((2, n), 7.0)
+                read_only.flags.writeable = False
+                wrong = [*_wrong(np.full((2, n), 7.0), False), read_only, np.full(n, 7.0)]
+            else:
+                wrong = _wrong(args[place], short=name == "max_slope")
+            for stand_in in wrong:
+                if stand_in is None and args[place] is mid:
+                    continue  # the first Runge-Kutta stage has no mid
+                called = list(args)
+                if output is not None:
+                    called[output] = np.full((2, n), 7.0)
+                called[place] = stand_in
+                with pytest.raises(ValueError):
+                    entry(*called)
+                # nothing written, into the output or a rejected one
+                if output is not None and isinstance(called[output], np.ndarray):
+                    assert np.all(called[output] == 7.0), (name, place)
+    out = np.full((2, n), 7.0)
+    for bad_wall in (-1, n + 1):
+        with pytest.raises(ValueError, match="wall"):
+            lib.tendencies(stage, bad_wall, rho, vel, 0.0, out)
+        with pytest.raises(ValueError, match="wall"):
+            lib.rk_stage(stage, bad_wall, 0.1, rho, vel, None, out)
+    assert np.all(out == 7.0)
+    with pytest.raises(ValueError, match="stage"):
+        lib.max_speed(bytes(ctypes.sizeof(_kernel.Stage) - 8), vel)
 
 
 def test_the_library_runs_the_avx2_clones_where_the_cpu_has_avx2():
@@ -132,7 +217,7 @@ def test_the_avx2_clones_of_the_loops_hold_256_bit_code():
     if objdump is None:
         pytest.skip("objdump is not installed")
     listing = subprocess.run(
-        [objdump, "-d", _kernel.load()._name], check=True, capture_output=True, text=True
+        [objdump, "-d", _kernel.load().__file__], check=True, capture_output=True, text=True
     ).stdout
     # no contraction into fused multiply-adds, which every wide target has
     assert re.search(r"\svfn?m(add|sub)", listing) is None
