@@ -32,9 +32,10 @@
  * 256-bit vectors). AVX-512F has FMA, so -ffp-contract=off matters in its
  * clones as well.
  *
- * Below the numerics, the module's Python binding: one METH_FASTCALL
- * function per entry, which takes the arrays through the buffer protocol,
- * checks them and calls the entry with the GIL released.
+ * Below the numerics, the module's Python binding: stage(), which builds a
+ * struct stage and owns it in a capsule, and one METH_FASTCALL function per
+ * entry, which takes the arrays through the buffer protocol, checks them and
+ * calls the entry with the GIL released.
  */
 /* first, as the C API asks: it sets feature macros the C library reads */
 #define PY_SSIZE_T_CLEAN
@@ -61,7 +62,7 @@
 #endif
 
 /* A grid and model's weights, law and scratch; the one argument every entry
- * but max_slope and kernel_target shares. Mirrored by _kernel.Stage. */
+ * but max_slope and kernel_target shares. Built by stage() alone. */
 struct stage {
     int64_t n;           /* cells */
     int64_t per_density; /* gamma = 1: K * face mean of rho is a pressure,
@@ -74,8 +75,9 @@ struct stage {
     const double *face_area, *cell_volume, *shell, *inner_shell;
     const double *center; /* r**(N-1) at the cell centers */
     const double *r;      /* the cell centers */
-    double *work;        /* scratch (4, n + 4), (5, n + 4) with pressure;
-                            see WORK */
+    double *work;        /* scratch (4, n + 4), (5, n + 4) with pressure: the
+                            ghost-extended fields, the fluxes, the force sums,
+                            the wave speeds and the face means; see WORK */
     double *cell;        /* NULL without pressure or for gamma = 1, else
                             scratch (n): max(rho, 0) raised by the caller,
                             to gamma - 1 for a stage and max_speed and to
@@ -541,20 +543,29 @@ CLONED const char *kernel_target(void)
 }
 
 
-/* The Python binding. Each function below takes its entry's arguments in
- * order, the struct stage as a buffer of its size (the plan's
- * _kernel.Stage, whose pointers it trusts) and each array as a buffer: a
- * state's rho and vel of shape (n) and a (2, n) block, n from the stage.
- * Anything else, a read-only output and a wall outside [0, n] raise
- * ValueError before any value is written. The entry then runs with the GIL
- * released, as it reads no Python object. max_slope takes no n and no
- * out-parameter, and row_sums no out: they return their results. */
+/* The Python binding. Each entry function below takes its entry's
+ * arguments in order, the struct stage as the capsule stage() returned and
+ * each array as a buffer: a state's rho and vel of shape (n) and a (2, n)
+ * block, n from the stage. Anything else, a read-only output and a wall
+ * outside [0, n] raise ValueError before any value is written. The entry
+ * then runs with the GIL released, as it reads no Python object. max_slope
+ * takes no n and no out-parameter, and row_sums no out: they return their
+ * results. */
 
-/* The buffers a call holds, released together. */
+/* The buffers a call or a stage holds, released together. */
 struct held {
-    Py_buffer view[5]; /* the most an entry takes: rk_stage's */
+    Py_buffer view[7]; /* the most held: a stage's seven arrays */
     int count;
 };
+
+/* A stage capsule's block: the stage, the buffers it reads, its work rows. */
+struct owned {
+    struct stage s;
+    struct held h;
+    double work[];
+};
+
+#define STAGE "radialblowup.stage"
 
 static void release(struct held *h)
 {
@@ -602,22 +613,76 @@ static double *array(struct held *h, PyObject *obj, Py_ssize_t rows, Py_ssize_t 
     return NULL;
 }
 
-/* The struct stage that obj holds, or NULL with ValueError. */
-static const struct stage *stage_of(struct held *h, PyObject *obj, const char *entry)
+/* The struct stage in a capsule of stage(), or NULL with ValueError. */
+static const struct stage *stage_of(PyObject *obj, const char *entry)
 {
-    Py_buffer *v = &h->view[h->count];
-    if (PyObject_GetBuffer(obj, v, PyBUF_SIMPLE) == 0) {
-        if (v->len == (Py_ssize_t)sizeof(struct stage)) {
-            h->count++;
-            return v->buf;
-        }
-        PyBuffer_Release(v);
-    } else {
-        PyErr_Clear();
-    }
-    PyErr_Format(PyExc_ValueError, "%s: stage must be a buffer of %zd bytes", entry,
-                 (Py_ssize_t)sizeof(struct stage));
+    if (PyCapsule_IsValid(obj, STAGE))
+        return &((struct owned *)PyCapsule_GetPointer(obj, STAGE))->s;
+    PyErr_Format(PyExc_ValueError, "%s: stage must be a capsule of stage()", entry);
     return NULL;
+}
+
+static void free_stage(PyObject *capsule)
+{
+    struct owned *o = PyCapsule_GetPointer(capsule, STAGE);
+    release(&o->h);
+    PyMem_Free(o);
+}
+
+/* stage(dr, K, gamma, field_coef, r, face_area, cell_volume, shell,
+ * inner_shell, center, cell) -> a capsule that owns the struct stage of a
+ * grid of n = len(r) cells, its work rows and the buffers it reads: r and
+ * the weights of shape (n), face_area (n + 1), and with K > 0 and gamma > 1
+ * the writable n-cell row that the caller raises (ignored otherwise). */
+static PyObject *py_stage(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    struct held h = {.count = 0};
+    const double *r, *face_area, *cell_volume, *shell, *inner_shell, *center;
+    double dr, k, g, fc, *law[] = {&dr, &k, &g, &fc}, *cell = NULL;
+    Py_ssize_t n;
+    struct owned *o;
+    PyObject *capsule;
+    (void)self;
+    if (arity("stage", nargs, 11) < 0)
+        return NULL;
+    for (int q = 0; q < 4; q++)
+        if ((*law[q] = PyFloat_AsDouble(args[q])) == -1.0 && PyErr_Occurred())
+            return NULL;
+    if (!(r = array(&h, args[4], 0, -1, 0, "stage", "r")))
+        return NULL;
+    n = h.view[0].shape[0];
+    if (n < 2)
+        PyErr_Format(PyExc_ValueError, "stage: r must have 2 or more cells, got %zd", n);
+    if (n < 2 || !(face_area = array(&h, args[5], 0, n + 1, 0, "stage", "face_area"))
+        || !(cell_volume = array(&h, args[6], 0, n, 0, "stage", "cell_volume"))
+        || !(shell = array(&h, args[7], 0, n, 0, "stage", "shell"))
+        || !(inner_shell = array(&h, args[8], 0, n, 0, "stage", "inner_shell"))
+        || !(center = array(&h, args[9], 0, n, 0, "stage", "center"))
+        || (k > 0.0 && g > 1.0 && !(cell = array(&h, args[10], 0, n, 1, "stage", "cell")))) {
+        release(&h);
+        return NULL;
+    }
+    o = PyMem_Malloc(sizeof *o + (k > 0.0 ? 5 : 4) * (n + 4) * sizeof(double));
+    if (!o) {
+        release(&h);
+        return PyErr_NoMemory();
+    }
+    o->s = (struct stage){
+        .n = n, .per_density = !(g > 1.0), .dr = dr, .sound_coef = k * g,
+        /* pressure force per unit mass as an exact enthalpy gradient,
+         * K*g/(g-1) * d(rho**(g-1))/dr: bounded at the vacuum edge */
+        .grad_coef = g > 1.0 ? k * g / (g - 1.0) : k, .field_coef = fc, .pressure_const = k,
+        .face_area = face_area, .cell_volume = cell_volume, .shell = shell,
+        .inner_shell = inner_shell, .center = center, .r = r, .work = o->work, .cell = cell,
+    };
+    /* moving a Py_buffer is safe: CPython's and numpy's exporters key
+     * nothing on its address */
+    o->h = h;
+    if (!(capsule = PyCapsule_New(o, STAGE, free_stage))) {
+        release(&o->h);
+        PyMem_Free(o);
+    }
+    return capsule;
 }
 
 /* A wall index in [0, n], or -1 with an exception set. */
@@ -649,7 +714,7 @@ static PyObject *py_tendencies(PyObject *self, PyObject *const *args, Py_ssize_t
     rho_floor = PyFloat_AsDouble(args[4]);
     if (rho_floor == -1.0 && PyErr_Occurred())
         return NULL;
-    if (!(s = stage_of(&h, args[0], "tendencies"))
+    if (!(s = stage_of(args[0], "tendencies"))
         || (wall = wall_of(args[1], s->n, "tendencies")) < 0
         || !(rho = array(&h, args[2], 0, s->n, 0, "tendencies", "rho"))
         || !(vel = array(&h, args[3], 0, s->n, 0, "tendencies", "vel"))
@@ -679,7 +744,7 @@ static PyObject *py_rk_stage(PyObject *self, PyObject *const *args, Py_ssize_t n
     dt = PyFloat_AsDouble(args[2]);
     if (dt == -1.0 && PyErr_Occurred())
         return NULL;
-    if (!(s = stage_of(&h, args[0], "rk_stage"))
+    if (!(s = stage_of(args[0], "rk_stage"))
         || (wall = wall_of(args[1], s->n, "rk_stage")) < 0
         || !(rho = array(&h, args[3], 0, s->n, 0, "rk_stage", "rho"))
         || !(vel = array(&h, args[4], 0, s->n, 0, "rk_stage", "vel"))
@@ -705,7 +770,7 @@ static PyObject *py_max_speed(PyObject *self, PyObject *const *args, Py_ssize_t 
     (void)self;
     if (arity("max_speed", nargs, 2) < 0)
         return NULL;
-    if (!(s = stage_of(&h, args[0], "max_speed"))
+    if (!(s = stage_of(args[0], "max_speed"))
         || !(vel = array(&h, args[1], 0, s->n, 0, "max_speed", "vel"))) {
         release(&h);
         return NULL;
@@ -756,7 +821,7 @@ static PyObject *py_row_sums(PyObject *self, PyObject *const *args, Py_ssize_t n
     (void)self;
     if (arity("row_sums", nargs, 3) < 0)
         return NULL;
-    if (!(s = stage_of(&h, args[0], "row_sums"))
+    if (!(s = stage_of(args[0], "row_sums"))
         || !(rho = array(&h, args[1], 0, s->n, 0, "row_sums", "rho"))
         || !(vel = array(&h, args[2], 0, s->n, 0, "row_sums", "vel"))) {
         release(&h);
@@ -782,6 +847,8 @@ static PyObject *py_kernel_target(PyObject *self, PyObject *const *args, Py_ssiz
 #define ENTRY(name, doc) {#name, (PyCFunction)(void (*)(void))py_##name, METH_FASTCALL, doc}
 
 static PyMethodDef entries[] = {
+    ENTRY(stage, "stage(dr, K, gamma, field_coef, r, face_area, cell_volume, shell, "
+                 "inner_shell, center, cell) -> stage"),
     ENTRY(tendencies, "tendencies(stage, wall, rho, vel, rho_floor, out) -> int"),
     ENTRY(rk_stage, "rk_stage(stage, wall, dt, rho, vel, mid, k) -> float"),
     ENTRY(max_speed, "max_speed(stage, vel) -> float"),

@@ -3,21 +3,21 @@
 The kernel is a CPython extension module, compiled once per source, compile
 command and interpreter ABI and kept in ``$XDG_CACHE_HOME/radialblowup``
 (``~/.cache/radialblowup`` when the variable is unset); the file name carries
-the interpreter's extension suffix, and a build removes the older builds for
-the same ABI. It is loaded on first use, so commands that never step a state
-never compile it. Every entry but ``max_slope`` and ``kernel_target`` takes
-the ``struct stage`` that ``plan`` builds once per grid, model and thread, as
-the buffer of its ``Stage``, and the methods of that ``Plan`` are their only
-callers; this is the one module that calls the kernel, and the one that
+the interpreter's extension suffix. It is loaded on first use, so commands
+that never step a state never compile it. Every entry but ``max_slope`` and
+``kernel_target`` takes the ``struct stage`` that the kernel's ``stage``
+builds for a ``Plan``, once per grid, model and thread, and owns in a capsule
+with the arrays it reads; the methods of that ``Plan`` are their only
+callers. This is the one module that calls the kernel, and the one that
 raises the cells with numpy's ``**`` before a C call.
 """
 
 from __future__ import annotations
 
-import ctypes
 import functools
 import hashlib
 import os
+import re
 import sys
 import tempfile
 import threading
@@ -36,27 +36,12 @@ COMPILE = (
     "-ffp-contract=off",
 )
 
-_P, _I64, _F64 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
-
-
-class Stage(ctypes.Structure):
-    """``struct stage`` of ``_kernel.c``: a grid and model's weights, law and
-    scratch. The entries read it through its buffer."""
-
-    _fields_ = [
-        ("n", _I64), ("per_density", _I64),
-        ("dr", _F64), ("sound_coef", _F64), ("grad_coef", _F64), ("field_coef", _F64),
-        ("pressure_const", _F64),
-        ("face_area", _P), ("cell_volume", _P), ("shell", _P), ("inner_shell", _P),
-        ("center", _P), ("r", _P), ("work", _P), ("cell", _P),
-    ]
-
 
 class Plan:
-    """A grid and model's ``struct stage`` and the arrays it points into, for
-    the thread that builds it. Its methods alone call the entries that take
-    it, each after numpy's ``**`` has raised the cells it reads, and look up
-    ``load`` and ``power`` anew each time: tests swap them.
+    """A grid and model's ``struct stage``, for the thread that builds it. Its
+    methods alone call the entries that take it, each after numpy's ``**``
+    has raised the cells it reads, and look up ``load`` and ``power`` anew
+    each time: tests swap them.
 
     With pressure and gamma > 1, a stage takes its sound speeds and face
     enthalpies from the cells raised to gamma - 1, the row ``max_speed`` has
@@ -66,35 +51,17 @@ class Plan:
     the same object has the same powers. For gamma = 1 nothing is raised."""
 
     def __init__(self, grid: RadialGrid, cfg: ModelConfig):
-        n = grid.n_cells
-        weights = grid_weights(grid, cfg.dim)
-        # the ghost-extended fields, the fluxes, the force sums, the wave
-        # speeds and, with pressure, the cells' sound speeds and the face
-        # means; see WORK in the C source
-        work = np.empty((5 if cfg.pressure_const > 0.0 else 4, n + 4))
-        cell = np.empty(n) if cfg.pressure_const > 0.0 and cfg.gamma > 1.0 else None
-        if cfg.gamma > 1.0:
-            # pressure force per unit mass as an exact enthalpy gradient,
-            # K*g/(g-1) * d(rho**(g-1))/dr: bounded at the vacuum edge
-            grad_coef = cfg.pressure_const * cfg.gamma / (cfg.gamma - 1.0)
-        else:
-            grad_coef = cfg.pressure_const
-        arrays = dict(weights._asdict(), r=grid.cell_centers, work=work, cell=cell)
-        self._stage = Stage(
-            n=n,
-            per_density=not cfg.gamma > 1.0,
-            dr=grid.cell_width,
-            sound_coef=cfg.pressure_const * cfg.gamma,
-            grad_coef=grad_coef,
-            field_coef=alpha(cfg.dim) * cfg.delta,
-            pressure_const=cfg.pressure_const,
-            **{k: None if a is None else a.ctypes.data for k, a in arrays.items()},
+        n, weights = grid.n_cells, grid_weights(grid, cfg.dim)
+        # the n-cell row numpy's ** raises, None unless K > 0 and gamma > 1
+        self._cell = np.empty(n) if cfg.pressure_const > 0.0 and cfg.gamma > 1.0 else None
+        self._stage = load().stage(
+            grid.cell_width, cfg.pressure_const, cfg.gamma, alpha(cfg.dim) * cfg.delta,
+            grid.cell_centers, weights.face_area, weights.cell_volume, weights.shell,
+            weights.inner_shell, weights.center, self._cell,
         )
         self._block, self._gamma = (2, n), cfg.gamma
-        self._cell = cell  # the n-cell scratch, None unless K > 0 and gamma > 1
         # the state whose cells the scratch holds raised to gamma - 1, or None
         self._cell_state = None
-        self._arrays = arrays  # alive as long as the stage points into them
 
     def tendencies(self, state, wall: int, rho_floor: float) -> tuple[np.ndarray, int]:
         """A stage's (2, n) tendencies and the first non-finite index in them, or -1."""
@@ -233,18 +200,17 @@ def load():
     """The kernel module, compiled into the cache first if it is not there."""
     from importlib.machinery import EXTENSION_SUFFIXES
 
-    source = SOURCE.read_bytes()
-    key = hashlib.sha256(source + " ".join(COMPILE).encode()).hexdigest()[:16]
-    directory = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache")
-    directory /= "radialblowup"
+    key = hashlib.sha256(SOURCE.read_bytes() + " ".join(COMPILE).encode()).hexdigest()[:16]
+    directory = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "radialblowup"
     directory.mkdir(mode=0o700, parents=True, exist_ok=True)
-    # the interpreter's own suffix, such as .cpython-311-x86_64-linux-gnu.so
-    suffix = EXTENSION_SUFFIXES[0]
+    suffix = EXTENSION_SUFFIXES[0]  # this ABI's, such as .cpython-311-x86_64-linux-gnu.so
     target = directory / f"kernel-{key}{suffix}"
     if not target.exists():
         _build(target)
-        for old in directory.glob(f"kernel-*{suffix}"):
-            if old != target:
+        # older builds for this ABI, and the plain kernel-<hash>.so of earlier versions
+        stale = re.compile(rf"kernel-(.*{re.escape(suffix)}|[0-9a-f]{{16}}\.so)")
+        for old in directory.iterdir():
+            if old != target and stale.fullmatch(old.name):
                 old.unlink(missing_ok=True)
     return _open(target)
 

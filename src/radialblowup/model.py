@@ -37,11 +37,12 @@ class ModelConfig:
             raise ValueError(f"dim must be one of {SUPPORTED_DIMS}, got {self.dim}")
         if self.delta not in (-1, 0, 1):
             raise ValueError(f"delta must be -1, 0 or +1, got {self.delta}")
-        if self.pressure_const < 0:
+        # written so that NaN fails each check
+        if not self.pressure_const >= 0:
             raise ValueError(f"pressure_const must be >= 0, got {self.pressure_const}")
-        if self.gamma < 1:
+        if not self.gamma >= 1:
             raise ValueError(f"gamma must be >= 1, got {self.gamma}")
-        if self.support_radius <= 0:
+        if not self.support_radius > 0:
             raise ValueError(f"support_radius must be > 0, got {self.support_radius}")
 
     @property
@@ -64,7 +65,7 @@ class RadialGrid:
     def __post_init__(self):
         if self.n_cells < 8:
             raise ValueError(f"n_cells must be at least 8, got {self.n_cells}")
-        if self.support_radius <= 0:
+        if not self.support_radius > 0:
             raise ValueError("support_radius must be > 0")
 
     @property

@@ -69,11 +69,14 @@ class NumericsConfig:
     def __post_init__(self):
         if not 0.0 < self.cfl <= 1.0:
             raise ValueError(f"cfl must be in (0, 1], got {self.cfl}")
-        if self.t_end <= 0:
+        # written so that NaN fails each check
+        if not self.t_end > 0:
             raise ValueError(f"t_end must be > 0, got {self.t_end}")
-        if self.dt_floor <= 0:
+        if self.t_end == math.inf:
+            raise ValueError(f"t_end must be finite, got {self.t_end}")
+        if not self.dt_floor > 0:
             raise ValueError(f"dt_floor must be > 0, got {self.dt_floor}")
-        if self.steepening_threshold <= 0:
+        if not self.steepening_threshold > 0:
             raise ValueError(f"steepening_threshold must be > 0, got {self.steepening_threshold}")
         if self.output_stride < 1:
             raise ValueError(f"output_stride must be >= 1, got {self.output_stride}")

@@ -1,11 +1,12 @@
 """The compiled kernel is an extension module built once per source and
-interpreter ABI into the user cache, its ctypes mirror of ``struct stage``
-has the C layout, its entries take nothing but the arrays they were built
-for, on x86-64 ELF with glibc the loader picks the widest clone the CPU
-has, and only ``_kernel`` calls it."""
+interpreter ABI into the user cache, it builds and owns each ``struct
+stage`` with the arrays the stage reads, its entries take nothing but the
+stage and arrays they were built for, on x86-64 ELF with glibc the loader
+picks the widest clone the CPU has, and only ``_kernel`` calls it."""
 
 import ast
-import ctypes
+import datetime
+import gc
 import re
 import shutil
 import stat
@@ -17,7 +18,7 @@ import numpy as np
 import pytest
 
 from _helpers import cpu_clones
-from radialblowup import ModelConfig, RadialGrid, _kernel
+from radialblowup import FluidState, ModelConfig, RadialGrid, _kernel, model
 
 PACKAGE = Path(_kernel.__file__).parent
 
@@ -101,44 +102,24 @@ def test_missing_python_headers_are_named(fresh_cache, tmp_path, monkeypatch):
 
 
 def test_a_build_removes_older_libraries(fresh_cache, stub_source):
-    # older builds for this interpreter's ABI go; a build in progress, a
-    # build for another interpreter and a library of another layout stay
+    # older builds for this interpreter's ABI and the ctypes libraries of
+    # earlier versions go; a build in progress, a build for another
+    # interpreter and any other name stay
     fresh_cache.mkdir(mode=0o700)
     suffix = EXTENSION_SUFFIXES[0]
     stale = fresh_cache / f"kernel-0000000000000000{suffix}"
     partial = fresh_cache / "tmpbuild.so.tmp"
     other_abi = fresh_cache / "kernel-0000000000000000.cpython-399-other.so"
-    plain = fresh_cache / "kernel-0000000000000000.so"
-    for path in (stale, partial, other_abi, plain):
+    plain = fresh_cache / "kernel-0123456789abcdef.so"
+    other = fresh_cache / "kernel-01234567.so"
+    for path in (stale, partial, other_abi, plain, other):
         path.write_bytes(b"old")
     _kernel.load()
     names = sorted(p.name for p in fresh_cache.iterdir())
-    assert stale.name not in names
-    assert {partial.name, other_abi.name, plain.name} <= set(names)
+    assert stale.name not in names and plain.name not in names
+    assert {partial.name, other_abi.name, other.name} <= set(names)
     (library,) = (name for name in names if name.endswith(suffix))
     assert library.startswith("kernel-") and library != stale.name
-
-
-def test_stage_mirror_matches_the_c_struct(tmp_path):
-    # a probe that includes the kernel asserts the size and field offsets of
-    # struct stage at compile time; a field on one side only shifts them or
-    # fails to compile
-    asserts = "".join(
-        f"_Static_assert(offsetof(struct stage, {name}) == "
-        f"{getattr(_kernel.Stage, name).offset}, \"{name}\");\n"
-        for name, _ in _kernel.Stage._fields_
-    )
-    probe = tmp_path / "probe.c"
-    probe.write_text(
-        f'#include "{_kernel.SOURCE}"\n#include <stddef.h>\n'
-        f"_Static_assert(sizeof(struct stage) == {ctypes.sizeof(_kernel.Stage)}, \"size\");\n"
-        f"{asserts}"
-    )
-    done = subprocess.run(
-        [*_kernel.COMPILE, *_kernel.extension_flags(), "-fsyntax-only", str(probe)],
-        capture_output=True, text=True,
-    )
-    assert done.returncode == 0, done.stderr
 
 
 def _wrong(array: np.ndarray, short: bool) -> list:
@@ -202,8 +183,79 @@ def test_each_entry_rejects_what_it_was_not_built_for(pressure_const):
         with pytest.raises(ValueError, match="wall"):
             lib.rk_stage(stage, bad_wall, 0.1, rho, vel, None, out)
     assert np.all(out == 7.0)
-    with pytest.raises(ValueError, match="stage"):
-        lib.max_speed(bytes(ctypes.sizeof(_kernel.Stage) - 8), vel)
+    # nothing but a capsule of stage() is a stage: not the bytes of a struct
+    # stage, not another module's capsule, not None
+    for not_a_stage in (bytes(120), datetime.datetime_CAPI, None):
+        for name, (entry, args, _, output) in entries.items():
+            if name == "max_slope":
+                continue
+            called = [not_a_stage, *args[1:]]
+            if output is not None:
+                called[output] = np.full((2, n), 7.0)
+            with pytest.raises(ValueError, match="stage"):
+                entry(*called)
+            if output is not None:
+                assert np.all(called[output] == 7.0), name
+
+
+@pytest.mark.parametrize("pressure_const, gamma", [(1.0, 1.4), (0.0, 1.4), (1.0, 1.0)])
+def test_stage_takes_only_the_arrays_of_its_grid(pressure_const, gamma):
+    # every array is checked when the stage is built: a weight of another
+    # length, float32 or not contiguous, and with K > 0 and gamma > 1 a
+    # missing or read-only cell row, raise ValueError
+    grid = RadialGrid(n_cells=16, support_radius=1.0)
+    w, lib = model.grid_weights(grid, 3), _kernel.load()
+    # the arrays stage() takes after its four numbers, in order
+    good = dict(
+        r=grid.cell_centers, face_area=w.face_area, cell_volume=w.cell_volume,
+        shell=w.shell, inner_shell=w.inner_shell, center=w.center, cell=np.empty(16),
+    )
+
+    def build(**swap):
+        return lib.stage(0.0625, pressure_const, gamma, 0.0, *{**good, **swap}.values())
+
+    build()
+    for name, array in good.items():
+        if name == "cell":
+            continue
+        for stand_in in _wrong(array, short=False):
+            # another length of r is another n, which the weights then miss
+            with pytest.raises(ValueError, match=None if name == "r" else f": {name} must"):
+                build(**{name: stand_in})
+    with pytest.raises(ValueError, match="r must"):
+        build(r=good["r"][:1])
+    read_only = np.empty(grid.n_cells)
+    read_only.flags.writeable = False
+    for cell in (None, read_only, np.empty(grid.n_cells + 1)):
+        if pressure_const > 0.0 and gamma > 1.0:
+            with pytest.raises(ValueError, match="cell"):
+                build(cell=cell)
+        else:
+            build(cell=cell)  # no row is raised: the argument is not read
+
+
+def test_a_plan_outlives_its_grid_and_weights():
+    # the stage holds the buffers it reads: dropping every other reference to
+    # the grid's weights and centers, and reusing their memory, changes no bit
+    n = 64
+    cfg = ModelConfig(delta=1, pressure_const=1.0, gamma=1.4)
+    r = (np.arange(n) + 0.5) / n
+    state = FluidState(0.0, (1.0 - r**2) ** 2, r * (1.0 - r))
+    grid = RadialGrid(n_cells=n, support_radius=1.0)
+    kept = _kernel.Plan(grid, cfg)
+    model.grid_weights.cache_clear()
+    del grid
+    gc.collect()
+    # NaN in the memory those arrays held, had the stage let it go
+    junk = [np.full(size, np.nan) for size in (n, n + 1) for _ in range(16)]
+    fresh = _kernel.Plan(RadialGrid(n_cells=n, support_radius=1.0), cfg)
+    assert kept.max_speed(state) == fresh.max_speed(state)
+    wall = n - 2
+    assert kept.tendencies(state, wall, 1e-12)[0].tobytes() == (
+        fresh.tendencies(state, wall, 1e-12)[0].tobytes()
+    )
+    assert kept.row_sums(state) == fresh.row_sums(state)
+    del junk
 
 
 def test_the_library_runs_the_avx2_clones_where_the_cpu_has_avx2():
@@ -263,8 +315,7 @@ def test_only_the_kernel_module_calls_the_library():
     # the ABI and numpy's ** between the C calls are _kernel's alone: the run
     # path reaches the kernel through a plan's methods and max_slope
     for path in sorted(PACKAGE.glob("*.py")):
-        imports_ctypes = "ctypes" in _imported_modules(_tree(path.name))
-        assert imports_ctypes == (path.name == "_kernel.py"), path.name
+        assert "ctypes" not in _imported_modules(_tree(path.name)), path.name
     for name in ("solver.py", "diagnostics.py"):
         tree = _tree(name)
         assert "_kernel" not in _imported_modules(tree), name

@@ -1,8 +1,11 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
 from _reference_kernel import pressure
-from radialblowup import FluidState, ModelConfig, RadialGrid
+from radialblowup import FluidState, ModelConfig, NumericsConfig, RadialGrid
 from radialblowup.model import sound_speed, validate_initial_data, weighted_momentum
 
 
@@ -60,6 +63,28 @@ def test_model_config_invariants():
     assert ModelConfig(pressure_const=0.0, gamma=1.0).eos_in_scope
     assert ModelConfig(pressure_const=0.1, gamma=1.4).eos_in_scope
     assert not ModelConfig(pressure_const=0.1, gamma=1.0).eos_in_scope
+
+
+# each config with the other fields it needs, and every float field of it
+_REQUIRED = {ModelConfig: {}, NumericsConfig: {}, RadialGrid: {"n_cells": 64}}
+_FLOAT_FIELDS = [
+    (cls, f.name) for cls in _REQUIRED for f in dataclasses.fields(cls) if f.type == "float"
+]
+
+
+@pytest.mark.parametrize(
+    "cls, name", _FLOAT_FIELDS, ids=[f"{cls.__name__}.{name}" for cls, name in _FLOAT_FIELDS]
+)
+def test_every_float_field_rejects_nan(cls, name):
+    # NaN compares false, so each range check is written to fail on it
+    with pytest.raises(ValueError, match=f"^{name} must"):
+        cls(**_REQUIRED[cls], **{name: math.nan})
+
+
+def test_t_end_must_be_finite():
+    # an infinite t_end would make the end-time tolerance infinite: no step runs
+    with pytest.raises(ValueError, match="^t_end must be finite, got inf$"):
+        NumericsConfig(t_end=math.inf)
 
 
 def test_grid_geometry():
