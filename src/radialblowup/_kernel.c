@@ -34,8 +34,8 @@
  *
  * Below the numerics, the module's Python binding: stage(), which builds a
  * struct stage and owns it in a capsule, and one METH_FASTCALL function per
- * entry, which takes the arrays through the buffer protocol, checks them and
- * calls the entry with the GIL released.
+ * entry, which opens its call through one checked path, takes the arrays
+ * through the buffer protocol and calls the entry with the GIL released.
  */
 /* first, as the C API asks: it sets feature macros the C library reads */
 #define PY_SSIZE_T_CLEAN
@@ -72,7 +72,7 @@ struct stage {
     double grad_coef;    /* face enthalpy or pressure = grad_coef * face mean */
     double field_coef;   /* alpha*delta; 0 without a force field */
     double pressure_const;
-    const double *face_area, *cell_volume, *shell, *inner_shell;
+    const double *face_area, *shell, *inner_shell;
     const double *center; /* r**(N-1) at the cell centers */
     const double *r;      /* the cell centers */
     double *work;        /* scratch (4, n + 4), (5, n + 4) with pressure: the
@@ -287,10 +287,10 @@ CLONED static int64_t cells(const struct stage *s, const double *restrict rho, d
     int64_t n = s->n;
     double dr = s->dr, gc = s->grad_coef, fc = s->field_coef;
     const double *restrict mass = WORK(s, 2), *restrict adv = WORK(s, 3);
-    const double *restrict volume = s->cell_volume;
+    const double *restrict center = s->center;
     double *restrict drho = out, *restrict dvel = out + n;
     for (int64_t i = 0; i < n; i++) {
-        drho[i] = -(mass[i + 1] - mass[i]) / volume[i];
+        drho[i] = -(mass[i + 1] - mass[i]) / (center[i] * dr);
         dvel[i] = -(adv[i + 1] - adv[i]) / dr;
     }
     if (base && s->per_density) {
@@ -305,7 +305,6 @@ CLONED static int64_t cells(const struct stage *s, const double *restrict rho, d
         /* the summands of C, then C itself in place of the first */
         double *restrict inner = WORK(s, 0), *restrict whole = WORK(s, 1);
         const double *restrict shell = s->shell, *restrict inner_shell = s->inner_shell;
-        const double *restrict center = s->center;
         for (int64_t i = 0; i < n; i++) {
             double q = np_max(rho[i], 0.0);
             inner[i] = q * inner_shell[i];
@@ -339,8 +338,8 @@ CLONED static int64_t cells(const struct stage *s, const double *restrict rho, d
  * face means of the padded cells (0**(gamma - 1) = 0 past the wall). For
  * gamma = 1 the sound speed is sqrt(K) and the pressure is K times the face
  * means of rho. */
-CLONED int64_t tendencies(const struct stage *s, int64_t wall, const double *rho,
-                          const double *vel, double rho_floor, double *out)
+CLONED static int64_t tendencies(const struct stage *s, int64_t wall, const double *rho,
+                                 const double *vel, double rho_floor, double *out)
 {
     int64_t n = s->n;
     const double *cell = s->cell;
@@ -364,8 +363,9 @@ CLONED int64_t tendencies(const struct stage *s, int64_t wall, const double *rho
  * the first stage's (2, n) result; both fields zeroed from cell wall on.
  * Returns np.min of the new density in the second stage, and NaN in the
  * first, whose minimum no caller reads. */
-CLONED double rk_stage(const struct stage *s, int64_t wall, double dt, const double *restrict rho,
-                       const double *restrict vel, const double *restrict mid, double *restrict k)
+CLONED static double rk_stage(const struct stage *s, int64_t wall, double dt,
+                              const double *restrict rho, const double *restrict vel,
+                              const double *restrict mid, double *restrict k)
 {
     int64_t n = s->n;
     double *restrict k_rho = k, *restrict k_vel = k + n;
@@ -389,7 +389,7 @@ CLONED double rk_stage(const struct stage *s, int64_t wall, double dt, const dou
 /* np.max of |vel| + sqrt(sound_coef * cell) over the cells, with cell
  * raised to gamma - 1, whose powers are 1 for gamma = 1. The speeds go to
  * work row 0 first. */
-CLONED double max_speed(const struct stage *s, const double *restrict vel)
+CLONED static double max_speed(const struct stage *s, const double *restrict vel)
 {
     int64_t n = s->n;
     double sc = s->sound_coef;
@@ -412,7 +412,8 @@ CLONED double max_speed(const struct stage *s, const double *restrict vel)
 /* np.argmax of |v[i + 2] - v[i]| / width over i < n - 2 (n >= 3): the first
  * maximum, or the first NaN. Writes that slope to *value. Lanes carry the
  * first largest slope of each residue mod 4 and its index. */
-CLONED int64_t max_slope(int64_t n, const double *restrict v, double width, double *value)
+CLONED static int64_t max_slope(int64_t n, const double *restrict v, double width,
+                                double *value)
 {
     const mask magnitude = {INT64_MAX, INT64_MAX, INT64_MAX, INT64_MAX};
     lanes top = {-1.0, -1.0, -1.0, -1.0};
@@ -527,7 +528,8 @@ CLONED static void pairwise(const struct stage *s, const double *rho, const doub
 /* np.sum of each summand of block_sums over the cells into out[4]. An add
  * reduction starts from its identity, so each sum is 0.0 + the pairwise
  * sum: +0.0, not -0.0, when every term is -0.0. */
-CLONED void row_sums(const struct stage *s, const double *rho, const double *vel, double *out)
+CLONED static void row_sums(const struct stage *s, const double *rho, const double *vel,
+                            double *out)
 {
     pairwise(s, rho, vel, 0, s->n, out);
     for (int q = 0; q < 4; q++)
@@ -536,310 +538,287 @@ CLONED void row_sums(const struct stage *s, const double *rho, const double *vel
 
 /* The clone the loader chose: the resolver of every CLONED function picks
  * the first target of CLONE_TARGETS the CPU supports, else the baseline. */
-CLONED const char *kernel_target(void)
+CLONED static const char *kernel_target(void)
 {
     CLONE_TARGETS(RUNS)
     return "default";
 }
 
 
-/* The Python binding. Each entry function below takes its entry's
- * arguments in order, the struct stage as the capsule stage() returned and
- * each array as a buffer: a state's rho and vel of shape (n) and a (2, n)
- * block, n from the stage. Anything else, a read-only output and a wall
- * outside [0, n] raise ValueError before any value is written. The entry
- * then runs with the GIL released, as it reads no Python object. max_slope
- * takes no n and no out-parameter, and row_sums no out: they return their
- * results. */
+/* The Python binding: one METH_FASTCALL function per entry, which takes
+ * the entry's arguments in order, the struct stage as the capsule stage()
+ * returned and each array as a buffer: a state's rho and vel of shape (n)
+ * and a (2, n) block. Each goes one way: open_call() checks the argument
+ * count and the stage capsule, whose n the arrays take; array() checks each
+ * buffer and holds it in the struct call; done() releases what the call
+ * holds, on every failure as on success. stage() and max_slope take no
+ * stage: their first array sets n. Anything else, a read-only output and a
+ * wall outside [0, n] raise ValueError before any value is written. The
+ * entry then runs with the GIL released, as it reads no Python object.
+ * max_slope and row_sums take no out-parameter: they return their results. */
 
-/* The buffers a call or a stage holds, released together. */
-struct held {
-    Py_buffer view[7]; /* the most held: a stage's seven arrays */
+/* One call of an entry: its name, its stage and n, and the buffers it holds. */
+struct call {
+    const char *entry;
+    const struct stage *s;
+    Py_ssize_t n;      /* below 0: the first array sets it, to -n or more */
+    Py_buffer view[6]; /* the most held: a stage's six arrays */
     int count;
 };
 
 /* A stage capsule's block: the stage, the buffers it reads, its work rows. */
 struct owned {
     struct stage s;
-    struct held h;
+    struct call c;
     double work[];
 };
 
 #define STAGE "radialblowup.stage"
 
-static void release(struct held *h)
+/* Releases the buffers c holds and returns result. */
+static PyObject *done(struct call *c, PyObject *result)
 {
-    while (h->count > 0)
-        PyBuffer_Release(&h->view[--h->count]);
+    while (c->count > 0)
+        PyBuffer_Release(&c->view[--c->count]);
+    return result;
 }
 
-static int arity(const char *entry, Py_ssize_t nargs, Py_ssize_t want)
+/* Opens c, the call of entry with nargs of args, which takes want of them:
+ * first a stage capsule, whose n the arrays take, when least is 0, else
+ * arrays of n >= least cells, n from the first. 0, else -1 with TypeError
+ * for another count or ValueError for anything but a capsule of stage(). */
+static int open_call(struct call *c, const char *entry, PyObject *const *args, Py_ssize_t nargs,
+                     Py_ssize_t want, Py_ssize_t least)
 {
-    if (nargs == want)
+    c->entry = entry;
+    c->s = NULL;
+    c->n = -least;
+    c->count = 0;
+    if (nargs != want) {
+        PyErr_Format(PyExc_TypeError, "%s takes %zd arguments, got %zd", entry, want, nargs);
+        return -1;
+    }
+    if (least)
         return 0;
-    PyErr_Format(PyExc_TypeError, "%s takes %zd arguments, got %zd", entry, want, nargs);
-    return -1;
+    if (!PyCapsule_IsValid(args[0], STAGE)) {
+        PyErr_Format(PyExc_ValueError, "%s: stage must be a capsule of stage()", entry);
+        return -1;
+    }
+    c->s = &((struct owned *)PyCapsule_GetPointer(args[0], STAGE))->s;
+    c->n = c->s->n;
+    return 0;
 }
 
-/* The data of obj, a C-contiguous float64 buffer of shape (n) when rows is
- * 0, else (rows, n), and writable if asked; else NULL with ValueError. A
- * negative n takes any length. */
-static double *array(struct held *h, PyObject *obj, Py_ssize_t rows, Py_ssize_t n, int writable,
-                     const char *entry, const char *name)
+/* The shapes of array(): the cells (n), the faces (n + 1), a block (2, n). */
+enum shape { CELLS, FACES, BLOCK };
+
+/* The data of obj, a C-contiguous float64 buffer of the call's shape, and
+ * writable if asked, which c then holds; else NULL with ValueError. */
+static double *array(struct call *c, PyObject *obj, enum shape shape, int writable,
+                     const char *name)
 {
-    Py_buffer *v = &h->view[h->count];
-    int ndim = rows ? 2 : 1;
-    char shape[64];
+    Py_buffer *v = &c->view[c->count];
+    int ndim = shape == BLOCK ? 2 : 1;
+    Py_ssize_t n = c->n + (shape == FACES);
+    char form[64];
     if (PyObject_GetBuffer(obj, v, PyBUF_RECORDS_RO) == 0) {
         if (v->ndim == ndim && (n < 0 || v->shape[ndim - 1] == n)
-            && (!rows || v->shape[0] == rows) && v->itemsize == sizeof(double) && v->format
+            && (shape != BLOCK || v->shape[0] == 2) && v->itemsize == sizeof(double) && v->format
             && strcmp(v->format, "d") == 0 && PyBuffer_IsContiguous(v, 'C')
             && !(writable && v->readonly)) {
-            h->count++;
-            return v->buf;
+            c->count++;
+            if (n >= 0)
+                return v->buf;
+            /* the first array of stage() or max_slope sets n */
+            c->n = v->shape[0];
+            if (c->n >= -n)
+                return v->buf;
+            PyErr_Format(PyExc_ValueError, "%s: %s must have %zd or more cells, got %zd", c->entry,
+                         name, -n, c->n);
+            return NULL;
         }
         PyBuffer_Release(v);
     } else {
         PyErr_Clear();
     }
     if (n < 0)
-        PyOS_snprintf(shape, sizeof shape, "(n,)");
-    else if (rows)
-        PyOS_snprintf(shape, sizeof shape, "(%zd, %zd)", rows, n);
+        PyOS_snprintf(form, sizeof form, "(n,)");
+    else if (shape == BLOCK)
+        PyOS_snprintf(form, sizeof form, "(2, %zd)", n);
     else
-        PyOS_snprintf(shape, sizeof shape, "(%zd,)", n);
+        PyOS_snprintf(form, sizeof form, "(%zd,)", n);
     PyErr_Format(PyExc_ValueError, "%s: %s must be a %sC-contiguous float64 array of shape %s",
-                 entry, name, writable ? "writable " : "", shape);
+                 c->entry, name, writable ? "writable " : "", form);
     return NULL;
 }
 
-/* The struct stage in a capsule of stage(), or NULL with ValueError. */
-static const struct stage *stage_of(PyObject *obj, const char *entry)
+/* The float obj into *x: 0, else -1 with an exception set. */
+static int number(PyObject *obj, double *x)
 {
-    if (PyCapsule_IsValid(obj, STAGE))
-        return &((struct owned *)PyCapsule_GetPointer(obj, STAGE))->s;
-    PyErr_Format(PyExc_ValueError, "%s: stage must be a capsule of stage()", entry);
-    return NULL;
+    *x = PyFloat_AsDouble(obj);
+    return *x == -1.0 && PyErr_Occurred() ? -1 : 0;
+}
+
+/* A wall index in [0, n], or -1 with an exception set. */
+static int64_t wall_of(const struct call *c, PyObject *obj)
+{
+    long long wall = PyLong_AsLongLong(obj);
+    if (wall == -1 && PyErr_Occurred())
+        return -1;
+    if (wall < 0 || wall > c->n) {
+        PyErr_Format(PyExc_ValueError, "%s: wall must be in [0, %lld], got %lld", c->entry,
+                     (long long)c->n, wall);
+        return -1;
+    }
+    return wall;
 }
 
 static void free_stage(PyObject *capsule)
 {
     struct owned *o = PyCapsule_GetPointer(capsule, STAGE);
-    release(&o->h);
+    done(&o->c, NULL);
     PyMem_Free(o);
 }
 
-/* stage(dr, K, gamma, field_coef, r, face_area, cell_volume, shell,
- * inner_shell, center, cell) -> a capsule that owns the struct stage of a
- * grid of n = len(r) cells, its work rows and the buffers it reads: r and
- * the weights of shape (n), face_area (n + 1), and with K > 0 and gamma > 1
- * the writable n-cell row that the caller raises (ignored otherwise). */
+/* stage(dr, K, gamma, field_coef, r, face_area, shell, inner_shell, center,
+ * cell) -> a capsule that owns the struct stage of a grid of n = len(r)
+ * cells, n >= 2, its work rows and the buffers it reads: r and the weights
+ * of shape (n), face_area (n + 1), and with K > 0 and gamma > 1 the
+ * writable n-cell row that the caller raises (ignored otherwise). */
 static PyObject *py_stage(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
-    struct held h = {.count = 0};
-    const double *r, *face_area, *cell_volume, *shell, *inner_shell, *center;
-    double dr, k, g, fc, *law[] = {&dr, &k, &g, &fc}, *cell = NULL;
-    Py_ssize_t n;
+    struct call c;
+    const double *r, *face_area, *shell, *inner_shell, *center;
+    double dr, k, g, fc, *cell = NULL;
     struct owned *o;
     PyObject *capsule;
     (void)self;
-    if (arity("stage", nargs, 11) < 0)
-        return NULL;
-    for (int q = 0; q < 4; q++)
-        if ((*law[q] = PyFloat_AsDouble(args[q])) == -1.0 && PyErr_Occurred())
-            return NULL;
-    if (!(r = array(&h, args[4], 0, -1, 0, "stage", "r")))
-        return NULL;
-    n = h.view[0].shape[0];
-    if (n < 2)
-        PyErr_Format(PyExc_ValueError, "stage: r must have 2 or more cells, got %zd", n);
-    if (n < 2 || !(face_area = array(&h, args[5], 0, n + 1, 0, "stage", "face_area"))
-        || !(cell_volume = array(&h, args[6], 0, n, 0, "stage", "cell_volume"))
-        || !(shell = array(&h, args[7], 0, n, 0, "stage", "shell"))
-        || !(inner_shell = array(&h, args[8], 0, n, 0, "stage", "inner_shell"))
-        || !(center = array(&h, args[9], 0, n, 0, "stage", "center"))
-        || (k > 0.0 && g > 1.0 && !(cell = array(&h, args[10], 0, n, 1, "stage", "cell")))) {
-        release(&h);
-        return NULL;
-    }
-    o = PyMem_Malloc(sizeof *o + (k > 0.0 ? 5 : 4) * (n + 4) * sizeof(double));
-    if (!o) {
-        release(&h);
-        return PyErr_NoMemory();
-    }
+    if (open_call(&c, "stage", args, nargs, 10, 2) < 0 || number(args[0], &dr) < 0
+        || number(args[1], &k) < 0 || number(args[2], &g) < 0 || number(args[3], &fc) < 0
+        || !(r = array(&c, args[4], CELLS, 0, "r"))
+        || !(face_area = array(&c, args[5], FACES, 0, "face_area"))
+        || !(shell = array(&c, args[6], CELLS, 0, "shell"))
+        || !(inner_shell = array(&c, args[7], CELLS, 0, "inner_shell"))
+        || !(center = array(&c, args[8], CELLS, 0, "center"))
+        || (k > 0.0 && g > 1.0 && !(cell = array(&c, args[9], CELLS, 1, "cell"))))
+        return done(&c, NULL);
+    if (!(o = PyMem_Malloc(sizeof *o + (k > 0.0 ? 5 : 4) * (c.n + 4) * sizeof(double))))
+        return done(&c, PyErr_NoMemory());
     o->s = (struct stage){
-        .n = n, .per_density = !(g > 1.0), .dr = dr, .sound_coef = k * g,
+        .n = c.n, .per_density = !(g > 1.0), .dr = dr, .sound_coef = k * g,
         /* pressure force per unit mass as an exact enthalpy gradient,
          * K*g/(g-1) * d(rho**(g-1))/dr: bounded at the vacuum edge */
         .grad_coef = g > 1.0 ? k * g / (g - 1.0) : k, .field_coef = fc, .pressure_const = k,
-        .face_area = face_area, .cell_volume = cell_volume, .shell = shell,
-        .inner_shell = inner_shell, .center = center, .r = r, .work = o->work, .cell = cell,
+        .face_area = face_area, .shell = shell, .inner_shell = inner_shell, .center = center,
+        .r = r, .work = o->work, .cell = cell,
     };
     /* moving a Py_buffer is safe: CPython's and numpy's exporters key
      * nothing on its address */
-    o->h = h;
+    o->c = c;
     if (!(capsule = PyCapsule_New(o, STAGE, free_stage))) {
-        release(&o->h);
+        done(&o->c, NULL);
         PyMem_Free(o);
     }
     return capsule;
-}
-
-/* A wall index in [0, n], or -1 with an exception set. */
-static int64_t wall_of(PyObject *obj, int64_t n, const char *entry)
-{
-    long long wall = PyLong_AsLongLong(obj);
-    if (wall == -1 && PyErr_Occurred())
-        return -1;
-    if (wall < 0 || wall > n) {
-        PyErr_Format(PyExc_ValueError, "%s: wall must be in [0, %lld], got %lld", entry,
-                     (long long)n, wall);
-        return -1;
-    }
-    return wall;
 }
 
 /* tendencies(stage, wall, rho, vel, rho_floor, out) -> first non-finite
  * index or -1 */
 static PyObject *py_tendencies(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
-    struct held h = {.count = 0};
-    const struct stage *s;
+    struct call c;
     const double *rho, *vel;
     double *out, rho_floor;
     int64_t wall, bad;
     (void)self;
-    if (arity("tendencies", nargs, 6) < 0)
-        return NULL;
-    rho_floor = PyFloat_AsDouble(args[4]);
-    if (rho_floor == -1.0 && PyErr_Occurred())
-        return NULL;
-    if (!(s = stage_of(args[0], "tendencies"))
-        || (wall = wall_of(args[1], s->n, "tendencies")) < 0
-        || !(rho = array(&h, args[2], 0, s->n, 0, "tendencies", "rho"))
-        || !(vel = array(&h, args[3], 0, s->n, 0, "tendencies", "vel"))
-        || !(out = array(&h, args[5], 2, s->n, 1, "tendencies", "out"))) {
-        release(&h);
-        return NULL;
-    }
+    if (open_call(&c, "tendencies", args, nargs, 6, 0) < 0 || number(args[4], &rho_floor) < 0
+        || (wall = wall_of(&c, args[1])) < 0 || !(rho = array(&c, args[2], CELLS, 0, "rho"))
+        || !(vel = array(&c, args[3], CELLS, 0, "vel"))
+        || !(out = array(&c, args[5], BLOCK, 1, "out")))
+        return done(&c, NULL);
     Py_BEGIN_ALLOW_THREADS
-    bad = tendencies(s, wall, rho, vel, rho_floor, out);
+    bad = tendencies(c.s, wall, rho, vel, rho_floor, out);
     Py_END_ALLOW_THREADS
-    release(&h);
-    return PyLong_FromLongLong(bad);
+    return done(&c, PyLong_FromLongLong(bad));
 }
 
 /* rk_stage(stage, wall, dt, rho, vel, mid or None, k) -> the new density's
  * minimum, NaN in the first stage */
 static PyObject *py_rk_stage(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
-    struct held h = {.count = 0};
-    const struct stage *s;
+    struct call c;
     const double *rho, *vel, *mid = NULL;
     double *k, dt, lowest;
     int64_t wall;
     (void)self;
-    if (arity("rk_stage", nargs, 7) < 0)
-        return NULL;
-    dt = PyFloat_AsDouble(args[2]);
-    if (dt == -1.0 && PyErr_Occurred())
-        return NULL;
-    if (!(s = stage_of(args[0], "rk_stage"))
-        || (wall = wall_of(args[1], s->n, "rk_stage")) < 0
-        || !(rho = array(&h, args[3], 0, s->n, 0, "rk_stage", "rho"))
-        || !(vel = array(&h, args[4], 0, s->n, 0, "rk_stage", "vel"))
-        || (args[5] != Py_None && !(mid = array(&h, args[5], 2, s->n, 0, "rk_stage", "mid")))
-        || !(k = array(&h, args[6], 2, s->n, 1, "rk_stage", "k"))) {
-        release(&h);
-        return NULL;
-    }
+    if (open_call(&c, "rk_stage", args, nargs, 7, 0) < 0 || number(args[2], &dt) < 0
+        || (wall = wall_of(&c, args[1])) < 0 || !(rho = array(&c, args[3], CELLS, 0, "rho"))
+        || !(vel = array(&c, args[4], CELLS, 0, "vel"))
+        || (args[5] != Py_None && !(mid = array(&c, args[5], BLOCK, 0, "mid")))
+        || !(k = array(&c, args[6], BLOCK, 1, "k")))
+        return done(&c, NULL);
     Py_BEGIN_ALLOW_THREADS
-    lowest = rk_stage(s, wall, dt, rho, vel, mid, k);
+    lowest = rk_stage(c.s, wall, dt, rho, vel, mid, k);
     Py_END_ALLOW_THREADS
-    release(&h);
-    return PyFloat_FromDouble(lowest);
+    return done(&c, PyFloat_FromDouble(lowest));
 }
 
 /* max_speed(stage, vel) -> max(|V| + c) */
 static PyObject *py_max_speed(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
-    struct held h = {.count = 0};
-    const struct stage *s;
+    struct call c;
     const double *vel;
     double fastest;
     (void)self;
-    if (arity("max_speed", nargs, 2) < 0)
-        return NULL;
-    if (!(s = stage_of(args[0], "max_speed"))
-        || !(vel = array(&h, args[1], 0, s->n, 0, "max_speed", "vel"))) {
-        release(&h);
-        return NULL;
-    }
+    if (open_call(&c, "max_speed", args, nargs, 2, 0) < 0
+        || !(vel = array(&c, args[1], CELLS, 0, "vel")))
+        return done(&c, NULL);
     Py_BEGIN_ALLOW_THREADS
-    fastest = max_speed(s, vel);
+    fastest = max_speed(c.s, vel);
     Py_END_ALLOW_THREADS
-    release(&h);
-    return PyFloat_FromDouble(fastest);
+    return done(&c, PyFloat_FromDouble(fastest));
 }
 
 /* max_slope(vel, width) -> (slope, its center cell), for 3 cells or more */
 static PyObject *py_max_slope(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
-    struct held h = {.count = 0};
+    struct call c;
     const double *vel;
     double width, slope;
-    Py_ssize_t n;
     int64_t k;
     (void)self;
-    if (arity("max_slope", nargs, 2) < 0)
-        return NULL;
-    width = PyFloat_AsDouble(args[1]);
-    if (width == -1.0 && PyErr_Occurred())
-        return NULL;
-    if (!(vel = array(&h, args[0], 0, -1, 0, "max_slope", "vel")))
-        return NULL;
-    n = h.view[0].shape[0];
-    if (n < 3) {
-        release(&h);
-        PyErr_Format(PyExc_ValueError, "max_slope: vel must have 3 or more cells, got %zd", n);
-        return NULL;
-    }
+    if (open_call(&c, "max_slope", args, nargs, 2, 3) < 0 || number(args[1], &width) < 0
+        || !(vel = array(&c, args[0], CELLS, 0, "vel")))
+        return done(&c, NULL);
     Py_BEGIN_ALLOW_THREADS
-    k = max_slope(n, vel, width, &slope);
+    k = max_slope(c.n, vel, width, &slope);
     Py_END_ALLOW_THREADS
-    release(&h);
-    return Py_BuildValue("(dL)", slope, (long long)(k + 1));
+    return done(&c, Py_BuildValue("(dL)", slope, (long long)(k + 1)));
 }
 
 /* row_sums(stage, rho, vel) -> the four sums as a tuple */
 static PyObject *py_row_sums(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
-    struct held h = {.count = 0};
-    const struct stage *s;
+    struct call c;
     const double *rho, *vel;
     double out[4];
     (void)self;
-    if (arity("row_sums", nargs, 3) < 0)
-        return NULL;
-    if (!(s = stage_of(args[0], "row_sums"))
-        || !(rho = array(&h, args[1], 0, s->n, 0, "row_sums", "rho"))
-        || !(vel = array(&h, args[2], 0, s->n, 0, "row_sums", "vel"))) {
-        release(&h);
-        return NULL;
-    }
+    if (open_call(&c, "row_sums", args, nargs, 3, 0) < 0
+        || !(rho = array(&c, args[1], CELLS, 0, "rho"))
+        || !(vel = array(&c, args[2], CELLS, 0, "vel")))
+        return done(&c, NULL);
     Py_BEGIN_ALLOW_THREADS
-    row_sums(s, rho, vel, out);
+    row_sums(c.s, rho, vel, out);
     Py_END_ALLOW_THREADS
-    release(&h);
-    return Py_BuildValue("(dddd)", out[0], out[1], out[2], out[3]);
+    return done(&c, Py_BuildValue("(dddd)", out[0], out[1], out[2], out[3]));
 }
 
 /* kernel_target() -> the clone's name */
 static PyObject *py_kernel_target(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
+    struct call c;
     (void)self;
-    (void)args;
-    if (arity("kernel_target", nargs, 0) < 0)
+    if (open_call(&c, "kernel_target", args, nargs, 0, 1) < 0)
         return NULL;
     return PyUnicode_FromString(kernel_target());
 }
@@ -847,8 +826,8 @@ static PyObject *py_kernel_target(PyObject *self, PyObject *const *args, Py_ssiz
 #define ENTRY(name, doc) {#name, (PyCFunction)(void (*)(void))py_##name, METH_FASTCALL, doc}
 
 static PyMethodDef entries[] = {
-    ENTRY(stage, "stage(dr, K, gamma, field_coef, r, face_area, cell_volume, shell, "
-                 "inner_shell, center, cell) -> stage"),
+    ENTRY(stage, "stage(dr, K, gamma, field_coef, r, face_area, shell, inner_shell, center, "
+                 "cell) -> stage"),
     ENTRY(tendencies, "tendencies(stage, wall, rho, vel, rho_floor, out) -> int"),
     ENTRY(rk_stage, "rk_stage(stage, wall, dt, rho, vel, mid, k) -> float"),
     ENTRY(max_speed, "max_speed(stage, vel) -> float"),

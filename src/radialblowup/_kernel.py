@@ -56,8 +56,8 @@ class Plan:
         self._cell = np.empty(n) if cfg.pressure_const > 0.0 and cfg.gamma > 1.0 else None
         self._stage = load().stage(
             grid.cell_width, cfg.pressure_const, cfg.gamma, alpha(cfg.dim) * cfg.delta,
-            grid.cell_centers, weights.face_area, weights.cell_volume, weights.shell,
-            weights.inner_shell, weights.center, self._cell,
+            grid.cell_centers, weights.face_area, weights.shell, weights.inner_shell,
+            weights.center, self._cell,
         )
         self._block, self._gamma = (2, n), cfg.gamma
         # the state whose cells the scratch holds raised to gamma - 1, or None
@@ -199,6 +199,7 @@ def _build(target: Path) -> None:
 def load():
     """The kernel module, compiled into the cache first if it is not there."""
     from importlib.machinery import EXTENSION_SUFFIXES
+    from importlib.util import module_from_spec, spec_from_file_location
 
     key = hashlib.sha256(SOURCE.read_bytes() + " ".join(COMPILE).encode()).hexdigest()[:16]
     directory = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "radialblowup"
@@ -212,17 +213,10 @@ def load():
         for old in directory.iterdir():
             if old != target and stale.fullmatch(old.name):
                 old.unlink(missing_ok=True)
-    return _open(target)
-
-
-def _open(path: Path):
-    """The kernel module built at ``path``."""
-    from importlib.machinery import ExtensionFileLoader
-    from importlib.util import module_from_spec, spec_from_file_location
-
-    loader = ExtensionFileLoader("kernel", str(path))
-    module = module_from_spec(spec_from_file_location("kernel", path, loader=loader))
-    loader.exec_module(module)
+    # the file suffix makes the spec's loader an ExtensionFileLoader
+    spec = spec_from_file_location("kernel", target)
+    module = module_from_spec(spec)
+    spec.loader.exec_module(module)
     return module
 
 

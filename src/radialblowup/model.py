@@ -6,6 +6,7 @@ immutable flow states, and admissibility checks for initial data.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import NamedTuple
@@ -37,12 +38,12 @@ class ModelConfig:
             raise ValueError(f"dim must be one of {SUPPORTED_DIMS}, got {self.dim}")
         if self.delta not in (-1, 0, 1):
             raise ValueError(f"delta must be -1, 0 or +1, got {self.delta}")
-        # written so that NaN fails each check
-        if not self.pressure_const >= 0:
+        # written so that NaN and +-inf fail each check
+        if not 0 <= self.pressure_const < math.inf:
             raise ValueError(f"pressure_const must be >= 0, got {self.pressure_const}")
-        if not self.gamma >= 1:
+        if not 1 <= self.gamma < math.inf:
             raise ValueError(f"gamma must be >= 1, got {self.gamma}")
-        if not self.support_radius > 0:
+        if not 0 < self.support_radius < math.inf:
             raise ValueError(f"support_radius must be > 0, got {self.support_radius}")
 
     @property
@@ -65,7 +66,7 @@ class RadialGrid:
     def __post_init__(self):
         if self.n_cells < 8:
             raise ValueError(f"n_cells must be at least 8, got {self.n_cells}")
-        if not self.support_radius > 0:
+        if not 0 < self.support_radius < math.inf:
             raise ValueError("support_radius must be > 0")
 
     @property
@@ -86,7 +87,6 @@ class GridWeights(NamedTuple):
 
     face_area: np.ndarray  # x**(N-1) at the interfaces
     center: np.ndarray  # r**(N-1) at the cell centers
-    cell_volume: np.ndarray  # r**(N-1) * dr
     shell: np.ndarray  # exact cell volumes (x[1:]**N - x[:-1]**N) / N
     inner_shell: np.ndarray  # (r**N - x[:-1]**N) / N, interface to center
 
@@ -96,8 +96,7 @@ def grid_weights(grid: RadialGrid, dim: int) -> GridWeights:
     """The weights of (grid, dim), computed once and shared by every caller."""
     x, r = grid.interfaces, grid.cell_centers
     weights = GridWeights(
-        x ** (dim - 1), r ** (dim - 1), r ** (dim - 1) * grid.cell_width,
-        (x[1:] ** dim - x[:-1] ** dim) / dim, (r**dim - x[:-1] ** dim) / dim,
+        x ** (dim - 1), r ** (dim - 1), (x[1:] ** dim - x[:-1] ** dim) / dim, (r**dim - x[:-1] ** dim) / dim,
     )
     for w in weights:
         w.setflags(write=False)

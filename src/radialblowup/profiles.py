@@ -21,6 +21,9 @@ FAMILY_PARAMS = {
     "gaussian_truncated": {**_AMPLITUDES, "width": 0.25},
     "random_smooth": {**_AMPLITUDES, "modes": 3},
 }
+# the samples of V0' on [0, R] that first_crossing_time takes, ten times as
+# many of V0 when it differences the profile
+_CROSSING_SAMPLES = 4096
 
 
 @dataclass(frozen=True)
@@ -116,14 +119,13 @@ def _derivative_samples(
     v0: Callable[[np.ndarray], np.ndarray],
     radius: float,
     dv0: Optional[Callable[[np.ndarray], np.ndarray]],
-    n_samples: int,
 ) -> np.ndarray:
     """Sample V0' on a refined grid: analytic when given, else central differences."""
     if dv0 is not None:
-        r = np.linspace(0.0, radius, n_samples)
+        r = np.linspace(0.0, radius, _CROSSING_SAMPLES)
         return np.asarray(dv0(r), dtype=float)
     # central differences on a 10x refined sampling of the profile
-    r = np.linspace(0.0, radius, 10 * n_samples)
+    r = np.linspace(0.0, radius, 10 * _CROSSING_SAMPLES)
     v = np.asarray(v0(r), dtype=float)
     return np.gradient(v, r)
 
@@ -132,10 +134,9 @@ def first_crossing_time(
     v0: Callable[[np.ndarray], np.ndarray],
     radius: float,
     dv0: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-    n_samples: int = 4096,
 ) -> Optional[float]:
     """Time of first characteristic crossing, -1 / min V0'; None if V0' >= 0."""
-    slopes = _derivative_samples(v0, radius, dv0, n_samples)
+    slopes = _derivative_samples(v0, radius, dv0)
     if not np.all(np.isfinite(slopes)):
         raise ValueError("velocity profile has non-finite derivative samples")
     smin = float(np.min(slopes))

@@ -69,14 +69,12 @@ class NumericsConfig:
     def __post_init__(self):
         if not 0.0 < self.cfl <= 1.0:
             raise ValueError(f"cfl must be in (0, 1], got {self.cfl}")
-        # written so that NaN fails each check
-        if not self.t_end > 0:
+        # written so that NaN and +-inf fail each check
+        if not 0 < self.t_end < math.inf:
             raise ValueError(f"t_end must be > 0, got {self.t_end}")
-        if self.t_end == math.inf:
-            raise ValueError(f"t_end must be finite, got {self.t_end}")
-        if not self.dt_floor > 0:
+        if not 0 < self.dt_floor < math.inf:
             raise ValueError(f"dt_floor must be > 0, got {self.dt_floor}")
-        if not self.steepening_threshold > 0:
+        if not 0 < self.steepening_threshold < math.inf:
             raise ValueError(f"steepening_threshold must be > 0, got {self.steepening_threshold}")
         if self.output_stride < 1:
             raise ValueError(f"output_stride must be >= 1, got {self.output_stride}")

@@ -1,6 +1,7 @@
 """Shared helpers for tests: reading run artifacts back, and the kernel
 clones this machine runs."""
 
+import importlib.util
 import platform
 import subprocess
 from pathlib import Path
@@ -63,7 +64,9 @@ def swap_in_clone(tmp_path_factory, name: str, *flags: str):
         str(_kernel.SOURCE), "-lm",
     ]
     subprocess.run(command, check=True)
-    lib = _kernel._open(path)
+    spec = importlib.util.spec_from_file_location("kernel", path)
+    lib = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(lib)
     assert lib.kernel_target() == name
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(_kernel, "load", lambda: lib)

@@ -198,6 +198,37 @@ def test_each_entry_rejects_what_it_was_not_built_for(pressure_const):
                 assert np.all(called[output] == 7.0), name
 
 
+def test_each_entry_takes_its_count_of_arguments():
+    # one argument too few or too many raises TypeError naming the entry,
+    # before anything is written
+    n = 16
+    grid = RadialGrid(n_cells=n, support_radius=1.0)
+    w, lib = model.grid_weights(grid, 3), _kernel.load()
+    stage = _kernel.plan(grid, ModelConfig(pressure_const=1.0, gamma=1.4))._stage
+    rho, vel, out = np.linspace(1.0, 0.0, n), np.linspace(0.0, 1.0, n), np.full((2, n), 7.0)
+    calls = {
+        "stage": [
+            0.0625, 1.0, 1.4, 0.0, grid.cell_centers, w.face_area, w.shell, w.inner_shell,
+            w.center, np.empty(n),
+        ],
+        "tendencies": [stage, n - 1, rho, vel, 0.0, out],
+        "rk_stage": [stage, n - 1, 0.1, rho, vel, None, out],
+        "max_speed": [stage, vel],
+        "max_slope": [vel, 0.1],
+        "row_sums": [stage, rho, vel],
+        "kernel_target": [],
+    }
+    for name, args in calls.items():
+        # one more, and one fewer where there is one to drop
+        for called in [[*args, out]] + [args[:-1]] * bool(args):
+            message = f"^{name} takes {len(args)} arguments, got {len(called)}$"
+            with pytest.raises(TypeError, match=message):
+                getattr(lib, name)(*called)
+    assert np.all(out == 7.0)
+    for name, args in calls.items():
+        getattr(lib, name)(*args)  # the right count passes
+
+
 @pytest.mark.parametrize("pressure_const, gamma", [(1.0, 1.4), (0.0, 1.4), (1.0, 1.0)])
 def test_stage_takes_only_the_arrays_of_its_grid(pressure_const, gamma):
     # every array is checked when the stage is built: a weight of another
@@ -207,8 +238,8 @@ def test_stage_takes_only_the_arrays_of_its_grid(pressure_const, gamma):
     w, lib = model.grid_weights(grid, 3), _kernel.load()
     # the arrays stage() takes after its four numbers, in order
     good = dict(
-        r=grid.cell_centers, face_area=w.face_area, cell_volume=w.cell_volume,
-        shell=w.shell, inner_shell=w.inner_shell, center=w.center, cell=np.empty(16),
+        r=grid.cell_centers, face_area=w.face_area, shell=w.shell,
+        inner_shell=w.inner_shell, center=w.center, cell=np.empty(16),
     )
 
     def build(**swap):
