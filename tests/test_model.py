@@ -84,6 +84,12 @@ def test_every_float_field_rejects_nan(cls, name):
             cls(**_REQUIRED[cls], **{name: value})
 
 
+def test_t_end_must_be_finite():
+    # an infinite t_end would make the end-time tolerance infinite: no step runs
+    with pytest.raises(ValueError, match="^t_end must be > 0, got inf$"):
+        NumericsConfig(t_end=math.inf)
+
+
 def test_grid_geometry():
     grid = RadialGrid(n_cells=64, support_radius=2.0)
     r = grid.cell_centers
