@@ -15,7 +15,6 @@ raises the cells with numpy's ``**`` before a C call.
 from __future__ import annotations
 
 import functools
-import hashlib
 import os
 import re
 import sys
@@ -27,6 +26,18 @@ import numpy as np
 
 from .model import ModelConfig, RadialGrid, grid_weights
 from .poisson import alpha
+
+# SHA-256 from CPython's built-in module (_sha2 from 3.12, _sha256 before), so
+# no command loads OpenSSL's libcrypto, about 3.6 MB resident, for two short
+# digests; hashlib only on builds that leave it out, such as FIPS builds
+# configured --with-builtin-hashlib-hashes=blake2
+try:
+    from _sha2 import sha256 as _sha256
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256
+    except ImportError:
+        from hashlib import sha256 as _sha256
 
 SOURCE = Path(__file__).with_name("_kernel.c")
 # no contraction into fused multiply-adds: it changes the bits of the results;
@@ -136,6 +147,12 @@ def power(scratch: np.ndarray, exponent: float, rho: np.ndarray) -> None:
     scratch **= exponent
 
 
+def sha256_hex(data: bytes) -> str:
+    """The SHA-256 hex digest of ``data``: the kernel's cache key and ``cli``'s
+    config hash."""
+    return _sha256(data).hexdigest()
+
+
 class KernelCompileError(RuntimeError):
     """The kernel could not be compiled."""
 
@@ -201,7 +218,7 @@ def load():
     from importlib.machinery import EXTENSION_SUFFIXES
     from importlib.util import module_from_spec, spec_from_file_location
 
-    key = hashlib.sha256(SOURCE.read_bytes() + " ".join(COMPILE).encode()).hexdigest()[:16]
+    key = sha256_hex(SOURCE.read_bytes() + " ".join(COMPILE).encode())[:16]
     directory = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "radialblowup"
     directory.mkdir(mode=0o700, parents=True, exist_ok=True)
     suffix = EXTENSION_SUFFIXES[0]  # this ABI's, such as .cpython-311-x86_64-linux-gnu.so

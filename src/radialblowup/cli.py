@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import hashlib
 import itertools
 import math
 import resource
@@ -269,7 +268,7 @@ def resolved_config_text(config: ExperimentConfig) -> str:
 
 def config_hash(resolved_text: str) -> str:
     """The short digest of a config's ``resolved_config_text``."""
-    return hashlib.sha256(resolved_text.encode("utf-8")).hexdigest()[:12]
+    return _kernel.sha256_hex(resolved_text.encode("utf-8"))[:12]
 
 
 def expand_sweep(config: ExperimentConfig) -> list[tuple[str, ExperimentConfig]]:

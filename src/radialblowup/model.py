@@ -7,13 +7,22 @@ immutable flow states, and admissibility checks for initial data.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
 SUPPORTED_DIMS = (1, 2, 3)
+
+
+def require_finite(config) -> None:
+    """Refuse NaN and +-inf in each float field of a config dataclass, before
+    its range checks: NaN fails every comparison, and inf passes a lower bound."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if f.type == "float" and not math.isfinite(value):
+            raise ValueError(f"{f.name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -38,12 +47,12 @@ class ModelConfig:
             raise ValueError(f"dim must be one of {SUPPORTED_DIMS}, got {self.dim}")
         if self.delta not in (-1, 0, 1):
             raise ValueError(f"delta must be -1, 0 or +1, got {self.delta}")
-        # written so that NaN and +-inf fail each check
-        if not 0 <= self.pressure_const < math.inf:
+        require_finite(self)
+        if self.pressure_const < 0:
             raise ValueError(f"pressure_const must be >= 0, got {self.pressure_const}")
-        if not 1 <= self.gamma < math.inf:
+        if self.gamma < 1:
             raise ValueError(f"gamma must be >= 1, got {self.gamma}")
-        if not 0 < self.support_radius < math.inf:
+        if self.support_radius <= 0:
             raise ValueError(f"support_radius must be > 0, got {self.support_radius}")
 
     @property
@@ -66,8 +75,9 @@ class RadialGrid:
     def __post_init__(self):
         if self.n_cells < 8:
             raise ValueError(f"n_cells must be at least 8, got {self.n_cells}")
-        if not 0 < self.support_radius < math.inf:
-            raise ValueError("support_radius must be > 0")
+        require_finite(self)
+        if self.support_radius <= 0:
+            raise ValueError(f"support_radius must be > 0, got {self.support_radius}")
 
     @property
     def cell_width(self) -> float:

@@ -23,7 +23,9 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import _kernel, diagnostics
-from .model import FluidState, ModelConfig, RadialGrid, validate_initial_data, wall_index
+from .model import (
+    FluidState, ModelConfig, RadialGrid, require_finite, validate_initial_data, wall_index,
+)
 
 # not called here: bench/tracer.py wraps these names in this module
 from .model import sound_speed  # noqa: F401
@@ -67,14 +69,14 @@ class NumericsConfig:
     support_margin_cells: int = 2
 
     def __post_init__(self):
+        require_finite(self)
         if not 0.0 < self.cfl <= 1.0:
             raise ValueError(f"cfl must be in (0, 1], got {self.cfl}")
-        # written so that NaN and +-inf fail each check
-        if not 0 < self.t_end < math.inf:
+        if self.t_end <= 0:
             raise ValueError(f"t_end must be > 0, got {self.t_end}")
-        if not 0 < self.dt_floor < math.inf:
+        if self.dt_floor <= 0:
             raise ValueError(f"dt_floor must be > 0, got {self.dt_floor}")
-        if not 0 < self.steepening_threshold < math.inf:
+        if self.steepening_threshold <= 0:
             raise ValueError(f"steepening_threshold must be > 0, got {self.steepening_threshold}")
         if self.output_stride < 1:
             raise ValueError(f"output_stride must be >= 1, got {self.output_stride}")

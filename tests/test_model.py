@@ -76,17 +76,17 @@ _FLOAT_FIELDS = [
     "cls, name", _FLOAT_FIELDS, ids=[f"{cls.__name__}.{name}" for cls, name in _FLOAT_FIELDS]
 )
 def test_every_float_field_rejects_nan(cls, name):
-    # NaN compares false, and each range check is bounded above by inf: an
-    # infinite t_end would make the end-time tolerance infinite (no step
-    # runs), an infinite dt_floor would end a run at once as a collapse
+    # each float is checked finite before its range: an infinite t_end would
+    # make the end-time tolerance infinite (no step runs), an infinite
+    # dt_floor would end a run at once as a collapse
     for value in (math.nan, math.inf, -math.inf):
-        with pytest.raises(ValueError, match=f"^{name} must"):
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got {value}$"):
             cls(**_REQUIRED[cls], **{name: value})
 
 
 def test_t_end_must_be_finite():
     # an infinite t_end would make the end-time tolerance infinite: no step runs
-    with pytest.raises(ValueError, match="^t_end must be > 0, got inf$"):
+    with pytest.raises(ValueError, match="^t_end must be finite, got inf$"):
         NumericsConfig(t_end=math.inf)
 
 
