@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Optional
 
 from . import _kernel
-from .diagnostics import Verdict, blowup_time_bound, scope_flags
+from .diagnostics import Verdict, bound_scope
 from .model import ModelConfig, RadialGrid, validate_initial_data, wall_index
 from .profiles import FAMILY_PARAMS, build_initial_profile, family_params
 from .solver import NumericsConfig, RunResult, Termination, run
@@ -33,9 +33,12 @@ class ConfigError(ValueError):
 
 
 def _fmt(value) -> str:
-    """Render a value for output files: floats to 17 significant digits, None as n/a."""
+    """Render a value for output files: floats to 17 significant digits, None
+    as n/a, a tuple of names comma-joined (none when empty)."""
     if value is None:
         return "n/a"
+    if isinstance(value, tuple):
+        return ",".join(value) or "none"
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
@@ -339,16 +342,16 @@ def _write_summary(
         ("run_id", run_id),
         ("config_hash", digest),
         ("verdict", r.verdict.value),
-        ("bound_applicable", r.bound_applicable),
-        ("t_bound", r.t_bound),
+        ("bound_applicable", r.scope.applicable),
+        ("t_bound", r.scope.t_bound),
         ("t_detect", r.t_detect),
-        ("h0", r.h0),
+        ("h0", r.scope.h0),
         ("t_final", r.t_final),
         ("termination", r.termination),
         ("envelope_ok", r.envelope_ok),
         ("envelope_tolerance_rel", r.envelope_tolerance),
         ("mass_drift_rel", r.mass_drift_rel),
-        ("scope_flags", ",".join(r.scope_flags) if r.scope_flags else "none"),
+        ("scope_flags", r.scope.flags),
         ("blowup_definition", r.blowup_definition),
         ("n_cells", config.n_cells),
         *_items(config.model),
@@ -388,9 +391,9 @@ def run_single(run_id: str, config: ExperimentConfig, out_root: str) -> dict:
     )
     t_ran = time.perf_counter()
     rep = result.report
-    if "h0_not_positive" in rep.scope_flags:
+    if "h0_not_positive" in rep.scope.flags:
         print(
-            f"warning: {run_id}: h0 = {rep.h0:.6g} is not positive; "
+            f"warning: {run_id}: h0 = {rep.scope.h0:.6g} is not positive; "
             "bound verdict will be not_applicable",
             file=sys.stderr,
         )
@@ -429,8 +432,8 @@ def run_single(run_id: str, config: ExperimentConfig, out_root: str) -> dict:
         "verdict": rep.verdict.value,
         "termination": rep.termination,
         "t_detect": rep.t_detect,
-        "t_bound": rep.t_bound,
-        "h0": rep.h0,
+        "t_bound": rep.scope.t_bound,
+        "h0": rep.scope.h0,
         "config_hash": digest,
     }
 
@@ -505,23 +508,22 @@ def execute(
 
 
 def check(config: ExperimentConfig) -> int:
-    """Validate the config and initial data without stepping; print findings."""
+    """Validate the config and initial data without stepping; print findings.
+
+    Inadmissible initial data raise ValueError, as in ``run``."""
     for run_id, resolved in expand_sweep(config):
         grid, profile = build_run_fields(resolved)
-        report = validate_initial_data(
+        h0 = validate_initial_data(
             profile.rho0, profile.v0, grid, resolved.numerics.support_margin_cells
         )
-        applicable = not scope_flags(report.h0, resolved.model)
-        t_bound = (
-            f"{blowup_time_bound(report.h0, resolved.model.support_radius):.6g}"
-            if report.h0 > 0
-            else "n/a"
-        )
+        scope = bound_scope(h0, resolved.model)
+        t_bound = "n/a" if scope.t_bound is None else f"{scope.t_bound:.6g}"
         print(
             f"{run_id}: n_cells={resolved.n_cells} delta={resolved.model.delta} "
             f"pressure_const={resolved.model.pressure_const:g} "
             f"gamma={resolved.model.gamma:g} family={resolved.initial.family} "
-            f"h0={report.h0:.6g} t_bound={t_bound} bound_applicable={applicable}"
+            f"h0={scope.h0:.6g} t_bound={t_bound} bound_applicable={scope.applicable} "
+            f"scope_flags={_fmt(scope.flags)}"
         )
     return 0
 

@@ -47,20 +47,36 @@ def blowup_functional(state: FluidState, grid: RadialGrid) -> float:
     return weighted_momentum(state.vel, grid)
 
 
-def scope_flags(h0: float, cfg: ModelConfig) -> tuple[str, ...]:
-    """The failed hypotheses of the blowup bound; it applies iff there are none.
+@dataclass(frozen=True)
+class BoundScope:
+    """What the initial data and the config satisfy of the bound's hypotheses:
+    H0, the ball radius, the bound time T = R**3 / (2*H0) (None unless H0 > 0)
+    and the names of the failed hypotheses, in a fixed order."""
+
+    h0: float
+    radius: float
+    t_bound: Optional[float]
+    flags: tuple[str, ...]
+
+    @property
+    def applicable(self) -> bool:
+        """The bound applies iff no hypothesis fails."""
+        return not self.flags
+
+
+def bound_scope(h0: float, cfg: ModelConfig) -> BoundScope:
+    """The one rule of the bound's scope, decided from H0 and the config.
 
     The bound needs a repulsive or absent force (delta >= 0), a pressureless
     fluid or gamma > 1, and H0 > 0.
     """
-    flags = []
-    if cfg.delta < 0:
-        flags.append("attractive_force_outside_bound_scope")
-    if not cfg.eos_in_scope:
-        flags.append("isothermal_eos_outside_bound_scope")
-    if not h0 > 0:
-        flags.append("h0_not_positive")
-    return tuple(flags)
+    failed = (
+        ("attractive_force_outside_bound_scope", cfg.delta < 0),
+        ("isothermal_eos_outside_bound_scope", cfg.pressure_const > 0 and cfg.gamma == 1.0),
+        ("h0_not_positive", not h0 > 0),
+    )
+    t_bound = blowup_time_bound(h0, cfg.support_radius) if h0 > 0 else None
+    return BoundScope(h0, cfg.support_radius, t_bound, tuple(f for f, bad in failed if bad))
 
 
 def blowup_time_bound(h0: float, radius: float) -> float:
@@ -174,14 +190,13 @@ def envelope_rel_tol(n_cells: int) -> float:
     return ENVELOPE_REL_TOL_1024 * max(1.0, 1024.0 / n_cells)
 
 
-def envelope_column(times: np.ndarray, h0: float, cfg: ModelConfig) -> np.ndarray:
+def envelope_column(times: np.ndarray, scope: BoundScope) -> np.ndarray:
     """The lower envelope at each of ``times`` before the bound time, where the
     bound applies; NaN at the other times."""
     envelope = np.full(times.size, np.nan)
-    if not scope_flags(h0, cfg):
-        t_bound = blowup_time_bound(h0, cfg.support_radius)
-        defined = times < t_bound * BEFORE_BOUND
-        envelope[defined] = lower_envelope(times[defined], h0, cfg.support_radius)
+    if scope.applicable:
+        defined = times < scope.t_bound * BEFORE_BOUND
+        envelope[defined] = lower_envelope(times[defined], scope.h0, scope.radius)
     return envelope
 
 
@@ -190,24 +205,20 @@ class RunReport:
     """Condensed outcome of one run: bound, detection, verdict, tolerances."""
 
     verdict: Verdict
-    bound_applicable: bool
-    t_bound: Optional[float]
+    scope: BoundScope
     t_detect: Optional[float]
-    h0: float
     t_final: float
     termination: str
     envelope_ok: Optional[bool]
     envelope_tolerance: float
     mass_drift_rel: float
-    scope_flags: tuple[str, ...]
     blowup_definition: str = BLOWUP_DEFINITION
 
 
 def build_report(
     series: DiagnosticsSeries,
-    cfg: ModelConfig,
+    scope: BoundScope,
     *,
-    h0: float,
     n_cells: int,
     t_final: float,
     termination: str,
@@ -221,12 +232,10 @@ def build_report(
     beyond tolerance before the detection, where ``envelope_column`` of the
     series' times, not its own column, is defined.
     """
-    flags = scope_flags(h0, cfg)
-    applicable = not flags
-    t_bound = blowup_time_bound(h0, cfg.support_radius) if h0 > 0 else None
+    applicable, t_bound = scope.applicable, scope.t_bound
     tol = envelope_rel_tol(n_cells)
 
-    envelope = envelope_column(series.times, h0, cfg)
+    envelope = envelope_column(series.times, scope)
     checked = ~np.isnan(envelope)
     if t_detect is not None:
         checked &= series.times < t_detect
@@ -253,14 +262,11 @@ def build_report(
 
     return RunReport(
         verdict=verdict,
-        bound_applicable=applicable,
-        t_bound=t_bound,
+        scope=scope,
         t_detect=t_detect,
-        h0=h0,
         t_final=t_final,
         termination=termination,
         envelope_ok=envelope_ok,
         envelope_tolerance=tol,
         mass_drift_rel=drift,
-        scope_flags=flags,
     )

@@ -55,11 +55,6 @@ class ModelConfig:
         if self.support_radius <= 0:
             raise ValueError(f"support_radius must be > 0, got {self.support_radius}")
 
-    @property
-    def eos_in_scope(self) -> bool:
-        """True when the EOS satisfies the bound hypotheses (K = 0 or gamma > 1)."""
-        return self.pressure_const == 0.0 or self.gamma > 1.0
-
 
 @dataclass(frozen=True)
 class RadialGrid:
@@ -156,20 +151,6 @@ class FluidState:
         return self.rho.shape[0]
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    """Outcome of the initial-data admissibility checks."""
-
-    rho_nonnegative: bool
-    compact_support: bool
-    h0: float
-
-    @property
-    def admissible(self) -> bool:
-        """Data may be evolved (fields well formed); bound verdicts need more."""
-        return self.rho_nonnegative and self.compact_support
-
-
 def sound_speed(rho, cfg: ModelConfig):
     """Speed of sound c = sqrt(K * gamma * rho**(gamma - 1)).
 
@@ -197,12 +178,12 @@ def wall_index(n_cells: int, margin_cells: int) -> int:
 
 def validate_initial_data(
     rho0: np.ndarray, v0: np.ndarray, grid: RadialGrid, margin_cells: int
-) -> ValidationReport:
-    """Check admissibility of initial fields and evaluate the momentum integral.
+) -> float:
+    """Refuse inadmissible initial fields; return the momentum integral H0.
 
-    The report carries: a nonnegativity flag for the density, a compact-support
-    flag (both fields exactly zero over the outermost ``margin_cells`` cells)
-    and the quadrature value of the weighted momentum integral H0 = int r*V0 dr.
+    The density must be nonnegative and both fields exactly zero over the
+    outermost ``margin_cells`` cells; otherwise ValueError names each rule
+    that fails. H0 = int r*V0 dr is the quadrature value.
     """
     rho0 = np.asarray(rho0, dtype=float)
     v0 = np.asarray(v0, dtype=float)
@@ -212,9 +193,11 @@ def validate_initial_data(
                 f"{name} has shape {field.shape}, grid expects ({grid.n_cells},)"
             )
     wall = wall_index(grid.n_cells, margin_cells)
-    compact = bool(np.all(rho0[wall:] == 0.0) and np.all(v0[wall:] == 0.0))
-    return ValidationReport(
-        rho_nonnegative=bool(np.all(rho0 >= 0.0)),
-        compact_support=compact,
-        h0=weighted_momentum(v0, grid),
-    )
+    problems = []
+    if not np.all(rho0 >= 0.0):
+        problems.append("density must be nonnegative")
+    if not (np.all(rho0[wall:] == 0.0) and np.all(v0[wall:] == 0.0)):
+        problems.append("fields must vanish over the wall margin cells")
+    if problems:
+        raise ValueError("inadmissible initial data: " + "; ".join(problems))
+    return weighted_momentum(v0, grid)

@@ -248,19 +248,12 @@ def run(
     rho0 = np.asarray(rho0, dtype=float)
     v0 = np.asarray(v0, dtype=float)
     grid = RadialGrid(n_cells=rho0.size, support_radius=cfg.support_radius)
-    check = validate_initial_data(rho0, v0, grid, margin_cells=num.support_margin_cells)
-    if not check.admissible:
-        problems = []
-        if not check.rho_nonnegative:
-            problems.append("density must be nonnegative")
-        if not check.compact_support:
-            problems.append("fields must vanish over the wall margin cells")
-        raise ValueError("inadmissible initial data: " + "; ".join(problems))
+    h0 = validate_initial_data(rho0, v0, grid, margin_cells=num.support_margin_cells)
+    scope = diagnostics.bound_scope(h0, cfg)
 
     rho_peak = float(np.max(rho0))
     rho_floor = VACUUM_FLOOR_REL * rho_peak
     pos_tol = POSITIVITY_REL_TOL * rho_peak
-    h0 = check.h0
 
     # a copy with the margin zeroed: validation let -0.0 through, and the
     # margin holds +0.0
@@ -335,14 +328,13 @@ def run(
         mass_values=mass,
         energy_values=energy,
         riccati_residuals=np.append(res, np.nan),
-        envelope_values=diagnostics.envelope_column(times, h0, cfg),
+        envelope_values=diagnostics.envelope_column(times, scope),
         cauchy_gaps=gap,
         max_gradients=max_gradient,
     )
     report = diagnostics.build_report(
         series,
-        cfg,
-        h0=h0,
+        scope,
         n_cells=grid.n_cells,
         t_final=state.time,
         termination=termination.value,

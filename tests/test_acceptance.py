@@ -17,6 +17,7 @@ from radialblowup import FluidState, ModelConfig, RadialGrid, first_crossing_tim
 from radialblowup.diagnostics import (
     DiagnosticsSeries,
     Verdict,
+    bound_scope,
     build_report,
     cauchy_schwarz_gap,
     riccati_residuals,
@@ -329,7 +330,7 @@ def test_a10_falsification_wiring(blinded):
         max_gradients=np.zeros(50),
     )
     report = build_report(
-        series, ModelConfig(), h0=h0, n_cells=1024,
+        series, bound_scope(h0, ModelConfig()), n_cells=1024,
         t_final=2.0, termination="reached_t_end", t_detect=None,
     )
     injected_ok = report.verdict is Verdict.VIOLATED

@@ -558,20 +558,54 @@ class TestMain:
         out = capsys.readouterr().out
         assert "h0=" in out and "bound_applicable=True" in out
 
-    @pytest.mark.parametrize("delta", [0, -1])
+    @pytest.mark.parametrize("delta", [0, -1, 1])
     def test_check_agrees_with_run_report(self, tmp_path, capsys, delta):
-        # one in-scope and one out-of-scope config with the same positive H0
+        # each family and law, and a wrong-signed momentum: check prints what
+        # the run's summary holds
+        laws = ((0, 1.4), (0.1, 1), (0.1, 2))
+        cases = [(family, *law, "") for family in profiles.FAMILY_PARAMS for law in laws]
+        cases.append(("polynomial_bump", 0, 1.4, "velocity_amplitude = -1"))
+        for n, (family, k, gamma, initial) in enumerate(cases):
+            text = (
+                SMALL_RUN.replace("delta = 0", f"delta = {delta}")
+                .replace("pressure_const = 0\n", f"pressure_const = {k}\n")
+                .replace("gamma = 1.4", f"gamma = {gamma}")
+                .replace("family = polynomial_bump", f"family = {family}\n{initial}")
+            )
+            cfg_file = tmp_path / f"exp-{n}.cfg"
+            cfg_file.write_text(text)
+            assert main(["check", str(cfg_file)]) == 0
+            printed = dict(
+                item.split("=", 1) for item in capsys.readouterr().out.split()[1:]
+            )
+            main(["run", str(cfg_file), "--output-dir", str(tmp_path / f"out-{n}")])
+            summary = read_summary(tmp_path / f"out-{n}" / "run-0000")
+            case = (delta, family, k, gamma, initial)
+            assert printed["h0"] == f"{float(summary['h0']):.6g}", case
+            t_bound = summary["t_bound"]
+            if t_bound != "n/a":
+                t_bound = f"{float(t_bound):.6g}"
+            applicable = str(summary["bound_applicable"] == "true")
+            assert printed["t_bound"] == t_bound, case
+            assert printed["bound_applicable"] == applicable, case
+            assert printed["scope_flags"] == summary["scope_flags"], case
+            expected = delta >= 0 and not (k > 0 and gamma == 1) and float(summary["h0"]) > 0
+            assert printed["bound_applicable"] == str(expected), case
+
+    def test_check_refuses_inadmissible_data_as_run_does(self, tmp_path, capsys):
         cfg_file = tmp_path / "exp.cfg"
-        cfg_file.write_text(SMALL_RUN.replace("delta = 0", f"delta = {delta}"))
-        assert main(["check", str(cfg_file)]) == 0
-        printed = dict(
-            item.split("=", 1) for item in capsys.readouterr().out.split()[1:]
+        cfg_file.write_text(
+            SMALL_RUN.replace("family = polynomial_bump",
+                              "family = polynomial_bump\ndensity_amplitude = -1")
         )
-        main(["run", str(cfg_file), "--output-dir", str(tmp_path / "out")])
-        summary = read_summary(tmp_path / "out" / "run-0000")
-        assert printed["bound_applicable"] == str(summary["bound_applicable"] == "true")
-        assert printed["bound_applicable"] == str(delta == 0)
-        assert printed["t_bound"] == f"{float(summary['t_bound']):.6g}"
+        message = "error: inadmissible initial data: density must be nonnegative"
+        assert main(["check", str(cfg_file)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == message + "\n"
+        assert main(["run", str(cfg_file), "--output-dir", str(tmp_path / "out")]) == 1
+        assert message.partition(" ")[2] in capsys.readouterr().err
+        index = (tmp_path / "out" / "index.tsv").read_text().splitlines()
+        assert index[1].split("\t")[:2] == ["run-0000", "failed"]
 
     def test_bad_config_exits_one(self, tmp_path, capsys):
         cfg_file = tmp_path / "exp.cfg"

@@ -8,13 +8,13 @@ from radialblowup.diagnostics import (
     DiagnosticsSeries,
     Verdict,
     blowup_time_bound,
+    bound_scope,
     build_report,
     cauchy_schwarz_gap,
     energy_condition,
     envelope_column,
     lower_envelope,
     riccati_residuals,
-    scope_flags,
     total_mass,
 )
 
@@ -198,16 +198,16 @@ class TestVerdicts:
     def test_confirmed_on_detection_before_bound(self):
         series = self.envelope_series(1.0, factor=1.01)
         report = build_report(
-            series, ModelConfig(), h0=self.h0, n_cells=1024,
+            series, bound_scope(self.h0, ModelConfig()), n_cells=1024,
             t_final=1.0, termination="steepening_detected", t_detect=1.0,
         )
         assert report.verdict is Verdict.CONFIRMED
-        assert report.t_bound == pytest.approx(6.0)
+        assert report.scope.t_bound == pytest.approx(6.0)
 
     def test_pending_when_horizon_short(self):
         series = self.envelope_series(1.0, factor=1.01)
         report = build_report(
-            series, ModelConfig(), h0=self.h0, n_cells=1024,
+            series, bound_scope(self.h0, ModelConfig()), n_cells=1024,
             t_final=1.0, termination="reached_t_end", t_detect=None,
         )
         assert report.verdict is Verdict.PENDING
@@ -216,7 +216,7 @@ class TestVerdicts:
         times = np.linspace(0.0, 6.5, 30)
         h = np.full(30, self.h0)  # H froze: envelope overtakes it
         report = build_report(
-            synthetic_series(times, h), ModelConfig(), h0=self.h0, n_cells=1024,
+            synthetic_series(times, h), bound_scope(self.h0, ModelConfig()), n_cells=1024,
             t_final=6.5, termination="reached_t_end", t_detect=None,
         )
         assert report.verdict is Verdict.VIOLATED
@@ -226,7 +226,7 @@ class TestVerdicts:
         times = np.linspace(0.0, 2.0, 50)
         h = np.linspace(self.h0, 0.5 * self.h0, 50)
         report = build_report(
-            synthetic_series(times, h), ModelConfig(), h0=self.h0, n_cells=1024,
+            synthetic_series(times, h), bound_scope(self.h0, ModelConfig()), n_cells=1024,
             t_final=2.0, termination="reached_t_end", t_detect=None,
         )
         assert report.verdict is Verdict.VIOLATED
@@ -239,7 +239,7 @@ class TestVerdicts:
         edge = blowup_time_bound(self.h0, 1.0) * (1.0 - 1e-12)
         below, above = np.nextafter(edge, 0.0), np.nextafter(edge, np.inf)
         times = np.array([0.0, 3.0, below, edge, above])
-        envelope = envelope_column(times, self.h0, ModelConfig())
+        envelope = envelope_column(times, bound_scope(self.h0, ModelConfig()))
         assert np.isnan(envelope).tolist() == [False, False, False, True, True]
         t_detect = {"none": None, "at_edge": edge, "after_edge": above}[detect]
         checked = []
@@ -248,7 +248,7 @@ class TestVerdicts:
             h = np.where(np.isnan(envelope), 0.0, envelope)
             h[k] = -1.0
             report = build_report(
-                synthetic_series(times, h), ModelConfig(), h0=self.h0, n_cells=1024,
+                synthetic_series(times, h), bound_scope(self.h0, ModelConfig()), n_cells=1024,
                 t_final=times[-1], termination="reached_t_end", t_detect=t_detect,
             )
             checked.append(report.envelope_ok is False)
@@ -262,7 +262,7 @@ class TestVerdicts:
             (ModelConfig(), -1.0),                     # wrong-signed momentum
         ):
             report = build_report(
-                series, cfg, h0=h0, n_cells=1024,
+                series, bound_scope(h0, cfg), n_cells=1024,
                 t_final=1.0, termination="reached_t_end", t_detect=None,
             )
             assert report.verdict is Verdict.NOT_APPLICABLE
@@ -272,11 +272,11 @@ class TestVerdicts:
         times = np.linspace(0.0, 6.5, 30)
         h = np.full(30, self.h0)
         report = build_report(
-            synthetic_series(times, h), ModelConfig(delta=-1), h0=self.h0,
+            synthetic_series(times, h), bound_scope(self.h0, ModelConfig(delta=-1)),
             n_cells=1024, t_final=6.5, termination="reached_t_end", t_detect=None,
         )
         assert report.verdict is Verdict.NOT_APPLICABLE
-        assert "attractive_force_outside_bound_scope" in report.scope_flags
+        assert "attractive_force_outside_bound_scope" in report.scope.flags
 
 
 
@@ -310,7 +310,7 @@ def test_verdict_and_scope_table_is_exhaustive():
         h = np.full(2, h0) if h0 < 0 else lower_envelope(times, h0, radius)
         h = h if envelope_holds else 0.5 * h
         report = build_report(
-            synthetic_series(times, h, radius), cfg, h0=h0, n_cells=1024,
+            synthetic_series(times, h, radius), bound_scope(h0, cfg), n_cells=1024,
             t_final=t_final, termination="reached_t_end", t_detect=t_detect,
         )
 
@@ -322,13 +322,14 @@ def test_verdict_and_scope_table_is_exhaustive():
             ) if failed
         )
         case = (delta, k, gamma, h0, detect, horizon, envelope_holds)
-        assert report.scope_flags == expected_flags == scope_flags(h0, cfg), case
-        assert report.bound_applicable == (report.scope_flags == ()), case
-        applicable = report.bound_applicable
-        assert report.t_bound == (t_ref if h0 > 0 else None), case
+        assert (report.scope.h0, report.scope.radius) == (h0, radius), case
+        assert report.scope.flags == expected_flags, case
+        assert report.scope.applicable == (expected_flags == ()), case
+        applicable = report.scope.applicable
+        assert report.scope.t_bound == (t_ref if h0 > 0 else None), case
         assert report.envelope_ok == (envelope_holds if applicable else None), case
         expected = readme_verdict(
-            applicable, envelope_holds, t_detect, t_final, report.t_bound
+            applicable, envelope_holds, t_detect, t_final, report.scope.t_bound
         )
         assert report.verdict is expected, case
         seen.add(report.verdict)

@@ -257,7 +257,7 @@ class TestRun:
         assert res.trajectory.termination is Termination.REACHED_T_END
         assert res.trajectory.t_detect is None
         assert res.report.t_final == pytest.approx(0.5)
-        assert not res.report.bound_applicable
+        assert not res.report.scope.applicable
 
     def test_rejects_inadmissible_data(self):
         cfg = ModelConfig()
@@ -311,7 +311,7 @@ class TestRun:
         res = run(prof.rho0, prof.v0, cfg, num)
         assert res.trajectory.termination is Termination.REACHED_T_END
         assert res.report.verdict.value == "not_applicable"
-        assert "isothermal_eos_outside_bound_scope" in res.report.scope_flags
+        assert "isothermal_eos_outside_bound_scope" in res.report.scope.flags
 
     def test_dt_collapse_flagged_as_detection(self):
         grid = RadialGrid(n_cells=64, support_radius=1.0)
