@@ -13,13 +13,14 @@ import contextlib
 import functools
 import itertools
 import math
+import os
 import resource
 import sys
 import time
 import traceback
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Optional
+from typing import NoReturn, Optional
 
 from . import _kernel
 from .diagnostics import Verdict, bound_scope
@@ -569,5 +570,21 @@ def main(argv=None) -> int:
     return execute(config, output_dir=args.output_dir, jobs=args.jobs)
 
 
+def console() -> NoReturn:
+    """The command-line entry: ``main``, then the process ends at its last write.
+
+    Every artifact is closed and the sweep's pool joined before ``main``
+    returns, so once both streams are flushed ``os._exit`` skips only the
+    interpreter's teardown. If ``main`` raises or a flush fails, the
+    interpreter exits as it would without this entry."""
+    code = main()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except Exception:  # a None stream or a failed write: as without this entry
+        raise SystemExit(code) from None
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    console()

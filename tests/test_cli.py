@@ -1,7 +1,11 @@
+import hashlib
+import multiprocessing
 import os
 import re
+import signal
 import subprocess
 import sys
+import time
 from concurrent.futures import Future
 from dataclasses import fields
 from pathlib import Path
@@ -12,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _helpers import read_series, read_snapshot, read_summary
+from test_golden import DUST, GOLDEN_256_SHA256, GOLDEN_RUN
 from radialblowup import ModelConfig, NumericsConfig, RadialGrid, build_initial_profile
 from radialblowup import _kernel, cli, model, profiles, solver
 from radialblowup.cli import (
@@ -194,7 +199,7 @@ NUMERICS_FIELDS = {
     "output_stride": st.integers(1, 10**6),
     "support_margin_cells": st.integers(1, 10**6),
 }
-AMPLITUDES = {"velocity_amplitude": finite(), "density_amplitude": finite()}
+AMPLITUDES = {"velocity_amplitude": finite(), "density_amplitude": finite(0.0)}
 PROFILE_PARAMS = {
     "polynomial_bump": AMPLITUDES,
     "gaussian_truncated": {**AMPLITUDES, "width": finite(0.0, exclude_min=True)},
@@ -316,6 +321,15 @@ class TestProfiles:
         grid = RadialGrid(n_cells=64, support_radius=1.0)
         with pytest.raises(ValueError, match=r"initial\.width must be > 0, got nan"):
             build_initial_profile("gaussian_truncated", {"width": float("nan")}, 0, grid, 2)
+
+    @pytest.mark.parametrize("family", sorted(profiles.FAMILY_PARAMS))
+    @pytest.mark.parametrize("amplitude", [-1.0, -1e-300, float("nan")])
+    def test_a_negative_or_nan_density_amplitude_is_rejected(self, family, amplitude):
+        grid = RadialGrid(n_cells=64, support_radius=1.0)
+        with pytest.raises(
+            ValueError, match=rf"^initial\.density_amplitude must be >= 0, got {amplitude!r}$"
+        ):
+            build_initial_profile(family, {"density_amplitude": amplitude}, 0, grid, 2)
 
 
 class TestExecute:
@@ -593,19 +607,20 @@ class TestMain:
             assert printed["bound_applicable"] == str(expected), case
 
     def test_check_refuses_inadmissible_data_as_run_does(self, tmp_path, capsys):
+        # a negative density is refused at parse time, with its key, by every
+        # command, and nothing is written
         cfg_file = tmp_path / "exp.cfg"
         cfg_file.write_text(
             SMALL_RUN.replace("family = polynomial_bump",
                               "family = polynomial_bump\ndensity_amplitude = -1")
         )
-        message = "error: inadmissible initial data: density must be nonnegative"
-        assert main(["check", str(cfg_file)]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == "" and captured.err == message + "\n"
-        assert main(["run", str(cfg_file), "--output-dir", str(tmp_path / "out")]) == 1
-        assert message.partition(" ")[2] in capsys.readouterr().err
-        index = (tmp_path / "out" / "index.tsv").read_text().splitlines()
-        assert index[1].split("\t")[:2] == ["run-0000", "failed"]
+        message = "error: initial.density_amplitude must be >= 0, got -1.0\n"
+        out = tmp_path / "out"
+        for command in ("check", "run", "sweep"):
+            where = [] if command == "check" else ["--output-dir", str(out)]
+            assert main([command, str(cfg_file), *where]) == 1
+            assert capsys.readouterr() == ("", message)
+        assert not out.exists()
 
     def test_bad_config_exits_one(self, tmp_path, capsys):
         cfg_file = tmp_path / "exp.cfg"
@@ -763,3 +778,187 @@ class TestMain:
         summary = read_summary(tmp_path / "out" / "run-0000")
         assert summary["verdict"] == "not_applicable"
         assert "h0_not_positive" in summary["scope_flags"]
+
+
+def run_console(*args: str) -> tuple:
+    """``python -m radialblowup.cli`` in its own session, with stdout and
+    stderr on pipes: (process, stdout, stderr). PYTHONUNBUFFERED is unset, so
+    stdout is block-buffered and a line left unflushed at ``os._exit`` would
+    be lost. A process left holding the pipes is killed with its group."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(p for p in sys.path if p)
+    with subprocess.Popen(
+        [sys.executable, "-m", "radialblowup.cli", *args], env=env, text=True,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, start_new_session=True,
+    ) as proc:
+        try:
+            out, err = proc.communicate(timeout=60)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            raise
+    return proc, out, err
+
+
+def artifacts(root) -> dict:
+    """The bytes of every file under ``root`` but meta.txt (wall-clock data),
+    by relative path."""
+    return {
+        path.relative_to(root).as_posix(): path.read_bytes()
+        for path in sorted(Path(root).rglob("*"))
+        if path.is_file() and path.name != "meta.txt"
+    }
+
+
+SWEEP_OF_FOUR = SMALL_RUN + "\n[sweep]\nn_cells = 32, 64\ndelta = 0, 1\n"
+
+
+class TestConsole:
+    """The command line, ``python -m radialblowup.cli``, ends with ``os._exit``
+    after ``main``: all that ``main`` prints, writes and returns must arrive."""
+
+    def test_check_prints_every_line_and_exits_0(self, tmp_path, capsys):
+        cfg_file = tmp_path / "exp.cfg"
+        cfg_file.write_text(SWEEP_OF_FOUR)
+        proc, out, err = run_console("check", str(cfg_file))
+        assert main(["check", str(cfg_file)]) == 0
+        assert (proc.returncode, out, err) == (0, capsys.readouterr().out, "")
+        assert len(out.splitlines()) == 4
+
+    def test_a_bad_config_exits_1_with_its_one_error_line(self, tmp_path):
+        cfg_file = tmp_path / "exp.cfg"
+        cfg_file.write_text("[model]\ngamma = 0.2\n")
+        out_dir = tmp_path / "out"
+        proc, out, err = run_console("run", str(cfg_file), "--output-dir", str(out_dir))
+        assert (proc.returncode, out) == (1, "")
+        assert re.fullmatch(r"error: model\.gamma must be >= 1, got 0\.2\n", err)
+        assert not out_dir.exists()
+
+    def test_a_violated_run_exits_2_with_the_artifacts_of_main(self, tmp_path):
+        # the 256-cell golden bump, whose verdict is violated
+        cfg_file = tmp_path / "golden.cfg"
+        cfg_file.write_text(GOLDEN_RUN.format(n_cells=256, stride=3, **DUST))
+        proc, out, err = run_console("run", str(cfg_file), "--output-dir", str(tmp_path / "cli"))
+        assert (proc.returncode, out, err) == (2, "", "")
+        assert main(["run", str(cfg_file), "--output-dir", str(tmp_path / "main")]) == 2
+        written = artifacts(tmp_path / "cli")
+        assert written == artifacts(tmp_path / "main")
+        # the golden digests were taken of a run named "golden"
+        summary = written["run-0000/summary.txt"]
+        written["run-0000/summary.txt"] = summary.replace(b"run-0000", b"golden", 1)
+        digests = {
+            name: hashlib.sha256(written[f"run-0000/{name}"]).hexdigest()
+            for name in GOLDEN_256_SHA256
+        }
+        assert digests == GOLDEN_256_SHA256
+
+    def test_a_pooled_sweep_exits_0_and_leaves_no_process(self, tmp_path):
+        cfg_file = tmp_path / "exp.cfg"
+        cfg_file.write_text(SWEEP_OF_FOUR)
+        proc, out, err = run_console(
+            "sweep", str(cfg_file), "--jobs", "2", "--output-dir", str(tmp_path / "cli")
+        )
+        assert (proc.returncode, out, err) == (0, "", "")
+        # the workers are joined before main returns. Under spawn or
+        # forkserver, multiprocessing's own helper processes leave about a
+        # second after the command's pipes close, with or without os._exit;
+        # under fork nothing of the command may be left at all
+        grace = 0.0 if multiprocessing.get_start_method() == "fork" else 10.0
+        deadline = time.monotonic() + grace
+        while True:
+            try:
+                os.killpg(proc.pid, 0)
+            except ProcessLookupError:
+                break
+            if time.monotonic() >= deadline:
+                os.killpg(proc.pid, signal.SIGKILL)
+                pytest.fail("a process of the sweep outlived it")
+            time.sleep(0.05)
+        args = ["sweep", str(cfg_file), "--jobs", "2", "--output-dir", str(tmp_path / "main")]
+        assert main(args) == 0
+        written = artifacts(tmp_path / "cli")
+        assert written == artifacts(tmp_path / "main")
+        assert [line.split("\t")[0] for line in written["index.tsv"].decode().splitlines()] == [
+            "run_id", "run-0000", "run-0001", "run-0002", "run-0003",
+        ]
+
+
+class TestConsoleContract:
+    @pytest.fixture
+    def exit_refused(self, monkeypatch):
+        """``os._exit`` fails in this process; a forked pool worker, which
+        leaves through it, still may."""
+        real_exit, pid = os._exit, os.getpid()
+
+        def refused(code):
+            if os.getpid() != pid:
+                real_exit(code)
+            raise AssertionError(f"os._exit({code}) in the calling process")
+
+        monkeypatch.setattr(os, "_exit", refused)
+
+    @pytest.mark.parametrize(
+        "command, text, where",
+        [
+            ("run", SMALL_RUN, True),
+            ("sweep", SWEEP_OF_FOUR, True),
+            ("check", SMALL_RUN, False),
+        ],
+    )
+    def test_main_returns_its_code(self, tmp_path, exit_refused, command, text, where):
+        # bench/tracer.py calls main and writes its spans after it returns
+        cfg_file = tmp_path / "exp.cfg"
+        cfg_file.write_text(text)
+        args = [command, str(cfg_file)]
+        if where:
+            args += ["--output-dir", str(tmp_path / "out"), "--jobs", "2"]
+        assert main(args) == 0
+
+    def test_console_flushes_both_streams_then_ends_the_process(self, monkeypatch):
+        events = []
+
+        class Stream:
+            def __init__(self, name):
+                self.name = name
+
+            def flush(self):
+                events.append(f"flush {self.name}")
+
+        class Ended(Exception):
+            pass
+
+        def ended(code):
+            events.append(f"exit {code}")
+            raise Ended
+
+        monkeypatch.setattr(cli, "main", lambda: events.append("main") or 3)
+        monkeypatch.setattr(sys, "stdout", Stream("stdout"))
+        monkeypatch.setattr(sys, "stderr", Stream("stderr"))
+        monkeypatch.setattr(os, "_exit", ended)
+        with pytest.raises(Ended):
+            cli.console()
+        assert events == ["main", "flush stdout", "flush stderr", "exit 3"]
+
+    def test_console_exits_as_main_would_when_main_raises_or_a_flush_fails(
+        self, monkeypatch, capsys
+    ):
+        def refused(code):
+            raise AssertionError(f"os._exit({code})")
+
+        monkeypatch.setattr(os, "_exit", refused)
+        # argparse's usage error leaves console as it left main
+        monkeypatch.setattr(sys, "argv", ["radialblowup", "frobnicate"])
+        with pytest.raises(SystemExit) as exited:
+            cli.console()
+        assert exited.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
+        # a flush that fails is left to the interpreter's own exit to report
+        class Full:
+            def flush(self):
+                raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(cli, "main", lambda: 0)
+        monkeypatch.setattr(sys, "stdout", Full())
+        with pytest.raises(SystemExit) as exited:
+            cli.console()
+        assert exited.value.code == 0
