@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import NoReturn, Optional
 
 from . import _kernel
-from .diagnostics import Verdict, bound_scope
+from .diagnostics import BLOWUP_DEFINITION, Verdict, bound_scope
 from .model import ModelConfig, RadialGrid, validate_initial_data, wall_index
 from .profiles import FAMILY_PARAMS, build_initial_profile, family_params
 from .solver import NumericsConfig, RunResult, Termination, run
@@ -328,32 +328,33 @@ def _write_table(path: Path, header: list[str], columns: list) -> None:
 
 
 def _write_series(path: Path, result: RunResult) -> None:
+    columns = fields(result.series)
     _write_table(
         path,
-        ["t\tH\tmass\tenergy_lhs\triccati_residual\tenvelope\tcauchy_gap\tmax_abs_dVdr"],
-        [getattr(result.series, f.name) for f in fields(result.series)],
+        ["\t".join(f.metadata["column"] for f in columns)],
+        [getattr(result.series, f.name) for f in columns],
     )
 
 
 def _write_summary(
     path: Path, run_id: str, config: ExperimentConfig, digest: str, result: RunResult
 ) -> None:
-    r = result.report
+    r, ended = result.report, result.trajectory
     pairs = [
         ("run_id", run_id),
         ("config_hash", digest),
         ("verdict", r.verdict.value),
         ("bound_applicable", r.scope.applicable),
         ("t_bound", r.scope.t_bound),
-        ("t_detect", r.t_detect),
+        ("t_detect", ended.t_detect),
         ("h0", r.scope.h0),
-        ("t_final", r.t_final),
-        ("termination", r.termination),
+        ("t_final", ended.t_final),
+        ("termination", ended.termination.value),
         ("envelope_ok", r.envelope_ok),
         ("envelope_tolerance_rel", r.envelope_tolerance),
         ("mass_drift_rel", r.mass_drift_rel),
         ("scope_flags", r.scope.flags),
-        ("blowup_definition", r.blowup_definition),
+        ("blowup_definition", BLOWUP_DEFINITION),
         ("n_cells", config.n_cells),
         *_items(config.model),
         ("family", config.initial.family),
@@ -391,18 +392,18 @@ def run_single(run_id: str, config: ExperimentConfig, out_root: str) -> dict:
         config.snapshot_times,
     )
     t_ran = time.perf_counter()
-    rep = result.report
+    rep, trajectory = result.report, result.trajectory
     if "h0_not_positive" in rep.scope.flags:
         print(
             f"warning: {run_id}: h0 = {rep.scope.h0:.6g} is not positive; "
             "bound verdict will be not_applicable",
             file=sys.stderr,
         )
-    broke = result.trajectory.breakdown
+    broke = trajectory.breakdown
     if broke is not None:
         print(
             f"warning: {run_id}: non-finite {broke.field} tendency at cell "
-            f"{broke.cell_index} (r = {broke.radius:.6g}) at t = {rep.t_final:.6g}",
+            f"{broke.cell_index} (r = {broke.radius:.6g}) at t = {trajectory.t_final:.6g}",
             file=sys.stderr,
         )
     t_write = time.perf_counter()
@@ -413,7 +414,6 @@ def run_single(run_id: str, config: ExperimentConfig, out_root: str) -> dict:
     (run_dir / "resolved-config.txt").write_text(resolved, encoding="utf-8")
     _write_snapshots(run_dir, config, result, grid)
     t_end = time.perf_counter()
-    trajectory = result.trajectory
     dt_min, dt_max = trajectory.dt_range or (None, None)
     # the peak of this process so far: in KiB on Linux, in bytes on macOS
     peak_rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
@@ -431,8 +431,8 @@ def run_single(run_id: str, config: ExperimentConfig, out_root: str) -> dict:
     return {
         "run_id": run_id,
         "verdict": rep.verdict.value,
-        "termination": rep.termination,
-        "t_detect": rep.t_detect,
+        "termination": trajectory.termination.value,
+        "t_detect": trajectory.t_detect,
         "t_bound": rep.scope.t_bound,
         "h0": rep.scope.h0,
         "config_hash": digest,

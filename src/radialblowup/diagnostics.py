@@ -11,7 +11,7 @@ repeats the summation order of ``np.sum``.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -20,7 +20,7 @@ from . import _kernel
 from .model import FluidState, ModelConfig, RadialGrid, weighted_momentum
 from .poisson import alpha
 
-#: Operational definition of a detected singularity, recorded in every report.
+#: Operational definition of a detected singularity, written in every summary.
 BLOWUP_DEFINITION = (
     "velocity gradient steepening beyond threshold, or CFL time step "
     "collapse below dt_floor"
@@ -160,24 +160,29 @@ def max_velocity_gradient(state: FluidState, grid: RadialGrid) -> tuple[float, i
     return _kernel.max_slope(state, 2.0 * grid.cell_width)
 
 
+def _column(name: str):
+    """A series field written as the ``series.tsv`` column ``name``."""
+    return field(metadata={"column": name})
+
+
 @dataclass(frozen=True)
 class DiagnosticsSeries:
     """Per-stride time series of the run diagnostics, one column per field.
 
-    All arrays share the length of ``times``; the field order is the column
-    order of ``series.tsv``. ``riccati_residuals`` pads its final slot with
-    NaN (forward differences leave one fewer value), and ``envelope_values``
-    is NaN wherever the envelope is undefined.
+    All arrays share the length of ``times``; each field names its
+    ``series.tsv`` column, in the file's column order. ``riccati_residuals``
+    pads its final slot with NaN (forward differences leave one fewer value),
+    and ``envelope_values`` is NaN wherever the envelope is undefined.
     """
 
-    times: np.ndarray
-    h_values: np.ndarray
-    mass_values: np.ndarray
-    energy_values: np.ndarray
-    riccati_residuals: np.ndarray
-    envelope_values: np.ndarray
-    cauchy_gaps: np.ndarray
-    max_gradients: np.ndarray
+    times: np.ndarray = _column("t")
+    h_values: np.ndarray = _column("H")
+    mass_values: np.ndarray = _column("mass")
+    energy_values: np.ndarray = _column("energy_lhs")
+    riccati_residuals: np.ndarray = _column("riccati_residual")
+    envelope_values: np.ndarray = _column("envelope")
+    cauchy_gaps: np.ndarray = _column("cauchy_gap")
+    max_gradients: np.ndarray = _column("max_abs_dVdr")
 
     def __post_init__(self):
         for f in fields(self)[1:]:
@@ -200,19 +205,32 @@ def envelope_column(times: np.ndarray, scope: BoundScope) -> np.ndarray:
     return envelope
 
 
+def series_from_rows(rows: list[tuple[float, ...]], scope: BoundScope) -> DiagnosticsSeries:
+    """The series of a run's recorded rows, each (t, H, mass, energy,
+    Cauchy-Schwarz gap, max |dV/dr|): those columns, the Riccati residuals
+    and the envelope column of the run's ``scope``."""
+    times, h, mass, energy, gap, max_gradient = map(np.asarray, zip(*rows))
+    if times.size >= 2:
+        res = riccati_residuals(h, times, scope.radius)
+    else:
+        res = np.asarray([], dtype=float)
+    return DiagnosticsSeries(
+        times, h, mass, energy, np.append(res, np.nan),
+        envelope_column(times, scope), gap, max_gradient,
+    )
+
+
 @dataclass(frozen=True)
 class RunReport:
-    """Condensed outcome of one run: bound, detection, verdict, tolerances."""
+    """What ``build_report`` decides of a finished run: the verdict, the
+    bound's scope, the envelope check with its tolerance, and the mass drift.
+    How and when the run ended is the ``Trajectory``'s."""
 
     verdict: Verdict
     scope: BoundScope
-    t_detect: Optional[float]
-    t_final: float
-    termination: str
     envelope_ok: Optional[bool]
     envelope_tolerance: float
     mass_drift_rel: float
-    blowup_definition: str = BLOWUP_DEFINITION
 
 
 def build_report(
@@ -221,7 +239,6 @@ def build_report(
     *,
     n_cells: int,
     t_final: float,
-    termination: str,
     t_detect: Optional[float],
 ) -> RunReport:
     """Fold a finished run's diagnostics into a verdict.
@@ -260,13 +277,4 @@ def build_report(
     else:
         verdict = Verdict.PENDING
 
-    return RunReport(
-        verdict=verdict,
-        scope=scope,
-        t_detect=t_detect,
-        t_final=t_final,
-        termination=termination,
-        envelope_ok=envelope_ok,
-        envelope_tolerance=tol,
-        mass_drift_rel=drift,
-    )
+    return RunReport(verdict, scope, envelope_ok, tol, drift)

@@ -181,9 +181,11 @@ def validate_initial_data(
 ) -> float:
     """Refuse inadmissible initial fields; return the momentum integral H0.
 
-    The density must be nonnegative and both fields exactly zero over the
-    outermost ``margin_cells`` cells; otherwise ValueError names each rule
-    that fails. H0 = int r*V0 dr is the quadrature value.
+    The density must be nonnegative and positive in some cell, and both fields
+    exactly zero over the outermost ``margin_cells`` cells; otherwise
+    ValueError names each rule that fails. All-vacuum data are refused: the
+    vacuum cells hold V, and so H, at rest. H0 = int r*V0 dr is the
+    quadrature value.
     """
     rho0 = np.asarray(rho0, dtype=float)
     v0 = np.asarray(v0, dtype=float)
@@ -196,6 +198,8 @@ def validate_initial_data(
     problems = []
     if not np.all(rho0 >= 0.0):
         problems.append("density must be nonnegative")
+    if not np.any(rho0 > 0.0):
+        problems.append("density must be positive in some cell")
     if not (np.all(rho0[wall:] == 0.0) and np.all(v0[wall:] == 0.0)):
         problems.append("fields must vanish over the wall margin cells")
     if problems:

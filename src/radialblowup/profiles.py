@@ -147,8 +147,8 @@ def first_crossing_time(
 
 def family_params(family: str, params) -> dict:
     """The family's parameters with its defaults filled in; an unknown family,
-    a parameter the family does not take, a width or modes not > 0, or a
-    density amplitude not >= 0 raises."""
+    a parameter the family does not take, or a density amplitude, width or
+    modes not > 0 raises: a fluid with no density is all vacuum."""
     if family not in FAMILY_PARAMS:
         raise ValueError(
             f"initial.family must be one of {tuple(FAMILY_PARAMS)}, got '{family}'"
@@ -159,13 +159,9 @@ def family_params(family: str, params) -> dict:
             f"initial.{sorted(unknown)[0]} does not apply to family '{family}'"
         )
     full = {**FAMILY_PARAMS[family], **params}
-    for key in ("width", "modes"):
+    for key in ("density_amplitude", "width", "modes"):
         if key in full and not full[key] > 0:  # NaN too
             raise ValueError(f"initial.{key} must be > 0, got {full[key]!r}")
-    if not full["density_amplitude"] >= 0:  # NaN too
-        raise ValueError(
-            f"initial.density_amplitude must be >= 0, got {full['density_amplitude']!r}"
-        )
     return full
 
 

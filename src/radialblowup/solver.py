@@ -104,13 +104,15 @@ class BreakdownSite:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """One snapshot state per requested time, how and when the run ended, the
-    number of steps taken with their (smallest, largest) dt, None without
-    steps, and the seconds spent recording diagnostics rows and building the
-    series and report from them, which equality ignores."""
+    """One snapshot state per requested time, how the run ended, the time of
+    its final state and of its detection, the number of steps taken with their
+    (smallest, largest) dt, None without steps, and the seconds spent recording
+    diagnostics rows and building the series and report from them, which
+    equality ignores."""
 
     snapshots: tuple[FluidState, ...]
     termination: Termination
+    t_final: float
     t_detect: Optional[float]
     breakdown: Optional[BreakdownSite] = None
     steps: int = 0
@@ -236,9 +238,11 @@ def run(
 ) -> RunResult:
     """Advance the initial data until t_end or a termination event.
 
-    Initial data must be nonnegative with exact zeros over the wall margin.
+    Initial data must be nonnegative, positive in some cell and exactly zero
+    over the wall margin.
     A diagnostics row is recorded at t = 0, every ``output_stride`` steps and
-    at the final state; the report carries the bound comparison and verdict.
+    at the final state. The trajectory holds how and when the run ended, the
+    series the rows, and the report the bound comparison and verdict.
     A step that fails the positivity check or produces a non-finite tendency
     ends the run at the last good state, which is the final row.
     For each of ``snapshot_times``, in request order, the trajectory keeps the
@@ -317,33 +321,15 @@ def run(
         record(state, gradient[0])
 
     began = clock()
-    times, h, mass, energy, gap, max_gradient = map(np.asarray, zip(*rows))
-    if times.size >= 2:
-        res = diagnostics.riccati_residuals(h, times, cfg.support_radius)
-    else:
-        res = np.asarray([], dtype=float)
-    series = diagnostics.DiagnosticsSeries(
-        times=times,
-        h_values=h,
-        mass_values=mass,
-        energy_values=energy,
-        riccati_residuals=np.append(res, np.nan),
-        envelope_values=diagnostics.envelope_column(times, scope),
-        cauchy_gaps=gap,
-        max_gradients=max_gradient,
-    )
+    series = diagnostics.series_from_rows(rows, scope)
     report = diagnostics.build_report(
-        series,
-        scope,
-        n_cells=grid.n_cells,
-        t_final=state.time,
-        termination=termination.value,
-        t_detect=t_detect,
+        series, scope, n_cells=grid.n_cells, t_final=state.time, t_detect=t_detect
     )
     diagnostics_s += clock() - began
     trajectory = Trajectory(
         snapshots=tuple(s for _, s in nearest),
         termination=termination,
+        t_final=state.time,
         t_detect=t_detect,
         breakdown=breakdown,
         steps=steps,

@@ -331,7 +331,7 @@ def test_a10_falsification_wiring(blinded):
     )
     report = build_report(
         series, bound_scope(h0, ModelConfig()), n_cells=1024,
-        t_final=2.0, termination="reached_t_end", t_detect=None,
+        t_final=2.0, t_detect=None,
     )
     injected_ok = report.verdict is Verdict.VIOLATED
     status_ok = exit_status([{"verdict": report.verdict.value}]) == 2

@@ -199,7 +199,10 @@ NUMERICS_FIELDS = {
     "output_stride": st.integers(1, 10**6),
     "support_margin_cells": st.integers(1, 10**6),
 }
-AMPLITUDES = {"velocity_amplitude": finite(), "density_amplitude": finite(0.0)}
+AMPLITUDES = {
+    "velocity_amplitude": finite(),
+    "density_amplitude": finite(0.0, exclude_min=True),
+}
 PROFILE_PARAMS = {
     "polynomial_bump": AMPLITUDES,
     "gaussian_truncated": {**AMPLITUDES, "width": finite(0.0, exclude_min=True)},
@@ -277,13 +280,15 @@ class TestProfiles:
         assert np.all(prof.v0[-2:] == 0.0)
 
     def test_zero_amplitude_is_trivial(self):
+        # a fluid at rest; no density at all is vacuum, which is refused
         grid = RadialGrid(n_cells=64, support_radius=1.0)
         prof = build_initial_profile(
-            "polynomial_bump", {"velocity_amplitude": 0.0, "density_amplitude": 0.0},
-            0, grid, 2,
+            "polynomial_bump", {"velocity_amplitude": 0.0}, 0, grid, 2
         )
         assert np.all(prof.v0 == 0.0)
-        assert np.all(prof.rho0 == 0.0)
+        assert np.all(prof.rho0[:-2] > 0.0)
+        with pytest.raises(ValueError, match=r"^initial\.density_amplitude must be > 0, got 0\.0$"):
+            build_initial_profile("polynomial_bump", {"density_amplitude": 0.0}, 0, grid, 2)
 
     def test_random_smooth_reproducible(self):
         grid = RadialGrid(n_cells=128, support_radius=1.0)
@@ -327,7 +332,7 @@ class TestProfiles:
     def test_a_negative_or_nan_density_amplitude_is_rejected(self, family, amplitude):
         grid = RadialGrid(n_cells=64, support_radius=1.0)
         with pytest.raises(
-            ValueError, match=rf"^initial\.density_amplitude must be >= 0, got {amplitude!r}$"
+            ValueError, match=rf"^initial\.density_amplitude must be > 0, got {amplitude!r}$"
         ):
             build_initial_profile(family, {"density_amplitude": amplitude}, 0, grid, 2)
 
@@ -440,6 +445,53 @@ class TestExecute:
         assert "Traceback" not in err
         assert exit_status([{"termination": "numerical_breakdown"}]) == 1
 
+    @pytest.mark.parametrize("termination", [t.value for t in solver.Termination])
+    def test_summary_and_index_take_the_ending_from_the_trajectory(
+        self, tmp_path, monkeypatch, termination
+    ):
+        # each of the five endings; a failure comes on the seventh step, so
+        # with a row every fifth step the last good state is a row of its own
+        text = {
+            "steepening_detected": SMALL_RUN.replace("= 1e9", "= 1.9"),
+            "dt_collapsed": SMALL_RUN.replace("= 1e9", "= 1e9\ndt_floor = 1"),
+        }.get(termination, SMALL_RUN)
+        error = {
+            "positivity_violated": solver.PositivityError("density below the band"),
+            "numerical_breakdown": solver.NumericalBreakdownError(17, "velocity"),
+        }.get(termination)
+        taken = []
+
+        def fails_on_seventh(*args, _step=solver.step, **kwargs):
+            if error is not None and len(taken) == 6:
+                raise error
+            taken.append(_step(*args, **kwargs))
+            return taken[-1]
+
+        results = []
+
+        def recorded(*args, _run=cli.run, **kwargs):
+            results.append(_run(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(solver, "step", fails_on_seventh)
+        monkeypatch.setattr(cli, "run", recorded)
+        execute(parse_config(text), output_dir=str(tmp_path))
+        ((trajectory, series, _),) = results
+        assert trajectory.termination.value == termination
+        ending = {
+            "termination": termination,
+            "t_detect": cli._fmt(trajectory.t_detect),
+            "t_final": cli._fmt(trajectory.t_final),
+        }
+        summary = read_summary(tmp_path / "run-0000")
+        assert {key: summary[key] for key in ending} == ending
+        header, row = (tmp_path / "index.tsv").read_text().splitlines()
+        index = dict(zip(header.split("\t"), row.split("\t")))
+        assert (index["termination"], index["t_detect"]) == (termination, ending["t_detect"])
+        assert series.times[-1] == trajectory.t_final
+        if error is not None:
+            assert trajectory.t_final == taken[-1].time
+
     def test_jobs_below_one_exits_one(self, tmp_path, capsys):
         for jobs in (0, -3):
             code = execute(parse_config(SMALL_RUN), output_dir=str(tmp_path), jobs=jobs)
@@ -538,6 +590,19 @@ def test_readme_config_reference_lists_every_key_with_its_default():
     assert rows == shown
 
 
+def test_readme_python_examples_run(tmp_path, monkeypatch, capsys):
+    # every python block of the README, each in a fresh namespace, from an
+    # empty working directory
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    text = readme.read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```$", text, flags=re.S | re.M)
+    assert blocks
+    monkeypatch.chdir(tmp_path)
+    for block in blocks:
+        exec(compile(block, str(readme), "exec"), {"__name__": "__main__"})
+    assert capsys.readouterr().out
+
+
 def test_cli_import_leaves_out_the_pool_and_the_compiler_runner():
     # check and run never build a pool, and a cached kernel needs no compiler
     code = (
@@ -607,19 +672,20 @@ class TestMain:
             assert printed["bound_applicable"] == str(expected), case
 
     def test_check_refuses_inadmissible_data_as_run_does(self, tmp_path, capsys):
-        # a negative density is refused at parse time, with its key, by every
-        # command, and nothing is written
+        # a negative density, or none at all, is refused at parse time, with
+        # its key, by every command, and nothing is written
         cfg_file = tmp_path / "exp.cfg"
-        cfg_file.write_text(
-            SMALL_RUN.replace("family = polynomial_bump",
-                              "family = polynomial_bump\ndensity_amplitude = -1")
-        )
-        message = "error: initial.density_amplitude must be >= 0, got -1.0\n"
         out = tmp_path / "out"
-        for command in ("check", "run", "sweep"):
-            where = [] if command == "check" else ["--output-dir", str(out)]
-            assert main([command, str(cfg_file), *where]) == 1
-            assert capsys.readouterr() == ("", message)
+        for amplitude in ("-1", "0"):
+            cfg_file.write_text(
+                SMALL_RUN.replace("family = polynomial_bump",
+                                  f"family = polynomial_bump\ndensity_amplitude = {amplitude}")
+            )
+            message = f"error: initial.density_amplitude must be > 0, got {float(amplitude)!r}\n"
+            for command in ("check", "run", "sweep"):
+                where = [] if command == "check" else ["--output-dir", str(out)]
+                assert main([command, str(cfg_file), *where]) == 1
+                assert capsys.readouterr() == ("", message)
         assert not out.exists()
 
     def test_bad_config_exits_one(self, tmp_path, capsys):

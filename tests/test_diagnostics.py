@@ -199,7 +199,7 @@ class TestVerdicts:
         series = self.envelope_series(1.0, factor=1.01)
         report = build_report(
             series, bound_scope(self.h0, ModelConfig()), n_cells=1024,
-            t_final=1.0, termination="steepening_detected", t_detect=1.0,
+            t_final=1.0, t_detect=1.0,
         )
         assert report.verdict is Verdict.CONFIRMED
         assert report.scope.t_bound == pytest.approx(6.0)
@@ -208,7 +208,7 @@ class TestVerdicts:
         series = self.envelope_series(1.0, factor=1.01)
         report = build_report(
             series, bound_scope(self.h0, ModelConfig()), n_cells=1024,
-            t_final=1.0, termination="reached_t_end", t_detect=None,
+            t_final=1.0, t_detect=None,
         )
         assert report.verdict is Verdict.PENDING
 
@@ -217,7 +217,7 @@ class TestVerdicts:
         h = np.full(30, self.h0)  # H froze: envelope overtakes it
         report = build_report(
             synthetic_series(times, h), bound_scope(self.h0, ModelConfig()), n_cells=1024,
-            t_final=6.5, termination="reached_t_end", t_detect=None,
+            t_final=6.5, t_detect=None,
         )
         assert report.verdict is Verdict.VIOLATED
 
@@ -227,7 +227,7 @@ class TestVerdicts:
         h = np.linspace(self.h0, 0.5 * self.h0, 50)
         report = build_report(
             synthetic_series(times, h), bound_scope(self.h0, ModelConfig()), n_cells=1024,
-            t_final=2.0, termination="reached_t_end", t_detect=None,
+            t_final=2.0, t_detect=None,
         )
         assert report.verdict is Verdict.VIOLATED
         assert report.envelope_ok is False
@@ -249,7 +249,7 @@ class TestVerdicts:
             h[k] = -1.0
             report = build_report(
                 synthetic_series(times, h), bound_scope(self.h0, ModelConfig()), n_cells=1024,
-                t_final=times[-1], termination="reached_t_end", t_detect=t_detect,
+                t_final=times[-1], t_detect=t_detect,
             )
             checked.append(report.envelope_ok is False)
         assert checked == (~np.isnan(envelope)).tolist()
@@ -263,7 +263,7 @@ class TestVerdicts:
         ):
             report = build_report(
                 series, bound_scope(h0, cfg), n_cells=1024,
-                t_final=1.0, termination="reached_t_end", t_detect=None,
+                t_final=1.0, t_detect=None,
             )
             assert report.verdict is Verdict.NOT_APPLICABLE
 
@@ -273,7 +273,7 @@ class TestVerdicts:
         h = np.full(30, self.h0)
         report = build_report(
             synthetic_series(times, h), bound_scope(self.h0, ModelConfig(delta=-1)),
-            n_cells=1024, t_final=6.5, termination="reached_t_end", t_detect=None,
+            n_cells=1024, t_final=6.5, t_detect=None,
         )
         assert report.verdict is Verdict.NOT_APPLICABLE
         assert "attractive_force_outside_bound_scope" in report.scope.flags
@@ -311,7 +311,7 @@ def test_verdict_and_scope_table_is_exhaustive():
         h = h if envelope_holds else 0.5 * h
         report = build_report(
             synthetic_series(times, h, radius), bound_scope(h0, cfg), n_cells=1024,
-            t_final=t_final, termination="reached_t_end", t_detect=t_detect,
+            t_final=t_final, t_detect=t_detect,
         )
 
         expected_flags = tuple(

@@ -118,8 +118,11 @@ def grid():
 
 
 def test_validate_trivial_data(grid):
+    # a fluid at rest
     zeros = np.zeros(grid.n_cells)
-    h0 = validate_initial_data(zeros, zeros, grid, margin_cells=2)
+    rho0 = np.ones(grid.n_cells)
+    rho0[-2:] = 0.0
+    h0 = validate_initial_data(rho0, zeros, grid, margin_cells=2)
     assert h0 == 0.0
     assert not h0 > 0.0
 
@@ -130,7 +133,8 @@ def test_validate_momentum_integral(grid):
     r = grid.cell_centers
     v0 = r * (1.0 - r) ** 3
     v0[-2:] = 0.0
-    rho0 = np.zeros_like(v0)
+    rho0 = (1.0 - r**2) ** 2
+    rho0[-2:] = 0.0
     h0 = validate_initial_data(rho0, v0, grid, margin_cells=2)
     assert h0 == pytest.approx(1.0 / 60.0, rel=1e-4)
     assert h0 > 0.0
@@ -144,6 +148,7 @@ def test_validate_flags(grid):
     # each failed rule is named, both of them joined in a fixed order
     prefix = "^inadmissible initial data: "
     nonnegative = "density must be nonnegative"
+    positive = "density must be positive in some cell"
     margin = "fields must vanish over the wall margin cells"
     r = grid.cell_centers
     rho0 = np.ones(grid.n_cells)
@@ -160,6 +165,15 @@ def test_validate_flags(grid):
     v0[-2:] = 0.0
     with pytest.raises(ValueError, match=f"{prefix}{nonnegative}$"):
         validate_initial_data(rho_bad, v0, grid, margin_cells=2)
+
+    # all vacuum: the vacuum cells would hold V, and H, at rest
+    vacuum = np.zeros(grid.n_cells)
+    with pytest.raises(ValueError, match=f"{prefix}{positive}$"):
+        validate_initial_data(vacuum, v0, grid, margin_cells=2)
+    negative = vacuum.copy()
+    negative[:-2] = -1.0
+    with pytest.raises(ValueError, match=f"{prefix}{nonnegative}; {positive}$"):
+        validate_initial_data(negative, v0, grid, margin_cells=2)
 
 
 def test_validate_shape_mismatch(grid):

@@ -251,12 +251,15 @@ class TestDetectSteepening:
 
 class TestRun:
     def test_trivial_data_reaches_horizon(self):
+        # a fluid at rest
         cfg = ModelConfig()
         num = NumericsConfig(t_end=0.5)
-        res = run(np.zeros(64), np.zeros(64), cfg, num)
+        rho0 = np.ones(64)
+        rho0[-2:] = 0.0
+        res = run(rho0, np.zeros(64), cfg, num)
         assert res.trajectory.termination is Termination.REACHED_T_END
         assert res.trajectory.t_detect is None
-        assert res.report.t_final == pytest.approx(0.5)
+        assert res.trajectory.t_final == pytest.approx(0.5)
         assert not res.report.scope.applicable
 
     def test_rejects_inadmissible_data(self):
@@ -268,6 +271,8 @@ class TestRun:
             run(bad_rho, np.zeros(64), cfg, num)
         with pytest.raises(ValueError, match="margin"):
             run(np.ones(64), np.ones(64), cfg, num)
+        with pytest.raises(ValueError, match="positive in some cell"):
+            run(np.zeros(64), np.zeros(64), cfg, num)
 
     def test_pressureless_transport_matches_oracle(self):
         grid = RadialGrid(n_cells=256, support_radius=1.0)
@@ -276,7 +281,7 @@ class TestRun:
         prof = build_initial_profile("polynomial_bump", {}, 0, grid, 2)
         res = run(prof.rho0, prof.v0, cfg, num, snapshot_times=(0.3,))
         (final,) = res.trajectory.snapshots
-        assert final.time == res.report.t_final
+        assert final.time == res.trajectory.t_final
         expected = oracle_velocity(prof.v_of_r, 0.3, grid, prof.dv_dr)
         err = np.sum(np.abs(final.vel - expected) * grid.cell_centers) * grid.cell_width
         assert err < 2e-4
@@ -298,7 +303,7 @@ class TestRun:
         prof = build_initial_profile("random_smooth", {"modes": 4}, 42, grid, 2)
         res = run(prof.rho0, prof.v0, cfg, num)
         assert res.report.mass_drift_rel <= 1e-10
-        assert res.report.t_final == pytest.approx(0.4)
+        assert res.trajectory.t_final == pytest.approx(0.4)
         assert len(rho_mins) >= res.series.times.size - 1
         assert min(rho_mins) >= -1e-14
 
