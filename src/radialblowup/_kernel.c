@@ -2,7 +2,8 @@
  * minmod limiting, sound speed, local Lax-Friedrichs fluxes, origin and wall
  * closures, flux divergence, pressure and Poisson force terms, vacuum mask
  * and finite check; the Runge-Kutta combination of a step; the CFL wave
- * speed; the largest velocity gradient; and the sums of a diagnostics row.
+ * speed; the largest velocity gradient; the sums of a diagnostics row; and
+ * the text of a block of table rows.
  *
  * Every expression repeats the numpy operations of the reference kernel in
  * tests/_reference_kernel.py, in the same order, so the results match it
@@ -35,7 +36,8 @@
  * Below the numerics, the module's Python binding: stage(), which builds a
  * struct stage and owns it in a capsule, and one METH_FASTCALL function per
  * entry, which opens its call through one checked path, takes the arrays
- * through the buffer protocol and calls the entry with the GIL released.
+ * through the buffer protocol and calls the entry with the GIL released;
+ * format_rows alone formats with the GIL held.
  */
 /* first, as the C API asks: it sets feature macros the C library reads */
 #define PY_SSIZE_T_CLEAN
@@ -62,7 +64,8 @@
 #endif
 
 /* A grid and model's weights, law and scratch; the one argument every entry
- * but max_slope and kernel_target shares. Built by stage() alone. */
+ * but max_slope, format_rows and kernel_target shares. Built by stage()
+ * alone. */
 struct stage {
     int64_t n;           /* cells */
     int64_t per_density; /* gamma = 1: K * face mean of rho is a pressure,
@@ -552,10 +555,12 @@ CLONED static const char *kernel_target(void)
  * count and the stage capsule, whose n the arrays take; array() checks each
  * buffer and holds it in the struct call; done() releases what the call
  * holds, on every failure as on success. stage() and max_slope take no
- * stage: their first array sets n. Anything else, a read-only output and a
- * wall outside [0, n] raise ValueError before any value is written. The
- * entry then runs with the GIL released, as it reads no Python object.
- * max_slope and row_sums take no out-parameter: they return their results. */
+ * stage: their first array sets n; format_rows takes a table block alone.
+ * Anything else, a read-only output and a wall outside [0, n] raise
+ * ValueError before any value is written. The entry then runs with the GIL
+ * released, as it reads no Python object; format_rows, which makes Python
+ * objects, keeps it. max_slope, row_sums and format_rows take no
+ * out-parameter: they return their results. */
 
 /* One call of an entry: its name, its stage and n, and the buffers it holds. */
 struct call {
@@ -609,8 +614,13 @@ static int open_call(struct call *c, const char *entry, PyObject *const *args, P
     return 0;
 }
 
-/* The shapes of array(): the cells (n), the faces (n + 1), a block (2, n). */
-enum shape { CELLS, FACES, BLOCK };
+/* The most rows and columns of a table block that format_rows takes. */
+#define ROWS 1024
+#define COLUMNS 8
+
+/* The shapes of array(): the cells (n), the faces (n + 1), a block (2, n),
+ * and a table block of 1 to ROWS rows and 1 to COLUMNS columns. */
+enum shape { CELLS, FACES, BLOCK, TABLE };
 
 /* The data of obj, a C-contiguous float64 buffer of the call's shape, and
  * writable if asked, which c then holds; else NULL with ValueError. */
@@ -618,16 +628,19 @@ static double *array(struct call *c, PyObject *obj, enum shape shape, int writab
                      const char *name)
 {
     Py_buffer *v = &c->view[c->count];
-    int ndim = shape == BLOCK ? 2 : 1;
+    int ndim = shape >= BLOCK ? 2 : 1;
     Py_ssize_t n = c->n + (shape == FACES);
     char form[64];
     if (PyObject_GetBuffer(obj, v, PyBUF_RECORDS_RO) == 0) {
-        if (v->ndim == ndim && (n < 0 || v->shape[ndim - 1] == n)
-            && (shape != BLOCK || v->shape[0] == 2) && v->itemsize == sizeof(double) && v->format
+        if (v->ndim == ndim && v->itemsize == sizeof(double) && v->format
             && strcmp(v->format, "d") == 0 && PyBuffer_IsContiguous(v, 'C')
-            && !(writable && v->readonly)) {
+            && !(writable && v->readonly)
+            && (shape == TABLE ? v->shape[0] >= 1 && v->shape[0] <= ROWS && v->shape[1] >= 1
+                                     && v->shape[1] <= COLUMNS
+                               : (n < 0 || v->shape[ndim - 1] == n)
+                                     && (shape != BLOCK || v->shape[0] == 2))) {
             c->count++;
-            if (n >= 0)
+            if (n >= 0 || shape == TABLE)
                 return v->buf;
             /* the first array of stage() or max_slope sets n */
             c->n = v->shape[0];
@@ -641,7 +654,9 @@ static double *array(struct call *c, PyObject *obj, enum shape shape, int writab
     } else {
         PyErr_Clear();
     }
-    if (n < 0)
+    if (shape == TABLE)
+        PyOS_snprintf(form, sizeof form, "(1 to %d, 1 to %d)", ROWS, COLUMNS);
+    else if (n < 0)
         PyOS_snprintf(form, sizeof form, "(n,)");
     else if (shape == BLOCK)
         PyOS_snprintf(form, sizeof form, "(2, %zd)", n);
@@ -813,6 +828,57 @@ static PyObject *py_row_sums(PyObject *self, PyObject *const *args, Py_ssize_t n
     return done(&c, Py_BuildValue("(dddd)", out[0], out[1], out[2], out[3]));
 }
 
+/* Room for one value of format_rows and its separator: the longest text of
+ * '%.17g', such as -2.2250738585072014e-308, has 24 characters. */
+#define FIELD 32
+
+/* format_rows(block) -> bytes: each row of a (rows, k) table block as one
+ * line, its values tab-separated, each in the text of '%.17g' % value:
+ * PyOS_double_to_string(x, 'g', 17, 0, NULL) is the call that formatting
+ * makes, so nan, inf and the sign of a zero come out as Python prints them.
+ * The one entry that keeps the GIL: that function allocates each text with
+ * PyMem_Malloc. */
+static PyObject *py_format_rows(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    struct call c;
+    const double *x;
+    PyObject *text;
+    char *start, *p;
+    Py_ssize_t k, count;
+    (void)self;
+    if (open_call(&c, "format_rows", args, nargs, 1, 1) < 0
+        || !(x = array(&c, args[0], TABLE, 0, "block")))
+        return done(&c, NULL);
+    k = c.view[0].shape[1];
+    count = c.view[0].shape[0] * k;
+    if (!(text = PyBytes_FromStringAndSize(NULL, count * FIELD)))
+        return done(&c, NULL);
+    start = p = PyBytes_AS_STRING(text);
+    for (Py_ssize_t i = 0; i < count; i++) {
+        char *digits = PyOS_double_to_string(x[i], 'g', 17, 0, NULL);
+        size_t length;
+        if (!digits) {
+            Py_DECREF(text);
+            return done(&c, NULL);
+        }
+        length = strlen(digits);
+        if (length >= FIELD) {
+            PyMem_Free(digits);
+            Py_DECREF(text);
+            PyErr_Format(PyExc_RuntimeError, "format_rows: %zu characters for one value",
+                         length);
+            return done(&c, NULL);
+        }
+        memcpy(p, digits, length);
+        PyMem_Free(digits);
+        p += length;
+        *p++ = (i + 1) % k ? '\t' : '\n';
+    }
+    /* on failure text is NULL with MemoryError set */
+    _PyBytes_Resize(&text, p - start);
+    return done(&c, text);
+}
+
 /* kernel_target() -> the clone's name */
 static PyObject *py_kernel_target(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
@@ -833,6 +899,7 @@ static PyMethodDef entries[] = {
     ENTRY(max_speed, "max_speed(stage, vel) -> float"),
     ENTRY(max_slope, "max_slope(vel, width) -> (float, int)"),
     ENTRY(row_sums, "row_sums(stage, rho, vel) -> (float, float, float, float)"),
+    ENTRY(format_rows, "format_rows(block) -> bytes"),
     ENTRY(kernel_target, "kernel_target() -> str"),
     {NULL, NULL, 0, NULL},
 };

@@ -4,12 +4,12 @@ The kernel is a CPython extension module, compiled once per source, compile
 command and interpreter ABI and kept in ``$XDG_CACHE_HOME/radialblowup``
 (``~/.cache/radialblowup`` when the variable is unset); the file name carries
 the interpreter's extension suffix. It is loaded on first use, so commands
-that never step a state never compile it. Every entry but ``max_slope`` and
-``kernel_target`` takes the ``struct stage`` that the kernel's ``stage``
-builds for a ``Plan``, once per grid, model and thread, and owns in a capsule
-with the arrays it reads; the methods of that ``Plan`` are their only
-callers. This is the one module that calls the kernel, and the one that
-raises the cells with numpy's ``**`` before a C call.
+that never step a state never compile it. Every entry but ``max_slope``,
+``format_rows`` and ``kernel_target`` takes the ``struct stage`` that the
+kernel's ``stage`` builds for a ``Plan``, once per grid, model and thread,
+and owns in a capsule with the arrays it reads; the methods of that ``Plan``
+are their only callers. This is the one module that calls the kernel, and
+the one that raises the cells with numpy's ``**`` before a C call.
 """
 
 from __future__ import annotations
@@ -137,6 +137,12 @@ def max_slope(state, width: float) -> tuple[float, int]:
     """The largest |vel[i + 1] - vel[i - 1]| / width of a state of 3 or more
     cells and its cell i: the first maximum, or the first NaN."""
     return load().max_slope(state.vel, width)
+
+
+def format_rows(columns: list) -> bytes:
+    """The rows of 1 to 8 float64 columns of 1 to 1024 values each, a line
+    of tab-separated values per row, each value the text of ``'%.17g' % value``."""
+    return load().format_rows(np.column_stack(columns))
 
 
 def power(scratch: np.ndarray, exponent: float, rho: np.ndarray) -> None:

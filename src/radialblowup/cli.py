@@ -15,6 +15,7 @@ import itertools
 import math
 import os
 import resource
+import shutil
 import sys
 import time
 import traceback
@@ -315,16 +316,14 @@ def build_run_fields(config: ExperimentConfig):
 
 def _write_table(path: Path, header: list[str], columns: list) -> None:
     """The header lines, then each row of the float64 columns with every
-    value to 17 significant digits, written a block of rows at a time."""
-    # %-formatting of plain floats gives the digits of f"{v:.17g}" in half
-    # the time; blocks keep the text and the floats of a whole table from
-    # being held at once
-    row = "\t".join(["%.17g"] * len(columns)) + "\n"
-    with open(path, "w", encoding="utf-8") as out:
-        out.write("".join(line + "\n" for line in header))
+    value to 17 significant digits, as ``'%.17g' % value`` gives them,
+    formatted by the kernel's ``format_rows`` and written a block of rows at
+    a time."""
+    # blocks keep the text and the floats of a whole table from being held at once
+    with open(path, "wb") as out:
+        out.write("".join(line + "\n" for line in header).encode())
         for lo in range(0, len(columns[0]), 1024):
-            block = zip(*(column[lo : lo + 1024].tolist() for column in columns))
-            out.write("".join(row % values for values in block))
+            out.write(_kernel.format_rows([column[lo : lo + 1024] for column in columns]))
 
 
 def _write_series(path: Path, result: RunResult) -> None:
@@ -367,21 +366,26 @@ def _write_summary(
 
 
 def _write_snapshots(run_dir: Path, config: ExperimentConfig, result: RunResult, grid) -> None:
+    """One file per snapshot time. A state never changes, so one that answers
+    several times, such as the final state of a run that ends before them,
+    is formatted once into the first of their files and copied to the rest."""
+    answers: dict = {}
     for wanted, state in zip(config.snapshot_times, result.trajectory.snapshots):
+        answers.setdefault(id(state), (state, []))[1].append(run_dir / snapshot_name(wanted))
+    for state, (first, *rest) in answers.values():
         _write_table(
-            run_dir / snapshot_name(wanted),
+            first,
             ["r\trho\tV", f"# time = {state.time:.17g}"],
             [grid.cell_centers, state.rho, state.vel],
         )
+        for path in rest:
+            shutil.copyfile(first, path)
 
 
 def run_single(run_id: str, config: ExperimentConfig, out_root: str) -> dict:
     """Execute one resolved run and write its artifact files."""
     # elapsed_seconds and the phase times are read off one monotonic clock
     started, t_begin = time.time(), time.perf_counter()
-    run_dir = Path(out_root) / run_id
-    run_dir.mkdir(parents=True, exist_ok=True)
-    t_build = time.perf_counter()
     grid, profile = build_run_fields(config)
     # the kernel is compiled or opened once per process: later runs wait 0 s
     t_load = time.perf_counter()
@@ -407,6 +411,9 @@ def run_single(run_id: str, config: ExperimentConfig, out_root: str) -> dict:
             file=sys.stderr,
         )
     t_write = time.perf_counter()
+    # made once run() has accepted the initial data: refused data leave no directory
+    run_dir = Path(out_root) / run_id
+    run_dir.mkdir(parents=True, exist_ok=True)
     resolved = resolved_config_text(config)
     digest = config_hash(resolved)
     _write_series(run_dir / "series.tsv", result)
@@ -423,7 +430,7 @@ def run_single(run_id: str, config: ExperimentConfig, out_root: str) -> dict:
         f"started_unix: {started:.3f}\nelapsed_seconds: {t_end - t_begin:.3f}\n"
         f"steps: {trajectory.steps}\ndt_min: {_fmt(dt_min)}\ndt_max: {_fmt(dt_max)}\n"
         f"peak_rss_kb: {peak_rss}\nkernel_target: {kernel_target}\n"
-        f"kernel_load_s: {t_run - t_load:.6f}\nbuild_s: {t_load - t_build:.6f}\n"
+        f"kernel_load_s: {t_run - t_load:.6f}\nbuild_s: {t_load - t_begin:.6f}\n"
         f"run_s: {t_ran - t_run:.6f}\ndiagnostics_s: {trajectory.diagnostics_s:.6f}\n"
         f"write_s: {t_end - t_write:.6f}\n",
         encoding="utf-8",
@@ -487,6 +494,11 @@ def execute(
         for task, result in zip(tasks, results):
             try:
                 outcomes.append(result())
+            except (ValueError, OSError) as exc:
+                # initial data refused by run(), or a run directory that
+                # cannot be made or written: one line, as check reports them
+                print(f"error: {task[0]}: {exc}", file=sys.stderr)
+                outcomes.append({"run_id": task[0], "failed": True})
             except Exception:
                 traceback.print_exc()
                 outcomes.append({"run_id": task[0], "failed": True})

@@ -3,13 +3,15 @@
 A verbatim copy of the unfused ``rhs_eval`` and ``step`` with the helpers
 they call (per-field limiting, boundary copies, Poisson prefix sums), of
 the numpy diagnostics row (mass, energy monitor and Cauchy-Schwarz gap,
-each summed by ``np.sum``), and of the numpy ``max_velocity_gradient``,
-with the barotropic ``pressure`` law they read. It is never run by the package; property tests compare the production code
-against it bit for bit. It is the scheme's specification, so a scheme change
-is made here too: the dissipation speed takes its sound speeds from the two
-cells beside each interface, not from the face densities, and for gamma > 1
-the face enthalpy is reconstructed from the cells' rho**(gamma - 1), not
-raised from the face densities.
+each summed by ``np.sum``), of the numpy ``max_velocity_gradient``,
+with the barotropic ``pressure`` law they read, and of the Python table
+writer that the compiled ``format_rows`` replaced. It is never run by the
+package; property tests compare the production code against it bit for
+bit, and the tables byte for byte. It is the scheme's specification, so a
+scheme change is made here too: the dissipation speed takes its sound
+speeds from the two cells beside each interface, not from the face
+densities, and for gamma > 1 the face enthalpy is reconstructed from the
+cells' rho**(gamma - 1), not raised from the face densities.
 """
 
 from __future__ import annotations
@@ -277,3 +279,17 @@ def max_velocity_gradient(state: FluidState, grid: RadialGrid) -> tuple[float, i
     slopes = np.abs(v[2:] - v[:-2]) / (2.0 * grid.cell_width)
     k = int(np.argmax(slopes))
     return float(slopes[k]), k + 1
+
+
+def write_table(path, header: list[str], columns: list) -> None:
+    """The header lines, then each row of the float64 columns with every
+    value to 17 significant digits, written a block of rows at a time."""
+    # %-formatting of plain floats gives the digits of f"{v:.17g}" in half
+    # the time; blocks keep the text and the floats of a whole table from
+    # being held at once
+    row = "\t".join(["%.17g"] * len(columns)) + "\n"
+    with open(path, "w", encoding="utf-8") as out:
+        out.write("".join(line + "\n" for line in header))
+        for lo in range(0, len(columns[0]), 1024):
+            block = zip(*(column[lo : lo + 1024].tolist() for column in columns))
+            out.write("".join(row % values for values in block))

@@ -548,6 +548,28 @@ class TestExecute:
         # KiB on every platform: more than the interpreter, less than 4 GiB
         assert 10_000 < int(meta["peak_rss_kb"]) < 4 * 1024**2
 
+    def test_a_state_answering_several_snapshot_times_is_formatted_once(
+        self, tmp_path, monkeypatch
+    ):
+        # the run ends at t = 0.2, before 0.5 and 0.9: its final state answers both
+        text = SMALL_RUN.replace("snapshot_times = 0.1", "snapshot_times = 0.5, 0.1, 0.9")
+        widths = []
+
+        def counted(columns, _format=_kernel.format_rows):
+            widths.append(len(columns))
+            return _format(columns)
+
+        monkeypatch.setattr(_kernel, "format_rows", counted)
+        run_single("run-0000", parse_config(text), str(tmp_path))
+        # one 64-row block for each of the two states, beside the series' blocks
+        assert widths.count(3) == 2
+        run_dir = tmp_path / "run-0000"
+        final = (run_dir / "snapshot-0.5.tsv").read_bytes()
+        assert (run_dir / "snapshot-0.9.tsv").read_bytes() == final
+        t_final = read_summary(run_dir)["t_final"]
+        assert final.splitlines()[1] == f"# time = {t_final}".encode()
+        assert (run_dir / "snapshot-0.1.tsv").read_bytes() != final
+
     def test_initial_data_validated_once_per_run(self, tmp_path, monkeypatch):
         calls = []
 
@@ -687,6 +709,48 @@ class TestMain:
                 assert main([command, str(cfg_file), *where]) == 1
                 assert capsys.readouterr() == ("", message)
         assert not out.exists()
+
+    @pytest.mark.parametrize("command, jobs", [("run", 1), ("sweep", 2)])
+    def test_data_refused_at_run_time_leave_one_error_line_and_no_run_directory(
+        self, tmp_path, capsys, command, jobs
+    ):
+        # a gaussian narrower than a cell passes the parse-time rules, but its
+        # density underflows to 0 on the grid; the sweep's two runs go
+        # through the process pool
+        text = SMALL_RUN.replace("n_cells = 64", "n_cells = 256").replace(
+            "family = polynomial_bump", "family = gaussian_truncated\nwidth = 1e-5"
+        )
+        run_ids = ["run-0000"]
+        if command == "sweep":
+            text += "\n[sweep]\ndelta = 0, 1\n"
+            run_ids.append("run-0001")
+        cfg_file = tmp_path / "exp.cfg"
+        cfg_file.write_text(text)
+        reason = "inadmissible initial data: density must be positive in some cell"
+        assert main(["check", str(cfg_file)]) == 1
+        assert capsys.readouterr() == ("", f"error: {reason}\n")
+        out = tmp_path / "out"
+        assert main([command, str(cfg_file), "--output-dir", str(out), "--jobs", str(jobs)]) == 1
+        assert capsys.readouterr() == ("", "".join(f"error: {r}: {reason}\n" for r in run_ids))
+        assert [path.name for path in out.iterdir()] == ["index.tsv"]
+        rows = (out / "index.tsv").read_text().splitlines()[1:]
+        assert rows == ["\t".join([r, "failed"] + ["-"] * 5) for r in run_ids]
+
+    def test_an_output_directory_that_is_a_file_gives_one_error_line_per_run(
+        self, tmp_path, capsys
+    ):
+        cfg_file = tmp_path / "exp.cfg"
+        cfg_file.write_text(SMALL_RUN)
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        assert main(["run", str(cfg_file), "--output-dir", str(taken)]) == 1
+        printed = capsys.readouterr()
+        assert printed.out == ""
+        run_line, index_line = printed.err.splitlines()
+        assert run_line.startswith("error: run-0000: [Errno ")
+        assert str(taken / "run-0000") in run_line
+        assert index_line.startswith("error: cannot write to output directory: ")
+        assert taken.read_text() == ""
 
     def test_bad_config_exits_one(self, tmp_path, capsys):
         cfg_file = tmp_path / "exp.cfg"

@@ -4,7 +4,8 @@ Random states cover every dimension, force sign, pressure law and wall
 margin, with vacuum patches and roundoff-level negative densities. The
 exponents gamma - 1 include 0 (isothermal) and 0.5, which numpy's ``**``
 computes as a square root. Results are compared as raw bytes, so even the
-sign of a zero must match.
+sign of a zero must match. The tables the compiled ``format_rows`` writes
+match the Python writer's byte for byte.
 """
 
 import dataclasses
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _reference_kernel as ref
-from radialblowup import _kernel, diagnostics
+from radialblowup import _kernel, cli, diagnostics
 from radialblowup import (
     FluidState,
     ModelConfig,
@@ -353,3 +354,56 @@ def test_reductions_keep_numpy_rules(values, pressure):
     assert _same(lowest, _chained(float.__lt__, new_rho.tolist()))
     # the first stage writes old + dt * k and takes no minimum
     assert np.isnan(plan.rk_stage(wall, 0.5, FluidState(0.0, values, zeros), None, k))
+
+
+def _bits(*patterns: int) -> list:
+    """The float64 values of raw 64-bit patterns."""
+    return np.array(patterns, dtype=np.uint64).view(np.float64).tolist()
+
+
+def _around(value: float, reach: int = 3) -> list:
+    """``value`` and its ``reach`` neighbours each side, of both signs."""
+    bits = int(np.float64(value).view(np.uint64))
+    near = _bits(*range(bits - reach, bits + reach + 1))
+    return near + [-x for x in near]
+
+
+# NaN of both signs and with payloads, the infinities, the zeros, the
+# subnormals, the extreme normals, and the neighbours of the points where
+# %g switches between fixed and exponent notation or adds a digit
+SPECIAL = np.array(
+    _bits(
+        0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001, 0xFFF0000000000001,
+        0x7FF4000000000000, 0x7FFFFFFFFFFFFFFF, 0x7FF0000000000000, 0xFFF0000000000000,
+        0x0000000000000000, 0x8000000000000000, 0x0000000000000001, 0x800FFFFFFFFFFFFF,
+        0x0010000000000000, 0x8010000000000000, 0x7FEFFFFFFFFFFFFF, 0xFFEFFFFFFFFFFFFF,
+    )
+    + [x for p in (1e-5, 1e-4, 1e16, 1e17, 1.0, 0.1) for x in _around(p)]
+)
+
+
+@st.composite
+def tables(draw):
+    """Float64 columns of raw bit patterns, some of their values special, for
+    row counts around the writer's 1024-row blocks and 1 to 8 columns."""
+    rows = draw(st.sampled_from((0, 1, 1023, 1024, 1025, 2049)))
+    k = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = np.frombuffer(rng.bytes(8 * rows * k), dtype=np.float64).copy()
+    share = draw(st.sampled_from((0.0, 0.1, 0.5, 1.0)))
+    picked = rng.random(values.size) < share
+    values[picked] = rng.choice(SPECIAL, int(picked.sum()))
+    # drawn values first, so a failure shrinks to them
+    first = draw(st.lists(st.sampled_from(SPECIAL.tolist()), max_size=min(8, values.size)))
+    values[: len(first)] = first
+    return list(values.reshape(k, rows))
+
+
+@settings(max_examples=60, deadline=None)
+@given(tables())
+def test_tables_match_the_python_writer_byte_for_byte(tmp_path_factory, columns):
+    where = tmp_path_factory.mktemp("tables")
+    header = ["\t".join(f"c{j}" for j in range(len(columns))), "# time = 0.5"]
+    cli._write_table(where / "compiled.tsv", header, columns)
+    ref.write_table(where / "python.tsv", header, columns)
+    assert (where / "compiled.tsv").read_bytes() == (where / "python.tsv").read_bytes()

@@ -150,6 +150,7 @@ def test_each_entry_rejects_what_it_was_not_built_for(pressure_const):
         "max_speed": (lib.max_speed, [stage, vel], (1,), None),
         "row_sums": (lib.row_sums, [stage, rho, vel], (1, 2), None),
         "max_slope": (lib.max_slope, [vel, 0.1], (0,), None),
+        "format_rows": (lib.format_rows, [np.ones((n, 8))], (0,), None),
     }
     for name, (entry, args, inputs, output) in entries.items():
         if output is not None:
@@ -183,11 +184,15 @@ def test_each_entry_rejects_what_it_was_not_built_for(pressure_const):
         with pytest.raises(ValueError, match="wall"):
             lib.rk_stage(stage, bad_wall, 0.1, rho, vel, None, out)
     assert np.all(out == 7.0)
+    # a table block has 1 to 1024 rows of 1 to 8 columns
+    for shape in ((0, 8), (1025, 8), (n, 0), (n, 9), (n,), (2, n, 8)):
+        with pytest.raises(ValueError, match="block"):
+            lib.format_rows(np.ones(shape))
     # nothing but a capsule of stage() is a stage: not the bytes of a struct
     # stage, not another module's capsule, not None
     for not_a_stage in (bytes(120), datetime.datetime_CAPI, None):
         for name, (entry, args, _, output) in entries.items():
-            if name == "max_slope":
+            if name in ("max_slope", "format_rows"):
                 continue
             called = [not_a_stage, *args[1:]]
             if output is not None:
@@ -216,6 +221,7 @@ def test_each_entry_takes_its_count_of_arguments():
         "max_speed": [stage, vel],
         "max_slope": [vel, 0.1],
         "row_sums": [stage, rho, vel],
+        "format_rows": [np.ones((n, 8))],
         "kernel_target": [],
     }
     for name, args in calls.items():
