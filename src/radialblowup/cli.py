@@ -24,10 +24,10 @@ from pathlib import Path
 from typing import NoReturn, Optional
 
 from . import _kernel
-from .diagnostics import BLOWUP_DEFINITION, Verdict, bound_scope
+from .diagnostics import Verdict, bound_scope
 from .model import ModelConfig, RadialGrid, validate_initial_data, wall_index
 from .profiles import FAMILY_PARAMS, build_initial_profile, family_params
-from .solver import NumericsConfig, RunResult, Termination, run
+from .solver import BLOWUP_DEFINITION, FAILURES, NumericsConfig, RunResult, run
 
 
 class ConfigError(ValueError):
@@ -337,9 +337,10 @@ def _write_series(path: Path, result: RunResult) -> None:
 
 def _write_summary(
     path: Path, run_id: str, config: ExperimentConfig, digest: str, result: RunResult
-) -> None:
+) -> dict:
+    """Write the run's facts, one ``key: value`` line each, and return them by key."""
     r, ended = result.report, result.trajectory
-    pairs = [
+    facts = dict([
         ("run_id", run_id),
         ("config_hash", digest),
         ("verdict", r.verdict.value),
@@ -359,10 +360,11 @@ def _write_summary(
         ("family", config.initial.family),
         ("seed", config.seed),
         *_items(config.numerics),
-    ]
+    ])
     path.write_text(
-        "\n".join(f"{k}: {_fmt(v)}" for k, v in pairs) + "\n", encoding="utf-8"
+        "\n".join(f"{k}: {_fmt(v)}" for k, v in facts.items()) + "\n", encoding="utf-8"
     )
+    return facts
 
 
 def _write_snapshots(run_dir: Path, config: ExperimentConfig, result: RunResult, grid) -> None:
@@ -383,7 +385,7 @@ def _write_snapshots(run_dir: Path, config: ExperimentConfig, result: RunResult,
 
 
 def run_single(run_id: str, config: ExperimentConfig, out_root: str) -> dict:
-    """Execute one resolved run and write its artifact files."""
+    """Execute one resolved run, write its artifact files, return its summary's facts."""
     # elapsed_seconds and the phase times are read off one monotonic clock
     started, t_begin = time.time(), time.perf_counter()
     grid, profile = build_run_fields(config)
@@ -417,7 +419,7 @@ def run_single(run_id: str, config: ExperimentConfig, out_root: str) -> dict:
     resolved = resolved_config_text(config)
     digest = config_hash(resolved)
     _write_series(run_dir / "series.tsv", result)
-    _write_summary(run_dir / "summary.txt", run_id, config, digest, result)
+    facts = _write_summary(run_dir / "summary.txt", run_id, config, digest, result)
     (run_dir / "resolved-config.txt").write_text(resolved, encoding="utf-8")
     _write_snapshots(run_dir, config, result, grid)
     t_end = time.perf_counter()
@@ -435,15 +437,7 @@ def run_single(run_id: str, config: ExperimentConfig, out_root: str) -> dict:
         f"write_s: {t_end - t_write:.6f}\n",
         encoding="utf-8",
     )
-    return {
-        "run_id": run_id,
-        "verdict": rep.verdict.value,
-        "termination": trajectory.termination.value,
-        "t_detect": trajectory.t_detect,
-        "t_bound": rep.scope.t_bound,
-        "h0": rep.scope.h0,
-        "config_hash": digest,
-    }
+    return facts
 
 
 def ProcessPoolExecutor(max_workers: int):
@@ -459,11 +453,10 @@ def _run_entry(args: tuple) -> dict:
 
 def exit_status(outcomes: list[dict]) -> int:
     """Exit-code contract: 2 if any verdict is violated, 1 on any runtime
-    failure (a crashed run, a positivity violation or a numerical breakdown),
-    0 otherwise."""
+    failure (a crashed run or an ending in ``solver.FAILURES``), 0 otherwise."""
     if any(o.get("verdict") == Verdict.VIOLATED.value for o in outcomes):
         return 2
-    failures = (Termination.POSITIVITY_VIOLATED.value, Termination.NUMERICAL_BREAKDOWN.value)
+    failures = {t.value for t in FAILURES}
     if any(o.get("failed") or o.get("termination") in failures for o in outcomes):
         return 1
     return 0

@@ -20,12 +20,6 @@ from . import _kernel
 from .model import FluidState, ModelConfig, RadialGrid, weighted_momentum
 from .poisson import alpha
 
-#: Operational definition of a detected singularity, written in every summary.
-BLOWUP_DEFINITION = (
-    "velocity gradient steepening beyond threshold, or CFL time step "
-    "collapse below dt_floor"
-)
-
 #: Relative envelope slack pinned at 1024 cells; coarser grids get more.
 ENVELOPE_REL_TOL_1024 = 1.0e-3
 

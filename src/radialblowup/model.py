@@ -181,11 +181,12 @@ def validate_initial_data(
 ) -> float:
     """Refuse inadmissible initial fields; return the momentum integral H0.
 
-    The density must be nonnegative and positive in some cell, and both fields
-    exactly zero over the outermost ``margin_cells`` cells; otherwise
-    ValueError names each rule that fails. All-vacuum data are refused: the
-    vacuum cells hold V, and so H, at rest. H0 = int r*V0 dr is the
-    quadrature value.
+    Both fields must be finite, the density nonnegative and positive in some
+    cell, and both fields exactly zero over the outermost ``margin_cells``
+    cells. H0 and R**3, of which the bound time R**3 / (2*H0) is made, must be
+    finite too. Otherwise ValueError names each rule that fails. All-vacuum
+    data are refused: the vacuum cells hold V, and so H, at rest.
+    H0 = int r*V0 dr is the quadrature value.
     """
     rho0 = np.asarray(rho0, dtype=float)
     v0 = np.asarray(v0, dtype=float)
@@ -195,13 +196,28 @@ def validate_initial_data(
                 f"{name} has shape {field.shape}, grid expects ({grid.n_cells},)"
             )
     wall = wall_index(grid.n_cells, margin_cells)
+    v_finite = np.all(np.isfinite(v0))
     problems = []
-    if not np.all(rho0 >= 0.0):
+    if not np.all(np.isfinite(rho0)):
+        problems.append("density must be finite")
+    if np.any(rho0 < 0.0):
         problems.append("density must be nonnegative")
     if not np.any(rho0 > 0.0):
         problems.append("density must be positive in some cell")
+    if not v_finite:
+        problems.append("velocity must be finite")
     if not (np.all(rho0[wall:] == 0.0) and np.all(v0[wall:] == 0.0)):
         problems.append("fields must vanish over the wall margin cells")
+    h0 = math.nan
+    if v_finite:
+        with np.errstate(over="ignore"):  # an overflow is refused below, not warned of
+            h0 = weighted_momentum(v0, grid)
+        if not math.isfinite(h0):
+            problems.append("H0 must be finite")
+    try:
+        grid.support_radius**3
+    except OverflowError:
+        problems.append("the support radius must have a finite cube")
     if problems:
         raise ValueError("inadmissible initial data: " + "; ".join(problems))
-    return weighted_momentum(v0, grid)
+    return h0

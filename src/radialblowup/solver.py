@@ -57,6 +57,18 @@ class Termination(str, enum.Enum):
     NUMERICAL_BREAKDOWN = "numerical_breakdown"
 
 
+#: The endings that flag a singularity, and so carry a detection time; the
+#: numerical failures, which exit 1. Every other ending reached t_end.
+DETECTIONS = frozenset({Termination.STEEPENING_DETECTED, Termination.DT_COLLAPSED})
+FAILURES = frozenset({Termination.POSITIVITY_VIOLATED, Termination.NUMERICAL_BREAKDOWN})
+
+#: Operational definition of a detected singularity (``DETECTIONS``), in every summary.
+BLOWUP_DEFINITION = (
+    "velocity gradient steepening beyond threshold, or CFL time step "
+    "collapse below dt_floor"
+)
+
+
 @dataclass(frozen=True)
 class NumericsConfig:
     """Resolution-independent numerical parameters of a run."""
@@ -120,11 +132,7 @@ class Trajectory:
     diagnostics_s: float = field(default=0.0, compare=False)
 
     def __post_init__(self):
-        detecting = self.termination in (
-            Termination.STEEPENING_DETECTED,
-            Termination.DT_COLLAPSED,
-        )
-        if detecting != (self.t_detect is not None):
+        if (self.termination in DETECTIONS) != (self.t_detect is not None):
             raise ValueError("t_detect must be present iff a singularity was flagged")
         broken = self.termination is Termination.NUMERICAL_BREAKDOWN
         if broken != (self.breakdown is not None):
@@ -284,7 +292,6 @@ def run(
     record(state, gradient[0])
 
     termination = Termination.REACHED_T_END
-    t_detect: Optional[float] = None
     breakdown: Optional[BreakdownSite] = None
     t_eps = 1e-12 * max(1.0, num.t_end)
     steps, dt_min, dt_max = 0, math.inf, 0.0
@@ -293,7 +300,6 @@ def run(
         cfl_step, dt = _stable_dt(speed, state.time, num, grid)
         if cfl_step < num.dt_floor:
             termination = Termination.DT_COLLAPSED
-            t_detect = state.time
             break
         try:
             state = step(state, dt, cfg, grid, num, rho_floor, pos_tol)
@@ -312,13 +318,13 @@ def run(
         if detection is not None:
             record(state, gradient[0])
             termination = Termination.STEEPENING_DETECTED
-            t_detect = state.time
             break
         if steps % num.output_stride == 0:
             record(state, gradient[0])
 
     if rows[-1][0] < state.time:
         record(state, gradient[0])
+    t_detect = state.time if termination in DETECTIONS else None
 
     began = clock()
     series = diagnostics.series_from_rows(rows, scope)

@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import multiprocessing
 import os
@@ -403,6 +404,19 @@ class TestExecute:
         assert exit_status([ok, fail]) == 1
         assert exit_status([fail, bad]) == 2  # the alarm outranks failures
 
+    def test_cli_names_no_ending(self):
+        # which endings fail is solver.FAILURES alone: cli names neither the
+        # enum nor any of its members or their values
+        names = {"Termination", *(t.name for t in solver.Termination)}
+        values = {t.value for t in solver.Termination}
+        tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            assert getattr(node, "id", getattr(node, "attr", None)) not in names, node.lineno
+            if isinstance(node, ast.alias):
+                assert node.name not in names
+            if isinstance(node, ast.Constant):
+                assert node.value not in values, node.lineno
+
     def test_positivity_failure_exits_one(self, tmp_path, monkeypatch):
         def negative_density(*args, **kwargs):
             raise solver.PositivityError("density below the roundoff band")
@@ -475,7 +489,9 @@ class TestExecute:
 
         monkeypatch.setattr(solver, "step", fails_on_seventh)
         monkeypatch.setattr(cli, "run", recorded)
-        execute(parse_config(text), output_dir=str(tmp_path))
+        code = execute(parse_config(text), output_dir=str(tmp_path))
+        # the numerical failures exit 1; every other ending here confirms or is pending
+        assert code == (1 if termination in ("positivity_violated", "numerical_breakdown") else 0)
         ((trajectory, series, _),) = results
         assert trajectory.termination.value == termination
         ending = {
@@ -487,6 +503,8 @@ class TestExecute:
         assert {key: summary[key] for key in ending} == ending
         header, row = (tmp_path / "index.tsv").read_text().splitlines()
         index = dict(zip(header.split("\t"), row.split("\t")))
+        # the index row is the summary's lines of its columns
+        assert index == {key: summary[key] for key in index}
         assert (index["termination"], index["t_detect"]) == (termination, ending["t_detect"])
         assert series.times[-1] == trajectory.t_final
         if error is not None:
@@ -714,27 +732,39 @@ class TestMain:
     def test_data_refused_at_run_time_leave_one_error_line_and_no_run_directory(
         self, tmp_path, capsys, command, jobs
     ):
-        # a gaussian narrower than a cell passes the parse-time rules, but its
-        # density underflows to 0 on the grid; the sweep's two runs go
-        # through the process pool
-        text = SMALL_RUN.replace("n_cells = 64", "n_cells = 256").replace(
-            "family = polynomial_bump", "family = gaussian_truncated\nwidth = 1e-5"
-        )
-        run_ids = ["run-0000"]
-        if command == "sweep":
-            text += "\n[sweep]\ndelta = 0, 1\n"
-            run_ids.append("run-0001")
-        cfg_file = tmp_path / "exp.cfg"
-        cfg_file.write_text(text)
-        reason = "inadmissible initial data: density must be positive in some cell"
-        assert main(["check", str(cfg_file)]) == 1
-        assert capsys.readouterr() == ("", f"error: {reason}\n")
-        out = tmp_path / "out"
-        assert main([command, str(cfg_file), "--output-dir", str(out), "--jobs", str(jobs)]) == 1
-        assert capsys.readouterr() == ("", "".join(f"error: {r}: {reason}\n" for r in run_ids))
-        assert [path.name for path in out.iterdir()] == ["index.tsv"]
-        rows = (out / "index.tsv").read_text().splitlines()[1:]
-        assert rows == ["\t".join([r, "failed"] + ["-"] * 5) for r in run_ids]
+        # each passes the parse-time rules: a gaussian narrower than a cell,
+        # whose density underflows to 0 on the grid; a finite velocity whose
+        # H0 overflows; a radius whose cube overflows. The sweep's two runs
+        # go through the process pool
+        bump = "family = polynomial_bump"
+        cases = {
+            "density must be positive in some cell": [
+                ("n_cells = 64", "n_cells = 256"),
+                (bump, "family = gaussian_truncated\nwidth = 1e-5"),
+            ],
+            "H0 must be finite": [(bump, "family = random_smooth\nvelocity_amplitude = 1.7e308")],
+            "the support radius must have a finite cube": [
+                ("support_radius = 1", "support_radius = 1e103"),
+            ],
+        }
+        run_ids = ["run-0000"] + (["run-0001"] if command == "sweep" else [])
+        for rule, edits in cases.items():
+            text = SMALL_RUN
+            for old, new in edits:
+                text = text.replace(old, new)
+            if command == "sweep":
+                text += "\n[sweep]\ndelta = 0, 1\n"
+            cfg_file = tmp_path / "exp.cfg"
+            cfg_file.write_text(text)
+            reason = f"inadmissible initial data: {rule}"
+            assert main(["check", str(cfg_file)]) == 1
+            assert capsys.readouterr() == ("", f"error: {reason}\n")
+            out = tmp_path / rule
+            assert main([command, str(cfg_file), "--output-dir", str(out), "--jobs", str(jobs)]) == 1
+            assert capsys.readouterr() == ("", "".join(f"error: {r}: {reason}\n" for r in run_ids))
+            assert [path.name for path in out.iterdir()] == ["index.tsv"]
+            rows = (out / "index.tsv").read_text().splitlines()[1:]
+            assert rows == ["\t".join([r, "failed"] + ["-"] * 5) for r in run_ids]
 
     def test_an_output_directory_that_is_a_file_gives_one_error_line_per_run(
         self, tmp_path, capsys

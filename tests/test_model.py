@@ -175,6 +175,24 @@ def test_validate_flags(grid):
     with pytest.raises(ValueError, match=f"{prefix}{nonnegative}; {positive}$"):
         validate_initial_data(negative, v0, grid, margin_cells=2)
 
+    # a non-finite value is named by its field; NaN is not called negative
+    rho_ok = vacuum.copy()
+    rho_ok[:-2] = 1.0
+    for value in (np.inf, np.nan):
+        rho_bad, v_bad = rho_ok.copy(), v0.copy()
+        rho_bad[5] = v_bad[5] = value
+        with pytest.raises(ValueError, match=f"{prefix}density must be finite$"):
+            validate_initial_data(rho_bad, v0, grid, margin_cells=2)
+        with pytest.raises(ValueError, match=f"{prefix}velocity must be finite$"):
+            validate_initial_data(rho_ok, v_bad, grid, margin_cells=2)
+
+    # finite fields whose H0 overflows, and a radius whose cube does, with no warning
+    with pytest.raises(ValueError, match=f"{prefix}H0 must be finite$"):
+        validate_initial_data(rho_ok, np.where(rho_ok > 0, 1.7e308, 0.0), grid, margin_cells=2)
+    huge = RadialGrid(n_cells=grid.n_cells, support_radius=1e103)
+    with pytest.raises(ValueError, match=f"{prefix}the support radius must have a finite cube$"):
+        validate_initial_data(rho_ok, vacuum, huge, margin_cells=2)
+
 
 def test_validate_shape_mismatch(grid):
     with pytest.raises(ValueError, match="shape"):

@@ -118,14 +118,18 @@ class TestCflDt:
             0.5 * cfl_dt(state, cfg, num, grid)
         )
 
-    def test_nan_speed_gives_a_nan_step_and_no_collapse(self, grid):
+    def test_nan_speed_gives_a_nan_step_and_no_collapse(self, grid, monkeypatch):
         # a NaN max(|V| + c) passes the dt_floor test, which any finite step
-        # would fail here, and the NaN step ends the run in a breakdown
+        # would fail here, and the NaN step ends the run in a breakdown; a NaN
+        # in the initial data is refused, so the run's NaN speed is patched in
         num = NumericsConfig(dt_floor=1.0)
         cfg = ModelConfig(pressure_const=0.0)
         rho, vel = np.ones(128), np.zeros(128)
-        rho[-2:], vel[10] = 0.0, np.nan
-        assert np.isnan(cfl_dt(FluidState(0.0, rho, vel), cfg, num, grid))
+        rho[-2:] = 0.0
+        nan_vel = vel.copy()
+        nan_vel[10] = np.nan
+        assert np.isnan(cfl_dt(FluidState(0.0, rho, nan_vel), cfg, num, grid))
+        monkeypatch.setattr(solver, "max_wave_speed", lambda *args: math.nan)
         result = run(rho, vel, cfg, num)
         assert result.trajectory.termination is Termination.NUMERICAL_BREAKDOWN
         assert result.trajectory.steps == 0
@@ -247,6 +251,12 @@ class TestDetectSteepening:
         assert hit.slope == pytest.approx(3.0)
         below = NumericsConfig(steepening_threshold=3.1)
         assert detect_steepening(gradient, grid, below) is None
+
+
+def test_detections_failures_and_reaching_t_end_partition_the_endings():
+    parts = (solver.DETECTIONS, solver.FAILURES, {Termination.REACHED_T_END})
+    assert sum(map(len, parts)) == len(Termination)
+    assert set().union(*parts) == set(Termination)
 
 
 class TestRun:
