@@ -832,12 +832,109 @@ static PyObject *py_row_sums(PyObject *self, PyObject *const *args, Py_ssize_t n
  * '%.17g', such as -2.2250738585072014e-308, has 24 characters. */
 #define FIELD 32
 
+#ifdef __SIZEOF_INT128__
+__extension__ typedef unsigned __int128 u128;
+
+/* 5**q for q = 0 .. 27; 5**27 < 2**63 */
+static const uint64_t POW5[28] = {
+    1u, 5u, 25u, 125u, 625u, 3125u, 15625u, 78125u, 390625u, 1953125u, 9765625u, 48828125u,
+    244140625u, 1220703125u, 6103515625u, 30517578125u, 152587890625u, 762939453125u,
+    3814697265625u, 19073486328125u, 95367431640625u, 476837158203125u, 2384185791015625u,
+    11920928955078125u, 59604644775390625u, 298023223876953125u, 1490116119384765625u,
+    7450580596923828125u,
+};
+
+/* The text of '%.17g' % x into out and its length, for a normal x whose
+ * decimal exponent k = floor(log10 |x|) lies in [-11, 16]; else 0 with
+ * nothing written. With |x| = m * 2**e, m < 2**53, and q = 16 - k in
+ * [0, 27], x * 10**q = m * 5**q * 2**(e + q) is exact in 128 bits; its
+ * 17 digits d come from a shift that rounds half to even on the exact
+ * remainder, as dtoa's correctly rounded result does. k starts from the
+ * binary exponent, floor((e + 52) * log10 2) (the right shift of a
+ * negative product is arithmetic in gcc and clang), and moves by one when
+ * d leaves [10**16, 10**17) before rounding. Rounding never carries d to
+ * 10**17: the largest double under each 10**(k + 1) of the range lies more
+ * than half a unit of the 17th digit under it. The text takes %g's layout:
+ * fixed for k >= -4, else an exponent of two digits with its sign, and no
+ * trailing zeros or bare point. */
+static size_t seventeen_digits(double x, char *out)
+{
+    uint64_t bits, m, d;
+    int e, k, q, shift, last, lead;
+    u128 n;
+    char digits[17], *p = out;
+    memcpy(&bits, &x, sizeof bits);
+    e = (int)(bits >> 52 & 0x7FF);
+    if (e == 0 || e == 0x7FF) /* zeros, subnormals, infinities and NaN */
+        return 0;
+    m = (bits & ((UINT64_C(1) << 52) - 1)) | UINT64_C(1) << 52;
+    e -= 1075;
+    k = ((e + 52) * 78913) >> 18;
+    for (;;) {
+        q = 16 - k;
+        if (q < 0 || q > 27)
+            return 0;
+        n = (u128)m * POW5[q];
+        shift = -(e + q); /* below 70: n < 2**116 and d > 10**15 */
+        d = (uint64_t)(shift > 0 ? n >> shift : n << -shift);
+        if (d < UINT64_C(10000000000000000))
+            k--;
+        else if (d >= UINT64_C(100000000000000000))
+            k++;
+        else
+            break;
+    }
+    if (shift > 0) {
+        u128 rest = n & (((u128)1 << shift) - 1), half = (u128)1 << (shift - 1);
+        d += rest > half || (rest == half && (d & 1));
+    }
+    for (int i = 16; i >= 0; i--, d /= 10)
+        digits[i] = (char)('0' + d % 10);
+    for (last = 16; last > 0 && digits[last] == '0'; last--)
+        ;
+    if (bits >> 63)
+        *p++ = '-';
+    /* the digits before the point: 1 with an exponent, none below 1 */
+    lead = k < -4 ? 1 : k + 1;
+    if (lead <= 0) { /* "0." and -lead zeros */
+        memcpy(p, "0.000", 2 - lead);
+        p += 2 - lead;
+        memcpy(p, digits, last + 1);
+        p += last + 1;
+    } else {
+        memcpy(p, digits, lead);
+        p += lead;
+        if (last >= lead) {
+            *p++ = '.';
+            memcpy(p, digits + lead, last + 1 - lead);
+            p += last + 1 - lead;
+        }
+    }
+    if (k < -4) {
+        *p++ = 'e';
+        *p++ = '-';
+        *p++ = (char)('0' + -k / 10);
+        *p++ = (char)('0' + -k % 10);
+    }
+    return p - out;
+}
+#else
+/* no 128-bit type: every value goes to PyOS_double_to_string */
+static size_t seventeen_digits(double x, char *out)
+{
+    (void)x;
+    (void)out;
+    return 0;
+}
+#endif
+
 /* format_rows(block) -> bytes: each row of a (rows, k) table block as one
- * line, its values tab-separated, each in the text of '%.17g' % value:
- * PyOS_double_to_string(x, 'g', 17, 0, NULL) is the call that formatting
- * makes, so nan, inf and the sign of a zero come out as Python prints them.
- * The one entry that keeps the GIL: that function allocates each text with
- * PyMem_Malloc. */
+ * line, its values tab-separated, each in the text of '%.17g' % value.
+ * seventeen_digits writes the values of decimal exponent -11 to 16; every
+ * other value goes through PyOS_double_to_string(x, 'g', 17, 0, NULL), the
+ * call that formatting makes, so nan, inf and the sign of a zero come out as
+ * Python prints them, and no locale is read. The one entry that keeps the
+ * GIL: that function allocates each text with PyMem_Malloc. */
 static PyObject *py_format_rows(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
     struct call c;
@@ -855,22 +952,24 @@ static PyObject *py_format_rows(PyObject *self, PyObject *const *args, Py_ssize_
         return done(&c, NULL);
     start = p = PyBytes_AS_STRING(text);
     for (Py_ssize_t i = 0; i < count; i++) {
-        char *digits = PyOS_double_to_string(x[i], 'g', 17, 0, NULL);
-        size_t length;
-        if (!digits) {
-            Py_DECREF(text);
-            return done(&c, NULL);
-        }
-        length = strlen(digits);
-        if (length >= FIELD) {
+        size_t length = seventeen_digits(x[i], p);
+        if (!length) {
+            char *digits = PyOS_double_to_string(x[i], 'g', 17, 0, NULL);
+            if (!digits) {
+                Py_DECREF(text);
+                return done(&c, NULL);
+            }
+            length = strlen(digits);
+            if (length >= FIELD) {
+                PyMem_Free(digits);
+                Py_DECREF(text);
+                PyErr_Format(PyExc_RuntimeError, "format_rows: %zu characters for one value",
+                             length);
+                return done(&c, NULL);
+            }
+            memcpy(p, digits, length);
             PyMem_Free(digits);
-            Py_DECREF(text);
-            PyErr_Format(PyExc_RuntimeError, "format_rows: %zu characters for one value",
-                         length);
-            return done(&c, NULL);
         }
-        memcpy(p, digits, length);
-        PyMem_Free(digits);
         p += length;
         *p++ = (i + 1) % k ? '\t' : '\n';
     }

@@ -120,7 +120,11 @@ def row_integrals(
     momentum, mass, energy, square = _kernel.plan(grid, cfg).row_sums(state)
     dr, a = grid.cell_width, alpha(cfg.dim)
     h = momentum * dr
-    gap = square * dr - 4.0 * h**2 / grid.support_radius**2
+    try:
+        h_squared = h**2
+    except OverflowError:  # |H| above about 1.3e154: its square overflows to inf
+        h_squared = np.inf
+    gap = square * dr - 4.0 * h_squared / grid.support_radius**2
     return h, a * mass * dr, 2.0 * a * energy * dr, gap
 
 

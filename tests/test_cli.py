@@ -766,6 +766,27 @@ class TestMain:
             rows = (out / "index.tsv").read_text().splitlines()[1:]
             assert rows == ["\t".join([r, "failed"] + ["-"] * 5) for r in run_ids]
 
+    def test_a_velocity_whose_h_squared_overflows_still_ends_as_its_summary_says(
+        self, tmp_path, capsys
+    ):
+        # H0 is about 8e298: h**2 of the Cauchy-Schwarz gap overflows, which
+        # once raised OverflowError and ended in a traceback and a failed row
+        cfg_file = tmp_path / "exp.cfg"
+        cfg_file.write_text(
+            SMALL_RUN.replace("family = polynomial_bump",
+                              "family = polynomial_bump\nvelocity_amplitude = 1e300")
+        )
+        out = tmp_path / "out"
+        code = main(["run", str(cfg_file), "--output-dir", str(out)])
+        assert "Traceback" not in capsys.readouterr().err
+        summary = read_summary(out / "run-0000")
+        row = (out / "index.tsv").read_text().splitlines()[1].split("\t")
+        assert row[:3] == ["run-0000", summary["verdict"], summary["termination"]]
+        assert row[1] != "failed"
+        assert code == exit_status(
+            [{"verdict": summary["verdict"], "termination": summary["termination"]}]
+        )
+
     def test_an_output_directory_that_is_a_file_gives_one_error_line_per_run(
         self, tmp_path, capsys
     ):

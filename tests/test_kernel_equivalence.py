@@ -5,17 +5,20 @@ margin, with vacuum patches and roundoff-level negative densities. The
 exponents gamma - 1 include 0 (isothermal) and 0.5, which numpy's ``**``
 computes as a square root. Results are compared as raw bytes, so even the
 sign of a zero must match. The tables the compiled ``format_rows`` writes
-match the Python writer's byte for byte.
+match the Python writer's byte for byte, and so does its exact 17-digit path
+on the values it takes.
 """
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import _reference_kernel as ref
+from format_rows_differential import TIE_DECADES, tie_range
 from radialblowup import _kernel, cli, diagnostics
 from radialblowup import (
     FluidState,
@@ -407,3 +410,39 @@ def test_tables_match_the_python_writer_byte_for_byte(tmp_path_factory, columns)
     cli._write_table(where / "compiled.tsv", header, columns)
     ref.write_table(where / "python.tsv", header, columns)
     assert (where / "compiled.tsv").read_bytes() == (where / "python.tsv").read_bytes()
+
+
+@st.composite
+def exact_path_values(draw):
+    """Values of both signs for the exact 17-digit path of ``format_rows``,
+    1e-11 <= |x| < 1e17, and its borders: a uniform binary exponent with a
+    random mantissa; dyadic m * 2**-j, and among them exact ties halfway
+    between two 17-digit decimals; up to 2000 ulps around 10**k for
+    k = -12 .. 17, where the decimal exponent needs its correction and a
+    carry of the rounding to the next power of ten would show; and the
+    neighbours of 1e-11 and 1e17, the ends of the range, and of 1e-5, where
+    %g switches to an exponent."""
+    kind = draw(st.sampled_from(("binade", "dyadic", "tie", "power of ten", "edge")))
+    if kind == "binade":
+        value = math.ldexp(draw(st.integers(2**52, 2**53 - 1)), draw(st.integers(-89, 4)))
+    elif kind == "dyadic":
+        value = math.ldexp(draw(st.integers(1, 2**53 - 1)), -draw(st.integers(0, 90)))
+    elif kind == "tie":
+        j, lo, hi = tie_range(draw(st.sampled_from(TIE_DECADES)))
+        value = math.ldexp(2 * draw(st.integers(lo, hi - 1)) + 1, -j)
+    else:
+        near = 10.0 ** draw(st.integers(-12, 17)) if kind == "power of ten" else draw(
+            st.sampled_from((1e-11, 1e17, 1e-5))
+        )
+        reach = 2000 if kind == "power of ten" else 8
+        steps = draw(st.integers(-reach, reach))
+        value = _bits(int(np.float64(near).view(np.uint64)) + steps)[0]
+    return draw(st.sampled_from((1.0, -1.0))) * value
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(exact_path_values(), min_size=1, max_size=64))
+@example([1.00000762939453125])
+def test_exact_17_digit_path_matches_percent_g(values):
+    expected = "".join("%.17g\n" % x for x in values).encode()
+    assert _kernel.format_rows([np.array(values)]) == expected
