@@ -1,4 +1,4 @@
-/* Kernel of the radial finite-volume scheme: one stage's ghost padding,
+/* Kernel of the radial finite-volume scheme: one stage's boundary stencils,
  * minmod limiting, sound speed, local Lax-Friedrichs fluxes, origin and wall
  * closures, flux divergence, pressure and Poisson force terms, vacuum mask
  * and finite check; the Runge-Kutta combination of a step; the CFL wave
@@ -79,20 +79,19 @@ struct stage {
     const double *center; /* r**(N-1) at the cell centers */
     const double *r;      /* the cell centers */
     double *work;        /* scratch (4, n + 4), (5, n + 4) with pressure: the
-                            ghost-extended fields, the fluxes, the force sums,
-                            the wave speeds and the face means; see WORK */
+                            fluxes, the force sums, the wave speeds, the
+                            sound speeds and the face means; see WORK */
     double *cell;        /* NULL without pressure or for gamma = 1, else
                             scratch (n): max(rho, 0) raised by the caller,
                             to gamma - 1 for a stage and max_speed and to
                             gamma for row_sums */
 };
 
-/* Row k of the work scratch. Rows 0 and 1 hold rho and V extended by two
- * ghosts each side, from extend() to the fluxes; rows 2 and 3 the mass and
- * advection fluxes; once the fluxes are formed, rows 0 and 1 take the force
- * sums, and max_speed() the speeds. With pressure, row 4 holds the sound
- * speeds of the extended cells up to the fluxes, then the face means; for
- * gamma > 1, row 1 holds the extended enthalpy row between the two. */
+/* Row k of the work scratch. Rows 0 and 1 hold the force sums of a stage,
+ * and row 0 the speeds of max_speed(); rows 2 and 3 the mass and advection
+ * fluxes. With pressure, row 4 holds the sound speeds of cells -1 .. n up to
+ * the fluxes, then the face means. No row holds a copy of a cell: a stage
+ * reads rho, V and the raised cells where they lie. */
 #define WORK(s, k) ((s)->work + (k) * ((s)->n + 4))
 
 /* np.maximum: NaN propagates and a tie returns b, so np_max(-0.0, 0.0) is
@@ -159,57 +158,64 @@ static inline double half_slope(double d0, double d1)
     return d0 * d1 > 0.0 ? copysign(a < b ? a : b, d0) * 0.5 : 0.0;
 }
 
-/* Limited left and right states at interface j, between extended cells j + 1
- * and j + 2 of e. */
-static inline double left_state(const double *e, int64_t j)
+/* Limited left and right states at a face whose stencil, cells j - 2 .. j + 1
+ * of face j, is e[0 .. 3]: between cells j - 1 and j, e[1] and e[2]. */
+static inline double left_state(const double *e)
 {
-    return e[j + 1] + half_slope(e[j + 1] - e[j], e[j + 2] - e[j + 1]);
+    return e[1] + half_slope(e[1] - e[0], e[2] - e[1]);
 }
 
-static inline double right_state(const double *e, int64_t j)
+static inline double right_state(const double *e)
 {
-    return e[j + 2] - half_slope(e[j + 2] - e[j + 1], e[j + 3] - e[j + 2]);
+    return e[2] - half_slope(e[2] - e[1], e[3] - e[2]);
 }
 
 /* np.maximum(x, 0.0), written so it needs no branch: NaN stays */
 static inline double clip(double x) { return x <= 0.0 ? 0.0 : x; }
 
-/* The n cells x into the extended row e: two ghosts mirrored evenly at the
- * origin and two zeros past the wall. */
-static void pad(int64_t n, const double *x, double *e)
+/* The boundary rule of a stage, in one place: face j's stencil, cells
+ * j - 2 .. j + 1 of the n cells x, into e, with the two ghosts each side
+ * that a cell index outside [0, n) names: mirrored evenly at the origin
+ * (cell -1 is cell 0, cell -2 is cell 1), negated there if the row is odd
+ * (V), and zeros past the wall. The interior faces 2 .. n - 2 read their
+ * stencil from x itself; the edge faces, whose stencil reaches a ghost,
+ * take it from here. */
+static inline void stencil(int64_t n, const double *x, int odd, int64_t j, double e[4])
 {
-    memcpy(e + 2, x, n * sizeof(double));
-    e[0] = x[1];
-    e[1] = x[0];
-    e[n + 2] = e[n + 3] = 0.0;
+    for (int k = 0; k < 4; k++) {
+        int64_t i = j - 2 + k;
+        e[k] = i >= n ? 0.0 : i >= 0 ? x[i] : odd ? -x[-1 - i] : x[-1 - i];
+    }
 }
 
-/* rho and V into work rows 0 and 1, padded, V negated in the ghosts at the
- * origin, being odd. */
-static void extend(const struct stage *s, const double *rho, const double *vel)
+/* The edge face after face j, of the n + 1 faces: 0, 1, n - 1 and n, or
+ * every face when n < 4; n + 1 after the last. */
+static inline int64_t next_edge(int64_t n, int64_t j) { return j == 1 && n > 3 ? n - 1 : j + 1; }
+
+/* The face mean 0.5 * (e_l + e_r) of a stencil e, its limited states e_l and
+ * e_r clipped at zero. */
+static inline double face_mean(const double *e)
 {
-    int64_t n = s->n;
-    double *ev = WORK(s, 1);
-    pad(n, rho, WORK(s, 0));
-    memcpy(ev + 2, vel, n * sizeof(double));
-    ev[0] = -vel[1];
-    ev[1] = -vel[0];
-    ev[n + 2] = ev[n + 3] = 0.0;
+    return 0.5 * (clip(left_state(e)) + clip(right_state(e)));
 }
 
-/* The face means 0.5 * (e_l + e_r) of an extended row e at the m
- * interfaces, its limited states e_l and e_r clipped at zero. */
-CLONED static void face_means(int64_t m, const double *restrict e, double *restrict mean)
+/* The face means of the n cells x at the n + 1 faces. */
+CLONED static void face_means(int64_t n, const double *restrict x, double *restrict mean)
 {
-    for (int64_t j = 0; j < m; j++)
-        mean[j] = 0.5 * (clip(left_state(e, j)) + clip(right_state(e, j)));
+    for (int64_t j = 2; j < n - 1; j++)
+        mean[j] = face_mean(x + j - 2);
+    for (int64_t j = 0; j <= n; j = next_edge(n, j)) {
+        double e[4];
+        stencil(n, x, 0, j, e);
+        mean[j] = face_mean(e);
+    }
 }
 
-/* The sound speeds sqrt(sound_coef * p) of extended cells 1 .. n + 2 into
- * speed, from the n raised cells p: the mirror ghost at the origin is cell 0
- * and the ghost past the wall has density 0, whose power 0**(gamma - 1) is
- * 0. For the isothermal law p is NULL: every power, the ghost's too, is 1,
- * and every speed sqrt(sound_coef). */
+/* The sound speeds sqrt(sound_coef * p) of cells -1 .. n into speed[1 ..
+ * n + 2] (cell i at i + 2), from the n raised cells p: the mirror ghost at
+ * the origin is cell 0 and the ghost past the wall has density 0, whose
+ * power 0**(gamma - 1) is 0. For the isothermal law p is NULL: every power,
+ * the ghost's too, is 1, and every speed sqrt(sound_coef). */
 CLONED static void sound_speeds(int64_t n, double sound_coef, const double *restrict p,
                                 double *restrict speed)
 {
@@ -225,8 +231,8 @@ CLONED static void sound_speeds(int64_t n, double sound_coef, const double *rest
     speed[1] = speed[2];
 }
 
-/* The mass and advection fluxes of interface j from the extended rho and
- * vel, with the sound speeds c_l and c_r of its two sides added to the
+/* The mass and advection fluxes of a face from its rho and V stencils er and
+ * ev, with the sound speeds c_l and c_r of its two sides added to the
  * dissipation speed max(|V| + c); the mass flux before its face weight.
  * Returned, not stored through pointers: gcc then no longer knows that the
  * caller's restrict rows do not overlap, and leaves its loop scalar. */
@@ -234,42 +240,49 @@ struct flux {
     double mass, adv;
 };
 
-static inline struct flux flux(const double *er, const double *ev, int64_t j, double c_l,
-                               double c_r)
+static inline struct flux flux(const double *er, const double *ev, double c_l, double c_r)
 {
-    double rl = clip(left_state(er, j)), rr = clip(right_state(er, j));
-    double vl = left_state(ev, j), vr = right_state(ev, j);
+    double rl = clip(left_state(er)), rr = clip(right_state(er));
+    double vl = left_state(ev), vr = right_state(ev);
     double half_a = 0.5 * np_max(fabs(vl) + c_l, fabs(vr) + c_r);
     double f = vl * rl + vr * rr, g = vl * vl + vr * vr;
     struct flux out = {f * 0.5 - half_a * (rr - rl), g * 0.25 - half_a * (vr - vl)};
     return out;
 }
 
-/* The fluxes at the m interfaces into mass and adv, the mass flux weighted
- * by face_area and closed (zero) at interface 0 and at interfaces >= wall.
- * With pressure the sound speeds of interface j are those of its two
- * extended cells j + 1 and j + 2 in speed; without, speed is NULL and they
- * are +0.0, which leaves |V| as it is (never -0.0). */
-CLONED static void fluxes(int64_t m, int64_t wall, const double *restrict er,
-                          const double *restrict ev, const double *restrict speed,
+/* The fluxes of the n cells rho and vel at the n + 1 faces into mass and
+ * adv, the mass flux weighted by face_area and closed (zero) at face 0 and
+ * at faces >= wall. With pressure the sound speeds of face j are those of
+ * its two cells j - 1 and j, speed[j + 1] and speed[j + 2]; without, speed
+ * is NULL and they are +0.0, which leaves |V| as it is (never -0.0). */
+CLONED static void fluxes(int64_t n, int64_t wall, const double *restrict rho,
+                          const double *restrict vel, const double *restrict speed,
                           const double *restrict area, double *restrict mass,
                           double *restrict adv)
 {
     if (speed) {
-        for (int64_t j = 0; j < m; j++) {
-            struct flux f = flux(er, ev, j, speed[j + 1], speed[j + 2]);
+        for (int64_t j = 2; j < n - 1; j++) {
+            struct flux f = flux(rho + j - 2, vel + j - 2, speed[j + 1], speed[j + 2]);
             mass[j] = f.mass * area[j];
             adv[j] = f.adv;
         }
     } else {
-        for (int64_t j = 0; j < m; j++) {
-            struct flux f = flux(er, ev, j, 0.0, 0.0);
+        for (int64_t j = 2; j < n - 1; j++) {
+            struct flux f = flux(rho + j - 2, vel + j - 2, 0.0, 0.0);
             mass[j] = f.mass * area[j];
             adv[j] = f.adv;
         }
     }
+    for (int64_t j = 0; j <= n; j = next_edge(n, j)) {
+        double er[4], ev[4];
+        stencil(n, rho, 0, j, er);
+        stencil(n, vel, 1, j, ev);
+        struct flux f = speed ? flux(er, ev, speed[j + 1], speed[j + 2]) : flux(er, ev, 0.0, 0.0);
+        mass[j] = f.mass * area[j];
+        adv[j] = f.adv;
+    }
     mass[0] = 0.0;
-    for (int64_t j = wall; j < m; j++)
+    for (int64_t j = wall; j <= n; j++)
         mass[j] = 0.0;
 }
 
@@ -335,29 +348,23 @@ CLONED static int64_t cells(const struct stage *s, const double *restrict rho, d
     return -1;
 }
 
-/* A stage's tendencies into the (2, n) block out. With pressure and
- * gamma > 1 the caller has raised s->cell to gamma - 1: the sound speeds of
- * the fluxes come from those cells, and so does the face enthalpy, as the
- * face means of the padded cells (0**(gamma - 1) = 0 past the wall). For
- * gamma = 1 the sound speed is sqrt(K) and the pressure is K times the face
- * means of rho. */
+/* A stage's tendencies into the (2, n) block out, from the cells rho and
+ * vel where they lie; no cell is copied. With pressure and gamma > 1 the
+ * caller has raised s->cell to gamma - 1: the sound speeds of the fluxes
+ * come from those cells, and so does the face enthalpy, as their face means
+ * (0**(gamma - 1) = 0 past the wall). For gamma = 1 the sound speed is
+ * sqrt(K) and the pressure is K times the face means of rho. */
 CLONED static int64_t tendencies(const struct stage *s, int64_t wall, const double *rho,
                                  const double *vel, double rho_floor, double *out)
 {
     int64_t n = s->n;
-    const double *cell = s->cell;
     /* the sound speeds, then the face means */
     double *face = s->pressure_const > 0.0 ? WORK(s, 4) : NULL;
-    extend(s, rho, vel);
     if (face)
-        sound_speeds(n, s->sound_coef, cell, face);
-    fluxes(n + 1, wall, WORK(s, 0), WORK(s, 1), face, s->face_area, WORK(s, 2), WORK(s, 3));
-    if (face && s->per_density) {
-        face_means(n + 1, WORK(s, 0), face);
-    } else if (face) {
-        pad(n, cell, WORK(s, 1));
-        face_means(n + 1, WORK(s, 1), face);
-    }
+        sound_speeds(n, s->sound_coef, s->cell, face);
+    fluxes(n, wall, rho, vel, face, s->face_area, WORK(s, 2), WORK(s, 3));
+    if (face)
+        face_means(n, s->per_density ? rho : s->cell, face);
     return cells(s, rho, rho_floor, face, out);
 }
 

@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from . import _kernel
-from .model import FluidState, ModelConfig, RadialGrid, weighted_momentum
+from .model import FluidState, ModelConfig, RadialGrid, records_equal, weighted_momentum
 from .poisson import alpha
 
 #: Relative envelope slack pinned at 1024 cells; coarser grids get more.
@@ -170,7 +170,8 @@ class DiagnosticsSeries:
     All arrays share the length of ``times``; each field names its
     ``series.tsv`` column, in the file's column order. ``riccati_residuals``
     pads its final slot with NaN (forward differences leave one fewer value),
-    and ``envelope_values`` is NaN wherever the envelope is undefined.
+    and ``envelope_values`` is NaN wherever the envelope is undefined. Two
+    series are equal when their columns have the same bits.
     """
 
     times: np.ndarray = _column("t")
@@ -181,6 +182,8 @@ class DiagnosticsSeries:
     envelope_values: np.ndarray = _column("envelope")
     cauchy_gaps: np.ndarray = _column("cauchy_gap")
     max_gradients: np.ndarray = _column("max_abs_dVdr")
+
+    __eq__ = records_equal
 
     def __post_init__(self):
         for f in fields(self)[1:]:

@@ -111,6 +111,25 @@ def grid_weights(grid: RadialGrid, dim: int) -> GridWeights:
 _FLOAT64 = np.dtype(np.float64)
 
 
+def records_equal(record, other) -> bool:
+    """``==`` of two records of one dataclass: each field by ``==``, an array
+    field by its dtype, shape and bytes, so a NaN equals itself and -0.0
+    differs from 0.0. The dataclass's own ``==`` compares the fields in a
+    tuple, which raises for an array of more than one value."""
+    if type(other) is not type(record):
+        return NotImplemented
+    for f in fields(record):
+        a, b = getattr(record, f.name), getattr(other, f.name)
+        if isinstance(a, np.ndarray):
+            same = (isinstance(b, np.ndarray) and a.dtype == b.dtype and a.shape == b.shape
+                    and a.tobytes() == b.tobytes())
+        else:
+            same = a == b
+        if not same:
+            return False
+    return True
+
+
 def _in_layout(array) -> bool:
     """A C-contiguous float64 ndarray, which np.ascontiguousarray returns as it is."""
     return type(array) is np.ndarray and array.dtype is _FLOAT64 and array.flags.c_contiguous
@@ -124,11 +143,29 @@ class FluidState:
     may carry roundoff-level negatives transiently; hard nonnegativity is
     enforced by validation and the solver's positivity check. Both fields are
     held as C-contiguous float64, the kernel's layout, copied only if need be.
+    Two states are equal when their times are and their fields have the same
+    bits.
     """
 
     time: float
     rho: np.ndarray
     vel: np.ndarray
+
+    __eq__ = records_equal
+
+    @classmethod
+    def of_block(cls, time: float, block: np.ndarray) -> FluidState:
+        """The state whose fields are the rows of ``block``, a fresh (2, n)
+        C-contiguous float64 array such as a kernel's output, taken as they
+        are: such rows pass the layout checks by construction, so only the
+        time is checked. The kernel still checks each array it is given."""
+        if time < 0:
+            raise ValueError("time must be >= 0")
+        state = object.__new__(cls)
+        held = state.__dict__
+        # rows by index: iterating an array builds them several times slower
+        held["time"], held["rho"], held["vel"] = time, block[0], block[1]
+        return state
 
     def __post_init__(self):
         rho, vel = self.rho, self.vel

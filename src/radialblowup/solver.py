@@ -215,14 +215,13 @@ def step(
     # both stages are written into the fresh tendency arrays
     mid = rhs_eval(state, cfg, grid, num, rho_floor)
     plan.rk_stage(wall, dt, state, None, mid)
-    # rows by index: iterating an array builds them several times slower
-    new = rhs_eval(FluidState(time, mid[0], mid[1]), cfg, grid, num, rho_floor)
+    new = rhs_eval(FluidState.of_block(time, mid), cfg, grid, num, rho_floor)
     rho_min = plan.rk_stage(wall, dt, state, mid, new)
     if rho_min < -positivity_tol:
         raise PositivityError(
             f"density {rho_min:.3e} below -{positivity_tol:.3e} at t={time:.6g}"
         )
-    return FluidState(time, new[0], new[1])
+    return FluidState.of_block(time, new)
 
 
 def detect_steepening(

@@ -16,6 +16,7 @@ from _helpers import swap_in_clone
 from test_kernel_equivalence import (  # noqa: F401
     test_breakdown_reports_the_same_cell,
     test_diagnostics_row_matches_numpy_sums,
+    test_edge_faces_match_reference_at_every_wall,
     test_max_velocity_gradient_matches_reference,
     test_padding_field_and_diagnostics_match_reference,
     test_reductions_keep_numpy_rules,

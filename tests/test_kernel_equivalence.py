@@ -18,6 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import _reference_kernel as ref
+import stage_differential
 from format_rows_differential import TIE_DECADES, tie_range
 from radialblowup import _kernel, cli, diagnostics
 from radialblowup import (
@@ -109,6 +110,17 @@ def test_tendencies_and_step_match_reference(case):
         assert _same(stepped.rho, expected.rho) and _same(stepped.vel, expected.vel)
     else:
         assert stepped == expected
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_edge_faces_match_reference_at_every_wall(n):
+    # the faces whose stencil reaches a ghost, 0, 1, n - 1 and n, or every
+    # face below 4 cells, and where they meet, at every wall in [0, n] and
+    # for every law: a run's grid has 8 or more cells and a wall in [1, n),
+    # so these states go to the plan on a grid of any size
+    with np.errstate(all="ignore"):
+        for case in stage_differential.cases(n, [n], repeats=2):
+            assert stage_differential.mismatch(*case) == ""
 
 
 @st.composite

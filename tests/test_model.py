@@ -112,6 +112,35 @@ def test_fluid_state_holds_c_contiguous_float64_fields():
     assert FluidState(0.0, kept, kept).rho is kept
 
 
+def test_states_compare_by_time_and_bits():
+    # equal arrays in different objects: the dataclass's own == raised here
+    assert FluidState(0.0, np.ones(3), np.zeros(3)) == FluidState(0.0, np.ones(3), np.zeros(3))
+    nan = np.array([np.nan, 1.0])
+    assert FluidState(0.0, nan, nan) == FluidState(0.0, nan.copy(), nan.copy())
+    state = FluidState(0.5, np.ones(3), np.zeros(3))
+    for other in (
+        FluidState(0.25, np.ones(3), np.zeros(3)),
+        FluidState(0.5, np.ones(3), np.full(3, -0.0)),
+        FluidState(0.5, np.ones(4), np.zeros(4)),
+    ):
+        assert state != other and not state == other
+    flipped = np.ones(3)
+    flipped.view(np.uint64)[1] ^= 1
+    assert state != FluidState(0.5, flipped, np.zeros(3))
+    assert state.__eq__((0.5, state.rho, state.vel)) is NotImplemented
+
+
+def test_a_block_state_is_its_rows():
+    # no copy and no layout check; the time is still checked
+    block = np.stack([np.linspace(0.0, 1.0, 8), np.linspace(-1.0, 1.0, 8)])
+    state = FluidState.of_block(0.25, block)
+    assert state.rho.base is block and state.vel.base is block
+    assert state == FluidState(0.25, block[0], block[1])
+    assert type(state.time) is float and state.n_cells == 8
+    with pytest.raises(ValueError, match="^time must be >= 0$"):
+        FluidState.of_block(-1e-300, block)
+
+
 @pytest.fixture
 def grid():
     return RadialGrid(n_cells=256, support_radius=1.0)

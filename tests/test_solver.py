@@ -296,6 +296,26 @@ class TestRun:
         err = np.sum(np.abs(final.vel - expected) * grid.cell_centers) * grid.cell_width
         assert err < 2e-4
 
+    def test_two_runs_of_one_config_compare_equal(self):
+        # the records compare their arrays bit for bit, and the trajectory
+        # ignores diagnostics_s; one flipped bit makes them unequal
+        grid = RadialGrid(n_cells=64, support_radius=1.0)
+        cfg = ModelConfig(delta=1, pressure_const=0.5, gamma=2.0)
+        num = NumericsConfig(t_end=0.1, output_stride=3)
+        prof = build_initial_profile("polynomial_bump", {}, 0, grid, 2)
+        first, second = (run(prof.rho0, prof.v0, cfg, num, snapshot_times=(0.05,))
+                         for _ in range(2))
+        assert first == second and not first != second
+        assert first.trajectory == replace(second.trajectory, diagnostics_s=-1.0)
+        (state,) = first.trajectory.snapshots
+        flipped = state.rho.copy()
+        flipped.view(np.uint64)[10] ^= 1
+        changed = replace(first.trajectory, snapshots=(replace(state, rho=flipped),))
+        assert changed != second.trajectory and first != first._replace(trajectory=changed)
+        h = first.series.h_values.copy()
+        h.view(np.uint64)[-1] ^= 1 << 63
+        assert replace(first.series, h_values=h) != second.series
+
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_mass_conserved_with_force_and_pressure(self, monkeypatch, dim):
         # density is checked on every stepped state, a superset of the rows
