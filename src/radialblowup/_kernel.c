@@ -1,9 +1,10 @@
 /* Kernel of the radial finite-volume scheme: one stage's boundary stencils,
  * minmod limiting, sound speed, local Lax-Friedrichs fluxes, origin and wall
  * closures, flux divergence, pressure and Poisson force terms, vacuum mask
- * and finite check; the Runge-Kutta combination of a step; the CFL wave
- * speed; the largest velocity gradient; the sums of a diagnostics row; and
- * the text of a block of table rows.
+ * and finite check; the Runge-Kutta combination of a step and what a run
+ * reads of the state it makes; the CFL wave speed; the largest velocity
+ * gradient; the sums of a diagnostics row; and the text of a block of
+ * table rows.
  *
  * Every expression repeats the numpy operations of the reference kernel in
  * tests/_reference_kernel.py, in the same order, so the results match it
@@ -88,8 +89,8 @@ struct stage {
 };
 
 /* Row k of the work scratch. Rows 0 and 1 hold the force sums of a stage,
- * and row 0 the speeds of max_speed(); rows 2 and 3 the mass and advection
- * fluxes. With pressure, row 4 holds the sound speeds of cells -1 .. n up to
+ * row 0 the speeds of max_speed(), and the rows from 0 on the 24 lanes of
+ * step_facts(); rows 2 and 3 the mass and advection fluxes. With pressure, row 4 holds the sound speeds of cells -1 .. n up to
  * the fluxes, then the face means. No row holds a copy of a cell: a stage
  * reads rho, V and the raised cells where they lie. */
 #define WORK(s, k) ((s)->work + (k) * ((s)->n + 4))
@@ -106,6 +107,16 @@ typedef double lanes __attribute__((vector_size(32)));
 typedef int64_t mask __attribute__((vector_size(32)));
 #define PICK(m, a, b) ((lanes)(((mask)(a) & (m)) | ((mask)(b) & ~(m))))
 #define ANY(m) (((m)[0] | (m)[1] | (m)[2] | (m)[3]) != 0)
+#define ABS(x) ((lanes)((mask)(x) & (mask){INT64_MAX, INT64_MAX, INT64_MAX, INT64_MAX}))
+/* Lane by lane, top raised to x where x is larger, or low lowered to x where
+ * x is smaller; a NaN x leaves them. Written per lane, each is one maxpd or
+ * minpd where x86 has them. */
+#define RAISE(top, x)                                                                              \
+    for (int q_ = 0; q_ < 4; q_++)                                                                 \
+    (top)[q_] = (x)[q_] > (top)[q_] ? (x)[q_] : (top)[q_]
+#define LOWER(low, x)                                                                              \
+    for (int q_ = 0; q_ < 4; q_++)                                                                 \
+    (low)[q_] = (x)[q_] < (low)[q_] ? (x)[q_] : (low)[q_]
 
 /* The np.max (sign +1) or np.min (sign -1) of x[0 .. n), n >= 1, as np_max
  * or np_min chained from x[0] gives it: the first NaN if there is one, else
@@ -370,12 +381,10 @@ CLONED static int64_t tendencies(const struct stage *s, int64_t wall, const doub
 
 /* One Runge-Kutta stage in place on the (2, n) tendencies k: k = old +
  * dt*k in the first stage (mid NULL), else (mid + dt*k)/2 + old/2 with mid
- * the first stage's (2, n) result; both fields zeroed from cell wall on.
- * Returns np.min of the new density in the second stage, and NaN in the
- * first, whose minimum no caller reads. */
-CLONED static double rk_stage(const struct stage *s, int64_t wall, double dt,
-                              const double *restrict rho, const double *restrict vel,
-                              const double *restrict mid, double *restrict k)
+ * the first stage's (2, n) result; both fields zeroed from cell wall on. */
+CLONED static void rk_stage(const struct stage *s, int64_t wall, double dt,
+                            const double *restrict rho, const double *restrict vel,
+                            const double *restrict mid, double *restrict k)
 {
     int64_t n = s->n;
     double *restrict k_rho = k, *restrict k_vel = k + n;
@@ -393,7 +402,6 @@ CLONED static double rk_stage(const struct stage *s, int64_t wall, double dt,
     }
     for (int64_t i = wall; i < n; i++)
         k_rho[i] = k_vel[i] = 0.0;
-    return mid ? extreme(n, k_rho, -1.0) : NAN;
 }
 
 /* np.max of |vel| + sqrt(sound_coef * cell) over the cells, with cell
@@ -419,46 +427,180 @@ CLONED static double max_speed(const struct stage *s, const double *restrict vel
     return extreme(n, speed, 1.0);
 }
 
+/* The slope |v[k + 2] - v[k]| / width of the m >= 1 differences k < m, and
+ * its k, as np.argmax of the slopes picks it: the first NaN, else the first
+ * largest. From d, the largest difference |v[k + 2] - v[k]| that is not
+ * NaN, and whether one may be NaN. For 0 < width <= DBL_MAX a slope is NaN
+ * where its difference is, and the division rounds monotonically: the
+ * largest slope is q = d / width, first at the first difference that gives
+ * q. Each such difference exceeds p * width, p the double below q, so it is
+ * at least the double below that product rounded: blocks of 32 differences
+ * below that bound are passed over without a division. Any other width
+ * divides every difference. */
+CLONED static int64_t first_slope(int64_t m, const double *restrict v, double width, double d,
+                                  int nan, double *value)
+{
+    int64_t i = 0, k = 0;
+    if (!(width > 0.0 && width <= DBL_MAX)) {
+        for (*value = fabs(v[2] - v[0]) / width; !isnan(*value) && ++i < m;) {
+            double slope = fabs(v[i + 2] - v[i]) / width;
+            if (slope > *value || isnan(slope)) {
+                *value = slope;
+                k = i;
+            }
+        }
+        return k;
+    }
+    for (; nan && i < m; i++)
+        if (isnan(v[i + 2] - v[i])) {
+            *value = fabs(v[i + 2] - v[i]) / width;
+            return i;
+        }
+    double q = d / width, least = nextafter(nextafter(q, -INFINITY) * width, -INFINITY);
+    for (i = 0; i < m; i++) {
+        for (; i % 32 == 0 && i + 32 <= m; i += 32) {
+            mask over = {0, 0, 0, 0};
+            for (int u = 0; u < 32; u += 4) {
+                lanes hi, lo;
+                memcpy(&hi, v + i + u + 2, sizeof hi);
+                memcpy(&lo, v + i + u, sizeof lo);
+                over |= ABS(hi - lo) >= least;
+            }
+            if (ANY(over))
+                break;
+        }
+        double a = fabs(v[i + 2] - v[i]);
+        if (a >= least && a / width == q)
+            break;
+    }
+    *value = q;
+    return i;
+}
+
 /* np.argmax of |v[i + 2] - v[i]| / width over i < n - 2 (n >= 3): the first
- * maximum, or the first NaN. Writes that slope to *value. Lanes carry the
- * first largest slope of each residue mod 4 and its index. */
+ * maximum, or the first NaN. Writes that slope to *value. Two sets of lanes
+ * carry the largest difference of each residue mod 8, whose sum turns NaN
+ * with any of them; first_slope then finds its first cell. */
 CLONED static int64_t max_slope(int64_t n, const double *restrict v, double width,
                                 double *value)
 {
-    const mask magnitude = {INT64_MAX, INT64_MAX, INT64_MAX, INT64_MAX};
-    lanes top = {-1.0, -1.0, -1.0, -1.0};
-    mask at = {0, 0, 0, 0}, nan = {0, 0, 0, 0}, here = {0, 1, 2, 3};
-    int64_t i = 0, k = 0;
-    for (; i + 4 <= n - 2; i += 4, here += 4) {
-        lanes hi, lo;
+    lanes top = {-1.0, -1.0, -1.0, -1.0}, top2 = top, sum = {0.0, 0.0, 0.0, 0.0};
+    int64_t i = 0;
+    double best = -1.0;
+    for (; i + 8 <= n - 2; i += 8) {
+        lanes hi, lo, hi2, lo2;
         memcpy(&hi, v + i + 2, sizeof hi);
         memcpy(&lo, v + i, sizeof lo);
-        lanes slope = (lanes)((mask)(hi - lo) & magnitude) / width;
-        mask up = slope > top;
-        top = PICK(up, slope, top);
-        at = (here & up) | (at & ~up);
-        nan |= slope != slope;
+        memcpy(&hi2, v + i + 6, sizeof hi2);
+        memcpy(&lo2, v + i + 4, sizeof lo2);
+        lanes a = ABS(hi - lo), a2 = ABS(hi2 - lo2);
+        RAISE(top, a);
+        RAISE(top2, a2);
+        sum += a + a2;
     }
-    int found = ANY(nan);
-    double best = -1.0;
+    int found = ANY(sum != sum);
+    RAISE(top, top2);
     for (int q = 0; q < 4; q++)
-        if (top[q] > best || (top[q] == best && at[q] < k)) {
-            best = top[q];
-            k = at[q];
-        }
+        best = top[q] > best ? top[q] : best;
     for (; i < n - 2; i++) {
-        double slope = fabs(v[i + 2] - v[i]) / width;
-        found |= isnan(slope);
-        if (slope > best) {
-            best = slope;
-            k = i;
-        }
+        double a = fabs(v[i + 2] - v[i]);
+        found |= isnan(a);
+        best = a > best ? a : best;
     }
-    if (found)
-        for (k = 0; !isnan(best = fabs(v[k + 2] - v[k]) / width); k++)
+    return first_slope(n - 2, v, width, best, found, value);
+}
+
+/* What a run reads of the state a step has made, the second stage's (2, n)
+ * block: its least density, as extreme() folds np.minimum from the first
+ * cell (np.min's SIMD blocks may return another zero); its wave speed as
+ * max_speed() gives it, NaN where the cells must be raised first (pressure
+ * and gamma > 1); and its steepest slope |v[i + 2] - v[i]| / (2 dr) and
+ * center cell i + 1, as max_slope() gives them, or (0, 0) below 3 cells, as
+ * diagnostics.max_velocity_gradient does. */
+struct facts {
+    double lowest, speed, slope;
+    int64_t cell;
+};
+
+/* The facts of the n cells rho and vel in one pass: independent chains of
+ * lanes, two sets each, whose latencies overlap, carry the least rho, the
+ * largest |V| and the largest difference of each residue mod 8; a sum turns
+ * NaN with any NaN cell (a NaN in vel makes its difference NaN), and each
+ * field is then searched again. Rounding is monotone, so the largest
+ * |V| + c is the largest |V| plus c. */
+CLONED static struct facts step_facts(const struct stage *s, const double *restrict rho,
+                                      const double *restrict vel)
+{
+    int64_t n = s->n, i = 0;
+    lanes low = {INFINITY, INFINITY, INFINITY, INFINITY}, low2 = low, fast = -low, fast2 = -low,
+          top = -low, top2 = -low, sum = {0.0, 0.0, 0.0, 0.0};
+    double least = INFINITY, speed = -INFINITY, best = -INFINITY;
+    for (; i + 8 <= n - 2; i += 8) {
+        lanes r, r2, v, v2, hi, hi2;
+        memcpy(&r, rho + i, sizeof r);
+        memcpy(&r2, rho + i + 4, sizeof r2);
+        memcpy(&v, vel + i, sizeof v);
+        memcpy(&v2, vel + i + 4, sizeof v2);
+        memcpy(&hi, vel + i + 2, sizeof hi);
+        memcpy(&hi2, vel + i + 6, sizeof hi2);
+        lanes a = ABS(hi - v), a2 = ABS(hi2 - v2);
+        v = ABS(v);
+        v2 = ABS(v2);
+        LOWER(low, r);
+        LOWER(low2, r2);
+        RAISE(fast, v);
+        RAISE(fast2, v2);
+        RAISE(top, a);
+        RAISE(top2, a2);
+        sum += (r + r2) + (a + a2);
+    }
+    /* the lanes, read one by one through the work rows: read so in
+     * registers, they make the compiler split each chain into scalars */
+    double *lane = WORK(s, 0);
+    memcpy(lane, &low, sizeof low);
+    memcpy(lane + 4, &low2, sizeof low2);
+    memcpy(lane + 8, &fast, sizeof fast);
+    memcpy(lane + 12, &fast2, sizeof fast2);
+    memcpy(lane + 16, &top, sizeof top);
+    memcpy(lane + 20, &top2, sizeof top2);
+    int found = ANY(sum != sum);
+    for (int q = 0; q < 8; q++) {
+        least = lane[q] < least ? lane[q] : least;
+        speed = lane[q + 8] > speed ? lane[q + 8] : speed;
+        best = lane[q + 16] > best ? lane[q + 16] : best;
+    }
+    for (int64_t j = i; j < n - 2; j++) {
+        double a = fabs(vel[j + 2] - vel[j]);
+        found |= isnan(a);
+        best = a > best ? a : best;
+    }
+    for (; i < n; i++) {
+        least = rho[i] < least ? rho[i] : least;
+        speed = fabs(vel[i]) > speed ? fabs(vel[i]) : speed;
+        found |= isnan(rho[i]) | isnan(vel[i]);
+    }
+    struct facts out = {least, speed, 0.0, 0};
+    for (i = 0; found && i < n && !isnan(rho[i]); i++)
+        ;
+    if (found && i < n)
+        out.lowest = rho[i];
+    else if (least == 0.0) {
+        for (i = n - 1; rho[i] != 0.0; i--)
             ;
-    *value = best;
-    return k;
+        out.lowest = rho[i];
+    }
+    for (i = 0; found && i < n; i++)
+        if (isnan(vel[i])) {
+            out.speed = fabs(vel[i]);
+            break;
+        }
+    if (s->cell)
+        out.speed = NAN;
+    else if (s->pressure_const > 0.0)
+        out.speed = out.speed + sqrt(s->sound_coef);
+    if (n > 2)
+        out.cell = first_slope(n - 2, vel, 2.0 * s->dr, best, found, &out.slope) + 1;
+    return out;
 }
 
 /* The sums of up to 128 cells from lo in the blocked pairwise order of
@@ -764,14 +906,16 @@ static PyObject *py_tendencies(PyObject *self, PyObject *const *args, Py_ssize_t
     return done(&c, PyLong_FromLongLong(bad));
 }
 
-/* rk_stage(stage, wall, dt, rho, vel, mid or None, k) -> the new density's
- * minimum, NaN in the first stage */
+/* rk_stage(stage, wall, dt, rho, vel, mid or None, k) -> None in the first
+ * stage, else the facts of the new state: (least density, wave speed or
+ * NaN, (steepest slope, its center cell)) */
 static PyObject *py_rk_stage(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
     struct call c;
     const double *rho, *vel, *mid = NULL;
-    double *k, dt, lowest;
+    double *k, dt;
     int64_t wall;
+    struct facts made;
     (void)self;
     if (open_call(&c, "rk_stage", args, nargs, 7, 0) < 0 || number(args[2], &dt) < 0
         || (wall = wall_of(&c, args[1])) < 0 || !(rho = array(&c, args[3], CELLS, 0, "rho"))
@@ -780,9 +924,16 @@ static PyObject *py_rk_stage(PyObject *self, PyObject *const *args, Py_ssize_t n
         || !(k = array(&c, args[6], BLOCK, 1, "k")))
         return done(&c, NULL);
     Py_BEGIN_ALLOW_THREADS
-    lowest = rk_stage(c.s, wall, dt, rho, vel, mid, k);
+    rk_stage(c.s, wall, dt, rho, vel, mid, k);
+    if (mid)
+        made = step_facts(c.s, k, k + c.n);
     Py_END_ALLOW_THREADS
-    return done(&c, PyFloat_FromDouble(lowest));
+    if (!mid) {
+        Py_INCREF(Py_None);
+        return done(&c, Py_None);
+    }
+    return done(&c, Py_BuildValue("(dd(dL))", made.lowest, made.speed, made.slope,
+                                  (long long)made.cell));
 }
 
 /* max_speed(stage, vel) -> max(|V| + c) */
@@ -1001,7 +1152,7 @@ static PyMethodDef entries[] = {
     ENTRY(stage, "stage(dr, K, gamma, field_coef, r, face_area, shell, inner_shell, center, "
                  "cell) -> stage"),
     ENTRY(tendencies, "tendencies(stage, wall, rho, vel, rho_floor, out) -> int"),
-    ENTRY(rk_stage, "rk_stage(stage, wall, dt, rho, vel, mid, k) -> float"),
+    ENTRY(rk_stage, "rk_stage(stage, wall, dt, rho, vel, mid, k) -> None or tuple"),
     ENTRY(max_speed, "max_speed(stage, vel) -> float"),
     ENTRY(max_slope, "max_slope(vel, width) -> (float, int)"),
     ENTRY(row_sums, "row_sums(stage, rho, vel) -> (float, float, float, float)"),

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import ModelConfig, RadialGrid, grid_weights
+from .model import FluidState, ModelConfig, RadialGrid, grid_weights
 from .poisson import alpha
 
 # SHA-256 from CPython's built-in module (_sha2 from 3.12, _sha256 before), so
@@ -59,7 +59,12 @@ class Plan:
     just raised when the stage's state is the one it was given: the plan
     keeps that state until the row is raised for another, or to gamma by
     ``row_sums``. A state's fields are never written after it is built, so
-    the same object has the same powers. For gamma = 1 nothing is raised."""
+    the same object has the same powers. For gamma = 1 nothing is raised.
+
+    The same rule keeps what a step's second stage finds of the state it
+    makes: its wave speed, which ``max_speed`` returns for that state unless
+    the cells must be raised first, and its steepest slope, which
+    ``max_slope`` returns for it."""
 
     def __init__(self, grid: RadialGrid, cfg: ModelConfig):
         n, weights = grid.n_cells, grid_weights(grid, cfg.dim)
@@ -73,6 +78,10 @@ class Plan:
         self._block, self._gamma = (2, n), cfg.gamma
         # the state whose cells the scratch holds raised to gamma - 1, or None
         self._cell_state = None
+        # the state the last second stage made, its wave speed and its
+        # steepest slope and cell at the slope width 2 dr
+        self._made = self._speed = self._slope = None
+        self._width = 2.0 * grid.cell_width
 
     def tendencies(self, state, wall: int, rho_floor: float) -> tuple[np.ndarray, int]:
         """A stage's (2, n) tendencies and the first non-finite index in them, or -1."""
@@ -81,16 +90,24 @@ class Plan:
         out = np.empty(self._block)
         return out, load().tendencies(self._stage, wall, state.rho, state.vel, rho_floor, out)
 
-    def rk_stage(self, wall: int, dt: float, state, mid, k) -> float:
+    def rk_stage(self, wall: int, dt: float, state, mid, k):
         """A Runge-Kutta stage from ``state`` in place on the (2, n) tendencies
-        ``k``; ``mid`` is the first stage's, None in that stage. Returns the
-        least density of the second stage, NaN in the first."""
-        return load().rk_stage(self._stage, wall, dt, state.rho, state.vel, mid, k)
+        ``k``; ``mid`` is the first stage's, None in that stage, which returns
+        None. The second returns the new state, ``k``'s rows at
+        ``state.time + dt``, and its least density."""
+        facts = load().rk_stage(self._stage, wall, dt, state.rho, state.vel, mid, k)
+        if facts is None:
+            return None
+        lowest, self._speed, self._slope = facts
+        self._made = FluidState.of_block(state.time + dt, k)
+        return self._made, lowest
 
     def max_speed(self, state) -> float:
         """max(|V| + c) over the cells."""
         if self._cell is not None:
             self._cell_powers(state)
+        elif state is self._made:
+            return self._speed
         return load().max_speed(self._stage, state.vel)
 
     def row_sums(self, state) -> tuple[float, float, float, float]:
@@ -135,7 +152,11 @@ def plan(grid: RadialGrid, cfg: ModelConfig) -> Plan:
 
 def max_slope(state, width: float) -> tuple[float, int]:
     """The largest |vel[i + 1] - vel[i - 1]| / width of a state of 3 or more
-    cells and its cell i: the first maximum, or the first NaN."""
+    cells and its cell i: the first maximum, or the first NaN. The thread's
+    last plan answers for the state its last step made, at its width 2 dr."""
+    last = _thread.last[2]
+    if last is not None and state is last._made and width == last._width:
+        return last._slope
     return load().max_slope(state.vel, width)
 
 
@@ -218,6 +239,34 @@ def _build(target: Path) -> None:
             os.remove(tmp)
 
 
+#: The builds of this interpreter's ABI a cache keeps, the newest by the time
+#: they were built: checkouts of other sources that share the cache keep
+#: theirs, and a source that comes back loads without a compile.
+KEPT_BUILDS = 4
+
+
+def _evict(directory: Path, target: Path, suffix: str) -> None:
+    """Remove this ABI's builds past the ``KEPT_BUILDS`` newest, ``target``
+    always kept, and the plain ``kernel-<hash>.so`` of earlier versions.
+    Another process may remove the same files first."""
+    ours = re.compile(rf"kernel-.*{re.escape(suffix)}")
+    plain = re.compile(r"kernel-[0-9a-f]{16}\.so")
+    builds, stale = [], []
+    for path in directory.iterdir():
+        if path == target:
+            continue
+        if plain.fullmatch(path.name):
+            stale.append(path)
+        elif ours.fullmatch(path.name):
+            try:
+                builds.append((path.stat().st_mtime_ns, path))
+            except FileNotFoundError:
+                pass
+    builds.sort(reverse=True)
+    for path in stale + [path for _, path in builds[KEPT_BUILDS - 1 :]]:
+        path.unlink(missing_ok=True)
+
+
 @functools.cache
 def load():
     """The kernel module, compiled into the cache first if it is not there."""
@@ -231,11 +280,7 @@ def load():
     target = directory / f"kernel-{key}{suffix}"
     if not target.exists():
         _build(target)
-        # older builds for this ABI, and the plain kernel-<hash>.so of earlier versions
-        stale = re.compile(rf"kernel-(.*{re.escape(suffix)}|[0-9a-f]{{16}}\.so)")
-        for old in directory.iterdir():
-            if old != target and stale.fullmatch(old.name):
-                old.unlink(missing_ok=True)
+        _evict(directory, target, suffix)
     # the file suffix makes the spec's loader an ExtensionFileLoader
     spec = spec_from_file_location("kernel", target)
     module = module_from_spec(spec)

@@ -216,12 +216,12 @@ def step(
     mid = rhs_eval(state, cfg, grid, num, rho_floor)
     plan.rk_stage(wall, dt, state, None, mid)
     new = rhs_eval(FluidState.of_block(time, mid), cfg, grid, num, rho_floor)
-    rho_min = plan.rk_stage(wall, dt, state, mid, new)
+    made, rho_min = plan.rk_stage(wall, dt, state, mid, new)
     if rho_min < -positivity_tol:
         raise PositivityError(
             f"density {rho_min:.3e} below -{positivity_tol:.3e} at t={time:.6g}"
         )
-    return FluidState.of_block(time, new)
+    return made
 
 
 def detect_steepening(

@@ -46,9 +46,34 @@ def walls(n: int) -> list:
     return list(range(n + 1)) if n in SMALL else [0, 1, n - 2, n]
 
 
+def near_ties(rng, n: int, width: float) -> np.ndarray:
+    """Velocities whose differences |v[i + 2] - v[i]| are every difference
+    that gives one slope once divided by ``width``, and the one below them:
+    at a width above 1 several differences round to the same slope, and the
+    first cell with the largest slope need not hold the largest difference.
+    Most often where the slope's mantissa is near 1 and the difference's
+    near 2: there a difference moves by about half a unit of the slope."""
+    a = width * 2.0 ** int(rng.integers(0, 4)) * rng.uniform(1.0, 1.05)
+    slope = a / width
+    lo = hi = a
+    while np.nextafter(lo, 0.0) / width == slope:
+        lo = np.nextafter(lo, 0.0)
+    while np.nextafter(hi, np.inf) / width == slope:
+        hi = np.nextafter(hi, np.inf)
+    levels = [np.nextafter(lo, 0.0), lo]
+    while levels[-1] < hi:
+        levels.append(np.nextafter(levels[-1], np.inf))
+    v = np.zeros(n)
+    # v[i] = 0 at even i, a level at odd i: every difference is 0 or a level
+    for i in range(1, n, 4):
+        v[i] = rng.choice(levels)
+    return v
+
+
 def draw_state(rng, n: int, wall: int) -> FluidState:
     """Random fields, some with vacuum patches, roundoff-level negative or
-    negative-zero densities, non-finite cells, or zeros from the wall on."""
+    negative-zero densities, velocity differences that tie once divided by
+    the slope width 2 dr, non-finite cells, or zeros from the wall on."""
     rho = rng.uniform(0.0, 2.0, n)
     vel = rng.normal(0.0, 1.0, n)
     for _ in range(rng.integers(0, 3)):
@@ -58,6 +83,9 @@ def draw_state(rng, n: int, wall: int) -> FluidState:
         rho[rng.integers(0, n, 2)] = rng.choice((-1e-18, -0.0), 2)
     if rng.random() < 0.3:
         vel[rng.random(n) < 0.3] = -0.0
+    if rng.random() < 0.1:
+        # a lower difference before the largest whose slope rounds the same
+        vel[:] = near_ties(rng, n, 2.0 / n)
     if rng.random() < 0.15:
         field = rho if rng.random() < 0.5 else vel
         field[rng.integers(0, n)] = rng.choice((np.inf, -np.inf, np.nan))
@@ -99,10 +127,43 @@ def _kernel_tendencies(plan, state, wall, rho_floor):
     return out if bad < 0 else Breakdown(bad % n, ("density", "velocity")[bad // n])
 
 
+def facts_mismatch(plan, made, lowest, cfg, grid) -> str:
+    """What a second stage got wrong of the state ``made`` it made and
+    returned with its least density ``lowest``, or the empty string: that
+    density, and the wave speed and steepest slope as a run reads them, from
+    the plan's facts (the speed from ``max_speed``'s entry where the cells
+    must be raised first), bit for bit against numpy on ``made``'s fields."""
+    facts = (lowest, plan.max_speed(made), *_kernel.max_slope(made, 2.0 * grid.cell_width))
+    # the least density as np.minimum folds it from the first cell: the
+    # first NaN, else the least, of equal zeros the last. np.min reduces in
+    # SIMD blocks, and which zero it returns depends on n mod 8 and the CPU
+    expected = (
+        np.minimum.accumulate(made.rho)[-1], ref.max_wave_speed(made, cfg),
+        *ref.max_velocity_gradient(made, grid),
+    )
+    for name, got, want in zip(FACTS, facts, expected):
+        if not _same(got, want):
+            return f"{name} {got!r}, oracle {want!r}"
+    return ""
+
+
+# the facts of a state a step makes, in the order of the comparison
+FACTS = ("least density", "wave speed", "steepest slope", "its cell")
+
+
 def mismatch(plan, state, cfg, grid, wall, dt) -> str:
     """What the kernel gets wrong of a stage and a step from ``state`` with
     cells from ``wall`` on closed, or the empty string."""
     n = grid.n_cells
+    # a second stage whose new state is ``state`` itself, its NaN, infinite
+    # and negative-zero cells kept: (-0.0 * dt + x) * 0.5 + 0.5 * x is x
+    # unless x halves to a subnormal, with the cells from the wall on zeroed
+    made, lowest = plan.rk_stage(
+        wall, dt, state, np.stack([state.rho, state.vel]), np.full((2, n), -0.0)
+    )
+    wrong = facts_mismatch(plan, made, lowest, cfg, grid)
+    if wrong:
+        return f"state: {wrong}"
     num = SimpleNamespace(support_margin_cells=n - wall)
     finite = state.rho[np.isfinite(state.rho)]
     rho_floor = VACUUM_FLOOR_REL * float(np.max(finite, initial=0.0))
@@ -118,13 +179,11 @@ def mismatch(plan, state, cfg, grid, wall, dt) -> str:
     second = _kernel_tendencies(plan, FluidState.of_block(dt, first), wall, rho_floor)
     if isinstance(new_state, Breakdown) or isinstance(second, Breakdown):
         return "" if _both_break(second, new_state) else f"step {second!r}, oracle {new_state!r}"
-    lowest = plan.rk_stage(wall, dt, state, first, second)
-    if not (_same(second[0], new_state.rho) and _same(second[1], new_state.vel)):
+    made, lowest = plan.rk_stage(wall, dt, state, first, second)
+    if not (_same(made.rho, new_state.rho) and _same(made.vel, new_state.vel)):
         return "step differs"
-    expected_lowest = float(np.min(new_state.rho))
-    if not (lowest == expected_lowest or (np.isnan(lowest) and np.isnan(expected_lowest))):
-        return f"least density {lowest!r}, oracle {expected_lowest!r}"
-    return ""
+    wrong = facts_mismatch(plan, made, lowest, cfg, grid)
+    return f"step: {wrong}" if wrong else ""
 
 
 def cases(seed: int, sizes, repeats: int):
@@ -138,7 +197,8 @@ def cases(seed: int, sizes, repeats: int):
                 cfg = ModelConfig(
                     dim=int(rng.integers(1, 4)), delta=delta, pressure_const=k, gamma=gamma
                 )
-                plan = _kernel.Plan(grid, cfg)
+                # the thread's plan, whose facts max_slope reads
+                plan = _kernel.plan(grid, cfg)
                 for wall in walls(n):
                     for _ in range(repeats):
                         dt = float(rng.uniform(1e-4, 1e-2))
@@ -160,7 +220,8 @@ def main(argv=None) -> int:
                 if bad <= 20:
                     print(f"n={grid.n_cells} wall={wall} {cfg}: {wrong}")
     print(
-        f"tendencies and rk_stage against the oracle: {count} states of seed {seed}, "
+        f"tendencies, rk_stage and the new state's facts against the oracle: {count} states "
+        f"of seed {seed}, "
         f"{bad} mismatches, {time.perf_counter() - start:.1f} s"
     )
     return 1 if bad else 0

@@ -16,12 +16,16 @@ from _helpers import swap_in_clone
 from test_kernel_equivalence import (  # noqa: F401
     test_breakdown_reports_the_same_cell,
     test_diagnostics_row_matches_numpy_sums,
+    test_a_slope_width_of_any_sign_divides_every_difference,
     test_edge_faces_match_reference_at_every_wall,
+    test_facts_at_their_edges,
     test_max_velocity_gradient_matches_reference,
     test_padding_field_and_diagnostics_match_reference,
     test_reductions_keep_numpy_rules,
     test_signed_zeros_match_reference,
+    test_slopes_equal_after_the_division_take_the_first_cell,
     test_tendencies_and_step_match_reference,
+    test_the_facts_of_a_made_state_keep_numpy_rules,
 )
 
 

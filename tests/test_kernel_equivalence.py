@@ -364,11 +364,111 @@ def test_reductions_keep_numpy_rules(values, pressure):
     k = np.stack([np.full(n, -0.0), zeros])
     new_rho = values * 0.5
     new_rho[wall:] = 0.0
-    lowest = plan.rk_stage(wall, 0.5, FluidState(0.0, np.full(n, -0.0), zeros), mid, k)
-    assert _same(k[0], new_rho)
+    made, lowest = plan.rk_stage(wall, 0.5, FluidState(0.0, np.full(n, -0.0), zeros), mid, k)
+    assert _same(k[0], new_rho) and made.rho.base is k and made.time == 0.5
     assert _same(lowest, _chained(float.__lt__, new_rho.tolist()))
     # the first stage writes old + dt * k and takes no minimum
-    assert np.isnan(plan.rk_stage(wall, 0.5, FluidState(0.0, values, zeros), None, k))
+    assert plan.rk_stage(wall, 0.5, FluidState(0.0, values, zeros), None, k) is None
+
+
+# (K, gamma): dust and the isothermal law, whose wave speed a step's second
+# stage finds, and gamma 1.4, whose speed needs the raised cells
+FACT_LAWS = ((0.0, 1.4), (1.0, 1.0), (1.0, 1.4))
+
+
+def _made(plan, values, wall=None):
+    """The state a second stage makes whose fields are ``values``, as far as
+    (-0.0 * dt + x) * 0.5 + 0.5 * x is x, zeroed from ``wall`` on, and its
+    least density."""
+    n = values.size
+    old = FluidState(0.0, values, values)
+    return plan.rk_stage(n if wall is None else wall, 0.5, old, np.stack([values, values]),
+                         np.full((2, n), -0.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(reduction_cases(), st.sampled_from(FACT_LAWS))
+def test_the_facts_of_a_made_state_keep_numpy_rules(values, law):
+    # the least density, wave speed and steepest slope that a second stage
+    # finds of the state it makes, against numpy on that state's fields
+    n = values.size
+    grid = RadialGrid(n_cells=n, support_radius=1.0)
+    cfg = ModelConfig(dim=3, pressure_const=law[0], gamma=law[1])
+    made, lowest = _made(_kernel.plan(grid, cfg), values)
+    rho, vel = made.rho, made.vel
+    with np.errstate(all="ignore"):
+        speeds = np.abs(vel) + sound_speed(np.maximum(rho, 0.0), cfg)
+        expected = ref.max_velocity_gradient(made, grid)
+    assert _same(lowest, _chained(float.__lt__, rho.tolist()))
+    assert _same(max_wave_speed(made, cfg, grid), _chained(float.__gt__, speeds.tolist()))
+    value, cell = diagnostics.max_velocity_gradient(made, grid)
+    assert cell == expected[1] and _same(value, expected[0]) and type(cell) is int
+    # the same fields in a state built anew go through the entries
+    anew = FluidState(made.time, rho, vel)
+    assert _same(max_wave_speed(anew, cfg, grid), max_wave_speed(made, cfg, grid))
+    assert _same(diagnostics.max_velocity_gradient(anew, grid), (value, cell))
+
+
+# (width, scale of random velocities, or 0 for near ties): near ties at
+# several widths, slopes that overflow to inf, and slopes that underflow
+SLOPE_CASES = ((1.9, 0), (3.0, 0), (7.5, 0), (0.1, 0), (1e-300, 0), (5e-324, 0),
+               (1e-300, 1e10), (1e300, 1e-10))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(3, 300), st.integers(0, 2**32 - 1), st.sampled_from(SLOPE_CASES))
+def test_slopes_equal_after_the_division_take_the_first_cell(n, seed, case):
+    # the largest difference and one division give np.argmax of the slopes
+    # only with the first cell whose slope rounds to the largest: a lower
+    # difference there, or an overflow to inf, or an underflow
+    width, scale = case
+    rng = np.random.default_rng(seed)
+    v = rng.normal(size=n) * scale if scale else stage_differential.near_ties(rng, n, width)
+    with np.errstate(all="ignore"):
+        slopes = np.abs(v[2:] - v[:-2]) / width
+    k = int(np.argmax(slopes))
+    slope, cell = _kernel.load().max_slope(v, width)
+    assert cell == k + 1 and _same(slope, slopes[k])
+    # and so does a second stage, on a grid whose 2 dr is the width
+    if 0.1 <= width <= 7.5 and n >= 8:
+        grid = RadialGrid(n_cells=n, support_radius=width * n / 2.0)
+        made, _ = _made(_kernel.plan(grid, ModelConfig(pressure_const=0.0)), v)
+        if 2.0 * grid.cell_width == width:
+            assert diagnostics.max_velocity_gradient(made, grid) == (float(slopes[k]), k + 1)
+
+
+@pytest.mark.parametrize("width", [0.0, -0.0, -0.5, math.inf, -math.inf, math.nan])
+def test_a_slope_width_of_any_sign_divides_every_difference(width):
+    # where the division does not round monotonically upwards, the kernel
+    # divides each difference as numpy does
+    v = np.array([0.0, 1.0, -2.0, 3.0, 0.0, -1e308, 1e308, math.inf, 2.0, 2.0])
+    for values in (v, np.zeros(10), v[::-1].copy()):
+        with np.errstate(all="ignore"):
+            slopes = np.abs(values[2:] - values[:-2]) / width
+        k = int(np.argmax(slopes))
+        slope, cell = _kernel.load().max_slope(values, width)
+        assert cell == k + 1 and _same(slope, slopes[k])
+
+
+def test_facts_at_their_edges():
+    # ties take the first cell, a NaN velocity the first NaN, and a least
+    # density of zeros the sign of the last zero, the margin's +0.0 included
+    n = 16
+    grid = RadialGrid(n_cells=n, support_radius=1.0)
+    plan = _kernel.plan(grid, ModelConfig(pressure_const=0.0))
+    v = np.zeros(n)
+    v[[5, 9, 13]] = 1.0
+    made, _ = _made(plan, v)
+    assert diagnostics.max_velocity_gradient(made, grid) == (1.0 / (2.0 * grid.cell_width), 4)
+    first, second = NANS[:2]
+    v[[7, 11]] = first, second
+    made, _ = _made(plan, v)
+    slope, cell = diagnostics.max_velocity_gradient(made, grid)
+    assert cell == 6 and _same(slope, abs(first))
+    assert _same(max_wave_speed(made, ModelConfig(pressure_const=0.0), grid), abs(first))
+    zeros = np.full(n, -0.0)
+    for wall, sign in ((n, -0.0), (n - 2, 0.0), (0, 0.0)):
+        assert _same(_made(plan, zeros, wall)[1], sign)
 
 
 def _bits(*patterns: int) -> list:

@@ -7,6 +7,7 @@ picks the widest clone the CPU has, and only ``_kernel`` calls it."""
 import ast
 import datetime
 import gc
+import os
 import re
 import shutil
 import stat
@@ -18,7 +19,7 @@ import numpy as np
 import pytest
 
 from _helpers import cpu_clones
-from radialblowup import FluidState, ModelConfig, RadialGrid, _kernel, model
+from radialblowup import FluidState, ModelConfig, RadialGrid, _kernel, diagnostics, model, solver
 
 PACKAGE = Path(_kernel.__file__).parent
 
@@ -102,24 +103,56 @@ def test_missing_python_headers_are_named(fresh_cache, tmp_path, monkeypatch):
 
 
 def test_a_build_removes_older_libraries(fresh_cache, stub_source):
-    # older builds for this interpreter's ABI and the ctypes libraries of
-    # earlier versions go; a build in progress, a build for another
-    # interpreter and any other name stay
+    # builds for this interpreter's ABI past the newest KEPT_BUILDS (the new
+    # one among them) and the ctypes libraries of earlier versions go; a build
+    # in progress, a build for another interpreter and any other name stay
     fresh_cache.mkdir(mode=0o700)
     suffix = EXTENSION_SUFFIXES[0]
-    stale = fresh_cache / f"kernel-0000000000000000{suffix}"
+    builds = [fresh_cache / f"kernel-{k:016x}{suffix}" for k in range(_kernel.KEPT_BUILDS + 1)]
     partial = fresh_cache / "tmpbuild.so.tmp"
     other_abi = fresh_cache / "kernel-0000000000000000.cpython-399-other.so"
     plain = fresh_cache / "kernel-0123456789abcdef.so"
     other = fresh_cache / "kernel-01234567.so"
-    for path in (stale, partial, other_abi, plain, other):
+    for path in (*builds, partial, other_abi, plain, other):
         path.write_bytes(b"old")
+    # built a day apart, the first the newest
+    for age, path in enumerate(builds):
+        stamp = path.stat().st_mtime - 86400 * (age + 1)
+        os.utime(path, (stamp, stamp))
     _kernel.load()
-    names = sorted(p.name for p in fresh_cache.iterdir())
-    assert stale.name not in names and plain.name not in names
-    assert {partial.name, other_abi.name, other.name} <= set(names)
-    (library,) = (name for name in names if name.endswith(suffix))
-    assert library.startswith("kernel-") and library != stale.name
+    names = {p.name for p in fresh_cache.iterdir()}
+    kept = _kernel.KEPT_BUILDS - 1
+    assert {p.name for p in builds[:kept]} <= names
+    assert not {p.name for p in builds[kept:]} & names and plain.name not in names
+    assert {partial.name, other_abi.name, other.name} <= names
+
+
+def test_two_sources_that_share_a_cache_keep_their_builds(fresh_cache, tmp_path, monkeypatch):
+    # two checkouts whose kernels differ, loaded in turn from one cache: the
+    # second build leaves the first, which then loads without a compile
+    commands = []
+
+    def counted(command, _compile=_kernel._compile):
+        commands.append(command)
+        return _compile(command)
+
+    monkeypatch.setattr(_kernel, "_compile", counted)
+    sources = []
+    for name in ("a", "b"):
+        source = tmp_path / f"{name}.c"
+        source.write_text(
+            f"/* checkout {name} */\n#include <Python.h>\n"
+            "static struct PyModuleDef stub = {PyModuleDef_HEAD_INIT, \"kernel\", NULL, 0,\n"
+            "                                  NULL, NULL, NULL, NULL, NULL};\n"
+            "PyMODINIT_FUNC PyInit_kernel(void) { return PyModuleDef_Init(&stub); }\n"
+        )
+        sources.append(source)
+    for source in (*sources, sources[0]):
+        monkeypatch.setattr(_kernel, "SOURCE", source)
+        _kernel.load.cache_clear()
+        _kernel.load()
+    assert len(commands) == 2
+    assert len(list(fresh_cache.iterdir())) == 2
 
 
 def _wrong(array: np.ndarray, short: bool) -> list:
@@ -295,6 +328,39 @@ def test_a_plan_outlives_its_grid_and_weights():
     del junk
 
 
+@pytest.mark.parametrize("pressure_const, gamma", [(0.0, 1.4), (1.0, 1.0), (1.0, 1.4)])
+def test_a_step_answers_for_the_state_it_made(monkeypatch, pressure_const, gamma):
+    # the wave speed and slope of the state a step made come from its second
+    # stage, with no C call, for that state object alone: the same arrays in
+    # a state built anew go through the entries and give the same values.
+    # With pressure and gamma > 1 the speed needs the raised cells, and
+    # max_speed's entry still runs
+    n = 64
+    grid = RadialGrid(n_cells=n, support_radius=1.0)
+    cfg = ModelConfig(dim=3, delta=1, pressure_const=pressure_const, gamma=gamma)
+    r = grid.cell_centers
+    state = FluidState(0.0, (1.0 - r**2) ** 2, r * (1.0 - r))
+    made = solver.step(state, 1e-3, cfg, grid, solver.NumericsConfig())
+    lib, called = _kernel.load(), []
+
+    class Counted:
+        def __getattr__(self, name):
+            called.append(name)
+            return getattr(lib, name)
+
+    monkeypatch.setattr(_kernel, "load", Counted)
+    speed = solver.max_wave_speed(made, cfg, grid)
+    gradient = diagnostics.max_velocity_gradient(made, grid)
+    assert called == ([] if pressure_const == 0.0 or gamma == 1.0 else ["max_speed"])
+    anew = FluidState(made.time, made.rho, made.vel)
+    called.clear()
+    assert np.float64(solver.max_wave_speed(anew, cfg, grid)).tobytes() == (
+        np.float64(speed).tobytes()
+    )
+    assert diagnostics.max_velocity_gradient(anew, grid) == gradient
+    assert called == ["max_speed", "max_slope"]
+
+
 def test_the_library_runs_the_avx2_clones_where_the_cpu_has_avx2():
     assert _kernel.target() == cpu_clones()[0]
 
@@ -311,6 +377,7 @@ def test_the_avx2_clones_of_the_loops_hold_256_bit_code():
     # no contraction into fused multiply-adds, which every wide target has
     assert re.search(r"\svfn?m(add|sub)", listing) is None
     wide: dict[tuple[str, str], int] = {}
+    ymm_in_avx512f: dict[str, int] = {}
     key = None
     for line in listing.splitlines():
         head = re.match(r"[0-9a-f]+ <(\w+)\.(avx512f|avx2)[.\w]*>:", line)
@@ -321,16 +388,20 @@ def test_the_avx2_clones_of_the_loops_hold_256_bit_code():
             key = None
         elif key is not None and ("zmm" if key[1] == "avx512f" else "ymm") in line:
             wide[key] += 1
+        elif key is not None and key[1] == "avx512f" and "ymm" in line:
+            ymm_in_avx512f[key[0]] = ymm_in_avx512f.get(key[0], 0) + 1
     if not wide:
         pytest.skip("the kernel has no wide clones on this platform")
     loops = (
         "face_means", "sound_speeds", "fluxes", "cells", "rk_stage", "max_speed", "block_sums"
     )
-    # extreme and max_slope work in 32-byte vectors, ymm in both clones
-    for loop in loops + ("extreme", "max_slope"):
+    # extreme, max_slope and step_facts work in 32-byte vectors, ymm in both
+    # clones
+    for loop in loops + ("extreme", "max_slope", "step_facts"):
         assert wide.get((loop, "avx2"), 0) > 0, loop
     for loop in loops:
         assert wide.get((loop, "avx512f"), 0) > 0, loop
+    assert ymm_in_avx512f.get("step_facts", 0) > 0
 
 
 def _tree(name: str) -> ast.AST:
