@@ -13,10 +13,10 @@
  * to numpy is the power of the cells, max(rho, 0)**(gamma - 1) for a stage
  * and max_speed() and max(rho, 0)**gamma for a diagnostics row, since
  * numpy's SIMD `**` differs from `pow` here in the last bit. With pressure
- * and gamma > 1 the caller raises the `cell` row before each call; for
- * gamma = 1 every power to gamma - 1 is 1 and the power to gamma is
- * max(rho, 0) itself, so nothing is raised. A stage is the one call
- * tendencies() for every law.
+ * and gamma > 1 the caller raises a `cell` row and passes it to each call
+ * that reads it; for gamma = 1 every power to gamma - 1 is 1 and the power
+ * to gamma is max(rho, 0) itself, so nothing is raised. A stage is the one
+ * call tendencies() for every law.
  *
  * The per-face and per-cell work runs in short branch-free loops over
  * restrict pointers, which the compiler vectorizes lane by lane: each lane
@@ -69,8 +69,9 @@
  * alone. */
 struct stage {
     int64_t n;           /* cells */
-    int64_t per_density; /* gamma = 1: K * face mean of rho is a pressure,
-                            divided by rho */
+    int64_t raised;      /* K > 0 and gamma > 1: the caller raises the cells;
+                            else with K > 0 (gamma = 1) K * face mean of rho
+                            is a pressure, divided by rho */
     double dr;
     double sound_coef;   /* K*gamma: c = sqrt(sound_coef * rho**(gamma - 1)) */
     double grad_coef;    /* face enthalpy or pressure = grad_coef * face mean */
@@ -82,10 +83,6 @@ struct stage {
     double *work;        /* scratch (4, n + 4), (5, n + 4) with pressure: the
                             fluxes, the force sums, the wave speeds, the
                             sound speeds and the face means; see WORK */
-    double *cell;        /* NULL without pressure or for gamma = 1, else
-                            scratch (n): max(rho, 0) raised by the caller,
-                            to gamma - 1 for a stage and max_speed and to
-                            gamma for row_sums */
 };
 
 /* Row k of the work scratch. Rows 0 and 1 hold the force sums of a stage,
@@ -320,7 +317,7 @@ CLONED static int64_t cells(const struct stage *s, const double *restrict rho, d
         drho[i] = -(mass[i + 1] - mass[i]) / (center[i] * dr);
         dvel[i] = -(adv[i + 1] - adv[i]) / dr;
     }
-    if (base && s->per_density) {
+    if (base && !s->raised) {
         for (int64_t i = 0; i < n; i++)
             dvel[i] = dvel[i] - (gc * base[i + 1] - gc * base[i])
                                     / (dr * (rho[i] > rho_floor ? rho[i] : 1.0));
@@ -360,22 +357,23 @@ CLONED static int64_t cells(const struct stage *s, const double *restrict rho, d
 }
 
 /* A stage's tendencies into the (2, n) block out, from the cells rho and
- * vel where they lie; no cell is copied. With pressure and gamma > 1 the
- * caller has raised s->cell to gamma - 1: the sound speeds of the fluxes
- * come from those cells, and so does the face enthalpy, as their face means
- * (0**(gamma - 1) = 0 past the wall). For gamma = 1 the sound speed is
- * sqrt(K) and the pressure is K times the face means of rho. */
+ * vel where they lie; no cell is copied. With pressure and gamma > 1 cell
+ * holds them raised to gamma - 1 (else NULL): the sound speeds of the
+ * fluxes come from those cells, and so does the face enthalpy, as their
+ * face means (0**(gamma - 1) = 0 past the wall). For gamma = 1 the sound
+ * speed is sqrt(K) and the pressure is K times the face means of rho. */
 CLONED static int64_t tendencies(const struct stage *s, int64_t wall, const double *rho,
-                                 const double *vel, double rho_floor, double *out)
+                                 const double *vel, const double *cell, double rho_floor,
+                                 double *out)
 {
     int64_t n = s->n;
     /* the sound speeds, then the face means */
     double *face = s->pressure_const > 0.0 ? WORK(s, 4) : NULL;
     if (face)
-        sound_speeds(n, s->sound_coef, s->cell, face);
+        sound_speeds(n, s->sound_coef, cell, face);
     fluxes(n, wall, rho, vel, face, s->face_area, WORK(s, 2), WORK(s, 3));
     if (face)
-        face_means(n, s->per_density ? rho : s->cell, face);
+        face_means(n, s->raised ? cell : rho, face);
     return cells(s, rho, rho_floor, face, out);
 }
 
@@ -405,25 +403,17 @@ CLONED static void rk_stage(const struct stage *s, int64_t wall, double dt,
 }
 
 /* np.max of |vel| + sqrt(sound_coef * cell) over the cells, with cell
- * raised to gamma - 1, whose powers are 1 for gamma = 1. The speeds go to
+ * raised to gamma - 1, or NULL where each power is 1 (gamma = 1, and dust,
+ * whose +0.0 leaves every |V|, NaN included, as it is). The speeds go to
  * work row 0 first. */
-CLONED static double max_speed(const struct stage *s, const double *restrict vel)
+CLONED static double max_speed(const struct stage *s, const double *restrict vel,
+                               const double *restrict cell)
 {
     int64_t n = s->n;
-    double sc = s->sound_coef;
+    double sc = s->sound_coef, c = sqrt(sc);
     double *restrict speed = WORK(s, 0);
-    const double *restrict cell = s->cell;
-    if (cell) {
-        for (int64_t i = 0; i < n; i++)
-            speed[i] = fabs(vel[i]) + sqrt(sc * cell[i]);
-    } else if (s->pressure_const > 0.0) {
-        double c = sqrt(sc);
-        for (int64_t i = 0; i < n; i++)
-            speed[i] = fabs(vel[i]) + c;
-    } else {
-        for (int64_t i = 0; i < n; i++)
-            speed[i] = fabs(vel[i]);
-    }
+    for (int64_t i = 0; i < n; i++)
+        speed[i] = fabs(vel[i]) + (cell ? sqrt(sc * cell[i]) : c);
     return extreme(n, speed, 1.0);
 }
 
@@ -594,7 +584,7 @@ CLONED static struct facts step_facts(const struct stage *s, const double *restr
             out.speed = fabs(vel[i]);
             break;
         }
-    if (s->cell)
+    if (s->raised)
         out.speed = NAN;
     else if (s->pressure_const > 0.0)
         out.speed = out.speed + sqrt(s->sound_coef);
@@ -608,17 +598,18 @@ CLONED static struct facts step_facts(const struct stage *s, const double *restr
  * leaves the first term as it is; else eight interleaved accumulators,
  * combined as a balanced tree, then the tail in order. The four summands
  * of a cell, each product in the operand order of its numpy expression,
- * with w = r**(N-1) and cell raised to gamma (max(rho, 0) for gamma = 1):
- * r*V; rho*w; (rho*V**2 [+ 2*(K*cell)])*w; V**2*2*r. */
+ * with w = r**(N-1) and cell raised to gamma (NULL for gamma = 1, whose
+ * power is max(rho, 0)): r*V; rho*w; (rho*V**2 [+ 2*(K*cell)])*w; V**2*2*r. */
 CLONED static void block_sums(const struct stage *s, const double *restrict rho,
-                              const double *restrict vel, int64_t lo, int64_t n, double out[4])
+                              const double *restrict vel, const double *restrict cell,
+                              int64_t lo, int64_t n, double out[4])
 {
     double t[4][128];
     const double *restrict r = s->r + lo, *restrict w = s->center + lo;
-    const double *restrict cell = s->cell ? s->cell + lo : NULL;
     double k = s->pressure_const;
     rho += lo;
     vel += lo;
+    cell = cell ? cell + lo : NULL;
     for (int64_t i = 0; i < n; i++) {
         double v2 = vel[i] * vel[i];
         t[0][i] = r[i] * vel[i];
@@ -662,17 +653,17 @@ CLONED static void block_sums(const struct stage *s, const double *restrict rho,
  * block_sums up to 128 terms; above 128 the two halves, split at n/2
  * rounded down to a multiple of 8, and their sum. */
 CLONED static void pairwise(const struct stage *s, const double *rho, const double *vel,
-                            int64_t lo, int64_t n, double out[4])
+                            const double *cell, int64_t lo, int64_t n, double out[4])
 {
     if (n <= 128) {
-        block_sums(s, rho, vel, lo, n, out);
+        block_sums(s, rho, vel, cell, lo, n, out);
         return;
     }
     int64_t half = n / 2;
     half -= half % 8;
     double tail[4];
-    pairwise(s, rho, vel, lo, half, out);
-    pairwise(s, rho, vel, lo + half, n - half, tail);
+    pairwise(s, rho, vel, cell, lo, half, out);
+    pairwise(s, rho, vel, cell, lo + half, n - half, tail);
     for (int q = 0; q < 4; q++)
         out[q] += tail[q];
 }
@@ -681,9 +672,9 @@ CLONED static void pairwise(const struct stage *s, const double *rho, const doub
  * reduction starts from its identity, so each sum is 0.0 + the pairwise
  * sum: +0.0, not -0.0, when every term is -0.0. */
 CLONED static void row_sums(const struct stage *s, const double *rho, const double *vel,
-                            double *out)
+                            const double *cell, double *out)
 {
-    pairwise(s, rho, vel, 0, s->n, out);
+    pairwise(s, rho, vel, cell, 0, s->n, out);
     for (int q = 0; q < 4; q++)
         out[q] = 0.0 + out[q];
 }
@@ -699,8 +690,9 @@ CLONED static const char *kernel_target(void)
 
 /* The Python binding: one METH_FASTCALL function per entry, which takes
  * the entry's arguments in order, the struct stage as the capsule stage()
- * returned and each array as a buffer: a state's rho and vel of shape (n)
- * and a (2, n) block. Each goes one way: open_call() checks the argument
+ * returned and each array as a buffer: a state's rho and vel of shape (n),
+ * the cells the caller raised (n), read only where the law raises them, and
+ * a (2, n) block. Each goes one way: open_call() checks the argument
  * count and the stage capsule, whose n the arrays take; array() checks each
  * buffer and holds it in the struct call; done() releases what the call
  * holds, on every failure as on success. stage() and max_slope take no
@@ -716,7 +708,7 @@ struct call {
     const char *entry;
     const struct stage *s;
     Py_ssize_t n;      /* below 0: the first array sets it, to -n or more */
-    Py_buffer view[6]; /* the most held: a stage's six arrays */
+    Py_buffer view[5]; /* the most held: a stage's five arrays */
     int count;
 };
 
@@ -816,6 +808,14 @@ static double *array(struct call *c, PyObject *obj, enum shape shape, int writab
     return NULL;
 }
 
+/* The cells the caller raised, obj, into *cell if the law reads them (K > 0
+ * and gamma > 1), else NULL with obj unread: 0, else -1 with ValueError. */
+static int raised_cells(struct call *c, PyObject *obj, const double **cell)
+{
+    *cell = NULL;
+    return c->s->raised && !(*cell = array(c, obj, CELLS, 0, "cell")) ? -1 : 0;
+}
+
 /* The float obj into *x: 0, else -1 with an exception set. */
 static int number(PyObject *obj, double *x)
 {
@@ -844,37 +844,35 @@ static void free_stage(PyObject *capsule)
     PyMem_Free(o);
 }
 
-/* stage(dr, K, gamma, field_coef, r, face_area, shell, inner_shell, center,
- * cell) -> a capsule that owns the struct stage of a grid of n = len(r)
- * cells, n >= 2, its work rows and the buffers it reads: r and the weights
- * of shape (n), face_area (n + 1), and with K > 0 and gamma > 1 the
- * writable n-cell row that the caller raises (ignored otherwise). */
+/* stage(dr, K, gamma, field_coef, r, face_area, shell, inner_shell, center)
+ * -> a capsule that owns the struct stage of a grid of n = len(r) cells,
+ * n >= 2, its work rows and the buffers it reads: r and the weights of
+ * shape (n) and face_area (n + 1). */
 static PyObject *py_stage(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
     struct call c;
     const double *r, *face_area, *shell, *inner_shell, *center;
-    double dr, k, g, fc, *cell = NULL;
+    double dr, k, g, fc;
     struct owned *o;
     PyObject *capsule;
     (void)self;
-    if (open_call(&c, "stage", args, nargs, 10, 2) < 0 || number(args[0], &dr) < 0
+    if (open_call(&c, "stage", args, nargs, 9, 2) < 0 || number(args[0], &dr) < 0
         || number(args[1], &k) < 0 || number(args[2], &g) < 0 || number(args[3], &fc) < 0
         || !(r = array(&c, args[4], CELLS, 0, "r"))
         || !(face_area = array(&c, args[5], FACES, 0, "face_area"))
         || !(shell = array(&c, args[6], CELLS, 0, "shell"))
         || !(inner_shell = array(&c, args[7], CELLS, 0, "inner_shell"))
-        || !(center = array(&c, args[8], CELLS, 0, "center"))
-        || (k > 0.0 && g > 1.0 && !(cell = array(&c, args[9], CELLS, 1, "cell"))))
+        || !(center = array(&c, args[8], CELLS, 0, "center")))
         return done(&c, NULL);
     if (!(o = PyMem_Malloc(sizeof *o + (k > 0.0 ? 5 : 4) * (c.n + 4) * sizeof(double))))
         return done(&c, PyErr_NoMemory());
     o->s = (struct stage){
-        .n = c.n, .per_density = !(g > 1.0), .dr = dr, .sound_coef = k * g,
+        .n = c.n, .raised = k > 0.0 && g > 1.0, .dr = dr, .sound_coef = k * g,
         /* pressure force per unit mass as an exact enthalpy gradient,
          * K*g/(g-1) * d(rho**(g-1))/dr: bounded at the vacuum edge */
         .grad_coef = g > 1.0 ? k * g / (g - 1.0) : k, .field_coef = fc, .pressure_const = k,
         .face_area = face_area, .shell = shell, .inner_shell = inner_shell, .center = center,
-        .r = r, .work = o->work, .cell = cell,
+        .r = r, .work = o->work,
     };
     /* moving a Py_buffer is safe: CPython's and numpy's exporters key
      * nothing on its address */
@@ -886,22 +884,22 @@ static PyObject *py_stage(PyObject *self, PyObject *const *args, Py_ssize_t narg
     return capsule;
 }
 
-/* tendencies(stage, wall, rho, vel, rho_floor, out) -> first non-finite
- * index or -1 */
+/* tendencies(stage, wall, rho, vel, cell, rho_floor, out) -> first
+ * non-finite index or -1 */
 static PyObject *py_tendencies(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
     struct call c;
-    const double *rho, *vel;
+    const double *rho, *vel, *cell;
     double *out, rho_floor;
     int64_t wall, bad;
     (void)self;
-    if (open_call(&c, "tendencies", args, nargs, 6, 0) < 0 || number(args[4], &rho_floor) < 0
+    if (open_call(&c, "tendencies", args, nargs, 7, 0) < 0 || number(args[5], &rho_floor) < 0
         || (wall = wall_of(&c, args[1])) < 0 || !(rho = array(&c, args[2], CELLS, 0, "rho"))
-        || !(vel = array(&c, args[3], CELLS, 0, "vel"))
-        || !(out = array(&c, args[5], BLOCK, 1, "out")))
+        || !(vel = array(&c, args[3], CELLS, 0, "vel")) || raised_cells(&c, args[4], &cell) < 0
+        || !(out = array(&c, args[6], BLOCK, 1, "out")))
         return done(&c, NULL);
     Py_BEGIN_ALLOW_THREADS
-    bad = tendencies(c.s, wall, rho, vel, rho_floor, out);
+    bad = tendencies(c.s, wall, rho, vel, cell, rho_floor, out);
     Py_END_ALLOW_THREADS
     return done(&c, PyLong_FromLongLong(bad));
 }
@@ -936,18 +934,18 @@ static PyObject *py_rk_stage(PyObject *self, PyObject *const *args, Py_ssize_t n
                                   (long long)made.cell));
 }
 
-/* max_speed(stage, vel) -> max(|V| + c) */
+/* max_speed(stage, vel, cell) -> max(|V| + c) */
 static PyObject *py_max_speed(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
     struct call c;
-    const double *vel;
+    const double *vel, *cell;
     double fastest;
     (void)self;
-    if (open_call(&c, "max_speed", args, nargs, 2, 0) < 0
-        || !(vel = array(&c, args[1], CELLS, 0, "vel")))
+    if (open_call(&c, "max_speed", args, nargs, 3, 0) < 0
+        || !(vel = array(&c, args[1], CELLS, 0, "vel")) || raised_cells(&c, args[2], &cell) < 0)
         return done(&c, NULL);
     Py_BEGIN_ALLOW_THREADS
-    fastest = max_speed(c.s, vel);
+    fastest = max_speed(c.s, vel, cell);
     Py_END_ALLOW_THREADS
     return done(&c, PyFloat_FromDouble(fastest));
 }
@@ -969,19 +967,19 @@ static PyObject *py_max_slope(PyObject *self, PyObject *const *args, Py_ssize_t 
     return done(&c, Py_BuildValue("(dL)", slope, (long long)(k + 1)));
 }
 
-/* row_sums(stage, rho, vel) -> the four sums as a tuple */
+/* row_sums(stage, rho, vel, cell) -> the four sums as a tuple */
 static PyObject *py_row_sums(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
     struct call c;
-    const double *rho, *vel;
+    const double *rho, *vel, *cell;
     double out[4];
     (void)self;
-    if (open_call(&c, "row_sums", args, nargs, 3, 0) < 0
+    if (open_call(&c, "row_sums", args, nargs, 4, 0) < 0
         || !(rho = array(&c, args[1], CELLS, 0, "rho"))
-        || !(vel = array(&c, args[2], CELLS, 0, "vel")))
+        || !(vel = array(&c, args[2], CELLS, 0, "vel")) || raised_cells(&c, args[3], &cell) < 0)
         return done(&c, NULL);
     Py_BEGIN_ALLOW_THREADS
-    row_sums(c.s, rho, vel, out);
+    row_sums(c.s, rho, vel, cell, out);
     Py_END_ALLOW_THREADS
     return done(&c, Py_BuildValue("(dddd)", out[0], out[1], out[2], out[3]));
 }
@@ -1149,13 +1147,13 @@ static PyObject *py_kernel_target(PyObject *self, PyObject *const *args, Py_ssiz
 #define ENTRY(name, doc) {#name, (PyCFunction)(void (*)(void))py_##name, METH_FASTCALL, doc}
 
 static PyMethodDef entries[] = {
-    ENTRY(stage, "stage(dr, K, gamma, field_coef, r, face_area, shell, inner_shell, center, "
-                 "cell) -> stage"),
-    ENTRY(tendencies, "tendencies(stage, wall, rho, vel, rho_floor, out) -> int"),
+    ENTRY(stage, "stage(dr, K, gamma, field_coef, r, face_area, shell, inner_shell, center) "
+                 "-> stage"),
+    ENTRY(tendencies, "tendencies(stage, wall, rho, vel, cell, rho_floor, out) -> int"),
     ENTRY(rk_stage, "rk_stage(stage, wall, dt, rho, vel, mid, k) -> None or tuple"),
-    ENTRY(max_speed, "max_speed(stage, vel) -> float"),
+    ENTRY(max_speed, "max_speed(stage, vel, cell) -> float"),
     ENTRY(max_slope, "max_slope(vel, width) -> (float, int)"),
-    ENTRY(row_sums, "row_sums(stage, rho, vel) -> (float, float, float, float)"),
+    ENTRY(row_sums, "row_sums(stage, rho, vel, cell) -> (float, float, float, float)"),
     ENTRY(format_rows, "format_rows(block) -> bytes"),
     ENTRY(kernel_target, "kernel_target() -> str"),
     {NULL, NULL, 0, NULL},

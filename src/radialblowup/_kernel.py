@@ -8,8 +8,9 @@ that never step a state never compile it. Every entry but ``max_slope``,
 ``format_rows`` and ``kernel_target`` takes the ``struct stage`` that the
 kernel's ``stage`` builds for a ``Plan``, once per grid, model and thread,
 and owns in a capsule with the arrays it reads; the methods of that ``Plan``
-are their only callers. This is the one module that calls the kernel, and
-the one that raises the cells with numpy's ``**`` before a C call.
+are their only callers, and pass each call every array it reads, the raised
+cells among them. This is the one module that calls the kernel, and the one
+that raises the cells with numpy's ``**`` before a C call.
 """
 
 from __future__ import annotations
@@ -50,79 +51,59 @@ COMPILE = (
 
 class Plan:
     """A grid and model's ``struct stage``, for the thread that builds it. Its
-    methods alone call the entries that take it, each after numpy's ``**``
-    has raised the cells it reads, and look up ``load`` and ``power`` anew
-    each time: tests swap them.
-
-    With pressure and gamma > 1, a stage takes its sound speeds and face
-    enthalpies from the cells raised to gamma - 1, the row ``max_speed`` has
-    just raised when the stage's state is the one it was given: the plan
-    keeps that state until the row is raised for another, or to gamma by
-    ``row_sums``. A state's fields are never written after it is built, so
-    the same object has the same powers. For gamma = 1 nothing is raised.
-
-    The same rule keeps what a step's second stage finds of the state it
-    makes: its wave speed, which ``max_speed`` returns for that state unless
-    the cells must be raised first, and its steepest slope, which
-    ``max_slope`` returns for it."""
+    methods alone call the entries that take it, and look up ``load`` and
+    ``power`` anew each time: tests swap them. A plan keeps no state: what a
+    call reads arrives as an argument, and the cells raised for it, which
+    ``powers`` returns, are a value the caller may pass on."""
 
     def __init__(self, grid: RadialGrid, cfg: ModelConfig):
-        n, weights = grid.n_cells, grid_weights(grid, cfg.dim)
-        # the n-cell row numpy's ** raises, None unless K > 0 and gamma > 1
-        self._cell = np.empty(n) if cfg.pressure_const > 0.0 and cfg.gamma > 1.0 else None
+        weights = grid_weights(grid, cfg.dim)
         self._stage = load().stage(
             grid.cell_width, cfg.pressure_const, cfg.gamma, alpha(cfg.dim) * cfg.delta,
             grid.cell_centers, weights.face_area, weights.shell, weights.inner_shell,
-            weights.center, self._cell,
+            weights.center,
         )
-        self._block, self._gamma = (2, n), cfg.gamma
-        # the state whose cells the scratch holds raised to gamma - 1, or None
-        self._cell_state = None
-        # the state the last second stage made, its wave speed and its
-        # steepest slope and cell at the slope width 2 dr
-        self._made = self._speed = self._slope = None
-        self._width = 2.0 * grid.cell_width
+        self._block, self._gamma = (2, grid.n_cells), cfg.gamma
+        self._raises = cfg.pressure_const > 0.0 and cfg.gamma > 1.0
 
-    def tendencies(self, state, wall: int, rho_floor: float) -> tuple[np.ndarray, int]:
-        """A stage's (2, n) tendencies and the first non-finite index in them, or -1."""
-        if self._cell is not None:
-            self._cell_powers(state)
+    def powers(self, state):
+        """max(state.rho, 0)**(gamma - 1), the cells a stage and the wave
+        speed read, in a new row; None unless K > 0 and gamma > 1."""
+        return power(state.rho, self._gamma - 1.0) if self._raises else None
+
+    def tendencies(self, state, wall: int, rho_floor: float, powers=None):
+        """A stage's (2, n) tendencies and the first non-finite index in them,
+        or -1; ``powers`` are the state's, raised here when None."""
+        powers = self.powers(state) if powers is None else powers
         out = np.empty(self._block)
-        return out, load().tendencies(self._stage, wall, state.rho, state.vel, rho_floor, out)
+        return out, load().tendencies(self._stage, wall, state.rho, state.vel, powers,
+                                      rho_floor, out)
 
     def rk_stage(self, wall: int, dt: float, state, mid, k):
         """A Runge-Kutta stage from ``state`` in place on the (2, n) tendencies
         ``k``; ``mid`` is the first stage's, None in that stage, which returns
         None. The second returns the new state, ``k``'s rows at
-        ``state.time + dt``, and its least density."""
+        ``state.time + dt``, its least density, wave speed, steepest slope
+        with its cell at the width 2 dr, and its ``powers``."""
         facts = load().rk_stage(self._stage, wall, dt, state.rho, state.vel, mid, k)
         if facts is None:
             return None
-        lowest, self._speed, self._slope = facts
-        self._made = FluidState.of_block(state.time + dt, k)
-        return self._made, lowest
+        made = FluidState.of_block(state.time + dt, k)
+        lowest, speed, gradient = facts
+        if not self._raises:
+            return made, lowest, speed, gradient, None
+        powers = self.powers(made)  # the speed needs the raised cells
+        return made, lowest, self.max_speed(made, powers), gradient, powers
 
-    def max_speed(self, state) -> float:
-        """max(|V| + c) over the cells."""
-        if self._cell is not None:
-            self._cell_powers(state)
-        elif state is self._made:
-            return self._speed
-        return load().max_speed(self._stage, state.vel)
+    def max_speed(self, state, powers=None) -> float:
+        """max(|V| + c) over the cells; ``powers`` as for ``tendencies``."""
+        powers = self.powers(state) if powers is None else powers
+        return load().max_speed(self._stage, state.vel, powers)
 
     def row_sums(self, state) -> tuple[float, float, float, float]:
         """The four sums of a diagnostics row; see ``row_sums`` in the C source."""
-        if self._cell is not None:
-            self._cell_state = None
-            power(self._cell, self._gamma, state.rho)
-        return load().row_sums(self._stage, state.rho, state.vel)
-
-    def _cell_powers(self, state) -> None:
-        """max(state.rho, 0)**(gamma - 1) into the cell scratch, unless it
-        holds them already."""
-        if self._cell_state is not state:
-            power(self._cell, self._gamma - 1.0, state.rho)
-            self._cell_state = state
+        powers = power(state.rho, self._gamma) if self._raises else None
+        return load().row_sums(self._stage, state.rho, state.vel, powers)
 
 
 class _Thread(threading.local):
@@ -152,11 +133,7 @@ def plan(grid: RadialGrid, cfg: ModelConfig) -> Plan:
 
 def max_slope(state, width: float) -> tuple[float, int]:
     """The largest |vel[i + 1] - vel[i - 1]| / width of a state of 3 or more
-    cells and its cell i: the first maximum, or the first NaN. The thread's
-    last plan answers for the state its last step made, at its width 2 dr."""
-    last = _thread.last[2]
-    if last is not None and state is last._made and width == last._width:
-        return last._slope
+    cells and its cell i: the first maximum, or the first NaN."""
     return load().max_slope(state.vel, width)
 
 
@@ -166,12 +143,12 @@ def format_rows(columns: list) -> bytes:
     return load().format_rows(np.column_stack(columns))
 
 
-def power(scratch: np.ndarray, exponent: float, rho: np.ndarray) -> None:
-    """max(rho, 0)**exponent into a plan's ``scratch``: the one pow of a run
-    left to numpy, whose SIMD ``**`` differs from libm's ``pow`` in the last
-    bit."""
-    np.maximum(rho, 0.0, out=scratch)
-    scratch **= exponent
+def power(rho: np.ndarray, exponent: float) -> np.ndarray:
+    """max(rho, 0)**exponent in a new row: the one pow of a run left to
+    numpy, whose SIMD ``**`` differs from libm's ``pow`` in the last bit."""
+    row = np.maximum(rho, 0.0)
+    row **= exponent
+    return row
 
 
 def sha256_hex(data: bytes) -> str:

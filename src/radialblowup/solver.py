@@ -9,7 +9,8 @@ at the outer wall acting as the solid container boundary.
 
 A stage, the step's Runge-Kutta combination and the CFL wave speed are
 compiled C (``_kernel.c``, built on first use), called through the grid and
-model's ``_kernel.Plan``.
+model's ``_kernel.Plan``. A step returns the wave speed and steepest slope of
+the state it made, which ``run`` reads for the next dt and the detection.
 """
 
 from __future__ import annotations
@@ -145,32 +146,45 @@ class RunResult(NamedTuple):
     report: diagnostics.RunReport
 
 
+class StepResult(NamedTuple):
+    """The state a step made and what a run reads of it: its wave speed
+    max(|V| + c), its ``max_velocity_gradient`` and, with K > 0 and gamma > 1,
+    its cells raised to gamma - 1, which the next step takes back (else None)."""
+
+    state: FluidState
+    speed: float
+    gradient: tuple[float, int]
+    powers: Optional[np.ndarray]
+
+
 def rhs_eval(
     state: FluidState,
     cfg: ModelConfig,
     grid: RadialGrid,
     num: NumericsConfig,
     rho_floor: float = 0.0,
+    powers: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Discrete tendencies of one stage: a (2, n) array of drho/dt and dvel/dt.
 
     Mass fluxes are hard-zeroed at the origin interface and at every
     interface at or beyond the wall margin, so the discrete mass telescopes
-    exactly. Velocity tendencies vanish in vacuum cells.
+    exactly. Velocity tendencies vanish in vacuum cells. ``powers`` are the
+    state's cells raised as a ``StepResult`` holds them; None raises them.
 
     A wall margin outside [1, n_cells) raises ValueError.
     """
     n = grid.n_cells
     wall = wall_index(n, num.support_margin_cells)
-    out, bad = _kernel.plan(grid, cfg).tendencies(state, wall, rho_floor)
+    out, bad = _kernel.plan(grid, cfg).tendencies(state, wall, rho_floor, powers)
     if bad >= 0:
         raise NumericalBreakdownError(bad % n, ("density", "velocity")[bad // n])
     return out
 
 
-def max_wave_speed(state: FluidState, cfg: ModelConfig, grid: RadialGrid) -> float:
-    """Fastest signal speed max(|V| + c) over the cells."""
-    return _kernel.plan(grid, cfg).max_speed(state)
+def max_wave_speed(state: FluidState, cfg: ModelConfig, grid: RadialGrid, powers=None) -> float:
+    """Fastest signal speed max(|V| + c) over the cells; ``powers`` as for ``rhs_eval``."""
+    return _kernel.plan(grid, cfg).max_speed(state, powers)
 
 
 def _stable_dt(speed, time, num: NumericsConfig, grid: RadialGrid) -> tuple:
@@ -203,8 +217,10 @@ def step(
     num: NumericsConfig,
     rho_floor: float = 0.0,
     positivity_tol: float = 0.0,
-) -> FluidState:
-    """One two-stage strong-stability-preserving Runge-Kutta step.
+    powers: Optional[np.ndarray] = None,
+) -> StepResult:
+    """One two-stage strong-stability-preserving Runge-Kutta step from
+    ``state``, whose raised cells are ``powers`` (None raises them).
 
     The boundary margin is re-applied after each stage. Raises
     PositivityError when the full step leaves density below -positivity_tol.
@@ -213,15 +229,15 @@ def step(
     wall = wall_index(grid.n_cells, num.support_margin_cells)
     time = state.time + dt
     # both stages are written into the fresh tendency arrays
-    mid = rhs_eval(state, cfg, grid, num, rho_floor)
+    mid = rhs_eval(state, cfg, grid, num, rho_floor, powers)
     plan.rk_stage(wall, dt, state, None, mid)
     new = rhs_eval(FluidState.of_block(time, mid), cfg, grid, num, rho_floor)
-    made, rho_min = plan.rk_stage(wall, dt, state, mid, new)
+    made, rho_min, speed, gradient, powers = plan.rk_stage(wall, dt, state, mid, new)
     if rho_min < -positivity_tol:
         raise PositivityError(
             f"density {rho_min:.3e} below -{positivity_tol:.3e} at t={time:.6g}"
         )
-    return made
+    return StepResult(made, speed, gradient, powers)
 
 
 def detect_steepening(
@@ -253,8 +269,8 @@ def run(
     A step that fails the positivity check or produces a non-finite tendency
     ends the run at the last good state, which is the final row.
     For each of ``snapshot_times``, in request order, the trajectory keeps the
-    recorded state nearest that time (the earlier one on a tie); no other
-    state is kept.
+    recorded state nearest that time (the earlier one on a tie), and no
+    other.
     """
     rho0 = np.asarray(rho0, dtype=float)
     v0 = np.asarray(v0, dtype=float)
@@ -287,21 +303,25 @@ def run(
         rows.append((s.time, *diagnostics.row_integrals(s, grid, cfg), max_gradient))
         diagnostics_s += clock() - began
 
+    # the initial state's facts; every later state's come with the step
     gradient = diagnostics.max_velocity_gradient(state, grid)
     record(state, gradient[0])
+    powers = _kernel.plan(grid, cfg).powers(state)
+    speed = max_wave_speed(state, cfg, grid, powers)
 
     termination = Termination.REACHED_T_END
     breakdown: Optional[BreakdownSite] = None
     t_eps = 1e-12 * max(1.0, num.t_end)
     steps, dt_min, dt_max = 0, math.inf, 0.0
     while state.time < num.t_end - t_eps:
-        speed = max_wave_speed(state, cfg, grid)
         cfl_step, dt = _stable_dt(speed, state.time, num, grid)
         if cfl_step < num.dt_floor:
             termination = Termination.DT_COLLAPSED
             break
         try:
-            state = step(state, dt, cfg, grid, num, rho_floor, pos_tol)
+            state, speed, gradient, powers = step(
+                state, dt, cfg, grid, num, rho_floor, pos_tol, powers
+            )
         except PositivityError:
             termination = Termination.POSITIVITY_VIOLATED
             break
@@ -312,7 +332,6 @@ def run(
             break
         steps += 1
         dt_min, dt_max = min(dt_min, dt), max(dt_max, dt)
-        gradient = diagnostics.max_velocity_gradient(state, grid)
         detection = detect_steepening(gradient, grid, num)
         if detection is not None:
             record(state, gradient[0])

@@ -3,7 +3,8 @@
 Draws about 10**4 seeded states and compares, bit for bit, what the kernel's
 ``tendencies`` and the two ``rk_stage`` calls of a step make of each with
 ``tests/_reference_kernel.py``: the tendencies or the first non-finite cell,
-the new state and its least density. The states cover n = 2 .. 19 cells,
+the new state, and the facts the second stage returns of it (its least
+density, wave speed, steepest slope with its cell, and raised cells). The states cover n = 2 .. 19 cells,
 where the edge faces 0, 1, n - 1 and n (whose stencils reach a ghost) meet
 or are every face, with every wall in [0, n], and n = 64, 257 and 512 with
 the walls 0, 1, n - 2 and n; every law (dust, isothermal, gamma 1.4, 5/3
@@ -127,13 +128,13 @@ def _kernel_tendencies(plan, state, wall, rho_floor):
     return out if bad < 0 else Breakdown(bad % n, ("density", "velocity")[bad // n])
 
 
-def facts_mismatch(plan, made, lowest, cfg, grid) -> str:
-    """What a second stage got wrong of the state ``made`` it made and
-    returned with its least density ``lowest``, or the empty string: that
-    density, and the wave speed and steepest slope as a run reads them, from
-    the plan's facts (the speed from ``max_speed``'s entry where the cells
-    must be raised first), bit for bit against numpy on ``made``'s fields."""
-    facts = (lowest, plan.max_speed(made), *_kernel.max_slope(made, 2.0 * grid.cell_width))
+def facts_mismatch(returned, cfg, grid) -> str:
+    """What a second stage got wrong of the state it made, in what it
+    ``returned`` (``Plan.rk_stage``'s tuple), or the empty string: the least
+    density, wave speed, steepest slope and its cell, and the cells raised to
+    gamma - 1 (None unless K > 0 and gamma > 1), bit for bit against numpy on
+    the made state's fields."""
+    made, lowest, speed, (slope, cell), powers = returned
     # the least density as np.minimum folds it from the first cell: the
     # first NaN, else the least, of equal zeros the last. np.min reduces in
     # SIMD blocks, and which zero it returns depends on n mod 8 and the CPU
@@ -141,9 +142,14 @@ def facts_mismatch(plan, made, lowest, cfg, grid) -> str:
         np.minimum.accumulate(made.rho)[-1], ref.max_wave_speed(made, cfg),
         *ref.max_velocity_gradient(made, grid),
     )
-    for name, got, want in zip(FACTS, facts, expected):
+    for name, got, want in zip(FACTS, (lowest, speed, slope, cell), expected):
         if not _same(got, want):
             return f"{name} {got!r}, oracle {want!r}"
+    raises = cfg.pressure_const > 0.0 and cfg.gamma > 1.0
+    if raises != (powers is not None) or raises and not _same(
+        powers, np.maximum(made.rho, 0.0) ** (cfg.gamma - 1.0)
+    ):
+        return "raised cells differ"
     return ""
 
 
@@ -158,10 +164,10 @@ def mismatch(plan, state, cfg, grid, wall, dt) -> str:
     # a second stage whose new state is ``state`` itself, its NaN, infinite
     # and negative-zero cells kept: (-0.0 * dt + x) * 0.5 + 0.5 * x is x
     # unless x halves to a subnormal, with the cells from the wall on zeroed
-    made, lowest = plan.rk_stage(
+    returned = plan.rk_stage(
         wall, dt, state, np.stack([state.rho, state.vel]), np.full((2, n), -0.0)
     )
-    wrong = facts_mismatch(plan, made, lowest, cfg, grid)
+    wrong = facts_mismatch(returned, cfg, grid)
     if wrong:
         return f"state: {wrong}"
     num = SimpleNamespace(support_margin_cells=n - wall)
@@ -179,10 +185,11 @@ def mismatch(plan, state, cfg, grid, wall, dt) -> str:
     second = _kernel_tendencies(plan, FluidState.of_block(dt, first), wall, rho_floor)
     if isinstance(new_state, Breakdown) or isinstance(second, Breakdown):
         return "" if _both_break(second, new_state) else f"step {second!r}, oracle {new_state!r}"
-    made, lowest = plan.rk_stage(wall, dt, state, first, second)
+    returned = plan.rk_stage(wall, dt, state, first, second)
+    made = returned[0]
     if not (_same(made.rho, new_state.rho) and _same(made.vel, new_state.vel)):
         return "step differs"
-    wrong = facts_mismatch(plan, made, lowest, cfg, grid)
+    wrong = facts_mismatch(returned, cfg, grid)
     return f"step: {wrong}" if wrong else ""
 
 
@@ -197,7 +204,6 @@ def cases(seed: int, sizes, repeats: int):
                 cfg = ModelConfig(
                     dim=int(rng.integers(1, 4)), delta=delta, pressure_const=k, gamma=gamma
                 )
-                # the thread's plan, whose facts max_slope reads
                 plan = _kernel.plan(grid, cfg)
                 for wall in walls(n):
                     for _ in range(repeats):

@@ -447,14 +447,14 @@ class TestExecute:
         summary = read_summary(run_dir)
         assert summary["termination"] == "numerical_breakdown"
         # the last row is the last good state
-        assert float(summary["t_final"]) == taken[-1].time
-        assert read_series(run_dir)["t"][-1] == taken[-1].time
+        assert float(summary["t_final"]) == taken[-1].state.time
+        assert read_series(run_dir)["t"][-1] == taken[-1].state.time
         assert (run_dir / "snapshot-0.1.tsv").exists()
         err = capsys.readouterr().err
         r = RadialGrid(n_cells=64, support_radius=1.0).cell_centers[17]
         assert (
             f"warning: run-0000: non-finite velocity tendency at cell 17 "
-            f"(r = {r:.6g}) at t = {taken[-1].time:.6g}"
+            f"(r = {r:.6g}) at t = {taken[-1].state.time:.6g}"
         ) in err
         assert "Traceback" not in err
         assert exit_status([{"termination": "numerical_breakdown"}]) == 1
@@ -508,7 +508,7 @@ class TestExecute:
         assert (index["termination"], index["t_detect"]) == (termination, ending["t_detect"])
         assert series.times[-1] == trajectory.t_final
         if error is not None:
-            assert trajectory.t_final == taken[-1].time
+            assert trajectory.t_final == taken[-1].state.time
 
     def test_jobs_below_one_exits_one(self, tmp_path, capsys):
         for jobs in (0, -3):

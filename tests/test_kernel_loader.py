@@ -170,18 +170,22 @@ def _wrong(array: np.ndarray, short: bool) -> list:
 @pytest.mark.parametrize("pressure_const", [0.0, 1.0])
 def test_each_entry_rejects_what_it_was_not_built_for(pressure_const):
     # anything but a C-contiguous float64 array of the plan's length, and a
-    # read-only output, raises ValueError before a value is written
+    # read-only output, raises ValueError before a value is written. The
+    # raised cells are read, and checked, only with K > 0 and gamma > 1
     n = 16
     grid = RadialGrid(n_cells=n, support_radius=1.0)
     stage = _kernel.plan(grid, ModelConfig(pressure_const=pressure_const, gamma=1.4))._stage
     lib, wall = _kernel.load(), n - 1
     rho, vel, mid = np.linspace(1.0, 0.0, n), np.linspace(0.0, 1.0, n), np.ones((2, n))
+    cell, raised = rho**0.4, pressure_const > 0.0
     # each entry, its arguments, the places of its arrays and of its output
     entries = {
-        "tendencies": (lib.tendencies, [stage, wall, rho, vel, 0.0, None], (2, 3), 5),
+        "tendencies": (
+            lib.tendencies, [stage, wall, rho, vel, cell, 0.0, None], (2, 3, 4)[: 2 + raised], 6
+        ),
         "rk_stage": (lib.rk_stage, [stage, wall, 0.1, rho, vel, mid, None], (3, 4, 5), 6),
-        "max_speed": (lib.max_speed, [stage, vel], (1,), None),
-        "row_sums": (lib.row_sums, [stage, rho, vel], (1, 2), None),
+        "max_speed": (lib.max_speed, [stage, vel, cell], (1, 2)[: 1 + raised], None),
+        "row_sums": (lib.row_sums, [stage, rho, vel, cell], (1, 2, 3)[: 2 + raised], None),
         "max_slope": (lib.max_slope, [vel, 0.1], (0,), None),
         "format_rows": (lib.format_rows, [np.ones((n, 8))], (0,), None),
     }
@@ -213,7 +217,7 @@ def test_each_entry_rejects_what_it_was_not_built_for(pressure_const):
     out = np.full((2, n), 7.0)
     for bad_wall in (-1, n + 1):
         with pytest.raises(ValueError, match="wall"):
-            lib.tendencies(stage, bad_wall, rho, vel, 0.0, out)
+            lib.tendencies(stage, bad_wall, rho, vel, cell, 0.0, out)
         with pytest.raises(ValueError, match="wall"):
             lib.rk_stage(stage, bad_wall, 0.1, rho, vel, None, out)
     assert np.all(out == 7.0)
@@ -247,13 +251,13 @@ def test_each_entry_takes_its_count_of_arguments():
     calls = {
         "stage": [
             0.0625, 1.0, 1.4, 0.0, grid.cell_centers, w.face_area, w.shell, w.inner_shell,
-            w.center, np.empty(n),
+            w.center,
         ],
-        "tendencies": [stage, n - 1, rho, vel, 0.0, out],
+        "tendencies": [stage, n - 1, rho, vel, rho, 0.0, out],
         "rk_stage": [stage, n - 1, 0.1, rho, vel, None, out],
-        "max_speed": [stage, vel],
+        "max_speed": [stage, vel, rho],
         "max_slope": [vel, 0.1],
-        "row_sums": [stage, rho, vel],
+        "row_sums": [stage, rho, vel, rho],
         "format_rows": [np.ones((n, 8))],
         "kernel_target": [],
     }
@@ -271,37 +275,34 @@ def test_each_entry_takes_its_count_of_arguments():
 @pytest.mark.parametrize("pressure_const, gamma", [(1.0, 1.4), (0.0, 1.4), (1.0, 1.0)])
 def test_stage_takes_only_the_arrays_of_its_grid(pressure_const, gamma):
     # every array is checked when the stage is built: a weight of another
-    # length, float32 or not contiguous, and with K > 0 and gamma > 1 a
-    # missing or read-only cell row, raise ValueError
+    # length, float32 or not contiguous raises ValueError; the raised cells
+    # are no part of a stage, but an argument of each call that reads them
     grid = RadialGrid(n_cells=16, support_radius=1.0)
     w, lib = model.grid_weights(grid, 3), _kernel.load()
     # the arrays stage() takes after its four numbers, in order
     good = dict(
         r=grid.cell_centers, face_area=w.face_area, shell=w.shell,
-        inner_shell=w.inner_shell, center=w.center, cell=np.empty(16),
+        inner_shell=w.inner_shell, center=w.center,
     )
 
     def build(**swap):
         return lib.stage(0.0625, pressure_const, gamma, 0.0, *{**good, **swap}.values())
 
-    build()
+    stage = build()
     for name, array in good.items():
-        if name == "cell":
-            continue
         for stand_in in _wrong(array, short=False):
             # another length of r is another n, which the weights then miss
             with pytest.raises(ValueError, match=None if name == "r" else f": {name} must"):
                 build(**{name: stand_in})
     with pytest.raises(ValueError, match="r must"):
         build(r=good["r"][:1])
-    read_only = np.empty(grid.n_cells)
-    read_only.flags.writeable = False
-    for cell in (None, read_only, np.empty(grid.n_cells + 1)):
+    vel = np.zeros(grid.n_cells)
+    for cell in (None, np.empty(grid.n_cells + 1)):
         if pressure_const > 0.0 and gamma > 1.0:
             with pytest.raises(ValueError, match="cell"):
-                build(cell=cell)
+                lib.max_speed(stage, vel, cell)
         else:
-            build(cell=cell)  # no row is raised: the argument is not read
+            lib.max_speed(stage, vel, cell)  # no row is raised: the argument is not read
 
 
 def test_a_plan_outlives_its_grid_and_weights():
@@ -330,17 +331,16 @@ def test_a_plan_outlives_its_grid_and_weights():
 
 @pytest.mark.parametrize("pressure_const, gamma", [(0.0, 1.4), (1.0, 1.0), (1.0, 1.4)])
 def test_a_step_answers_for_the_state_it_made(monkeypatch, pressure_const, gamma):
-    # the wave speed and slope of the state a step made come from its second
-    # stage, with no C call, for that state object alone: the same arrays in
-    # a state built anew go through the entries and give the same values.
-    # With pressure and gamma > 1 the speed needs the raised cells, and
-    # max_speed's entry still runs
+    # a step returns the wave speed and slope of the state it made, which
+    # its second stage finds, and they are what the entries give for that
+    # state. With pressure and gamma > 1 the speed needs the raised cells:
+    # the step raises them, calls max_speed's entry and returns them too
     n = 64
     grid = RadialGrid(n_cells=n, support_radius=1.0)
     cfg = ModelConfig(dim=3, delta=1, pressure_const=pressure_const, gamma=gamma)
     r = grid.cell_centers
     state = FluidState(0.0, (1.0 - r**2) ** 2, r * (1.0 - r))
-    made = solver.step(state, 1e-3, cfg, grid, solver.NumericsConfig())
+    _kernel.plan(grid, cfg)  # its stage built before the count
     lib, called = _kernel.load(), []
 
     class Counted:
@@ -349,16 +349,17 @@ def test_a_step_answers_for_the_state_it_made(monkeypatch, pressure_const, gamma
             return getattr(lib, name)
 
     monkeypatch.setattr(_kernel, "load", Counted)
-    speed = solver.max_wave_speed(made, cfg, grid)
-    gradient = diagnostics.max_velocity_gradient(made, grid)
-    assert called == ([] if pressure_const == 0.0 or gamma == 1.0 else ["max_speed"])
-    anew = FluidState(made.time, made.rho, made.vel)
-    called.clear()
-    assert np.float64(solver.max_wave_speed(anew, cfg, grid)).tobytes() == (
+    made, speed, gradient, powers = solver.step(state, 1e-3, cfg, grid, solver.NumericsConfig())
+    raised = pressure_const > 0.0 and gamma > 1.0
+    assert called == ["tendencies", "rk_stage"] * 2 + ["max_speed"] * raised
+    if raised:
+        assert powers.tobytes() == (np.maximum(made.rho, 0.0) ** (gamma - 1.0)).tobytes()
+    else:
+        assert powers is None
+    assert np.float64(solver.max_wave_speed(made, cfg, grid)).tobytes() == (
         np.float64(speed).tobytes()
     )
-    assert diagnostics.max_velocity_gradient(anew, grid) == gradient
-    assert called == ["max_speed", "max_slope"]
+    assert diagnostics.max_velocity_gradient(made, grid) == gradient
 
 
 def test_the_library_runs_the_avx2_clones_where_the_cpu_has_avx2():

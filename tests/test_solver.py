@@ -188,7 +188,7 @@ class TestBoundary:
 class TestStep:
     def test_vacuum_fixed_point(self, grid, num):
         state = FluidState(0.0, np.zeros(128), np.zeros(128))
-        out = step(state, 0.01, ModelConfig(delta=1), grid, num)
+        out = step(state, 0.01, ModelConfig(delta=1), grid, num).state
         assert np.all(out.rho == 0.0)
         assert np.all(out.vel == 0.0)
 
@@ -196,7 +196,7 @@ class TestStep:
         r = grid.cell_centers
         rho, vel = margin_zeroed([(1.0 - r**2) ** 2, r * (1.0 - r)])
         state = FluidState(0.0, rho, vel)
-        out = step(state, 0.0, ModelConfig(pressure_const=0.1), grid, num)
+        out = step(state, 0.0, ModelConfig(pressure_const=0.1), grid, num).state
         np.testing.assert_array_equal(out.rho, state.rho)
         np.testing.assert_array_equal(out.vel, state.vel)
 
@@ -231,7 +231,7 @@ class TestStep:
             # cfl_dt sees only |V| + c, not the force, so near-rest data would
             # step far past stability: take speeds below 1 as 1
             dt = min(cfl_dt(state, cfg, num, grid), num.cfl * grid.cell_width)
-            state = step(state, dt, cfg, grid, num, *floors)
+            state = step(state, dt, cfg, grid, num, *floors).state
         drift = abs(diagnostics.total_mass(state, grid, cfg) - mass0) / mass0
         assert drift <= 1e-12
 
@@ -323,7 +323,7 @@ class TestRun:
 
         def watched(*args, _step=solver.step, **kwargs):
             out = _step(*args, **kwargs)
-            rho_mins.append(out.rho.min())
+            rho_mins.append(out.state.rho.min())
             return out
 
         monkeypatch.setattr(solver, "step", watched)
@@ -452,29 +452,30 @@ class TestRun:
         rows = run(prof.rho0, prof.v0, cfg, num).series.times.size
         steps = calls["step"]
         assert steps > 0 and calls["rhs_eval"] == 2 * steps
-        assert calls["max_wave_speed"] == steps
-        # the initial row plus one gradient per step, shared by detection and rows
-        assert calls["max_velocity_gradient"] == steps + 1
+        # a step returns the wave speed and gradient of the state it made,
+        # shared by dt, detection and rows: these run for the initial state
+        assert calls["max_wave_speed"] == calls["max_velocity_gradient"] == 1
         # the numpy EOS and force field are oracles: the run path is compiled
         assert calls["sound_speed"] == calls["radial_field"] == 0
-        # numpy's ** raises the n cells for the wave speed, which the first
-        # stage reuses, and for the second stage; and the n cells of each
-        # diagnostics row. None without pressure, and none for gamma = 1,
-        # whose powers are 1 and max(rho, 0)
+        # numpy's ** raises the n cells of the second stage and of the new
+        # state, which its wave speed and the next step's first stage read;
+        # the n cells of each diagnostics row; and once the initial state's,
+        # for its wave speed and again for the first step. None without
+        # pressure, and none for gamma = 1, whose powers are 1 and max(rho, 0)
         assert rows == steps + 1
         if pressure_const > 0 and gamma > 1:
             n = grid.n_cells
-            assert calls["raised"] == 2 * n * steps + n * rows
-            assert calls["power"] == 2 * steps + rows
+            assert calls["raised"] == 2 * n * steps + n * rows + n
+            assert calls["power"] == 2 * steps + rows + 1
         else:
             assert calls["power"] == calls["raised"] == 0
         # a step calls two stages of one call each and two Runge-Kutta
         # stages; the second finds the new state's slope and, unless its
-        # cells must be raised first (pressure and gamma > 1), its wave
-        # speed, so only the initial state's wave speed and slope are calls
-        # of their own there. A row calls its sums
-        speeds = steps if pressure_const > 0 and gamma > 1 else 1
-        assert calls["C"] == 4 * steps + speeds + 1 + rows
+        # cells must be raised first (pressure and gamma > 1, one call
+        # more), its wave speed. The initial state's wave speed and slope
+        # are one call each, and a row calls its sums
+        per_step = 5 if pressure_const > 0 and gamma > 1 else 4
+        assert calls["C"] == per_step * steps + 2 + rows
         # the run's one plan builds its stage once, never per step
         assert calls["stage"] == 1
 
