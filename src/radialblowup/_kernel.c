@@ -1,17 +1,17 @@
 /* Kernel of the radial finite-volume scheme: one stage's boundary stencils,
  * minmod limiting, sound speed, local Lax-Friedrichs fluxes, origin and wall
  * closures, flux divergence, pressure and Poisson force terms, vacuum mask
- * and finite check; the Runge-Kutta combination of a step and what a run
- * reads of the state it makes; the CFL wave speed; the largest velocity
- * gradient; the sums of a diagnostics row; and the text of a block of
- * table rows.
+ * and finite check; the Runge-Kutta combination of a step; what a run
+ * reads of a state, its least density, CFL wave speed and largest velocity
+ * gradient; the sums of a diagnostics row; and the text of a block of table
+ * rows.
  *
  * Every expression repeats the numpy operations of the reference kernel in
  * tests/_reference_kernel.py, in the same order, so the results match it
  * bit for bit. That holds only without floating-point contraction: build
  * with -ffp-contract=off and never with -ffast-math. The one operation left
  * to numpy is the power of the cells, max(rho, 0)**(gamma - 1) for a stage
- * and max_speed() and max(rho, 0)**gamma for a diagnostics row, since
+ * and facts() and max(rho, 0)**gamma for a diagnostics row, since
  * numpy's SIMD `**` differs from `pow` here in the last bit. With pressure
  * and gamma > 1 the caller raises a `cell` row and passes it to each call
  * that reads it; for gamma = 1 every power to gamma - 1 is 1 and the power
@@ -24,12 +24,12 @@
  * same bits. -fno-trapping-math (both sides of a select may be evaluated)
  * and -fno-math-errno (sqrt is one instruction) let it do so and change no
  * value. The force prefix sum and the scan for the first non-finite cell
- * stay scalar; the min, max and argmax reductions keep lanes of partial
- * extremes that give the result of the scalar chain exactly. On x86-64 ELF
- * with glibc, CLONED builds each entry and the static functions it calls
- * for every target of CLONE_TARGETS (AVX-512F and AVX2) and for the
- * baseline, and the dynamic loader picks the widest the CPU supports once
- * per process (an ifunc); kernel_target() names it. The targets are plain
+ * stay scalar; the min, max and argmax reductions of step_facts keep lanes
+ * of partial extremes that give the result of the scalar chain exactly. On
+ * x86-64 ELF with glibc, CLONED builds each entry and the static functions
+ * it calls for every target of CLONE_TARGETS (AVX-512F and AVX2) and for
+ * the baseline, and the dynamic loader picks the widest the CPU supports
+ * once per process (an ifunc); kernel_target() names it. The targets are plain
  * ISA levels with generic tuning (arch=icelake-server and later prefer
  * 256-bit vectors). AVX-512F has FMA, so -ffp-contract=off matters in its
  * clones as well.
@@ -65,8 +65,8 @@
 #endif
 
 /* A grid and model's weights, law and scratch; the one argument every entry
- * but max_slope, format_rows and kernel_target shares. Built by stage()
- * alone. */
+ * but format_rows and kernel_target shares. Built by stage() alone, whose
+ * dr lies in (0, DBL_MAX / 2]. */
 struct stage {
     int64_t n;           /* cells */
     int64_t raised;      /* K > 0 and gamma > 1: the caller raises the cells;
@@ -86,10 +86,10 @@ struct stage {
 };
 
 /* Row k of the work scratch. Rows 0 and 1 hold the force sums of a stage,
- * row 0 the speeds of max_speed(), and the rows from 0 on the 24 lanes of
- * step_facts(); rows 2 and 3 the mass and advection fluxes. With pressure, row 4 holds the sound speeds of cells -1 .. n up to
- * the fluxes, then the face means. No row holds a copy of a cell: a stage
- * reads rho, V and the raised cells where they lie. */
+ * and the rows from 0 on the 24 lanes of step_facts(); rows 2 and 3 the
+ * mass and advection fluxes. With pressure, row 4 holds the sound speeds of
+ * cells -1 .. n up to the fluxes, then the face means. No row holds a copy
+ * of a cell: a stage reads rho, V and the raised cells where they lie. */
 #define WORK(s, k) ((s)->work + (k) * ((s)->n + 4))
 
 /* np.maximum: NaN propagates and a tie returns b, so np_max(-0.0, 0.0) is
@@ -102,7 +102,6 @@ static inline double np_max(double a, double b) { return (isnan(a) || a > b) ? a
  * because passing these by value changes the ABI between clones. */
 typedef double lanes __attribute__((vector_size(32)));
 typedef int64_t mask __attribute__((vector_size(32)));
-#define PICK(m, a, b) ((lanes)(((mask)(a) & (m)) | ((mask)(b) & ~(m))))
 #define ANY(m) (((m)[0] | (m)[1] | (m)[2] | (m)[3]) != 0)
 #define ABS(x) ((lanes)((mask)(x) & (mask){INT64_MAX, INT64_MAX, INT64_MAX, INT64_MAX}))
 /* Lane by lane, top raised to x where x is larger, or low lowered to x where
@@ -114,49 +113,6 @@ typedef int64_t mask __attribute__((vector_size(32)));
 #define LOWER(low, x)                                                                              \
     for (int q_ = 0; q_ < 4; q_++)                                                                 \
     (low)[q_] = (x)[q_] < (low)[q_] ? (x)[q_] : (low)[q_]
-
-/* The np.max (sign +1) or np.min (sign -1) of x[0 .. n), n >= 1, as np_max
- * or np_min chained from x[0] gives it: the first NaN if there is one, else
- * the extreme, of equal ones the last, which fixes the sign of a zero. Two
- * vectors of lanes carry sign times the extreme, skipping NaNs; a NaN or a
- * zero extreme is then found again in x. */
-CLONED static double extreme(int64_t n, const double *restrict x, double sign)
-{
-    lanes top = {-INFINITY, -INFINITY, -INFINITY, -INFINITY}, top2 = top;
-    mask nan = {0, 0, 0, 0};
-    int64_t i = 0;
-    for (; i + 8 <= n; i += 8) {
-        lanes a, b;
-        memcpy(&a, x + i, sizeof a);
-        memcpy(&b, x + i + 4, sizeof b);
-        a *= sign;
-        b *= sign;
-        top = PICK(a > top, a, top);
-        top2 = PICK(b > top2, b, top2);
-        nan |= (a != a) | (b != b);
-    }
-    int found = ANY(nan);
-    double m = -INFINITY;
-    for (int k = 0; k < 4; k++) {
-        m = top[k] > m ? top[k] : m;
-        m = top2[k] > m ? top2[k] : m;
-    }
-    for (; i < n; i++) {
-        m = sign * x[i] > m ? sign * x[i] : m;
-        found |= isnan(x[i]);
-    }
-    if (found) {
-        for (i = 0; !isnan(x[i]); i++)
-            ;
-        return x[i];
-    }
-    if (m == 0.0) {
-        for (i = n - 1; x[i] != 0.0; i--)
-            ;
-        return x[i];
-    }
-    return sign * m;
-}
 
 /* Half of the minmod slope of two neighbouring differences. Where d0 * d1 > 0
  * neither is NaN, so np.minimum of the magnitudes is a plain comparison. */
@@ -402,45 +358,20 @@ CLONED static void rk_stage(const struct stage *s, int64_t wall, double dt,
         k_rho[i] = k_vel[i] = 0.0;
 }
 
-/* np.max of |vel| + sqrt(sound_coef * cell) over the cells, with cell
- * raised to gamma - 1, or NULL where each power is 1 (gamma = 1, and dust,
- * whose +0.0 leaves every |V|, NaN included, as it is). The speeds go to
- * work row 0 first. */
-CLONED static double max_speed(const struct stage *s, const double *restrict vel,
-                               const double *restrict cell)
-{
-    int64_t n = s->n;
-    double sc = s->sound_coef, c = sqrt(sc);
-    double *restrict speed = WORK(s, 0);
-    for (int64_t i = 0; i < n; i++)
-        speed[i] = fabs(vel[i]) + (cell ? sqrt(sc * cell[i]) : c);
-    return extreme(n, speed, 1.0);
-}
-
 /* The slope |v[k + 2] - v[k]| / width of the m >= 1 differences k < m, and
  * its k, as np.argmax of the slopes picks it: the first NaN, else the first
  * largest. From d, the largest difference |v[k + 2] - v[k]| that is not
- * NaN, and whether one may be NaN. For 0 < width <= DBL_MAX a slope is NaN
- * where its difference is, and the division rounds monotonically: the
- * largest slope is q = d / width, first at the first difference that gives
- * q. Each such difference exceeds p * width, p the double below q, so it is
- * at least the double below that product rounded: blocks of 32 differences
- * below that bound are passed over without a division. Any other width
- * divides every difference. */
+ * NaN, and whether one may be NaN. The width, 2 dr, lies in (0, DBL_MAX]
+ * (stage() refuses any other dr), so a slope is NaN where its difference
+ * is, and the division rounds monotonically: the largest slope is
+ * q = d / width, first at the first difference that gives q. Each such
+ * difference exceeds p * width, p the double below q, so it is at least the
+ * double below that product rounded: blocks of 32 differences below that
+ * bound are passed over without a division. */
 CLONED static int64_t first_slope(int64_t m, const double *restrict v, double width, double d,
                                   int nan, double *value)
 {
-    int64_t i = 0, k = 0;
-    if (!(width > 0.0 && width <= DBL_MAX)) {
-        for (*value = fabs(v[2] - v[0]) / width; !isnan(*value) && ++i < m;) {
-            double slope = fabs(v[i + 2] - v[i]) / width;
-            if (slope > *value || isnan(slope)) {
-                *value = slope;
-                k = i;
-            }
-        }
-        return k;
-    }
+    int64_t i = 0;
     for (; nan && i < m; i++)
         if (isnan(v[i + 2] - v[i])) {
             *value = fabs(v[i + 2] - v[i]) / width;
@@ -467,61 +398,38 @@ CLONED static int64_t first_slope(int64_t m, const double *restrict v, double wi
     return i;
 }
 
-/* np.argmax of |v[i + 2] - v[i]| / width over i < n - 2 (n >= 3): the first
- * maximum, or the first NaN. Writes that slope to *value. Two sets of lanes
- * carry the largest difference of each residue mod 8, whose sum turns NaN
- * with any of them; first_slope then finds its first cell. */
-CLONED static int64_t max_slope(int64_t n, const double *restrict v, double width,
-                                double *value)
-{
-    lanes top = {-1.0, -1.0, -1.0, -1.0}, top2 = top, sum = {0.0, 0.0, 0.0, 0.0};
-    int64_t i = 0;
-    double best = -1.0;
-    for (; i + 8 <= n - 2; i += 8) {
-        lanes hi, lo, hi2, lo2;
-        memcpy(&hi, v + i + 2, sizeof hi);
-        memcpy(&lo, v + i, sizeof lo);
-        memcpy(&hi2, v + i + 6, sizeof hi2);
-        memcpy(&lo2, v + i + 4, sizeof lo2);
-        lanes a = ABS(hi - lo), a2 = ABS(hi2 - lo2);
-        RAISE(top, a);
-        RAISE(top2, a2);
-        sum += a + a2;
-    }
-    int found = ANY(sum != sum);
-    RAISE(top, top2);
-    for (int q = 0; q < 4; q++)
-        best = top[q] > best ? top[q] : best;
-    for (; i < n - 2; i++) {
-        double a = fabs(v[i + 2] - v[i]);
-        found |= isnan(a);
-        best = a > best ? a : best;
-    }
-    return first_slope(n - 2, v, width, best, found, value);
-}
-
-/* What a run reads of the state a step has made, the second stage's (2, n)
- * block: its least density, as extreme() folds np.minimum from the first
- * cell (np.min's SIMD blocks may return another zero); its wave speed as
- * max_speed() gives it, NaN where the cells must be raised first (pressure
- * and gamma > 1); and its steepest slope |v[i + 2] - v[i]| / (2 dr) and
- * center cell i + 1, as max_slope() gives them, or (0, 0) below 3 cells, as
- * diagnostics.max_velocity_gradient does. */
+/* What a run reads of a state: its least density, as np.minimum folds it
+ * from the first cell (np.min's SIMD blocks may return another zero); its
+ * wave speed, np.max of |V| + c: the first NaN, else the largest; and its
+ * steepest slope |v[i + 2] - v[i]| / (2 dr) and center cell i + 1, as
+ * np.argmax picks them, or (0, 0) below 3 cells. */
 struct facts {
     double lowest, speed, slope;
     int64_t cell;
 };
 
+/* |V| + sqrt(sc * cell) of cell i, or |V| where cell is NULL */
+static inline double wave(const double *vel, const double *cell, double sc, int64_t i)
+{
+    return cell ? fabs(vel[i]) + sqrt(sc * cell[i]) : fabs(vel[i]);
+}
+
 /* The facts of the n cells rho and vel in one pass: independent chains of
  * lanes, two sets each, whose latencies overlap, carry the least rho, the
- * largest |V| and the largest difference of each residue mod 8; a sum turns
- * NaN with any NaN cell (a NaN in vel makes its difference NaN), and each
- * field is then searched again. Rounding is monotone, so the largest
- * |V| + c is the largest |V| plus c. */
-CLONED static struct facts step_facts(const struct stage *s, const double *restrict rho,
-                                      const double *restrict vel)
+ * largest speed and the largest difference of each residue mod 8; a sum
+ * turns NaN with any NaN cell (a NaN in vel makes its difference NaN), and
+ * each field is then searched again. With the cells raised to gamma - 1 the
+ * speed lanes carry |V| + c, and join the sum. Without, c is sqrt(K) or 0
+ * in every cell, and rounding is monotone: the largest |V| + c is the
+ * largest |V| plus c, and dust's +0.0 leaves every |V|, NaN included, as it
+ * is. step_facts calls this twice, cell NULL in one call, so each law runs
+ * a loop of its own. */
+static inline __attribute__((always_inline)) struct facts
+facts_of(const struct stage *s, const double *restrict rho, const double *restrict vel,
+         const double *restrict cell)
 {
     int64_t n = s->n, i = 0;
+    double sc = s->sound_coef;
     lanes low = {INFINITY, INFINITY, INFINITY, INFINITY}, low2 = low, fast = -low, fast2 = -low,
           top = -low, top2 = -low, sum = {0.0, 0.0, 0.0, 0.0};
     double least = INFINITY, speed = -INFINITY, best = -INFINITY;
@@ -536,6 +444,13 @@ CLONED static struct facts step_facts(const struct stage *s, const double *restr
         lanes a = ABS(hi - v), a2 = ABS(hi2 - v2);
         v = ABS(v);
         v2 = ABS(v2);
+        if (cell) {
+            for (int q = 0; q < 4; q++) {
+                v[q] += sqrt(sc * cell[i + q]);
+                v2[q] += sqrt(sc * cell[i + 4 + q]);
+            }
+            sum += v + v2;
+        }
         LOWER(low, r);
         LOWER(low2, r2);
         RAISE(fast, v);
@@ -565,9 +480,10 @@ CLONED static struct facts step_facts(const struct stage *s, const double *restr
         best = a > best ? a : best;
     }
     for (; i < n; i++) {
+        double c = wave(vel, cell, sc, i);
         least = rho[i] < least ? rho[i] : least;
-        speed = fabs(vel[i]) > speed ? fabs(vel[i]) : speed;
-        found |= isnan(rho[i]) | isnan(vel[i]);
+        speed = c > speed ? c : speed;
+        found |= isnan(rho[i]) | isnan(c);
     }
     struct facts out = {least, speed, 0.0, 0};
     for (i = 0; found && i < n && !isnan(rho[i]); i++)
@@ -580,17 +496,23 @@ CLONED static struct facts step_facts(const struct stage *s, const double *restr
         out.lowest = rho[i];
     }
     for (i = 0; found && i < n; i++)
-        if (isnan(vel[i])) {
-            out.speed = fabs(vel[i]);
+        if (isnan(wave(vel, cell, sc, i))) {
+            out.speed = wave(vel, cell, sc, i);
             break;
         }
-    if (s->raised)
-        out.speed = NAN;
-    else if (s->pressure_const > 0.0)
-        out.speed = out.speed + sqrt(s->sound_coef);
+    if (!cell && s->pressure_const > 0.0)
+        out.speed = out.speed + sqrt(sc);
     if (n > 2)
         out.cell = first_slope(n - 2, vel, 2.0 * s->dr, best, found, &out.slope) + 1;
     return out;
+}
+
+/* The facts of a state, from its cells raised to gamma - 1 where the law
+ * raises them (K > 0 and gamma > 1), else with cell NULL. */
+CLONED static struct facts step_facts(const struct stage *s, const double *rho, const double *vel,
+                                      const double *cell)
+{
+    return cell ? facts_of(s, rho, vel, cell) : facts_of(s, rho, vel, NULL);
 }
 
 /* The sums of up to 128 cells from lo in the blocked pairwise order of
@@ -695,13 +617,13 @@ CLONED static const char *kernel_target(void)
  * a (2, n) block. Each goes one way: open_call() checks the argument
  * count and the stage capsule, whose n the arrays take; array() checks each
  * buffer and holds it in the struct call; done() releases what the call
- * holds, on every failure as on success. stage() and max_slope take no
- * stage: their first array sets n; format_rows takes a table block alone.
- * Anything else, a read-only output and a wall outside [0, n] raise
- * ValueError before any value is written. The entry then runs with the GIL
- * released, as it reads no Python object; format_rows, which makes Python
- * objects, keeps it. max_slope, row_sums and format_rows take no
- * out-parameter: they return their results. */
+ * holds, on every failure as on success. stage() takes no stage: its first
+ * array sets n; format_rows takes a table block alone. Anything else, a
+ * read-only output and a wall outside [0, n] raise ValueError before any
+ * value is written. The entry then runs with the GIL released, as it reads
+ * no Python object; format_rows, which makes Python objects, keeps it.
+ * facts, row_sums and format_rows take no out-parameter: they return their
+ * results. */
 
 /* One call of an entry: its name, its stage and n, and the buffers it holds. */
 struct call {
@@ -783,7 +705,7 @@ static double *array(struct call *c, PyObject *obj, enum shape shape, int writab
             c->count++;
             if (n >= 0 || shape == TABLE)
                 return v->buf;
-            /* the first array of stage() or max_slope sets n */
+            /* the first array of stage() sets n */
             c->n = v->shape[0];
             if (c->n >= -n)
                 return v->buf;
@@ -847,7 +769,8 @@ static void free_stage(PyObject *capsule)
 /* stage(dr, K, gamma, field_coef, r, face_area, shell, inner_shell, center)
  * -> a capsule that owns the struct stage of a grid of n = len(r) cells,
  * n >= 2, its work rows and the buffers it reads: r and the weights of
- * shape (n) and face_area (n + 1). */
+ * shape (n) and face_area (n + 1). A dr outside (0, DBL_MAX / 2] raises
+ * ValueError: the slope width 2 dr must be a positive double. */
 static PyObject *py_stage(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
     struct call c;
@@ -864,6 +787,10 @@ static PyObject *py_stage(PyObject *self, PyObject *const *args, Py_ssize_t narg
         || !(inner_shell = array(&c, args[7], CELLS, 0, "inner_shell"))
         || !(center = array(&c, args[8], CELLS, 0, "center")))
         return done(&c, NULL);
+    if (!(dr > 0.0 && dr <= DBL_MAX / 2)) {
+        PyErr_SetString(PyExc_ValueError, "stage: dr must be in (0, DBL_MAX / 2]");
+        return done(&c, NULL);
+    }
     if (!(o = PyMem_Malloc(sizeof *o + (k > 0.0 ? 5 : 4) * (c.n + 4) * sizeof(double))))
         return done(&c, PyErr_NoMemory());
     o->s = (struct stage){
@@ -904,9 +831,16 @@ static PyObject *py_tendencies(PyObject *self, PyObject *const *args, Py_ssize_t
     return done(&c, PyLong_FromLongLong(bad));
 }
 
-/* rk_stage(stage, wall, dt, rho, vel, mid or None, k) -> None in the first
- * stage, else the facts of the new state: (least density, wave speed or
- * NaN, (steepest slope, its center cell)) */
+/* The facts f as a tuple: (least density, wave speed, (steepest slope,
+ * its center cell)) */
+static PyObject *facts_value(struct facts f)
+{
+    return Py_BuildValue("(dd(dL))", f.lowest, f.speed, f.slope, (long long)f.cell);
+}
+
+/* rk_stage(stage, wall, dt, rho, vel, mid or None, k) -> the facts of the
+ * new state in the second stage, unless the law raises its cells (K > 0
+ * and gamma > 1), whose facts need them; else None */
 static PyObject *py_rk_stage(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
     struct call c;
@@ -921,50 +855,34 @@ static PyObject *py_rk_stage(PyObject *self, PyObject *const *args, Py_ssize_t n
         || (args[5] != Py_None && !(mid = array(&c, args[5], BLOCK, 0, "mid")))
         || !(k = array(&c, args[6], BLOCK, 1, "k")))
         return done(&c, NULL);
+    int told = mid && !c.s->raised;
     Py_BEGIN_ALLOW_THREADS
     rk_stage(c.s, wall, dt, rho, vel, mid, k);
-    if (mid)
-        made = step_facts(c.s, k, k + c.n);
+    if (told)
+        made = step_facts(c.s, k, k + c.n, NULL);
     Py_END_ALLOW_THREADS
-    if (!mid) {
+    if (!told) {
         Py_INCREF(Py_None);
         return done(&c, Py_None);
     }
-    return done(&c, Py_BuildValue("(dd(dL))", made.lowest, made.speed, made.slope,
-                                  (long long)made.cell));
+    return done(&c, facts_value(made));
 }
 
-/* max_speed(stage, vel, cell) -> max(|V| + c) */
-static PyObject *py_max_speed(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+/* facts(stage, rho, vel, cell) -> the facts of a state */
+static PyObject *py_facts(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
     struct call c;
-    const double *vel, *cell;
-    double fastest;
+    const double *rho, *vel, *cell;
+    struct facts found;
     (void)self;
-    if (open_call(&c, "max_speed", args, nargs, 3, 0) < 0
-        || !(vel = array(&c, args[1], CELLS, 0, "vel")) || raised_cells(&c, args[2], &cell) < 0)
+    if (open_call(&c, "facts", args, nargs, 4, 0) < 0
+        || !(rho = array(&c, args[1], CELLS, 0, "rho"))
+        || !(vel = array(&c, args[2], CELLS, 0, "vel")) || raised_cells(&c, args[3], &cell) < 0)
         return done(&c, NULL);
     Py_BEGIN_ALLOW_THREADS
-    fastest = max_speed(c.s, vel, cell);
+    found = step_facts(c.s, rho, vel, cell);
     Py_END_ALLOW_THREADS
-    return done(&c, PyFloat_FromDouble(fastest));
-}
-
-/* max_slope(vel, width) -> (slope, its center cell), for 3 cells or more */
-static PyObject *py_max_slope(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
-{
-    struct call c;
-    const double *vel;
-    double width, slope;
-    int64_t k;
-    (void)self;
-    if (open_call(&c, "max_slope", args, nargs, 2, 3) < 0 || number(args[1], &width) < 0
-        || !(vel = array(&c, args[0], CELLS, 0, "vel")))
-        return done(&c, NULL);
-    Py_BEGIN_ALLOW_THREADS
-    k = max_slope(c.n, vel, width, &slope);
-    Py_END_ALLOW_THREADS
-    return done(&c, Py_BuildValue("(dL)", slope, (long long)(k + 1)));
+    return done(&c, facts_value(found));
 }
 
 /* row_sums(stage, rho, vel, cell) -> the four sums as a tuple */
@@ -1151,8 +1069,7 @@ static PyMethodDef entries[] = {
                  "-> stage"),
     ENTRY(tendencies, "tendencies(stage, wall, rho, vel, cell, rho_floor, out) -> int"),
     ENTRY(rk_stage, "rk_stage(stage, wall, dt, rho, vel, mid, k) -> None or tuple"),
-    ENTRY(max_speed, "max_speed(stage, vel, cell) -> float"),
-    ENTRY(max_slope, "max_slope(vel, width) -> (float, int)"),
+    ENTRY(facts, "facts(stage, rho, vel, cell) -> (float, float, (float, int))"),
     ENTRY(row_sums, "row_sums(stage, rho, vel, cell) -> (float, float, float, float)"),
     ENTRY(format_rows, "format_rows(block) -> bytes"),
     ENTRY(kernel_target, "kernel_target() -> str"),

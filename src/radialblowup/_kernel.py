@@ -4,13 +4,13 @@ The kernel is a CPython extension module, compiled once per source, compile
 command and interpreter ABI and kept in ``$XDG_CACHE_HOME/radialblowup``
 (``~/.cache/radialblowup`` when the variable is unset); the file name carries
 the interpreter's extension suffix. It is loaded on first use, so commands
-that never step a state never compile it. Every entry but ``max_slope``,
-``format_rows`` and ``kernel_target`` takes the ``struct stage`` that the
-kernel's ``stage`` builds for a ``Plan``, once per grid, model and thread,
-and owns in a capsule with the arrays it reads; the methods of that ``Plan``
-are their only callers, and pass each call every array it reads, the raised
-cells among them. This is the one module that calls the kernel, and the one
-that raises the cells with numpy's ``**`` before a C call.
+that never step a state never compile it. Every entry but ``format_rows``
+and ``kernel_target`` takes the ``struct stage`` that the kernel's ``stage``
+builds for a ``Plan``, once per grid, model and thread, and owns in a
+capsule with the arrays it reads; the methods of that ``Plan`` are their
+only callers, and pass each call every array it reads, the raised cells
+among them. This is the one module that calls the kernel, and the one that
+raises the cells with numpy's ``**`` before a C call.
 """
 
 from __future__ import annotations
@@ -52,9 +52,10 @@ COMPILE = (
 class Plan:
     """A grid and model's ``struct stage``, for the thread that builds it. Its
     methods alone call the entries that take it, and look up ``load`` and
-    ``power`` anew each time: tests swap them. A plan keeps no state: what a
-    call reads arrives as an argument, and the cells raised for it, which
-    ``powers`` returns, are a value the caller may pass on."""
+    ``power`` anew each time: tests swap them. ``facts`` is the one reduction
+    over a state. A plan keeps no state: what a call reads arrives as an
+    argument, and the cells raised for it, which ``powers`` returns, are a
+    value the caller may pass on."""
 
     def __init__(self, grid: RadialGrid, cfg: ModelConfig):
         weights = grid_weights(grid, cfg.dim)
@@ -67,8 +68,8 @@ class Plan:
         self._raises = cfg.pressure_const > 0.0 and cfg.gamma > 1.0
 
     def powers(self, state):
-        """max(state.rho, 0)**(gamma - 1), the cells a stage and the wave
-        speed read, in a new row; None unless K > 0 and gamma > 1."""
+        """max(state.rho, 0)**(gamma - 1), the cells a stage and ``facts``
+        read, in a new row; None unless K > 0 and gamma > 1."""
         return power(state.rho, self._gamma - 1.0) if self._raises else None
 
     def tendencies(self, state, wall: int, rho_floor: float, powers=None):
@@ -83,22 +84,22 @@ class Plan:
         """A Runge-Kutta stage from ``state`` in place on the (2, n) tendencies
         ``k``; ``mid`` is the first stage's, None in that stage, which returns
         None. The second returns the new state, ``k``'s rows at
-        ``state.time + dt``, its least density, wave speed, steepest slope
-        with its cell at the width 2 dr, and its ``powers``."""
+        ``state.time + dt``, its ``facts`` and its ``powers``."""
         facts = load().rk_stage(self._stage, wall, dt, state.rho, state.vel, mid, k)
-        if facts is None:
+        if mid is None:
             return None
         made = FluidState.of_block(state.time + dt, k)
-        lowest, speed, gradient = facts
-        if not self._raises:
-            return made, lowest, speed, gradient, None
-        powers = self.powers(made)  # the speed needs the raised cells
-        return made, lowest, self.max_speed(made, powers), gradient, powers
+        powers = self.powers(made)
+        if powers is not None:  # the second stage left the facts to the raised cells
+            facts = self.facts(made, powers)
+        return (made, *facts, powers)
 
-    def max_speed(self, state, powers=None) -> float:
-        """max(|V| + c) over the cells; ``powers`` as for ``tendencies``."""
+    def facts(self, state, powers=None) -> tuple[float, float, tuple[float, int]]:
+        """The least density, the wave speed max(|V| + c) and the steepest
+        slope |V[i + 1] - V[i - 1]| / (2 dr) with its cell i, each NaN first
+        as numpy's reductions give them; ``powers`` as for ``tendencies``."""
         powers = self.powers(state) if powers is None else powers
-        return load().max_speed(self._stage, state.vel, powers)
+        return load().facts(self._stage, state.rho, state.vel, powers)
 
     def row_sums(self, state) -> tuple[float, float, float, float]:
         """The four sums of a diagnostics row; see ``row_sums`` in the C source."""
@@ -129,12 +130,6 @@ def plan(grid: RadialGrid, cfg: ModelConfig) -> Plan:
     found = local.plans(grid, cfg)
     local.last = (grid, cfg, found)
     return found
-
-
-def max_slope(state, width: float) -> tuple[float, int]:
-    """The largest |vel[i + 1] - vel[i - 1]| / width of a state of 3 or more
-    cells and its cell i: the first maximum, or the first NaN."""
-    return load().max_slope(state.vel, width)
 
 
 def format_rows(columns: list) -> bytes:

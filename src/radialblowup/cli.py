@@ -75,10 +75,11 @@ class ExperimentConfig:
     output_dir: str = field(compare=False, default="runs")
 
     def __post_init__(self):
-        try:  # the grid's own rule, named by its config key
+        try:  # the grid's own rules, each named by its config key
             RadialGrid(self.n_cells, self.model.support_radius)
         except ValueError as exc:
-            raise ValueError(f"numerics.{exc}") from None
+            section = "model" if str(exc).startswith("support_radius") else "numerics"
+            raise ValueError(f"{section}.{exc}") from None
         if self.seed < 0:
             raise ValueError(f"initial.seed must be >= 0, got {self.seed}")
         # one file per time: a second time with the same name would overwrite it

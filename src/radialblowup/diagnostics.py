@@ -151,11 +151,11 @@ def energy_condition(state: FluidState, grid: RadialGrid, cfg: ModelConfig) -> f
 def max_velocity_gradient(state: FluidState, grid: RadialGrid) -> tuple[float, int]:
     """Largest |dV/dr| by central differences and the cell index attaining it.
 
-    The first such cell on a tie; a NaN slope counts as the largest.
+    The first such cell on a tie; a NaN slope counts as the largest. A state
+    of another length than the grid's raises ValueError.
     """
-    if state.n_cells < 3:
-        return 0.0, 0
-    return _kernel.max_slope(state, 2.0 * grid.cell_width)
+    # the slope reads only the velocity: any config gives it
+    return _kernel.plan(grid, _PRESSURELESS).facts(state)[2]
 
 
 def _column(name: str):

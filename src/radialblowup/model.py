@@ -7,6 +7,7 @@ immutable flow states, and admissibility checks for initial data.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, fields
 from functools import cached_property, lru_cache
 from typing import NamedTuple
@@ -62,6 +63,11 @@ class RadialGrid:
 
     Centers sit at r_i = (i + 1/2) * dr, so no cell touches the coordinate
     singularity at r = 0 and the outermost center stays strictly inside R.
+
+    The least positive weight of ``grid_weights`` in any dimension, the first
+    cell's inner shell (dr/2)**3 / 3 in three, must be a normal double: a
+    subnormal weight has lost bits, and a zero one divides by zero. So every
+    grid has 0 < dr <= DBL_MAX / 8, as the kernel's stage asks.
     """
 
     n_cells: int
@@ -73,6 +79,12 @@ class RadialGrid:
         require_finite(self)
         if self.support_radius <= 0:
             raise ValueError(f"support_radius must be > 0, got {self.support_radius}")
+        # dr above 1 needs no cube, which could overflow
+        if min(self.cell_width / 2.0, 1.0) ** 3 / 3.0 < sys.float_info.min:
+            raise ValueError(
+                f"support_radius = {self.support_radius!r} is too small for "
+                f"{self.n_cells} cells: their least weight (dr/2)**3/3 must be a normal double"
+            )
 
     @property
     def cell_width(self) -> float:

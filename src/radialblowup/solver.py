@@ -7,10 +7,10 @@ advective flux, an interface pressure gradient, and the radial force field;
 vacuum cells are skipped. Compact support is enforced by zeroed margin cells
 at the outer wall acting as the solid container boundary.
 
-A stage, the step's Runge-Kutta combination and the CFL wave speed are
+A stage, the step's Runge-Kutta combination and the facts of a state are
 compiled C (``_kernel.c``, built on first use), called through the grid and
-model's ``_kernel.Plan``. A step returns the wave speed and steepest slope of
-the state it made, which ``run`` reads for the next dt and the detection.
+model's ``_kernel.Plan``. A step returns the facts of the state it made, whose
+wave speed and steepest slope ``run`` reads for the next dt and the detection.
 """
 
 from __future__ import annotations
@@ -184,7 +184,7 @@ def rhs_eval(
 
 def max_wave_speed(state: FluidState, cfg: ModelConfig, grid: RadialGrid, powers=None) -> float:
     """Fastest signal speed max(|V| + c) over the cells; ``powers`` as for ``rhs_eval``."""
-    return _kernel.plan(grid, cfg).max_speed(state, powers)
+    return _kernel.plan(grid, cfg).facts(state, powers)[1]
 
 
 def _stable_dt(speed, time, num: NumericsConfig, grid: RadialGrid) -> tuple:
@@ -304,10 +304,10 @@ def run(
         diagnostics_s += clock() - began
 
     # the initial state's facts; every later state's come with the step
-    gradient = diagnostics.max_velocity_gradient(state, grid)
+    plan = _kernel.plan(grid, cfg)
+    powers = plan.powers(state)
+    _, speed, gradient = plan.facts(state, powers)
     record(state, gradient[0])
-    powers = _kernel.plan(grid, cfg).powers(state)
-    speed = max_wave_speed(state, cfg, grid, powers)
 
     termination = Termination.REACHED_T_END
     breakdown: Optional[BreakdownSite] = None

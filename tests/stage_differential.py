@@ -1,10 +1,11 @@
 """Brute-force check of the kernel's stage against the numpy oracle.
 
 Draws about 10**4 seeded states and compares, bit for bit, what the kernel's
-``tendencies`` and the two ``rk_stage`` calls of a step make of each with
-``tests/_reference_kernel.py``: the tendencies or the first non-finite cell,
-the new state, and the facts the second stage returns of it (its least
-density, wave speed, steepest slope with its cell, and raised cells). The states cover n = 2 .. 19 cells,
+``facts``, ``tendencies`` and the two ``rk_stage`` calls of a step make of
+each with ``tests/_reference_kernel.py``: the state's facts (its least
+density, wave speed and steepest slope with its cell), the tendencies or the
+first non-finite cell, the new state, and the facts of it that a step
+returns, with its raised cells. The states cover n = 2 .. 19 cells,
 where the edge faces 0, 1, n - 1 and n (whose stencils reach a ghost) meet
 or are every face, with every wall in [0, n], and n = 64, 257 and 512 with
 the walls 0, 1, n - 2 and n; every law (dust, isothermal, gamma 1.4, 5/3
@@ -128,23 +129,32 @@ def _kernel_tendencies(plan, state, wall, rho_floor):
     return out if bad < 0 else Breakdown(bad % n, ("density", "velocity")[bad // n])
 
 
-def facts_mismatch(returned, cfg, grid) -> str:
-    """What a second stage got wrong of the state it made, in what it
-    ``returned`` (``Plan.rk_stage``'s tuple), or the empty string: the least
-    density, wave speed, steepest slope and its cell, and the cells raised to
-    gamma - 1 (None unless K > 0 and gamma > 1), bit for bit against numpy on
-    the made state's fields."""
-    made, lowest, speed, (slope, cell), powers = returned
+def facts_mismatch(state, facts, cfg, grid) -> str:
+    """What ``facts`` (``Plan.facts``'s tuple) get wrong of ``state``, or the
+    empty string: the least density, wave speed, steepest slope and its cell,
+    bit for bit against numpy on the state's fields."""
+    lowest, speed, (slope, cell) = facts
     # the least density as np.minimum folds it from the first cell: the
     # first NaN, else the least, of equal zeros the last. np.min reduces in
     # SIMD blocks, and which zero it returns depends on n mod 8 and the CPU
     expected = (
-        np.minimum.accumulate(made.rho)[-1], ref.max_wave_speed(made, cfg),
-        *ref.max_velocity_gradient(made, grid),
+        np.minimum.accumulate(state.rho)[-1], ref.max_wave_speed(state, cfg),
+        *ref.max_velocity_gradient(state, grid),
     )
     for name, got, want in zip(FACTS, (lowest, speed, slope, cell), expected):
         if not _same(got, want):
             return f"{name} {got!r}, oracle {want!r}"
+    return ""
+
+
+def made_mismatch(returned, cfg, grid) -> str:
+    """What a second stage got wrong of the state it made, in what it
+    ``returned`` (``Plan.rk_stage``'s tuple), or the empty string: its facts,
+    and the cells raised to gamma - 1 (None unless K > 0 and gamma > 1)."""
+    made, *facts, powers = returned
+    wrong = facts_mismatch(made, facts, cfg, grid)
+    if wrong:
+        return wrong
     raises = cfg.pressure_const > 0.0 and cfg.gamma > 1.0
     if raises != (powers is not None) or raises and not _same(
         powers, np.maximum(made.rho, 0.0) ** (cfg.gamma - 1.0)
@@ -161,13 +171,16 @@ def mismatch(plan, state, cfg, grid, wall, dt) -> str:
     """What the kernel gets wrong of a stage and a step from ``state`` with
     cells from ``wall`` on closed, or the empty string."""
     n = grid.n_cells
+    wrong = facts_mismatch(state, plan.facts(state), cfg, grid)
+    if wrong:
+        return f"facts: {wrong}"
     # a second stage whose new state is ``state`` itself, its NaN, infinite
     # and negative-zero cells kept: (-0.0 * dt + x) * 0.5 + 0.5 * x is x
     # unless x halves to a subnormal, with the cells from the wall on zeroed
     returned = plan.rk_stage(
         wall, dt, state, np.stack([state.rho, state.vel]), np.full((2, n), -0.0)
     )
-    wrong = facts_mismatch(returned, cfg, grid)
+    wrong = made_mismatch(returned, cfg, grid)
     if wrong:
         return f"state: {wrong}"
     num = SimpleNamespace(support_margin_cells=n - wall)
@@ -189,7 +202,7 @@ def mismatch(plan, state, cfg, grid, wall, dt) -> str:
     made = returned[0]
     if not (_same(made.rho, new_state.rho) and _same(made.vel, new_state.vel)):
         return "step differs"
-    wrong = facts_mismatch(returned, cfg, grid)
+    wrong = made_mismatch(returned, cfg, grid)
     return f"step: {wrong}" if wrong else ""
 
 
@@ -226,7 +239,7 @@ def main(argv=None) -> int:
                 if bad <= 20:
                     print(f"n={grid.n_cells} wall={wall} {cfg}: {wrong}")
     print(
-        f"tendencies, rk_stage and the new state's facts against the oracle: {count} states "
+        f"facts, tendencies, rk_stage and the new state's facts against the oracle: {count} states "
         f"of seed {seed}, "
         f"{bad} mismatches, {time.perf_counter() - start:.1f} s"
     )

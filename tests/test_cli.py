@@ -190,7 +190,9 @@ MODEL_FIELDS = {
     "delta": st.sampled_from((-1, 0, 1)),
     "pressure_const": finite(0.0),
     "gamma": finite(1.0),
-    "support_radius": finite(0.0, exclude_min=True),
+    # a radius that a grid of up to 10**6 cells takes: one whose least
+    # weight underflows is refused
+    "support_radius": finite(1e-90),
 }
 NUMERICS_FIELDS = {
     "cfl": finite(0.0, 1.0, exclude_min=True),
@@ -722,6 +724,32 @@ class TestMain:
                                   f"family = polynomial_bump\ndensity_amplitude = {amplitude}")
             )
             message = f"error: initial.density_amplitude must be > 0, got {float(amplitude)!r}\n"
+            for command in ("check", "run", "sweep"):
+                where = [] if command == "check" else ["--output-dir", str(out)]
+                assert main([command, str(cfg_file), *where]) == 1
+                assert capsys.readouterr() == ("", message)
+        assert not out.exists()
+
+    def test_a_radius_too_small_for_its_cells_is_refused_with_its_key(self, tmp_path, capsys):
+        # cells whose weights underflow once ended run in a ZeroDivisionError
+        # (1e-170) or a breakdown at t = 0 (1e-120) with an index.tsv left,
+        # and check printed h0=0: now every command refuses the config at
+        # parse time, naming the key, and writes nothing. A sweep entry of
+        # too many cells for its radius is refused as well
+        cfg_file = tmp_path / "exp.cfg"
+        out = tmp_path / "out"
+        for radius, sweep in (("1e-170", ""), ("1e-120", ""), ("1e-100", "n_cells = 64, 128")):
+            text = SMALL_RUN.replace("support_radius = 1", f"support_radius = {radius}")
+            cells = 64
+            if sweep:
+                text += f"\n[sweep]\n{sweep}\n"
+                cells = 128
+            cfg_file.write_text(text)
+            message = (
+                f"error: {'sweep: ' if sweep else ''}model.support_radius = {float(radius)!r} "
+                f"is too small for {cells} cells: their least weight (dr/2)**3/3 must be a "
+                "normal double\n"
+            )
             for command in ("check", "run", "sweep"):
                 where = [] if command == "check" else ["--output-dir", str(out)]
                 assert main([command, str(cfg_file), *where]) == 1

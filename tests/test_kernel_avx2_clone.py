@@ -16,7 +16,8 @@ from _helpers import swap_in_clone
 from test_kernel_equivalence import (  # noqa: F401
     test_breakdown_reports_the_same_cell,
     test_diagnostics_row_matches_numpy_sums,
-    test_a_slope_width_of_any_sign_divides_every_difference,
+    test_a_slope_width_of_any_sign_is_refused_by_the_stage,
+    test_a_state_whose_length_is_not_the_grids_is_refused,
     test_edge_faces_match_reference_at_every_wall,
     test_facts_at_their_edges,
     test_max_velocity_gradient_matches_reference,

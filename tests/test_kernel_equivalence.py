@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 import _reference_kernel as ref
 import stage_differential
 from format_rows_differential import TIE_DECADES, tie_range
-from radialblowup import _kernel, cli, diagnostics
+from radialblowup import _kernel, cli, diagnostics, model
 from radialblowup import (
     FluidState,
     ModelConfig,
@@ -221,7 +221,7 @@ def test_signed_zeros_match_reference(case, seed):
 
 @st.composite
 def velocity_profiles(draw):
-    n = draw(st.integers(0, 40))
+    n = draw(st.integers(8, 40))
     kind = draw(st.sampled_from(("random", "constant", "ties", "nan")))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if kind == "constant":
@@ -240,11 +240,24 @@ def velocity_profiles(draw):
 @given(velocity_profiles(), st.sampled_from((1.0, 0.3)))
 def test_max_velocity_gradient_matches_reference(state, radius):
     # the first cell on a tie and the first NaN, as np.argmax picks them
-    grid = RadialGrid(n_cells=max(state.n_cells, 8), support_radius=radius)
+    grid = RadialGrid(n_cells=state.n_cells, support_radius=radius)
     expected = ref.max_velocity_gradient(state, grid)
     value, cell = diagnostics.max_velocity_gradient(state, grid)
     assert cell == expected[1] and type(cell) is int
     assert _same(value, expected[0]) and type(value) is float
+
+
+@pytest.mark.parametrize("n", [7, 9, 64])
+def test_a_state_whose_length_is_not_the_grids_is_refused(n):
+    # the facts of a state read it on its grid's plan: a state of another
+    # length raises ValueError, where the gradient once used that grid's width
+    grid = RadialGrid(n_cells=8, support_radius=1.0)
+    state = FluidState(0.0, np.zeros(n), np.linspace(0.0, 1.0, n))
+    for read in (lambda: diagnostics.max_velocity_gradient(state, grid),
+                 lambda: max_wave_speed(state, ModelConfig(), grid),
+                 lambda: _kernel.plan(grid, ModelConfig(pressure_const=1.0)).facts(state)):
+        with pytest.raises(ValueError, match="must be a C-contiguous float64 array"):
+            read()
 
 
 # block edges of numpy's pairwise sum: 8 accumulators up to 128 terms, and
@@ -344,27 +357,54 @@ def _chained(op, values):
     return result
 
 
+# (K, gamma): dust and the isothermal law, whose wave speed a step's second
+# stage finds, and gamma 1.4, whose speed needs the raised cells
+FACT_LAWS = ((0.0, 1.4), (1.0, 1.0), (1.0, 1.4))
+
+
+def _facts_of(state, cfg, grid):
+    """What numpy's reductions give of a state, as ``Plan.facts`` returns
+    them: the least density as np.minimum folds it from the first cell, the
+    wave speed as np.maximum does, both first NaN, else the extreme value,
+    the last of equal ones; and the steepest slope and cell of the oracle."""
+    with np.errstate(all="ignore"):
+        speeds = np.abs(state.vel) + sound_speed(np.maximum(state.rho, 0.0), cfg)
+        gradient = ref.max_velocity_gradient(state, grid)
+    return (_chained(float.__lt__, state.rho.tolist()), _chained(float.__gt__, speeds.tolist()),
+            gradient)
+
+
+def _same_facts(got, want) -> bool:
+    """Two facts the same to the bit, their cell an int."""
+    (lowest, speed, (slope, cell)), (lowest2, speed2, (slope2, cell2)) = got, want
+    return (_same([lowest, speed, slope], [lowest2, speed2, slope2]) and cell == cell2
+            and type(cell) is int)
+
+
 @settings(max_examples=200, deadline=None)
-@given(reduction_cases(), st.sampled_from((0.0, 1.0)))
-def test_reductions_keep_numpy_rules(values, pressure):
+@given(reduction_cases(), st.sampled_from(FACT_LAWS))
+def test_reductions_keep_numpy_rules(values, law):
     n = values.size
     grid = RadialGrid(n_cells=n, support_radius=1.0)
-    cfg = ModelConfig(dim=3, pressure_const=pressure, gamma=1.4)
+    cfg = ModelConfig(dim=3, pressure_const=law[0], gamma=law[1])
+    plan = _kernel.plan(grid, cfg)
     zeros = np.zeros(n)
-    # the wave speed: the first NaN speed, else the largest
-    state = FluidState(time=0.0, rho=np.abs(values), vel=values)
-    with np.errstate(all="ignore"):
-        speeds = np.abs(values) + (sound_speed(np.abs(values), cfg) if pressure else 0.0)
-    assert _same(max_wave_speed(state, cfg, grid), _chained(float.__gt__, speeds.tolist()))
-    # the velocity gradient: the first NaN slope, else the first largest
-    with np.errstate(all="ignore"):
-        expected = ref.max_velocity_gradient(FluidState(0.0, zeros, values), grid)
-    value, cell = diagnostics.max_velocity_gradient(FluidState(0.0, zeros, values), grid)
-    assert cell == expected[1] and _same(value, expected[0])
+    # the facts of any state, its NaN and negative cells included: the
+    # first NaN, else the least density and the largest speed, and the
+    # first NaN slope, else the first largest
+    for state in (FluidState(0.0, values, values), FluidState(0.0, np.abs(values), values),
+                  FluidState(0.0, zeros, values)):
+        assert _same_facts(plan.facts(state), _facts_of(state, cfg, grid))
+    # raised cells are read as the caller passes them: a negative cell's
+    # sound speed is NaN, as numpy's sqrt gives it
+    if cfg.pressure_const > 0.0 and cfg.gamma > 1.0:
+        with np.errstate(all="ignore"):
+            speeds = np.abs(values) + np.sqrt(cfg.pressure_const * cfg.gamma * values)
+        speed = plan.facts(FluidState(0.0, zeros, values), values)[1]
+        assert _same(speed, _chained(float.__gt__, speeds.tolist()))
     # the step's new density minimum, from its second stage: the first NaN,
     # else the smallest
     wall = n - 1
-    plan = _kernel.plan(grid, cfg)
     # (-0.0 * dt + mid) * 0.5 + 0.5 * -0.0 is mid * 0.5, down to the sign of
     # a zero and a NaN
     mid = np.stack([values, zeros])
@@ -376,11 +416,6 @@ def test_reductions_keep_numpy_rules(values, pressure):
     assert _same(lowest, _chained(float.__lt__, new_rho.tolist()))
     # the first stage writes old + dt * k and takes no minimum
     assert plan.rk_stage(wall, 0.5, FluidState(0.0, values, zeros), None, k) is None
-
-
-# (K, gamma): dust and the isothermal law, whose wave speed a step's second
-# stage finds, and gamma 1.4, whose speed needs the raised cells
-FACT_LAWS = ((0.0, 1.4), (1.0, 1.0), (1.0, 1.4))
 
 
 def _made(plan, values, wall=None):
@@ -402,58 +437,51 @@ def test_the_facts_of_a_made_state_keep_numpy_rules(values, law):
     n = values.size
     grid = RadialGrid(n_cells=n, support_radius=1.0)
     cfg = ModelConfig(dim=3, pressure_const=law[0], gamma=law[1])
-    made, lowest, speed, (value, cell), _ = _made(_kernel.plan(grid, cfg), values)
-    rho, vel = made.rho, made.vel
-    with np.errstate(all="ignore"):
-        speeds = np.abs(vel) + sound_speed(np.maximum(rho, 0.0), cfg)
-        expected = ref.max_velocity_gradient(made, grid)
-    assert _same(lowest, _chained(float.__lt__, rho.tolist()))
-    assert _same(speed, _chained(float.__gt__, speeds.tolist()))
-    assert cell == expected[1] and _same(value, expected[0]) and type(cell) is int
-    # the entries give the same of the same fields
-    assert _same(max_wave_speed(made, cfg, grid), speed)
-    assert _same(diagnostics.max_velocity_gradient(made, grid), (value, cell))
+    plan = _kernel.plan(grid, cfg)
+    made, *facts, powers = _made(plan, values)
+    assert _same_facts(facts, _facts_of(made, cfg, grid))
+    # the facts entry gives the same of the same fields, with the raised
+    # cells the step returned or raised anew, and so do the public readers
+    assert _same_facts(plan.facts(made, powers), facts)
+    assert _same_facts(plan.facts(made), facts)
+    assert _same(max_wave_speed(made, cfg, grid), facts[1])
+    assert _same(diagnostics.max_velocity_gradient(made, grid), facts[2])
 
 
 # (width, scale of random velocities, or 0 for near ties): near ties at
 # several widths, slopes that overflow to inf, and slopes that underflow
-SLOPE_CASES = ((1.9, 0), (3.0, 0), (7.5, 0), (0.1, 0), (1e-300, 0), (5e-324, 0),
-               (1e-300, 1e10), (1e300, 1e-10))
+SLOPE_CASES = ((1.9, 0), (3.0, 0), (7.5, 0), (0.1, 0), (1e-90, 1e300), (1e100, 1e-215))
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.integers(3, 300), st.integers(0, 2**32 - 1), st.sampled_from(SLOPE_CASES))
+@given(st.integers(8, 300), st.integers(0, 2**32 - 1), st.sampled_from(SLOPE_CASES))
 def test_slopes_equal_after_the_division_take_the_first_cell(n, seed, case):
     # the largest difference and one division give np.argmax of the slopes
     # only with the first cell whose slope rounds to the largest: a lower
-    # difference there, or an overflow to inf, or an underflow
-    width, scale = case
+    # difference there, or an overflow to inf, or an underflow. A second
+    # stage finds it on a grid whose 2 dr is the width
+    grid = RadialGrid(n_cells=n, support_radius=case[0] * n / 2.0)
+    width, scale = 2.0 * grid.cell_width, case[1]
     rng = np.random.default_rng(seed)
     v = rng.normal(size=n) * scale if scale else stage_differential.near_ties(rng, n, width)
     with np.errstate(all="ignore"):
         slopes = np.abs(v[2:] - v[:-2]) / width
     k = int(np.argmax(slopes))
-    slope, cell = _kernel.load().max_slope(v, width)
+    slope, cell = _made(_kernel.plan(grid, ModelConfig(pressure_const=0.0)), v)[3]
     assert cell == k + 1 and _same(slope, slopes[k])
-    # and so does a second stage, on a grid whose 2 dr is the width
-    if 0.1 <= width <= 7.5 and n >= 8:
-        grid = RadialGrid(n_cells=n, support_radius=width * n / 2.0)
-        gradient = _made(_kernel.plan(grid, ModelConfig(pressure_const=0.0)), v)[3]
-        if 2.0 * grid.cell_width == width:
-            assert gradient == (float(slopes[k]), k + 1)
 
 
 @pytest.mark.parametrize("width", [0.0, -0.0, -0.5, math.inf, -math.inf, math.nan])
-def test_a_slope_width_of_any_sign_divides_every_difference(width):
-    # where the division does not round monotonically upwards, the kernel
-    # divides each difference as numpy does
-    v = np.array([0.0, 1.0, -2.0, 3.0, 0.0, -1e308, 1e308, math.inf, 2.0, 2.0])
-    for values in (v, np.zeros(10), v[::-1].copy()):
-        with np.errstate(all="ignore"):
-            slopes = np.abs(values[2:] - values[:-2]) / width
-        k = int(np.argmax(slopes))
-        slope, cell = _kernel.load().max_slope(values, width)
-        assert cell == k + 1 and _same(slope, slopes[k])
+def test_a_slope_width_of_any_sign_is_refused_by_the_stage(width):
+    # the slope divides by 2 dr, which rounds monotonically upwards only for
+    # 0 < 2 dr <= DBL_MAX: a stage refuses any other dr, so no width of
+    # another sign, no zero and no infinity reaches the division
+    grid = RadialGrid(n_cells=16, support_radius=1.0)
+    w = model.grid_weights(grid, 3)
+    arrays = (grid.cell_centers, w.face_area, w.shell, w.inner_shell, w.center)
+    for dr in (width / 2.0, width):
+        with pytest.raises(ValueError, match=r"^stage: dr must be in \(0, DBL_MAX / 2\]$"):
+            _kernel.load().stage(dr, 0.0, 1.4, 0.0, *arrays)
 
 
 def test_facts_at_their_edges():

@@ -12,6 +12,7 @@ import re
 import shutil
 import stat
 import subprocess
+import sys
 from importlib.machinery import EXTENSION_SUFFIXES
 from pathlib import Path
 
@@ -155,15 +156,13 @@ def test_two_sources_that_share_a_cache_keep_their_builds(fresh_cache, tmp_path,
     assert len(list(fresh_cache.iterdir())) == 2
 
 
-def _wrong(array: np.ndarray, short: bool) -> list:
-    """Stand-ins for ``array`` that no entry may accept: another length (2
-    cells when ``short``), float32, not contiguous, a list and None; each
-    array of them holds the values of ``array``."""
-    longer = np.resize(array, (*array.shape[:-1], array.shape[-1] + 1))
-    length = array[..., :2] if short else longer
+def _wrong(array: np.ndarray) -> list:
+    """Stand-ins for ``array`` that no entry may accept: another length,
+    float32, not contiguous, a list and None; each array of them holds the
+    values of ``array``."""
     return [
-        length, array.astype(np.float32), np.repeat(array, 2, axis=-1)[..., ::2],
-        array.tolist(), None,
+        np.resize(array, (*array.shape[:-1], array.shape[-1] + 1)), array.astype(np.float32),
+        np.repeat(array, 2, axis=-1)[..., ::2], array.tolist(), None,
     ]
 
 
@@ -184,9 +183,8 @@ def test_each_entry_rejects_what_it_was_not_built_for(pressure_const):
             lib.tendencies, [stage, wall, rho, vel, cell, 0.0, None], (2, 3, 4)[: 2 + raised], 6
         ),
         "rk_stage": (lib.rk_stage, [stage, wall, 0.1, rho, vel, mid, None], (3, 4, 5), 6),
-        "max_speed": (lib.max_speed, [stage, vel, cell], (1, 2)[: 1 + raised], None),
+        "facts": (lib.facts, [stage, rho, vel, cell], (1, 2, 3)[: 2 + raised], None),
         "row_sums": (lib.row_sums, [stage, rho, vel, cell], (1, 2, 3)[: 2 + raised], None),
-        "max_slope": (lib.max_slope, [vel, 0.1], (0,), None),
         "format_rows": (lib.format_rows, [np.ones((n, 8))], (0,), None),
     }
     for name, (entry, args, inputs, output) in entries.items():
@@ -199,9 +197,9 @@ def test_each_entry_rejects_what_it_was_not_built_for(pressure_const):
             if place == output:
                 read_only = np.full((2, n), 7.0)
                 read_only.flags.writeable = False
-                wrong = [*_wrong(np.full((2, n), 7.0), False), read_only, np.full(n, 7.0)]
+                wrong = [*_wrong(np.full((2, n), 7.0)), read_only, np.full(n, 7.0)]
             else:
-                wrong = _wrong(args[place], short=name == "max_slope")
+                wrong = _wrong(args[place])
             for stand_in in wrong:
                 if stand_in is None and args[place] is mid:
                     continue  # the first Runge-Kutta stage has no mid
@@ -229,7 +227,7 @@ def test_each_entry_rejects_what_it_was_not_built_for(pressure_const):
     # stage, not another module's capsule, not None
     for not_a_stage in (bytes(120), datetime.datetime_CAPI, None):
         for name, (entry, args, _, output) in entries.items():
-            if name in ("max_slope", "format_rows"):
+            if name == "format_rows":
                 continue
             called = [not_a_stage, *args[1:]]
             if output is not None:
@@ -255,8 +253,7 @@ def test_each_entry_takes_its_count_of_arguments():
         ],
         "tendencies": [stage, n - 1, rho, vel, rho, 0.0, out],
         "rk_stage": [stage, n - 1, 0.1, rho, vel, None, out],
-        "max_speed": [stage, vel, rho],
-        "max_slope": [vel, 0.1],
+        "facts": [stage, rho, vel, rho],
         "row_sums": [stage, rho, vel, rho],
         "format_rows": [np.ones((n, 8))],
         "kernel_target": [],
@@ -290,19 +287,26 @@ def test_stage_takes_only_the_arrays_of_its_grid(pressure_const, gamma):
 
     stage = build()
     for name, array in good.items():
-        for stand_in in _wrong(array, short=False):
+        for stand_in in _wrong(array):
             # another length of r is another n, which the weights then miss
             with pytest.raises(ValueError, match=None if name == "r" else f": {name} must"):
                 build(**{name: stand_in})
     with pytest.raises(ValueError, match="r must"):
         build(r=good["r"][:1])
+    # the largest dr a stage takes, whose slope width 2 dr is DBL_MAX, and
+    # the next double above it
+    half = sys.float_info.max / 2.0
+    build_dr = lib.stage(half, pressure_const, gamma, 0.0, *good.values())
+    with pytest.raises(ValueError, match="dr must be"):
+        lib.stage(np.nextafter(half, np.inf), pressure_const, gamma, 0.0, *good.values())
     vel = np.zeros(grid.n_cells)
     for cell in (None, np.empty(grid.n_cells + 1)):
         if pressure_const > 0.0 and gamma > 1.0:
             with pytest.raises(ValueError, match="cell"):
-                lib.max_speed(stage, vel, cell)
+                lib.facts(stage, vel, vel, cell)
         else:
-            lib.max_speed(stage, vel, cell)  # no row is raised: the argument is not read
+            lib.facts(stage, vel, vel, cell)  # no row is raised: the argument is not read
+    assert lib.facts(build_dr, vel, vel, np.ones(grid.n_cells))[2] == (0.0, 1)
 
 
 def test_a_plan_outlives_its_grid_and_weights():
@@ -320,7 +324,7 @@ def test_a_plan_outlives_its_grid_and_weights():
     # NaN in the memory those arrays held, had the stage let it go
     junk = [np.full(size, np.nan) for size in (n, n + 1) for _ in range(16)]
     fresh = _kernel.Plan(RadialGrid(n_cells=n, support_radius=1.0), cfg)
-    assert kept.max_speed(state) == fresh.max_speed(state)
+    assert kept.facts(state) == fresh.facts(state)
     wall = n - 2
     assert kept.tendencies(state, wall, 1e-12)[0].tobytes() == (
         fresh.tendencies(state, wall, 1e-12)[0].tobytes()
@@ -331,10 +335,11 @@ def test_a_plan_outlives_its_grid_and_weights():
 
 @pytest.mark.parametrize("pressure_const, gamma", [(0.0, 1.4), (1.0, 1.0), (1.0, 1.4)])
 def test_a_step_answers_for_the_state_it_made(monkeypatch, pressure_const, gamma):
-    # a step returns the wave speed and slope of the state it made, which
-    # its second stage finds, and they are what the entries give for that
-    # state. With pressure and gamma > 1 the speed needs the raised cells:
-    # the step raises them, calls max_speed's entry and returns them too
+    # a step returns the facts of the state it made, which its second stage
+    # finds, and they are what the facts entry gives for that state. With
+    # pressure and gamma > 1 the speed needs the raised cells: the second
+    # stage leaves the facts, and the step raises the cells, calls the facts
+    # entry once and returns the cells too
     n = 64
     grid = RadialGrid(n_cells=n, support_radius=1.0)
     cfg = ModelConfig(dim=3, delta=1, pressure_const=pressure_const, gamma=gamma)
@@ -351,11 +356,14 @@ def test_a_step_answers_for_the_state_it_made(monkeypatch, pressure_const, gamma
     monkeypatch.setattr(_kernel, "load", Counted)
     made, speed, gradient, powers = solver.step(state, 1e-3, cfg, grid, solver.NumericsConfig())
     raised = pressure_const > 0.0 and gamma > 1.0
-    assert called == ["tendencies", "rk_stage"] * 2 + ["max_speed"] * raised
+    assert called == ["tendencies", "rk_stage"] * 2 + ["facts"] * raised
     if raised:
         assert powers.tobytes() == (np.maximum(made.rho, 0.0) ** (gamma - 1.0)).tobytes()
     else:
         assert powers is None
+    _, fresh_speed, fresh_gradient = _kernel.plan(grid, cfg).facts(made)
+    assert np.float64(fresh_speed).tobytes() == np.float64(speed).tobytes()
+    assert fresh_gradient == gradient
     assert np.float64(solver.max_wave_speed(made, cfg, grid)).tobytes() == (
         np.float64(speed).tobytes()
     )
@@ -393,12 +401,9 @@ def test_the_avx2_clones_of_the_loops_hold_256_bit_code():
             ymm_in_avx512f[key[0]] = ymm_in_avx512f.get(key[0], 0) + 1
     if not wide:
         pytest.skip("the kernel has no wide clones on this platform")
-    loops = (
-        "face_means", "sound_speeds", "fluxes", "cells", "rk_stage", "max_speed", "block_sums"
-    )
-    # extreme, max_slope and step_facts work in 32-byte vectors, ymm in both
-    # clones
-    for loop in loops + ("extreme", "max_slope", "step_facts"):
+    loops = ("face_means", "sound_speeds", "fluxes", "cells", "rk_stage", "block_sums")
+    # step_facts works in 32-byte vectors, ymm in both clones
+    for loop in loops + ("step_facts",):
         assert wide.get((loop, "avx2"), 0) > 0, loop
     for loop in loops:
         assert wide.get((loop, "avx512f"), 0) > 0, loop
@@ -422,7 +427,7 @@ def _imported_modules(tree: ast.AST) -> set:
 
 def test_only_the_kernel_module_calls_the_library():
     # the ABI and numpy's ** between the C calls are _kernel's alone: the run
-    # path reaches the kernel through a plan's methods and max_slope
+    # path reaches the kernel through a plan's methods
     for path in sorted(PACKAGE.glob("*.py")):
         assert "ctypes" not in _imported_modules(_tree(path.name)), path.name
     for name in ("solver.py", "diagnostics.py"):
@@ -435,4 +440,4 @@ def test_only_the_kernel_module_calls_the_library():
             and isinstance(node.value, ast.Name)
             and node.value.id == "_kernel"
         }
-        assert used <= {"plan", "max_slope"}, name
+        assert used <= {"plan"}, name

@@ -1,11 +1,13 @@
 import dataclasses
 import math
+import re
+import sys
 
 import numpy as np
 import pytest
 
 from _reference_kernel import pressure
-from radialblowup import FluidState, ModelConfig, NumericsConfig, RadialGrid
+from radialblowup import FluidState, ModelConfig, NumericsConfig, RadialGrid, model
 from radialblowup.model import sound_speed, validate_initial_data, weighted_momentum
 
 
@@ -98,6 +100,44 @@ def test_grid_geometry():
     np.testing.assert_allclose(np.diff(r), grid.cell_width)
     with pytest.raises(ValueError):
         RadialGrid(n_cells=4, support_radius=1.0)
+
+
+def _bits(x: float) -> int:
+    return int(np.float64(x).view(np.int64))
+
+
+def _accepts(n: int, radius: float) -> bool:
+    try:
+        RadialGrid(n_cells=n, support_radius=radius)
+    except ValueError as exc:
+        assert re.fullmatch(
+            rf"support_radius = {re.escape(repr(radius))} is too small for {n} cells: "
+            r"their least weight \(dr/2\)\*\*3/3 must be a normal double",
+            str(exc),
+        )
+        return False
+    return True
+
+
+@pytest.mark.parametrize("n", [8, 64, 10**6])
+def test_a_grid_whose_weights_would_underflow_is_refused(n):
+    # radii of 1e-170 and 1e-120 over 64 cells once ended a run in a
+    # ZeroDivisionError and a breakdown at t = 0: their weights underflow
+    for radius in (5e-324, 1e-170, 1e-120):
+        assert not _accepts(n, radius)
+    # the least radius a grid takes, found between two bit patterns: every
+    # positive weight in every dimension is then a normal double
+    lo, hi = _bits(1e-120), _bits(1e-80)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if _accepts(n, np.int64(mid).view(np.float64)) else (mid, hi)
+    grid = RadialGrid(n_cells=n, support_radius=float(np.int64(hi).view(np.float64)))
+    for dim in (1, 2, 3):
+        for weight in model.grid_weights(grid, dim):
+            positive = weight[weight != 0.0]
+            assert positive.size >= n and positive.min() >= sys.float_info.min, dim
+    # and so is dr**3 / 4, the least product the tendencies divide by
+    assert grid.cell_width**3 / 4.0 >= sys.float_info.min
 
 
 def test_fluid_state_holds_c_contiguous_float64_fields():

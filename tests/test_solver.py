@@ -121,7 +121,8 @@ class TestCflDt:
     def test_nan_speed_gives_a_nan_step_and_no_collapse(self, grid, monkeypatch):
         # a NaN max(|V| + c) passes the dt_floor test, which any finite step
         # would fail here, and the NaN step ends the run in a breakdown; a NaN
-        # in the initial data is refused, so the run's NaN speed is patched in
+        # in the initial data is refused, so the NaN speed is patched into the
+        # initial state's facts
         num = NumericsConfig(dt_floor=1.0)
         cfg = ModelConfig(pressure_const=0.0)
         rho, vel = np.ones(128), np.zeros(128)
@@ -129,7 +130,13 @@ class TestCflDt:
         nan_vel = vel.copy()
         nan_vel[10] = np.nan
         assert np.isnan(cfl_dt(FluidState(0.0, rho, nan_vel), cfg, num, grid))
-        monkeypatch.setattr(solver, "max_wave_speed", lambda *args: math.nan)
+        facts = _kernel.Plan.facts
+
+        def nan_speed(*args):
+            lowest, _, gradient = facts(*args)
+            return lowest, math.nan, gradient
+
+        monkeypatch.setattr(_kernel.Plan, "facts", nan_speed)
         result = run(rho, vel, cfg, num)
         assert result.trajectory.termination is Termination.NUMERICAL_BREAKDOWN
         assert result.trajectory.steps == 0
@@ -431,14 +438,15 @@ class TestRun:
                 return _fn(*args, **kwargs)
 
             monkeypatch.setattr(module, name, counted)
-        # every C entry a plan method or max_slope calls, through load(), and
-        # apart from them the stage a plan builds
+        # every C entry a plan method calls, through load(), and apart from
+        # them the stage a plan builds and the facts of a state
         lib = _kernel.load()
 
         class CountedLibrary:
             def __getattr__(self, name):
                 def entry(*args, _fn=getattr(lib, name)):
                     calls["stage" if name == "stage" else "C"] += 1
+                    calls["facts"] += name == "facts"
                     return _fn(*args)
 
                 return entry
@@ -453,29 +461,32 @@ class TestRun:
         steps = calls["step"]
         assert steps > 0 and calls["rhs_eval"] == 2 * steps
         # a step returns the wave speed and gradient of the state it made,
-        # shared by dt, detection and rows: these run for the initial state
-        assert calls["max_wave_speed"] == calls["max_velocity_gradient"] == 1
+        # shared by dt, detection and rows: the facts entry reads the initial
+        # state, and each new state whose cells must be raised first
+        # (pressure and gamma > 1); the public readers of each fact are not
+        # called
+        raised = pressure_const > 0 and gamma > 1
+        assert calls["facts"] == 1 + steps * raised
+        assert calls["max_wave_speed"] == calls["max_velocity_gradient"] == 0
         # the numpy EOS and force field are oracles: the run path is compiled
         assert calls["sound_speed"] == calls["radial_field"] == 0
         # numpy's ** raises the n cells of the second stage and of the new
-        # state, which its wave speed and the next step's first stage read;
-        # the n cells of each diagnostics row; and once the initial state's,
-        # for its wave speed and again for the first step. None without
+        # state, which its facts and the next step's first stage read; the n
+        # cells of each diagnostics row; and once the initial state's, for
+        # its facts and again for the first step. None without
         # pressure, and none for gamma = 1, whose powers are 1 and max(rho, 0)
         assert rows == steps + 1
-        if pressure_const > 0 and gamma > 1:
+        if raised:
             n = grid.n_cells
             assert calls["raised"] == 2 * n * steps + n * rows + n
             assert calls["power"] == 2 * steps + rows + 1
         else:
             assert calls["power"] == calls["raised"] == 0
         # a step calls two stages of one call each and two Runge-Kutta
-        # stages; the second finds the new state's slope and, unless its
-        # cells must be raised first (pressure and gamma > 1, one call
-        # more), its wave speed. The initial state's wave speed and slope
-        # are one call each, and a row calls its sums
-        per_step = 5 if pressure_const > 0 and gamma > 1 else 4
-        assert calls["C"] == per_step * steps + 2 + rows
+        # stages; the second finds the new state's facts unless its cells
+        # must be raised first (one call more). The initial state's facts
+        # are one call, and a row calls its sums
+        assert calls["C"] == (4 + raised) * steps + 1 + rows
         # the run's one plan builds its stage once, never per step
         assert calls["stage"] == 1
 
