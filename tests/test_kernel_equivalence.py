@@ -479,9 +479,8 @@ def test_a_slope_width_of_any_sign_is_refused_by_the_stage(width):
     grid = RadialGrid(n_cells=16, support_radius=1.0)
     w = model.grid_weights(grid, 3)
     arrays = (grid.cell_centers, w.face_area, w.shell, w.inner_shell, w.center)
-    for dr in (width / 2.0, width):
-        with pytest.raises(ValueError, match=r"^stage: dr must be in \(0, DBL_MAX / 2\]$"):
-            _kernel.load().stage(dr, 0.0, 1.4, 0.0, *arrays)
+    with pytest.raises(ValueError, match=r"^stage: dr must be in \(0, DBL_MAX / 2\]$"):
+        _kernel.load().stage(width / 2.0, 0.0, 1.4, 0.0, *arrays)
 
 
 def test_facts_at_their_edges():
