@@ -6,11 +6,12 @@ command and interpreter ABI and kept in ``$XDG_CACHE_HOME/radialblowup``
 the interpreter's extension suffix. It is loaded on first use, so commands
 that never step a state never compile it. Every entry but ``format_rows``
 and ``kernel_target`` takes the ``struct stage`` that the kernel's ``stage``
-builds for a ``Plan``, once per grid, model and thread, and owns in a
-capsule with the arrays it reads; the methods of that ``Plan`` are their
-only callers, and pass each call every array it reads, the raised cells
-among them. This is the one module that calls the kernel, and the one that
-raises the cells with numpy's ``**`` before a C call.
+builds for a ``Plan`` when a thread asks for another grid and model than
+its last, and owns in a capsule with the arrays it reads; the methods of
+that ``Plan`` are their only callers, and pass each call every array it
+reads, the raised cells among them. This is the one module that calls the
+kernel, and the one that raises the cells with numpy's ``**`` before a C
+call.
 """
 
 from __future__ import annotations
@@ -50,12 +51,13 @@ COMPILE = (
 
 
 class Plan:
-    """A grid and model's ``struct stage``, for the thread that builds it. Its
-    methods alone call the entries that take it, and look up ``load`` and
-    ``power`` anew each time: tests swap them. ``facts`` is the one reduction
-    over a state. A plan keeps no state: what a call reads arrives as an
-    argument, and the cells raised for it, which ``powers`` returns, are a
-    value the caller may pass on."""
+    """A grid and model's ``struct stage``, for the thread that builds it,
+    which keeps it until it asks for another (``plan``). Its methods alone
+    call the entries that take it, and look up ``load`` and ``power`` anew
+    each time: tests swap them. ``facts`` is the one reduction over a state.
+    A plan keeps no state: what a call reads arrives as an argument, and the
+    cells raised for it, which ``powers`` returns, are a value the caller may
+    pass on."""
 
     def __init__(self, grid: RadialGrid, cfg: ModelConfig):
         weights = grid_weights(grid, cfg.dim)
@@ -108,28 +110,29 @@ class Plan:
 
 
 class _Thread(threading.local):
-    """What each thread keeps to itself: its plans, whose scratch every call
-    writes while the C call has released the GIL, and the last plan asked
-    for."""
+    """What each thread keeps to itself: its last plan, whose scratch every
+    call writes while the C call has released the GIL, with the grid and
+    model it was asked for."""
 
-    def __init__(self):
-        self.plans = functools.lru_cache(maxsize=8)(Plan)
-        self.last = (None, None, None)
+    last = (None, None, None)
 
 
 _thread = _Thread()
 
 
 def plan(grid: RadialGrid, cfg: ModelConfig) -> Plan:
-    """The plan of (grid, cfg) in this thread, built once: the last one again
-    when the same two objects ask, else one of the eight most recent."""
+    """The plan of (grid, cfg) in this thread: the last one again when the
+    same two objects ask, or two equal to them, else a new one in its place.
+    The run path's lookups are all the first kind, with no ``==``."""
     local = _thread
     last_grid, last_cfg, last = local.last
     if grid is last_grid and cfg is last_cfg:
         return last
-    found = local.plans(grid, cfg)
-    local.last = (grid, cfg, found)
-    return found
+    if grid != last_grid or cfg != last_cfg:
+        local.last = (None, None, None)  # the old plan goes before the new one is built
+        last = Plan(grid, cfg)
+    local.last = (grid, cfg, last)
+    return last
 
 
 def format_rows(columns: list) -> bytes:

@@ -282,23 +282,12 @@ def expand_sweep(config: ExperimentConfig) -> list[tuple[str, ExperimentConfig]]
     if config.sweep is None:
         return [("run-0000", replace(config, sweep=None))]
     keys = [k for k in _SWEEPABLE if k in config.sweep]
-    combos = list(itertools.product(*(config.sweep[k] for k in keys)))
     runs = []
-    for index, combo in enumerate(combos):
-        model_kw = {}
-        n_cells = config.n_cells
-        for key, value in zip(keys, combo):
-            if key == "n_cells":
-                n_cells = value
-            else:
-                model_kw[key] = value
+    for index, combo in enumerate(itertools.product(*(config.sweep[k] for k in keys))):
+        model_kw = dict(zip(keys, combo))
+        n_cells = model_kw.pop("n_cells", config.n_cells)
         model = replace(config.model, **model_kw)
-        runs.append(
-            (
-                f"run-{index:04d}",
-                replace(config, model=model, n_cells=n_cells, sweep=None),
-            )
-        )
+        runs.append((f"run-{index:04d}", replace(config, model=model, n_cells=n_cells, sweep=None)))
     return runs
 
 
@@ -386,7 +375,8 @@ def _write_snapshots(run_dir: Path, config: ExperimentConfig, result: RunResult,
 
 
 def run_single(run_id: str, config: ExperimentConfig, out_root: str) -> dict:
-    """Execute one resolved run, write its artifact files, return its summary's facts."""
+    """Execute one resolved run, write its artifact files, return its summary's
+    facts and, under ``warnings``, the lines that ``execute`` prints for it."""
     # elapsed_seconds and the phase times are read off one monotonic clock
     started, t_begin = time.time(), time.perf_counter()
     grid, profile = build_run_fields(config)
@@ -400,18 +390,17 @@ def run_single(run_id: str, config: ExperimentConfig, out_root: str) -> dict:
     )
     t_ran = time.perf_counter()
     rep, trajectory = result.report, result.trajectory
+    warnings = []
     if "h0_not_positive" in rep.scope.flags:
-        print(
+        warnings.append(
             f"warning: {run_id}: h0 = {rep.scope.h0:.6g} is not positive; "
-            "bound verdict will be not_applicable",
-            file=sys.stderr,
+            "bound verdict will be not_applicable\n"
         )
     broke = trajectory.breakdown
     if broke is not None:
-        print(
+        warnings.append(
             f"warning: {run_id}: non-finite {broke.field} tendency at cell "
-            f"{broke.cell_index} (r = {broke.radius:.6g}) at t = {trajectory.t_final:.6g}",
-            file=sys.stderr,
+            f"{broke.cell_index} (r = {broke.radius:.6g}) at t = {trajectory.t_final:.6g}\n"
         )
     t_write = time.perf_counter()
     # made once run() has accepted the initial data: refused data leave no directory
@@ -438,7 +427,7 @@ def run_single(run_id: str, config: ExperimentConfig, out_root: str) -> dict:
         f"write_s: {t_end - t_write:.6f}\n",
         encoding="utf-8",
     )
-    return facts
+    return {**facts, "warnings": warnings}
 
 
 def ProcessPoolExecutor(max_workers: int):
@@ -469,7 +458,9 @@ def execute(
     """Run every sweep entry, write the summary index, and return the exit code.
 
     The pool has ``min(jobs, number of runs)`` workers and takes the runs
-    with the most cells first; ``jobs`` below 1 is an error."""
+    with the most cells first; ``jobs`` below 1 is an error. Each run's
+    ``warning:`` and ``error:`` lines are printed in run-id order, so every
+    ``jobs`` prints the same lines."""
     if jobs < 1:
         print(f"error: --jobs must be at least 1, got {jobs}", file=sys.stderr)
         return 1
@@ -480,14 +471,15 @@ def execute(
     with contextlib.ExitStack() as stack:
         if jobs > 1 and len(tasks) > 1:
             # the largest runs first, so no worker is left with two long ones last
-            tasks.sort(key=lambda task: task[1].n_cells, reverse=True)
             pool = stack.enter_context(ProcessPoolExecutor(max_workers=min(jobs, len(tasks))))
-            results = [pool.submit(_run_entry, task).result for task in tasks]
+            largest = sorted(tasks, key=lambda task: -task[1].n_cells)
+            futures = {task[0]: pool.submit(_run_entry, task) for task in largest}
+            results = [futures[run_id].result for run_id, *_ in tasks]
         else:
             results = [functools.partial(_run_entry, task) for task in tasks]
         for task, result in zip(tasks, results):
             try:
-                outcomes.append(result())
+                outcome = result()
             except (ValueError, OSError) as exc:
                 # initial data refused by run(), or a run directory that
                 # cannot be made or written: one line, as check reports them
@@ -496,10 +488,13 @@ def execute(
             except Exception:
                 traceback.print_exc()
                 outcomes.append({"run_id": task[0], "failed": True})
+            else:
+                sys.stderr.writelines(outcome["warnings"])
+                outcomes.append(outcome)
 
     columns = ("run_id", "verdict", "termination", "t_detect", "t_bound", "h0", "config_hash")
     index_lines = ["\t".join(columns)]
-    for o in sorted(outcomes, key=lambda d: d["run_id"]):
+    for o in outcomes:
         if o.get("failed"):
             index_lines.append("\t".join([o["run_id"], "failed"] + ["-"] * (len(columns) - 2)))
         else:

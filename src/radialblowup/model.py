@@ -108,9 +108,10 @@ class GridWeights(NamedTuple):
     inner_shell: np.ndarray  # (r**N - x[:-1]**N) / N, interface to center
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=1)
 def grid_weights(grid: RadialGrid, dim: int) -> GridWeights:
-    """The weights of (grid, dim), computed once and shared by every caller."""
+    """The weights of (grid, dim), shared by every caller until another grid
+    or dimension asks; a plan (``_kernel.plan``) holds those it was built with."""
     x, r = grid.interfaces, grid.cell_centers
     weights = GridWeights(
         x ** (dim - 1), r ** (dim - 1), (x[1:] ** dim - x[:-1] ** dim) / dim, (r**dim - x[:-1] ** dim) / dim,

@@ -182,9 +182,9 @@ def rhs_eval(
     return out
 
 
-def max_wave_speed(state: FluidState, cfg: ModelConfig, grid: RadialGrid, powers=None) -> float:
-    """Fastest signal speed max(|V| + c) over the cells; ``powers`` as for ``rhs_eval``."""
-    return _kernel.plan(grid, cfg).facts(state, powers)[1]
+def max_wave_speed(state: FluidState, cfg: ModelConfig, grid: RadialGrid) -> float:
+    """Fastest signal speed max(|V| + c) over the cells."""
+    return _kernel.plan(grid, cfg).facts(state)[1]
 
 
 def _stable_dt(speed, time, num: NumericsConfig, grid: RadialGrid) -> tuple:

@@ -40,7 +40,8 @@ MINIMAL = "[model]\ndim = 3\n"
 @pytest.fixture
 def inline_pool(monkeypatch):
     """A stand-in for the process pool that runs each task inline and starts
-    no process; records each pool's size and the run_ids in submission order."""
+    no process, its future holding the result or the exception as a pool's
+    does; records each pool's size and the run_ids in submission order."""
     record = {"sizes": [], "run_ids": []}
 
     class InlinePool:
@@ -56,7 +57,10 @@ def inline_pool(monkeypatch):
         def submit(self, fn, task):
             record["run_ids"].append(task[0])
             future = Future()
-            future.set_result(fn(task))
+            try:
+                future.set_result(fn(task))
+            except Exception as exc:
+                future.set_exception(exc)
             return future
 
     monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
@@ -544,6 +548,35 @@ class TestExecute:
         monkeypatch.setattr(cli, "run_single", recorded)
         assert execute(config, output_dir=str(tmp_path / "serial"), jobs=1) == 0
         assert ran == [f"run-{i:04d}" for i in range(4)]
+
+    @pytest.mark.parametrize(
+        "initial, kind, code",
+        [
+            # h0 < 0 for each run: a warning line, and the runs are written
+            ("family = polynomial_bump\nvelocity_amplitude = -0.7\n", "warning", 0),
+            # a density that underflows to 0 on every grid: an error line, no run
+            ("family = gaussian_truncated\nwidth = 1e-5\n", "error", 1),
+        ],
+        ids=["warning", "error"],
+    )
+    def test_every_jobs_prints_the_same_lines_in_run_id_order(
+        self, tmp_path, inline_pool, capsys, initial, kind, code
+    ):
+        text = SMALL_RUN.replace("family = polynomial_bump\n", initial)
+        config = parse_config(text + "\n[sweep]\nn_cells = 64, 128, 256\n")
+        err = {}
+        for jobs in (1, 2):
+            assert execute(config, output_dir=str(tmp_path / f"jobs{jobs}"), jobs=jobs) == code
+            err[jobs] = capsys.readouterr().err
+        # the pool ran the largest first, and its lines still come in run-id order
+        assert inline_pool["run_ids"] == ["run-0002", "run-0001", "run-0000"]
+        assert err[2] == err[1]
+        lines = err[1].splitlines()
+        assert [line.split(": ", 2)[:2] for line in lines] == [
+            [kind, f"run-{i:04d}"] for i in range(3)
+        ]
+        written = {path.name for path in (tmp_path / "jobs2").glob("run-*")}
+        assert written == ({"run-0000", "run-0001", "run-0002"} if code == 0 else set())
 
     def test_meta_reports_steps_dt_range_and_peak_memory(self, tmp_path):
         execute(parse_config(SMALL_RUN), output_dir=str(tmp_path))

@@ -1,7 +1,9 @@
+import gc
 import hashlib
 import math
 import sys
 import threading
+import weakref
 from collections import Counter
 from dataclasses import replace
 
@@ -489,6 +491,30 @@ class TestRun:
         assert calls["C"] == (4 + raised) * steps + 1 + rows
         # the run's one plan builds its stage once, never per step
         assert calls["stage"] == 1
+
+    def test_a_run_on_another_grid_lets_the_last_grid_and_plan_go(self, monkeypatch):
+        # a thread keeps one plan, and the weights of one grid: nothing of a
+        # 64-cell run outlives a 128-cell run after it
+        asked = {}
+
+        def recorded(grid, cfg, _plan=_kernel.plan):
+            found = _plan(grid, cfg)
+            asked.setdefault(grid.n_cells, (weakref.ref(grid), weakref.ref(found)))
+            return found
+
+        monkeypatch.setattr(_kernel, "plan", recorded)
+        cfg = ModelConfig(delta=1, pressure_const=1.0)
+        num = NumericsConfig(t_end=0.01, steepening_threshold=1e9)
+        for n in (64, 128):
+            prof = build_initial_profile(
+                "gaussian_truncated", {}, 0, RadialGrid(n_cells=n, support_radius=1.0), 2
+            )
+            run(prof.rho0, prof.v0, cfg, num)
+        gc.collect()
+        assert [ref() for ref in asked[64]] == [None, None]
+        # the last run's plan stays for the next one to ask for
+        grid, plan = (ref() for ref in asked[128])
+        assert _kernel.plan(grid, cfg) is plan
 
 
 def _digest(result) -> tuple:
