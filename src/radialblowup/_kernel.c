@@ -37,8 +37,7 @@
  * Below the numerics, the module's Python binding: stage(), which builds a
  * struct stage and owns it in a capsule, and one METH_FASTCALL function per
  * entry, which opens its call through one checked path, takes the arrays
- * through the buffer protocol and calls the entry with the GIL released;
- * format_rows alone formats with the GIL held.
+ * through the buffer protocol and calls the entry with the GIL held.
  */
 /* first, as the C API asks: it sets feature macros the C library reads */
 #define PY_SSIZE_T_CLEAN
@@ -620,9 +619,9 @@ CLONED static const char *kernel_target(void)
  * holds, on every failure as on success. stage() takes no stage: its first
  * array sets n; format_rows takes a table block alone. Anything else, a
  * read-only output and a wall outside [0, n] raise ValueError before any
- * value is written. The entry then runs with the GIL released, as it reads
- * no Python object; format_rows, which makes Python objects, keeps it.
- * facts, row_sums and format_rows take no out-parameter: they return their
+ * value is written. The entry then runs with the GIL held, so a stage's
+ * work rows serve one call at a time, whichever thread makes it. facts,
+ * row_sums and format_rows take no out-parameter: they return their
  * results. */
 
 /* One call of an entry: its name, its stage and n, and the buffers it holds. */
@@ -818,17 +817,14 @@ static PyObject *py_tendencies(PyObject *self, PyObject *const *args, Py_ssize_t
     struct call c;
     const double *rho, *vel, *cell;
     double *out, rho_floor;
-    int64_t wall, bad;
+    int64_t wall;
     (void)self;
     if (open_call(&c, "tendencies", args, nargs, 7, 0) < 0 || number(args[5], &rho_floor) < 0
         || (wall = wall_of(&c, args[1])) < 0 || !(rho = array(&c, args[2], CELLS, 0, "rho"))
         || !(vel = array(&c, args[3], CELLS, 0, "vel")) || raised_cells(&c, args[4], &cell) < 0
         || !(out = array(&c, args[6], BLOCK, 1, "out")))
         return done(&c, NULL);
-    Py_BEGIN_ALLOW_THREADS
-    bad = tendencies(c.s, wall, rho, vel, cell, rho_floor, out);
-    Py_END_ALLOW_THREADS
-    return done(&c, PyLong_FromLongLong(bad));
+    return done(&c, PyLong_FromLongLong(tendencies(c.s, wall, rho, vel, cell, rho_floor, out)));
 }
 
 /* The facts f as a tuple: (least density, wave speed, (steepest slope,
@@ -847,7 +843,6 @@ static PyObject *py_rk_stage(PyObject *self, PyObject *const *args, Py_ssize_t n
     const double *rho, *vel, *mid = NULL;
     double *k, dt;
     int64_t wall;
-    struct facts made;
     (void)self;
     if (open_call(&c, "rk_stage", args, nargs, 7, 0) < 0 || number(args[2], &dt) < 0
         || (wall = wall_of(&c, args[1])) < 0 || !(rho = array(&c, args[3], CELLS, 0, "rho"))
@@ -855,17 +850,12 @@ static PyObject *py_rk_stage(PyObject *self, PyObject *const *args, Py_ssize_t n
         || (args[5] != Py_None && !(mid = array(&c, args[5], BLOCK, 0, "mid")))
         || !(k = array(&c, args[6], BLOCK, 1, "k")))
         return done(&c, NULL);
-    int told = mid && !c.s->raised;
-    Py_BEGIN_ALLOW_THREADS
     rk_stage(c.s, wall, dt, rho, vel, mid, k);
-    if (told)
-        made = step_facts(c.s, k, k + c.n, NULL);
-    Py_END_ALLOW_THREADS
-    if (!told) {
+    if (!mid || c.s->raised) {
         Py_INCREF(Py_None);
         return done(&c, Py_None);
     }
-    return done(&c, facts_value(made));
+    return done(&c, facts_value(step_facts(c.s, k, k + c.n, NULL)));
 }
 
 /* facts(stage, rho, vel, cell) -> the facts of a state */
@@ -873,16 +863,12 @@ static PyObject *py_facts(PyObject *self, PyObject *const *args, Py_ssize_t narg
 {
     struct call c;
     const double *rho, *vel, *cell;
-    struct facts found;
     (void)self;
     if (open_call(&c, "facts", args, nargs, 4, 0) < 0
         || !(rho = array(&c, args[1], CELLS, 0, "rho"))
         || !(vel = array(&c, args[2], CELLS, 0, "vel")) || raised_cells(&c, args[3], &cell) < 0)
         return done(&c, NULL);
-    Py_BEGIN_ALLOW_THREADS
-    found = step_facts(c.s, rho, vel, cell);
-    Py_END_ALLOW_THREADS
-    return done(&c, facts_value(found));
+    return done(&c, facts_value(step_facts(c.s, rho, vel, cell)));
 }
 
 /* row_sums(stage, rho, vel, cell) -> the four sums as a tuple */
@@ -896,9 +882,7 @@ static PyObject *py_row_sums(PyObject *self, PyObject *const *args, Py_ssize_t n
         || !(rho = array(&c, args[1], CELLS, 0, "rho"))
         || !(vel = array(&c, args[2], CELLS, 0, "vel")) || raised_cells(&c, args[3], &cell) < 0)
         return done(&c, NULL);
-    Py_BEGIN_ALLOW_THREADS
     row_sums(c.s, rho, vel, cell, out);
-    Py_END_ALLOW_THREADS
     return done(&c, Py_BuildValue("(dddd)", out[0], out[1], out[2], out[3]));
 }
 
@@ -1007,8 +991,8 @@ static size_t seventeen_digits(double x, char *out)
  * seventeen_digits writes the values of decimal exponent -11 to 16; every
  * other value goes through PyOS_double_to_string(x, 'g', 17, 0, NULL), the
  * call that formatting makes, so nan, inf and the sign of a zero come out as
- * Python prints them, and no locale is read. The one entry that keeps the
- * GIL: that function allocates each text with PyMem_Malloc. */
+ * Python prints them, and no locale is read. That function allocates each
+ * text with PyMem_Malloc, which needs the GIL every entry holds. */
 static PyObject *py_format_rows(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
     struct call c;

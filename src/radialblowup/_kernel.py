@@ -2,16 +2,16 @@
 
 The kernel is a CPython extension module, compiled once per source, compile
 command and interpreter ABI and kept in ``$XDG_CACHE_HOME/radialblowup``
-(``~/.cache/radialblowup`` when the variable is unset); the file name carries
-the interpreter's extension suffix. It is loaded on first use, so commands
-that never step a state never compile it. Every entry but ``format_rows``
-and ``kernel_target`` takes the ``struct stage`` that the kernel's ``stage``
-builds for a ``Plan`` when a thread asks for another grid and model than
-its last, and owns in a capsule with the arrays it reads; the methods of
-that ``Plan`` are their only callers, and pass each call every array it
-reads, the raised cells among them. This is the one module that calls the
-kernel, and the one that raises the cells with numpy's ``**`` before a C
-call.
+(``~/.cache/radialblowup`` when the variable is unset or not absolute); the
+file name carries the interpreter's extension suffix. It is loaded on first
+use, so commands that never step a state never compile it. Every entry runs
+with the GIL held. Every entry but ``format_rows`` and ``kernel_target``
+takes the ``struct stage`` that the kernel's ``stage`` builds for a ``Plan``
+when the process asks for another grid and model than its last, and owns in
+a capsule with the arrays it reads; the methods of that ``Plan`` are their
+only callers, and pass each call every array it reads, the raised cells
+among them. This is the one module that calls the kernel, and the one that
+raises the cells with numpy's ``**`` before a C call.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ import os
 import re
 import sys
 import tempfile
-import threading
 from pathlib import Path
 
 import numpy as np
@@ -51,8 +50,8 @@ COMPILE = (
 
 
 class Plan:
-    """A grid and model's ``struct stage``, for the thread that builds it,
-    which keeps it until it asks for another (``plan``). Its methods alone
+    """A grid and model's ``struct stage``, one per process, which keeps it
+    until it asks for another (``plan``). Its methods alone
     call the entries that take it, and look up ``load`` and ``power`` anew
     each time: tests swap them. ``facts`` is the one reduction over a state.
     A plan keeps no state: what a call reads arrives as an argument, and the
@@ -109,29 +108,23 @@ class Plan:
         return load().row_sums(self._stage, state.rho, state.vel, powers)
 
 
-class _Thread(threading.local):
-    """What each thread keeps to itself: its last plan, whose scratch every
-    call writes while the C call has released the GIL, with the grid and
-    model it was asked for."""
-
-    last = (None, None, None)
-
-
-_thread = _Thread()
+#: The process's last plan, with the grid and model it was asked for
+_last = (None, None, None)
 
 
 def plan(grid: RadialGrid, cfg: ModelConfig) -> Plan:
-    """The plan of (grid, cfg) in this thread: the last one again when the
-    same two objects ask, or two equal to them, else a new one in its place.
-    The run path's lookups are all the first kind, with no ``==``."""
-    local = _thread
-    last_grid, last_cfg, last = local.last
+    """The plan of (grid, cfg): the last one again when the same two objects
+    ask (the run path, with no ``==``) or two equal to them, else a new one in
+    its place. Threads share it, as each kernel call holds the GIL; a race on
+    the slot costs a rebuild, never another grid's plan."""
+    global _last
+    last_grid, last_cfg, last = _last
     if grid is last_grid and cfg is last_cfg:
         return last
     if grid != last_grid or cfg != last_cfg:
-        local.last = (None, None, None)  # the old plan goes before the new one is built
+        _last = (None, None, None)  # the old plan goes before the new one is built
         last = Plan(grid, cfg)
-    local.last = (grid, cfg, last)
+    _last = (grid, cfg, last)
     return last
 
 
@@ -249,7 +242,8 @@ def load():
     from importlib.util import module_from_spec, spec_from_file_location
 
     key = sha256_hex(SOURCE.read_bytes() + " ".join(COMPILE).encode())[:16]
-    directory = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "radialblowup"
+    cache = os.environ.get("XDG_CACHE_HOME", "")  # the XDG spec ignores a relative path
+    directory = Path(cache if os.path.isabs(cache) else Path.home() / ".cache") / "radialblowup"
     directory.mkdir(mode=0o700, parents=True, exist_ok=True)
     suffix = EXTENSION_SUFFIXES[0]  # this ABI's, such as .cpython-311-x86_64-linux-gnu.so
     target = directory / f"kernel-{key}{suffix}"

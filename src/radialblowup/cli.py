@@ -360,7 +360,12 @@ def _write_summary(
 def _write_snapshots(run_dir: Path, config: ExperimentConfig, result: RunResult, grid) -> None:
     """One file per snapshot time. A state never changes, so one that answers
     several times, such as the final state of a run that ends before them,
-    is formatted once into the first of their files and copied to the rest."""
+    is formatted once into the first of their files and copied to the rest.
+    The snapshots of an earlier run into the directory go first."""
+    names = {snapshot_name(t) for t in config.snapshot_times}
+    for path in run_dir.glob("snapshot-*.tsv"):
+        if path.name not in names:
+            path.unlink()
     answers: dict = {}
     for wanted, state in zip(config.snapshot_times, result.trajectory.snapshots):
         answers.setdefault(id(state), (state, []))[1].append(run_dir / snapshot_name(wanted))

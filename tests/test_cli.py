@@ -699,6 +699,18 @@ class TestMain:
         assert code == 0
         assert (tmp_path / "out" / "run-0000" / "summary.txt").exists()
 
+    def test_a_run_into_an_earlier_run_directory_leaves_only_its_own_snapshots(self, tmp_path):
+        # the earlier config's snapshot goes; a file the run does not write stays
+        run_dir = tmp_path / "out" / "run-0000"
+        run_dir.mkdir(parents=True)
+        (run_dir / "notes.txt").write_text("kept")
+        for times in ("0.1", "0.15"):
+            cfg_file = tmp_path / f"exp-{times}.cfg"
+            cfg_file.write_text(SMALL_RUN.replace("snapshot_times = 0.1", f"snapshot_times = {times}"))
+            assert main(["run", str(cfg_file), "--output-dir", str(run_dir.parent)]) == 0
+        assert [p.name for p in run_dir.glob("snapshot-*")] == ["snapshot-0.15.tsv"]
+        assert (run_dir / "notes.txt").read_text() == "kept"
+
     def test_run_refuses_sweep_config(self, tmp_path, capsys):
         cfg_file = tmp_path / "exp.cfg"
         cfg_file.write_text(SMALL_RUN + "\n[sweep]\ndelta = 0, 1\n")

@@ -156,6 +156,25 @@ def test_two_sources_that_share_a_cache_keep_their_builds(fresh_cache, tmp_path,
     assert len(list(fresh_cache.iterdir())) == 2
 
 
+@pytest.mark.parametrize("value", ["relative/cache", ""])
+def test_a_relative_or_empty_cache_home_falls_back_to_the_home_cache(
+    value, tmp_path, monkeypatch, stub_source
+):
+    # the XDG base-directory spec calls a relative path invalid: the cache
+    # must not move with the working directory
+    home = tmp_path / "home"
+    monkeypatch.setenv("HOME", str(home))
+    monkeypatch.setenv("XDG_CACHE_HOME", value)
+    monkeypatch.chdir(tmp_path)
+    _kernel.load.cache_clear()
+    try:
+        library = Path(_kernel.load().__file__)
+    finally:
+        _kernel.load.cache_clear()
+    assert library.parent == home / ".cache" / "radialblowup"
+    assert not (tmp_path / "relative").exists()
+
+
 def _wrong(array: np.ndarray) -> list:
     """Stand-ins for ``array`` that no entry may accept: another length,
     float32, not contiguous, a list and None; each array of them holds the

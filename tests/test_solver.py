@@ -526,8 +526,8 @@ def _digest(result) -> tuple:
 
 
 class TestThreads:
-    """A plan's scratch is written by every C call, and a C call releases
-    the GIL, so each thread plans for itself."""
+    """Every kernel call holds the GIL, so the threads of a process share
+    one plan: a run in a thread ends as the same run alone."""
 
     @staticmethod
     def _in_threads(count: int, target) -> None:
@@ -544,38 +544,35 @@ class TestThreads:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
 
-    def test_each_thread_gets_its_own_plan(self):
-        grid = RadialGrid(n_cells=64, support_radius=1.0)
-        cfg = ModelConfig(pressure_const=1.0)
-        all_alive = threading.Barrier(2, timeout=60)
-        plans = {}
-
-        def ask(k):
-            first = _kernel.plan(grid, cfg)
-            all_alive.wait()
-            plans[k] = (first, _kernel.plan(grid, cfg))
-
-        self._in_threads(2, ask)
-        (a, a_again), (b, b_again) = plans[0], plans[1]
-        assert a is a_again and b is b_again
-        assert a is not b
-
     def test_threads_reproduce_the_sequential_run(self):
-        # gauss_eulerpoisson_2048's model at 256 cells, in more threads than
-        # cores: with one plan shared, the threads read each other's
-        # pressure scratch and end elsewhere
-        grid = RadialGrid(n_cells=256, support_radius=1.0)
-        cfg = ModelConfig(dim=3, delta=1, pressure_const=1.0, gamma=1.4)
+        # four runs at once, in more threads than cores, twice. First
+        # gauss_eulerpoisson_2048's model at 512 cells in each: the four share
+        # its plan, whose pressure scratch another thread would overwrite
+        # during a call that released the GIL. Then dust, K > 0 with gamma =
+        # 1.4, gamma = 1 and another cell count: the one plan changes hands
+        # between a thread's own calls
+        gauss = ModelConfig(dim=3, delta=1, pressure_const=1.0, gamma=1.4)
+        mixed = [
+            (256, ModelConfig(dim=3, delta=1, pressure_const=0.0)),
+            (256, gauss),
+            (256, ModelConfig(dim=3, delta=1, pressure_const=0.1, gamma=1.0)),
+            (128, gauss),
+        ]
         num = NumericsConfig(t_end=2.0, steepening_threshold=50.0, output_stride=10)
-        prof = build_initial_profile("gaussian_truncated", {"width": 0.25}, 0, grid, 2)
-        sequential = _digest(run(prof.rho0, prof.v0, cfg, num))
-        start = threading.Barrier(4, timeout=60)
-        threaded = [None] * 4
+        for runs in ([(512, gauss)] * 4, mixed):
+            inputs = []
+            for n_cells, cfg in runs:
+                grid = RadialGrid(n_cells=n_cells, support_radius=1.0)
+                prof = build_initial_profile("gaussian_truncated", {"width": 0.25}, 0, grid, 2)
+                inputs.append((prof.rho0, prof.v0, cfg, num))
+            sequential = [_digest(run(*args)) for args in inputs]
+            start = threading.Barrier(len(inputs), timeout=60)
+            threaded = [None] * len(inputs)
 
-        def go(k):
-            start.wait()
-            threaded[k] = _digest(run(prof.rho0, prof.v0, cfg, num))
+            def go(k):
+                start.wait()
+                threaded[k] = _digest(run(*inputs[k]))
 
-        self._in_threads(4, go)
-        assert sequential[1] is Termination.STEEPENING_DETECTED
-        assert threaded == [sequential] * 4
+            self._in_threads(len(inputs), go)
+            assert all(d[1] is Termination.STEEPENING_DETECTED for d in sequential)
+            assert threaded == sequential
