@@ -1,7 +1,7 @@
 /* Kernel of the radial finite-volume scheme: one stage's boundary stencils,
  * minmod limiting, sound speed, local Lax-Friedrichs fluxes, origin and wall
  * closures, flux divergence, pressure and Poisson force terms, vacuum mask
- * and finite check; the Runge-Kutta combination of a step; what a run
+ * and finite check; the Runge-Kutta combinations of a step; what a run
  * reads of a state, its least density, CFL wave speed and largest velocity
  * gradient; the sums of a diagnostics row; and the text of a block of table
  * rows.
@@ -14,9 +14,11 @@
  * and facts() and max(rho, 0)**gamma for a diagnostics row, since
  * numpy's SIMD `**` differs from `pow` here in the last bit. With pressure
  * and gamma > 1 the caller raises a `cell` row and passes it to each call
- * that reads it; for gamma = 1 every power to gamma - 1 is 1 and the power
- * to gamma is max(rho, 0) itself, so nothing is raised. A stage is the one
- * call tendencies() for every law.
+ * that reads it, and finish_step() calls the numpy power it is handed for
+ * the rows it makes; for gamma = 1 every power to gamma - 1 is 1 and the
+ * power to gamma is max(rho, 0) itself, so nothing is raised. A stage is
+ * the one call tendencies() for every law; a step is tendencies() for the
+ * first stage and finish_step() for the rest.
  *
  * The per-face and per-cell work runs in short branch-free loops over
  * restrict pointers, which the compiler vectorizes lane by lane: each lane
@@ -76,6 +78,7 @@ struct stage {
     double grad_coef;    /* face enthalpy or pressure = grad_coef * face mean */
     double field_coef;   /* alpha*delta; 0 without a force field */
     double pressure_const;
+    double exponent;     /* gamma - 1, the power of the raised cells */
     const double *face_area, *shell, *inner_shell;
     const double *center; /* r**(N-1) at the cell centers */
     const double *r;      /* the cell centers */
@@ -332,12 +335,12 @@ CLONED static int64_t tendencies(const struct stage *s, int64_t wall, const doub
     return cells(s, rho, rho_floor, face, out);
 }
 
-/* One Runge-Kutta stage in place on the (2, n) tendencies k: k = old +
- * dt*k in the first stage (mid NULL), else (mid + dt*k)/2 + old/2 with mid
- * the first stage's (2, n) result; both fields zeroed from cell wall on. */
-CLONED static void rk_stage(const struct stage *s, int64_t wall, double dt,
-                            const double *restrict rho, const double *restrict vel,
-                            const double *restrict mid, double *restrict k)
+/* One Runge-Kutta combination in place on the (2, n) tendencies k: k = old
+ * + dt*k in the first stage (mid NULL), else (mid + dt*k)/2 + old/2 with
+ * mid the first stage's (2, n) result; both fields zeroed from cell wall on. */
+CLONED static void combine(const struct stage *s, int64_t wall, double dt,
+                           const double *restrict rho, const double *restrict vel,
+                           const double *restrict mid, double *restrict k)
 {
     int64_t n = s->n;
     double *restrict k_rho = k, *restrict k_vel = k + n;
@@ -613,14 +616,17 @@ CLONED static const char *kernel_target(void)
  * the entry's arguments in order, the struct stage as the capsule stage()
  * returned and each array as a buffer: a state's rho and vel of shape (n),
  * the cells the caller raised (n), read only where the law raises them, and
- * a (2, n) block. Each goes one way: open_call() checks the argument
+ * a (2, n) block; finish_step takes the numpy power too, which it calls.
+ * Each goes one way: open_call() checks the argument
  * count and the stage capsule, whose n the arrays take; array() checks each
  * buffer and holds it in the struct call; done() releases what the call
  * holds, on every failure as on success. stage() takes no stage: its first
  * array sets n; format_rows takes a table block alone. Anything else, a
  * read-only output and a wall outside [0, n] raise ValueError before any
- * value is written. The entry then runs with the GIL held, so a stage's
- * work rows serve one call at a time, whichever thread makes it. facts,
+ * value is written. The entry then runs with the GIL held, which
+ * finish_step lets go only in the power it calls, between two passes of
+ * which none reads what another left in the work rows: so a stage's work
+ * rows serve one pass at a time, whichever thread makes it. facts,
  * row_sums and format_rows take no out-parameter: they return their
  * results. */
 
@@ -629,7 +635,8 @@ struct call {
     const char *entry;
     const struct stage *s;
     Py_ssize_t n;      /* below 0: the first array sets it, to -n or more */
-    Py_buffer view[5]; /* the most held: a stage's five arrays */
+    Py_buffer view[6]; /* the most held: finish_step's four arrays and two
+                          raised rows */
     int count;
 };
 
@@ -797,6 +804,7 @@ static PyObject *py_stage(PyObject *self, PyObject *const *args, Py_ssize_t narg
         /* pressure force per unit mass as an exact enthalpy gradient,
          * K*g/(g-1) * d(rho**(g-1))/dr: bounded at the vacuum edge */
         .grad_coef = g > 1.0 ? k * g / (g - 1.0) : k, .field_coef = fc, .pressure_const = k,
+        .exponent = g - 1.0,
         .face_area = face_area, .shell = shell, .inner_shell = inner_shell, .center = center,
         .r = r, .work = o->work,
     };
@@ -834,28 +842,69 @@ static PyObject *facts_value(struct facts f)
     return Py_BuildValue("(dd(dL))", f.lowest, f.speed, f.slope, (long long)f.cell);
 }
 
-/* rk_stage(stage, wall, dt, rho, vel, mid or None, k) -> the facts of the
- * new state in the second stage, unless the law raises its cells (K > 0
- * and gamma > 1), whose facts need them; else None */
-static PyObject *py_rk_stage(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+/* The density row of the block obj raised by the numpy power fn, as
+ * fn(row, gamma - 1) returns it, held by c; *kept, unless NULL, takes a
+ * reference to it. NULL with an exception set if fn fails or returns
+ * anything but n cells. */
+static const double *raised_row(struct call *c, PyObject *fn, PyObject *obj, PyObject **kept)
+{
+    PyObject *row = PySequence_GetItem(obj, 0), *raised;
+    const double *cell;
+    if (!row)
+        return NULL;
+    raised = PyObject_CallFunction(fn, "Od", row, c->s->exponent);
+    Py_DECREF(row);
+    if (!raised)
+        return NULL;
+    cell = array(c, raised, CELLS, 0, "cell");
+    if (cell && kept)
+        *kept = raised;
+    else
+        Py_DECREF(raised);
+    return cell;
+}
+
+/* finish_step(stage, wall, dt, rho, vel, k, rho_floor, out, power) -> (the
+ * first non-finite index of the second stage's tendencies or -1, the facts
+ * of the new state or None, its raised cells or None): the rest of a step
+ * from the state rho, vel after its first stage's tendencies k. The first
+ * combination in place on k; the second stage's tendencies of k into out;
+ * the second combination in place on out, which then holds the new state;
+ * and that state's facts. Nothing is done past a non-finite tendency. Where
+ * the law raises its cells (K > 0 and gamma > 1), power(row, gamma - 1), the
+ * numpy power, raises those of k for the second stage and those of out for
+ * the facts, and the second is returned. The arguments are checked before
+ * a value is written; a failing power, or one that returns anything but n
+ * cells, raises after k is written. */
+static PyObject *py_finish_step(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
     struct call c;
-    const double *rho, *vel, *mid = NULL;
-    double *k, dt;
-    int64_t wall;
+    const double *rho, *vel, *cell = NULL;
+    double *k, *out, dt, rho_floor;
+    int64_t wall, bad;
+    PyObject *raised = Py_None, *facts, *result;
     (void)self;
-    if (open_call(&c, "rk_stage", args, nargs, 7, 0) < 0 || number(args[2], &dt) < 0
-        || (wall = wall_of(&c, args[1])) < 0 || !(rho = array(&c, args[3], CELLS, 0, "rho"))
+    if (open_call(&c, "finish_step", args, nargs, 9, 0) < 0 || number(args[2], &dt) < 0
+        || number(args[6], &rho_floor) < 0 || (wall = wall_of(&c, args[1])) < 0
+        || !(rho = array(&c, args[3], CELLS, 0, "rho"))
         || !(vel = array(&c, args[4], CELLS, 0, "vel"))
-        || (args[5] != Py_None && !(mid = array(&c, args[5], BLOCK, 0, "mid")))
-        || !(k = array(&c, args[6], BLOCK, 1, "k")))
+        || !(k = array(&c, args[5], BLOCK, 1, "k")) || !(out = array(&c, args[7], BLOCK, 1, "out")))
         return done(&c, NULL);
-    rk_stage(c.s, wall, dt, rho, vel, mid, k);
-    if (!mid || c.s->raised) {
-        Py_INCREF(Py_None);
-        return done(&c, Py_None);
-    }
-    return done(&c, facts_value(step_facts(c.s, k, k + c.n, NULL)));
+    combine(c.s, wall, dt, rho, vel, NULL, k);
+    if (c.s->raised && !(cell = raised_row(&c, args[8], args[5], NULL)))
+        return done(&c, NULL);
+    bad = tendencies(c.s, wall, k, k + c.n, cell, rho_floor, out);
+    if (bad >= 0)
+        return done(&c, Py_BuildValue("(LOO)", (long long)bad, Py_None, Py_None));
+    combine(c.s, wall, dt, rho, vel, k, out);
+    if (c.s->raised && !(cell = raised_row(&c, args[8], args[7], &raised)))
+        return done(&c, NULL);
+    facts = facts_value(step_facts(c.s, out, out + c.n, cell));
+    result = facts ? Py_BuildValue("(LOO)", -1LL, facts, raised) : NULL;
+    Py_XDECREF(facts);
+    if (raised != Py_None)
+        Py_DECREF(raised);
+    return done(&c, result);
 }
 
 /* facts(stage, rho, vel, cell) -> the facts of a state */
@@ -1052,7 +1101,8 @@ static PyMethodDef entries[] = {
     ENTRY(stage, "stage(dr, K, gamma, field_coef, r, face_area, shell, inner_shell, center) "
                  "-> stage"),
     ENTRY(tendencies, "tendencies(stage, wall, rho, vel, cell, rho_floor, out) -> int"),
-    ENTRY(rk_stage, "rk_stage(stage, wall, dt, rho, vel, mid, k) -> None or tuple"),
+    ENTRY(finish_step, "finish_step(stage, wall, dt, rho, vel, k, rho_floor, out, power) "
+                       "-> (int, None or tuple, None or array)"),
     ENTRY(facts, "facts(stage, rho, vel, cell) -> (float, float, (float, int))"),
     ENTRY(row_sums, "row_sums(stage, rho, vel, cell) -> (float, float, float, float)"),
     ENTRY(format_rows, "format_rows(block) -> bytes"),

@@ -11,7 +11,8 @@ when the process asks for another grid and model than its last, and owns in
 a capsule with the arrays it reads; the methods of that ``Plan`` are their
 only callers, and pass each call every array it reads, the raised cells
 among them. This is the one module that calls the kernel, and the one that
-raises the cells with numpy's ``**`` before a C call.
+raises the cells with numpy's ``**``: before a C call, or in the one it
+hands ``finish_step``.
 """
 
 from __future__ import annotations
@@ -81,19 +82,17 @@ class Plan:
         return out, load().tendencies(self._stage, wall, state.rho, state.vel, powers,
                                       rho_floor, out)
 
-    def rk_stage(self, wall: int, dt: float, state, mid, k):
-        """A Runge-Kutta stage from ``state`` in place on the (2, n) tendencies
-        ``k``; ``mid`` is the first stage's, None in that stage, which returns
-        None. The second returns the new state, ``k``'s rows at
-        ``state.time + dt``, its ``facts`` and its ``powers``."""
-        facts = load().rk_stage(self._stage, wall, dt, state.rho, state.vel, mid, k)
-        if mid is None:
-            return None
-        made = FluidState.of_block(state.time + dt, k)
-        powers = self.powers(made)
-        if powers is not None:  # the second stage left the facts to the raised cells
-            facts = self.facts(made, powers)
-        return (made, *facts, powers)
+    def finish_step(self, wall: int, dt: float, state, k, rho_floor: float):
+        """The rest of a step from ``state`` after its first stage's (2, n)
+        tendencies ``k``, which become the stage's state: the first
+        non-finite index of the second stage's tendencies or -1, the new
+        state at ``state.time + dt``, and its ``facts`` and ``powers``, both
+        None past a non-finite tendency. The kernel calls ``power``."""
+        out = np.empty(self._block)
+        bad, facts, powers = load().finish_step(
+            self._stage, wall, dt, state.rho, state.vel, k, rho_floor, out, power
+        )
+        return bad, FluidState.of_block(state.time + dt, out), facts, powers
 
     def facts(self, state, powers=None) -> tuple[float, float, tuple[float, int]]:
         """The least density, the wave speed max(|V| + c) and the steepest

@@ -465,7 +465,11 @@ def execute(
     The pool has ``min(jobs, number of runs)`` workers and takes the runs
     with the most cells first; ``jobs`` below 1 is an error. Each run's
     ``warning:`` and ``error:`` lines are printed in run-id order, so every
-    ``jobs`` prints the same lines."""
+    ``jobs`` prints the same lines. The kernel is loaded before the pool
+    forks its workers, so a cold cache compiles it once. Afterwards every
+    ``run-NNNN`` directory of the output directory that holds a
+    ``summary.txt`` and that these runs did not write is removed: the
+    directories left are those ``index.tsv`` lists as written."""
     if jobs < 1:
         print(f"error: --jobs must be at least 1, got {jobs}", file=sys.stderr)
         return 1
@@ -475,6 +479,10 @@ def execute(
     outcomes: list[dict] = []
     with contextlib.ExitStack() as stack:
         if jobs > 1 and len(tasks) > 1:
+            # the workers inherit the loaded kernel; a kernel that cannot be
+            # built or opened fails each run, as in one process
+            with contextlib.suppress(_kernel.KernelCompileError, OSError):
+                _kernel.load()
             # the largest runs first, so no worker is left with two long ones last
             pool = stack.enter_context(ProcessPoolExecutor(max_workers=min(jobs, len(tasks))))
             largest = sorted(tasks, key=lambda task: -task[1].n_cells)
@@ -499,6 +507,7 @@ def execute(
 
     columns = ("run_id", "verdict", "termination", "t_detect", "t_bound", "h0", "config_hash")
     index_lines = ["\t".join(columns)]
+    written = {o["run_id"] for o in outcomes if not o.get("failed")}
     for o in outcomes:
         if o.get("failed"):
             index_lines.append("\t".join([o["run_id"], "failed"] + ["-"] * (len(columns) - 2)))
@@ -507,6 +516,13 @@ def execute(
     try:
         root = Path(out_root)
         root.mkdir(parents=True, exist_ok=True)
+        # an earlier sweep's runs past this one's, and older runs of the ids refused here
+        for stale in root.iterdir():
+            name, number = stale.name, stale.name[4:]
+            if (name.startswith("run-") and len(number) >= 4 and number.isascii()
+                    and number.isdigit() and name not in written
+                    and (stale / "summary.txt").is_file()):
+                shutil.rmtree(stale)
         (root / "index.tsv").write_text("\n".join(index_lines) + "\n", encoding="utf-8")
     except OSError as exc:
         print(f"error: cannot write to output directory: {exc}", file=sys.stderr)

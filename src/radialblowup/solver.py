@@ -7,10 +7,11 @@ advective flux, an interface pressure gradient, and the radial force field;
 vacuum cells are skipped. Compact support is enforced by zeroed margin cells
 at the outer wall acting as the solid container boundary.
 
-A stage, the step's Runge-Kutta combination and the facts of a state are
+A stage, the step's Runge-Kutta combinations and the facts of a state are
 compiled C (``_kernel.c``, built on first use), called through the grid and
-model's ``_kernel.Plan``. A step returns the facts of the state it made, whose
-wave speed and steepest slope ``run`` reads for the next dt and the detection.
+model's ``_kernel.Plan``: a step is two C calls, its first stage and the
+rest. A step returns the facts of the state it made, whose wave speed and
+steepest slope ``run`` reads for the next dt and the detection.
 """
 
 from __future__ import annotations
@@ -44,6 +45,12 @@ class NumericalBreakdownError(ArithmeticError):
         self.cell_index = cell_index
         self.field = field
         super().__init__(f"non-finite {field} tendency at cell {cell_index}")
+
+
+def _breakdown(bad: int, n: int) -> NumericalBreakdownError:
+    """The error of a kernel's first non-finite index ``bad`` in a (2, n)
+    tendency block: cell ``bad % n`` of the density row, then the velocity row."""
+    return NumericalBreakdownError(bad % n, ("density", "velocity")[bad // n])
 
 
 class PositivityError(ArithmeticError):
@@ -178,7 +185,7 @@ def rhs_eval(
     wall = wall_index(n, num.support_margin_cells)
     out, bad = _kernel.plan(grid, cfg).tendencies(state, wall, rho_floor, powers)
     if bad >= 0:
-        raise NumericalBreakdownError(bad % n, ("density", "velocity")[bad // n])
+        raise _breakdown(bad, n)
     return out
 
 
@@ -187,18 +194,20 @@ def max_wave_speed(state: FluidState, cfg: ModelConfig, grid: RadialGrid) -> flo
     return _kernel.plan(grid, cfg).facts(state)[1]
 
 
-def _stable_dt(speed, time, num: NumericsConfig, grid: RadialGrid) -> tuple:
-    """The CFL step cfl*dr/speed (inf for a still state, NaN for a NaN speed)
-    and that step capped by the time left to t_end."""
-    cfl_step = math.inf if speed <= 0.0 else num.cfl * grid.cell_width / speed
-    return cfl_step, min(cfl_step, max(num.t_end - time, 0.0))
+def _stable_dt(speed, time, cfl_dr: float, t_end: float) -> tuple:
+    """The CFL step (cfl*dr)/speed (inf for a still state, NaN for a NaN
+    speed), ``cfl_dr`` the product, and that step capped by the time left to
+    t_end."""
+    cfl_step = math.inf if speed <= 0.0 else cfl_dr / speed
+    return cfl_step, min(cfl_step, max(t_end - time, 0.0))
 
 
 def cfl_dt(
     state: FluidState, cfg: ModelConfig, num: NumericsConfig, grid: RadialGrid
 ) -> float:
     """Stable step cfl*dr/max(|V|+c), capped by the time left to t_end."""
-    return _stable_dt(max_wave_speed(state, cfg, grid), state.time, num, grid)[1]
+    speed = max_wave_speed(state, cfg, grid)
+    return _stable_dt(speed, state.time, num.cfl * grid.cell_width, num.t_end)[1]
 
 
 def apply_boundary(state: FluidState, num: NumericsConfig) -> FluidState:
@@ -223,19 +232,21 @@ def step(
     ``state``, whose raised cells are ``powers`` (None raises them).
 
     The boundary margin is re-applied after each stage. Raises
+    NumericalBreakdownError for a non-finite tendency of either stage, and
     PositivityError when the full step leaves density below -positivity_tol.
     """
-    plan = _kernel.plan(grid, cfg)
-    wall = wall_index(grid.n_cells, num.support_margin_cells)
-    time = state.time + dt
-    # both stages are written into the fresh tendency arrays
-    mid = rhs_eval(state, cfg, grid, num, rho_floor, powers)
-    plan.rk_stage(wall, dt, state, None, mid)
-    new = rhs_eval(FluidState.of_block(time, mid), cfg, grid, num, rho_floor)
-    made, rho_min, speed, gradient, powers = plan.rk_stage(wall, dt, state, mid, new)
+    n = grid.n_cells
+    # the first stage, then the rest of the step in one kernel call
+    k = rhs_eval(state, cfg, grid, num, rho_floor, powers)
+    bad, made, facts, powers = _kernel.plan(grid, cfg).finish_step(
+        wall_index(n, num.support_margin_cells), dt, state, k, rho_floor
+    )
+    if bad >= 0:
+        raise _breakdown(bad, n)
+    rho_min, speed, gradient = facts
     if rho_min < -positivity_tol:
         raise PositivityError(
-            f"density {rho_min:.3e} below -{positivity_tol:.3e} at t={time:.6g}"
+            f"density {rho_min:.3e} below -{positivity_tol:.3e} at t={made.time:.6g}"
         )
     return StepResult(made, speed, gradient, powers)
 
@@ -311,11 +322,15 @@ def run(
 
     termination = Termination.REACHED_T_END
     breakdown: Optional[BreakdownSite] = None
-    t_eps = 1e-12 * max(1.0, num.t_end)
+    # what the loop reads of the grid and numerics, read once
+    cfl_dr, t_end, dt_floor, stride = (
+        num.cfl * grid.cell_width, num.t_end, num.dt_floor, num.output_stride
+    )
+    t_stop = t_end - 1e-12 * max(1.0, t_end)
     steps, dt_min, dt_max = 0, math.inf, 0.0
-    while state.time < num.t_end - t_eps:
-        cfl_step, dt = _stable_dt(speed, state.time, num, grid)
-        if cfl_step < num.dt_floor:
+    while state.time < t_stop:
+        cfl_step, dt = _stable_dt(speed, state.time, cfl_dr, t_end)
+        if cfl_step < dt_floor:
             termination = Termination.DT_COLLAPSED
             break
         try:
@@ -337,7 +352,7 @@ def run(
             record(state, gradient[0])
             termination = Termination.STEEPENING_DETECTED
             break
-        if steps % num.output_stride == 0:
+        if steps % stride == 0:
             record(state, gradient[0])
 
     if rows[-1][0] < state.time:

@@ -1,12 +1,18 @@
 """Brute-force check of the kernel's stage against the numpy oracle.
 
 Draws about 10**4 seeded states and compares, bit for bit, what the kernel's
-``facts``, ``tendencies`` and the two ``rk_stage`` calls of a step make of
-each with ``tests/_reference_kernel.py``: the state's facts (its least
-density, wave speed and steepest slope with its cell), the tendencies or the
-first non-finite cell, the new state, and the facts of it that a step
-returns, with its raised cells. The states cover n = 2 .. 19 cells,
-where the edge faces 0, 1, n - 1 and n (whose stencils reach a ghost) meet
+``facts``, ``tendencies`` and ``finish_step`` (a step's first stage, then the
+rest of it) make of each with ``tests/_reference_kernel.py``: the state's
+facts (its least density, wave speed and steepest slope with its cell), the
+tendencies or the first non-finite cell, the stage's state, the new state or
+the second stage's first non-finite cell, and the facts of the new state
+that a step returns, with its raised cells. ``finish_step`` raises the
+cells through ``_kernel.power``, which the check swaps for the oracle's
+``np.maximum(rho, 0)**(gamma - 1)``, and it must call it twice for the
+raised law, on the stage's densities and the new state's, and never for
+the others. A tenth of the steps are 1e300 long, so that the first stage's
+state overflows and the second stage breaks down. The states cover n = 2 ..
+19 cells, where the edge faces 0, 1, n - 1 and n (whose stencils reach a ghost) meet
 or are every face, with every wall in [0, n], and n = 64, 257 and 512 with
 the walls 0, 1, n - 2 and n; every law (dust, isothermal, gamma 1.4, 5/3
 and 2), force sign and dimension; vacuum patches, densities of -1e-18 and
@@ -147,11 +153,10 @@ def facts_mismatch(state, facts, cfg, grid) -> str:
     return ""
 
 
-def made_mismatch(returned, cfg, grid) -> str:
-    """What a second stage got wrong of the state it made, in what it
-    ``returned`` (``Plan.rk_stage``'s tuple), or the empty string: its facts,
-    and the cells raised to gamma - 1 (None unless K > 0 and gamma > 1)."""
-    made, *facts, powers = returned
+def made_mismatch(made, facts, powers, cfg, grid) -> str:
+    """What ``finish_step`` got wrong of the state it ``made``, in the
+    ``facts`` and ``powers`` it returned, or the empty string: its facts, and
+    the cells raised to gamma - 1 (None unless K > 0 and gamma > 1)."""
     wrong = facts_mismatch(made, facts, cfg, grid)
     if wrong:
         return wrong
@@ -167,6 +172,29 @@ def made_mismatch(returned, cfg, grid) -> str:
 FACTS = ("least density", "wave speed", "steepest slope", "its cell")
 
 
+def oracle_power(calls: list):
+    """A stand-in for ``_kernel.power`` that computes the oracle's
+    ``np.maximum(rho, 0.0) ** exponent`` and records a copy of each row it
+    raises, with the exponent, in ``calls``."""
+
+    def power(rho, exponent):
+        calls.append((rho.copy(), exponent))
+        return np.maximum(rho, 0.0) ** exponent
+
+    return power
+
+
+def finish(plan, wall, dt, state, k, rho_floor):
+    """``plan.finish_step`` with ``_kernel.power`` swapped for the oracle's:
+    what it returns, and the rows the kernel raised."""
+    calls, kept = [], _kernel.power
+    _kernel.power = oracle_power(calls)
+    try:
+        return plan.finish_step(wall, dt, state, k, rho_floor), calls
+    finally:
+        _kernel.power = kept
+
+
 def mismatch(plan, state, cfg, grid, wall, dt) -> str:
     """What the kernel gets wrong of a stage and a step from ``state`` with
     cells from ``wall`` on closed, or the empty string."""
@@ -174,15 +202,6 @@ def mismatch(plan, state, cfg, grid, wall, dt) -> str:
     wrong = facts_mismatch(state, plan.facts(state), cfg, grid)
     if wrong:
         return f"facts: {wrong}"
-    # a second stage whose new state is ``state`` itself, its NaN, infinite
-    # and negative-zero cells kept: (-0.0 * dt + x) * 0.5 + 0.5 * x is x
-    # unless x halves to a subnormal, with the cells from the wall on zeroed
-    returned = plan.rk_stage(
-        wall, dt, state, np.stack([state.rho, state.vel]), np.full((2, n), -0.0)
-    )
-    wrong = made_mismatch(returned, cfg, grid)
-    if wrong:
-        return f"state: {wrong}"
     num = SimpleNamespace(support_margin_cells=n - wall)
     finite = state.rho[np.isfinite(state.rho)]
     rho_floor = VACUUM_FLOOR_REL * float(np.max(finite, initial=0.0))
@@ -192,17 +211,31 @@ def mismatch(plan, state, cfg, grid, wall, dt) -> str:
         return "" if _both_break(first, expected) else f"stage {first!r}, oracle {expected!r}"
     if not (_same(first[0], expected[0]) and _same(first[1], expected[1])):
         return "tendencies differ"
+    # the stage's state as the oracle's step makes it
+    stage = ref.apply_boundary(
+        FluidState(dt, state.rho + dt * expected[0], state.vel + dt * expected[1]), num
+    )
     # the step: the oracle's positivity check never raises with an infinite slack
     new_state = _oracle(lambda: ref.step(state, dt, cfg, grid, num, rho_floor, np.inf))
-    plan.rk_stage(wall, dt, state, None, first)
-    second = _kernel_tendencies(plan, FluidState.of_block(dt, first), wall, rho_floor)
+    (bad, made, facts, powers), raised = finish(plan, wall, dt, state, first, rho_floor)
+    if not (_same(first[0], stage.rho) and _same(first[1], stage.vel)):
+        return "the stage's state differs"
+    raises = cfg.pressure_const > 0.0 and cfg.gamma > 1.0
+    rows = [row for row, _ in raised]
+    if raises != bool(raised) or any(e != cfg.gamma - 1.0 for _, e in raised) or (
+        raises and not _same(rows[0], stage.rho)
+    ):
+        return "finish_step raised other cells than the stage's"
+    second = Breakdown(bad % n, ("density", "velocity")[bad // n]) if bad >= 0 else made
     if isinstance(new_state, Breakdown) or isinstance(second, Breakdown):
+        if facts is not None or powers is not None or len(raised) > raises:
+            return "finish_step went on past a breakdown"
         return "" if _both_break(second, new_state) else f"step {second!r}, oracle {new_state!r}"
-    returned = plan.rk_stage(wall, dt, state, first, second)
-    made = returned[0]
     if not (_same(made.rho, new_state.rho) and _same(made.vel, new_state.vel)):
         return "step differs"
-    wrong = made_mismatch(returned, cfg, grid)
+    if made.time != dt or raises and (len(rows) != 2 or not _same(rows[1], made.rho)):
+        return "finish_step raised other cells than the new state's"
+    wrong = made_mismatch(made, facts, powers, cfg, grid)
     return f"step: {wrong}" if wrong else ""
 
 
@@ -220,7 +253,7 @@ def cases(seed: int, sizes, repeats: int):
                 plan = _kernel.plan(grid, cfg)
                 for wall in walls(n):
                     for _ in range(repeats):
-                        dt = float(rng.uniform(1e-4, 1e-2))
+                        dt = 1e300 if rng.random() < 0.1 else float(rng.uniform(1e-4, 1e-2))
                         yield plan, draw_state(rng, n, wall), cfg, grid, wall, dt
 
 
@@ -239,7 +272,7 @@ def main(argv=None) -> int:
                 if bad <= 20:
                     print(f"n={grid.n_cells} wall={wall} {cfg}: {wrong}")
     print(
-        f"facts, tendencies, rk_stage and the new state's facts against the oracle: {count} states "
+        f"facts, tendencies, finish_step and the new state's facts against the oracle: {count} states "
         f"of seed {seed}, "
         f"{bad} mismatches, {time.perf_counter() - start:.1f} s"
     )

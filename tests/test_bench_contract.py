@@ -105,6 +105,12 @@ def test_the_root_exports_only_what_its_callers_read():
 
 
 def test_stride_one_run_steps_through_the_module_attributes(tmp_path, monkeypatch):
+    """One ``solver.step`` call per step and exactly one ``solver.rhs_eval``
+    in it, its first stage, both through the module attributes: the harness
+    counts the cell-steps of a run from the ``solver.step`` spans under
+    ``solver.run``, and ``bench/layers.py`` divides by the ``solver.rhs_eval``
+    count: a step that called no ``rhs_eval`` would end the traced run in
+    ``ZeroDivisionError``, and ``solver.rhs_eval.calls`` reads the step count."""
     calls = Counter()
     run_cells = []
     for module, name in ((cli, "run"), (solver, "step"), (solver, "rhs_eval")):
@@ -124,7 +130,7 @@ def test_stride_one_run_steps_through_the_module_attributes(tmp_path, monkeypatc
     assert calls["run"] == 1 and run_cells == [64]
     # a row at t = 0 and one after every step
     assert calls["step"] == rows - 1 > 0
-    assert calls["rhs_eval"] == 2 * calls["step"]
+    assert calls["rhs_eval"] == calls["step"] > 0
 
 
 def test_check_never_loads_the_kernel(tmp_path, monkeypatch, capsys):

@@ -389,6 +389,52 @@ class TestExecute:
             second = (tmp_path / "b" / "run-0000" / name).read_bytes()
             assert first == second, name
 
+    def test_a_sweep_into_an_earlier_directory_leaves_only_its_own_runs(self, tmp_path, capsys):
+        # a 3-run sweep, then a 2-run sweep, then a refused run, into one
+        # directory: each leaves the run directories it wrote and no other
+        # that holds a summary, so the directories match index.tsv. Other
+        # names, and a run-NNNN directory without a summary, stay
+        out = tmp_path / "out"
+        kept = [out / "run-0007", out / "run-12", out / "00000001", out / "notes"]
+        for path in kept:
+            path.mkdir(parents=True)
+            summary = path.name in ("run-12", "00000001")
+            (path / "summary.txt" if summary else path / "notes.txt").write_text("")
+        refused = SMALL_RUN.replace("family = polynomial_bump",
+                                    "family = gaussian_truncated\nwidth = 1e-5")
+        for text, written in ((SMALL_RUN + "\n[sweep]\nn_cells = 32, 48, 64\n", 3),
+                              (SMALL_RUN + "\n[sweep]\nn_cells = 32, 64\n", 2), (refused, 0)):
+            code = execute(parse_config(text), output_dir=str(out))
+            assert code == (0 if written else 1)
+            runs = [f"run-{i:04d}" for i in range(written)]
+            assert sorted(p.name for p in out.glob("run-????")) == sorted([*runs, "run-0007"])
+            rows = (out / "index.tsv").read_text().splitlines()[1:]
+            assert [row.split("\t")[0] for row in rows] == (runs or ["run-0000"])
+        assert rows == ["\t".join(["run-0000", "failed"] + ["-"] * 5)]
+        assert all(path.exists() for path in kept)
+        capsys.readouterr()
+
+    def test_a_cold_cache_compiles_the_kernel_once_per_pooled_sweep(self, tmp_path, monkeypatch):
+        # the sweep loads the kernel before its pool forks the workers, which
+        # inherit it: on an empty cache each would compile it otherwise. The
+        # compiles of every process are counted in one file
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+        compiles = tmp_path / "compiles"
+
+        def counted(command, _compile=_kernel._compile):
+            with open(compiles, "a", encoding="utf-8") as log:
+                log.write(f"{os.getpid()}\n")
+            return _compile(command)
+
+        monkeypatch.setattr(_kernel, "_compile", counted)
+        _kernel.load.cache_clear()
+        try:
+            config = parse_config(SMALL_RUN + "\n[sweep]\ndelta = 0, 1\n")
+            assert execute(config, output_dir=str(tmp_path / "sweep"), jobs=2) == 0
+        finally:
+            _kernel.load.cache_clear()
+        assert compiles.read_text().splitlines() == [str(os.getpid())]
+
     def test_sweep_parallel_workers(self, tmp_path):
         text = SMALL_RUN + "\n[sweep]\ndelta = 0, 1\nn_cells = 32, 64\n"
         config = parse_config(text)

@@ -19,6 +19,8 @@ from _helpers import swap_in_clone
 from test_kernel_equivalence import (  # noqa: F401
     test_breakdown_reports_the_same_cell,
     test_diagnostics_row_matches_numpy_sums,
+    test_a_second_stage_breakdown_reports_the_oracles_cell,
+    test_a_smooth_state_breaks_down_in_the_second_stage,
     test_a_slope_width_of_any_sign_is_refused_by_the_stage,
     test_a_state_whose_length_is_not_the_grids_is_refused,
     test_edge_faces_match_reference_at_every_wall,

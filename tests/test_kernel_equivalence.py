@@ -38,6 +38,7 @@ from radialblowup.poisson import cumulative_mass_integrand
 from radialblowup.solver import (
     POSITIVITY_REL_TOL,
     VACUUM_FLOOR_REL,
+    NumericalBreakdownError,
     StepResult,
     max_wave_speed,
 )
@@ -357,8 +358,8 @@ def _chained(op, values):
     return result
 
 
-# (K, gamma): dust and the isothermal law, whose wave speed a step's second
-# stage finds, and gamma 1.4, whose speed needs the raised cells
+# (K, gamma): dust and the isothermal law, whose wave speed is max |V| + c,
+# and gamma 1.4, whose speed needs the raised cells
 FACT_LAWS = ((0.0, 1.4), (1.0, 1.0), (1.0, 1.4))
 
 
@@ -402,50 +403,71 @@ def test_reductions_keep_numpy_rules(values, law):
             speeds = np.abs(values) + np.sqrt(cfg.pressure_const * cfg.gamma * values)
         speed = plan.facts(FluidState(0.0, zeros, values), values)[1]
         assert _same(speed, _chained(float.__gt__, speeds.tolist()))
-    # the step's new density minimum, from its second stage: the first NaN,
-    # else the smallest
-    wall = n - 1
-    # (-0.0 * dt + mid) * 0.5 + 0.5 * -0.0 is mid * 0.5, down to the sign of
-    # a zero and a NaN
-    mid = np.stack([values, zeros])
-    k = np.stack([np.full(n, -0.0), zeros])
-    new_rho = values * 0.5
-    new_rho[wall:] = 0.0
-    made, lowest, *_ = plan.rk_stage(wall, 0.5, FluidState(0.0, np.full(n, -0.0), zeros), mid, k)
-    assert _same(k[0], new_rho) and made.rho.base is k and made.time == 0.5
-    assert _same(lowest, _chained(float.__lt__, new_rho.tolist()))
-    # the first stage writes old + dt * k and takes no minimum
-    assert plan.rk_stage(wall, 0.5, FluidState(0.0, values, zeros), None, k) is None
 
 
-def _made(plan, values, wall=None):
-    """What a second stage returns of the state it makes whose fields are
-    ``values``, as far as (-0.0 * dt + x) * 0.5 + 0.5 * x is x, zeroed from
-    ``wall`` on: that state, its least density, wave speed, steepest slope
-    and cell, and raised cells."""
-    n = values.size
-    old = FluidState(0.0, values, values)
-    return plan.rk_stage(n if wall is None else wall, 0.5, old, np.stack([values, values]),
-                         np.full((2, n), -0.0))
-
-
-@settings(max_examples=200, deadline=None)
-@given(reduction_cases(), st.sampled_from(FACT_LAWS))
-def test_the_facts_of_a_made_state_keep_numpy_rules(values, law):
-    # the least density, wave speed and steepest slope that a second stage
-    # finds of the state it makes, against numpy on that state's fields
-    n = values.size
-    grid = RadialGrid(n_cells=n, support_radius=1.0)
-    cfg = ModelConfig(dim=3, pressure_const=law[0], gamma=law[1])
+@settings(max_examples=150, deadline=None)
+@given(cases(), st.sampled_from((1e-4, 1e-2, 0.5)))
+def test_the_facts_of_a_made_state_keep_numpy_rules(case, dt):
+    # the least density, wave speed and steepest slope that finish_step
+    # finds of the state it makes, against numpy on that state's fields,
+    # with the cells it raised; past a breakdown it returns neither
+    state, cfg, grid, num = case
+    rho_floor, _ = _floors(state)
     plan = _kernel.plan(grid, cfg)
-    made, *facts, powers = _made(plan, values)
+    wall = model.wall_index(grid.n_cells, num.support_margin_cells)
+    with np.errstate(all="ignore"):
+        k, bad = plan.tendencies(state, wall, rho_floor)
+        if bad >= 0:
+            return
+        bad, made, facts, powers = plan.finish_step(wall, dt, state, k, rho_floor)
+    if bad >= 0:
+        assert facts is None and powers is None
+        return
+    assert made.time == dt and made.rho.base is made.vel.base is not k
     assert _same_facts(facts, _facts_of(made, cfg, grid))
+    if cfg.pressure_const > 0.0 and cfg.gamma > 1.0:
+        assert _same(powers, np.maximum(made.rho, 0.0) ** (cfg.gamma - 1.0))
+    else:
+        assert powers is None
     # the facts entry gives the same of the same fields, with the raised
     # cells the step returned or raised anew, and so do the public readers
     assert _same_facts(plan.facts(made, powers), facts)
     assert _same_facts(plan.facts(made), facts)
     assert _same(max_wave_speed(made, cfg, grid), facts[1])
     assert _same(diagnostics.max_velocity_gradient(made, grid), facts[2])
+
+
+@settings(max_examples=60, deadline=None)
+@given(cases(), st.sampled_from((1e300, 1e308)))
+def test_a_second_stage_breakdown_reports_the_oracles_cell(case, dt):
+    # a step so long that its first stage's state overflows: the second
+    # stage's first non-finite tendency ends it, in the cell and field the
+    # oracle's step names, unless the first stage broke down already
+    state, cfg, grid, num = case
+    rho_floor, pos_tol = _floors(state)
+    stepped = _outcome(lambda: step(state, dt, cfg, grid, num, rho_floor, pos_tol).state)
+    expected = _outcome(lambda: ref.step(state, dt, cfg, grid, num, rho_floor, pos_tol))
+    if isinstance(expected, FluidState):
+        assert _same(stepped.rho, expected.rho) and _same(stepped.vel, expected.vel)
+    else:
+        assert stepped == expected
+
+
+@pytest.mark.parametrize("pressure_const, gamma", [(0.0, 1.4), (1.0, 1.0), (1.0, 1.4)])
+def test_a_smooth_state_breaks_down_in_the_second_stage(pressure_const, gamma):
+    # the first stage of a smooth state is finite, and its state 1e300 on
+    # overflows: the breakdown is the second stage's, where the oracle has it
+    n = 64
+    grid = RadialGrid(n_cells=n, support_radius=1.0)
+    cfg = ModelConfig(dim=3, delta=1, pressure_const=pressure_const, gamma=gamma)
+    num = NumericsConfig()
+    r = grid.cell_centers
+    state = ref.apply_boundary(FluidState(0.0, (1.0 - r**2) ** 2, r * (1.0 - r)), num)
+    rho_floor, pos_tol = _floors(state)
+    assert all(np.all(np.isfinite(k)) for k in ref.rhs_eval(state, cfg, grid, num, rho_floor))
+    expected = _outcome(lambda: ref.step(state, 1e300, cfg, grid, num, rho_floor, pos_tol))
+    assert expected[0] is NumericalBreakdownError
+    assert _outcome(lambda: step(state, 1e300, cfg, grid, num, rho_floor, pos_tol)) == expected
 
 
 # (width, scale of random velocities, or 0 for near ties): near ties at
@@ -459,7 +481,7 @@ def test_slopes_equal_after_the_division_take_the_first_cell(n, seed, case):
     # the largest difference and one division give np.argmax of the slopes
     # only with the first cell whose slope rounds to the largest: a lower
     # difference there, or an overflow to inf, or an underflow. A second
-    # stage finds it on a grid whose 2 dr is the width
+    # facts pass finds it on a grid whose 2 dr is the width
     grid = RadialGrid(n_cells=n, support_radius=case[0] * n / 2.0)
     width, scale = 2.0 * grid.cell_width, case[1]
     rng = np.random.default_rng(seed)
@@ -467,7 +489,8 @@ def test_slopes_equal_after_the_division_take_the_first_cell(n, seed, case):
     with np.errstate(all="ignore"):
         slopes = np.abs(v[2:] - v[:-2]) / width
     k = int(np.argmax(slopes))
-    slope, cell = _made(_kernel.plan(grid, ModelConfig(pressure_const=0.0)), v)[3]
+    plan = _kernel.plan(grid, ModelConfig(pressure_const=0.0))
+    slope, cell = plan.facts(FluidState(0.0, v, v))[2]
     assert cell == k + 1 and _same(slope, slopes[k])
 
 
@@ -491,15 +514,16 @@ def test_facts_at_their_edges():
     plan = _kernel.plan(grid, ModelConfig(pressure_const=0.0))
     v = np.zeros(n)
     v[[5, 9, 13]] = 1.0
-    assert _made(plan, v)[3] == (1.0 / (2.0 * grid.cell_width), 4)
+    assert plan.facts(FluidState(0.0, v, v))[2] == (1.0 / (2.0 * grid.cell_width), 4)
     first, second = NANS[:2]
     v[[7, 11]] = first, second
-    _, _, speed, (slope, cell), _ = _made(plan, v)
+    _, speed, (slope, cell) = plan.facts(FluidState(0.0, v, v))
     assert cell == 6 and _same(slope, abs(first))
     assert _same(speed, abs(first))
-    zeros = np.full(n, -0.0)
     for wall, sign in ((n, -0.0), (n - 2, 0.0), (0, 0.0)):
-        assert _same(_made(plan, zeros, wall)[1], sign)
+        zeros = np.full(n, -0.0)
+        zeros[wall:] = 0.0
+        assert _same(plan.facts(FluidState(0.0, zeros, zeros))[0], sign)
 
 
 def _bits(*patterns: int) -> list:

@@ -13,6 +13,7 @@ import shutil
 import stat
 import subprocess
 import sys
+import weakref
 from importlib.machinery import EXTENSION_SUFFIXES
 from pathlib import Path
 
@@ -194,50 +195,56 @@ def test_each_entry_rejects_what_it_was_not_built_for(pressure_const):
     grid = RadialGrid(n_cells=n, support_radius=1.0)
     stage = _kernel.plan(grid, ModelConfig(pressure_const=pressure_const, gamma=1.4))._stage
     lib, wall = _kernel.load(), n - 1
-    rho, vel, mid = np.linspace(1.0, 0.0, n), np.linspace(0.0, 1.0, n), np.ones((2, n))
+    rho, vel = np.linspace(1.0, 0.0, n), np.linspace(0.0, 1.0, n)
     cell, raised = rho**0.4, pressure_const > 0.0
-    # each entry, its arguments, the places of its arrays and of its output
+    # each entry, its arguments, the places of its arrays and of its
+    # outputs: finish_step writes its k as well as its out
     entries = {
         "tendencies": (
-            lib.tendencies, [stage, wall, rho, vel, cell, 0.0, None], (2, 3, 4)[: 2 + raised], 6
+            lib.tendencies, [stage, wall, rho, vel, cell, 0.0, None], (2, 3, 4)[: 2 + raised],
+            (6,),
         ),
-        "rk_stage": (lib.rk_stage, [stage, wall, 0.1, rho, vel, mid, None], (3, 4, 5), 6),
-        "facts": (lib.facts, [stage, rho, vel, cell], (1, 2, 3)[: 2 + raised], None),
-        "row_sums": (lib.row_sums, [stage, rho, vel, cell], (1, 2, 3)[: 2 + raised], None),
-        "format_rows": (lib.format_rows, [np.ones((n, 8))], (0,), None),
+        "finish_step": (
+            lib.finish_step, [stage, wall, 0.1, rho, vel, None, 0.0, None, _kernel.power],
+            (3, 4), (5, 7),
+        ),
+        "facts": (lib.facts, [stage, rho, vel, cell], (1, 2, 3)[: 2 + raised], ()),
+        "row_sums": (lib.row_sums, [stage, rho, vel, cell], (1, 2, 3)[: 2 + raised], ()),
+        "format_rows": (lib.format_rows, [np.ones((n, 8))], (0,), ()),
     }
-    for name, (entry, args, inputs, output) in entries.items():
-        if output is not None:
-            args[output] = np.full((2, n), 7.0)
-        entry(*args)  # the right arrays pass
-        for place in (*inputs, output):
-            if place is None:
-                continue
-            if place == output:
+
+    def fresh(args, outputs):
+        """``args`` with a block of 7.0 for each output."""
+        called = list(args)
+        for place in outputs:
+            called[place] = np.full((2, n), 7.0)
+        return called
+
+    for name, (entry, args, inputs, outputs) in entries.items():
+        entry(*fresh(args, outputs))  # the right arrays pass
+        for place in (*inputs, *outputs):
+            if place in outputs:
                 read_only = np.full((2, n), 7.0)
                 read_only.flags.writeable = False
                 wrong = [*_wrong(np.full((2, n), 7.0)), read_only, np.full(n, 7.0)]
             else:
                 wrong = _wrong(args[place])
             for stand_in in wrong:
-                if stand_in is None and args[place] is mid:
-                    continue  # the first Runge-Kutta stage has no mid
-                called = list(args)
-                if output is not None:
-                    called[output] = np.full((2, n), 7.0)
+                called = fresh(args, outputs)
                 called[place] = stand_in
                 with pytest.raises(ValueError):
                     entry(*called)
-                # nothing written, into the output or a rejected one
-                if output is not None and isinstance(called[output], np.ndarray):
-                    assert np.all(called[output] == 7.0), (name, place)
-    out = np.full((2, n), 7.0)
+                # nothing written, into an output or a rejected one
+                for output in outputs:
+                    if isinstance(called[output], np.ndarray):
+                        assert np.all(called[output] == 7.0), (name, place)
+    out, k = np.full((2, n), 7.0), np.full((2, n), 7.0)
     for bad_wall in (-1, n + 1):
         with pytest.raises(ValueError, match="wall"):
             lib.tendencies(stage, bad_wall, rho, vel, cell, 0.0, out)
         with pytest.raises(ValueError, match="wall"):
-            lib.rk_stage(stage, bad_wall, 0.1, rho, vel, None, out)
-    assert np.all(out == 7.0)
+            lib.finish_step(stage, bad_wall, 0.1, rho, vel, k, 0.0, out, _kernel.power)
+    assert np.all(out == 7.0) and np.all(k == 7.0)
     # a table block has 1 to 1024 rows of 1 to 8 columns
     for shape in ((0, 8), (1025, 8), (n, 0), (n, 9), (n,), (2, n, 8)):
         with pytest.raises(ValueError, match="block"):
@@ -245,15 +252,13 @@ def test_each_entry_rejects_what_it_was_not_built_for(pressure_const):
     # nothing but a capsule of stage() is a stage: not the bytes of a struct
     # stage, not another module's capsule, not None
     for not_a_stage in (bytes(120), datetime.datetime_CAPI, None):
-        for name, (entry, args, _, output) in entries.items():
+        for name, (entry, args, _, outputs) in entries.items():
             if name == "format_rows":
                 continue
-            called = [not_a_stage, *args[1:]]
-            if output is not None:
-                called[output] = np.full((2, n), 7.0)
+            called = fresh([not_a_stage, *args[1:]], outputs)
             with pytest.raises(ValueError, match="stage"):
                 entry(*called)
-            if output is not None:
+            for output in outputs:
                 assert np.all(called[output] == 7.0), name
 
 
@@ -265,13 +270,14 @@ def test_each_entry_takes_its_count_of_arguments():
     w, lib = model.grid_weights(grid, 3), _kernel.load()
     stage = _kernel.plan(grid, ModelConfig(pressure_const=1.0, gamma=1.4))._stage
     rho, vel, out = np.linspace(1.0, 0.0, n), np.linspace(0.0, 1.0, n), np.full((2, n), 7.0)
+    k = np.full((2, n), 7.0)
     calls = {
         "stage": [
             0.0625, 1.0, 1.4, 0.0, grid.cell_centers, w.face_area, w.shell, w.inner_shell,
             w.center,
         ],
         "tendencies": [stage, n - 1, rho, vel, rho, 0.0, out],
-        "rk_stage": [stage, n - 1, 0.1, rho, vel, None, out],
+        "finish_step": [stage, n - 1, 0.1, rho, vel, k, 0.0, out, _kernel.power],
         "facts": [stage, rho, vel, rho],
         "row_sums": [stage, rho, vel, rho],
         "format_rows": [np.ones((n, 8))],
@@ -283,7 +289,7 @@ def test_each_entry_takes_its_count_of_arguments():
             message = f"^{name} takes {len(args)} arguments, got {len(called)}$"
             with pytest.raises(TypeError, match=message):
                 getattr(lib, name)(*called)
-    assert np.all(out == 7.0)
+    assert np.all(out == 7.0) and np.all(k == 7.0)
     for name, args in calls.items():
         getattr(lib, name)(*args)  # the right count passes
 
@@ -354,11 +360,10 @@ def test_a_plan_outlives_its_grid_and_weights():
 
 @pytest.mark.parametrize("pressure_const, gamma", [(0.0, 1.4), (1.0, 1.0), (1.0, 1.4)])
 def test_a_step_answers_for_the_state_it_made(monkeypatch, pressure_const, gamma):
-    # a step returns the facts of the state it made, which its second stage
-    # finds, and they are what the facts entry gives for that state. With
-    # pressure and gamma > 1 the speed needs the raised cells: the second
-    # stage leaves the facts, and the step raises the cells, calls the facts
-    # entry once and returns the cells too
+    # a step returns the facts of the state it made, which finish_step finds,
+    # and they are what the facts entry gives for that state. With pressure
+    # and gamma > 1 the speed needs the raised cells: finish_step raises
+    # them through the numpy power it is handed and returns them too
     n = 64
     grid = RadialGrid(n_cells=n, support_radius=1.0)
     cfg = ModelConfig(dim=3, delta=1, pressure_const=pressure_const, gamma=gamma)
@@ -375,7 +380,7 @@ def test_a_step_answers_for_the_state_it_made(monkeypatch, pressure_const, gamma
     monkeypatch.setattr(_kernel, "load", Counted)
     made, speed, gradient, powers = solver.step(state, 1e-3, cfg, grid, solver.NumericsConfig())
     raised = pressure_const > 0.0 and gamma > 1.0
-    assert called == ["tendencies", "rk_stage"] * 2 + ["facts"] * raised
+    assert called == ["tendencies", "finish_step"]
     if raised:
         assert powers.tobytes() == (np.maximum(made.rho, 0.0) ** (gamma - 1.0)).tobytes()
     else:
@@ -387,6 +392,50 @@ def test_a_step_answers_for_the_state_it_made(monkeypatch, pressure_const, gamma
         np.float64(speed).tobytes()
     )
     assert diagnostics.max_velocity_gradient(made, grid) == gradient
+
+
+@pytest.mark.parametrize("pressure_const, gamma", [(0.0, 1.4), (1.0, 1.0), (1.0, 1.4)])
+def test_finish_step_raises_the_cells_through_the_power_it_is_handed(pressure_const, gamma):
+    # for K > 0 and gamma > 1 alone, finish_step calls the power it is handed
+    # with gamma - 1 on the stage's densities, then the new state's, and
+    # returns the second row itself; it holds neither once it returns. What
+    # that power raises, or a row of another length, reaches the caller
+    n = 64
+    grid = RadialGrid(n_cells=n, support_radius=1.0)
+    cfg = ModelConfig(dim=3, delta=1, pressure_const=pressure_const, gamma=gamma)
+    r = grid.cell_centers
+    state = FluidState(0.0, (1.0 - r**2) ** 2, r * (1.0 - r))
+    plan, wall = _kernel.plan(grid, cfg), n - 2
+    stage, lib = plan._stage, _kernel.load()
+    seen = []
+
+    def power(rho, exponent):
+        row = _kernel.power(rho, exponent)
+        seen.append((rho.copy(), exponent, weakref.ref(row)))
+        return row
+
+    k, _ = plan.tendencies(state, wall, 0.0)
+    out = np.empty((2, n))
+    bad, facts, raised = lib.finish_step(stage, wall, 1e-3, state.rho, state.vel, k, 0.0, out, power)
+    assert bad == -1 and facts == plan.facts(FluidState(0.0, out[0], out[1]))
+    if not (pressure_const > 0.0 and gamma > 1.0):
+        assert seen == [] and raised is None
+        return
+    (first, e1, held1), (second, e2, held2) = seen
+    assert e1 == e2 == gamma - 1.0
+    assert first.tobytes() == k[0].tobytes() and second.tobytes() == out[0].tobytes()
+    assert held2() is raised and held1() is None
+    del raised
+    assert held2() is None
+
+    def fails(rho, exponent):
+        raise ZeroDivisionError("from the power")
+
+    with pytest.raises(ZeroDivisionError, match="from the power"):
+        lib.finish_step(stage, wall, 1e-3, state.rho, state.vel, k, 0.0, out, fails)
+    for wrong in (lambda rho, e: np.ones(n + 1), lambda rho, e: None):
+        with pytest.raises(ValueError, match="cell must be"):
+            lib.finish_step(stage, wall, 1e-3, state.rho, state.vel, k, 0.0, out, wrong)
 
 
 def test_the_library_runs_the_avx2_clones_where_the_cpu_has_avx2():
@@ -420,7 +469,7 @@ def test_the_avx2_clones_of_the_loops_hold_256_bit_code():
             ymm_in_avx512f[key[0]] = ymm_in_avx512f.get(key[0], 0) + 1
     if not wide:
         pytest.skip("the kernel has no wide clones on this platform")
-    loops = ("face_means", "sound_speeds", "fluxes", "cells", "rk_stage", "block_sums")
+    loops = ("face_means", "sound_speeds", "fluxes", "cells", "combine", "block_sums")
     # step_facts works in 32-byte vectors, ymm in both clones
     for loop in loops + ("step_facts",):
         assert wide.get((loop, "avx2"), 0) > 0, loop

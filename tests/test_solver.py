@@ -461,22 +461,23 @@ class TestRun:
         prof = build_initial_profile("gaussian_truncated", {}, 0, grid, 2)
         rows = run(prof.rho0, prof.v0, cfg, num).series.times.size
         steps = calls["step"]
-        assert steps > 0 and calls["rhs_eval"] == 2 * steps
+        # rhs_eval is a step's first stage; the kernel's finish_step the rest
+        assert steps > 0 and calls["rhs_eval"] == steps
         # a step returns the wave speed and gradient of the state it made,
-        # shared by dt, detection and rows: the facts entry reads the initial
-        # state, and each new state whose cells must be raised first
-        # (pressure and gamma > 1); the public readers of each fact are not
-        # called
+        # shared by dt, detection and rows, which finish_step finds for every
+        # law: the facts entry reads the initial state alone; the public
+        # readers of each fact are not called
         raised = pressure_const > 0 and gamma > 1
-        assert calls["facts"] == 1 + steps * raised
+        assert calls["facts"] == 1
         assert calls["max_wave_speed"] == calls["max_velocity_gradient"] == 0
         # the numpy EOS and force field are oracles: the run path is compiled
         assert calls["sound_speed"] == calls["radial_field"] == 0
         # numpy's ** raises the n cells of the second stage and of the new
-        # state, which its facts and the next step's first stage read; the n
-        # cells of each diagnostics row; and once the initial state's, for
-        # its facts and again for the first step. None without
-        # pressure, and none for gamma = 1, whose powers are 1 and max(rho, 0)
+        # state, which its facts and the next step's first stage read, both
+        # called from finish_step; the n cells of each diagnostics row; and
+        # once the initial state's, for its facts and again for the first
+        # step. None without pressure, and none for gamma = 1, whose powers
+        # are 1 and max(rho, 0)
         assert rows == steps + 1
         if raised:
             n = grid.n_cells
@@ -484,11 +485,10 @@ class TestRun:
             assert calls["power"] == 2 * steps + rows + 1
         else:
             assert calls["power"] == calls["raised"] == 0
-        # a step calls two stages of one call each and two Runge-Kutta
-        # stages; the second finds the new state's facts unless its cells
-        # must be raised first (one call more). The initial state's facts
-        # are one call, and a row calls its sums
-        assert calls["C"] == (4 + raised) * steps + 1 + rows
+        # a step crosses into C twice for every law: its first stage, and
+        # finish_step for the rest. The initial state's facts are one call,
+        # and a row calls its sums
+        assert calls["C"] == 2 * steps + 1 + rows
         # the run's one plan builds its stage once, never per step
         assert calls["stage"] == 1
 
