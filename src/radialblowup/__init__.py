@@ -9,6 +9,12 @@ The package root holds what callers of ``run`` use; every other name is
 imported from its module.
 """
 
+import os
+
+# the package calls no BLAS routine: one OpenBLAS thread, unless the caller
+# chose a count, spares the CPU its pool spins at numpy's import
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .diagnostics import blowup_functional
 from .model import FluidState, ModelConfig, RadialGrid
 from .poisson import radial_field

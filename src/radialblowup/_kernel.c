@@ -25,7 +25,7 @@
  * does the IEEE operations of one cell, so vector and scalar code give the
  * same bits. -fno-trapping-math (both sides of a select may be evaluated)
  * and -fno-math-errno (sqrt is one instruction) let it do so and change no
- * value. The force prefix sum and the scan for the first non-finite cell
+ * value. The force's running sum and the scan for the first non-finite cell
  * stay scalar; the min, max and argmax reductions of step_facts keep lanes
  * of partial extremes that give the result of the scalar chain exactly. On
  * x86-64 ELF with glibc, CLONED builds each entry and the static functions
@@ -82,16 +82,16 @@ struct stage {
     const double *face_area, *shell, *inner_shell;
     const double *center; /* r**(N-1) at the cell centers */
     const double *r;      /* the cell centers */
-    double *work;        /* scratch (4, n + 4), (5, n + 4) with pressure: the
-                            fluxes, the force sums, the wave speeds, the
-                            sound speeds and the face means; see WORK */
+    double *work;        /* scratch (2, n + 4), (3, n + 4) with pressure, and
+                            never under 24 doubles: the fluxes, the sound
+                            speeds and the face means; see WORK */
 };
 
-/* Row k of the work scratch. Rows 0 and 1 hold the force sums of a stage,
- * and the rows from 0 on the 24 lanes of step_facts(); rows 2 and 3 the
- * mass and advection fluxes. With pressure, row 4 holds the sound speeds of
- * cells -1 .. n up to the fluxes, then the face means. No row holds a copy
- * of a cell: a stage reads rho, V and the raised cells where they lie. */
+/* Row k of the work scratch. Rows 0 and 1 hold the mass and advection
+ * fluxes of a stage. With pressure, row 2 holds the sound speeds of cells
+ * -1 .. n up to the fluxes, then the face means. The scratch from row 0 on
+ * holds the 24 lanes of step_facts(). No row holds a copy of a cell: a
+ * stage reads rho, V and the raised cells where they lie. */
 #define WORK(s, k) ((s)->work + (k) * ((s)->n + 4))
 
 /* np.maximum: NaN propagates and a tie returns b, so np_max(-0.0, 0.0) is
@@ -252,14 +252,15 @@ CLONED static void fluxes(int64_t n, int64_t wall, const double *restrict rho,
         mass[j] = 0.0;
 }
 
-/* Fill out = (drho, dvel), shape (2, n), from the fluxes in work rows 2
- * and 3: flux divergence, pressure, force, vacuum mask, the order of the
- * reference. With pressure, base is the face means in work row 4.
+/* Fill out = (drho, dvel), shape (2, n), from the fluxes in work rows 0
+ * and 1: flux divergence, pressure, force, vacuum mask, the order of the
+ * reference. With pressure, base is the face means in work row 2.
  *
  * The force field is (alpha*delta) * C / center with C the running
  * integral of max(rho, 0) * s**(N-1), accumulated in the order of
- * np.cumsum. Without a field the term is skipped, not added as +0.0, which
- * would turn a -0.0 tendency into +0.0.
+ * np.cumsum, in one scalar pass: a cell's products and division run in the
+ * shadow of the sum's add chain. Without a field the term is skipped, not
+ * added as +0.0, which would turn a -0.0 tendency into +0.0.
  *
  * Returns -1, or the first non-finite tendency as cell (density) or
  * n + cell (velocity), density scanned first. */
@@ -268,7 +269,7 @@ CLONED static int64_t cells(const struct stage *s, const double *restrict rho, d
 {
     int64_t n = s->n;
     double dr = s->dr, gc = s->grad_coef, fc = s->field_coef;
-    const double *restrict mass = WORK(s, 2), *restrict adv = WORK(s, 3);
+    const double *restrict mass = WORK(s, 0), *restrict adv = WORK(s, 1);
     const double *restrict center = s->center;
     double *restrict drho = out, *restrict dvel = out + n;
     for (int64_t i = 0; i < n; i++) {
@@ -284,22 +285,17 @@ CLONED static int64_t cells(const struct stage *s, const double *restrict rho, d
             dvel[i] = dvel[i] - (gc * base[i + 1] - gc * base[i]) / dr;
     }
     if (fc != 0.0) {
-        /* the summands of C, then C itself in place of the first */
-        double *restrict inner = WORK(s, 0), *restrict whole = WORK(s, 1);
+        /* C: the cells before plus the inner shell, then the whole shell */
         const double *restrict shell = s->shell, *restrict inner_shell = s->inner_shell;
-        for (int64_t i = 0; i < n; i++) {
-            double q = np_max(rho[i], 0.0);
-            inner[i] = q * inner_shell[i];
-            whole[i] = q * shell[i];
-        }
-        double sum = whole[0];
-        inner[0] = 0.0 + inner[0];
+        double q = np_max(rho[0], 0.0);
+        double sum = q * shell[0];
+        dvel[0] = dvel[0] + fc * (0.0 + q * inner_shell[0]) / center[0];
         for (int64_t i = 1; i < n; i++) {
-            inner[i] = sum + inner[i];
-            sum = sum + whole[i];
+            q = np_max(rho[i], 0.0);
+            double c = sum + q * inner_shell[i];
+            sum = sum + q * shell[i];
+            dvel[i] = dvel[i] + fc * c / center[i];
         }
-        for (int64_t i = 0; i < n; i++)
-            dvel[i] = dvel[i] + fc * inner[i] / center[i];
     }
     for (int64_t i = 0; i < n; i++)
         dvel[i] = rho[i] > rho_floor ? dvel[i] : 0.0;
@@ -326,10 +322,10 @@ CLONED static int64_t tendencies(const struct stage *s, int64_t wall, const doub
 {
     int64_t n = s->n;
     /* the sound speeds, then the face means */
-    double *face = s->pressure_const > 0.0 ? WORK(s, 4) : NULL;
+    double *face = s->pressure_const > 0.0 ? WORK(s, 2) : NULL;
     if (face)
         sound_speeds(n, s->sound_coef, cell, face);
-    fluxes(n, wall, rho, vel, face, s->face_area, WORK(s, 2), WORK(s, 3));
+    fluxes(n, wall, rho, vel, face, s->face_area, WORK(s, 0), WORK(s, 1));
     if (face)
         face_means(n, s->raised ? cell : rho, face);
     return cells(s, rho, rho_floor, face, out);
@@ -797,7 +793,8 @@ static PyObject *py_stage(PyObject *self, PyObject *const *args, Py_ssize_t narg
         PyErr_SetString(PyExc_ValueError, "stage: dr must be in (0, DBL_MAX / 2]");
         return done(&c, NULL);
     }
-    if (!(o = PyMem_Malloc(sizeof *o + (k > 0.0 ? 5 : 4) * (c.n + 4) * sizeof(double))))
+    Py_ssize_t work = (k > 0.0 ? 3 : 2) * (c.n + 4);
+    if (!(o = PyMem_Malloc(sizeof *o + (work > 24 ? work : 24) * sizeof(double))))
         return done(&c, PyErr_NoMemory());
     o->s = (struct stage){
         .n = c.n, .raised = k > 0.0 && g > 1.0, .dr = dr, .sound_coef = k * g,

@@ -737,6 +737,21 @@ def test_cli_import_leaves_out_the_pool_and_the_compiler_runner():
     assert done.stdout.strip() == "[]"
 
 
+@pytest.mark.parametrize("chosen, kept", [(None, "1"), ("3", "3")])
+def test_the_import_asks_one_openblas_thread_unless_the_caller_chose(chosen, kept):
+    # the package calls no BLAS routine: a fresh interpreter that imports it
+    # runs OpenBLAS on one thread, and keeps a count its caller set
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in sys.path if p)}
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if chosen is not None:
+        env["OPENBLAS_NUM_THREADS"] = chosen
+    code = "import os, radialblowup; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == kept
+
+
 class TestMain:
     def test_run_command(self, tmp_path):
         cfg_file = tmp_path / "exp.cfg"

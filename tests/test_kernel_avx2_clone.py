@@ -22,6 +22,7 @@ from test_kernel_equivalence import (  # noqa: F401
     test_a_state_whose_length_is_not_the_grids_is_refused,
     test_edge_faces_match_reference_at_every_wall,
     test_facts_at_their_edges,
+    test_the_force_matches_reference_from_its_first_cell,
     test_max_velocity_gradient_matches_reference,
     test_padding_field_and_diagnostics_match_reference,
     test_reductions_keep_numpy_rules,
