@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import functools
 import itertools
 import math
 import os
+import pickle
 import resource
 import shutil
 import sys
+import tempfile
 import time
 import traceback
 from dataclasses import dataclass, field, fields, replace
@@ -381,7 +382,7 @@ def _write_snapshots(run_dir: Path, config: ExperimentConfig, result: RunResult,
 
 def run_single(run_id: str, config: ExperimentConfig, out_root: str) -> dict:
     """Execute one resolved run, write its artifact files, return its summary's
-    facts and, under ``warnings``, the lines that ``execute`` prints for it."""
+    facts and, under ``lines``, the warnings that ``execute`` prints for it."""
     # elapsed_seconds and the phase times are read off one monotonic clock
     started, t_begin = time.time(), time.perf_counter()
     grid, profile = build_run_fields(config)
@@ -432,18 +433,90 @@ def run_single(run_id: str, config: ExperimentConfig, out_root: str) -> dict:
         f"write_s: {t_end - t_write:.6f}\n",
         encoding="utf-8",
     )
-    return {**facts, "warnings": warnings}
+    return {**facts, "lines": warnings}
 
 
-def ProcessPoolExecutor(max_workers: int):
-    """A process pool, whose module is imported only when a sweep builds one."""
-    from concurrent.futures import ProcessPoolExecutor as pool
+def _attempt(task: tuple) -> dict:
+    """``run_single``'s outcome of one task, or a failed outcome whose
+    ``lines`` are the error line or the traceback printed for it."""
+    run_id = task[0]
+    try:
+        return run_single(*task)
+    except (ValueError, OSError) as exc:
+        # initial data refused by run(), or a run directory that cannot be
+        # made or written: one line, as check reports them
+        lines = [f"error: {run_id}: {exc}\n"]
+    except Exception:
+        lines = [traceback.format_exc()]
+    return {"run_id": run_id, "failed": True, "lines": lines}
 
-    return pool(max_workers=max_workers)
+
+def _claim(queue) -> Optional[int]:
+    """The next task index of the queue, or None once it is empty. The forked
+    processes share the file's offset, and one read(2) of a regular file
+    moves it atomically: no two processes take the same index."""
+    got = os.read(queue.fileno(), 4)
+    return int.from_bytes(got, "little") if got else None
 
 
-def _run_entry(args: tuple) -> dict:
-    return run_single(*args)
+def _serve(queue, tasks: list, report) -> NoReturn:
+    """A forked child: claim, run and report tasks until the queue is empty,
+    then leave through ``os._exit``, which skips what the parent's exit does."""
+    code = 1
+    try:
+        while (index := _claim(queue)) is not None:
+            report.write(pickle.dumps((index, _attempt(tasks[index]))))
+            report.flush()
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _forked(tasks: list, processes: int) -> list[dict]:
+    """The outcome of each task, in task order, from this process and
+    ``processes - 1`` forked children. Every process claims the next task
+    from one queue, the most cells first and ties in task order. The queue
+    and each child's outcomes are unlinked temporary files, which block no
+    writer whatever their size; a child's file is read once it is reaped."""
+    order = sorted(range(len(tasks)), key=lambda i: -tasks[i][1].n_cells)
+    # what a task keeps if the process that claimed it dies before reporting it
+    outcomes = [
+        {"run_id": run_id, "failed": True,
+         "lines": [f"error: {run_id}: its worker process ended without reporting the run\n"]}
+        for run_id, *_ in tasks
+    ]
+    with contextlib.ExitStack() as files:
+        queue, *reports = [files.enter_context(tempfile.TemporaryFile()) for _ in range(processes)]
+        queue.write(b"".join(i.to_bytes(4, "little") for i in order))
+        queue.seek(0)
+        # the children inherit the loaded kernel and no unwritten output; a
+        # kernel that cannot be built or opened fails each run, as in one process
+        with contextlib.suppress(_kernel.KernelCompileError, OSError):
+            _kernel.load()
+        sys.stdout.flush()
+        sys.stderr.flush()
+        children = []
+        try:
+            for report in reports:
+                if (pid := os.fork()) == 0:
+                    _serve(queue, tasks, report)
+                children.append(pid)
+            while (index := _claim(queue)) is not None:
+                outcomes[index] = _attempt(tasks[index])
+        except BaseException:
+            os.lseek(queue.fileno(), 0, os.SEEK_END)  # the children take no further task
+            raise
+        finally:
+            for pid in children:
+                os.waitpid(pid, 0)
+        for report in reports:
+            report.seek(0)
+            # a child killed while writing leaves a truncated last record
+            with contextlib.suppress(EOFError, pickle.UnpicklingError):
+                while True:
+                    index, outcome = pickle.load(report)
+                    outcomes[index] = outcome
+    return outcomes
 
 
 def exit_status(outcomes: list[dict]) -> int:
@@ -462,48 +535,29 @@ def execute(
 ) -> int:
     """Run every sweep entry, write the summary index, and return the exit code.
 
-    The pool has ``min(jobs, number of runs)`` workers and takes the runs
-    with the most cells first; ``jobs`` below 1 is an error. Each run's
-    ``warning:`` and ``error:`` lines are printed in run-id order, so every
-    ``jobs`` prints the same lines. The kernel is loaded before the pool
-    forks its workers, so a cold cache compiles it once. Afterwards every
-    ``run-NNNN`` directory of the output directory that holds a
-    ``summary.txt`` and that these runs did not write is removed: the
-    directories left are those ``index.tsv`` lists as written."""
+    ``min(jobs, number of runs)`` processes run the runs: this one and the
+    children it forks, on Linux and macOS alike, with no helper process.
+    Each claims the next run from one queue, the most cells first and ties
+    in sweep order; one process runs them in sweep order. ``jobs`` below 1
+    is an error. Each run's ``warning:`` and ``error:`` lines are printed in
+    run-id order, so every ``jobs`` prints the same bytes: as each run ends
+    in one process, once the children are reaped otherwise. A child that
+    dies before it reports a run fails that run with one ``error:`` line.
+    The kernel is loaded before the fork, so a cold cache compiles it once.
+    Afterwards every ``run-NNNN`` directory of the output directory that
+    holds a ``summary.txt`` and that these runs did not write is removed:
+    the directories left are those ``index.tsv`` lists as written."""
     if jobs < 1:
         print(f"error: --jobs must be at least 1, got {jobs}", file=sys.stderr)
         return 1
     out_root = output_dir if output_dir is not None else config.output_dir
     tasks = [(run_id, cfg, out_root) for run_id, cfg in expand_sweep(config)]
+    processes = min(jobs, len(tasks))
 
     outcomes: list[dict] = []
-    with contextlib.ExitStack() as stack:
-        if jobs > 1 and len(tasks) > 1:
-            # the workers inherit the loaded kernel; a kernel that cannot be
-            # built or opened fails each run, as in one process
-            with contextlib.suppress(_kernel.KernelCompileError, OSError):
-                _kernel.load()
-            # the largest runs first, so no worker is left with two long ones last
-            pool = stack.enter_context(ProcessPoolExecutor(max_workers=min(jobs, len(tasks))))
-            largest = sorted(tasks, key=lambda task: -task[1].n_cells)
-            futures = {task[0]: pool.submit(_run_entry, task) for task in largest}
-            results = [futures[run_id].result for run_id, *_ in tasks]
-        else:
-            results = [functools.partial(_run_entry, task) for task in tasks]
-        for task, result in zip(tasks, results):
-            try:
-                outcome = result()
-            except (ValueError, OSError) as exc:
-                # initial data refused by run(), or a run directory that
-                # cannot be made or written: one line, as check reports them
-                print(f"error: {task[0]}: {exc}", file=sys.stderr)
-                outcomes.append({"run_id": task[0], "failed": True})
-            except Exception:
-                traceback.print_exc()
-                outcomes.append({"run_id": task[0], "failed": True})
-            else:
-                sys.stderr.writelines(outcome["warnings"])
-                outcomes.append(outcome)
+    for outcome in _forked(tasks, processes) if processes > 1 else map(_attempt, tasks):
+        sys.stderr.writelines(outcome["lines"])
+        outcomes.append(outcome)
 
     columns = ("run_id", "verdict", "termination", "t_detect", "t_bound", "h0", "config_hash")
     index_lines = ["\t".join(columns)]
@@ -595,7 +649,7 @@ def main(argv=None) -> int:
 def console() -> NoReturn:
     """The command-line entry: ``main``, then the process ends at its last write.
 
-    Every artifact is closed and the sweep's pool joined before ``main``
+    Every artifact is closed and a sweep's children reaped before ``main``
     returns, so once both streams are flushed ``os._exit`` skips only the
     interpreter's teardown. If ``main`` raises or a flush fails, the
     interpreter exits as it would without this entry."""

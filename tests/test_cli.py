@@ -1,13 +1,11 @@
 import ast
 import hashlib
-import multiprocessing
 import os
 import re
 import signal
 import subprocess
 import sys
 import time
-from concurrent.futures import Future
 from dataclasses import fields
 from pathlib import Path
 
@@ -37,34 +35,37 @@ from radialblowup.cli import (
 MINIMAL = "[model]\ndim = 3\n"
 
 
-@pytest.fixture
-def inline_pool(monkeypatch):
-    """A stand-in for the process pool that runs each task inline and starts
-    no process, its future holding the result or the exception as a pool's
-    does; records each pool's size and the run_ids in submission order."""
-    record = {"sizes": [], "run_ids": []}
+def logged_runs(log: Path) -> list[tuple[int, str]]:
+    """The (pid, run_id) lines that ``log_run_single`` appended, in order."""
+    if not log.exists():
+        return []
+    return [(int(pid), run_id) for pid, run_id in map(str.split, log.read_text().splitlines())]
 
-    class InlinePool:
-        def __init__(self, max_workers):
-            record["sizes"].append(max_workers)
 
-        def __enter__(self):
-            return self
+def wait_until(ready, timeout: float = 30.0) -> None:
+    """Poll ``ready`` until it holds; fail after ``timeout`` seconds."""
+    deadline = time.monotonic() + timeout
+    while not ready():
+        assert time.monotonic() < deadline, "timed out"
+        time.sleep(0.002)
 
-        def __exit__(self, *exc):
-            return False
 
-        def submit(self, fn, task):
-            record["run_ids"].append(task[0])
-            future = Future()
-            try:
-                future.set_result(fn(task))
-            except Exception as exc:
-                future.set_exception(exc)
-            return future
+def log_run_single(monkeypatch, log: Path, before=None, run=None) -> None:
+    """Make ``cli.run_single`` append 'pid run_id' to ``log`` in whichever
+    process calls it, forked or not, then call ``before(run_id, first)``,
+    ``first`` telling whether it is that process's first run, then ``run``
+    (the real ``run_single`` by default)."""
+    run = run or cli.run_single
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
-    return record
+    def logged(run_id, *args):
+        with open(log, "a", encoding="utf-8") as out:
+            out.write(f"{os.getpid()} {run_id}\n")
+        if before is not None:
+            pids = [pid for pid, _ in logged_runs(log)]
+            before(run_id, pids.count(os.getpid()) == 1)
+        return run(run_id, *args)
+
+    monkeypatch.setattr(cli, "run_single", logged)
 
 
 SMALL_RUN = """
@@ -569,31 +570,63 @@ class TestExecute:
             assert "--jobs must be at least 1" in capsys.readouterr().err
         assert not (tmp_path / "run-0000").exists()
 
-    def test_pool_is_no_larger_than_the_sweep(self, tmp_path, inline_pool):
+    def test_pool_is_no_larger_than_the_sweep(self, tmp_path, monkeypatch):
+        # 2 runs at --jobs 5000: the caller and one child run one run each.
+        # Each waits in its first run until both have one, so neither takes
+        # both; os.fork refuses a fourth call, so a pool sized by --jobs
+        # alone fails here without starting thousands of processes
+        forks = []
+
+        def fork(_fork=os.fork):
+            forks.append(1)
+            if len(forks) > 3:
+                raise OSError("more forks than the test allows")
+            return _fork()
+
+        monkeypatch.setattr(os, "fork", fork)
+        log = tmp_path / "log"
+        log_run_single(monkeypatch, log, lambda run_id, first: first and wait_until(
+            lambda: len(logged_runs(log)) >= 2))
         text = SMALL_RUN + "\n[sweep]\ndelta = 0, 1\n"
-        code = execute(parse_config(text), output_dir=str(tmp_path), jobs=5000)
+        code = execute(parse_config(text), output_dir=str(tmp_path / "out"), jobs=5000)
         assert code == 0
-        assert inline_pool["sizes"] == [2]
-        assert len((tmp_path / "index.tsv").read_text().splitlines()) == 3
+        assert len(forks) == 1
+        pids = {pid for pid, _ in logged_runs(log)}
+        assert len(pids) == 2 and os.getpid() in pids
+        assert sorted(run_id for _, run_id in logged_runs(log)) == ["run-0000", "run-0001"]
+        assert len((tmp_path / "out" / "index.tsv").read_text().splitlines()) == 3
 
-    def test_pool_takes_the_largest_runs_first(self, tmp_path, inline_pool, monkeypatch):
-        # sweep order: (delta 0, 16 cells), (0, 32), (1, 16), (1, 32)
-        config = parse_config(SMALL_RUN + "\n[sweep]\ndelta = 0, 1\nn_cells = 16, 32\n")
+    def test_pool_takes_the_largest_runs_first(self, tmp_path, monkeypatch):
+        # sweep order: delta, then gamma, then n_cells = 16, 32; the 32-cell
+        # runs are the odd ones. The caller and one child each claim one run;
+        # the child then waits in it until the caller has run the other six,
+        # so the log holds every later claim in the order claimed
+        config = parse_config(
+            SMALL_RUN + "\n[sweep]\ndelta = 0, 1\ngamma = 1.4, 2\nn_cells = 16, 32\n"
+        )
+        log = tmp_path / "log"
+
+        def before(run_id, first):
+            if first:
+                wanted = 2 if os.getpid() == parent else 8
+                wait_until(lambda: len(logged_runs(log)) >= wanted)
+
+        parent = os.getpid()
+        log_run_single(monkeypatch, log, before)
         assert execute(config, output_dir=str(tmp_path / "pool"), jobs=2) == 0
-        assert inline_pool["run_ids"] == ["run-0001", "run-0003", "run-0000", "run-0002"]
+        claims = logged_runs(log)
+        assert {run_id for _, run_id in claims[:2]} == {"run-0001", "run-0003"}
+        assert claims[2:] == [
+            (parent, f"run-{i:04d}") for i in (5, 7, 0, 2, 4, 6)
+        ]
         index = (tmp_path / "pool" / "index.tsv").read_text().splitlines()[1:]
-        assert [line.split("\t")[0] for line in index] == [f"run-{i:04d}" for i in range(4)]
+        assert [line.split("\t")[0] for line in index] == [f"run-{i:04d}" for i in range(8)]
 
-        # one job keeps the sweep order
-        ran = []
-
-        def recorded(run_id, *args, _run_single=cli.run_single):
-            ran.append(run_id)
-            return _run_single(run_id, *args)
-
-        monkeypatch.setattr(cli, "run_single", recorded)
+        # one job keeps the sweep order, in the caller alone
+        log.unlink()
+        log_run_single(monkeypatch, log, run=run_single)
         assert execute(config, output_dir=str(tmp_path / "serial"), jobs=1) == 0
-        assert ran == [f"run-{i:04d}" for i in range(4)]
+        assert logged_runs(log) == [(parent, f"run-{i:04d}") for i in range(8)]
 
     @pytest.mark.parametrize(
         "initial, kind, code",
@@ -606,23 +639,127 @@ class TestExecute:
         ids=["warning", "error"],
     )
     def test_every_jobs_prints_the_same_lines_in_run_id_order(
-        self, tmp_path, inline_pool, capsys, initial, kind, code
+        self, tmp_path, capsys, initial, kind, code
     ):
+        # the children report their runs' lines, which the caller prints
         text = SMALL_RUN.replace("family = polynomial_bump\n", initial)
         config = parse_config(text + "\n[sweep]\nn_cells = 64, 128, 256\n")
         err = {}
-        for jobs in (1, 2):
+        for jobs in (1, 2, 3):
             assert execute(config, output_dir=str(tmp_path / f"jobs{jobs}"), jobs=jobs) == code
             err[jobs] = capsys.readouterr().err
-        # the pool ran the largest first, and its lines still come in run-id order
-        assert inline_pool["run_ids"] == ["run-0002", "run-0001", "run-0000"]
-        assert err[2] == err[1]
+        assert err[3] == err[2] == err[1]
         lines = err[1].splitlines()
         assert [line.split(": ", 2)[:2] for line in lines] == [
             [kind, f"run-{i:04d}"] for i in range(3)
         ]
-        written = {path.name for path in (tmp_path / "jobs2").glob("run-*")}
-        assert written == ({"run-0000", "run-0001", "run-0002"} if code == 0 else set())
+        written = artifacts(tmp_path / "jobs1")
+        assert artifacts(tmp_path / "jobs2") == artifacts(tmp_path / "jobs3") == written
+        runs = {name.split("/")[0] for name in written if name.startswith("run-")}
+        assert runs == ({"run-0000", "run-0001", "run-0002"} if code == 0 else set())
+
+    def test_a_pooled_sweep_runs_every_run_once_however_large_its_outcomes(
+        self, tmp_path, monkeypatch
+    ):
+        # 200 runs at --jobs 4, each outcome carrying 2 KiB: the caller waits
+        # in its first run until the children have run the other 199, whose
+        # outcomes (about 400 KiB) no pipe buffer would hold meanwhile
+        gammas = ", ".join(str(1 + i / 100) for i in range(200))
+        config = parse_config(SMALL_RUN + f"\n[sweep]\ngamma = {gammas}\n")
+        log = tmp_path / "log"
+        parent = os.getpid()
+
+        def stub(run_id, cfg, out_root):
+            return {"run_id": run_id, "verdict": "confirmed", "termination": "reached_t_end",
+                    "t_detect": None, "t_bound": 1.0, "h0": cfg.model.gamma,
+                    "config_hash": "0" * 12, "lines": [], "padding": "x" * 2048}
+
+        def before(run_id, first):
+            if first and os.getpid() == parent:
+                wait_until(lambda: len(logged_runs(log)) == 200)
+
+        log_run_single(monkeypatch, log, before, run=stub)
+        assert execute(config, output_dir=str(tmp_path / "out"), jobs=4) == 0
+        claims = logged_runs(log)
+        assert sorted(run_id for _, run_id in claims) == [f"run-{i:04d}" for i in range(200)]
+        pids = [pid for pid, _ in claims]
+        assert pids.count(parent) == 1 and len(set(pids)) <= 4
+        rows = (tmp_path / "out" / "index.tsv").read_text().splitlines()[1:]
+        assert [row.split("\t")[:2] for row in rows] == [
+            [f"run-{i:04d}", "confirmed"] for i in range(200)
+        ]
+
+    def test_a_queue_longer_than_a_pipe_buffer_hands_out_each_task_once(
+        self, tmp_path, monkeypatch
+    ):
+        # 20,000 tasks: 80 KB of queue, more than a pipe filled before the
+        # fork could hold (64 KiB on Linux, 16 KiB on macOS)
+        log = tmp_path / "log"
+        log_run_single(monkeypatch, log, run=lambda run_id, *_: {"run_id": run_id, "lines": []})
+        config = parse_config(SMALL_RUN)
+        tasks = [(f"run-{i:05d}", config, str(tmp_path)) for i in range(20000)]
+        outcomes = cli._forked(tasks, 3)
+        assert [o["run_id"] for o in outcomes] == [task[0] for task in tasks]
+        assert sorted(run_id for _, run_id in logged_runs(log)) == [task[0] for task in tasks]
+
+    def test_a_killed_worker_fails_its_run_alone(self, tmp_path, monkeypatch, capsys):
+        # the child is SIGKILLed in the first run it takes, while the caller
+        # waits in its own first run; the caller then runs the other two
+        log = tmp_path / "log"
+        parent = os.getpid()
+
+        def before(run_id, first):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            if first:
+                wait_until(lambda: len({pid for pid, _ in logged_runs(log)}) == 2)
+
+        log_run_single(monkeypatch, log, before)
+        config = parse_config(SMALL_RUN + "\n[sweep]\nn_cells = 16, 32, 48, 64\n")
+        started = time.monotonic()
+        code = execute(config, output_dir=str(tmp_path / "out"), jobs=2)
+        assert time.monotonic() - started < 60
+        assert code == 1
+        [(child, killed)] = [(pid, run_id) for pid, run_id in logged_runs(log) if pid != parent]
+        assert capsys.readouterr().err == (
+            f"error: {killed}: its worker process ended without reporting the run\n"
+        )
+        rows = dict(
+            row.split("\t", 1)
+            for row in (tmp_path / "out" / "index.tsv").read_text().splitlines()[1:]
+        )
+        assert rows[killed] == "\t".join(["failed"] + ["-"] * 5)
+        others = {f"run-{i:04d}" for i in range(4)} - {killed}
+        assert {run_id for run_id, row in rows.items() if row.split("\t")[0] != "failed"} == others
+        assert {path.name for path in (tmp_path / "out").glob("run-*")} == others
+        with pytest.raises(ChildProcessError):  # reaped: no zombie, no running child
+            os.waitpid(child, os.WNOHANG)
+
+    def test_an_interrupted_sweep_leaves_the_rest_of_its_queue(self, tmp_path, monkeypatch):
+        # the caller is interrupted in its first run while the child waits in
+        # its own; the child then finds the queue empty, takes none of the
+        # four runs left and is reaped before the interrupt reaches the caller
+        log, interrupted = tmp_path / "log", tmp_path / "interrupted"
+        parent = os.getpid()
+
+        def before(run_id, first):
+            wait_until(lambda: len(logged_runs(log)) >= 2)
+            if os.getpid() == parent:
+                interrupted.touch()
+                raise KeyboardInterrupt
+            wait_until(interrupted.exists)
+            time.sleep(1.0)  # the caller moves the queue to its end meanwhile
+
+        log_run_single(monkeypatch, log, before)
+        config = parse_config(SMALL_RUN + "\n[sweep]\nn_cells = 16, 24, 32, 40, 48, 56\n")
+        with pytest.raises(KeyboardInterrupt):
+            execute(config, output_dir=str(tmp_path / "out"), jobs=2)
+        claims = logged_runs(log)
+        assert len(claims) == 2
+        [child] = {pid for pid, _ in claims} - {parent}
+        with pytest.raises(ChildProcessError):
+            os.waitpid(child, os.WNOHANG)
+        assert not (tmp_path / "out" / "index.tsv").exists()
 
     def test_meta_reports_steps_dt_range_and_peak_memory(self, tmp_path):
         execute(parse_config(SMALL_RUN), output_dir=str(tmp_path))
@@ -724,17 +861,22 @@ def test_readme_python_examples_run(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().out
 
 
-def test_cli_import_leaves_out_the_pool_and_the_compiler_runner():
-    # check and run never build a pool, and a cached kernel needs no compiler
+def test_cli_import_leaves_out_the_pool_and_the_compiler_runner(tmp_path):
+    # a cached kernel needs no compiler, and a pooled sweep forks its workers
+    # itself: neither multiprocessing nor concurrent.futures is loaded
+    (tmp_path / "sweep.cfg").write_text(SMALL_RUN + "\n[sweep]\ndelta = 0, 1\n")
     code = (
-        "import sys, radialblowup.cli; "
-        "print([m for m in ('concurrent.futures.process', 'subprocess') if m in sys.modules])"
+        "import sys, radialblowup.cli as cli; "
+        "print('subprocess' in sys.modules); "
+        "code = cli.main(['sweep', 'sweep.cfg', '--jobs', '2', '--output-dir', 'out']); "
+        "print(code, [m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules])"
     )
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in sys.path if p)}
     done = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", code], cwd=tmp_path, env=env, capture_output=True, text=True,
+        check=True,
     )
-    assert done.stdout.strip() == "[]"
+    assert done.stdout.splitlines() == ["False", "0 []"]
 
 
 @pytest.mark.parametrize("chosen, kept", [(None, "1"), ("3", "3")])
@@ -1173,21 +1315,15 @@ class TestConsole:
             "sweep", str(cfg_file), "--jobs", "2", "--output-dir", str(tmp_path / "cli")
         )
         assert (proc.returncode, out, err) == (0, "", "")
-        # the workers are joined before main returns. Under spawn or
-        # forkserver, multiprocessing's own helper processes leave about a
-        # second after the command's pipes close, with or without os._exit;
-        # under fork nothing of the command may be left at all
-        grace = 0.0 if multiprocessing.get_start_method() == "fork" else 10.0
-        deadline = time.monotonic() + grace
-        while True:
-            try:
-                os.killpg(proc.pid, 0)
-            except ProcessLookupError:
-                break
-            if time.monotonic() >= deadline:
-                os.killpg(proc.pid, signal.SIGKILL)
-                pytest.fail("a process of the sweep outlived it")
-            time.sleep(0.05)
+        # the children are reaped before main returns, and no helper process
+        # is started: nothing of the command may be left once it has ended
+        try:
+            os.killpg(proc.pid, 0)
+        except ProcessLookupError:
+            pass
+        else:
+            os.killpg(proc.pid, signal.SIGKILL)
+            pytest.fail("a process of the sweep outlived it")
         args = ["sweep", str(cfg_file), "--jobs", "2", "--output-dir", str(tmp_path / "main")]
         assert main(args) == 0
         written = artifacts(tmp_path / "cli")

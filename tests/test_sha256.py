@@ -52,7 +52,8 @@ def test_run_sweep_and_check_load_no_openssl(tmp_path):
             main(["sweep", "sweep.cfg", "--output-dir", "sweep", "--jobs", "2"]),
             main(["check", "run.cfg"]),
         ]
-        print(codes, [m for m in ("_hashlib", "ssl", "_ssl") if m in sys.modules])
+        loaded = ("_hashlib", "ssl", "_ssl", "multiprocessing", "concurrent.futures")
+        print(codes, [m for m in loaded if m in sys.modules])
     """
     assert _python(code, tmp_path).splitlines()[-1] == "[0, 0, 0] []"
 
