@@ -200,8 +200,11 @@ CLONED static void sound_speeds(int64_t n, double sound_coef, const double *rest
 /* The mass and advection fluxes of a face from its rho and V stencils er and
  * ev, with the sound speeds c_l and c_r of its two sides added to the
  * dissipation speed max(|V| + c); the mass flux before its face weight.
- * Returned, not stored through pointers: gcc then no longer knows that the
- * caller's restrict rows do not overlap, and leaves its loop scalar. */
+ * The local Lax-Friedrichs flux of LeVeque, Finite Volume Methods for
+ * Hyperbolic Problems (2002), section 12.5: the speed bounds the signal
+ * speeds and is no term of the equations. Returned, not stored through
+ * pointers: gcc then no longer knows that the caller's restrict rows do
+ * not overlap, and leaves its loop scalar. */
 struct flux {
     double mass, adv;
 };
@@ -590,7 +593,10 @@ CLONED static void pairwise(const struct stage *s, const double *rho, const doub
 
 /* np.sum of each summand of block_sums over the cells into out[4]. An add
  * reduction starts from its identity, so each sum is 0.0 + the pairwise
- * sum: +0.0, not -0.0, when every term is -0.0. */
+ * sum: +0.0, not -0.0, when every term is -0.0. No order fixes one bit:
+ * where NaNs of both signs meet in one add, IEEE 754 leaves open which the
+ * result keeps, so a NaN sum's sign may differ from numpy's; the files
+ * print both as nan. */
 CLONED static void row_sums(const struct stage *s, const double *rho, const double *vel,
                             const double *cell, double *out)
 {

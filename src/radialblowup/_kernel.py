@@ -153,6 +153,7 @@ class KernelCompileError(RuntimeError):
 
 def _compile(command: list[str]):
     """The finished compiler process (``subprocess.CompletedProcess``)."""
+    # imported here: check and a run with a cached kernel never load it
     import subprocess
 
     return subprocess.run(command, capture_output=True, text=True)
@@ -215,6 +216,7 @@ KEPT_BUILDS = 4
 def _evict(directory: Path, target: Path, suffix: str) -> None:
     """Remove this ABI's builds past the ``KEPT_BUILDS`` newest, ``target``
     always kept, and the plain ``kernel-<hash>.so`` of earlier versions.
+    Other interpreters' builds and a ``*.so.tmp`` being written are left.
     Another process may remove the same files first."""
     ours = re.compile(rf"kernel-.*{re.escape(suffix)}")
     plain = re.compile(r"kernel-[0-9a-f]{16}\.so")

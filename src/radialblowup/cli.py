@@ -477,7 +477,11 @@ def _forked(tasks: list, processes: int) -> list[dict]:
     ``processes - 1`` forked children. Every process claims the next task
     from one queue, the most cells first and ties in task order. The queue
     and each child's outcomes are unlinked temporary files, which block no
-    writer whatever their size; a child's file is read once it is reaped."""
+    writer whatever their size; a child's file is read once it is reaped,
+    and a child not reaped would outlive the command. The process forks
+    with one thread (the package pins OpenBLAS to one, and nothing starts
+    another), and the children call no BLAS routine and no system
+    framework, so neither ``multiprocessing`` nor an executor is needed."""
     order = sorted(range(len(tasks)), key=lambda i: -tasks[i][1].n_cells)
     # what a task keeps if the process that claimed it dies before reporting it
     outcomes = [
@@ -652,7 +656,11 @@ def console() -> NoReturn:
     Every artifact is closed and a sweep's children reaped before ``main``
     returns, so once both streams are flushed ``os._exit`` skips only the
     interpreter's teardown. If ``main`` raises or a flush fails, the
-    interpreter exits as it would without this entry."""
+    interpreter exits as it would without this entry: a buffered stdout on
+    a full disk still prints ``Exception ignored ... No space left on
+    device`` and exits 120. ``main`` itself returns its code, so tests,
+    library callers and the benchmark tracer, which writes its spans after
+    ``main`` returns, keep the normal teardown."""
     code = main()
     try:
         sys.stdout.flush()

@@ -37,7 +37,9 @@ class Verdict(str, enum.Enum):
 
 
 def blowup_functional(state: FluidState, grid: RadialGrid) -> float:
-    """Weighted momentum H = int r*V dr by midpoint quadrature."""
+    """Weighted momentum H = int r*V dr by midpoint quadrature: numpy's
+    ``weighted_momentum``, from which ``check`` takes H0 without loading the
+    kernel."""
     return weighted_momentum(state.vel, grid)
 
 

@@ -205,6 +205,8 @@ def sound_speed(rho, cfg: ModelConfig):
     """Speed of sound c = sqrt(K * gamma * rho**(gamma - 1)).
 
     Zero for pressureless flow; constant sqrt(K) in the isothermal case.
+    A run takes its sound speeds from the compiled stage; this numpy form is
+    the tests' oracle and a name the benchmark harness wraps.
     """
     rho = np.asarray(rho, dtype=float)
     if np.any(rho < 0):
@@ -234,7 +236,9 @@ def validate_initial_data(
     Both fields must be finite, the density nonnegative and positive in some
     cell, and both fields exactly zero over the outermost ``margin_cells``
     cells. H0 and R**3, of which the bound time R**3 / (2*H0) is made, must be
-    finite too. Otherwise ValueError names each rule that fails. All-vacuum
+    finite too: an H0 overflowing to inf would make T = 0 and confirm any run
+    that stops at t = 0, and an overflowing R**3 raises OverflowError in
+    Python's ``**``. Otherwise ValueError names each rule that fails. All-vacuum
     data are refused: the vacuum cells hold V, and so H, at rest.
     H0 = int r*V0 dr is the quadrature value.
     """

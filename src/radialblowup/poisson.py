@@ -2,6 +2,10 @@
 
 The field at radius r is  phi_r(r) = alpha(N) * delta / r**(N-1) * C(r)  with
 C(r) the running integral of rho(s) * s**(N-1) from 0 to r.
+
+A run takes the field from the compiled stage; ``radial_field`` and
+``cumulative_mass_integrand`` are its numpy form, with their input checks,
+which the tests take as the oracle and the benchmark harness calls.
 """
 
 from __future__ import annotations

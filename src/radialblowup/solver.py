@@ -148,6 +148,9 @@ class Trajectory:
 
 
 class RunResult(NamedTuple):
+    """What ``run`` returns. Two results of one config compare equal: their
+    states and series compare their arrays by the bits."""
+
     trajectory: Trajectory
     series: diagnostics.DiagnosticsSeries
     report: diagnostics.RunReport
@@ -234,6 +237,8 @@ def step(
     The boundary margin is re-applied after each stage. Raises
     NumericalBreakdownError for a non-finite tendency of either stage, and
     PositivityError when the full step leaves density below -positivity_tol.
+    A step allocates one (2, n) block per stage, the second of which holds
+    the new state, and with K > 0 and gamma > 1 two raised rows.
     """
     n = grid.n_cells
     # the first stage, then the rest of the step in one kernel call
@@ -281,7 +286,9 @@ def run(
     ends the run at the last good state, which is the final row.
     For each of ``snapshot_times``, in request order, the trajectory keeps the
     recorded state nearest that time (the earlier one on a tie), and no
-    other.
+    other: no later row is strictly nearer to an infinite or NaN request,
+    which so keeps the first. A run holds n cells per snapshot time and one
+    small tuple per row, whatever its number of steps.
     """
     rho0 = np.asarray(rho0, dtype=float)
     v0 = np.asarray(v0, dtype=float)

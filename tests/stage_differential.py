@@ -142,7 +142,9 @@ def facts_mismatch(state, facts, cfg, grid) -> str:
     lowest, speed, (slope, cell) = facts
     # the least density as np.minimum folds it from the first cell: the
     # first NaN, else the least, of equal zeros the last. np.min reduces in
-    # SIMD blocks, and which zero it returns depends on n mod 8 and the CPU
+    # SIMD blocks, and which zero it returns depends on n mod 8 and the CPU:
+    # numpy 2.4's AVX-512 code returns the zero of cell n - 7 when n is one
+    # more than a multiple of 8
     expected = (
         np.minimum.accumulate(state.rho)[-1], ref.max_wave_speed(state, cfg),
         *ref.max_velocity_gradient(state, grid),

@@ -31,6 +31,7 @@ from radialblowup.cli import (
     resolved_config_text,
     run_single,
 )
+from radialblowup.diagnostics import DiagnosticsSeries, Verdict, bound_scope
 
 MINIMAL = "[model]\ndim = 3\n"
 
@@ -846,6 +847,37 @@ def test_readme_config_reference_lists_every_key_with_its_default():
     }
     shown = {key: f"{v:g}" if isinstance(v, float) else str(v) for key, v in defaults.items()}
     assert rows == shown
+
+
+def test_readme_outputs_name_every_artifact_key(tmp_path):
+    # every key a run writes, and every ending and scope flag, is named in
+    # backticks in the README's Outputs and Verdicts sections
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    sections = readme.read_text(encoding="utf-8").split("\n## ")
+    text = "\n".join(s for s in sections if s.startswith(("Outputs\n", "Verdicts\n")))
+    assert execute(parse_config(SMALL_RUN), output_dir=str(tmp_path), jobs=1) == 0
+
+    def keys(path):
+        return [line.split(": ", 1)[0] for line in path.read_text().splitlines()]
+
+    run_dir = tmp_path / "run-0000"
+    index_columns = (tmp_path / "index.tsv").read_text().splitlines()[0].split("\t")
+    every_flag = bound_scope(-1.0, ModelConfig(delta=-1, pressure_const=1.0, gamma=1.0))
+    pinned = {
+        "summary.txt": keys(run_dir / "summary.txt"),
+        "meta.txt": keys(run_dir / "meta.txt"),
+        "series.tsv": [f.metadata["column"] for f in fields(DiagnosticsSeries)],
+        "index.tsv": index_columns,
+        "Termination": [ending.value for ending in solver.Termination],
+        "Verdict": [verdict.value for verdict in Verdict],
+        "BoundScope": list(every_flag.flags),
+    }
+    assert len(pinned["BoundScope"]) == 3
+    missing = {
+        source: [key for key in names if f"`{key}`" not in text]
+        for source, names in pinned.items()
+    }
+    assert missing == {source: [] for source in pinned}
 
 
 def test_readme_python_examples_run(tmp_path, monkeypatch, capsys):

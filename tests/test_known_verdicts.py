@@ -6,6 +6,7 @@ it fails today, and the change that fixes the defect turns it into an
 XPASS, which fails the suite until that change removes the marker.
 """
 
+import numpy as np
 import pytest
 
 from radialblowup import ModelConfig, NumericsConfig, RadialGrid, solver
@@ -71,6 +72,15 @@ def test_no_confirmation_from_data_past_the_threshold():
     assert max_velocity_gradient(FluidState(0.0, *data), grid)[0] > 20.0
     result = solver.run(*data, model(), numerics())
     assert result.report.verdict is not Verdict.CONFIRMED
+
+
+@known(3, "an expansive slope, which only decays, counts as steepening")
+def test_no_detection_from_an_expansive_slope():
+    # classical to t* = 1/(1 - e^-25), T = 3.027; V0'(0) = +25: confirmed
+    # after 1 step at t = 0.000467, slope +24 at r = 0.0015
+    data = fields(1024, lambda r: (1 - r**2) ** 2, lambda r: (1 - r) * (1 - np.exp(-r / 0.04)))
+    result = solver.run(*data, model(), numerics())
+    assert result.trajectory.t_detect >= 0.5
 
 
 @known(5, "a collapsing time step counts as a detection")
