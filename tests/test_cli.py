@@ -2,6 +2,7 @@ import ast
 import hashlib
 import os
 import re
+import shlex
 import signal
 import subprocess
 import sys
@@ -893,6 +894,33 @@ def test_readme_python_examples_run(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().out
 
 
+def test_readme_quick_start_runs_as_written(tmp_path):
+    # the Quick start's two config documents, the bump and the bump with its
+    # [sweep] appended, and its three commands as the console runs them from
+    # an empty working directory: each exits 0 with the numbers README states
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    quick = readme.read_text(encoding="utf-8").split("\n## Quick start\n", 1)[1]
+    quick = quick.split("\n## ", 1)[0]
+    bump, sweep = re.findall(r"^```ini\n(.*?)^```$", quick, flags=re.S | re.M)
+    (tmp_path / "bump.cfg").write_text(bump)
+    (tmp_path / "sweep.cfg").write_text(bump + "\n" + sweep)
+    (commands,) = re.findall(r"^```sh\n(.*?)^```$", quick, flags=re.S | re.M)
+    printed = []
+    for line in commands.splitlines():
+        program, *args = shlex.split(line, comments=True)
+        assert program == "radialblowup"
+        proc, out, err = run_console(*args, cwd=tmp_path)
+        assert (proc.returncode, err) == (0, "")
+        printed.append(out)
+    assert len(printed) == 3 and "bound_applicable=True" in printed[0]
+    summary = read_summary(tmp_path / "out" / "run-0000")
+    assert summary["verdict"] == "confirmed"
+    assert round(float(summary["t_detect"]), 3) == 0.956
+    assert round(float(summary["t_bound"])) == 6
+    rows = (tmp_path / "ladder" / "index.tsv").read_text().splitlines()[1:]
+    assert [row.split("\t")[1] for row in rows] == ["confirmed"] * 3
+
+
 def test_cli_import_leaves_out_the_pool_and_the_compiler_runner(tmp_path):
     # a cached kernel needs no compiler, and a pooled sweep forks its workers
     # itself: neither multiprocessing nor concurrent.futures is loaded
@@ -1269,15 +1297,16 @@ class TestMain:
         assert "h0_not_positive" in summary["scope_flags"]
 
 
-def run_console(*args: str) -> tuple:
-    """``python -m radialblowup.cli`` in its own session, with stdout and
-    stderr on pipes: (process, stdout, stderr). PYTHONUNBUFFERED is unset, so
+def run_console(*args: str, cwd=None) -> tuple:
+    """``python -m radialblowup.cli`` in its own session, from ``cwd`` (this
+    process's working directory by default), with stdout and stderr on
+    pipes: (process, stdout, stderr). PYTHONUNBUFFERED is unset, so
     stdout is block-buffered and a line left unflushed at ``os._exit`` would
     be lost. A process left holding the pipes is killed with its group."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = os.pathsep.join(p for p in sys.path if p)
     with subprocess.Popen(
-        [sys.executable, "-m", "radialblowup.cli", *args], env=env, text=True,
+        [sys.executable, "-m", "radialblowup.cli", *args], cwd=cwd, env=env, text=True,
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, start_new_session=True,
     ) as proc:
         try:
