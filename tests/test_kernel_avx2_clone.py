@@ -3,34 +3,18 @@
 Where the CPU has AVX-512 the loader runs the avx512f clones, and the avx2
 ones would never run in tier-1. This module compiles the kernel with a
 clone list of avx2 alone (``-D'CLONE_TARGETS(X)=X(avx2)'``), whose loader
-picks the avx2 clones wherever the CPU has AVX2, and runs the oracle cases
-of ``test_kernel_equivalence`` against that library. It is skipped where
-the CPU or the platform has no AVX2 clone.
+picks the avx2 clones wherever the CPU has AVX2, and runs every test of
+``test_kernel_equivalence`` against that library. It is skipped where the
+CPU has no AVX2 clone, or where the loaded library already runs it.
 """
 
 import pytest
 
 from _helpers import swap_in_clone
 
-# collected again in this module, where the fixture below swaps the library
-from test_kernel_equivalence import (  # noqa: F401
-    test_breakdown_reports_the_same_cell,
-    test_diagnostics_row_matches_numpy_sums,
-    test_a_second_stage_breakdown_reports_the_oracles_cell,
-    test_a_smooth_state_breaks_down_in_the_second_stage,
-    test_a_slope_width_of_any_sign_is_refused_by_the_stage,
-    test_a_state_whose_length_is_not_the_grids_is_refused,
-    test_edge_faces_match_reference_at_every_wall,
-    test_facts_at_their_edges,
-    test_the_force_matches_reference_from_its_first_cell,
-    test_max_velocity_gradient_matches_reference,
-    test_padding_field_and_diagnostics_match_reference,
-    test_reductions_keep_numpy_rules,
-    test_signed_zeros_match_reference,
-    test_slopes_equal_after_the_division_take_the_first_cell,
-    test_tendencies_and_step_match_reference,
-    test_the_facts_of_a_made_state_keep_numpy_rules,
-)
+# every test of the module, collected again here, where the fixture below
+# swaps the library: a test added there runs here with no list to keep
+from test_kernel_equivalence import *  # noqa: F401,F403
 
 
 @pytest.fixture(scope="module", autouse=True)

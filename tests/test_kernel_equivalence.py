@@ -6,12 +6,11 @@ exponents gamma - 1 include 0 (isothermal) and 0.5, which numpy's ``**``
 computes as a square root. Results are compared as raw bytes, so even the
 sign of a zero must match.
 
-Every test runs once per kernel build this CPU can run: the library the
-loader picks, which runs its widest clone, then on x86-64 Linux with glibc a
-build of the avx2 clones alone (``-D'CLONE_TARGETS(X)=X(avx2)'``) where the
-CPU has AVX-512, and the baseline build with the clone guard off
-(``-U__ELF__``), as it builds on macOS, arm64 or musl. ``test_format_rows``
-checks ``format_rows``, which has no clones.
+Every test runs once per kernel build this CPU can run: here on the library
+the loader picks, which runs its widest clone, and, through a star import of
+this module, in ``test_kernel_avx2_clone`` and ``test_kernel_default_clone``
+on the other builds. A test added here runs on every build with no other
+edit. ``test_format_rows`` checks ``format_rows``, which has no clones.
 """
 
 import math
@@ -24,7 +23,6 @@ from hypothesis import strategies as st
 
 import _reference_kernel as ref
 import stage_differential
-from _helpers import cpu_clones, swap_in_clone
 from radialblowup import _kernel, diagnostics, model
 from radialblowup import (
     FluidState,
@@ -47,19 +45,6 @@ from radialblowup.solver import (
     StepResult,
     max_wave_speed,
 )
-
-
-# the flags of each build but the loaded library's, which runs the widest clone
-CLONE_FLAGS = {"avx2": "-DCLONE_TARGETS(X)=X(avx2)", "default": "-U__ELF__"}
-
-
-@pytest.fixture(scope="module", autouse=True, params=cpu_clones())
-def kernel_build(request, tmp_path_factory):
-    """The build of this clone, returned by ``_kernel.load`` in every test."""
-    if request.param == cpu_clones()[0]:
-        yield _kernel.load()
-    else:
-        yield from swap_in_clone(tmp_path_factory, request.param, CLONE_FLAGS[request.param])
 
 
 def _same(a, b) -> bool:
