@@ -13,10 +13,9 @@
  * to numpy is the power of the cells, max(rho, 0)**(gamma - 1) for a stage
  * and facts() and max(rho, 0)**gamma for a diagnostics row, since
  * numpy's SIMD `**` differs from `pow` here in the last bit. With pressure
- * and gamma > 1 the caller raises a `cell` row and passes it to each call
- * that reads it, and finish_step() calls the numpy power it is handed for
- * the rows it makes; for gamma = 1 every power to gamma - 1 is 1 and the
- * power to gamma is max(rho, 0) itself, so nothing is raised. A stage is
+ * (gamma > 1, as ModelConfig requires) the caller raises a `cell` row and
+ * passes it to each call that reads it, and finish_step() calls the numpy
+ * power it is handed for the rows it makes; dust raises nothing. A stage is
  * the one call tendencies() for every law; a step is tendencies() for the
  * first stage and finish_step() for the rest.
  *
@@ -70,14 +69,11 @@
  * dr lies in (0, DBL_MAX / 2]. */
 struct stage {
     int64_t n;           /* cells */
-    int64_t raised;      /* K > 0 and gamma > 1: the caller raises the cells;
-                            else with K > 0 (gamma = 1) K * face mean of rho
-                            is a pressure, divided by rho */
     double dr;
     double sound_coef;   /* K*gamma: c = sqrt(sound_coef * rho**(gamma - 1)) */
-    double grad_coef;    /* face enthalpy or pressure = grad_coef * face mean */
+    double grad_coef;    /* face enthalpy = grad_coef * face mean */
     double field_coef;   /* alpha*delta; 0 without a force field */
-    double pressure_const;
+    double pressure_const; /* K > 0: the caller raises the cells */
     double exponent;     /* gamma - 1, the power of the raised cells */
     const double *face_area, *shell, *inner_shell;
     const double *center; /* r**(N-1) at the cell centers */
@@ -180,20 +176,13 @@ CLONED static void face_means(int64_t n, const double *restrict x, double *restr
 /* The sound speeds sqrt(sound_coef * p) of cells -1 .. n into speed[1 ..
  * n + 2] (cell i at i + 2), from the n raised cells p: the mirror ghost at
  * the origin is cell 0 and the ghost past the wall has density 0, whose
- * power 0**(gamma - 1) is 0. For the isothermal law p is NULL: every power,
- * the ghost's too, is 1, and every speed sqrt(sound_coef). */
+ * power 0**(gamma - 1) is 0. */
 CLONED static void sound_speeds(int64_t n, double sound_coef, const double *restrict p,
                                 double *restrict speed)
 {
-    if (p) {
-        for (int64_t i = 0; i < n; i++)
-            speed[i + 2] = sqrt(sound_coef * p[i]);
-        speed[n + 2] = 0.0;
-    } else {
-        double c = sqrt(sound_coef);
-        for (int64_t i = 0; i < n + 1; i++)
-            speed[i + 2] = c;
-    }
+    for (int64_t i = 0; i < n; i++)
+        speed[i + 2] = sqrt(sound_coef * p[i]);
+    speed[n + 2] = 0.0;
     speed[1] = speed[2];
 }
 
@@ -257,7 +246,8 @@ CLONED static void fluxes(int64_t n, int64_t wall, const double *restrict rho,
 
 /* Fill out = (drho, dvel), shape (2, n), from the fluxes in work rows 0
  * and 1: flux divergence, pressure, force, vacuum mask, the order of the
- * reference. With pressure, base is the face means in work row 2.
+ * reference. With pressure, base is the face means of the raised cells in
+ * work row 2, and grad_coef times them the face enthalpy.
  *
  * The force field is (alpha*delta) * C / center with C the running
  * integral of max(rho, 0) * s**(N-1), accumulated in the order of
@@ -279,14 +269,9 @@ CLONED static int64_t cells(const struct stage *s, const double *restrict rho, d
         drho[i] = -(mass[i + 1] - mass[i]) / (center[i] * dr);
         dvel[i] = -(adv[i + 1] - adv[i]) / dr;
     }
-    if (base && !s->raised) {
-        for (int64_t i = 0; i < n; i++)
-            dvel[i] = dvel[i] - (gc * base[i + 1] - gc * base[i])
-                                    / (dr * (rho[i] > rho_floor ? rho[i] : 1.0));
-    } else if (base) {
+    if (base)
         for (int64_t i = 0; i < n; i++)
             dvel[i] = dvel[i] - (gc * base[i + 1] - gc * base[i]) / dr;
-    }
     if (fc != 0.0) {
         /* C: the cells before plus the inner shell, then the whole shell */
         const double *restrict shell = s->shell, *restrict inner_shell = s->inner_shell;
@@ -314,11 +299,10 @@ CLONED static int64_t cells(const struct stage *s, const double *restrict rho, d
 }
 
 /* A stage's tendencies into the (2, n) block out, from the cells rho and
- * vel where they lie; no cell is copied. With pressure and gamma > 1 cell
- * holds them raised to gamma - 1 (else NULL): the sound speeds of the
- * fluxes come from those cells, and so does the face enthalpy, as their
- * face means (0**(gamma - 1) = 0 past the wall). For gamma = 1 the sound
- * speed is sqrt(K) and the pressure is K times the face means of rho. */
+ * vel where they lie; no cell is copied. With pressure cell holds them
+ * raised to gamma - 1 (else NULL): the sound speeds of the fluxes come from
+ * those cells, and so does the face enthalpy, as their face means
+ * (0**(gamma - 1) = 0 past the wall). */
 CLONED static int64_t tendencies(const struct stage *s, int64_t wall, const double *rho,
                                  const double *vel, const double *cell, double rho_floor,
                                  double *out)
@@ -330,7 +314,7 @@ CLONED static int64_t tendencies(const struct stage *s, int64_t wall, const doub
         sound_speeds(n, s->sound_coef, cell, face);
     fluxes(n, wall, rho, vel, face, s->face_area, WORK(s, 0), WORK(s, 1));
     if (face)
-        face_means(n, s->raised ? cell : rho, face);
+        face_means(n, cell, face);
     return cells(s, rho, rho_floor, face, out);
 }
 
@@ -409,7 +393,7 @@ struct facts {
     int64_t cell;
 };
 
-/* |V| + sqrt(sc * cell) of cell i, or |V| where cell is NULL */
+/* |V| + sqrt(sc * cell) of cell i, or |V| where cell is NULL (dust) */
 static inline double wave(const double *vel, const double *cell, double sc, int64_t i)
 {
     return cell ? fabs(vel[i]) + sqrt(sc * cell[i]) : fabs(vel[i]);
@@ -420,11 +404,9 @@ static inline double wave(const double *vel, const double *cell, double sc, int6
  * largest speed and the largest difference of each residue mod 8; a sum
  * turns NaN with any NaN cell (a NaN in vel makes its difference NaN), and
  * each field is then searched again. With the cells raised to gamma - 1 the
- * speed lanes carry |V| + c, and join the sum. Without, c is sqrt(K) or 0
- * in every cell, and rounding is monotone: the largest |V| + c is the
- * largest |V| plus c, and dust's +0.0 leaves every |V|, NaN included, as it
- * is. step_facts calls this twice, cell NULL in one call, so each law runs
- * a loop of its own. */
+ * speed lanes carry |V| + c, and join the sum; dust's carry |V|. step_facts
+ * calls this twice, cell NULL in one call, so each law runs a loop of its
+ * own. */
 static inline __attribute__((always_inline)) struct facts
 facts_of(const struct stage *s, const double *restrict rho, const double *restrict vel,
          const double *restrict cell)
@@ -501,15 +483,13 @@ facts_of(const struct stage *s, const double *restrict rho, const double *restri
             out.speed = wave(vel, cell, sc, i);
             break;
         }
-    if (!cell && s->pressure_const > 0.0)
-        out.speed = out.speed + sqrt(sc);
     if (n > 2)
         out.cell = first_slope(n - 2, vel, 2.0 * s->dr, best, found, &out.slope) + 1;
     return out;
 }
 
 /* The facts of a state, from its cells raised to gamma - 1 where the law
- * raises them (K > 0 and gamma > 1), else with cell NULL. */
+ * raises them (K > 0), else with cell NULL. */
 CLONED static struct facts step_facts(const struct stage *s, const double *rho, const double *vel,
                                       const double *cell)
 {
@@ -521,8 +501,8 @@ CLONED static struct facts step_facts(const struct stage *s, const double *rho, 
  * leaves the first term as it is; else eight interleaved accumulators,
  * combined as a balanced tree, then the tail in order. The four summands
  * of a cell, each product in the operand order of its numpy expression,
- * with w = r**(N-1) and cell raised to gamma (NULL for gamma = 1, whose
- * power is max(rho, 0)): r*V; rho*w; (rho*V**2 [+ 2*(K*cell)])*w; V**2*2*r. */
+ * with w = r**(N-1) and cell raised to gamma (NULL for dust): r*V; rho*w;
+ * (rho*V**2 [+ 2*(K*cell)])*w; V**2*2*r. */
 CLONED static void block_sums(const struct stage *s, const double *restrict rho,
                               const double *restrict vel, const double *restrict cell,
                               int64_t lo, int64_t n, double out[4])
@@ -543,9 +523,6 @@ CLONED static void block_sums(const struct stage *s, const double *restrict rho,
     if (cell)
         for (int64_t i = 0; i < n; i++)
             t[2][i] += 2.0 * (k * cell[i]);
-    else if (k > 0.0)
-        for (int64_t i = 0; i < n; i++)
-            t[2][i] += 2.0 * (k * np_max(rho[i], 0.0));
     for (int64_t i = 0; i < n; i++)
         t[2][i] *= w[i];
     for (int q = 0; q < 4; q++) {
@@ -738,12 +715,12 @@ static double *array(struct call *c, PyObject *obj, enum shape shape, int writab
     return NULL;
 }
 
-/* The cells the caller raised, obj, into *cell if the law reads them (K > 0
- * and gamma > 1), else NULL with obj unread: 0, else -1 with ValueError. */
+/* The cells the caller raised, obj, into *cell if the law reads them (K > 0),
+ * else NULL with obj unread: 0, else -1 with ValueError. */
 static int raised_cells(struct call *c, PyObject *obj, const double **cell)
 {
     *cell = NULL;
-    return c->s->raised && !(*cell = array(c, obj, CELLS, 0, "cell")) ? -1 : 0;
+    return c->s->pressure_const > 0.0 && !(*cell = array(c, obj, CELLS, 0, "cell")) ? -1 : 0;
 }
 
 /* The float obj into *x: 0, else -1 with an exception set. */
@@ -803,10 +780,10 @@ static PyObject *py_stage(PyObject *self, PyObject *const *args, Py_ssize_t narg
     if (!(o = PyMem_Malloc(sizeof *o + (work > 24 ? work : 24) * sizeof(double))))
         return done(&c, PyErr_NoMemory());
     o->s = (struct stage){
-        .n = c.n, .raised = k > 0.0 && g > 1.0, .dr = dr, .sound_coef = k * g,
+        .n = c.n, .dr = dr, .sound_coef = k * g,
         /* pressure force per unit mass as an exact enthalpy gradient,
          * K*g/(g-1) * d(rho**(g-1))/dr: bounded at the vacuum edge */
-        .grad_coef = g > 1.0 ? k * g / (g - 1.0) : k, .field_coef = fc, .pressure_const = k,
+        .grad_coef = k * g / (g - 1.0), .field_coef = fc, .pressure_const = k,
         .exponent = g - 1.0,
         .face_area = face_area, .shell = shell, .inner_shell = inner_shell, .center = center,
         .r = r, .work = o->work,
@@ -874,7 +851,7 @@ static const double *raised_row(struct call *c, PyObject *fn, PyObject *obj, PyO
  * combination in place on k; the second stage's tendencies of k into out;
  * the second combination in place on out, which then holds the new state;
  * and that state's facts. Nothing is done past a non-finite tendency. Where
- * the law raises its cells (K > 0 and gamma > 1), power(row, gamma - 1), the
+ * the law raises its cells (K > 0), power(row, gamma - 1), the
  * numpy power, raises those of k for the second stage and those of out for
  * the facts, and the second is returned. The arguments are checked before
  * a value is written; a failing power, or one that returns anything but n
@@ -894,13 +871,13 @@ static PyObject *py_finish_step(PyObject *self, PyObject *const *args, Py_ssize_
         || !(k = array(&c, args[5], BLOCK, 1, "k")) || !(out = array(&c, args[7], BLOCK, 1, "out")))
         return done(&c, NULL);
     combine(c.s, wall, dt, rho, vel, NULL, k);
-    if (c.s->raised && !(cell = raised_row(&c, args[8], args[5], NULL)))
+    if (c.s->pressure_const > 0.0 && !(cell = raised_row(&c, args[8], args[5], NULL)))
         return done(&c, NULL);
     bad = tendencies(c.s, wall, k, k + c.n, cell, rho_floor, out);
     if (bad >= 0)
         return done(&c, Py_BuildValue("(LOO)", (long long)bad, Py_None, Py_None));
     combine(c.s, wall, dt, rho, vel, k, out);
-    if (c.s->raised && !(cell = raised_row(&c, args[8], args[7], &raised)))
+    if (c.s->pressure_const > 0.0 && !(cell = raised_row(&c, args[8], args[7], &raised)))
         return done(&c, NULL);
     facts = facts_value(step_facts(c.s, out, out + c.n, cell));
     result = facts ? Py_BuildValue("(LOO)", -1LL, facts, raised) : NULL;

@@ -67,11 +67,11 @@ class Plan:
             weights.center,
         )
         self._block, self._gamma = (2, grid.n_cells), cfg.gamma
-        self._raises = cfg.pressure_const > 0.0 and cfg.gamma > 1.0
+        self._raises = cfg.pressure_const > 0.0
 
     def powers(self, state):
         """max(state.rho, 0)**(gamma - 1), the cells a stage and ``facts``
-        read, in a new row; None unless K > 0 and gamma > 1."""
+        read, in a new row; None for dust (K = 0)."""
         return power(state.rho, self._gamma - 1.0) if self._raises else None
 
     def tendencies(self, state, wall: int, rho_floor: float, powers=None):

@@ -63,12 +63,11 @@ class BoundScope:
 def bound_scope(h0: float, cfg: ModelConfig) -> BoundScope:
     """The one rule of the bound's scope, decided from H0 and the config.
 
-    The bound needs a repulsive or absent force (delta >= 0), a pressureless
-    fluid or gamma > 1, and H0 > 0.
+    The bound needs a repulsive or absent force (delta >= 0) and H0 > 0; a
+    ``ModelConfig`` has gamma > 1.
     """
     failed = (
         ("attractive_force_outside_bound_scope", cfg.delta < 0),
-        ("isothermal_eos_outside_bound_scope", cfg.pressure_const > 0 and cfg.gamma == 1.0),
         ("h0_not_positive", not h0 > 0),
     )
     t_bound = blowup_time_bound(h0, cfg.support_radius) if h0 > 0 else None

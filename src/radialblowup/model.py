@@ -33,8 +33,9 @@ class ModelConfig:
     ``delta`` selects the self-induced radial force: +1 repulsive, 0 none
     (plain gas dynamics), -1 attractive (accepted for exploratory runs but
     outside the scope of the blowup-bound verdict). The pressure law is
-    ``p = pressure_const * rho**gamma``; ``pressure_const = 0`` is the
-    pressureless (dust) case.
+    ``p = pressure_const * rho**gamma`` with gamma > 1: every admissible datum
+    vanishes at the wall, where gamma = 1's force K * rho_r / rho is
+    unbounded. ``pressure_const = 0`` is the pressureless (dust) case.
     """
 
     dim: int = 3
@@ -51,8 +52,8 @@ class ModelConfig:
         require_finite(self)
         if self.pressure_const < 0:
             raise ValueError(f"pressure_const must be >= 0, got {self.pressure_const}")
-        if self.gamma < 1:
-            raise ValueError(f"gamma must be >= 1, got {self.gamma}")
+        if self.gamma <= 1:
+            raise ValueError(f"gamma must be > 1, got {self.gamma}")
         if self.support_radius <= 0:
             raise ValueError(f"support_radius must be > 0, got {self.support_radius}")
 
@@ -204,7 +205,7 @@ class FluidState:
 def sound_speed(rho, cfg: ModelConfig):
     """Speed of sound c = sqrt(K * gamma * rho**(gamma - 1)).
 
-    Zero for pressureless flow; constant sqrt(K) in the isothermal case.
+    Zero for pressureless flow.
     A run takes its sound speeds from the compiled stage; this numpy form is
     the tests' oracle and a name the benchmark harness wraps.
     """

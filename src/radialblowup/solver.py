@@ -158,8 +158,8 @@ class RunResult(NamedTuple):
 
 class StepResult(NamedTuple):
     """The state a step made and what a run reads of it: its wave speed
-    max(|V| + c), its ``max_velocity_gradient`` and, with K > 0 and gamma > 1,
-    its cells raised to gamma - 1, which the next step takes back (else None)."""
+    max(|V| + c), its ``max_velocity_gradient`` and, with K > 0, its cells
+    raised to gamma - 1, which the next step takes back (else None)."""
 
     state: FluidState
     speed: float
@@ -238,7 +238,7 @@ def step(
     NumericalBreakdownError for a non-finite tendency of either stage, and
     PositivityError when the full step leaves density below -positivity_tol.
     A step allocates one (2, n) block per stage, the second of which holds
-    the new state, and with K > 0 and gamma > 1 two raised rows.
+    the new state, and with K > 0 two raised rows.
     """
     n = grid.n_cells
     # the first stage, then the rest of the step in one kernel call

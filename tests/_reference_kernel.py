@@ -10,8 +10,8 @@ package; property tests compare the production code against it bit for
 bit, and the tables byte for byte. It is the scheme's specification, so a
 scheme change is made here too: the dissipation speed takes its sound
 speeds from the two cells beside each interface, not from the face
-densities, and for gamma > 1 the face enthalpy is reconstructed from the
-cells' rho**(gamma - 1), not raised from the face densities.
+densities, and the face enthalpy is reconstructed from the cells'
+rho**(gamma - 1), not raised from the face densities.
 """
 
 from __future__ import annotations
@@ -106,25 +106,20 @@ def rhs_eval(
     dvel = -(g_adv[1:] - g_adv[:-1]) / dr
 
     if cfg.pressure_const > 0.0:
-        if cfg.gamma > 1.0:
-            # pressure force per unit mass as an exact enthalpy gradient,
-            # K*g/(g-1) * d(rho**(g-1))/dr: bounded at the vacuum edge. The
-            # face values are reconstructed from the cells' rho**(g-1),
-            # padded like rho (0**(g-1) = 0 past the wall)
-            h = np.maximum(state.rho, 0.0) ** (cfg.gamma - 1.0)
-            g = NUM_GHOSTS
-            h_l, h_r = _interface_states(np.concatenate((h[:g][::-1], h, np.zeros(g))))
-            h_face = (
-                cfg.pressure_const
-                * cfg.gamma
-                / (cfg.gamma - 1.0)
-                * (0.5 * (np.maximum(h_l, 0.0) + np.maximum(h_r, 0.0)))
-            )
-            dvel = dvel - (h_face[1:] - h_face[:-1]) / dr
-        else:
-            p_face = pressure(0.5 * (rho_l + rho_r), cfg)
-            denom = np.where(state.rho > rho_floor, state.rho, 1.0)
-            dvel = dvel - (p_face[1:] - p_face[:-1]) / (dr * denom)
+        # pressure force per unit mass as an exact enthalpy gradient,
+        # K*g/(g-1) * d(rho**(g-1))/dr: bounded at the vacuum edge. The face
+        # values are reconstructed from the cells' rho**(g-1), padded like
+        # rho (0**(g-1) = 0 past the wall)
+        h = np.maximum(state.rho, 0.0) ** (cfg.gamma - 1.0)
+        g = NUM_GHOSTS
+        h_l, h_r = _interface_states(np.concatenate((h[:g][::-1], h, np.zeros(g))))
+        h_face = (
+            cfg.pressure_const
+            * cfg.gamma
+            / (cfg.gamma - 1.0)
+            * (0.5 * (np.maximum(h_l, 0.0) + np.maximum(h_r, 0.0)))
+        )
+        dvel = dvel - (h_face[1:] - h_face[:-1]) / dr
 
     if cfg.delta != 0:
         field = radial_field(np.maximum(state.rho, 0.0), grid, cfg)

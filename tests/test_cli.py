@@ -107,7 +107,7 @@ class TestParsing:
         assert config.output_dir == "runs"
 
     def test_semantic_violation_names_field(self):
-        with pytest.raises(ConfigError, match="gamma must be >= 1"):
+        with pytest.raises(ConfigError, match="gamma must be > 1"):
             parse_config("[model]\ngamma = 0.5\n")
         with pytest.raises(ConfigError, match="cfl"):
             parse_config("[numerics]\ncfl = 1.5\n")
@@ -119,6 +119,7 @@ class TestParsing:
         [
             ("model", "pressure_const", "-1.0"),
             ("model", "gamma", "0.5"),
+            ("model", "gamma", "1.0"),
             ("model", "support_radius", "0.0"),
             ("numerics", "cfl", "1.5"),
             ("numerics", "t_end", "0.0"),
@@ -196,7 +197,7 @@ MODEL_FIELDS = {
     "dim": st.sampled_from((1, 2, 3)),
     "delta": st.sampled_from((-1, 0, 1)),
     "pressure_const": finite(0.0),
-    "gamma": finite(1.0),
+    "gamma": finite(1.0, exclude_min=True),
     # a radius that a grid of up to 10**6 cells takes: one whose least
     # weight underflows is refused
     "support_radius": finite(1e-90),
@@ -272,11 +273,11 @@ class TestSweep:
 
     def test_invalid_sweep_value_exits_one(self):
         # every entry is checked when the config is parsed, before any run
-        with pytest.raises(ConfigError, match="^sweep: gamma must be >= 1"):
+        with pytest.raises(ConfigError, match="^sweep: gamma must be > 1"):
             parse_config(MINIMAL + "[sweep]\ngamma = 1.4, 0.5\n")
 
     def test_rejected_sweep_value_is_named(self):
-        with pytest.raises(ConfigError, match=r"^sweep: gamma must be >= 1, got 0\.5$"):
+        with pytest.raises(ConfigError, match=r"^sweep: gamma must be > 1, got 0\.5$"):
             parse_config(MINIMAL + "[sweep]\ngamma = 0.5, 1.4\n")
 
 
@@ -666,7 +667,7 @@ class TestExecute:
         # 200 runs at --jobs 4, each outcome carrying 2 KiB: the caller waits
         # in its first run until the children have run the other 199, whose
         # outcomes (about 400 KiB) no pipe buffer would hold meanwhile
-        gammas = ", ".join(str(1 + i / 100) for i in range(200))
+        gammas = ", ".join(str(1 + (i + 1) / 100) for i in range(200))
         config = parse_config(SMALL_RUN + f"\n[sweep]\ngamma = {gammas}\n")
         log = tmp_path / "log"
         parent = os.getpid()
@@ -863,7 +864,7 @@ def test_readme_outputs_name_every_artifact_key(tmp_path):
 
     run_dir = tmp_path / "run-0000"
     index_columns = (tmp_path / "index.tsv").read_text().splitlines()[0].split("\t")
-    every_flag = bound_scope(-1.0, ModelConfig(delta=-1, pressure_const=1.0, gamma=1.0))
+    every_flag = bound_scope(-1.0, ModelConfig(delta=-1))
     pinned = {
         "summary.txt": keys(run_dir / "summary.txt"),
         "meta.txt": keys(run_dir / "meta.txt"),
@@ -873,7 +874,7 @@ def test_readme_outputs_name_every_artifact_key(tmp_path):
         "Verdict": [verdict.value for verdict in Verdict],
         "BoundScope": list(every_flag.flags),
     }
-    assert len(pinned["BoundScope"]) == 3
+    assert len(pinned["BoundScope"]) == 2
     missing = {
         source: [key for key in names if f"`{key}`" not in text]
         for source, names in pinned.items()
@@ -991,7 +992,7 @@ class TestMain:
     def test_check_agrees_with_run_report(self, tmp_path, capsys, delta):
         # each family and law, and a wrong-signed momentum: check prints what
         # the run's summary holds
-        laws = ((0, 1.4), (0.1, 1), (0.1, 2))
+        laws = ((0, 1.4), (0.1, 2))
         cases = [(family, *law, "") for family in profiles.FAMILY_PARAMS for law in laws]
         cases.append(("polynomial_bump", 0, 1.4, "velocity_amplitude = -1"))
         for n, (family, k, gamma, initial) in enumerate(cases):
@@ -1018,7 +1019,7 @@ class TestMain:
             assert printed["t_bound"] == t_bound, case
             assert printed["bound_applicable"] == applicable, case
             assert printed["scope_flags"] == summary["scope_flags"], case
-            expected = delta >= 0 and not (k > 0 and gamma == 1) and float(summary["h0"]) > 0
+            expected = delta >= 0 and float(summary["h0"]) > 0
             assert printed["bound_applicable"] == str(expected), case
 
     def test_check_refuses_inadmissible_data_as_run_does(self, tmp_path, capsys):
@@ -1199,7 +1200,7 @@ class TestMain:
     @pytest.mark.parametrize(
         "edit, message",
         [
-            ("[sweep]\ngamma = 0.5", r"sweep: gamma must be >= 1"),
+            ("[sweep]\ngamma = 0.5", r"sweep: gamma must be > 1"),
             ("[sweep]\ndelta = 2", r"sweep: delta must be -1, 0 or \+1, got 2"),
             ("[sweep]\npressure_const = -1", r"sweep: pressure_const must be >= 0"),
             ("[sweep]\nn_cells = 4", r"sweep: numerics\.n_cells must be at least 8"),
@@ -1348,7 +1349,7 @@ class TestConsole:
         out_dir = tmp_path / "out"
         proc, out, err = run_console("run", str(cfg_file), "--output-dir", str(out_dir))
         assert (proc.returncode, out) == (1, "")
-        assert re.fullmatch(r"error: model\.gamma must be >= 1, got 0\.2\n", err)
+        assert re.fullmatch(r"error: model\.gamma must be > 1, got 0\.2\n", err)
         assert not out_dir.exists()
 
     def test_a_violated_run_exits_2_with_the_artifacts_of_main(self, tmp_path):

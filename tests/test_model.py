@@ -32,7 +32,7 @@ def test_sound_speed_examples():
 
 def test_pressure_monotone_in_density():
     rng = np.random.default_rng(7)
-    for gamma in (1.0, 1.4, 2.0, 3.0):
+    for gamma in (1.4, 2.0, 3.0):
         for pressure_const in (0.0, 0.3, 2.0):
             cfg = ModelConfig(pressure_const=pressure_const, gamma=gamma)
             lo = rng.uniform(0.0, 5.0, 200)
@@ -44,7 +44,7 @@ def test_sound_speed_pressure_identity():
     # c(rho)**2 * rho == gamma * p(rho) for rho > 0
     rng = np.random.default_rng(11)
     rho = rng.uniform(0.01, 10.0, 500)
-    for gamma in (1.0, 1.4, 2.5):
+    for gamma in (1.4, 2.5):
         cfg = ModelConfig(pressure_const=0.7, gamma=gamma)
         np.testing.assert_allclose(
             sound_speed(rho, cfg) ** 2 * rho, gamma * pressure(rho, cfg), rtol=1e-12
@@ -60,6 +60,8 @@ def test_model_config_invariants():
         ModelConfig(pressure_const=-0.1)
     with pytest.raises(ValueError, match="gamma"):
         ModelConfig(gamma=0.9)
+    with pytest.raises(ValueError, match=r"^gamma must be > 1, got 1\.0$"):
+        ModelConfig(pressure_const=0.1, gamma=1.0)
     with pytest.raises(ValueError, match="support_radius"):
         ModelConfig(support_radius=0.0)
 

@@ -346,17 +346,6 @@ class TestRun:
         assert len(rho_mins) >= res.series.times.size - 1
         assert min(rho_mins) >= -1e-14
 
-    def test_isothermal_runs_but_is_out_of_scope(self):
-        # gamma = 1 with pressure evolves fine yet never reaches a verdict
-        grid = RadialGrid(n_cells=128, support_radius=1.0)
-        cfg = ModelConfig(dim=3, delta=0, pressure_const=0.1, gamma=1.0)
-        num = NumericsConfig(cfl=0.4, t_end=0.3, steepening_threshold=1e9)
-        prof = build_initial_profile("gaussian_truncated", {"width": 0.3}, 0, grid, 2)
-        res = run(prof.rho0, prof.v0, cfg, num)
-        assert res.trajectory.termination is Termination.REACHED_T_END
-        assert res.report.verdict.value == "not_applicable"
-        assert "isothermal_eos_outside_bound_scope" in res.report.scope.flags
-
     def test_dt_collapse_flagged_as_detection(self):
         grid = RadialGrid(n_cells=64, support_radius=1.0)
         cfg = ModelConfig(pressure_const=0.0)
@@ -423,8 +412,8 @@ class TestRun:
 
     @pytest.mark.parametrize(
         "pressure_const, gamma",
-        [(0.0, 1.4), (1.0, 1.4), (1.0, 1.0)],
-        ids=["0.0", "1.0", "1.0-isothermal"],
+        [(0.0, 1.4), (1.0, 1.4)],
+        ids=["0.0", "1.0"],
     )
     def test_each_value_computed_once_per_step(self, monkeypatch, pressure_const, gamma):
         calls = Counter()
@@ -467,7 +456,7 @@ class TestRun:
         # shared by dt, detection and rows, which finish_step finds for every
         # law: the facts entry reads the initial state alone; the public
         # readers of each fact are not called
-        raised = pressure_const > 0 and gamma > 1
+        raised = pressure_const > 0
         assert calls["facts"] == 1
         assert calls["max_wave_speed"] == calls["max_velocity_gradient"] == 0
         # the numpy EOS and force field are oracles: the run path is compiled
@@ -476,8 +465,7 @@ class TestRun:
         # state, which its facts and the next step's first stage read, both
         # called from finish_step; the n cells of each diagnostics row; and
         # once the initial state's, for its facts and again for the first
-        # step. None without pressure, and none for gamma = 1, whose powers
-        # are 1 and max(rho, 0)
+        # step. None without pressure
         assert rows == steps + 1
         if raised:
             n = grid.n_cells
@@ -549,13 +537,13 @@ class TestThreads:
         # gauss_eulerpoisson_2048's model at 512 cells in each: the four share
         # its plan, whose pressure scratch another thread would overwrite
         # during a call that released the GIL. Then dust, K > 0 with gamma =
-        # 1.4, gamma = 1 and another cell count: the one plan changes hands
+        # 1.4, gamma = 5/3 and another cell count: the one plan changes hands
         # between a thread's own calls
         gauss = ModelConfig(dim=3, delta=1, pressure_const=1.0, gamma=1.4)
         mixed = [
             (256, ModelConfig(dim=3, delta=1, pressure_const=0.0)),
             (256, gauss),
-            (256, ModelConfig(dim=3, delta=1, pressure_const=0.1, gamma=1.0)),
+            (256, ModelConfig(dim=3, delta=1, pressure_const=0.1, gamma=5.0 / 3.0)),
             (128, gauss),
         ]
         num = NumericsConfig(t_end=2.0, steepening_threshold=50.0, output_stride=10)
