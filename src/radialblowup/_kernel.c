@@ -24,16 +24,38 @@
  * does the IEEE operations of one cell, so vector and scalar code give the
  * same bits. -fno-trapping-math (both sides of a select may be evaluated)
  * and -fno-math-errno (sqrt is one instruction) let it do so and change no
- * value. The force's running sum and the scan for the first non-finite cell
- * stay scalar; the min, max and argmax reductions of step_facts keep lanes
- * of partial extremes that give the result of the scalar chain exactly. On
- * x86-64 ELF with glibc, CLONED builds each entry and the static functions
- * it calls for every target of CLONE_TARGETS (AVX-512F and AVX2) and for
- * the baseline, and the dynamic loader picks the widest the CPU supports
- * once per process (an ifunc); kernel_target() names it. The targets are plain
- * ISA levels with generic tuning (arch=icelake-server and later prefer
- * 256-bit vectors). AVX-512F has FMA, so -ffp-contract=off matters in its
- * clones as well.
+ * value. The force's running sum and the scans for the first non-finite cell
+ * and the first steepest slope stay scalar; the min, max and argmax
+ * reductions of the facts keep lanes of partial extremes that give the
+ * result of the scalar chain exactly. On x86-64 ELF with glibc, CLONED
+ * builds each entry and the static functions it calls for every target of
+ * CLONE_TARGETS (AVX-512F and AVX2) and for the baseline, and the dynamic
+ * loader picks the widest the CPU supports once per process (an ifunc);
+ * kernel_target() names it. The targets are plain ISA levels with generic
+ * tuning (arch=icelake-server and later prefer 256-bit vectors). AVX-512F
+ * has FMA, so -ffp-contract=off matters in its clones as well.
+ *
+ * A stage built for two threads splits the passes of each entry that steps
+ * a state (tendencies, finish_step, facts) at cell n / 2: the calling
+ * thread (part 0) takes the cells below, one helper thread (part 1) the
+ * rest. Within a stage each part makes every face and sound speed its
+ * cells read, in work slots of its own, so both make face n / 2 and no
+ * barrier parts sound_speeds, fluxes, face_means and cells. A spin barrier
+ * (meet) sits only where a pass reads what the other part wrote: the
+ * stage after the first combination, whose stencils reach two cells
+ * across the split; part 1's cells after the force, whose running sum part
+ * 0 makes alone, first, into the velocity row; and each part's scan for
+ * the first steepest slope after both partial facts, whose extremes it
+ * needs. The facts of the parts merge in scan order, part 0 first: the
+ * first NaN, the first steepest slope, the last of equal zeros, as one
+ * pass folds them. Each cell's arithmetic is the same whichever thread
+ * does it, so one thread and two give the same bits. The helper is a
+ * pthread started on first use, which never touches Python; the calling
+ * thread holds the GIL throughout a split job, and no entry calls Python
+ * while the helper works. Idle, the helper spins for IDLE_SPIN_NS, then
+ * sleeps on a condition variable. Before a fork the helper is stopped and
+ * joined, so parent and child each start their own on next use, and a
+ * fork never copies a process of two threads.
  *
  * Below the numerics, the module's Python binding: stage(), which builds a
  * struct stage and owns it in a capsule, and one METH_FASTCALL function per
@@ -46,8 +68,11 @@
 
 #include <float.h>
 #include <math.h>
+#include <pthread.h>
+#include <sched.h>
 #include <stdint.h>
 #include <string.h>
+#include <time.h>
 
 /* The targets that CLONED builds beside the baseline, widest first, as the
  * loader ranks them. A build may name others with -D'CLONE_TARGETS(X)=...'. */
@@ -78,21 +103,31 @@ struct stage {
     const double *face_area, *shell, *inner_shell;
     const double *center; /* r**(N-1) at the cell centers */
     const double *r;      /* the cell centers */
-    double *work;        /* scratch (2, n + 4), (3, n + 4) with pressure, and
-                            never under 24 doubles: the fluxes, the sound
-                            speeds and the face means; see WORK */
+    double *work;        /* scratch (2, n + 8), (3, n + 8) with pressure: the
+                            fluxes, the sound speeds and the face means; see
+                            WORK */
+    double *lanes;       /* the 24 lanes of each part of the facts, part 0's
+                            first */
+    int threads;         /* 1, or 2 to split each pass (see the header) */
 };
 
-/* Row k of the work scratch. Rows 0 and 1 hold the mass and advection
- * fluxes of a stage. With pressure, row 2 holds the sound speeds of cells
- * -1 .. n up to the fluxes, then the face means. The scratch from row 0 on
- * holds the 24 lanes of step_facts(). No row holds a copy of a cell: a
- * stage reads rho, V and the raised cells where they lie. */
-#define WORK(s, k) ((s)->work + (k) * ((s)->n + 4))
+/* Row k of the work scratch as part p of a split pass indexes it. Rows 0
+ * and 1 hold the mass and advection fluxes of a stage at its faces. With
+ * pressure, row 2 holds the sound speeds of cells -1 .. n (cell i at i + 2)
+ * up to the fluxes, then the face means. Part 1 indexes each row 4 further
+ * on, so the faces and speeds both halves make at the split, and part 0's
+ * speeds and part 1's means, never share a slot: part 0 writes none past
+ * slot n / 2 + 3, and part 1 none before slot n / 2 + 4. No row holds a
+ * copy of a cell: a stage reads rho, V and the raised cells where they
+ * lie. */
+#define WORK(s, k, p) ((s)->work + (k) * ((s)->n + 8) + 4 * (p))
 
 /* np.maximum: NaN propagates and a tie returns b, so np_max(-0.0, 0.0) is
  * +0.0 */
 static inline double np_max(double a, double b) { return (isnan(a) || a > b) ? a : b; }
+
+static inline int64_t at_least(int64_t a, int64_t b) { return a > b ? a : b; }
+static inline int64_t at_most(int64_t a, int64_t b) { return a < b ? a : b; }
 
 /* Four doubles, or a mask of four lanes (vector extensions gcc and clang
  * share), for the reductions the compiler does not vectorize; the baseline
@@ -111,6 +146,236 @@ typedef int64_t mask __attribute__((vector_size(32)));
 #define LOWER(low, x)                                                                              \
     for (int q_ = 0; q_ < 4; q_++)                                                                 \
     (low)[q_] = (x)[q_] < (low)[q_] ? (x)[q_] : (low)[q_]
+
+/* What a run reads of a state: its least density, as np.minimum folds it
+ * from the first cell (np.min's SIMD blocks may return another zero); its
+ * wave speed, np.max of |V| + c: the first NaN, else the largest; and its
+ * steepest slope |v[i + 2] - v[i]| / (2 dr) and center cell i + 1, as
+ * np.argmax picks them, or (0, 0) below 3 cells. */
+struct facts {
+    double lowest, speed, slope;
+    int64_t cell;
+};
+
+/* The facts of one part of the cells before the scans that finish them:
+ * the least density and largest speed and difference that are not NaN,
+ * and whether a NaN may lie among them. */
+struct partial {
+    double least, speed, best;
+    int found;
+};
+
+/* The passes of a job, in the order they run. */
+enum { FIRST = 1, STAGE = 2, SECOND = 4, FACTS = 8 };
+
+/* What one part of a job finds, on a cache line of its own. */
+struct found {
+    int64_t bad[2];   /* the first non-finite density and velocity tendency
+                         cell, or -1 */
+    struct partial facts;
+    int64_t slope[2]; /* the first NaN difference and the first difference
+                         of the steepest slope, or -1 */
+} __attribute__((aligned(64)));
+
+/* One entry's passes over a state, which the calling thread (part 0) and,
+ * with count 2, the helper (part 1) each make on their part of the cells:
+ * FIRST combines the state rho, vel and the first stage's tendencies k into
+ * the stage's state in k; STAGE makes the tendencies of k (or of rho, vel
+ * without k) into out; SECOND combines them into the new state in out; FACTS
+ * reads out (or rho, vel without out). Each part writes its own `found`. */
+struct job {
+    const struct stage *s;
+    int passes, count;
+    int64_t wall;
+    double dt, rho_floor;
+    const double *rho, *vel;
+    const double *cell; /* the raised cells the job reads, NULL for dust */
+    double *k, *out;
+    struct found part[2];
+};
+
+/* A counter alone on its cache line, which one thread writes. */
+struct counter {
+    uint64_t value;
+} __attribute__((aligned(64)));
+
+/* The helper thread of this process and what it shares with the calling
+ * thread: the jobs posted, and the barriers each side has reached, over
+ * every job. Only a thread holding `use` posts a job, starts or stops the
+ * helper; the fork handlers hold it across a fork. */
+static struct {
+    struct counter posted, arrived[2];
+    int sleeping __attribute__((aligned(64))); /* the helper waits on `wake` */
+    struct job *job;
+    int stop, running, hooked;
+    uint64_t seen; /* the jobs posted before the helper started */
+    pthread_t thread;
+    pthread_mutex_t use, lock;
+    pthread_cond_t wake;
+} team = {.use = PTHREAD_MUTEX_INITIALIZER, .lock = PTHREAD_MUTEX_INITIALIZER,
+          .wake = PTHREAD_COND_INITIALIZER};
+
+/* How long an idle helper spins for the next job before it sleeps, in
+ * nanoseconds: longer than the Python between two kernel calls of a run,
+ * so a run never waits for the helper to wake. */
+#define IDLE_SPIN_NS 100000
+/* The pauses a thread spins at a barrier before it yields its CPU each
+ * time it looks, for a peer that shares its CPU or was preempted */
+#define MEET_SPINS 256
+
+static inline void relax(void)
+{
+#if defined(__x86_64__) || defined(__i386__)
+    __builtin_ia32_pause();
+#elif defined(__aarch64__)
+    __asm__ __volatile__("yield");
+#endif
+}
+
+/* The barrier of the parts of j: part self reaches it, and, if it waits,
+ * waits for the other to reach it too. Each side's count of barriers
+ * reached is its own counter, so two parts that make the same passes meet
+ * at the same count, and a part that passes one without waiting only tells
+ * the other that what it wrote before is there. */
+static void meet(const struct job *j, int self, int waits)
+{
+    if (j->count < 2)
+        return;
+    uint64_t mine = __atomic_load_n(&team.arrived[self].value, __ATOMIC_RELAXED) + 1;
+    __atomic_store_n(&team.arrived[self].value, mine, __ATOMIC_RELEASE);
+    for (int spins = 0;
+         waits && __atomic_load_n(&team.arrived[!self].value, __ATOMIC_ACQUIRE) < mine; spins++) {
+        if (spins < MEET_SPINS)
+            relax();
+        else
+            sched_yield();
+    }
+}
+
+/* Hands j to the helper, waking it if it sleeps: the store of the count
+ * and the helper's store of `sleeping`, each before the other's load,
+ * leave no wake unseen. */
+static void post(struct job *j)
+{
+    team.job = j;
+    __atomic_store_n(&team.posted.value, team.posted.value + 1, __ATOMIC_SEQ_CST);
+    if (__atomic_load_n(&team.sleeping, __ATOMIC_SEQ_CST)) {
+        pthread_mutex_lock(&team.lock);
+        pthread_cond_signal(&team.wake);
+        pthread_mutex_unlock(&team.lock);
+    }
+}
+
+/* The helper's wait for a job after the seen ones: the count posted. */
+static uint64_t await_job(uint64_t seen)
+{
+    uint64_t posted;
+    struct timespec start, now;
+    clock_gettime(CLOCK_MONOTONIC, &start);
+    for (unsigned spins = 1;; spins++) {
+        if ((posted = __atomic_load_n(&team.posted.value, __ATOMIC_ACQUIRE)) != seen)
+            return posted;
+        relax();
+        if (spins % 64 == 0) {
+            clock_gettime(CLOCK_MONOTONIC, &now);
+            if ((now.tv_sec - start.tv_sec) * 1000000000L + (now.tv_nsec - start.tv_nsec)
+                > IDLE_SPIN_NS)
+                break;
+        }
+    }
+    pthread_mutex_lock(&team.lock);
+    __atomic_store_n(&team.sleeping, 1, __ATOMIC_SEQ_CST);
+    while ((posted = __atomic_load_n(&team.posted.value, __ATOMIC_SEQ_CST)) == seen)
+        pthread_cond_wait(&team.wake, &team.lock);
+    __atomic_store_n(&team.sleeping, 0, __ATOMIC_RELAXED);
+    pthread_mutex_unlock(&team.lock);
+    return posted;
+}
+
+CLONED static void part(struct job *j, int self);
+
+/* The helper: part 1 of each job posted, until it is told to stop. */
+static void *helper(void *arg)
+{
+    uint64_t seen = team.seen;
+    (void)arg;
+    for (;;) {
+        seen = await_job(seen);
+        if (team.stop)
+            return NULL;
+        struct job *j = team.job;
+        part(j, 1);
+        meet(j, 1, 1);
+    }
+}
+
+/* Stops and joins the helper, if it runs. */
+static void stop_helper(void)
+{
+    if (!team.running)
+        return;
+    team.stop = 1;
+    post(NULL);
+    pthread_join(team.thread, NULL);
+    team.stop = team.running = 0;
+}
+
+/* Around a fork: no job is in flight, and no helper runs, in either process. */
+static void before_fork(void)
+{
+    pthread_mutex_lock(&team.use);
+    stop_helper();
+}
+
+static void after_fork(void) { pthread_mutex_unlock(&team.use); }
+
+/* 1 once the helper runs, started here on first use in this process; 0 if
+ * it cannot start, and the job then runs on one thread. */
+static int helper_ready(void)
+{
+    if (team.running)
+        return 1;
+    if (!team.hooked) {
+        if (pthread_atfork(before_fork, after_fork, after_fork) != 0)
+            return 0;
+        team.hooked = 1;
+    }
+    team.seen = team.posted.value;
+    if (pthread_create(&team.thread, NULL, helper, NULL) != 0)
+        return 0;
+    team.running = 1;
+    return 1;
+}
+
+/* Runs the passes of j on the calling thread and, where its stage splits
+ * them, on the helper, and returns once both parts are done. */
+static void run_job(struct job *j)
+{
+    j->count = 1;
+    if (j->s->threads < 2) {
+        part(j, 0);
+        return;
+    }
+    pthread_mutex_lock(&team.use);
+    if (helper_ready()) {
+        j->count = 2;
+        post(j);
+    }
+    part(j, 0);
+    meet(j, 0, 1);
+    pthread_mutex_unlock(&team.use);
+}
+
+/* The first non-finite tendency of j's STAGE pass as cell (density) or n +
+ * cell (velocity), density first, or -1: the parts' cells ascend. */
+static int64_t first_bad(const struct job *j)
+{
+    for (int field = 0; field < 2; field++)
+        for (int p = 0; p < j->count; p++)
+            if (j->part[p].bad[field] >= 0)
+                return field * j->s->n + j->part[p].bad[field];
+    return -1;
+}
 
 /* Half of the minmod slope of two neighbouring differences. Where d0 * d1 > 0
  * neither is NaN, so np.minimum of the magnitudes is a plain comparison. */
@@ -161,29 +426,35 @@ static inline double face_mean(const double *e)
     return 0.5 * (clip(left_state(e)) + clip(right_state(e)));
 }
 
-/* The face means of the n cells x at the n + 1 faces. */
-CLONED static void face_means(int64_t n, const double *restrict x, double *restrict mean)
+/* The face means of the n cells x at the faces [lo, hi) of the n + 1. */
+CLONED static void face_means(int64_t n, const double *restrict x, double *restrict mean,
+                              int64_t lo, int64_t hi)
 {
-    for (int64_t j = 2; j < n - 1; j++)
+    for (int64_t j = at_least(lo, 2); j < at_most(hi, n - 1); j++)
         mean[j] = face_mean(x + j - 2);
     for (int64_t j = 0; j <= n; j = next_edge(n, j)) {
         double e[4];
+        if (j < lo || j >= hi)
+            continue;
         stencil(n, x, 0, j, e);
         mean[j] = face_mean(e);
     }
 }
 
-/* The sound speeds sqrt(sound_coef * p) of cells -1 .. n into speed[1 ..
- * n + 2] (cell i at i + 2), from the n raised cells p: the mirror ghost at
- * the origin is cell 0 and the ghost past the wall has density 0, whose
- * power 0**(gamma - 1) is 0. */
+/* The sound speeds sqrt(sound_coef * p) of the cells [lo, hi) into speed[lo
+ * + 2 .. hi + 2) (cell i at i + 2), from the n raised cells p, and the
+ * ghosts of the part that holds the end they lie at: the mirror ghost at the
+ * origin, speed[1], is cell 0 and the ghost past the wall, speed[n + 2], has
+ * density 0, whose power 0**(gamma - 1) is 0. */
 CLONED static void sound_speeds(int64_t n, double sound_coef, const double *restrict p,
-                                double *restrict speed)
+                                double *restrict speed, int64_t lo, int64_t hi)
 {
-    for (int64_t i = 0; i < n; i++)
+    for (int64_t i = lo; i < hi; i++)
         speed[i + 2] = sqrt(sound_coef * p[i]);
-    speed[n + 2] = 0.0;
-    speed[1] = speed[2];
+    if (hi == n)
+        speed[n + 2] = 0.0;
+    if (lo == 0)
+        speed[1] = speed[2];
 }
 
 /* The mass and advection fluxes of a face from its rho and V stencils er and
@@ -208,24 +479,26 @@ static inline struct flux flux(const double *er, const double *ev, double c_l, d
     return out;
 }
 
-/* The fluxes of the n cells rho and vel at the n + 1 faces into mass and
- * adv, the mass flux weighted by face_area and closed (zero) at face 0 and
- * at faces >= wall. With pressure the sound speeds of face j are those of
- * its two cells j - 1 and j, speed[j + 1] and speed[j + 2]; without, speed
- * is NULL and they are +0.0, which leaves |V| as it is (never -0.0). */
+/* The fluxes of the n cells rho and vel at the faces [lo, hi) of the n + 1
+ * into mass and adv, the mass flux weighted by face_area and closed (zero)
+ * at face 0 and at faces >= wall. With pressure the sound speeds of face j
+ * are those of its two cells j - 1 and j, speed[j + 1] and speed[j + 2];
+ * without, speed is NULL and they are +0.0, which leaves |V| as it is
+ * (never -0.0). */
 CLONED static void fluxes(int64_t n, int64_t wall, const double *restrict rho,
                           const double *restrict vel, const double *restrict speed,
                           const double *restrict area, double *restrict mass,
-                          double *restrict adv)
+                          double *restrict adv, int64_t lo, int64_t hi)
 {
+    int64_t start = at_least(lo, 2), end = at_most(hi, n - 1);
     if (speed) {
-        for (int64_t j = 2; j < n - 1; j++) {
+        for (int64_t j = start; j < end; j++) {
             struct flux f = flux(rho + j - 2, vel + j - 2, speed[j + 1], speed[j + 2]);
             mass[j] = f.mass * area[j];
             adv[j] = f.adv;
         }
     } else {
-        for (int64_t j = 2; j < n - 1; j++) {
+        for (int64_t j = start; j < end; j++) {
             struct flux f = flux(rho + j - 2, vel + j - 2, 0.0, 0.0);
             mass[j] = f.mass * area[j];
             adv[j] = f.adv;
@@ -233,144 +506,175 @@ CLONED static void fluxes(int64_t n, int64_t wall, const double *restrict rho,
     }
     for (int64_t j = 0; j <= n; j = next_edge(n, j)) {
         double er[4], ev[4];
+        if (j < lo || j >= hi)
+            continue;
         stencil(n, rho, 0, j, er);
         stencil(n, vel, 1, j, ev);
         struct flux f = speed ? flux(er, ev, speed[j + 1], speed[j + 2]) : flux(er, ev, 0.0, 0.0);
         mass[j] = f.mass * area[j];
         adv[j] = f.adv;
     }
-    mass[0] = 0.0;
-    for (int64_t j = wall; j <= n; j++)
+    if (lo == 0)
+        mass[0] = 0.0;
+    for (int64_t j = at_least(wall, lo); j < hi; j++)
         mass[j] = 0.0;
 }
 
-/* Fill out = (drho, dvel), shape (2, n), from the fluxes in work rows 0
- * and 1: flux divergence, pressure, force, vacuum mask, the order of the
- * reference. With pressure, base is the face means of the raised cells in
- * work row 2, and grad_coef times them the face enthalpy.
- *
- * The force field is (alpha*delta) * C / center with C the running
- * integral of max(rho, 0) * s**(N-1), accumulated in the order of
- * np.cumsum, in one scalar pass: a cell's products and division run in the
- * shadow of the sum's add chain. Without a field the term is skipped, not
- * added as +0.0, which would turn a -0.0 tendency into +0.0.
- *
- * Returns -1, or the first non-finite tendency as cell (density) or
- * n + cell (velocity), density scanned first. */
-CLONED static int64_t cells(const struct stage *s, const double *restrict rho, double rho_floor,
-                            const double *restrict base, double *out)
+/* The force term (alpha*delta) * C / center of every cell into dvel, with C
+ * the running integral of max(rho, 0) * s**(N-1), accumulated in the order
+ * of np.cumsum, in one scalar pass: a cell's products and division run in
+ * the shadow of the sum's add chain. */
+CLONED static void force(const struct stage *s, const double *restrict rho, double *restrict dvel)
 {
-    int64_t n = s->n;
-    double dr = s->dr, gc = s->grad_coef, fc = s->field_coef;
-    const double *restrict mass = WORK(s, 0), *restrict adv = WORK(s, 1);
+    const double *restrict shell = s->shell, *restrict inner_shell = s->inner_shell;
     const double *restrict center = s->center;
-    double *restrict drho = out, *restrict dvel = out + n;
-    for (int64_t i = 0; i < n; i++) {
+    double fc = s->field_coef;
+    /* C: the cells before plus the inner shell, then the whole shell */
+    double q = np_max(rho[0], 0.0);
+    double sum = q * shell[0];
+    dvel[0] = fc * (0.0 + q * inner_shell[0]) / center[0];
+    for (int64_t i = 1; i < s->n; i++) {
+        q = np_max(rho[i], 0.0);
+        double c = sum + q * inner_shell[i];
+        sum = sum + q * shell[i];
+        dvel[i] = fc * c / center[i];
+    }
+}
+
+/* Fill the cells [lo, hi) of out = (drho, dvel), shape (2, n), from the
+ * fluxes in part self's work rows 0 and 1: flux divergence, pressure,
+ * force, vacuum mask, the order of the reference. With pressure, base is
+ * the face means of the raised cells in its work row 2, and grad_coef
+ * times them the face enthalpy. With a force field dvel holds the force
+ * term (force()), once part 0 has passed its barrier, and the rest of the
+ * tendency is added before it; without one the term is skipped, not added
+ * as +0.0, which would turn a -0.0 tendency into +0.0.
+ *
+ * Sets the part's first non-finite density and velocity tendency cells,
+ * or -1 each. */
+CLONED static void cells(struct job *j, int self, const double *restrict rho,
+                         const double *restrict base, int64_t lo, int64_t hi)
+{
+    const struct stage *s = j->s;
+    int64_t n = s->n;
+    double dr = s->dr, gc = s->grad_coef, rho_floor = j->rho_floor;
+    const double *restrict mass = WORK(s, 0, self), *restrict adv = WORK(s, 1, self);
+    const double *restrict center = s->center;
+    double *restrict drho = j->out, *restrict dvel = j->out + n;
+    for (int64_t i = lo; i < hi; i++)
         drho[i] = -(mass[i + 1] - mass[i]) / (center[i] * dr);
-        dvel[i] = -(adv[i + 1] - adv[i]) / dr;
+    if (s->field_coef != 0.0) {
+        if (self)
+            meet(j, self, 1);
+        if (base)
+            for (int64_t i = lo; i < hi; i++)
+                dvel[i] = (-(adv[i + 1] - adv[i]) / dr - (gc * base[i + 1] - gc * base[i]) / dr)
+                          + dvel[i];
+        else
+            for (int64_t i = lo; i < hi; i++)
+                dvel[i] = -(adv[i + 1] - adv[i]) / dr + dvel[i];
+    } else {
+        for (int64_t i = lo; i < hi; i++)
+            dvel[i] = -(adv[i + 1] - adv[i]) / dr;
+        if (base)
+            for (int64_t i = lo; i < hi; i++)
+                dvel[i] = dvel[i] - (gc * base[i + 1] - gc * base[i]) / dr;
     }
-    if (base)
-        for (int64_t i = 0; i < n; i++)
-            dvel[i] = dvel[i] - (gc * base[i + 1] - gc * base[i]) / dr;
-    if (fc != 0.0) {
-        /* C: the cells before plus the inner shell, then the whole shell */
-        const double *restrict shell = s->shell, *restrict inner_shell = s->inner_shell;
-        double q = np_max(rho[0], 0.0);
-        double sum = q * shell[0];
-        dvel[0] = dvel[0] + fc * (0.0 + q * inner_shell[0]) / center[0];
-        for (int64_t i = 1; i < n; i++) {
-            q = np_max(rho[i], 0.0);
-            double c = sum + q * inner_shell[i];
-            sum = sum + q * shell[i];
-            dvel[i] = dvel[i] + fc * c / center[i];
-        }
-    }
-    for (int64_t i = 0; i < n; i++)
+    for (int64_t i = lo; i < hi; i++)
         dvel[i] = rho[i] > rho_floor ? dvel[i] : 0.0;
     int64_t bad = 0;
-    for (int64_t i = 0; i < 2 * n; i++)
-        bad |= !(fabs(out[i]) <= DBL_MAX);
-    if (!bad)
-        return -1;
-    for (int64_t i = 0; i < 2 * n; i++)
-        if (!isfinite(out[i]))
-            return i;
-    return -1;
+    for (int64_t i = lo; i < hi; i++)
+        bad |= !(fabs(drho[i]) <= DBL_MAX) | !(fabs(dvel[i]) <= DBL_MAX);
+    j->part[self].bad[0] = j->part[self].bad[1] = -1;
+    for (int field = 0; bad && field < 2; field++)
+        for (int64_t i = lo; i < hi; i++)
+            if (!isfinite(j->out[field * n + i])) {
+                j->part[self].bad[field] = i;
+                break;
+            }
 }
 
-/* A stage's tendencies into the (2, n) block out, from the cells rho and
- * vel where they lie; no cell is copied. With pressure cell holds them
- * raised to gamma - 1 (else NULL): the sound speeds of the fluxes come from
- * those cells, and so does the face enthalpy, as their face means
- * (0**(gamma - 1) = 0 past the wall). */
-CLONED static int64_t tendencies(const struct stage *s, int64_t wall, const double *rho,
-                                 const double *vel, const double *cell, double rho_floor,
-                                 double *out)
+/* Part self's share, the cells [lo, hi), of a stage's tendencies of the
+ * cells rho and vel, where they lie, into j->out; no cell is copied. With
+ * pressure j->cell holds them raised to gamma - 1 (else NULL): the sound
+ * speeds of the fluxes come from those cells, and so does the face
+ * enthalpy, as their face means (0**(gamma - 1) = 0 past the wall). The
+ * part makes every face and speed its cells read, in its own rows: faces
+ * [lo, hi], and the speeds of cells lo - 1 .. hi; so both parts make face
+ * n / 2, and no barrier parts its passes. */
+static inline void tendencies(struct job *j, int self, const double *rho, const double *vel,
+                              int64_t lo, int64_t hi)
 {
+    const struct stage *s = j->s;
     int64_t n = s->n;
     /* the sound speeds, then the face means */
-    double *face = s->pressure_const > 0.0 ? WORK(s, 2) : NULL;
+    double *face = s->pressure_const > 0.0 ? WORK(s, 2, self) : NULL;
+    if (s->field_coef != 0.0 && !self) {
+        force(s, rho, j->out + n);
+        meet(j, self, 0); /* part 1 adds the force term to its cells */
+    }
     if (face)
-        sound_speeds(n, s->sound_coef, cell, face);
-    fluxes(n, wall, rho, vel, face, s->face_area, WORK(s, 0), WORK(s, 1));
+        sound_speeds(n, s->sound_coef, j->cell, face, at_least(lo - 1, 0), at_most(hi + 1, n));
+    fluxes(n, j->wall, rho, vel, face, s->face_area, WORK(s, 0, self), WORK(s, 1, self), lo,
+           hi + 1);
     if (face)
-        face_means(n, cell, face);
-    return cells(s, rho, rho_floor, face, out);
+        face_means(n, j->cell, face, lo, hi + 1);
+    cells(j, self, rho, face, lo, hi);
 }
 
-/* One Runge-Kutta combination in place on the (2, n) tendencies k: k = old
- * + dt*k in the first stage (mid NULL), else (mid + dt*k)/2 + old/2 with
- * mid the first stage's (2, n) result; both fields zeroed from cell wall on. */
+/* One Runge-Kutta combination in place on the cells [lo, hi) of the (2, n)
+ * tendencies k: k = old + dt*k in the first stage (mid NULL), else
+ * (mid + dt*k)/2 + old/2 with mid the first stage's (2, n) result; both
+ * fields zeroed from cell wall on. */
 CLONED static void combine(const struct stage *s, int64_t wall, double dt,
                            const double *restrict rho, const double *restrict vel,
-                           const double *restrict mid, double *restrict k)
+                           const double *restrict mid, double *restrict k, int64_t lo, int64_t hi)
 {
-    int64_t n = s->n;
+    int64_t n = s->n, end = at_most(wall, hi);
     double *restrict k_rho = k, *restrict k_vel = k + n;
     if (mid) {
         const double *restrict mid_rho = mid, *restrict mid_vel = mid + n;
-        for (int64_t i = 0; i < wall; i++) {
+        for (int64_t i = lo; i < end; i++) {
             k_rho[i] = (k_rho[i] * dt + mid_rho[i]) * 0.5 + 0.5 * rho[i];
             k_vel[i] = (k_vel[i] * dt + mid_vel[i]) * 0.5 + 0.5 * vel[i];
         }
     } else {
-        for (int64_t i = 0; i < wall; i++) {
+        for (int64_t i = lo; i < end; i++) {
             k_rho[i] = k_rho[i] * dt + rho[i];
             k_vel[i] = k_vel[i] * dt + vel[i];
         }
     }
-    for (int64_t i = wall; i < n; i++)
+    for (int64_t i = at_least(wall, lo); i < hi; i++)
         k_rho[i] = k_vel[i] = 0.0;
 }
 
-/* The slope |v[k + 2] - v[k]| / width of the m >= 1 differences k < m, and
- * its k, as np.argmax of the slopes picks it: the first NaN, else the first
- * largest. From d, the largest difference |v[k + 2] - v[k]| that is not
- * NaN, and whether one may be NaN. The width, 2 dr, lies in (0, DBL_MAX]
- * (stage() refuses any other dr), so a slope is NaN where its difference
- * is, and the division rounds monotonically: the largest slope is
- * q = d / width, first at the first difference that gives q. Each such
- * difference exceeds p * width, p the double below q, so it is at least the
- * double below that product rounded: blocks of 32 differences below that
- * bound are passed over without a division. */
-CLONED static int64_t first_slope(int64_t m, const double *restrict v, double width, double d,
-                                  int nan, double *value)
+/* Of the differences |v[k + 2] - v[k]| for k in [lo, hi), the first NaN
+ * if one may be NaN (nan), into first[0], and the first whose slope, the
+ * difference divided by width, is the steepest, into first[1]; -1 where
+ * there is none. np.argmax of the slopes picks the first NaN of the parts
+ * in order, else their first steepest. The steepest slope is q = d / width,
+ * from d, the largest difference that is not NaN: the width, 2 dr, lies in
+ * (0, DBL_MAX] (stage() refuses any other dr), so a slope is NaN where its
+ * difference is, and the division rounds monotonically. Each difference
+ * that gives q exceeds p * width, p the double below q, so it is at least
+ * the double below that product rounded: blocks of 32 differences below
+ * that bound are passed over without a division. */
+CLONED static void first_slope(int64_t lo, int64_t hi, const double *restrict v, double width,
+                               double d, int nan, int64_t first[2])
 {
-    int64_t i = 0;
-    for (; nan && i < m; i++)
-        if (isnan(v[i + 2] - v[i])) {
-            *value = fabs(v[i + 2] - v[i]) / width;
-            return i;
-        }
+    int64_t i = lo;
+    for (; nan && i < hi && !isnan(v[i + 2] - v[i]); i++)
+        ;
+    first[0] = nan && i < hi ? i : -1;
     double q = d / width, least = nextafter(nextafter(q, -INFINITY) * width, -INFINITY);
-    for (i = 0; i < m; i++) {
-        for (; i % 32 == 0 && i + 32 <= m; i += 32) {
+    for (i = lo; i < hi; i++) {
+        for (; i % 32 == 0 && i + 32 <= hi; i += 32) {
             mask over = {0, 0, 0, 0};
             for (int u = 0; u < 32; u += 4) {
-                lanes hi, lo;
-                memcpy(&hi, v + i + u + 2, sizeof hi);
-                memcpy(&lo, v + i + u, sizeof lo);
-                over |= ABS(hi - lo) >= least;
+                lanes up, down;
+                memcpy(&up, v + i + u + 2, sizeof up);
+                memcpy(&down, v + i + u, sizeof down);
+                over |= ABS(up - down) >= least;
             }
             if (ANY(over))
                 break;
@@ -379,19 +683,8 @@ CLONED static int64_t first_slope(int64_t m, const double *restrict v, double wi
         if (a >= least && a / width == q)
             break;
     }
-    *value = q;
-    return i;
+    first[1] = i < hi ? i : -1;
 }
-
-/* What a run reads of a state: its least density, as np.minimum folds it
- * from the first cell (np.min's SIMD blocks may return another zero); its
- * wave speed, np.max of |V| + c: the first NaN, else the largest; and its
- * steepest slope |v[i + 2] - v[i]| / (2 dr) and center cell i + 1, as
- * np.argmax picks them, or (0, 0) below 3 cells. */
-struct facts {
-    double lowest, speed, slope;
-    int64_t cell;
-};
 
 /* |V| + sqrt(sc * cell) of cell i, or |V| where cell is NULL (dust) */
 static inline double wave(const double *vel, const double *cell, double sc, int64_t i)
@@ -399,32 +692,33 @@ static inline double wave(const double *vel, const double *cell, double sc, int6
     return cell ? fabs(vel[i]) + sqrt(sc * cell[i]) : fabs(vel[i]);
 }
 
-/* The facts of the n cells rho and vel in one pass: independent chains of
- * lanes, two sets each, whose latencies overlap, carry the least rho, the
- * largest speed and the largest difference of each residue mod 8; a sum
- * turns NaN with any NaN cell (a NaN in vel makes its difference NaN), and
- * each field is then searched again. With the cells raised to gamma - 1 the
- * speed lanes carry |V| + c, and join the sum; dust's carry |V|. step_facts
- * calls this twice, cell NULL in one call, so each law runs a loop of its
- * own. */
-static inline __attribute__((always_inline)) struct facts
-facts_of(const struct stage *s, const double *restrict rho, const double *restrict vel,
-         const double *restrict cell)
+/* The partial facts of the cells [lo, hi) of rho and vel and of the
+ * differences |vel[k + 2] - vel[k]| for k in [lo, hi) below n - 2, in one
+ * pass: independent chains of lanes, two sets each, whose latencies
+ * overlap, carry the least rho, the largest speed and the largest
+ * difference of each residue mod 8; a sum turns NaN with any NaN cell (a
+ * NaN in vel makes its difference NaN). With the cells raised to gamma - 1
+ * the speed lanes carry |V| + c, and join the sum; dust's carry |V|. The
+ * lanes are read back through lane, 24 doubles. part() calls this twice,
+ * cell NULL in one call, so each law runs a loop of its own. */
+static inline __attribute__((always_inline)) struct partial
+partial_facts(const struct stage *s, const double *restrict rho, const double *restrict vel,
+              const double *restrict cell, int64_t lo, int64_t hi, double *lane)
 {
-    int64_t n = s->n, i = 0;
+    int64_t i = lo, end = at_most(hi, s->n - 2);
     double sc = s->sound_coef;
     lanes low = {INFINITY, INFINITY, INFINITY, INFINITY}, low2 = low, fast = -low, fast2 = -low,
           top = -low, top2 = -low, sum = {0.0, 0.0, 0.0, 0.0};
-    double least = INFINITY, speed = -INFINITY, best = -INFINITY;
-    for (; i + 8 <= n - 2; i += 8) {
-        lanes r, r2, v, v2, hi, hi2;
+    struct partial out = {INFINITY, -INFINITY, -INFINITY, 0};
+    for (; i + 8 <= end; i += 8) {
+        lanes r, r2, v, v2, up, up2;
         memcpy(&r, rho + i, sizeof r);
         memcpy(&r2, rho + i + 4, sizeof r2);
         memcpy(&v, vel + i, sizeof v);
         memcpy(&v2, vel + i + 4, sizeof v2);
-        memcpy(&hi, vel + i + 2, sizeof hi);
-        memcpy(&hi2, vel + i + 6, sizeof hi2);
-        lanes a = ABS(hi - v), a2 = ABS(hi2 - v2);
+        memcpy(&up, vel + i + 2, sizeof up);
+        memcpy(&up2, vel + i + 6, sizeof up2);
+        lanes a = ABS(up - v), a2 = ABS(up2 - v2);
         v = ABS(v);
         v2 = ABS(v2);
         if (cell) {
@@ -442,33 +736,65 @@ facts_of(const struct stage *s, const double *restrict rho, const double *restri
         RAISE(top2, a2);
         sum += (r + r2) + (a + a2);
     }
-    /* the lanes, read one by one through the work rows: read so in
-     * registers, they make the compiler split each chain into scalars */
-    double *lane = WORK(s, 0);
+    /* the lanes, read one by one through memory: read so in registers,
+     * they make the compiler split each chain into scalars */
     memcpy(lane, &low, sizeof low);
     memcpy(lane + 4, &low2, sizeof low2);
     memcpy(lane + 8, &fast, sizeof fast);
     memcpy(lane + 12, &fast2, sizeof fast2);
     memcpy(lane + 16, &top, sizeof top);
     memcpy(lane + 20, &top2, sizeof top2);
-    int found = ANY(sum != sum);
+    out.found = ANY(sum != sum);
     for (int q = 0; q < 8; q++) {
-        least = lane[q] < least ? lane[q] : least;
-        speed = lane[q + 8] > speed ? lane[q + 8] : speed;
-        best = lane[q + 16] > best ? lane[q + 16] : best;
+        out.least = lane[q] < out.least ? lane[q] : out.least;
+        out.speed = lane[q + 8] > out.speed ? lane[q + 8] : out.speed;
+        out.best = lane[q + 16] > out.best ? lane[q + 16] : out.best;
     }
-    for (int64_t j = i; j < n - 2; j++) {
-        double a = fabs(vel[j + 2] - vel[j]);
-        found |= isnan(a);
-        best = a > best ? a : best;
+    for (int64_t k = i; k < end; k++) {
+        double a = fabs(vel[k + 2] - vel[k]);
+        out.found |= isnan(a);
+        out.best = a > out.best ? a : out.best;
     }
-    for (; i < n; i++) {
+    for (; i < hi; i++) {
         double c = wave(vel, cell, sc, i);
-        least = rho[i] < least ? rho[i] : least;
-        speed = c > speed ? c : speed;
-        found |= isnan(rho[i]) | isnan(c);
+        out.least = rho[i] < out.least ? rho[i] : out.least;
+        out.speed = c > out.speed ? c : out.speed;
+        out.found |= isnan(rho[i]) | isnan(c);
     }
-    struct facts out = {least, speed, 0.0, 0};
+    return out;
+}
+
+/* The partial facts of j's parts folded in order: the extremes that are
+ * not NaN, and whether a NaN may lie among them. */
+static struct partial merged(const struct job *j)
+{
+    struct partial all = {INFINITY, -INFINITY, -INFINITY, 0};
+    for (int p = 0; p < j->count; p++) {
+        const struct partial *part = &j->part[p].facts;
+        all.least = part->least < all.least ? part->least : all.least;
+        all.speed = part->speed > all.speed ? part->speed : all.speed;
+        all.best = part->best > all.best ? part->best : all.best;
+        all.found |= part->found;
+    }
+    return all;
+}
+
+/* The facts of the n cells rho and vel, raised to gamma - 1 in cell where
+ * the law raises them (K > 0), else with cell NULL, from the partial facts
+ * of j's parts and the first slopes each found: the extremes that are not
+ * NaN, then, where a NaN may lie, each field searched again for its first,
+ * where the least density is a zero, the last zero, and the steepest slope
+ * at the first NaN difference of the parts in order, else at their first
+ * steepest. */
+CLONED static struct facts facts_of(const struct job *j, const double *rho, const double *vel,
+                                    const double *cell)
+{
+    const struct stage *s = j->s;
+    int64_t n = s->n, i;
+    struct partial all = merged(j);
+    double sc = s->sound_coef, least = all.least, width = 2.0 * s->dr;
+    int found = all.found;
+    struct facts out = {least, all.speed, 0.0, 0};
     for (i = 0; found && i < n && !isnan(rho[i]); i++)
         ;
     if (found && i < n)
@@ -483,17 +809,56 @@ facts_of(const struct stage *s, const double *restrict rho, const double *restri
             out.speed = wave(vel, cell, sc, i);
             break;
         }
-    if (n > 2)
-        out.cell = first_slope(n - 2, vel, 2.0 * s->dr, best, found, &out.slope) + 1;
+    if (n <= 2)
+        return out;
+    for (int which = 0; which < 2; which++)
+        for (int p = 0; p < j->count; p++)
+            if ((i = j->part[p].slope[which]) >= 0) {
+                out.cell = i + 1;
+                out.slope = which ? all.best / width : fabs(vel[i + 2] - vel[i]) / width;
+                return out;
+            }
     return out;
 }
 
-/* The facts of a state, from its cells raised to gamma - 1 where the law
- * raises them (K > 0), else with cell NULL. */
-CLONED static struct facts step_facts(const struct stage *s, const double *rho, const double *vel,
-                                      const double *cell)
+/* What part self of j's count makes of its passes, on the cells [lo, hi):
+ * the lower n / 2 for part 0 of two, the rest for part 1. The stage reads
+ * the first combination across the split, after a barrier; no other pass
+ * reads what the other part writes in the job. Past a non-finite tendency
+ * the passes run on, and the caller drops what they make. */
+CLONED static void part(struct job *j, int self)
 {
-    return cell ? facts_of(s, rho, vel, cell) : facts_of(s, rho, vel, NULL);
+    const struct stage *s = j->s;
+    int64_t n = s->n, lo = self ? n / 2 : 0, hi = self || j->count < 2 ? n : n / 2;
+    if (j->passes & FIRST) {
+        combine(s, j->wall, j->dt, j->rho, j->vel, NULL, j->k, lo, hi);
+        if (j->passes & STAGE)
+            meet(j, self, 1);
+    }
+    if (j->passes & STAGE)
+        tendencies(j, self, j->k ? j->k : j->rho, j->k ? j->k + n : j->vel, lo, hi);
+    if (j->passes & SECOND) {
+        combine(s, j->wall, j->dt, j->rho, j->vel, j->k, j->out, lo, hi);
+        if (j->passes & FACTS)
+            meet(j, self, 1); /* a difference reads two cells on */
+    }
+    if (j->passes & FACTS) {
+        const double *rho = j->out ? j->out : j->rho, *vel = j->out ? j->out + n : j->vel;
+        double *lane = s->lanes + 24 * self;
+        j->part[self].facts = j->cell ? partial_facts(s, rho, vel, j->cell, lo, hi, lane)
+                                      : partial_facts(s, rho, vel, NULL, lo, hi, lane);
+        meet(j, self, 1); /* each part reads both partial facts */
+        struct partial all = merged(j);
+        first_slope(lo, at_most(hi, n - 2), vel, 2.0 * s->dr, all.best, all.found,
+                    j->part[self].slope);
+    }
+}
+
+/* The facts of j's FACTS pass, once its parts are done. */
+static struct facts job_facts(const struct job *j)
+{
+    const double *rho = j->out ? j->out : j->rho, *vel = j->out ? j->out + j->s->n : j->vel;
+    return facts_of(j, rho, vel, j->cell);
 }
 
 /* The sums of up to 128 cells from lo in the blocked pairwise order of
@@ -603,9 +968,10 @@ CLONED static const char *kernel_target(void)
  * array sets n; format_rows takes a table block alone. Anything else, a
  * read-only output and a wall outside [0, n] raise ValueError before any
  * value is written. The entry then runs with the GIL held, which
- * finish_step lets go only in the power it calls, between two passes of
- * which none reads what another left in the work rows: so a stage's work
- * rows serve one pass at a time, whichever thread makes it. facts,
+ * finish_step lets go only in the power it calls, between two jobs, the
+ * helper idle, of which none reads what another left in the work rows: so
+ * a stage's work rows serve one job at a time, whichever thread makes it.
+ * facts,
  * row_sums and format_rows take no out-parameter: they return their
  * results. */
 
@@ -626,7 +992,7 @@ struct owned {
     double work[];
 };
 
-#define STAGE "radialblowup.stage"
+#define CAPSULE "radialblowup.stage"
 
 /* Releases the buffers c holds and returns result. */
 static PyObject *done(struct call *c, PyObject *result)
@@ -653,11 +1019,11 @@ static int open_call(struct call *c, const char *entry, PyObject *const *args, P
     }
     if (least)
         return 0;
-    if (!PyCapsule_IsValid(args[0], STAGE)) {
+    if (!PyCapsule_IsValid(args[0], CAPSULE)) {
         PyErr_Format(PyExc_ValueError, "%s: stage must be a capsule of stage()", entry);
         return -1;
     }
-    c->s = &((struct owned *)PyCapsule_GetPointer(args[0], STAGE))->s;
+    c->s = &((struct owned *)PyCapsule_GetPointer(args[0], CAPSULE))->s;
     c->n = c->s->n;
     return 0;
 }
@@ -746,25 +1112,28 @@ static int64_t wall_of(const struct call *c, PyObject *obj)
 
 static void free_stage(PyObject *capsule)
 {
-    struct owned *o = PyCapsule_GetPointer(capsule, STAGE);
+    struct owned *o = PyCapsule_GetPointer(capsule, CAPSULE);
     done(&o->c, NULL);
     PyMem_Free(o);
 }
 
-/* stage(dr, K, gamma, field_coef, r, face_area, shell, inner_shell, center)
- * -> a capsule that owns the struct stage of a grid of n = len(r) cells,
- * n >= 2, its work rows and the buffers it reads: r and the weights of
- * shape (n) and face_area (n + 1). A dr outside (0, DBL_MAX / 2] raises
- * ValueError: the slope width 2 dr must be a positive double. */
+/* stage(dr, K, gamma, field_coef, r, face_area, shell, inner_shell, center,
+ * threads) -> a capsule that owns the struct stage of a grid of n = len(r)
+ * cells, n >= 2, its work rows and the buffers it reads: r and the weights
+ * of shape (n) and face_area (n + 1); its passes split in two with threads
+ * 2, and run on the calling thread with 1. A dr outside (0, DBL_MAX / 2]
+ * raises ValueError: the slope width 2 dr must be a positive double; so
+ * does a threads other than 1 or 2. */
 static PyObject *py_stage(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
     struct call c;
     const double *r, *face_area, *shell, *inner_shell, *center;
     double dr, k, g, fc;
+    long threads;
     struct owned *o;
     PyObject *capsule;
     (void)self;
-    if (open_call(&c, "stage", args, nargs, 9, 2) < 0 || number(args[0], &dr) < 0
+    if (open_call(&c, "stage", args, nargs, 10, 2) < 0 || number(args[0], &dr) < 0
         || number(args[1], &k) < 0 || number(args[2], &g) < 0 || number(args[3], &fc) < 0
         || !(r = array(&c, args[4], CELLS, 0, "r"))
         || !(face_area = array(&c, args[5], FACES, 0, "face_area"))
@@ -776,8 +1145,15 @@ static PyObject *py_stage(PyObject *self, PyObject *const *args, Py_ssize_t narg
         PyErr_SetString(PyExc_ValueError, "stage: dr must be in (0, DBL_MAX / 2]");
         return done(&c, NULL);
     }
-    Py_ssize_t work = (k > 0.0 ? 3 : 2) * (c.n + 4);
-    if (!(o = PyMem_Malloc(sizeof *o + (work > 24 ? work : 24) * sizeof(double))))
+    threads = PyLong_AsLong(args[9]);
+    if (threads == -1 && PyErr_Occurred())
+        return done(&c, NULL);
+    if (threads != 1 && threads != 2) {
+        PyErr_Format(PyExc_ValueError, "stage: threads must be 1 or 2, got %ld", threads);
+        return done(&c, NULL);
+    }
+    Py_ssize_t work = (k > 0.0 ? 3 : 2) * (c.n + 8);
+    if (!(o = PyMem_Malloc(sizeof *o + (work + 48) * sizeof(double))))
         return done(&c, PyErr_NoMemory());
     o->s = (struct stage){
         .n = c.n, .dr = dr, .sound_coef = k * g,
@@ -786,12 +1162,12 @@ static PyObject *py_stage(PyObject *self, PyObject *const *args, Py_ssize_t narg
         .grad_coef = k * g / (g - 1.0), .field_coef = fc, .pressure_const = k,
         .exponent = g - 1.0,
         .face_area = face_area, .shell = shell, .inner_shell = inner_shell, .center = center,
-        .r = r, .work = o->work,
+        .r = r, .work = o->work, .lanes = o->work + work, .threads = (int)threads,
     };
     /* moving a Py_buffer is safe: CPython's and numpy's exporters key
      * nothing on its address */
     o->c = c;
-    if (!(capsule = PyCapsule_New(o, STAGE, free_stage))) {
+    if (!(capsule = PyCapsule_New(o, CAPSULE, free_stage))) {
         done(&o->c, NULL);
         PyMem_Free(o);
     }
@@ -812,7 +1188,10 @@ static PyObject *py_tendencies(PyObject *self, PyObject *const *args, Py_ssize_t
         || !(vel = array(&c, args[3], CELLS, 0, "vel")) || raised_cells(&c, args[4], &cell) < 0
         || !(out = array(&c, args[6], BLOCK, 1, "out")))
         return done(&c, NULL);
-    return done(&c, PyLong_FromLongLong(tendencies(c.s, wall, rho, vel, cell, rho_floor, out)));
+    struct job j = {.s = c.s, .passes = STAGE, .wall = wall, .rho_floor = rho_floor, .rho = rho,
+                    .vel = vel, .cell = cell, .out = out};
+    run_job(&j);
+    return done(&c, PyLong_FromLongLong(first_bad(&j)));
 }
 
 /* The facts f as a tuple: (least density, wave speed, (steepest slope,
@@ -850,18 +1229,20 @@ static const double *raised_row(struct call *c, PyObject *fn, PyObject *obj, PyO
  * from the state rho, vel after its first stage's tendencies k. The first
  * combination in place on k; the second stage's tendencies of k into out;
  * the second combination in place on out, which then holds the new state;
- * and that state's facts. Nothing is done past a non-finite tendency. Where
- * the law raises its cells (K > 0), power(row, gamma - 1), the
- * numpy power, raises those of k for the second stage and those of out for
- * the facts, and the second is returned. The arguments are checked before
- * a value is written; a failing power, or one that returns anything but n
- * cells, raises after k is written. */
+ * and that state's facts. Past a non-finite tendency neither facts nor
+ * raised cells are returned, and out, which holds what the passes made of
+ * it, is not raised. Where the law raises its cells (K > 0), power(row,
+ * gamma - 1), the numpy power, raises those of k for the second stage and
+ * those of out for the facts, and the second is returned. The arguments are
+ * checked before a value is written; a failing power, or one that returns
+ * anything but n cells, raises after k is written. */
 static PyObject *py_finish_step(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
     struct call c;
-    const double *rho, *vel, *cell = NULL;
+    const double *rho, *vel;
     double *k, *out, dt, rho_floor;
     int64_t wall, bad;
+    int raises;
     PyObject *raised = Py_None, *facts, *result;
     (void)self;
     if (open_call(&c, "finish_step", args, nargs, 9, 0) < 0 || number(args[2], &dt) < 0
@@ -870,16 +1251,29 @@ static PyObject *py_finish_step(PyObject *self, PyObject *const *args, Py_ssize_
         || !(vel = array(&c, args[4], CELLS, 0, "vel"))
         || !(k = array(&c, args[5], BLOCK, 1, "k")) || !(out = array(&c, args[7], BLOCK, 1, "out")))
         return done(&c, NULL);
-    combine(c.s, wall, dt, rho, vel, NULL, k);
-    if (c.s->pressure_const > 0.0 && !(cell = raised_row(&c, args[8], args[5], NULL)))
-        return done(&c, NULL);
-    bad = tendencies(c.s, wall, k, k + c.n, cell, rho_floor, out);
+    /* dust is one job; with pressure the power of the cells, a Python
+     * call, parts it in three, each run to its end before the call */
+    raises = c.s->pressure_const > 0.0;
+    struct job j = {.s = c.s, .passes = raises ? FIRST : FIRST | STAGE | SECOND | FACTS,
+                    .wall = wall, .dt = dt, .rho_floor = rho_floor, .rho = rho, .vel = vel,
+                    .k = k, .out = out};
+    run_job(&j);
+    if (raises) {
+        if (!(j.cell = raised_row(&c, args[8], args[5], NULL)))
+            return done(&c, NULL);
+        j.passes = STAGE | SECOND;
+        run_job(&j);
+    }
+    bad = first_bad(&j);
     if (bad >= 0)
         return done(&c, Py_BuildValue("(LOO)", (long long)bad, Py_None, Py_None));
-    combine(c.s, wall, dt, rho, vel, k, out);
-    if (c.s->pressure_const > 0.0 && !(cell = raised_row(&c, args[8], args[7], &raised)))
-        return done(&c, NULL);
-    facts = facts_value(step_facts(c.s, out, out + c.n, cell));
+    if (raises) {
+        if (!(j.cell = raised_row(&c, args[8], args[7], &raised)))
+            return done(&c, NULL);
+        j.passes = FACTS;
+        run_job(&j);
+    }
+    facts = facts_value(job_facts(&j));
     result = facts ? Py_BuildValue("(LOO)", -1LL, facts, raised) : NULL;
     Py_XDECREF(facts);
     if (raised != Py_None)
@@ -897,7 +1291,9 @@ static PyObject *py_facts(PyObject *self, PyObject *const *args, Py_ssize_t narg
         || !(rho = array(&c, args[1], CELLS, 0, "rho"))
         || !(vel = array(&c, args[2], CELLS, 0, "vel")) || raised_cells(&c, args[3], &cell) < 0)
         return done(&c, NULL);
-    return done(&c, facts_value(step_facts(c.s, rho, vel, cell)));
+    struct job j = {.s = c.s, .passes = FACTS, .rho = rho, .vel = vel, .cell = cell};
+    run_job(&j);
+    return done(&c, facts_value(job_facts(&j)));
 }
 
 /* row_sums(stage, rho, vel, cell) -> the four sums as a tuple */
@@ -1078,8 +1474,8 @@ static PyObject *py_kernel_target(PyObject *self, PyObject *const *args, Py_ssiz
 #define ENTRY(name, doc) {#name, (PyCFunction)(void (*)(void))py_##name, METH_FASTCALL, doc}
 
 static PyMethodDef entries[] = {
-    ENTRY(stage, "stage(dr, K, gamma, field_coef, r, face_area, shell, inner_shell, center) "
-                 "-> stage"),
+    ENTRY(stage, "stage(dr, K, gamma, field_coef, r, face_area, shell, inner_shell, center, "
+                 "threads) -> stage"),
     ENTRY(tendencies, "tendencies(stage, wall, rho, vel, cell, rho_floor, out) -> int"),
     ENTRY(finish_step, "finish_step(stage, wall, dt, rho, vel, k, rho_floor, out, power) "
                        "-> (int, None or tuple, None or array)"),

@@ -5,7 +5,9 @@ command and interpreter ABI and kept in ``$XDG_CACHE_HOME/radialblowup``
 (``~/.cache/radialblowup`` when the variable is unset or not absolute); the
 file name carries the interpreter's extension suffix. It is loaded on first
 use, so commands that never step a state never compile it. Every entry runs
-with the GIL held. Every entry but ``format_rows`` and ``kernel_target``
+with the GIL held; a stage built for two threads (``threads``) splits each
+pass of an entry that steps a state with one helper thread, which never
+touches Python. Every entry but ``format_rows`` and ``kernel_target``
 takes the ``struct stage`` that the kernel's ``stage`` builds for a ``Plan``
 when the process asks for another grid and model than its last, and owns in
 a capsule with the arrays it reads; the methods of that ``Plan`` are their
@@ -17,6 +19,7 @@ hands ``finish_step``.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import os
 import re
@@ -43,29 +46,67 @@ except ImportError:
 
 SOURCE = Path(__file__).with_name("_kernel.c")
 # no contraction into fused multiply-adds: it changes the bits of the results;
-# without trapping math and errno the loops vectorize, with the same values
+# without trapping math and errno the loops vectorize, with the same values;
+# no -pthread: the interpreter that loads the module provides the helper
+# thread's pthread calls
 COMPILE = (
     "cc", "-O3", "-fPIC", "-shared", "-fno-trapping-math", "-fno-math-errno",
     "-ffp-contract=off",
 )
 
+#: The fewest cells whose passes split between two threads. The helper
+#: spins through the Python between kernel calls, so a split run spends
+#: about twice its stepping time in CPU; below this the wall time it saves
+#: is too small for that (one thread against two, in CHANGES.md)
+SPLIT_CELLS = 4096
+
+#: The processes of one command that step at once: a pooled sweep sets it
+#: (``sharing``) while its runs step
+_processes = 1
+
+
+@contextlib.contextmanager
+def sharing(processes: int):
+    """Within the block, ``processes`` processes of this command step at
+    once, and ``threads`` divides the CPUs among them."""
+    global _processes
+    kept, _processes = _processes, processes
+    try:
+        yield
+    finally:
+        _processes = kept
+
+
+def threads(n_cells: int) -> int:
+    """The threads that step a grid of ``n_cells`` here, the one rule of the
+    split: 2 when the CPUs this process may use (its affinity, else the CPU
+    count), divided among the processes ``sharing`` names, are at least 2
+    each and ``n_cells`` is at least ``SPLIT_CELLS``; else 1. Either count
+    gives the same bits."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # macOS has no affinity
+        cpus = os.cpu_count() or 1
+    return 2 if cpus >= 2 * _processes and n_cells >= SPLIT_CELLS else 1
+
 
 class Plan:
-    """A grid and model's ``struct stage``, one per process, which keeps it
-    until it asks for another (``plan``). Its methods alone
-    call the entries that take it, and look up ``load`` and ``power`` anew
-    each time: tests swap them. ``facts`` is the one reduction over a state.
-    A plan keeps no state: what a call reads arrives as an argument, and the
-    cells raised for it, which ``powers`` returns, are a value the caller may
-    pass on."""
+    """A grid and model's ``struct stage`` for ``threads`` threads, one per
+    process, which keeps it until it asks for another (``plan``). Its
+    methods alone call the entries that take it, and look up ``load`` and
+    ``power`` anew each time: tests swap them. ``facts`` is the one
+    reduction over a state. A plan keeps no state: what a call reads arrives
+    as an argument, and the cells raised for it, which ``powers`` returns,
+    are a value the caller may pass on."""
 
-    def __init__(self, grid: RadialGrid, cfg: ModelConfig):
+    def __init__(self, grid: RadialGrid, cfg: ModelConfig, threads: int = 1):
         weights = grid_weights(grid, cfg.dim)
         self._stage = load().stage(
             grid.cell_width, cfg.pressure_const, cfg.gamma, alpha(cfg.dim) * cfg.delta,
             grid.cell_centers, weights.face_area, weights.shell, weights.inner_shell,
-            weights.center,
+            weights.center, threads,
         )
+        self.threads = threads
         self._block, self._gamma = (2, grid.n_cells), cfg.gamma
         self._raises = cfg.pressure_const > 0.0
 
@@ -112,17 +153,19 @@ _last = (None, None, None)
 
 
 def plan(grid: RadialGrid, cfg: ModelConfig) -> Plan:
-    """The plan of (grid, cfg): the last one again when the same two objects
-    ask (the run path, with no ``==``) or two equal to them, else a new one in
-    its place. Threads share it, as each kernel call holds the GIL; a race on
-    the slot costs a rebuild, never another grid's plan."""
+    """The plan of (grid, cfg) for the ``threads`` of its grid: the last one
+    again when the same two objects ask (the run path, with no ``==``) or
+    two equal to them, and the thread count is the same, else a new one in
+    its place. Threads share it, as each kernel call holds the GIL; a race
+    on the slot costs a rebuild, never another grid's plan."""
     global _last
     last_grid, last_cfg, last = _last
     if grid is last_grid and cfg is last_cfg:
         return last
-    if grid != last_grid or cfg != last_cfg:
+    count = threads(grid.n_cells)
+    if grid != last_grid or cfg != last_cfg or last.threads != count:
         _last = (None, None, None)  # the old plan goes before the new one is built
-        last = Plan(grid, cfg)
+        last = Plan(grid, cfg, count)
     _last = (grid, cfg, last)
     return last
 

@@ -388,7 +388,7 @@ def run_single(run_id: str, config: ExperimentConfig, out_root: str) -> dict:
     grid, profile = build_run_fields(config)
     # the kernel is compiled or opened once per process: later runs wait 0 s
     t_load = time.perf_counter()
-    kernel_target = _kernel.target()
+    kernel_target, kernel_threads = _kernel.target(), _kernel.threads(grid.n_cells)
     t_run = time.perf_counter()
     result = run(
         profile.rho0, profile.v0, config.model, config.numerics,
@@ -428,6 +428,7 @@ def run_single(run_id: str, config: ExperimentConfig, out_root: str) -> dict:
         f"started_unix: {started:.3f}\nelapsed_seconds: {t_end - t_begin:.3f}\n"
         f"steps: {trajectory.steps}\ndt_min: {_fmt(dt_min)}\ndt_max: {_fmt(dt_max)}\n"
         f"peak_rss_kb: {peak_rss}\nkernel_target: {kernel_target}\n"
+        f"kernel_threads: {kernel_threads}\n"
         f"kernel_load_s: {t_run - t_load:.6f}\nbuild_s: {t_load - t_begin:.6f}\n"
         f"run_s: {t_ran - t_run:.6f}\ndiagnostics_s: {trajectory.diagnostics_s:.6f}\n"
         f"write_s: {t_end - t_write:.6f}\n",
@@ -479,9 +480,11 @@ def _forked(tasks: list, processes: int) -> list[dict]:
     and each child's outcomes are unlinked temporary files, which block no
     writer whatever their size; a child's file is read once it is reaped,
     and a child not reaped would outlive the command. The process forks
-    with one thread (the package pins OpenBLAS to one, and nothing starts
-    another), and the children call no BLAS routine and no system
-    framework, so neither ``multiprocessing`` nor an executor is needed."""
+    with one thread (the package pins OpenBLAS to one, and the kernel stops
+    its helper thread before a fork), and the children call no BLAS routine
+    and no system framework, so neither ``multiprocessing`` nor an executor
+    is needed. Each process steps its runs on the share of the CPUs that
+    ``_kernel.sharing`` gives it."""
     order = sorted(range(len(tasks)), key=lambda i: -tasks[i][1].n_cells)
     # what a task keeps if the process that claimed it dies before reporting it
     outcomes = [
@@ -499,6 +502,7 @@ def _forked(tasks: list, processes: int) -> list[dict]:
             _kernel.load()
         sys.stdout.flush()
         sys.stderr.flush()
+        files.enter_context(_kernel.sharing(processes))
         children = []
         try:
             for report in reports:

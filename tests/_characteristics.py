@@ -1,9 +1,10 @@
 """Test oracle: semi-analytic reference solutions for verifying the solver.
 
-Covers pressureless, force-free transport along straight characteristics
-and the second-order boundary ODE R'' = delta * M / R**(dim-1) for the
-support edge. The package never runs it; the first crossing time it checks
-against is the package's ``profiles.first_crossing_time``.
+Covers pressureless, force-free transport along straight characteristics,
+the density it carries, and the second-order boundary ODE
+R'' = delta * M / R**(dim-1) for the support edge. The package never runs
+it; the first crossing time it checks against is the package's
+``profiles.first_crossing_time``.
 """
 
 from __future__ import annotations
@@ -73,6 +74,28 @@ def oracle_velocity(
     r0 = np.linspace(0.0, grid.support_radius, n_samples)
     field = characteristic_solution(v0, t, r0, dv0)
     return field.velocity_at(grid.cell_centers)
+
+
+def dust_density(
+    rho0: Callable[[np.ndarray], np.ndarray],
+    v0: Callable[[np.ndarray], np.ndarray],
+    dv0: Callable[[np.ndarray], np.ndarray],
+    t: float,
+    x: np.ndarray,
+    dim: int,
+) -> np.ndarray:
+    """The exact delta = 0 dust density at the radii x at time t, before
+    paths cross: V is constant on the paths x = r0 + t*V0(r0), and on them
+    rho(t, x) = rho0(r0) * (r0/x)**(dim-1) / (1 + t*V0'(r0)). Each foot r0 is
+    found by Newton's method from r0 = x, to the last bits."""
+    x = np.asarray(x, dtype=float)
+    r0 = x.copy()
+    for _ in range(50):
+        step = (r0 + t * v0(r0) - x) / (1.0 + t * dv0(r0))
+        r0 = r0 - step
+        if np.all(np.abs(step) <= 1e-15 * np.maximum(np.abs(x), 1e-300)):
+            break
+    return rho0(r0) * (r0 / x) ** (dim - 1) / (1.0 + t * dv0(r0))
 
 
 @dataclass(frozen=True)

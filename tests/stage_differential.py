@@ -16,9 +16,10 @@ state overflows and the second stage breaks down. The states cover n = 2 ..
 or are every face, with every wall in [0, n], and n = 64, 257 and 512 with
 the walls 0, 1, n - 2 and n; every law (dust, and pressure with gamma 1.4,
 5/3 and 2), force sign and dimension; vacuum patches, densities of -1e-18 and
--0.0, and cells of inf, -inf and NaN. Prints the count and the time, and the
-first mismatches, if any, and exits 1 then. Run it with the package
-importable:
+-0.0, and cells of inf, -inf and NaN. Each state is stepped again by a plan
+that splits every pass between two threads, which must make the same
+bytes. Prints the count and the time, and the first mismatches, if any,
+and exits 1 then. Run it with the package importable:
 
     PYTHONPATH=src python tests/stage_differential.py [--seed N]
 """
@@ -197,16 +198,50 @@ def finish(plan, wall, dt, state, k, rho_floor):
         _kernel.power = kept
 
 
+def plan_bytes(plan, state, wall: int, dt: float, rho_floor: float) -> list:
+    """Every byte a plan makes of a state: its facts; a stage's first
+    non-finite index and its tendencies; and the rest of a step from them:
+    its first non-finite index, the stage's state it leaves in the
+    tendencies' block, and the new state, its facts and raised cells."""
+
+    def facts_bytes(facts):
+        lowest, speed, (slope, cell) = facts
+        return np.array([lowest, speed, slope]).tobytes(), cell
+
+    made = [facts_bytes(plan.facts(state))]
+    k, bad = plan.tendencies(state, wall, rho_floor)
+    made += [bad, k.tobytes() if bad < 0 else None]
+    if bad < 0:
+        bad, new, facts, powers = plan.finish_step(wall, dt, state, k, rho_floor)
+        made += [bad, k.tobytes()]
+        if bad < 0:
+            made += [new.rho.tobytes(), new.vel.tobytes(), facts_bytes(facts),
+                     None if powers is None else powers.tobytes()]
+    return made
+
+
+#: The last grid and model's plan that splits its passes between two threads
+_split = {}
+
+
 def mismatch(plan, state, cfg, grid, wall, dt) -> str:
     """What the kernel gets wrong of a stage and a step from ``state`` with
     cells from ``wall`` on closed, or the empty string."""
     n = grid.n_cells
+    finite = state.rho[np.isfinite(state.rho)]
+    rho_floor = VACUUM_FLOOR_REL * float(np.max(finite, initial=0.0))
+    key = (n, cfg)
+    if key not in _split:
+        _split.clear()
+        _split[key] = _kernel.Plan(grid, cfg, 2)
+    if plan_bytes(plan, state, wall, dt, rho_floor) != plan_bytes(
+        _split[key], state, wall, dt, rho_floor
+    ):
+        return "two threads make other bytes than one"
     wrong = facts_mismatch(state, plan.facts(state), cfg, grid)
     if wrong:
         return f"facts: {wrong}"
     num = SimpleNamespace(support_margin_cells=n - wall)
-    finite = state.rho[np.isfinite(state.rho)]
-    rho_floor = VACUUM_FLOOR_REL * float(np.max(finite, initial=0.0))
     first = _kernel_tendencies(plan, state, wall, rho_floor)
     expected = _oracle(lambda: ref.rhs_eval(state, cfg, grid, num, rho_floor))
     if isinstance(expected, Breakdown) or isinstance(first, Breakdown):
@@ -274,7 +309,8 @@ def main(argv=None) -> int:
                 if bad <= 20:
                     print(f"n={grid.n_cells} wall={wall} {cfg}: {wrong}")
     print(
-        f"facts, tendencies, finish_step and the new state's facts against the oracle: {count} states "
+        f"facts, tendencies, finish_step and the new state's facts against the oracle, "
+        f"and two threads against one: {count} states "
         f"of seed {seed}, "
         f"{bad} mismatches, {time.perf_counter() - start:.1f} s"
     )

@@ -770,9 +770,11 @@ class TestExecute:
         meta = dict(line.split(": ", 1) for line in text.splitlines())
         assert set(meta) == {
             "started_unix", "elapsed_seconds", "steps", "dt_min", "dt_max", "peak_rss_kb",
-            "kernel_target", "kernel_load_s", "build_s", "run_s", "diagnostics_s", "write_s",
+            "kernel_target", "kernel_threads", "kernel_load_s", "build_s", "run_s",
+            "diagnostics_s", "write_s",
         }
         assert meta["kernel_target"] == _kernel.target()
+        assert meta["kernel_threads"] == str(_kernel.threads(64)) == "1"  # 64 cells never split
         assert 0.0 <= float(meta["kernel_load_s"]) <= float(meta["elapsed_seconds"]) + 1e-3
         # disjoint phases of the run on the clock of elapsed_seconds (printed to 1 ms)
         phases = [float(meta[key]) for key in ("build_s", "run_s", "write_s")]
@@ -1475,3 +1477,55 @@ class TestConsoleContract:
         with pytest.raises(SystemExit) as exited:
             cli.console()
         assert exited.value.code == 0
+
+
+# 4096 cells, at or above _kernel.SPLIT_CELLS, for 26 steps
+SPLIT_RUN = SMALL_RUN.replace("n_cells = 64", "n_cells = 4096").replace(
+    "t_end = 0.2", "t_end = 0.01"
+)
+
+
+def kernel_threads(run_dir) -> str:
+    """The ``kernel_threads`` line of a run's meta.txt."""
+    lines = Path(run_dir, "meta.txt").read_text().splitlines()
+    meta = dict(line.split(": ", 1) for line in lines)
+    return meta["kernel_threads"]
+
+
+class TestKernelThreads:
+    """A run steps on two threads where ``_kernel.threads`` says so, and
+    writes the bytes of one thread wherever it runs."""
+
+    def test_a_sweep_forked_after_a_split_step_writes_what_one_process_writes(self, tmp_path):
+        # the helper runs in this process when the sweep forks: the kernel
+        # stops it first, and each process starts its own
+        grid = RadialGrid(n_cells=4096, support_radius=1.0)
+        r = grid.cell_centers
+        state = model.FluidState(0.0, (1.0 - r**2) ** 2, r * (1.0 - r))
+        _, bad = _kernel.Plan(grid, ModelConfig(), 2).tendencies(state, 4094, 0.0)
+        assert bad == -1
+        config = parse_config(SPLIT_RUN + "\n[sweep]\ndelta = 0, 1\n")
+        assert execute(config, output_dir=str(tmp_path / "two"), jobs=2) == 0
+        assert execute(config, output_dir=str(tmp_path / "one"), jobs=1) == 0
+        assert artifacts(tmp_path / "two") == artifacts(tmp_path / "one")
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        for jobs in ("one", "two"):
+            split = cpus >= (2 if jobs == "one" else 4)
+            for run in ("run-0000", "run-0001"):
+                assert kernel_threads(tmp_path / jobs / run) == ("2" if split else "1")
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity here")
+    def test_a_run_on_one_cpu_writes_the_bytes_of_a_run_on_all(self, tmp_path):
+        cfg_file = tmp_path / "exp.cfg"
+        cfg_file.write_text(SPLIT_RUN)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in sys.path if p)}
+        one_cpu = (
+            f"import os, sys; os.sched_setaffinity(0, {{{min(os.sched_getaffinity(0))}}}); "
+            "from radialblowup.cli import main; sys.exit(main(sys.argv[1:]))"
+        )
+        for launcher, out in ((["-c", one_cpu], "one"), (["-m", "radialblowup.cli"], "all")):
+            subprocess.run([sys.executable, *launcher, "run", str(cfg_file), "--output-dir",
+                            str(tmp_path / out)], env=env, check=True, timeout=60)
+        assert artifacts(tmp_path / "one") == artifacts(tmp_path / "all")
+        assert kernel_threads(tmp_path / "one" / "run-0000") == "1"
+        assert kernel_threads(tmp_path / "all" / "run-0000") == str(_kernel.threads(4096))

@@ -541,7 +541,7 @@ def test_a_slope_width_of_any_sign_is_refused_by_the_stage(width):
     w = model.grid_weights(grid, 3)
     arrays = (grid.cell_centers, w.face_area, w.shell, w.inner_shell, w.center)
     with pytest.raises(ValueError, match=r"^stage: dr must be in \(0, DBL_MAX / 2\]$"):
-        _kernel.load().stage(width / 2.0, 0.0, 1.4, 0.0, *arrays)
+        _kernel.load().stage(width / 2.0, 0.0, 1.4, 0.0, *arrays, 1)
 
 
 def test_facts_at_their_edges():
@@ -562,3 +562,54 @@ def test_facts_at_their_edges():
         zeros = np.full(n, -0.0)
         zeros[wall:] = 0.0
         assert _same(plan.facts(FluidState(0.0, zeros, zeros))[0], sign)
+
+
+def _split_cases(n, walls, repeats, seed):
+    """(grid, cfg, state, wall, dt) for every law of the stage differential,
+    force sign and wall: random states, half of them with a NaN, an inf, a
+    -0.0 or a vacuum cell just before, at or just after the split at n // 2."""
+    rng = np.random.default_rng(seed)
+    grid = stage_differential.SmallGrid(n_cells=n, support_radius=1.0)
+    for k, gamma in stage_differential.LAWS:
+        for delta in (-1, 0, 1):
+            cfg = ModelConfig(dim=int(rng.integers(1, 4)), delta=delta, pressure_const=k,
+                              gamma=gamma)
+            for wall in walls:
+                for _ in range(repeats):
+                    state = stage_differential.draw_state(rng, n, wall)
+                    if rng.random() < 0.5:
+                        field = state.rho if rng.random() < 0.5 else state.vel
+                        cell = min(max(n // 2 + int(rng.integers(-1, 2)), 0), n - 1)
+                        field[cell] = rng.choice((np.nan, np.inf, -np.inf, -0.0, 0.0))
+                    dt = 1e300 if rng.random() < 0.1 else float(rng.uniform(1e-4, 1e-2))
+                    yield grid, cfg, state, wall, dt
+
+
+@pytest.mark.parametrize("n", [*range(2, 20), 64, 257, 512, 4096])
+def test_one_thread_and_two_make_the_same_bytes(n):
+    # a stage that splits its passes at n // 2 between the calling thread
+    # and the helper gives the bytes of one thread: facts, tendencies, the
+    # first non-finite cell, and a step's rest, at every wall of a small
+    # grid (where the edge faces meet the split) and at both ends of a large
+    walls = stage_differential.walls(n)
+    repeats = 2 if n < 4096 else 1
+    plans = {}
+    for grid, cfg, state, wall, dt in _split_cases(n, walls, repeats, seed=n):
+        if cfg not in plans:
+            plans = {cfg: [_kernel.Plan(grid, cfg, threads) for threads in (1, 2)]}
+        one, two = plans[cfg]
+        finite = state.rho[np.isfinite(state.rho)]
+        rho_floor = VACUUM_FLOOR_REL * float(np.max(finite, initial=0.0))
+        with np.errstate(all="ignore"):
+            made = [stage_differential.plan_bytes(plan, state, wall, dt, rho_floor)
+                    for plan in (one, two)]
+        assert made[0] == made[1], (cfg, wall)
+
+
+def test_a_stage_takes_one_thread_or_two():
+    grid = RadialGrid(n_cells=16, support_radius=1.0)
+    w = model.grid_weights(grid, 3)
+    arrays = (grid.cell_centers, w.face_area, w.shell, w.inner_shell, w.center)
+    for threads in (0, 3, -1):
+        with pytest.raises(ValueError, match=rf"^stage: threads must be 1 or 2, got {threads}$"):
+            _kernel.load().stage(0.0625, 0.0, 1.4, 0.0, *arrays, threads)

@@ -274,7 +274,7 @@ def test_each_entry_takes_its_count_of_arguments():
     calls = {
         "stage": [
             0.0625, 1.0, 1.4, 0.0, grid.cell_centers, w.face_area, w.shell, w.inner_shell,
-            w.center,
+            w.center, 1,
         ],
         "tendencies": [stage, n - 1, rho, vel, rho, 0.0, out],
         "finish_step": [stage, n - 1, 0.1, rho, vel, k, 0.0, out, _kernel.power],
@@ -308,7 +308,7 @@ def test_stage_takes_only_the_arrays_of_its_grid(pressure_const, gamma):
     )
 
     def build(**swap):
-        return lib.stage(0.0625, pressure_const, gamma, 0.0, *{**good, **swap}.values())
+        return lib.stage(0.0625, pressure_const, gamma, 0.0, *{**good, **swap}.values(), 1)
 
     stage = build()
     for name, array in good.items():
@@ -321,9 +321,9 @@ def test_stage_takes_only_the_arrays_of_its_grid(pressure_const, gamma):
     # the largest dr a stage takes, whose slope width 2 dr is DBL_MAX, and
     # the next double above it
     half = sys.float_info.max / 2.0
-    build_dr = lib.stage(half, pressure_const, gamma, 0.0, *good.values())
+    build_dr = lib.stage(half, pressure_const, gamma, 0.0, *good.values(), 1)
     with pytest.raises(ValueError, match="dr must be"):
-        lib.stage(np.nextafter(half, np.inf), pressure_const, gamma, 0.0, *good.values())
+        lib.stage(np.nextafter(half, np.inf), pressure_const, gamma, 0.0, *good.values(), 1)
     vel = np.zeros(grid.n_cells)
     for cell in (None, np.empty(grid.n_cells + 1)):
         if pressure_const > 0.0:
@@ -470,12 +470,13 @@ def test_the_avx2_clones_of_the_loops_hold_256_bit_code():
     if not wide:
         pytest.skip("the kernel has no wide clones on this platform")
     loops = ("face_means", "sound_speeds", "fluxes", "cells", "combine", "block_sums")
-    # step_facts works in 32-byte vectors, ymm in both clones
-    for loop in loops + ("step_facts",):
+    # the facts' lanes, inlined into part, work in 32-byte vectors, ymm in
+    # both clones
+    for loop in loops + ("part",):
         assert wide.get((loop, "avx2"), 0) > 0, loop
     for loop in loops:
         assert wide.get((loop, "avx512f"), 0) > 0, loop
-    assert ymm_in_avx512f.get("step_facts", 0) > 0
+    assert ymm_in_avx512f.get("part", 0) > 0
 
 
 def _tree(name: str) -> ast.AST:

@@ -564,3 +564,51 @@ class TestThreads:
             self._in_threads(len(inputs), go)
             assert all(d[1] is Termination.STEEPENING_DETECTED for d in sequential)
             assert threaded == sequential
+
+    def test_threads_on_split_plans_reproduce_the_sequential_run(self, monkeypatch):
+        # four runs at once, each plan split between the calling thread and
+        # the kernel's one helper, which the four hand their jobs in turn:
+        # each ends as the same run alone on one thread
+        num = NumericsConfig(t_end=2.0, steepening_threshold=50.0, output_stride=10)
+        inputs = []
+        for n_cells, cfg in [(256, ModelConfig(dim=3, delta=1, pressure_const=0.0)),
+                             (256, ModelConfig(dim=3, delta=1, pressure_const=1.0, gamma=1.4)),
+                             (128, ModelConfig(dim=2, delta=0, pressure_const=0.1, gamma=2.0)),
+                             (128, ModelConfig(dim=3, delta=0, pressure_const=0.0))]:
+            grid = RadialGrid(n_cells=n_cells, support_radius=1.0)
+            prof = build_initial_profile("gaussian_truncated", {"width": 0.25}, 0, grid, 2)
+            inputs.append((prof.rho0, prof.v0, cfg, num))
+        sequential = [_digest(run(*args)) for args in inputs]
+        monkeypatch.setattr(_kernel, "threads", lambda n_cells: 2)
+        start = threading.Barrier(len(inputs), timeout=60)
+        threaded = [None] * len(inputs)
+
+        def go(k):
+            start.wait()
+            threaded[k] = _digest(run(*inputs[k]))
+
+        self._in_threads(len(inputs), go)
+        assert _kernel.plan(RadialGrid(n_cells=128, support_radius=1.0), ModelConfig()).threads == 2
+        assert threaded == sequential
+
+
+def test_delta_zero_dust_reads_the_velocity_alone():
+    # for delta = 0 dust the scheme's velocity update reads neither rho nor
+    # N, as V_t + V V_r = 0 does not: on the 1024-cell bump velocity
+    # V0 = r(1 - r), every density and dimension detects at the same time,
+    # after the same steps, through the same slopes, to the bit
+    n = 1024
+    grid = RadialGrid(n_cells=n, support_radius=1.0)
+    r = grid.cell_centers
+    num = NumericsConfig(cfl=0.4, t_end=2.0, steepening_threshold=20.0, output_stride=10,
+                         support_margin_cells=2)
+    densities = ((1.0 - r**2) ** 2, (1.0 - r**2) ** 5, np.ones(n))
+    slopes = set()
+    for dim in (1, 2, 3):
+        for rho0 in densities:
+            rho0, v0 = margin_zeroed((rho0, r * (1.0 - r)))
+            result = solver.run(rho0, v0, ModelConfig(dim=dim, delta=0, pressure_const=0.0), num)
+            assert result.trajectory.t_detect == 0.9563172330718559
+            assert result.trajectory.steps == 612
+            slopes.add(result.series.max_gradients.tobytes())
+    assert len(slopes) == 1
